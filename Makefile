@@ -1,7 +1,7 @@
 # Distributed Pagerank for P2P Systems — build/test/bench driver.
 GO ?= go
 
-.PHONY: all build vet lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-check ci
+.PHONY: all build vet lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check ci
 
 all: build
 
@@ -85,6 +85,20 @@ bench:
 bench-pipeline:
 	$(GO) test -run XXX -bench BenchmarkRunPassParallel -benchmem .
 
+# The three per-update stages of the live cluster's rank-update path —
+# ranker fold, retry-queue coalesce + drain, batch frame codec — with
+# allocation counts. BENCHTIME=1x is what CI runs, so they cannot rot.
+BENCHTIME ?= 1s
+bench-wire:
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkBatchEpochCodec' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench BenchmarkRetryQueueDeferMergeDrainN -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md):
+# every workload in its own process, untraced and then traced for the
+# per-layer table.
+bench-e2e:
+	bash bench/run.sh --workload all
+
 # Bench-regression gate: reruns the workers=1 pipeline benchmark and
 # fails on >25% drift from results/BENCH_passpipeline.json, then
 # checks the telemetry-instrumented variant stays within its <3%
@@ -105,4 +119,5 @@ ci:
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \
 		&& $(GO) test -race -count=1 -run Overload ./internal/wire \
-		&& $(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race
+		&& $(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race \
+		&& $(MAKE) bench-wire BENCHTIME=1x

@@ -243,13 +243,9 @@ func (p *Peer) snapshot() *PeerSnapshot {
 		snd := p.senders[st]
 		ob := OutboundState{Src: st.src, Dest: st.dest, NextSeq: snd.nextSeq, Window: snd.window}
 		for _, fr := range snd.unacked {
-			// Decode the frame back into updates; the restore re-frames
-			// them with the same stream identity and sequence number.
-			_, _, seq, us, err := decodeFrameBytes(fr.bytes)
-			if err != nil {
-				continue // cannot happen: we encoded it
-			}
-			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: seq, Updates: us})
+			// The restore re-frames the updates under the same stream
+			// identity and sequence number.
+			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: fr.seq, Updates: fr.us})
 		}
 		if st.src == p.cfg.ID {
 			ob.Pending = p.rq.Drain(st.dest)
@@ -265,37 +261,20 @@ func (p *Peer) snapshot() *PeerSnapshot {
 			Src: p.cfg.ID, Dest: dest, NextSeq: 1, Pending: p.rq.Drain(dest),
 		})
 	}
+	// Remote frames left in the inbox are still held by their senders,
+	// but self-directed batches (the initial push's own share, rerouted
+	// updates for documents held here) have nobody to retransmit them:
+	// they are saved as updates pending for this peer itself.
+	var self []p2p.Update
+	for len(p.bulk) > 0 {
+		if it := <-p.bulk; it.cw == nil {
+			self = append(self, it.us...)
+		}
+	}
+	if len(self) > 0 {
+		s.Outbound = append(s.Outbound, OutboundState{Src: p.cfg.ID, Dest: p.cfg.ID, NextSeq: 1, Pending: self})
+	}
 	return s
-}
-
-// decodeFrameBytes parses a full stream-batch frame as built by
-// nextFrame or installAdoptedSender. Both the epoch-stamped frame and
-// the legacy stream frame decode; the epoch itself is dropped — the
-// restorer re-stamps with its own current epoch.
-func decodeFrameBytes(b []byte) (src, dest p2p.PeerID, seq uint64, us []p2p.Update, err error) {
-	typ, payload, err := readFrameBytes(b)
-	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("wire: not a stream batch frame")
-	}
-	switch typ {
-	case frameBatchStrm:
-		return decodeBatchStrm(payload)
-	case frameBatchEpoch:
-		src, dest, seq, _, us, err = decodeBatchEpoch(payload)
-		return src, dest, seq, us, err
-	}
-	return 0, 0, 0, nil, fmt.Errorf("wire: not a stream batch frame")
-}
-
-func readFrameBytes(b []byte) (byte, []byte, error) {
-	if len(b) < 5 {
-		return 0, nil, fmt.Errorf("wire: frame too short")
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if uint32(len(b)-5) != n {
-		return 0, nil, fmt.Errorf("wire: frame length mismatch")
-	}
-	return b[4], b[5:], nil
 }
 
 // RestorePeer rejoins a crashed peer: a fresh listener (new address),
@@ -344,6 +323,12 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	p.rk.resetMass()
 	for _, ob := range snap.Outbound {
 		st := stream{src: ob.Src, dest: ob.Dest}
+		if st.src == cfg.ID && st.dest == cfg.ID {
+			// Its own share of what it shipped before the crash, counted
+			// sent and never folded: back into the (still empty) inbox.
+			p.bulk <- inItem{from: cfg.ID, us: ob.Pending}
+			continue
+		}
 		if _, dup := p.senders[st]; dup {
 			continue
 		}
@@ -355,11 +340,9 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 			s.window = ob.Window
 		}
 		for _, uf := range ob.Unacked {
-			fr := &frameRec{seq: uf.Seq, updates: len(uf.Updates)}
 			// Same stream identity and seq (dedup survives the crash),
 			// re-stamped with the restorer's freshest epoch for the range.
-			fr.bytes = frameBytes(frameBatchEpoch, encodeBatchEpoch(st.src, st.dest, uf.Seq, p.epochOf(st.dest), uf.Updates))
-			s.unacked = append(s.unacked, fr)
+			s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: p.epochOf(st.dest), us: uf.Updates})
 		}
 		if len(s.unacked) > 0 {
 			s.sendSeq = s.unacked[0].seq
@@ -491,15 +474,6 @@ func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []f
 	}
 	s.Docs, s.Rank, s.Acc, s.Last = keepDocs, keepRank, keepAcc, keepLast
 	return rank, acc, last, nil
-}
-
-// frameBytes renders one frame to a byte slice.
-func frameBytes(typ byte, payload []byte) []byte {
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	return buf
 }
 
 // EncodeSnapshot serializes a snapshot in the checkpoint layout:

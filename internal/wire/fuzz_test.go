@@ -51,7 +51,7 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 // None may panic or over-allocate, and accepted input must round-trip
 // through its encoder.
 func FuzzDecodeFrames(f *testing.F) {
-	batch := encodeBatchEpoch(1, 2, 7, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}})
+	batch := encodeBatchEpoch(nil, 1, 2, 7, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}})
 	strm := encodeBatchStrm(2, 4, 9, []p2p.Update{{Doc: 1, Delta: 0.25}})
 	gossip := encodeGossip(3, []p2p.PeerID{0, 5})
 	view := encodeView(View{
@@ -60,8 +60,8 @@ func FuzzDecodeFrames(f *testing.F) {
 		Gone:   []bool{false, true, false},
 		Fwd:    []p2p.PeerID{p2p.NoPeer, 2, p2p.NoPeer},
 	})
-	nack := encodeNackEpoch(12, 5)
-	credit := encodeCredit(1<<33, 32)
+	nack := encodeNackEpoch(nil, 12, 5)
+	credit := encodeCredit(nil, 1<<33, 32)
 	ack := encodeAck(991)
 	probe := encodeSnapshot(17, 12)
 	ranks := encodeRanks([]graph.NodeID{0, 3}, []float64{0.5, 1.25})
@@ -70,7 +70,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sender, origDest, seq, epoch, us, err := decodeBatchEpoch(data); err == nil {
-			again := encodeBatchEpoch(sender, origDest, seq, epoch, us)
+			again := encodeBatchEpoch(nil, sender, origDest, seq, epoch, us)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("batch-epoch round trip mismatch: %x != %x", data, again)
 			}
@@ -88,7 +88,7 @@ func FuzzDecodeFrames(f *testing.F) {
 			}
 		}
 		if seq, epoch, err := decodeNackEpoch(data); err == nil {
-			again := encodeNackEpoch(seq, epoch)
+			again := encodeNackEpoch(nil, seq, epoch)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("nack round trip mismatch: %x != %x", data, again)
 			}
@@ -97,7 +97,7 @@ func FuzzDecodeFrames(f *testing.F) {
 			if window == 0 {
 				t.Fatal("decoder accepted a zero credit window")
 			}
-			again := encodeCredit(seq, window)
+			again := encodeCredit(nil, seq, window)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("credit round trip mismatch: %x != %x", data, again)
 			}

@@ -161,7 +161,7 @@ func (p *HTTPPeer) event(typ telemetry.EventType, value float64, aux int64) {
 func (p *HTTPPeer) Start() {
 	p.wg.Add(1)
 	go p.processLoop()
-	if self := p.ship(p.rk.initialOut()); len(self) > 0 {
+	if self := p.ship(p.rk.initialOut(), true); len(self) > 0 {
 		select {
 		case p.inbox <- inItem{from: p.cfg.ID, us: self}:
 		case <-p.quit:
@@ -252,42 +252,43 @@ func (p *HTTPPeer) processLoop() {
 				batch = append(batch, it.us...)
 			}
 			for len(batch) > 0 {
-				out, fwd := p.rk.fold(batch)
-				self := p.ship(out)
+				n := len(batch) // batch may alias the outbox the fold is about to refill
+				out, fwd, folded := p.rk.fold(batch)
+				self := p.ship(out, true)
 				if len(fwd) > 0 {
 					self = append(self, p.forward(fwd)...)
 				}
-				folded := 0.0
-				for _, u := range batch {
-					folded += u.Delta
-				}
-				for _, u := range fwd {
-					folded -= u.Delta
-				}
 				p.m.deltaFolded.Add(folded)
-				p.m.processed.Add(uint64(len(batch)))
-				p.event(telemetry.EvFold, folded, int64(len(batch)))
+				p.m.processed.Add(uint64(n))
+				p.event(telemetry.EvFold, folded, int64(n))
 				batch = self
 			}
 		}
 	}
 }
 
-// ship transmits batches, returning the self-directed ones.
-func (p *HTTPPeer) ship(out map[p2p.PeerID][]p2p.Update) []p2p.Update {
+// ship transmits batches, returning the self-directed ones (the
+// outbox's own slot: see Peer.handle). originated marks freshly minted
+// deltas, which count toward the shipped-mass conservation total.
+func (p *HTTPPeer) ship(out outbox, originated bool) []p2p.Update {
 	var self []p2p.Update
 	shipped, n := 0.0, 0
-	for dest, us := range out {
-		p.m.sent.Add(uint64(len(us)))
-		for _, u := range us {
-			shipped += u.Delta
-		}
-		n += len(us)
-		if dest == p.cfg.ID {
-			self = append(self, us...)
+	for slot, us := range out {
+		if len(us) == 0 {
 			continue
 		}
-		p.post(dest, us)
+		p.m.sent.Add(uint64(len(us)))
+		if originated {
+			for _, u := range us {
+				shipped += u.Delta
+			}
+			n += len(us)
+		}
+		if dest := p2p.PeerID(slot - 1); dest == p.cfg.ID {
+			self = us
+		} else {
+			p.post(dest, us)
+		}
 	}
 	if n > 0 {
 		p.m.deltaShipped.Add(shipped)
@@ -301,22 +302,10 @@ func (p *HTTPPeer) ship(out map[p2p.PeerID][]p2p.Update) []p2p.Update {
 // a misconfigured placement table). Forwarded mass was counted shipped
 // at its origin, so only the send counter moves here.
 func (p *HTTPPeer) forward(fwd []p2p.Update) []p2p.Update {
-	var self []p2p.Update
-	for _, u := range fwd {
-		owner := p.rk.ownerOf(u.Doc)
-		switch {
-		case owner == p.cfg.ID && p.rk.owns(u.Doc):
-			self = append(self, u)
-			p.m.sent.Add(1)
-		case owner == p.cfg.ID || owner == p2p.NoPeer:
-			p.m.misdropped.Add(1)
-		default:
-			p.m.sent.Add(1)
-			p.post(owner, []p2p.Update{u})
-		}
-	}
+	out, dropped := p.rk.forwardOut(fwd)
+	p.m.misdropped.Add(uint64(dropped))
 	p.m.forwarded.Add(uint64(len(fwd)))
-	return self
+	return p.ship(out, false)
 }
 
 // post coalesces one batch into the destination's pending queue and

@@ -322,7 +322,7 @@ func TestOverloadCreditWindowEnforced(t *testing.T) {
 	// Acknowledge both frames but shrink the window to 1: the four
 	// parked updates drain into one frame, and nothing may follow it —
 	// not even for updates queued afterwards.
-	if err := writeFrame(conn, frameCredit, encodeCredit(2, 1)); err != nil {
+	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	waitFrames(3)
@@ -334,7 +334,7 @@ func TestOverloadCreditWindowEnforced(t *testing.T) {
 	}
 
 	// Reopen the window: the rest of the backlog ships.
-	if err := writeFrame(conn, frameCredit, encodeCredit(3, 4)); err != nil {
+	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
 	waitFrames(4)

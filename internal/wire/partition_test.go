@@ -226,7 +226,7 @@ func TestEpochRejectStaleFrame(t *testing.T) {
 	send := func(seq, epoch uint64) (byte, []byte) {
 		t.Helper()
 		us := []p2p.Update{{Doc: 0, Delta: 0.5}}
-		if err := writeFrame(conn, frameBatchEpoch, encodeBatchEpoch(1, 1, seq, epoch, us)); err != nil {
+		if err := writeFrame(conn, frameBatchEpoch, encodeBatchEpoch(nil, 1, 1, seq, epoch, us)); err != nil {
 			t.Fatal(err)
 		}
 		typ, payload, err := readFrame(conn)

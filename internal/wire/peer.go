@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -254,14 +254,16 @@ type inItem struct {
 	seq      uint64
 	seqed    bool
 	us       []p2p.Update
-	ack      func() // transmits the cumulative ack; nil for local items
+
+	// cw is the connection a sequenced remote frame arrived on, which
+	// its acknowledgement goes back out of; nil for local items.
+	cw *connWriter
 
 	// Epoch fencing: hasEpoch marks frames that carry the sender's
-	// ownership epoch for origDest; nack transmits the per-frame
-	// stale-epoch rejection with this receiver's current epoch.
+	// ownership epoch for origDest. They are acked with credit frames
+	// and rejected with stale-epoch nacks; legacy frames get plain acks.
 	epoch    uint64
 	hasEpoch bool
-	nack     func(cur uint64)
 
 	adopt *Handoff // nil unless this item carries a state handoff
 	shed  *shedReq // nil unless this item requests a document shed
@@ -648,18 +650,21 @@ func (p *Peer) acceptLoop() {
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte // the frame being written; reused under mu
 }
 
-// write emits one frame under a write deadline, so a jammed peer can
-// never stall the processing loop or a response path: a lost ack is
-// recovered by the sender's retransmission, which is re-acknowledged.
+// write emits one frame, in one Write, under a write deadline, so a
+// jammed peer can never stall the processing loop or a response path:
+// a lost ack is recovered by the retransmission, which is re-acked.
 func (cw *connWriter) write(typ byte, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
+	cw.buf = appendFrame(reuse(cw.buf), typ, payload)
 	cw.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	defer cw.conn.SetWriteDeadline(time.Time{})
 	//dpr:ignore lockhold: intentional — the write deadline above bounds the hold to writeTimeout
-	return writeFrame(cw.conn, typ, payload)
+	_, err := cw.conn.Write(cw.buf)
+	return err
 }
 
 // serveConn handles one inbound connection's frames.
@@ -699,8 +704,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			it := inItem{from: from, origDest: p.cfg.ID, seq: seq, seqed: true, us: us,
-				ack: func() { cw.write(frameAck, encodeAck(seq)) }}
+			it := inItem{from: from, origDest: p.cfg.ID, seq: seq, seqed: true, us: us, cw: cw}
 			select {
 			case p.bulk <- it:
 			case <-p.quit:
@@ -711,8 +715,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us,
-				ack: func() { cw.write(frameAck, encodeAck(seq)) }}
+			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us, cw: cw}
 			select {
 			case p.bulk <- it:
 			case <-p.quit:
@@ -723,13 +726,8 @@ func (p *Peer) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			// Acks on the epoch path are credit frames: the cumulative ack
-			// plus this receiver's advertised window, computed at ack time
-			// so it reflects current bulk-lane occupancy.
 			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us,
-				epoch: epoch, hasEpoch: true,
-				ack:  func() { cw.write(frameCredit, encodeCredit(seq, p.advertiseWindow())) },
-				nack: func(cur uint64) { cw.write(frameNackEpoch, encodeNackEpoch(seq, cur)) }}
+				epoch: epoch, hasEpoch: true, cw: cw}
 			select {
 			case p.bulk <- it:
 			case <-p.quit:
@@ -799,6 +797,21 @@ func (p *Peer) advertiseWindow() uint32 {
 	return uint32(w)
 }
 
+// ack acknowledges a sequenced remote frame as folded (or as a
+// duplicate of a folded one). On the epoch path the acknowledgement is
+// a credit frame: the cumulative ack plus this receiver's advertised
+// window, computed now so it reflects current bulk-lane occupancy.
+func (p *Peer) ack(it *inItem) {
+	var b [12]byte
+	switch {
+	case it.cw == nil:
+	case it.hasEpoch:
+		it.cw.write(frameCredit, encodeCredit(b[:0], it.seq, p.advertiseWindow()))
+	default:
+		it.cw.write(frameAck, encodeAck(it.seq))
+	}
+}
+
 // processLoop consumes delivered batches, coalescing whatever is
 // already queued before recomputing. The control lane has strict
 // priority: membership operations are served before any queued bulk
@@ -849,8 +862,9 @@ func (p *Peer) processLoop() {
 // snapshot.
 func (p *Peer) consume(items []inItem) {
 	var batch []p2p.Update
-	var acks []inItem
-	for _, it := range items {
+	var acks []*inItem
+	for i := range items {
+		it := &items[i]
 		if it.adopt != nil {
 			p.applyAdopt(it.adopt)
 			continue
@@ -873,9 +887,7 @@ func (p *Peer) consume(items []inItem) {
 			_, wasRejected := p.rejected[key][it.seq]
 			if it.seq <= p.lastSeq[key] && !wasRejected {
 				p.m.dupDropped.Add(1)
-				if it.ack != nil {
-					it.ack() // re-ack so the sender can discard the frame
-				}
+				p.ack(it) // re-ack so the sender can discard the frame
 				continue
 			}
 			if it.hasEpoch {
@@ -891,8 +903,9 @@ func (p *Peer) consume(items []inItem) {
 						p.rejected[key] = make(map[uint64]struct{})
 					}
 					p.rejected[key][it.seq] = struct{}{}
-					if it.nack != nil {
-						it.nack(local)
+					if it.cw != nil {
+						var b [16]byte
+						it.cw.write(frameNackEpoch, encodeNackEpoch(b[:0], it.seq, local))
 					}
 					continue
 				}
@@ -922,17 +935,17 @@ func (p *Peer) consume(items []inItem) {
 		batch = p.handle(batch)
 	}
 	for _, it := range acks {
-		if it.ack != nil {
-			it.ack()
-		}
+		p.ack(it)
 	}
 }
 
 // handle folds a batch, ships remote consequences, forwards updates
 // for documents that migrated away, and returns the self-directed
-// ones for the caller to fold next.
+// ones for the caller to fold next: the ranker's own outbox slot,
+// which only the next handle may be given (see ranker.fold).
 func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
-	out, fwd := p.rk.fold(batch)
+	n := len(batch) // batch may alias the outbox the fold is about to refill
+	out, fwd, folded := p.rk.fold(batch)
 	self := p.ship(out, true)
 	if len(fwd) > 0 {
 		self = append(self, p.forward(fwd)...)
@@ -940,16 +953,9 @@ func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
 	// Conservation accounting: only mass actually folded here counts
 	// as folded; forwarded mass stays in flight (its origination was
 	// already counted by whoever first shipped it).
-	folded := 0.0
-	for _, u := range batch {
-		folded += u.Delta
-	}
-	for _, u := range fwd {
-		folded -= u.Delta
-	}
 	p.m.deltaFolded.Add(folded)
-	p.m.processed.Add(uint64(len(batch)))
-	p.event(telemetry.EvFold, folded, int64(len(batch)))
+	p.m.processed.Add(uint64(n))
+	p.event(telemetry.EvFold, folded, int64(n))
 	return self
 }
 
@@ -959,10 +965,14 @@ func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
 // never observe processed > sent. originated marks freshly minted
 // deltas, which count toward the shipped-mass conservation total;
 // forwarded mass was counted at its origin.
-func (p *Peer) ship(out map[p2p.PeerID][]p2p.Update, originated bool) []p2p.Update {
+func (p *Peer) ship(out outbox, originated bool) []p2p.Update {
 	var self []p2p.Update
 	shipped, n := 0.0, 0
-	for dest, us := range out {
+	for slot, us := range out {
+		if len(us) == 0 {
+			continue
+		}
+		dest := p2p.PeerID(slot - 1)
 		p.m.sent.Add(uint64(len(us)))
 		if originated {
 			for _, u := range us {
@@ -971,7 +981,7 @@ func (p *Peer) ship(out map[p2p.PeerID][]p2p.Update, originated bool) []p2p.Upda
 			n += len(us)
 		}
 		if dest == p.cfg.ID {
-			self = append(self, us...)
+			self = us
 			continue
 		}
 		p.queueRemote(dest, us)
@@ -989,22 +999,10 @@ func (p *Peer) ship(out map[p2p.PeerID][]p2p.Update, originated bool) []p2p.Upda
 // but the fold refused (a transiently inconsistent table) are counted
 // in misdropped, which the conservation check treats as lost mass.
 func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
-	out := make(map[p2p.PeerID][]p2p.Update)
-	var self []p2p.Update
-	for _, u := range fwd {
-		owner := p.rk.ownerOf(u.Doc)
-		switch {
-		case owner == p.cfg.ID && p.rk.owns(u.Doc):
-			self = append(self, u) // adopted between fold and forward
-			p.m.sent.Add(1)
-		case owner == p.cfg.ID || owner == p2p.NoPeer:
-			p.m.misdropped.Add(1) // no resolvable owner; surfaced in stats
-		default:
-			out[owner] = append(out[owner], u)
-		}
-	}
+	out, dropped := p.rk.forwardOut(fwd)
+	p.m.misdropped.Add(uint64(dropped)) // no resolvable owner; surfaced in stats
 	p.m.forwarded.Add(uint64(len(fwd)))
-	return append(self, p.ship(out, false)...)
+	return p.ship(out, false)
 }
 
 // queueRemote coalesces updates into the destination's retry queue
@@ -1194,13 +1192,11 @@ func (p *Peer) installAdoptedSender(st stream, ob OutboundState) {
 		s.window = ob.Window
 	}
 	for _, uf := range ob.Unacked {
-		fr := &frameRec{seq: uf.Seq, updates: len(uf.Updates)}
-		// Re-encode under the restorer's current epoch for the range:
-		// stream and seq identity are preserved (dedup still works),
-		// but the frame carries a fence-aware epoch so a reconciled
-		// receiver can nack it if ownership moved on.
-		fr.bytes = frameBytes(frameBatchEpoch, encodeBatchEpoch(st.src, st.dest, uf.Seq, p.epochOf(st.dest), uf.Updates))
-		s.unacked = append(s.unacked, fr)
+		// Stamped with the adopter's current epoch for the range: stream
+		// and seq identity are preserved (dedup still works), but the
+		// frame carries a fence-aware epoch so a reconciled receiver can
+		// nack it if ownership moved on.
+		s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: p.epochOf(st.dest), us: uf.Updates})
 	}
 	if len(s.unacked) > 0 {
 		s.sendSeq = s.unacked[0].seq
@@ -1268,18 +1264,30 @@ type sender struct {
 	stalled bool
 
 	// Straggler detection: an EWMA of send-to-ack latency per
-	// destination, with hysteresis on the slow flag (set above
-	// SlowThreshold, cleared below half of it) so the degraded mode
-	// does not flap.
-	ewma time.Duration
-	slow bool
+	// destination, with hysteresis on the slow flag so the degraded
+	// mode does not flap: set above SlowThreshold, cleared below half
+	// of it once what was left queued behind the last frame (backlog)
+	// fits one full frame. Latency alone is no exit test: the degraded
+	// mode's small paced frames are acked quickly however far behind
+	// the destination is (DESIGN.md §13).
+	ewma    time.Duration
+	slow    bool
+	backlog int
+
+	// buf holds the frame being transmitted, rendered afresh for every
+	// (re)transmission and written with one Write. Only the sender's
+	// own goroutine touches it.
+	buf []byte
 }
 
-// frameRec is one framed batch awaiting acknowledgement.
+// frameRec is one framed batch awaiting acknowledgement. It keeps the
+// updates themselves, never their encoding: they are never modified
+// once the frame exists, so transmissions read them without the lock,
+// and a nack or a checkpoint takes them back as they are.
 type frameRec struct {
 	seq      uint64
-	bytes    []byte
-	updates  int
+	epoch    uint64 // the destination range's epoch when the frame was built
+	us       []p2p.Update
 	attempts int
 	sentAt   time.Time // last transmission start; feeds the latency EWMA
 }
@@ -1311,13 +1319,21 @@ func (s *sender) loop() {
 				return
 			default:
 			}
-			fr := s.nextFrame()
-			if fr == nil {
+			if s.nextFrame() == nil {
 				break
 			}
 			conn := s.ensureConn(&fails)
 			if conn == nil {
 				return // shutting down
+			}
+			// Pick the frame only now that the connection is known: one
+			// picked before ensureConn found the connection dead would
+			// overtake the unacknowledged frames the reconnect rewinds to,
+			// and the receiver's cumulative ack for it discards those
+			// unfolded (DESIGN.md §13).
+			fr := s.nextFrame()
+			if fr == nil {
+				break
 			}
 			s.mu.Lock()
 			fr.attempts++
@@ -1332,8 +1348,9 @@ func (s *sender) loop() {
 				s.p.m.retries.Add(1)
 				s.p.event(telemetry.EvRetry, float64(seq), int64(s.strm.dest))
 			}
+			s.buf = appendBatchEpochFrame(reuse(s.buf), s.strm.src, s.strm.dest, seq, fr.epoch, fr.us)
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			_, err := conn.Write(fr.bytes)
+			_, err := conn.Write(s.buf)
 			conn.SetWriteDeadline(time.Time{})
 			if err != nil {
 				s.closeConn(conn)
@@ -1406,19 +1423,18 @@ func (s *sender) nextFrame() *frameRec {
 		limit = slowBatchCap
 	}
 	p.rqMu.Lock()
-	us := p.rq.DrainN(s.strm.dest, limit)
+	// DrainN lends the queue's own storage; the frame keeps a copy.
+	us := slices.Clone(p.rq.DrainN(s.strm.dest, limit))
+	s.backlog = p.rq.Queued(s.strm.dest)
 	p.rqMu.Unlock()
 	if len(us) == 0 {
 		return nil
 	}
-	fr := &frameRec{seq: s.nextSeq, updates: len(us)}
-	s.nextSeq++
-	var buf bytes.Buffer
 	// Fresh frames are stamped with the sender's current epoch for the
 	// destination key range; a receiver that saw a later ownership
 	// transfer of that range nacks the frame instead of folding it.
-	writeFrame(&buf, frameBatchEpoch, encodeBatchEpoch(s.strm.src, s.strm.dest, fr.seq, p.epochOf(s.strm.dest), us))
-	fr.bytes = buf.Bytes()
+	fr := &frameRec{seq: s.nextSeq, epoch: p.epochOf(s.strm.dest), us: us}
+	s.nextSeq++
 	s.unacked = append(s.unacked, fr)
 	p.m.unackedFrames.Add(1)
 	return fr
@@ -1596,7 +1612,7 @@ func (s *sender) ack(seq uint64) {
 		i++
 	}
 	if i > 0 {
-		s.unacked = append([]*frameRec(nil), s.unacked[i:]...)
+		s.unacked = slices.Delete(s.unacked, 0, i)
 		s.p.m.unackedFrames.Add(float64(-i))
 	}
 	if i > 0 && lat > 0 {
@@ -1612,7 +1628,7 @@ func (s *sender) ack(seq uint64) {
 		switch {
 		case !s.slow && s.ewma > threshold:
 			s.slow, slowFlip = true, true
-		case s.slow && s.ewma < threshold/2:
+		case s.slow && s.ewma < threshold/2 && s.backlog < batchCap:
 			s.slow = false
 		}
 	}
@@ -1662,11 +1678,8 @@ func (s *sender) handleNack(seq, epoch uint64) {
 		if fr.seq != seq {
 			continue
 		}
-		if _, _, _, decoded, err := decodeFrameBytes(fr.bytes); err == nil {
-			us = decoded
-		} else {
-		}
-		s.unacked = append(s.unacked[:i:i], s.unacked[i+1:]...)
+		us = fr.us
+		s.unacked = slices.Delete(s.unacked, i, i+1)
 		s.p.m.unackedFrames.Add(-1)
 		break
 	}

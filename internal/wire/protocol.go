@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -64,25 +65,32 @@ const (
 // allocating unbounded memory.
 const maxFrameBytes = 64 << 20
 
-// writeFrame emits one frame: u32 payload length, u8 type, payload.
+// frameHeader is the length of the (u32 payload length, u8 type) prefix
+// of every frame.
+const frameHeader = 5
+
+// appendFrameHeader appends the header of a frame whose payload will be
+// n bytes long.
+func appendFrameHeader(dst []byte, typ byte, n int) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(n)), typ)
+}
+
+// appendFrame appends one whole frame: header, then payload.
+func appendFrame(dst []byte, typ byte, payload []byte) []byte {
+	return append(appendFrameHeader(dst, typ, len(payload)), payload...)
+}
+
+// writeFrame emits one frame with a single Write, so that whatever a
+// Transport does to one Write — FaultTransport drops, duplicates or
+// resets it — happens to a whole frame and never to half of one.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(appendFrame(make([]byte, 0, frameHeader+len(payload)), typ, payload))
+	return err
 }
 
 // readFrame reads one frame.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
+	var hdr [frameHeader]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -97,17 +105,33 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[4], payload, nil
 }
 
-// encodeBatch serializes updates.
-func encodeBatch(us []p2p.Update) []byte {
-	buf := make([]byte, 4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(us)))
-	off := 4
+// reuse empties a recycled buffer for refilling — unless its last fill
+// used under an eighth of the storage, which is then dropped. Every
+// buffer the update path recycles (frame bytes, folded batches,
+// outboxes) goes through here, so each stays sized by current traffic
+// and not by the largest burst it ever carried.
+func reuse[T any](s []T) []T {
+	if cap(s) > 1024 && cap(s) > 8*len(s) {
+		return nil
+	}
+	return s[:0]
+}
+
+// appendUpdates appends a batch payload: u32 n, then n x (u32 doc, f64
+// delta).
+//
+//dpr:hotpath
+func appendUpdates(dst []byte, us []p2p.Update) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 4+12*len(us))[:off+4+12*len(us)]
+	binary.LittleEndian.PutUint32(dst[off:], uint32(len(us)))
+	off += 4
 	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
+		binary.LittleEndian.PutUint32(dst[off:], uint32(u.Doc))
+		binary.LittleEndian.PutUint64(dst[off+4:], math.Float64bits(u.Delta))
 		off += 12
 	}
-	return buf
+	return dst
 }
 
 // decodeBatch parses a batch payload.
@@ -129,6 +153,9 @@ func decodeBatch(b []byte) ([]p2p.Update, error) {
 	return us, nil
 }
 
+// encodeBatch serializes updates.
+func encodeBatch(us []p2p.Update) []byte { return appendUpdates(nil, us) }
+
 // batchSeqHeader is the length of the (sender, seq) prefix a
 // sequenced batch carries in front of the plain batch payload.
 const batchSeqHeader = 12
@@ -137,17 +164,8 @@ const batchSeqHeader = 12
 // and a per-(sender, destination) sequence number prefix the plain
 // batch payload so receivers can suppress redelivered duplicates.
 func encodeBatchSeq(sender p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := make([]byte, batchSeqHeader+4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))
-	binary.LittleEndian.PutUint64(buf[4:12], seq)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(us)))
-	off := 16
-	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
-		off += 12
-	}
-	return buf
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(sender))
+	return appendUpdates(binary.LittleEndian.AppendUint64(buf, seq), us)
 }
 
 // decodeBatchSeq parses a sequenced batch payload.
@@ -182,18 +200,9 @@ const batchStrmHeader = 16
 // sequenced on. For a static cluster origDest always equals the
 // receiving peer and the frame behaves exactly like frameBatchSeq.
 func encodeBatchStrm(sender, origDest p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := make([]byte, batchStrmHeader+4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(origDest))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(us)))
-	off := 20
-	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
-		off += 12
-	}
-	return buf
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(sender))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(origDest))
+	return appendUpdates(binary.LittleEndian.AppendUint64(buf, seq), us)
 }
 
 // decodeBatchStrm parses a stream-identified batch payload.
@@ -229,13 +238,10 @@ func decodeAck(b []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// encodeCredit serializes a flow-controlled acknowledgement: the
+// encodeCredit appends a flow-controlled acknowledgement to dst: the
 // cumulative ack plus the receiver's advertised credit window.
-func encodeCredit(seq uint64, window uint32) []byte {
-	buf := make([]byte, 12)
-	binary.LittleEndian.PutUint64(buf[:8], seq)
-	binary.LittleEndian.PutUint32(buf[8:], window)
-	return buf
+func encodeCredit(dst []byte, seq uint64, window uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(dst, seq), window)
 }
 
 // decodeCredit parses a flow-controlled acknowledgement payload. A
@@ -309,25 +315,29 @@ func decodeRanks(b []byte, out []float64) (int, error) {
 // payload.
 const batchEpochHeader = 24
 
-// encodeBatchEpoch serializes an epoch-stamped stream batch: a
+// encodeBatchEpoch appends an epoch-stamped stream batch to dst: a
 // frameBatchStrm payload extended with the epoch of the origDest key
 // range as the sender last learned it. Receivers reject (nack) frames
 // whose epoch is behind their own view of the range, which fences a
 // healed minority out of ranges that migrated while it was cut off.
-func encodeBatchEpoch(sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
-	buf := make([]byte, batchEpochHeader+4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(origDest))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	binary.LittleEndian.PutUint64(buf[16:24], epoch)
-	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(us)))
-	off := 28
-	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
-		off += 12
-	}
-	return buf
+//
+//dpr:hotpath
+func encodeBatchEpoch(dst []byte, sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(sender))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(origDest))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	return appendUpdates(dst, us)
+}
+
+// appendBatchEpochFrame appends one whole epoch-batch frame to dst, so
+// a sender renders header and payload into one buffer and hands the
+// connection a single Write.
+//
+//dpr:hotpath
+func appendBatchEpochFrame(dst []byte, sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
+	dst = appendFrameHeader(dst, frameBatchEpoch, batchEpochHeader+4+12*len(us))
+	return encodeBatchEpoch(dst, sender, origDest, seq, epoch, us)
 }
 
 // decodeBatchEpoch parses an epoch-stamped stream batch payload.
@@ -349,14 +359,11 @@ func decodeBatchEpoch(b []byte) (sender, origDest p2p.PeerID, seq, epoch uint64,
 	return sender, origDest, seq, epoch, us, nil
 }
 
-// encodeNackEpoch serializes a stale-epoch rejection: the rejected
+// encodeNackEpoch appends a stale-epoch rejection to dst: the rejected
 // frame's sequence number plus the receiver's current epoch for the
 // frame's origDest range.
-func encodeNackEpoch(seq, epoch uint64) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf[:8], seq)
-	binary.LittleEndian.PutUint64(buf[8:], epoch)
-	return buf
+func encodeNackEpoch(dst []byte, seq, epoch uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, seq), epoch)
 }
 
 // decodeNackEpoch parses a stale-epoch rejection payload.

@@ -11,13 +11,14 @@ import (
 
 // ranker is the transport-independent per-peer computation: the
 // chaotic-iteration state for the documents one peer owns, shared by
-// the TCP and HTTP peers. All methods are safe for concurrent use.
+// the TCP and HTTP peers. All methods are safe for concurrent use,
+// except that fold's results alias scratch the next fold overwrites.
 //
 // Under dynamic membership the document set is mutable: adopt appends
 // a departed peer's rows, shed extracts rows for a joining peer, and
-// setOwner rewrites the routing table. Each ranker owns a private copy
-// of the doc->peer table so a membership change pushed to one peer can
-// never race another peer's routing reads.
+// setOwner rewrites the routing table. Each ranker owns a private
+// route table so a membership change pushed to one peer can never race
+// another peer's routing reads.
 type ranker struct {
 	id      p2p.PeerID
 	g       *graph.Graph
@@ -29,31 +30,70 @@ type ranker struct {
 	// gauges merge into the cluster's total rank mass.
 	mass *telemetry.Gauge
 
-	mu      sync.Mutex
-	docPeer []p2p.PeerID // private copy; mutated by setOwner/adopt/shed
-	docs    []graph.NodeID
-	index   map[graph.NodeID]int32
-	rank    []float64
-	acc     []float64
-	last    []float64
+	mu sync.Mutex
+	// route holds one word per document: the index of the document's
+	// row when this peer holds it, else remoteWord(owner). A held row
+	// therefore always wins over whatever owner the table was told.
+	route []int32
+	docs  []graph.NodeID
+	rank  []float64
+	acc   []float64
+	last  []float64
+
+	// Fold scratch, reused from fold to fold. stamp[row] == gen marks a
+	// row dirty in the current fold.
+	stamp []uint32
+	gen   uint32
+	dirty []int32
+	out   outbox
+	fwd   []p2p.Update
+}
+
+// remoteWord encodes "held by owner, no row here": NoPeer is -1, peer
+// 0 is -2, and so on, so ^word is the owner's outbox slot.
+func remoteWord(owner p2p.PeerID) int32 { return -2 - int32(owner) }
+
+// wordOwner decodes a route word into the owning peer.
+func (r *ranker) wordOwner(w int32) p2p.PeerID {
+	if w >= 0 {
+		return r.id
+	}
+	return p2p.PeerID(-2 - w)
+}
+
+// outbox collects updates per destination, indexed by PeerID+1: slot 0
+// takes updates for documents no peer owns (NoPeer).
+type outbox [][]p2p.Update
+
+// cover grows the outbox to hold a slot for dest.
+func (o *outbox) cover(dest p2p.PeerID) {
+	for int(dest)+1 >= len(*o) {
+		*o = append(*o, nil)
+	}
 }
 
 func newRanker(cfg PeerConfig, mass *telemetry.Gauge) *ranker {
 	r := &ranker{
 		id:      cfg.ID,
 		g:       cfg.Graph,
-		docPeer: append([]p2p.PeerID(nil), cfg.DocPeer...),
+		route:   make([]int32, len(cfg.DocPeer)),
 		damping: cfg.Damping,
 		epsilon: cfg.Epsilon,
 		mass:    mass,
 		docs:    append([]graph.NodeID(nil), cfg.Docs...),
-		index:   make(map[graph.NodeID]int32, len(cfg.Docs)),
 		rank:    make([]float64, len(cfg.Docs)),
 		acc:     make([]float64, len(cfg.Docs)),
 		last:    make([]float64, len(cfg.Docs)),
+		stamp:   make([]uint32, len(cfg.Docs)),
 	}
+	last := r.id
+	for d, owner := range cfg.DocPeer {
+		r.route[d] = remoteWord(owner)
+		last = max(last, owner)
+	}
+	r.out.cover(last)
 	for i, d := range cfg.Docs {
-		r.index[d] = int32(i)
+		r.route[d] = int32(i)
 		r.rank[i] = 1 - cfg.Damping
 	}
 	r.mass.Set(float64(len(cfg.Docs)) * (1 - cfg.Damping))
@@ -72,38 +112,56 @@ func (r *ranker) resetMass() {
 	r.mass.Set(total)
 }
 
-// initialOut builds the initial-push batches, keyed by destination.
-func (r *ranker) initialOut() map[p2p.PeerID][]p2p.Update {
+// initialOut builds the initial-push batches in an outbox of their
+// own: Start may run while the processing loop is already folding.
+func (r *ranker) initialOut() outbox {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[p2p.PeerID][]p2p.Update)
-	for i := range r.docs {
-		r.collectLocked(int32(i), r.docs[i], out)
+	out := make(outbox, len(r.out))
+	for i, d := range r.docs {
+		r.collectLocked(int32(i), d, out)
 	}
 	return out
 }
 
-// fold applies a batch of updates and returns the consequent batches
-// plus the updates for documents this peer does not own. Misrouted
-// updates are NOT dropped — under dynamic membership they are updates
-// that raced an ownership migration, and the caller must forward them
-// to the current owner so no rank mass is ever lost.
-func (r *ranker) fold(batch []p2p.Update) (out map[p2p.PeerID][]p2p.Update, fwd []p2p.Update) {
+// fold applies a batch of updates and returns the consequent batches,
+// the updates for documents this peer does not hold, and the delta
+// mass it did fold. Misrouted updates are NOT dropped — under dynamic
+// membership they raced an ownership migration, and the caller must
+// forward them to the current owner so no rank mass is ever lost.
+//
+// out and fwd are the ranker's scratch, valid until the next fold. The
+// batch may be the previous fold's self-directed slot of out: it is
+// read to the end before out is refilled.
+//
+//dpr:hotpath
+func (r *ranker) fold(batch []p2p.Update) (out outbox, fwd []p2p.Update, folded float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	touched := make(map[int32]graph.NodeID)
+	r.gen++
+	if r.gen == 0 { // uint32 wrap: forget every stamp the slow way
+		clear(r.stamp)
+		r.gen = 1
+	}
+	dirty, fwd := reuse(r.dirty), reuse(r.fwd)
 	for _, u := range batch {
-		i, mine := r.index[u.Doc]
-		if !mine {
+		if uint32(u.Doc) >= uint32(len(r.route)) || r.route[u.Doc] < 0 {
 			fwd = append(fwd, u)
 			continue
 		}
+		i := r.route[u.Doc]
 		r.acc[i] += u.Delta
-		touched[i] = u.Doc
+		folded += u.Delta
+		if r.stamp[i] != r.gen {
+			r.stamp[i] = r.gen
+			dirty = append(dirty, i)
+		}
 	}
-	out = make(map[p2p.PeerID][]p2p.Update)
+	for slot := range r.out {
+		r.out[slot] = reuse(r.out[slot])
+	}
 	massDelta := 0.0
-	for i, d := range touched {
+	for _, i := range dirty {
 		old := r.rank[i]
 		fresh := (1 - r.damping) + r.acc[i]
 		r.rank[i] = fresh
@@ -120,18 +178,21 @@ func (r *ranker) fold(batch []p2p.Update) (out map[p2p.PeerID][]p2p.Update, fwd 
 			diff = -diff
 		}
 		if diff/denom > r.epsilon {
-			r.collectLocked(i, d, out)
+			r.collectLocked(i, r.docs[i], r.out)
 		}
 	}
 	if massDelta != 0 {
 		r.mass.Add(massDelta)
 	}
-	return out, fwd
+	r.dirty, r.fwd = dirty, fwd
+	return r.out, fwd, folded
 }
 
 // collectLocked batches document d's pending delta per destination.
-// Caller holds mu.
-func (r *ranker) collectLocked(i int32, d graph.NodeID, out map[p2p.PeerID][]p2p.Update) {
+// Caller holds mu; out covers every owner the route table names.
+//
+//dpr:hotpath
+func (r *ranker) collectLocked(i int32, d graph.NodeID, out outbox) {
 	links := r.g.OutLinks(d)
 	if len(links) == 0 {
 		r.last[i] = r.rank[i]
@@ -142,36 +203,50 @@ func (r *ranker) collectLocked(i int32, d graph.NodeID, out map[p2p.PeerID][]p2p
 		r.last[i] = r.rank[i]
 		return
 	}
+	self := int32(r.id) + 1
 	for _, t := range links {
-		dest := r.docPeer[t]
-		out[dest] = append(out[dest], p2p.Update{Doc: t, Delta: share})
+		slot := self
+		if w := r.route[t]; w < 0 {
+			slot = ^w
+		}
+		out[slot] = append(out[slot], p2p.Update{Doc: t, Delta: share})
 	}
 	r.last[i] = r.rank[i]
 }
 
-// ownerOf resolves a document's current owner from the private table.
-func (r *ranker) ownerOf(d graph.NodeID) p2p.PeerID {
+// forwardOut sorts updates a fold refused by their documents' current
+// owners, in an outbox of its own; documents held by now (adopted
+// between fold and forward) land in this peer's own slot. Updates with
+// no resolvable owner — nobody's, or this peer's by a transiently
+// inconsistent table but without a row — are counted in dropped.
+func (r *ranker) forwardOut(fwd []p2p.Update) (out outbox, dropped int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(d) >= len(r.docPeer) {
-		return p2p.NoPeer
+	out = make(outbox, len(r.out))
+	for _, u := range fwd {
+		w := remoteWord(p2p.NoPeer)
+		if uint32(u.Doc) < uint32(len(r.route)) {
+			w = r.route[u.Doc]
+		}
+		owner := r.wordOwner(w)
+		if w < 0 && (owner == r.id || owner == p2p.NoPeer) {
+			dropped++
+			continue
+		}
+		out[owner+1] = append(out[owner+1], u)
 	}
-	return r.docPeer[d]
+	return out, dropped
 }
 
-// owns reports whether this ranker currently holds document d.
-func (r *ranker) owns(d graph.NodeID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.index[d]
-	return ok
-}
-
-// ownerTable returns a snapshot copy of the routing table.
+// ownerTable returns a snapshot of the routing table, decoded.
 func (r *ranker) ownerTable() []p2p.PeerID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]p2p.PeerID(nil), r.docPeer...)
+	table := make([]p2p.PeerID, len(r.route))
+	for d, w := range r.route {
+		table[d] = r.wordOwner(w)
+	}
+	return table
 }
 
 // rerouteOwner repoints every routing entry held by from at to,
@@ -181,26 +256,25 @@ func (r *ranker) ownerTable() []p2p.PeerID {
 func (r *ranker) rerouteOwner(from, to p2p.PeerID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for d, owner := range r.docPeer {
-		if owner != from {
-			continue
+	r.out.cover(to)
+	for d, w := range r.route {
+		if w == remoteWord(from) {
+			r.route[d] = remoteWord(to)
 		}
-		if _, mine := r.index[graph.NodeID(d)]; mine {
-			continue
-		}
-		r.docPeer[d] = to
 	}
 }
 
 // setOwner points the routing table entries for docs at owner. New
 // outbound updates for those documents route to the new owner from
-// the next fold on.
+// the next fold on. Documents this ranker holds keep their rows: rows
+// only ever leave through shed.
 func (r *ranker) setOwner(docs []graph.NodeID, owner p2p.PeerID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.out.cover(owner)
 	for _, d := range docs {
-		if int(d) < len(r.docPeer) {
-			r.docPeer[d] = owner
+		if uint32(d) < uint32(len(r.route)) && r.route[d] < 0 {
+			r.route[d] = remoteWord(owner)
 		}
 	}
 }
@@ -215,18 +289,16 @@ func (r *ranker) adopt(docs []graph.NodeID, rank, acc, last []float64) {
 	defer r.mu.Unlock()
 	adopted := 0.0
 	for i, d := range docs {
-		if _, dup := r.index[d]; dup {
+		if uint32(d) >= uint32(len(r.route)) || r.route[d] >= 0 {
 			continue // already ours (e.g. replayed handoff); keep our state
 		}
-		r.index[d] = int32(len(r.docs))
+		r.route[d] = int32(len(r.docs))
 		r.docs = append(r.docs, d)
 		r.rank = append(r.rank, rank[i])
 		r.acc = append(r.acc, acc[i])
 		r.last = append(r.last, last[i])
+		r.stamp = append(r.stamp, 0)
 		adopted += rank[i]
-		if int(d) < len(r.docPeer) {
-			r.docPeer[d] = r.id
-		}
 	}
 	if adopted != 0 {
 		r.mass.Add(adopted)
@@ -240,43 +312,36 @@ func (r *ranker) adopt(docs []graph.NodeID, rank, acc, last []float64) {
 func (r *ranker) shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last []float64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	shedSet := make(map[graph.NodeID]struct{}, len(docs))
 	rank = make([]float64, len(docs))
 	acc = make([]float64, len(docs))
 	last = make([]float64, len(docs))
+	extracted := 0.0
 	for i, d := range docs {
-		j, mine := r.index[d]
-		if !mine {
+		if uint32(d) >= uint32(len(r.route)) || r.route[d] < 0 {
 			return nil, nil, nil, fmt.Errorf("wire: peer %d cannot shed doc %d it does not own", r.id, d)
 		}
+		j := r.route[d]
 		rank[i], acc[i], last[i] = r.rank[j], r.acc[j], r.last[j]
-		shedSet[d] = struct{}{}
+		extracted += rank[i]
 	}
-	keepDocs := r.docs[:0]
-	keepRank, keepAcc, keepLast := r.rank[:0], r.acc[:0], r.last[:0]
+	r.out.cover(newOwner)
+	for _, d := range docs {
+		r.route[d] = remoteWord(newOwner)
+	}
+	// Close the gaps: a row stays iff the route table still points into
+	// the rows, and is renumbered as it moves down.
+	keep := 0
 	for j, d := range r.docs {
-		if _, gone := shedSet[d]; gone {
+		if r.route[d] < 0 {
 			continue
 		}
-		keepDocs = append(keepDocs, d)
-		keepRank = append(keepRank, r.rank[j])
-		keepAcc = append(keepAcc, r.acc[j])
-		keepLast = append(keepLast, r.last[j])
+		r.route[d] = int32(keep)
+		r.docs[keep], r.rank[keep], r.acc[keep], r.last[keep] = d, r.rank[j], r.acc[j], r.last[j]
+		keep++
 	}
-	r.docs, r.rank, r.acc, r.last = keepDocs, keepRank, keepAcc, keepLast
-	r.index = make(map[graph.NodeID]int32, len(r.docs))
-	for j, d := range r.docs {
-		r.index[d] = int32(j)
-	}
-	for _, d := range docs {
-		if int(d) < len(r.docPeer) {
-			r.docPeer[d] = newOwner
-		}
-	}
-	extracted := 0.0
-	for _, v := range rank {
-		extracted += v
-	}
+	r.docs, r.rank, r.acc, r.last = r.docs[:keep], r.rank[:keep], r.acc[:keep], r.last[:keep]
+	r.stamp = r.stamp[:keep]
+	clear(r.stamp)
 	if extracted != 0 {
 		r.mass.Add(-extracted)
 	}
