@@ -1,7 +1,7 @@
 # Distributed Pagerank for P2P Systems — build/test/bench driver.
 GO ?= go
 
-.PHONY: all build vet lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check ci
+.PHONY: all build vet lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check loc ci
 
 all: build
 
@@ -109,6 +109,16 @@ bench-e2e:
 # plain representation, throughput within 25% of baseline.
 bench-check:
 	DPR_BENCH_CHECK=1 $(GO) test -run 'TestBenchRegressionGate|TestBigGraphRegressionGate' -count=1 -v .
+
+# Non-test Go lines per package and in total: ROADMAP aim 2 asks for
+# this number to go down, so it is one command. Lint fixtures
+# (testdata) are data, not code, and are left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -k2
 
 # Full gate: what a CI job should run.
 ci:

@@ -97,7 +97,7 @@ type Options struct {
 	Seed uint64
 
 	// RetryBase and RetryMax bound the wire layer's reconnect/resend
-	// backoff (TCP and HTTP deployments only): failed deliveries are
+	// backoff (TCP deployments only): failed deliveries are
 	// retried after RetryBase, doubling per consecutive failure up to
 	// RetryMax, with jitter. Zero values pick the library defaults
 	// (5ms base, 250ms cap).
@@ -123,7 +123,7 @@ type Options struct {
 	// majority to agree. Zero picks the default of 3.
 	SuspectAfter int
 
-	// InboxCap bounds each TCP/HTTP peer's bulk inbound queue (update
+	// InboxCap bounds each TCP peer's bulk inbound queue (update
 	// batches and rank pushes). When the queue is full the peer stops
 	// advertising credit, senders park further deltas in their retry
 	// queues (where same-document deltas coalesce losslessly), and
@@ -143,7 +143,7 @@ type Options struct {
 	CreditWindow int
 
 	// DebugAddr, when non-empty, starts an HTTP debug listener on the
-	// TCP/HTTP cluster serving /metrics (plain-text exposition of the
+	// TCP cluster serving /metrics (plain-text exposition of the
 	// telemetry registry), /trace (the convergence event ring as JSON)
 	// and /debug/pprof. Use ":0" for an ephemeral port and read the
 	// bound address back with TCPCluster.DebugAddr. Empty (the

@@ -293,23 +293,3 @@ func TestTCPClusterMembership(t *testing.T) {
 		}
 	}
 }
-
-func TestComputePageRankOverHTTP(t *testing.T) {
-	g, err := GenerateWebGraph(400, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ComputePageRankOverHTTP(g, Options{Peers: 3, Epsilon: 1e-6, Seed: 11}, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := CentralizedPageRank(g, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if math.Abs(res.Ranks[i]-ref[i])/ref[i] > 1e-3 {
-			t.Fatalf("rank[%d]: http %v vs centralized %v", i, res.Ranks[i], ref[i])
-		}
-	}
-}

@@ -324,19 +324,21 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				Pending: []p2p.Update{},
 			},
 		},
-		Epochs:        []uint64{0, 2, 1, 0, 0, 3}, // ownership-epoch vector, one per ring slot
-		Sent:          100,
-		Processed:     90,
-		Retries:       5,
-		Reconnects:    2,
-		Redeliveries:  3,
-		Coalesced:     7,
-		DupDropped:    1,
-		Forwarded:     4,
-		Misdropped:    0,
-		EpochRejected: 2,
-		DeltaShipped:  12.5,
-		DeltaFolded:   11.25,
+		Epochs: []uint64{0, 2, 1, 0, 0, 3}, // ownership-epoch vector, one per ring slot
+		PeerStats: PeerStats{
+			Sent:          100,
+			Processed:     90,
+			Retries:       5,
+			Reconnects:    2,
+			Redeliveries:  3,
+			Coalesced:     7,
+			DupDropped:    1,
+			Forwarded:     4,
+			Misdropped:    0,
+			EpochRejected: 2,
+			DeltaShipped:  12.5,
+			DeltaFolded:   11.25,
+		},
 	}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(snap, &buf); err != nil {

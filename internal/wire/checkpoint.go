@@ -15,54 +15,46 @@ import (
 // Peer crash/restart follows internal/core's checkpoint design: the
 // durable state is the per-document ranker triple (rank, accumulator,
 // last-pushed value), serialized in the same magic/version/records
-// layout, extended with the wire layer's recovery state — the
-// duplicate-suppression table and the store-and-retry outbound queues
-// (unacknowledged frames verbatim plus coalesced pending updates).
-// Restoring a snapshot into a fresh Peer resumes the computation
-// exactly where the crash left it: senders redeliver everything
-// unacknowledged, receivers suppress what was already folded, and the
-// termination counters carry over so the cluster-wide probe stays
-// exact across the crash.
+// layout, extended with the wire layer's recovery state. Restoring a
+// snapshot into a fresh Peer resumes the computation exactly where the
+// crash left it: senders redeliver everything unacknowledged, receivers
+// suppress what was already folded, and the termination counters carry
+// over so the cluster-wide probe stays exact across the crash.
 //
-// Version 2 keys both the duplicate-suppression table and the
-// outbound queues by delivery stream (source, original destination)
-// instead of by single peer, which is what lets a departed peer's
-// state migrate: its ring successor adopts the dedup entries and the
-// unacknowledged frames under their original stream identity, so
-// redirected retransmissions are recognized wherever they land. The
-// same framing doubles as the handoff wire format (Handoff).
+// What the recovery state holds, and why each part must survive:
 //
-// Version 3 adds the ownership-epoch vector (one fencing epoch per
-// ring slot) and the epoch-rejected counter, so a restored peer
-// re-frames its unacknowledged batches under epochs at least as fresh
-// as the ones it crashed with — a receiver that moved on can nack the
-// stale retransmissions instead of silently double-folding them.
-//
-// Version 4 adds the epoch-rejected sequence list: seqs this peer
-// nacked at the epoch fence whose updates therefore never folded.
-// lastSeq can legitimately pass such a seq (a later refreshed-epoch
-// frame folds first), so whoever inherits the dedup table — the ring
-// successor, or the peer itself after a restart — must also inherit
-// this exemption list, or a retransmission of the rejected frame
-// would be swallowed as a duplicate and its updates lost. Version 3
-// snapshots (no such list) still decode.
-//
-// Version 5 persists the overload-protection state: the three flow-
-// control counters (credit stalls, shed-coalesced updates, slow-peer
-// transitions) in the header, and per outbound stream the last credit
-// window the destination advertised, so a restarted sender resumes
-// under the receiver's pre-crash budget instead of bursting at the
-// configured maximum. Version 4 and 3 snapshots still decode; their
-// streams restart at the configured window.
+//   - The duplicate-suppression table and the outbound queues
+//     (unacknowledged frames verbatim plus coalesced pending updates),
+//     both keyed by delivery stream (source, original destination)
+//     rather than by single peer. That is what lets a departed peer's
+//     state migrate: its ring successor adopts the dedup entries and
+//     the unacknowledged frames under their original stream identity,
+//     so redirected retransmissions are recognized wherever they land.
+//     The same layout doubles as the handoff format (Handoff).
+//   - The ownership-epoch vector (one fencing epoch per ring slot), so
+//     a restored peer re-frames its unacknowledged batches under epochs
+//     at least as fresh as the ones it crashed with — a receiver that
+//     moved on can nack the stale retransmissions instead of silently
+//     double-folding them.
+//   - The epoch-rejected sequence list: seqs this peer nacked at the
+//     epoch fence whose updates therefore never folded. lastSeq can
+//     legitimately pass such a seq (a later refreshed-epoch frame folds
+//     first), so whoever inherits the dedup table — the ring successor,
+//     or the peer itself after a restart — must also inherit this
+//     exemption list, or a retransmission of the rejected frame would
+//     be swallowed as a duplicate and its updates lost.
+//   - Per outbound stream, the last credit window the destination
+//     advertised, so a restarted sender resumes under the receiver's
+//     pre-crash budget instead of bursting at the configured maximum.
 
 const (
-	peerSnapMagic   = "DPRW"
-	peerSnapVersion = 5
-	// peerSnapMinVersion is the compatibility floor: the oldest
-	// snapshot version the decoder still accepts. Raising it is a
-	// breaking change for any peer restoring an older checkpoint and
-	// must be called out in the release notes.
-	peerSnapMinVersion = 3
+	peerSnapMagic = "DPRW"
+	// There is one format. A snapshot lives only inside the cluster that
+	// wrote it, from Kill to Restart or Leave, so no reader ever meets
+	// an older writer's output; the version is a corruption check and
+	// the hook for a future format, and floor and ceiling coincide.
+	peerSnapVersion    = 5
+	peerSnapMinVersion = 5
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -89,15 +81,8 @@ type PeerSnapshot struct {
 	// highest fencing epoch this peer had observed per key range.
 	Epochs []uint64
 
-	// Counters, carried across the restart.
-	Sent, Processed                   uint64
-	Retries, Reconnects, Redeliveries uint64
-	Coalesced, DupDropped             uint64
-	Forwarded, Misdropped             uint64
-	EpochRejected                     uint64
-	CreditStalls, ShedCoalesced       uint64
-	SlowPeer                          uint64
-	DeltaShipped, DeltaFolded         float64
+	// PeerStats is the peer's counters, carried across the restart.
+	PeerStats
 }
 
 // SeqEntry is one duplicate-suppression record: the highest folded
@@ -178,27 +163,13 @@ func HandoffFromSnapshot(s *PeerSnapshot) *Handoff {
 func (p *Peer) snapshot() *PeerSnapshot {
 	docs, _ := p.rk.snapshotRanks()
 	s := &PeerSnapshot{
-		ID:            p.cfg.ID,
-		Docs:          docs,
-		Rank:          append([]float64(nil), p.rk.rank...),
-		Acc:           append([]float64(nil), p.rk.acc...),
-		Last:          append([]float64(nil), p.rk.last...),
-		Epochs:        p.view().Epochs,
-		EpochRejected: p.m.epochRejected.Load(),
-		CreditStalls:  p.m.creditStalls.Load(),
-		ShedCoalesced: p.m.shedCoalesced.Load(),
-		SlowPeer:      p.m.slowPeer.Load(),
-		Sent:          p.m.sent.Load(),
-		Processed:     p.m.processed.Load(),
-		Retries:       p.m.retries.Load(),
-		Reconnects:    p.m.reconnects.Load(),
-		Redeliveries:  p.m.redeliveries.Load(),
-		Coalesced:     p.m.coalesced.Load(),
-		DupDropped:    p.m.dupDropped.Load(),
-		Forwarded:     p.m.forwarded.Load(),
-		Misdropped:    p.m.misdropped.Load(),
-		DeltaShipped:  p.m.deltaShipped.Load(),
-		DeltaFolded:   p.m.deltaFolded.Load(),
+		ID:        p.cfg.ID,
+		Docs:      docs,
+		Rank:      append([]float64(nil), p.rk.rank...),
+		Acc:       append([]float64(nil), p.rk.acc...),
+		Last:      append([]float64(nil), p.rk.last...),
+		Epochs:    p.view().Epochs,
+		PeerStats: p.m.stats(),
 	}
 	for st, seq := range p.lastSeq {
 		s.LastSeq = append(s.LastSeq, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
@@ -319,7 +290,7 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	for i, e := range snap.Epochs {
 		p.adoptEpoch(p2p.PeerID(i), e)
 	}
-	p.m.restore(snap)
+	p.m.restore(snap.PeerStats)
 	p.rk.resetMass()
 	for _, ob := range snap.Outbound {
 		st := stream{src: ob.Src, dest: ob.Dest}
@@ -489,8 +460,8 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		s.Sent, s.Processed, s.Retries, s.Reconnects, s.Redeliveries,
 		s.Coalesced, s.DupDropped, s.Forwarded, s.Misdropped, s.EpochRejected,
 		math.Float64bits(s.DeltaShipped), math.Float64bits(s.DeltaFolded),
-		uint64(len(s.Rejected)),                     // v4: epoch-rejected seq records follow the outbound section
-		s.CreditStalls, s.ShedCoalesced, s.SlowPeer, // v5: overload-protection counters
+		uint64(len(s.Rejected)), // the epoch-rejected seq records follow the outbound section
+		s.CreditStalls, s.ShedCoalesced, s.SlowPeer,
 	}
 	for _, v := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -525,7 +496,7 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		head := []uint64{
 			uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
 			uint64(len(ob.Unacked)), uint64(len(ob.Pending)),
-			ob.Window, // v5: last advertised credit window
+			ob.Window,
 		}
 		for _, v := range head {
 			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -628,66 +599,42 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 	if string(magic) != peerSnapMagic {
 		return nil, fmt.Errorf("wire: bad snapshot magic %q", magic)
 	}
-	var version, id, ndocs, nseq, nout, nepochs uint64
-	var sent, processed, retries, reconnects, redeliveries, coalesced, dup uint64
-	var fwd, misd, epochRej uint64
-	var shippedBits, foldedBits uint64
-	if err := readU64(br, &version, &id, &ndocs, &nseq, &nout, &nepochs,
-		&sent, &processed, &retries, &reconnects, &redeliveries,
-		&coalesced, &dup, &fwd, &misd, &epochRej, &shippedBits, &foldedBits); err != nil {
+	// The version is read and judged on its own, before anything it
+	// governs: another version's header is another length.
+	var version uint64
+	if err := readU64(br, &version); err != nil {
 		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
 	}
 	if version < peerSnapMinVersion || version > peerSnapVersion {
 		return nil, fmt.Errorf("wire: unsupported snapshot version %d (supported %d..%d)",
 			version, peerSnapMinVersion, peerSnapVersion)
 	}
-	var nrej uint64
-	if version >= 4 {
-		if err := readU64(br, &nrej); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
-		}
-		if nrej > uint64(maxFrameBytes) {
-			return nil, fmt.Errorf("wire: snapshot header sizes out of range")
-		}
-	}
-	var creditStalls, shedCoalesced, slowPeer uint64
-	if version >= 5 {
-		if err := readU64(br, &creditStalls, &shedCoalesced, &slowPeer); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
-		}
+	s := &PeerSnapshot{}
+	var id, ndocs, nseq, nout, nepochs, nrej, shippedBits, foldedBits uint64
+	if err := readU64(br, &id, &ndocs, &nseq, &nout, &nepochs,
+		&s.Sent, &s.Processed, &s.Retries, &s.Reconnects, &s.Redeliveries,
+		&s.Coalesced, &s.DupDropped, &s.Forwarded, &s.Misdropped, &s.EpochRejected,
+		&shippedBits, &foldedBits, &nrej,
+		&s.CreditStalls, &s.ShedCoalesced, &s.SlowPeer); err != nil {
+		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
 	}
 	if id > uint64(^uint32(0)>>1) {
 		return nil, fmt.Errorf("wire: snapshot peer id %d out of range", id)
 	}
-	if ndocs > uint64(maxFrameBytes) || nseq > uint64(maxFrameBytes) || nout > uint64(maxFrameBytes) {
+	if ndocs > uint64(maxFrameBytes) || nseq > uint64(maxFrameBytes) || nout > uint64(maxFrameBytes) || nrej > uint64(maxFrameBytes) {
 		return nil, fmt.Errorf("wire: snapshot header sizes out of range")
 	}
 	if nepochs > maxViewSlots {
 		return nil, fmt.Errorf("wire: snapshot epoch vector of %d slots exceeds limit", nepochs)
 	}
-	s := &PeerSnapshot{
-		ID:            p2p.PeerID(uint32(id)),
-		Docs:          make([]graph.NodeID, 0, capAlloc(ndocs)),
-		Rank:          make([]float64, 0, capAlloc(ndocs)),
-		Acc:           make([]float64, 0, capAlloc(ndocs)),
-		Last:          make([]float64, 0, capAlloc(ndocs)),
-		LastSeq:       make([]SeqEntry, 0, capAlloc(nseq)),
-		Sent:          sent,
-		Processed:     processed,
-		Retries:       retries,
-		Reconnects:    reconnects,
-		Redeliveries:  redeliveries,
-		Coalesced:     coalesced,
-		DupDropped:    dup,
-		Forwarded:     fwd,
-		Misdropped:    misd,
-		EpochRejected: epochRej,
-		CreditStalls:  creditStalls,
-		ShedCoalesced: shedCoalesced,
-		SlowPeer:      slowPeer,
-		DeltaShipped:  math.Float64frombits(shippedBits),
-		DeltaFolded:   math.Float64frombits(foldedBits),
-	}
+	s.ID = p2p.PeerID(uint32(id))
+	s.DeltaShipped = math.Float64frombits(shippedBits)
+	s.DeltaFolded = math.Float64frombits(foldedBits)
+	s.Docs = make([]graph.NodeID, 0, capAlloc(ndocs))
+	s.Rank = make([]float64, 0, capAlloc(ndocs))
+	s.Acc = make([]float64, 0, capAlloc(ndocs))
+	s.Last = make([]float64, 0, capAlloc(ndocs))
+	s.LastSeq = make([]SeqEntry, 0, capAlloc(nseq))
 	if nepochs > 0 {
 		s.Epochs = make([]uint64, 0, capAlloc(nepochs))
 		for i := uint64(0); i < nepochs; i++ {
@@ -724,18 +671,12 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		})
 	}
 	for i := uint64(0); i < nout; i++ {
-		var src, dest, nextSeq, nun, npend uint64
-		if err := readU64(br, &src, &dest, &nextSeq, &nun, &npend); err != nil {
+		var src, dest, nextSeq, nun, npend, window uint64
+		if err := readU64(br, &src, &dest, &nextSeq, &nun, &npend, &window); err != nil {
 			return nil, fmt.Errorf("wire: reading snapshot outbound %d: %w", i, err)
 		}
-		var window uint64
-		if version >= 5 {
-			if err := readU64(br, &window); err != nil {
-				return nil, fmt.Errorf("wire: reading snapshot outbound %d: %w", i, err)
-			}
-			if window > uint64(maxFrameBytes) {
-				return nil, fmt.Errorf("wire: snapshot outbound window out of range")
-			}
+		if window > uint64(maxFrameBytes) {
+			return nil, fmt.Errorf("wire: snapshot outbound window out of range")
 		}
 		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
 			return nil, fmt.Errorf("wire: snapshot outbound peer id out of range")

@@ -3,8 +3,6 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -136,9 +134,6 @@ type ClusterConfig struct {
 	// Retry shapes reconnect/redelivery backoff (defaults apply).
 	Retry RetryPolicy
 
-	// Client overrides the HTTP client (HTTP clusters only).
-	Client *http.Client
-
 	// DebugAddr, when non-empty, starts the opt-in debug listener on
 	// that address (host:port; ":0" picks an ephemeral port) serving
 	// /metrics, /trace and /debug/pprof. Cluster.DebugAddr reports the
@@ -168,6 +163,9 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.SlowThreshold < 0 {
 		return nil, fmt.Errorf("wire: negative SlowThreshold %v", cfg.SlowThreshold)
+	}
+	if cfg.Transport == nil {
+		cfg.Transport = TCPDialer()
 	}
 	r := rng.New(cfg.Seed)
 	docPeer := make([]p2p.PeerID, g.NumNodes())
@@ -309,31 +307,17 @@ type ClusterResult struct {
 	Probes   int    // termination-detector rounds
 	Elapsed  time.Duration
 
-	// Fault-tolerance accounting.
-	Retries      uint64  // frame transmissions past a frame's first attempt
-	Reconnects   uint64  // successful re-dials after a connection loss
-	Redeliveries uint64  // frames acknowledged after more than one attempt
-	Coalesced    uint64  // updates absorbed by sender-side delta coalescing
-	DupDropped   uint64  // duplicate frames suppressed by receivers
-	DeltaShipped float64 // total delta mass shipped
-	DeltaFolded  float64 // total delta mass folded (== shipped when none lost)
+	// PeerStats is every slot's counters summed, departed peers included.
+	PeerStats
 
 	// Membership accounting.
-	Joins      uint64 // peers added while running
-	Leaves     uint64 // peers permanently removed (manual or detected)
-	Migrated   uint64 // documents whose ownership moved between peers
-	Forwarded  uint64 // updates re-shipped after racing a migration
-	Misdropped uint64 // updates dropped with no resolvable owner (0 = none)
+	Joins    uint64 // peers added while running
+	Leaves   uint64 // peers permanently removed (manual or detected)
+	Migrated uint64 // documents whose ownership moved between peers
 
 	// Partition-tolerance accounting.
 	EvictionsQuorum  uint64 // evictions confirmed by a live-peer majority
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
-	EpochRejected    uint64 // frames nacked for carrying a stale ownership epoch
-
-	// Overload-protection accounting.
-	CreditStalls  uint64 // sender streams transitioning to credit-blocked
-	ShedCoalesced uint64 // updates losslessly coalesced while their stream was stalled
-	SlowPeer      uint64 // destinations transitioning into straggler mode
 }
 
 // Kill crashes peer i: its goroutines stop, its connections reset,
@@ -483,7 +467,7 @@ func (c *Cluster) leaveLocked(i int) error {
 	// The departed peer's counters freeze into the cluster-wide
 	// accumulators (the successor does not inherit them; it re-counts
 	// the parked updates as it folds or forwards them).
-	c.departed = addStats(c.departed, snapStats(snap))
+	c.departed = addStats(c.departed, snap.PeerStats)
 	// The slot holds no rows anymore: zero its rank-mass gauge or the
 	// merged cluster gauge would double-count the migrated mass.
 	c.regs[i].Gauge("wire_rank_mass").Set(0)
@@ -755,20 +739,6 @@ func removeDocs(docs, shed []graph.NodeID) []graph.NodeID {
 	return keep
 }
 
-// snapStats extracts a snapshot's counters as PeerStats.
-func snapStats(s *PeerSnapshot) PeerStats {
-	return PeerStats{
-		Sent: s.Sent, Processed: s.Processed,
-		Retries: s.Retries, Reconnects: s.Reconnects,
-		Redeliveries: s.Redeliveries, Coalesced: s.Coalesced,
-		DupDropped: s.DupDropped, Forwarded: s.Forwarded,
-		Misdropped: s.Misdropped, EpochRejected: s.EpochRejected,
-		CreditStalls: s.CreditStalls, ShedCoalesced: s.ShedCoalesced,
-		SlowPeer:     s.SlowPeer,
-		DeltaShipped: s.DeltaShipped, DeltaFolded: s.DeltaFolded,
-	}
-}
-
 // addStats sums two counter sets.
 func addStats(a, b PeerStats) PeerStats {
 	a.Sent += b.Sent
@@ -831,25 +801,12 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 	}
 
 	res.Ranks = c.collectAll()
-	st := c.stats()
-	res.Retries = st.Retries
-	res.Reconnects = st.Reconnects
-	res.Redeliveries = st.Redeliveries
-	res.Coalesced = st.Coalesced
-	res.DupDropped = st.DupDropped
-	res.DeltaShipped = st.DeltaShipped
-	res.DeltaFolded = st.DeltaFolded
-	res.Forwarded = st.Forwarded
-	res.Misdropped = st.Misdropped
+	res.PeerStats = c.stats()
 	res.Joins = c.mJoins.Load()
 	res.Leaves = c.mLeaves.Load()
 	res.Migrated = c.mMigrated.Load()
 	res.EvictionsQuorum = c.mEvictQuorum.Load()
 	res.EvictionsRefused = c.mEvictRefused.Load()
-	res.EpochRejected = st.EpochRejected
-	res.CreditStalls = st.CreditStalls
-	res.ShedCoalesced = st.ShedCoalesced
-	res.SlowPeer = st.SlowPeer
 	res.Elapsed = time.Since(start)
 	c.Close()
 	return res, nil
@@ -938,63 +895,31 @@ func (c *Cluster) stats() PeerStats {
 		case v.peers[i] != nil:
 			st = addStats(st, v.peers[i].Stats())
 		case v.snaps[i] != nil:
-			st = addStats(st, snapStats(v.snaps[i]))
+			st = addStats(st, v.snaps[i].PeerStats)
 		}
 	}
 	return st
-}
-
-// observerDial opens a short-lived observer connection (probes, rank
-// collection, heartbeats) through the cluster's transport so nothing
-// reaches around it, while fault injectors leave observer traffic
-// clean.
-func observerDial(tr Transport, addr string) (net.Conn, error) {
-	if tr == nil {
-		tr = TCPDialer()
-	}
-	return tr.Dial(Observer, Observer, addr)
 }
 
 // probeTimeout bounds every observer round-trip so a hung peer can
 // never stall the termination probe or rank collection.
 const probeTimeout = 5 * time.Second
 
+// probePeer and collectRanks dial as Observer — the cluster's
+// non-peer role — so their traffic goes through the cluster's
+// transport like everything else while fault injectors leave it clean.
 func probePeer(tr Transport, addr string) (sent, processed uint64, err error) {
-	conn, err := observerDial(tr, addr)
+	payload, err := roundTrip(tr, Observer, Observer, addr, probeTimeout, frameSnapReq, nil, frameSnapResp)
 	if err != nil {
 		return 0, 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(probeTimeout))
-	if err := writeFrame(conn, frameSnapReq, nil); err != nil {
-		return 0, 0, err
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return 0, 0, err
-	}
-	if typ != frameSnapResp {
-		return 0, 0, fmt.Errorf("wire: unexpected frame %c to probe", typ)
 	}
 	return decodeSnapshot(payload)
 }
 
 func collectRanks(tr Transport, addr string, out []float64) error {
-	conn, err := observerDial(tr, addr)
+	payload, err := roundTrip(tr, Observer, Observer, addr, probeTimeout, frameRanksReq, nil, frameRanks)
 	if err != nil {
 		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(probeTimeout))
-	if err := writeFrame(conn, frameRanksReq, nil); err != nil {
-		return err
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != frameRanks {
-		return fmt.Errorf("wire: unexpected frame %c to rank request", typ)
 	}
 	_, err = decodeRanks(payload, out)
 	return err

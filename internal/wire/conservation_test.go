@@ -107,21 +107,3 @@ func TestTelemetryConservationUnderFaults(t *testing.T) {
 		c.Close()
 	}
 }
-
-// TestTelemetryConservationHTTP runs the same registry audit over the
-// HTTP transport's cluster, whose snapshot merges per-peer registries
-// the same way.
-func TestTelemetryConservationHTTP(t *testing.T) {
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(300, 9))
-	c, err := NewHTTPCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Run(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRanksMatch(t, g, res.Ranks, 1e-3)
-	assertRegistryConservation(t, c.TelemetrySnapshot(), res.Ranks)
-}

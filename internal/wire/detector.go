@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -174,25 +173,11 @@ func (d *detector) ping(target int, addr string, interval time.Duration) error {
 	if timeout < 50*time.Millisecond {
 		timeout = 50 * time.Millisecond
 	}
-	tr := d.c.cfg.Transport
-	if tr == nil {
-		tr = TCPDialer()
-	}
-	conn, err := tr.Dial(p2p.PeerID(d.slot), p2p.PeerID(target), addr)
+	self := p2p.PeerID(d.slot)
+	payload, err := roundTrip(d.c.cfg.Transport, self, p2p.PeerID(target), addr, timeout,
+		framePing, encodeGossip(self, d.suspects()), framePong)
 	if err != nil {
 		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := writeFrame(conn, framePing, encodeGossip(p2p.PeerID(d.slot), d.suspects())); err != nil {
-		return err
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != framePong {
-		return fmt.Errorf("wire: unexpected frame %c to ping", typ)
 	}
 	if len(payload) > 0 {
 		if from, sus, err := decodeGossip(payload); err == nil {

@@ -564,7 +564,7 @@ func TestKillKeepsSelfDirectedInboxItems(t *testing.T) {
 		return processed == sent
 	})
 	st := q.Stats()
-	assertNoMassLost(t, ClusterResult{DeltaShipped: st.DeltaShipped, DeltaFolded: st.DeltaFolded})
+	assertNoMassLost(t, ClusterResult{PeerStats: st})
 	_, ranks := q.rk.snapshotRanks()
 	assertRanksMatch(t, cfg.Graph, ranks, 1e-3)
 }

@@ -42,7 +42,7 @@ func assertNoGoroutineLeaks(t *testing.T) func() {
 			var leaked []string
 			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
 				for _, worker := range []string{
-					"wire.(*Peer)", "wire.(*sender)", "wire.(*HTTPPeer)", "wire.(*Cluster)",
+					"wire.(*Peer)", "wire.(*sender)", "wire.(*Cluster)",
 					"wire.(*detector)", "telemetry.(*DebugServer)",
 				} {
 					if strings.Contains(g, worker) {

@@ -102,7 +102,7 @@ func (m *peerMetrics) stats() PeerStats {
 // restore overwrites every counter from a checkpoint snapshot. Used
 // only on the quiescent restore path; the Stores are idempotent, so
 // restoring into a registry retained across a crash is safe.
-func (m *peerMetrics) restore(s *PeerSnapshot) {
+func (m *peerMetrics) restore(s PeerStats) {
 	m.sent.Store(s.Sent)
 	m.processed.Store(s.Processed)
 	m.retries.Store(s.Retries)

@@ -354,7 +354,7 @@ func TestEpochNackRequeuesUpdates(t *testing.T) {
 	if st.Misdropped != 0 {
 		t.Fatalf("%d updates misdropped during epoch catch-up", st.Misdropped)
 	}
-	assertNoMassLost(t, ClusterResult{DeltaShipped: st.DeltaShipped, DeltaFolded: st.DeltaFolded})
+	assertNoMassLost(t, ClusterResult{PeerStats: st})
 	ranks := make([]float64, 4)
 	for _, p := range []*Peer{a, b} {
 		docs, rs := p.rk.snapshotRanks()

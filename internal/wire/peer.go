@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"net"
-	"net/http"
 	"slices"
 	"sync"
 	"time"
@@ -104,9 +103,6 @@ type PeerConfig struct {
 	// defaults.
 	Retry RetryPolicy
 
-	// Client is used by HTTP peers only; nil means a default client.
-	Client *http.Client
-
 	// Registry receives the peer's instruments (wire_sent,
 	// wire_delta_shipped, ...); nil means a private registry, which
 	// Peer.Registry exposes. Cluster frontends pass one registry per
@@ -127,7 +123,7 @@ type PeerConfig struct {
 	// this peer serves: it receives the pinging slot's suspicion set and
 	// returns this slot's own, which rides back on the pong. The cluster
 	// wires it to the slot's failure-detector vantage; a nil hook serves
-	// legacy empty pongs.
+	// empty pongs.
 	Gossip func(from p2p.PeerID, suspects []p2p.PeerID) []p2p.PeerID
 
 	// InboxCap sizes the bulk lane of the peer's two-lane inbox — the
@@ -174,7 +170,6 @@ type stream struct {
 // the departed peer's successor together.
 type Peer struct {
 	cfg   PeerConfig
-	tr    Transport
 	retry RetryPolicy
 	rk    *ranker
 	ln    net.Listener
@@ -213,7 +208,10 @@ type Peer struct {
 	ctl  chan inItem
 	bulk chan inItem
 	quit chan struct{}
-	wg   sync.WaitGroup
+	// stopOnce guards quit's close: stop is reachable from Close, Kill
+	// and the cluster's shutdown at once.
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// lastSeq is the duplicate-suppression table: the highest folded
 	// sequence number per delivery stream. Owned by processLoop; read
@@ -243,27 +241,23 @@ type Peer struct {
 	trace *telemetry.Trace
 }
 
-// inItem is one inbox entry: a batch of updates plus, for sequenced
-// remote frames, the stream metadata the processing loop needs to
-// suppress duplicates and acknowledge folding. Membership operations
-// (handoff adoption, document shedding) also travel through the inbox
-// so they serialize with folding without extra locks.
+// inItem is one inbox entry: a batch of updates plus, for remote
+// frames, the stream metadata the processing loop needs to suppress
+// duplicates, fence stale epochs and acknowledge folding. Membership
+// operations (handoff adoption, document shedding) also travel through
+// the inbox so they serialize with folding without extra locks.
 type inItem struct {
 	from     p2p.PeerID
 	origDest p2p.PeerID
 	seq      uint64
-	seqed    bool
+	epoch    uint64 // the sender's ownership epoch for origDest
 	us       []p2p.Update
 
-	// cw is the connection a sequenced remote frame arrived on, which
-	// its acknowledgement goes back out of; nil for local items.
+	// cw is the connection a remote frame arrived on, which its credit
+	// ack or stale-epoch nack goes back out of. nil marks a local item
+	// (self-directed updates), which has no stream: it is folded without
+	// dedup, fence or acknowledgement.
 	cw *connWriter
-
-	// Epoch fencing: hasEpoch marks frames that carry the sender's
-	// ownership epoch for origDest. They are acked with credit frames
-	// and rejected with stale-epoch nacks; legacy frames get plain acks.
-	epoch    uint64
-	hasEpoch bool
 
 	adopt *Handoff // nil unless this item carries a state handoff
 	shed  *shedReq // nil unless this item requests a document shed
@@ -282,16 +276,32 @@ type shedState struct {
 	err             error
 }
 
-// PeerStats is a point-in-time view of one peer's counters.
+// PeerStats is a point-in-time view of one peer's counters. A
+// PeerSnapshot carries its peer's across a crash and a ClusterResult
+// the sum over every slot, both by embedding.
 type PeerStats struct {
-	Sent, Processed                   uint64
-	Retries, Reconnects, Redeliveries uint64
-	Coalesced, DupDropped             uint64
-	Forwarded, Misdropped             uint64
-	EpochRejected                     uint64
-	CreditStalls, ShedCoalesced       uint64
-	SlowPeer                          uint64
-	DeltaShipped, DeltaFolded         float64
+	Sent      uint64 // updates shipped between peers (and self-loops)
+	Processed uint64 // updates consumed: folded, or absorbed by coalescing
+
+	// Fault-tolerance accounting.
+	Retries      uint64 // frame transmissions past a frame's first attempt
+	Reconnects   uint64 // successful re-dials after a connection loss
+	Redeliveries uint64 // frames acknowledged after more than one attempt
+	Coalesced    uint64 // updates absorbed by sender-side delta coalescing
+	DupDropped   uint64 // duplicate frames suppressed by receivers
+
+	// Membership and partition-tolerance accounting.
+	Forwarded     uint64 // updates re-shipped after racing a migration
+	Misdropped    uint64 // updates dropped with no resolvable owner (0 = none)
+	EpochRejected uint64 // frames nacked for carrying a stale ownership epoch
+
+	// Overload-protection accounting.
+	CreditStalls  uint64 // sender streams transitioning to credit-blocked
+	ShedCoalesced uint64 // updates losslessly coalesced while their stream was stalled
+	SlowPeer      uint64 // destinations transitioning into straggler mode
+
+	DeltaShipped float64 // total delta mass shipped
+	DeltaFolded  float64 // total delta mass folded (== shipped when none lost)
 }
 
 // NewPeer starts listening on 127.0.0.1 (ephemeral port). Call
@@ -328,7 +338,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	m := newPeerMetrics(cfg.Registry)
 	p := &Peer{
 		cfg:      cfg,
-		tr:       cfg.Transport,
 		retry:    cfg.Retry.withDefaults(),
 		rk:       newRanker(cfg, m.rankMass),
 		ln:       ln,
@@ -381,8 +390,8 @@ func (p *Peer) peerAddr(dest p2p.PeerID) string {
 
 // SetView installs the full membership view: address table, ownership
 // epochs, departed flags and forwarding slots. Pushed by the cluster
-// on every membership change; SetPeers remains the address-only legacy
-// entry point.
+// on every membership change; SetPeers is the address-only entry point
+// a cluster uses before the first one.
 func (p *Peer) SetView(v View) {
 	p.peersMu.Lock()
 	p.peers = append([]string(nil), v.Addrs...)
@@ -515,21 +524,10 @@ func (p *Peer) ExchangeView(dest p2p.PeerID) error {
 	if addr == "" {
 		return fmt.Errorf("wire: no address for peer %d", dest)
 	}
-	conn, err := p.tr.Dial(p.cfg.ID, dest, addr)
+	payload, err := roundTrip(p.cfg.Transport, p.cfg.ID, dest, addr, probeTimeout,
+		frameViewReq, encodeView(p.view()), frameViewResp)
 	if err != nil {
 		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(probeTimeout))
-	if err := writeFrame(conn, frameViewReq, encodeView(p.view())); err != nil {
-		return err
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != frameViewResp {
-		return fmt.Errorf("wire: unexpected frame %c to view exchange", typ)
 	}
 	v, err := decodeView(payload)
 	if err != nil {
@@ -571,11 +569,7 @@ func (p *Peer) wakeSenders() {
 
 // stop halts every goroutine and closes every connection.
 func (p *Peer) stop() {
-	select {
-	case <-p.quit:
-	default:
-		close(p.quit)
-	}
+	p.stopOnce.Do(func() { close(p.quit) })
 	p.ln.Close()
 	p.sendMu.Lock()
 	ss := make([]*sender, 0, len(p.senders))
@@ -687,47 +681,12 @@ func (p *Peer) serveConn(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case frameBatch:
-			// Legacy unsequenced batch: folded without dedup or ack.
-			us, err := decodeBatch(payload)
-			if err != nil {
-				return
-			}
-			select {
-			case p.bulk <- inItem{us: us}:
-			case <-p.quit:
-				return
-			}
-		case frameBatchSeq:
-			// Legacy sequenced batch: stream dest is implicitly us.
-			from, seq, us, err := decodeBatchSeq(payload)
-			if err != nil {
-				return
-			}
-			it := inItem{from: from, origDest: p.cfg.ID, seq: seq, seqed: true, us: us, cw: cw}
-			select {
-			case p.bulk <- it:
-			case <-p.quit:
-				return
-			}
-		case frameBatchStrm:
-			from, origDest, seq, us, err := decodeBatchStrm(payload)
-			if err != nil {
-				return
-			}
-			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us, cw: cw}
-			select {
-			case p.bulk <- it:
-			case <-p.quit:
-				return
-			}
 		case frameBatchEpoch:
 			from, origDest, seq, epoch, us, err := decodeBatchEpoch(payload)
 			if err != nil {
 				return
 			}
-			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us,
-				epoch: epoch, hasEpoch: true, cw: cw}
+			it := inItem{from: from, origDest: origDest, seq: seq, epoch: epoch, us: us, cw: cw}
 			select {
 			case p.bulk <- it:
 			case <-p.quit:
@@ -768,13 +727,6 @@ func (p *Peer) serveConn(conn net.Conn) {
 			if err := cw.write(frameRanks, encodeRanks(docs, ranks)); err != nil {
 				return
 			}
-		case frameStop:
-			select {
-			case <-p.quit:
-			default:
-				close(p.quit)
-			}
-			return
 		default:
 			return // protocol violation: drop the connection
 		}
@@ -797,19 +749,13 @@ func (p *Peer) advertiseWindow() uint32 {
 	return uint32(w)
 }
 
-// ack acknowledges a sequenced remote frame as folded (or as a
-// duplicate of a folded one). On the epoch path the acknowledgement is
-// a credit frame: the cumulative ack plus this receiver's advertised
-// window, computed now so it reflects current bulk-lane occupancy.
+// ack acknowledges a remote frame as folded (or as a duplicate of a
+// folded one) with a credit frame: the cumulative ack plus this
+// receiver's advertised window, computed now so it reflects current
+// bulk-lane occupancy.
 func (p *Peer) ack(it *inItem) {
 	var b [12]byte
-	switch {
-	case it.cw == nil:
-	case it.hasEpoch:
-		it.cw.write(frameCredit, encodeCredit(b[:0], it.seq, p.advertiseWindow()))
-	default:
-		it.cw.write(frameAck, encodeAck(it.seq))
-	}
+	it.cw.write(frameCredit, encodeCredit(b[:0], it.seq, p.advertiseWindow()))
 }
 
 // processLoop consumes delivered batches, coalescing whatever is
@@ -854,78 +800,27 @@ func (p *Peer) processLoop() {
 	}
 }
 
-// consume suppresses duplicates, applies membership operations, folds
-// the surviving updates (and the whole chain of self-directed
-// consequences), then acknowledges. The dedup table is advanced in the
-// same loop iteration as the fold, so a crash can never separate them
-// — anything a sender sees acknowledged is part of every later
-// snapshot.
+// consume applies membership operations, admits remote frames through
+// dedup and the epoch fence, folds the surviving updates (and the whole
+// chain of self-directed consequences), then acknowledges. The dedup
+// table is advanced in the same loop iteration as the fold, so a crash
+// can never separate them — anything a sender sees acknowledged is part
+// of every later snapshot.
 func (p *Peer) consume(items []inItem) {
 	var batch []p2p.Update
 	var acks []*inItem
 	for i := range items {
 		it := &items[i]
-		if it.adopt != nil {
+		switch {
+		case it.adopt != nil:
 			p.applyAdopt(it.adopt)
 			continue
-		}
-		if it.shed != nil {
+		case it.shed != nil:
 			p.applyShed(it.shed)
 			continue
-		}
-		if it.seqed {
-			key := stream{src: it.from, dest: it.origDest}
-			// Dedup strictly before the epoch check: a retransmission of a
-			// frame that was folded before the range migrated here must be
-			// re-acked, never epoch-nacked — a nack would requeue updates
-			// whose originals were already folded. Sequence numbers the
-			// epoch fence rejected are exempt: lastSeq may have advanced
-			// past them when a later refreshed-epoch frame folded, but
-			// their updates never folded, so a retransmission (sent
-			// because the nack was lost) must face the fence again rather
-			// than be acknowledged as a duplicate.
-			_, wasRejected := p.rejected[key][it.seq]
-			if it.seq <= p.lastSeq[key] && !wasRejected {
-				p.m.dupDropped.Add(1)
-				p.ack(it) // re-ack so the sender can discard the frame
+		case it.cw != nil:
+			if !p.admit(it) {
 				continue
-			}
-			if it.hasEpoch {
-				local := p.epochOf(it.origDest)
-				if it.epoch < local {
-					// The sender missed an ownership transfer of this key
-					// range: reject without folding or advancing dedup. The
-					// nack carries our epoch so the sender catches up and
-					// re-routes the updates by its refreshed owner table.
-					p.m.epochRejected.Add(1)
-					p.event(telemetry.EvEpochReject, float64(it.epoch), int64(it.origDest))
-					if p.rejected[key] == nil {
-						p.rejected[key] = make(map[uint64]struct{})
-					}
-					p.rejected[key][it.seq] = struct{}{}
-					if it.cw != nil {
-						var b [16]byte
-						it.cw.write(frameNackEpoch, encodeNackEpoch(b[:0], it.seq, local))
-					}
-					continue
-				}
-				if it.epoch > local {
-					// We are the ones behind. The frame's epoch proves the
-					// transfer that minted it already happened, so adopt the
-					// number and fold: an eviction always stops the previous
-					// owner before its range migrates, so a higher-epoch
-					// frame can never race a live older owner.
-					p.adoptEpoch(it.origDest, it.epoch)
-				}
-			}
-			if wasRejected {
-				delete(p.rejected[key], it.seq)
-				if len(p.rejected[key]) == 0 {
-					delete(p.rejected, key)
-				}
-			}
-			if it.seq > p.lastSeq[key] {
-				p.lastSeq[key] = it.seq
 			}
 			acks = append(acks, it)
 		}
@@ -937,6 +832,62 @@ func (p *Peer) consume(items []inItem) {
 	for _, it := range acks {
 		p.ack(it)
 	}
+}
+
+// admit decides whether a remote frame folds. A duplicate of a folded
+// frame is re-acked and a frame stamped behind this peer's epoch for
+// its range is nacked; both report false. An admitted frame advances
+// the stream's dedup entry, and the caller acks it once folded.
+func (p *Peer) admit(it *inItem) bool {
+	key := stream{src: it.from, dest: it.origDest}
+	// Dedup strictly before the epoch check: a retransmission of a
+	// frame that was folded before the range migrated here must be
+	// re-acked, never epoch-nacked — a nack would requeue updates whose
+	// originals were already folded. Sequence numbers the epoch fence
+	// rejected are exempt: lastSeq may have advanced past them when a
+	// later refreshed-epoch frame folded, but their updates never
+	// folded, so a retransmission (sent because the nack was lost) must
+	// face the fence again rather than be acknowledged as a duplicate.
+	_, wasRejected := p.rejected[key][it.seq]
+	if it.seq <= p.lastSeq[key] && !wasRejected {
+		p.m.dupDropped.Add(1)
+		p.ack(it) // re-ack so the sender can discard the frame
+		return false
+	}
+	local := p.epochOf(it.origDest)
+	if it.epoch < local {
+		// The sender missed an ownership transfer of this key range:
+		// reject without folding or advancing dedup. The nack carries our
+		// epoch so the sender catches up and re-routes the updates by its
+		// refreshed owner table.
+		p.m.epochRejected.Add(1)
+		p.event(telemetry.EvEpochReject, float64(it.epoch), int64(it.origDest))
+		if p.rejected[key] == nil {
+			p.rejected[key] = make(map[uint64]struct{})
+		}
+		p.rejected[key][it.seq] = struct{}{}
+		var b [16]byte
+		it.cw.write(frameNackEpoch, encodeNackEpoch(b[:0], it.seq, local))
+		return false
+	}
+	if it.epoch > local {
+		// We are the ones behind. The frame's epoch proves the transfer
+		// that minted it already happened, so adopt the number and fold:
+		// an eviction always stops the previous owner before its range
+		// migrates, so a higher-epoch frame can never race a live older
+		// owner.
+		p.adoptEpoch(it.origDest, it.epoch)
+	}
+	if wasRejected {
+		delete(p.rejected[key], it.seq)
+		if len(p.rejected[key]) == 0 {
+			delete(p.rejected, key)
+		}
+	}
+	if it.seq > p.lastSeq[key] {
+		p.lastSeq[key] = it.seq
+	}
+	return true
 }
 
 // handle folds a batch, ships remote consequences, forwards updates
@@ -1465,7 +1416,7 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 		if addr == "" {
 			err = fmt.Errorf("wire: no address for peer %d", s.strm.dest)
 		} else {
-			c, err = s.p.tr.Dial(s.p.cfg.ID, s.strm.dest, addr)
+			c, err = s.p.cfg.Transport.Dial(s.p.cfg.ID, s.strm.dest, addr)
 		}
 		if err != nil {
 			*fails++
@@ -1527,57 +1478,39 @@ func (s *sender) closeConn(c net.Conn) {
 	}
 }
 
-// readAcks consumes cumulative acknowledgements from one connection
-// until it dies, then schedules retransmission.
+// readAcks consumes the receiver's answers — credit acks and
+// stale-epoch nacks — from one connection until it dies, then schedules
+// retransmission.
 func (s *sender) readAcks(c net.Conn) {
 	defer s.p.wg.Done()
 	for {
 		typ, payload, err := readFrame(c)
-		if err != nil {
-			s.closeConn(c)
-			s.wakeUp()
-			return
-		}
-		if typ == frameNackEpoch {
-			seq, epoch, err := decodeNackEpoch(payload)
-			if err != nil {
-				s.closeConn(c)
-				s.wakeUp()
-				return
+		if err == nil {
+			switch typ {
+			case frameNackEpoch:
+				var seq, epoch uint64
+				if seq, epoch, err = decodeNackEpoch(payload); err == nil {
+					s.handleNack(seq, epoch)
+				}
+			case frameCredit:
+				// A credit frame is a cumulative ack carrying the receiver's
+				// refreshed window; adopt the window before discarding frames
+				// so a woken sender sees the new budget.
+				var seq uint64
+				var window uint32
+				if seq, window, err = decodeCredit(payload); err == nil {
+					s.setWindow(window)
+					s.ack(seq)
+				}
+			default:
+				err = fmt.Errorf("wire: unexpected frame %c on ack path", typ)
 			}
-			s.handleNack(seq, epoch)
-			s.mu.Lock()
-			owed := len(s.unacked) > 0
-			s.mu.Unlock()
-			if owed {
-				c.SetReadDeadline(time.Now().Add(ackTimeout))
-			} else {
-				c.SetReadDeadline(time.Time{})
-			}
-			continue
-		}
-		var seq uint64
-		switch typ {
-		case frameAck:
-			seq, err = decodeAck(payload)
-		case frameCredit:
-			// A credit frame is a cumulative ack carrying the receiver's
-			// refreshed window; adopt the window before discarding frames
-			// so a woken sender sees the new budget.
-			var window uint32
-			seq, window, err = decodeCredit(payload)
-			if err == nil {
-				s.setWindow(window)
-			}
-		default:
-			err = fmt.Errorf("wire: unexpected frame %c on ack path", typ)
 		}
 		if err != nil {
 			s.closeConn(c)
 			s.wakeUp()
 			return
 		}
-		s.ack(seq)
 		// Progress: extend the deadline while more acks are owed, clear
 		// it once nothing is outstanding so idle connections never expire.
 		s.mu.Lock()

@@ -2,10 +2,12 @@
 // connections — the paper's closing proposal ("by augmenting web
 // servers and the HTTP protocol to exchange messages, web servers can
 // be collectively responsible for computing the pageranks for
-// documents they host"). Each peer is a TCP server owning a share of
-// the documents; pagerank update batches travel as length-prefixed
-// binary frames; global quiescence is detected with a two-probe
-// counter protocol in the style of Mattern's termination detection.
+// documents they host"), served here by one binary frame protocol
+// rather than by HTTP requests (DESIGN.md, "The frame protocol", says
+// why). Each peer is a TCP server owning a share of the documents;
+// pagerank update batches travel as length-prefixed binary frames;
+// global quiescence is detected with a two-probe counter protocol in
+// the style of Mattern's termination detection.
 //
 // The package is used by the Cluster helper (all peers in one process,
 // separate sockets on localhost) for tests and demos, but Peer speaks
@@ -24,41 +26,24 @@ import (
 	"dpr/internal/p2p"
 )
 
-// Frame types.
+// Frame types: the whole protocol. Rank updates travel as 'E' frames on
+// one persistent connection per delivery stream and are answered on the
+// same connection by 'C' (folded) or 'N' (refused at the epoch fence);
+// every other frame is one half of a request/response pair on a
+// short-lived connection (see roundTrip). DESIGN.md, "The frame
+// protocol", has the table of payload layouts, senders and responders.
 const (
-	frameBatch     = 'B' // updates: u32 n, then n x (u32 doc, f64 delta)
-	frameBatchSeq  = 'U' // u32 sender, u64 seq, then a batch payload
-	frameBatchStrm = 'V' // u32 sender, u32 origDest, u64 seq, then a batch payload
-	frameAck       = 'A' // u64 seq: every frame with seq <= it has been folded
-	frameSnapReq   = 'Q' // termination probe request
-	frameSnapResp  = 'S' // u64 sent, u64 processed
-	frameRanksReq  = 'R' // rank collection request
-	frameRanks     = 'K' // u32 n, then n x (u32 doc, f64 rank)
-	framePing      = 'P' // failure-detector heartbeat request
-	framePong      = 'O' // heartbeat response
-	frameStop      = 'X' // shut down
-
-	// Partition-tolerance frames. frameBatchEpoch supersedes
-	// frameBatchStrm on the live path: it carries the sender's epoch for
-	// the destination key range, so a receiver can fence out frames from
-	// senders that missed an ownership transfer. frameNackEpoch is the
-	// receiver's stale-epoch rejection (carrying its current epoch, so
-	// the sender can catch up and re-route). frameViewReq/frameViewResp
-	// exchange (membership, epoch vector) digests for anti-entropy after
-	// a partition heals.
 	frameBatchEpoch = 'E' // u32 sender, u32 origDest, u64 seq, u64 epoch, then a batch payload
+	frameCredit     = 'C' // u64 seq, u32 window: cumulative ack plus the receiver's credit window
 	frameNackEpoch  = 'N' // u64 seq, u64 epoch: per-frame stale-epoch rejection
+	frameSnapReq    = 'Q' // termination probe request
+	frameSnapResp   = 'S' // u64 sent, u64 processed
+	frameRanksReq   = 'R' // rank collection request
+	frameRanks      = 'K' // u32 n, then n x (u32 doc, f64 rank)
+	framePing       = 'P' // failure-detector heartbeat: a suspicion-gossip payload
+	framePong       = 'O' // heartbeat response: a suspicion-gossip payload
 	frameViewReq    = 'W' // anti-entropy request: a view-digest payload
 	frameViewResp   = 'D' // anti-entropy response: a view-digest payload
-
-	// frameCredit is the flow-controlled acknowledgement that supersedes
-	// frameAck on the epoch-batch path: the cumulative ack seq plus the
-	// receiver's advertised credit window — the number of frames the
-	// sender may keep in flight on this stream. A shrinking window is how
-	// an overloaded receiver pushes back without dropping rank mass; the
-	// advertised window is never zero, so a stalled stream always retains
-	// the right to one in-flight frame and progress is guaranteed.
-	frameCredit = 'C' // u64 seq, u32 window
 )
 
 // maxFrameBytes bounds a frame to keep a corrupted length prefix from
@@ -153,91 +138,6 @@ func decodeBatch(b []byte) ([]p2p.Update, error) {
 	return us, nil
 }
 
-// encodeBatch serializes updates.
-func encodeBatch(us []p2p.Update) []byte { return appendUpdates(nil, us) }
-
-// batchSeqHeader is the length of the (sender, seq) prefix a
-// sequenced batch carries in front of the plain batch payload.
-const batchSeqHeader = 12
-
-// encodeBatchSeq serializes a sequenced batch: the sender's identity
-// and a per-(sender, destination) sequence number prefix the plain
-// batch payload so receivers can suppress redelivered duplicates.
-func encodeBatchSeq(sender p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(sender))
-	return appendUpdates(binary.LittleEndian.AppendUint64(buf, seq), us)
-}
-
-// decodeBatchSeq parses a sequenced batch payload.
-func decodeBatchSeq(b []byte) (sender p2p.PeerID, seq uint64, us []p2p.Update, err error) {
-	if len(b) < batchSeqHeader {
-		return 0, 0, nil, fmt.Errorf("wire: sequenced batch too short")
-	}
-	sender = p2p.PeerID(binary.LittleEndian.Uint32(b[:4]))
-	if sender < 0 {
-		return 0, 0, nil, fmt.Errorf("wire: sequenced batch from negative sender %d", sender)
-	}
-	seq = binary.LittleEndian.Uint64(b[4:12])
-	us, err = decodeBatch(b[batchSeqHeader:])
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return sender, seq, us, nil
-}
-
-// batchStrmHeader is the length of the (sender, origDest, seq) prefix
-// a stream-identified batch carries in front of the plain batch
-// payload.
-const batchStrmHeader = 16
-
-// encodeBatchStrm serializes a stream-identified batch. The stream is
-// the pair (sender, origDest): origDest is the peer the batch was
-// originally framed for, which under dynamic membership may differ
-// from the peer that ends up folding it — a departed peer's document
-// range, duplicate-suppression tables and unacknowledged inbound
-// frames all migrate to its ring successor, and the successor dedups
-// each redirected frame against the (sender, origDest) stream it was
-// sequenced on. For a static cluster origDest always equals the
-// receiving peer and the frame behaves exactly like frameBatchSeq.
-func encodeBatchStrm(sender, origDest p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(sender))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(origDest))
-	return appendUpdates(binary.LittleEndian.AppendUint64(buf, seq), us)
-}
-
-// decodeBatchStrm parses a stream-identified batch payload.
-func decodeBatchStrm(b []byte) (sender, origDest p2p.PeerID, seq uint64, us []p2p.Update, err error) {
-	if len(b) < batchStrmHeader {
-		return 0, 0, 0, nil, fmt.Errorf("wire: stream batch too short")
-	}
-	sender = p2p.PeerID(binary.LittleEndian.Uint32(b[:4]))
-	origDest = p2p.PeerID(binary.LittleEndian.Uint32(b[4:8]))
-	if sender < 0 || origDest < 0 {
-		return 0, 0, 0, nil, fmt.Errorf("wire: stream batch with negative peer id")
-	}
-	seq = binary.LittleEndian.Uint64(b[8:16])
-	us, err = decodeBatch(b[batchStrmHeader:])
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return sender, origDest, seq, us, nil
-}
-
-// encodeAck serializes a cumulative acknowledgement.
-func encodeAck(seq uint64) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, seq)
-	return buf
-}
-
-// decodeAck parses an acknowledgement payload.
-func decodeAck(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("wire: ack payload %d bytes", len(b))
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
 // encodeCredit appends a flow-controlled acknowledgement to dst: the
 // cumulative ack plus the receiver's advertised credit window.
 func encodeCredit(dst []byte, seq uint64, window uint32) []byte {
@@ -315,11 +215,17 @@ func decodeRanks(b []byte, out []float64) (int, error) {
 // payload.
 const batchEpochHeader = 24
 
-// encodeBatchEpoch appends an epoch-stamped stream batch to dst: a
-// frameBatchStrm payload extended with the epoch of the origDest key
-// range as the sender last learned it. Receivers reject (nack) frames
-// whose epoch is behind their own view of the range, which fences a
-// healed minority out of ranges that migrated while it was cut off.
+// encodeBatchEpoch appends an epoch-stamped stream batch to dst. The
+// stream is the pair (sender, origDest): origDest is the peer the batch
+// was originally framed for, which under dynamic membership may differ
+// from the peer that ends up folding it — a departed peer's document
+// range, duplicate-suppression tables and unacknowledged inbound
+// frames all migrate to its ring successor, and the successor dedups
+// each redirected frame against the (sender, origDest) stream it was
+// sequenced on. epoch is that of the origDest key range as the sender
+// last learned it. Receivers reject (nack) frames whose epoch is behind
+// their own view of the range, which fences a healed minority out of
+// ranges that migrated while it was cut off.
 //
 //dpr:hotpath
 func encodeBatchEpoch(dst []byte, sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
@@ -340,16 +246,19 @@ func appendBatchEpochFrame(dst []byte, sender, origDest p2p.PeerID, seq, epoch u
 	return encodeBatchEpoch(dst, sender, origDest, seq, epoch, us)
 }
 
-// decodeBatchEpoch parses an epoch-stamped stream batch payload.
+// decodeBatchEpoch parses an epoch-stamped stream batch payload. Peer
+// ids are bounded like a view digest's slots: the receiver sizes its
+// membership view by origDest, so an unbounded id is an allocation the
+// sender chooses.
 func decodeBatchEpoch(b []byte) (sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update, err error) {
 	if len(b) < batchEpochHeader {
 		return 0, 0, 0, 0, nil, fmt.Errorf("wire: epoch batch too short")
 	}
-	sender = p2p.PeerID(binary.LittleEndian.Uint32(b[:4]))
-	origDest = p2p.PeerID(binary.LittleEndian.Uint32(b[4:8]))
-	if sender < 0 || origDest < 0 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("wire: epoch batch with negative peer id")
+	from, dest := binary.LittleEndian.Uint32(b[:4]), binary.LittleEndian.Uint32(b[4:8])
+	if from >= maxViewSlots || dest >= maxViewSlots {
+		return 0, 0, 0, 0, nil, fmt.Errorf("wire: epoch batch peer id out of range (sender %d, origDest %d)", from, dest)
 	}
+	sender, origDest = p2p.PeerID(from), p2p.PeerID(dest)
 	seq = binary.LittleEndian.Uint64(b[8:16])
 	epoch = binary.LittleEndian.Uint64(b[16:24])
 	us, err = decodeBatch(b[batchEpochHeader:])
@@ -380,7 +289,8 @@ const maxGossipPeers = 1 << 16
 
 // encodeGossip serializes a suspicion-gossip payload for a ping or
 // pong frame: the reporting slot plus the slots it currently suspects.
-// An empty payload remains a valid (legacy) ping/pong.
+// An empty payload is a valid ping or pong too: a peer with no gossip
+// hook answers every ping with one.
 func encodeGossip(from p2p.PeerID, suspects []p2p.PeerID) []byte {
 	buf := make([]byte, 8+4*len(suspects))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(from))

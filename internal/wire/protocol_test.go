@@ -2,52 +2,44 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"dpr/internal/p2p"
 )
 
-func TestBatchSeqCodec(t *testing.T) {
+func TestBatchEpochCodec(t *testing.T) {
 	us := []p2p.Update{{Doc: 3, Delta: 0.25}, {Doc: 9, Delta: -1.5}}
-	sender, seq, out, err := decodeBatchSeq(encodeBatchSeq(5, 77, us))
+	sender, origDest, seq, epoch, out, err := decodeBatchEpoch(encodeBatchEpoch(nil, 5, 6, 77, 4, us))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sender != 5 || seq != 77 || len(out) != 2 || out[0] != us[0] || out[1] != us[1] {
-		t.Fatalf("round trip: sender=%d seq=%d %v", sender, seq, out)
+	if sender != 5 || origDest != 6 || seq != 77 || epoch != 4 || len(out) != 2 || out[0] != us[0] || out[1] != us[1] {
+		t.Fatalf("round trip: sender=%d origDest=%d seq=%d epoch=%d %v", sender, origDest, seq, epoch, out)
 	}
-	// Empty batch is legal.
-	sender, seq, out, err = decodeBatchSeq(encodeBatchSeq(0, 1, nil))
-	if err != nil || sender != 0 || seq != 1 || len(out) != 0 {
-		t.Fatalf("empty: sender=%d seq=%d %v %v", sender, seq, out, err)
+	// Empty batch is legal, and so is the largest peer id a view can hold.
+	sender, origDest, seq, epoch, out, err = decodeBatchEpoch(encodeBatchEpoch(nil, 0, maxViewSlots-1, 1, 0, nil))
+	if err != nil || sender != 0 || origDest != maxViewSlots-1 || seq != 1 || epoch != 0 || len(out) != 0 {
+		t.Fatalf("empty: sender=%d origDest=%d seq=%d epoch=%d %v %v", sender, origDest, seq, epoch, out, err)
 	}
 }
 
-func TestBatchSeqCodecRejectsMalformed(t *testing.T) {
-	good := encodeBatchSeq(2, 9, []p2p.Update{{Doc: 1, Delta: 1}})
+func TestBatchEpochCodecRejectsMalformed(t *testing.T) {
+	good := encodeBatchEpoch(nil, 2, 3, 9, 1, []p2p.Update{{Doc: 1, Delta: 1}})
 	cases := map[string][]byte{
-		"empty":           nil,
-		"short header":    good[:batchSeqHeader-1],
-		"missing count":   good[:batchSeqHeader],
-		"truncated entry": good[:len(good)-5],
-		"trailing bytes":  append(append([]byte(nil), good...), 0xff),
+		"empty":             nil,
+		"short header":      good[:batchEpochHeader-1],
+		"missing count":     good[:batchEpochHeader],
+		"truncated entry":   good[:len(good)-5],
+		"trailing bytes":    append(append([]byte(nil), good...), 0xff),
+		"negative sender":   encodeBatchEpoch(nil, -1, 3, 9, 1, nil),
+		"sender past view":  encodeBatchEpoch(nil, maxViewSlots, 3, 9, 1, nil),
+		"negative origDest": encodeBatchEpoch(nil, 2, p2p.NoPeer, 9, 1, nil),
+		// The receiver sizes its view by origDest+1: 1<<22 was 120 MB.
+		"origDest past view": encodeBatchEpoch(nil, 2, 1<<22, 9, 1, nil),
 	}
 	for name, b := range cases {
-		if _, _, _, err := decodeBatchSeq(b); err == nil {
+		if _, _, _, _, _, err := decodeBatchEpoch(b); err == nil {
 			t.Errorf("%s: accepted %d bytes", name, len(b))
-		}
-	}
-}
-
-func TestAckCodec(t *testing.T) {
-	seq, err := decodeAck(encodeAck(1 << 40))
-	if err != nil || seq != 1<<40 {
-		t.Fatalf("ack round trip: %d %v", seq, err)
-	}
-	for _, n := range []int{0, 7, 9} {
-		if _, err := decodeAck(make([]byte, n)); err == nil {
-			t.Errorf("accepted %d-byte ack", n)
 		}
 	}
 }
@@ -55,8 +47,8 @@ func TestAckCodec(t *testing.T) {
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2})
-	f.Add(encodeBatch(nil))
-	f.Add(encodeBatch([]p2p.Update{{Doc: 7, Delta: 0.5}}))
+	f.Add(appendUpdates(nil, nil))
+	f.Add(appendUpdates(nil, []p2p.Update{{Doc: 7, Delta: 0.5}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		us, err := decodeBatch(b)
@@ -64,26 +56,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		// A successful decode must re-encode to the same bytes.
-		if !bytes.Equal(encodeBatch(us), b) {
-			t.Fatalf("decode/encode not idempotent for %x", b)
-		}
-	})
-}
-
-func FuzzDecodeBatchSeq(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(encodeBatchSeq(0, 0, nil))
-	f.Add(encodeBatchSeq(3, 1<<33, []p2p.Update{{Doc: 1, Delta: math.Inf(1)}}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		sender, seq, us, err := decodeBatchSeq(b)
-		if err != nil {
-			return
-		}
-		if sender < 0 {
-			t.Fatalf("decoded negative sender %d", sender)
-		}
-		if !bytes.Equal(encodeBatchSeq(sender, seq, us), b) {
+		if !bytes.Equal(appendUpdates(nil, us), b) {
 			t.Fatalf("decode/encode not idempotent for %x", b)
 		}
 	})
@@ -91,11 +64,11 @@ func FuzzDecodeBatchSeq(f *testing.F) {
 
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	writeFrame(&buf, frameBatch, encodeBatch([]p2p.Update{{Doc: 1, Delta: 2}}))
+	writeFrame(&buf, frameBatchEpoch, encodeBatchEpoch(nil, 1, 2, 3, 4, []p2p.Update{{Doc: 1, Delta: 2}}))
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'B'})
-	f.Add([]byte{5, 0, 0, 0, 'U', 1, 2})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameBatchEpoch})
+	f.Add([]byte{5, 0, 0, 0, frameCredit, 1, 2})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(b))
 		if err != nil {

@@ -10,9 +10,9 @@ import (
 )
 
 // ranker is the transport-independent per-peer computation: the
-// chaotic-iteration state for the documents one peer owns, shared by
-// the TCP and HTTP peers. All methods are safe for concurrent use,
-// except that fold's results alias scratch the next fold overwrites.
+// chaotic-iteration state for the documents one peer owns. All methods
+// are safe for concurrent use, except that fold's results alias scratch
+// the next fold overwrites.
 //
 // Under dynamic membership the document set is mutable: adopt appends
 // a departed peer's rows, shed extracts rows for a joining peer, and

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -38,3 +39,27 @@ func (tcpTransport) Dial(_, _ p2p.PeerID, addr string) (net.Conn, error) {
 
 // TCPDialer returns the production Transport backed by net.Dial.
 func TCPDialer() Transport { return tcpTransport{} }
+
+// roundTrip is the protocol's request/response exchange: dial addr as
+// from→to, bound the whole exchange by timeout, write one req frame and
+// read back one frame, which must be of type resp. Its payload is
+// returned.
+func roundTrip(tr Transport, from, to p2p.PeerID, addr string, timeout time.Duration, req byte, payload []byte, resp byte) ([]byte, error) {
+	conn, err := tr.Dial(from, to, addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(timeout))
+	if err := writeFrame(conn, req, payload); err != nil {
+		return nil, err
+	}
+	typ, reply, err := readFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	if typ != resp {
+		return nil, fmt.Errorf("wire: frame %c answered with %c, want %c", req, typ, resp)
+	}
+	return reply, nil
+}

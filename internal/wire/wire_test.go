@@ -2,8 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,28 +18,28 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameBatch, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, frameBatchEpoch, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != frameBatch || string(payload) != "hello" {
+	if typ != frameBatchEpoch || string(payload) != "hello" {
 		t.Fatalf("round trip: %c %q", typ, payload)
 	}
 	// Empty payload.
-	if err := writeFrame(&buf, frameStop, nil); err != nil {
+	if err := writeFrame(&buf, frameSnapReq, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = readFrame(&buf)
-	if err != nil || typ != frameStop || len(payload) != 0 {
+	if err != nil || typ != frameSnapReq || len(payload) != 0 {
 		t.Fatalf("empty frame: %c %v %v", typ, payload, err)
 	}
 }
 
 func TestFrameRejectsHugeLength(t *testing.T) {
-	raw := []byte{0xff, 0xff, 0xff, 0xff, 'B'}
+	raw := []byte{0xff, 0xff, 0xff, 0xff, frameBatchEpoch}
 	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("accepted 4GB frame header")
 	}
@@ -43,7 +47,7 @@ func TestFrameRejectsHugeLength(t *testing.T) {
 
 func TestBatchCodec(t *testing.T) {
 	in := []p2p.Update{{Doc: 7, Delta: 0.125}, {Doc: 1 << 20, Delta: -3.5}}
-	out, err := decodeBatch(encodeBatch(in))
+	out, err := decodeBatch(appendUpdates(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestBatchCodec(t *testing.T) {
 	if _, err := decodeBatch([]byte{1, 2}); err == nil {
 		t.Fatal("accepted short batch")
 	}
-	if _, err := decodeBatch(append(encodeBatch(in), 0)); err == nil {
+	if _, err := decodeBatch(append(appendUpdates(nil, in), 0)); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
 }
@@ -182,12 +186,7 @@ func TestClusterValidation(t *testing.T) {
 
 func TestPeerRejectsGarbageConnection(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	g := graph.Cycle(4)
-	docPeer := make([]p2p.PeerID, 4)
-	p, err := NewPeer(PeerConfig{Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{0, 1, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := cyclePeer(t)
 	defer p.Close()
 	// A client speaking garbage gets dropped without harming the peer.
 	conn, err := net.DialTimeout("tcp", p.Addr(), time.Second)
@@ -197,10 +196,132 @@ func TestPeerRejectsGarbageConnection(t *testing.T) {
 	conn.Write([]byte{1, 0, 0, 0, 'Z', 0})
 	conn.Close()
 	// Peer still answers probes.
-	s, pr, err := probePeer(nil, p.Addr())
+	s, pr, err := probePeer(TCPDialer(), p.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = s
 	_ = pr
+}
+
+// cyclePeer starts a standalone peer 0 owning every document of a
+// 4-cycle. It is never started, so its counters move only if something
+// a test sends it is folded. The caller closes it.
+func cyclePeer(t *testing.T) *Peer {
+	t.Helper()
+	p, err := NewPeer(PeerConfig{Graph: graph.Cycle(4), DocPeer: make([]p2p.PeerID, 4), Docs: []graph.NodeID{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetPeers([]string{p.Addr()})
+	return p
+}
+
+// rawPeer is cyclePeer plus a raw connection to it; the caller closes
+// both.
+func rawPeer(t *testing.T) (*Peer, net.Conn) {
+	t.Helper()
+	p := cyclePeer(t)
+	conn, err := net.DialTimeout("tcp", p.Addr(), time.Second)
+	if err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	return p, conn
+}
+
+// assertDropped checks that the peer answered the last write by closing
+// the connection: no reply frame, and nothing folded.
+func assertDropped(t *testing.T, p *Peer, conn net.Conn) {
+	t.Helper()
+	if typ, _, err := readFrame(conn); err != io.EOF {
+		t.Fatalf("peer answered with frame %q, err %v; want the connection closed", typ, err)
+	}
+	if st := p.Stats(); st.Processed != 0 || st.DeltaFolded != 0 {
+		t.Fatalf("peer folded a refused frame: processed %d, delta folded %v", st.Processed, st.DeltaFolded)
+	}
+}
+
+// TestRetiredFramesAreRefused sends each frame type the protocol used
+// to speak, with the payload its last decoder accepted: all are
+// protocol violations now, and snapshot versions before the current one
+// are refused by number.
+func TestRetiredFramesAreRefused(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	le := binary.LittleEndian
+	batch := appendUpdates(nil, []p2p.Update{{Doc: 0, Delta: 0.5}})
+	frames := []struct {
+		typ     byte
+		payload []byte
+	}{
+		{'B', batch}, // unsequenced batch
+		{'U', append(le.AppendUint64(le.AppendUint32(nil, 1), 1), batch...)},                     // sender, seq, batch
+		{'V', append(le.AppendUint64(le.AppendUint32(le.AppendUint32(nil, 1), 0), 1), batch...)}, // sender, origDest, seq, batch
+		{'A', le.AppendUint64(nil, 1)}, // plain cumulative ack
+		{'X', nil},                     // remote shutdown
+	}
+	for _, fr := range frames {
+		p, conn := rawPeer(t)
+		if err := writeFrame(conn, fr.typ, fr.payload); err != nil {
+			t.Fatal(err)
+		}
+		assertDropped(t, p, conn)
+		// In particular 'X' did not stop the peer.
+		if _, _, err := probePeer(TCPDialer(), p.Addr()); err != nil {
+			t.Fatalf("peer no longer answers probes after a %c frame: %v", fr.typ, err)
+		}
+		conn.Close()
+		p.Close()
+	}
+
+	var cur bytes.Buffer
+	if err := EncodeSnapshot(fuzzSeedSnapshot(), &cur); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint64{3, 4} {
+		hdr := append([]byte(nil), cur.Bytes()...)
+		le.PutUint64(hdr[len(peerSnapMagic):], version)
+		_, err := DecodeSnapshot(bytes.NewReader(hdr))
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Fatalf("version %d snapshot: err %v, want unsupported snapshot version", version, err)
+		}
+	}
+}
+
+// TestOversizedOrigDestIsRefused: the receiver sizes its membership
+// view by a frame's origDest, so a peer id past any view must die in
+// the decoder — one 28-byte frame naming slot 1<<22 used to grow the
+// view to four million slots.
+func TestOversizedOrigDestIsRefused(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	p, conn := rawPeer(t)
+	defer p.Close()
+	defer conn.Close()
+	before := p.view().viewSlots()
+	if err := writeFrame(conn, frameBatchEpoch, encodeBatchEpoch(nil, 1, 1<<22, 1, 7, nil)); err != nil {
+		t.Fatal(err)
+	}
+	assertDropped(t, p, conn)
+	if got := p.view().viewSlots(); got != before {
+		t.Fatalf("view grew from %d to %d slots on a frame for a slot nobody has", before, got)
+	}
+}
+
+// TestConcurrentCloseIsSafe closes one peer from several goroutines at
+// once, as Close, Kill and a cluster shutdown can.
+func TestConcurrentCloseIsSafe(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	for round := 0; round < 20; round++ {
+		p := cyclePeer(t)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Close()
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -14,7 +14,7 @@ type TCPResult struct {
 	Elapsed  time.Duration // wall-clock time to quiescence
 
 	// Fault-tolerance accounting (zero on a fault-free run).
-	Retries      uint64 // frame/request transmissions past the first attempt
+	Retries      uint64 // frame transmissions past the first attempt
 	Reconnects   uint64 // successful re-dials after a connection loss
 	Redeliveries uint64 // frames acknowledged after more than one attempt
 
@@ -89,25 +89,6 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 func ComputePageRankOverTCP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
 	opt = opt.withDefaults()
 	cluster, err := wire.NewCluster(g, opt.clusterConfig())
-	if err != nil {
-		return TCPResult{}, err
-	}
-	defer cluster.Close()
-	res, err := cluster.Run(timeout)
-	if err != nil {
-		return TCPResult{}, err
-	}
-	return fromClusterResult(res), nil
-}
-
-// ComputePageRankOverHTTP is ComputePageRankOverTCP with the paper's
-// section 8 transport taken literally: each peer is a web server whose
-// HTTP interface is augmented with pagerank endpoints, and update
-// batches travel as POST requests. Transient POST failures are retried
-// with capped backoff; sequence numbers make redelivery exactly-once.
-func ComputePageRankOverHTTP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
-	opt = opt.withDefaults()
-	cluster, err := wire.NewHTTPCluster(g, opt.clusterConfig())
 	if err != nil {
 		return TCPResult{}, err
 	}
