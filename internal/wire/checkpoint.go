@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ import (
 //     state migrate: its ring successor adopts the dedup entries and
 //     the unacknowledged frames under their original stream identity,
 //     so redirected retransmissions are recognized wherever they land.
-//     The same layout doubles as the handoff format (Handoff).
+//     The snapshot is also the hand-over itself: Peer.Adopt takes one.
 //   - The ownership-epoch vector (one fencing epoch per ring slot), so
 //     a restored peer re-frames its unacknowledged batches under epochs
 //     at least as fresh as the ones it crashed with — a receiver that
@@ -115,48 +116,6 @@ type UnackedFrame struct {
 	Updates []p2p.Update
 }
 
-// Handoff is the state transferred when a departed peer's document
-// range moves to its ring successor: the ranker rows for the migrated
-// documents, the per-stream duplicate-suppression table, and the
-// departed peer's outbound queues (unacknowledged frames under their
-// original stream identity, plus parked never-framed updates). It is
-// the in-memory form of the same state a PeerSnapshot serializes.
-type Handoff struct {
-	Docs            []graph.NodeID
-	Rank, Acc, Last []float64
-	LastSeq         map[stream]uint64
-	Rejected        []SeqEntry // epoch-rejected seqs, exempt from dedup
-	Outbound        []OutboundState
-	Epochs          []uint64 // departed peer's ownership-epoch vector
-
-	done chan struct{} // closed by the adopting peer's processing loop
-}
-
-// HandoffFromSnapshot builds the handoff a departed peer's snapshot
-// implies: everything except its counters, which the cluster folds
-// into its departed-peer accumulators instead.
-func HandoffFromSnapshot(s *PeerSnapshot) *Handoff {
-	h := &Handoff{
-		Docs:    append([]graph.NodeID(nil), s.Docs...),
-		Rank:    append([]float64(nil), s.Rank...),
-		Acc:     append([]float64(nil), s.Acc...),
-		Last:    append([]float64(nil), s.Last...),
-		LastSeq: make(map[stream]uint64, len(s.LastSeq)),
-		Epochs:  append([]uint64(nil), s.Epochs...),
-	}
-	for _, e := range s.LastSeq {
-		h.LastSeq[stream{src: e.Src, dest: e.Dest}] = e.Seq
-	}
-	h.Rejected = append([]SeqEntry(nil), s.Rejected...)
-	for _, ob := range s.Outbound {
-		h.Outbound = append(h.Outbound, OutboundState{
-			Src: ob.Src, Dest: ob.Dest, NextSeq: ob.NextSeq, Window: ob.Window,
-			Unacked: ob.Unacked, Pending: ob.Pending,
-		})
-	}
-	return h
-}
-
 // snapshot assembles the peer's durable state. Callers must have
 // stopped the peer's goroutines first (stop), so every field is
 // quiescent.
@@ -168,38 +127,25 @@ func (p *Peer) snapshot() *PeerSnapshot {
 		Rank:      append([]float64(nil), p.rk.rank...),
 		Acc:       append([]float64(nil), p.rk.acc...),
 		Last:      append([]float64(nil), p.rk.last...),
-		Epochs:    p.view().Epochs,
 		PeerStats: p.m.stats(),
+	}
+	for _, vs := range p.view() {
+		s.Epochs = append(s.Epochs, vs.Epoch)
 	}
 	for st, seq := range p.lastSeq {
 		s.LastSeq = append(s.LastSeq, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
 	}
-	slices.SortFunc(s.LastSeq, func(a, b SeqEntry) int {
-		if a.Src != b.Src {
-			return int(a.Src - b.Src)
-		}
-		return int(a.Dest - b.Dest)
-	})
 	for st, seqs := range p.rejected {
 		for seq := range seqs {
 			s.Rejected = append(s.Rejected, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
 		}
 	}
-	slices.SortFunc(s.Rejected, func(a, b SeqEntry) int {
-		if a.Src != b.Src {
-			return int(a.Src - b.Src)
-		}
-		if a.Dest != b.Dest {
-			return int(a.Dest - b.Dest)
-		}
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
+	// Map order is random; a checkpoint of the same state is the same bytes.
+	bySeqEntry := func(a, b SeqEntry) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dest, b.Dest), cmp.Compare(a.Seq, b.Seq))
+	}
+	slices.SortFunc(s.LastSeq, bySeqEntry)
+	slices.SortFunc(s.Rejected, bySeqEntry)
 	strms := make([]stream, 0, len(p.senders))
 	for st := range p.senders {
 		strms = append(strms, st)
@@ -248,11 +194,14 @@ func (p *Peer) snapshot() *PeerSnapshot {
 	return s
 }
 
-// RestorePeer rejoins a crashed peer: a fresh listener (new address),
-// the snapshot's ranker and recovery state, and senders primed to
-// redeliver everything unacknowledged. Call SetPeers (on every peer,
-// since the address changed) and then Start; the restored peer skips
-// the initial push.
+// RestorePeer rejoins a crashed peer: a fresh peer (new listener, new
+// address) that adopts its own snapshot. The recovery tables and the
+// senders go in through the same mergeTables and primeSender a
+// successor's Adopt uses; what differs is what is the peer's own — its
+// rows overwrite the fresh ranker's, its counters are restored, and its
+// pending updates go back into its retry queue instead of being handled
+// as a received batch. Call SetPeers (on every peer, since the address
+// changed) and then Start; the restored peer skips the initial push.
 func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("wire: nil snapshot")
@@ -274,53 +223,19 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	copy(p.rk.rank, snap.Rank)
 	copy(p.rk.acc, snap.Acc)
 	copy(p.rk.last, snap.Last)
-	for _, e := range snap.LastSeq {
-		p.lastSeq[stream{src: e.Src, dest: e.Dest}] = e.Seq
-	}
-	for _, e := range snap.Rejected {
-		st := stream{src: e.Src, dest: e.Dest}
-		if p.rejected[st] == nil {
-			p.rejected[st] = make(map[uint64]struct{})
-		}
-		p.rejected[st][e.Seq] = struct{}{}
-	}
-	// Elementwise-max merge: the config's epoch vector (the cluster's
-	// current view) and the snapshot's (what the peer saw before the
-	// crash) can each be ahead on different slots.
-	for i, e := range snap.Epochs {
-		p.adoptEpoch(p2p.PeerID(i), e)
-	}
+	// The config's epoch vector (the cluster's current view) and the
+	// snapshot's (what the peer saw before the crash) can each be ahead
+	// on different slots; mergeTables keeps the higher.
+	p.mergeTables(snap)
 	p.m.restore(snap.PeerStats)
 	p.rk.resetMass()
+	var self []p2p.Update
 	for _, ob := range snap.Outbound {
-		st := stream{src: ob.Src, dest: ob.Dest}
-		if st.src == cfg.ID && st.dest == cfg.ID {
-			// Its own share of what it shipped before the crash, counted
-			// sent and never folded: back into the (still empty) inbox.
-			p.bulk <- inItem{from: cfg.ID, us: ob.Pending}
+		if ob.Src == cfg.ID && ob.Dest == cfg.ID {
+			self = append(self, ob.Pending...)
 			continue
 		}
-		if _, dup := p.senders[st]; dup {
-			continue
-		}
-		s := p.newSender(st)
-		s.nextSeq = ob.NextSeq
-		if ob.Window > 0 {
-			// Resume under the receiver's pre-crash credit budget; the
-			// first credit ack refreshes it either way.
-			s.window = ob.Window
-		}
-		for _, uf := range ob.Unacked {
-			// Same stream identity and seq (dedup survives the crash),
-			// re-stamped with the restorer's freshest epoch for the range.
-			s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: p.epochOf(st.dest), us: uf.Updates})
-		}
-		if len(s.unacked) > 0 {
-			s.sendSeq = s.unacked[0].seq
-			p.m.unackedFrames.Add(float64(len(s.unacked)))
-		} else {
-			s.sendSeq = s.nextSeq
-		}
+		p.primeSender(ob)
 		for _, u := range ob.Pending {
 			// Two merged checkpoints can queue the same document for
 			// the same destination; an absorbed update is consumed
@@ -331,9 +246,6 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 				p.m.processed.Add(1)
 			}
 		}
-		p.senders[st] = s
-		p.wg.Add(1)
-		go s.loop()
 	}
 	// Pending updates only ever leave through a self-stream sender
 	// (adopted streams retransmit their inherited frames but never
@@ -343,70 +255,40 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	for _, dest := range p.rq.Dests() {
 		p.sender(stream{src: p.cfg.ID, dest: dest})
 	}
+	// Its own share of what it shipped before the crash, counted sent
+	// and never folded: back into the (still empty) inbox. Last, because
+	// the processing loop is already running and what it folds may queue
+	// updates of its own; until here the retry queue was this
+	// goroutine's alone.
+	if len(self) > 0 {
+		p.bulk <- inItem{from: cfg.ID, us: self}
+	}
 	return p, nil
 }
 
-// MergeSnapshot folds a departed peer's snapshot into the (also
-// crashed) successor's snapshot: ranker rows for documents the
-// successor does not already hold, the per-stream dedup table (keeping
-// the higher sequence number), and the departed peer's outbound
-// streams. Counters are NOT merged — the cluster accounts a departed
-// peer's counters separately, exactly as in the live-adoption path.
+// MergeSnapshot appends a departed peer's snapshot to its (also
+// crashed) successor's: ranker rows, dedup and rejected records,
+// outbound streams. Nothing is in both — a document, a delivery stream's
+// dedup entry and its sender state each live in exactly one place — and
+// the records are merged for real by mergeTables when the successor
+// restarts. Only the epoch vectors, which are positional, merge here.
+// Counters are NOT merged — the cluster accounts a departed peer's
+// counters separately, exactly as in the live-adoption path.
 func MergeSnapshot(dst, src *PeerSnapshot) {
-	have := make(map[graph.NodeID]struct{}, len(dst.Docs))
-	for _, d := range dst.Docs {
-		have[d] = struct{}{}
-	}
-	for i, d := range src.Docs {
-		if _, dup := have[d]; dup {
-			continue
-		}
-		dst.Docs = append(dst.Docs, d)
-		dst.Rank = append(dst.Rank, src.Rank[i])
-		dst.Acc = append(dst.Acc, src.Acc[i])
-		dst.Last = append(dst.Last, src.Last[i])
-	}
-	seq := make(map[stream]int, len(dst.LastSeq))
-	for i, e := range dst.LastSeq {
-		seq[stream{src: e.Src, dest: e.Dest}] = i
-	}
-	for _, e := range src.LastSeq {
-		if i, ok := seq[stream{src: e.Src, dest: e.Dest}]; ok {
-			if e.Seq > dst.LastSeq[i].Seq {
-				dst.LastSeq[i].Seq = e.Seq
-			}
-			continue
-		}
-		dst.LastSeq = append(dst.LastSeq, e)
-	}
-	rej := make(map[SeqEntry]struct{}, len(dst.Rejected))
-	for _, e := range dst.Rejected {
-		rej[e] = struct{}{}
-	}
-	for _, e := range src.Rejected {
-		if _, dup := rej[e]; !dup {
-			dst.Rejected = append(dst.Rejected, e)
-		}
-	}
-	streams := make(map[stream]struct{}, len(dst.Outbound))
-	for _, ob := range dst.Outbound {
-		streams[stream{src: ob.Src, dest: ob.Dest}] = struct{}{}
-	}
-	for _, ob := range src.Outbound {
-		if _, dup := streams[stream{src: ob.Src, dest: ob.Dest}]; dup {
-			continue // cannot happen: streams migrate to exactly one successor
-		}
-		dst.Outbound = append(dst.Outbound, ob)
-	}
-	// Ownership epochs merge elementwise-max: fencing only ever raises
-	// an epoch, so the higher observation is the fresher one.
+	dst.Docs = append(dst.Docs, src.Docs...)
+	dst.Rank = append(dst.Rank, src.Rank...)
+	dst.Acc = append(dst.Acc, src.Acc...)
+	dst.Last = append(dst.Last, src.Last...)
+	dst.LastSeq = append(dst.LastSeq, src.LastSeq...)
+	dst.Rejected = append(dst.Rejected, src.Rejected...)
+	dst.Outbound = append(dst.Outbound, src.Outbound...)
+	// Fencing only ever raises an epoch, so the higher observation is
+	// the fresher one.
 	if len(src.Epochs) > len(dst.Epochs) {
 		dst.Epochs = append(dst.Epochs, make([]uint64, len(src.Epochs)-len(dst.Epochs))...)
 	}
 	for i, e := range src.Epochs {
-		if e > dst.Epochs[i] {
-			dst.Epochs[i] = e
-		}
+		dst.Epochs[i] = max(dst.Epochs[i], e)
 	}
 }
 
@@ -447,6 +329,11 @@ func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []f
 	return rank, acc, last, nil
 }
 
+// snapRejectedAt is where the header's rejected-record count sits among
+// the statFields counters: the count joined the header after the first
+// twelve counters and before the overload-protection ones.
+const snapRejectedAt = 12
+
 // EncodeSnapshot serializes a snapshot in the checkpoint layout:
 // magic, version, header, then fixed-size records.
 func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
@@ -457,54 +344,32 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 	hdr := []uint64{
 		peerSnapVersion, uint64(uint32(s.ID)), uint64(len(s.Docs)),
 		uint64(len(s.LastSeq)), uint64(len(s.Outbound)), uint64(len(s.Epochs)),
-		s.Sent, s.Processed, s.Retries, s.Reconnects, s.Redeliveries,
-		s.Coalesced, s.DupDropped, s.Forwarded, s.Misdropped, s.EpochRejected,
-		math.Float64bits(s.DeltaShipped), math.Float64bits(s.DeltaFolded),
-		uint64(len(s.Rejected)), // the epoch-rejected seq records follow the outbound section
-		s.CreditStalls, s.ShedCoalesced, s.SlowPeer,
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	for i, sf := range statFields {
+		if i == snapRejectedAt {
+			hdr = append(hdr, uint64(len(s.Rejected))) // the records follow the outbound section
 		}
+		hdr = append(hdr, sf.word(&s.PeerStats))
 	}
-	for _, e := range s.Epochs {
-		if err := binary.Write(bw, binary.LittleEndian, e); err != nil {
-			return err
-		}
+	if err := writeU64(bw, append(hdr, s.Epochs...)...); err != nil {
+		return err
 	}
 	for i, d := range s.Docs {
-		rec := []uint64{
-			uint64(uint32(d)),
-			math.Float64bits(s.Rank[i]), math.Float64bits(s.Acc[i]), math.Float64bits(s.Last[i]),
-		}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := writeU64(bw, uint64(uint32(d)),
+			math.Float64bits(s.Rank[i]), math.Float64bits(s.Acc[i]), math.Float64bits(s.Last[i])); err != nil {
+			return err
 		}
 	}
-	for _, e := range s.LastSeq {
-		rec := []uint64{uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+	if err := writeSeqEntries(bw, s.LastSeq); err != nil {
+		return err
 	}
 	for _, ob := range s.Outbound {
-		head := []uint64{
-			uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
-			uint64(len(ob.Unacked)), uint64(len(ob.Pending)),
-			ob.Window,
-		}
-		for _, v := range head {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := writeU64(bw, uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
+			uint64(len(ob.Unacked)), uint64(len(ob.Pending)), ob.Window); err != nil {
+			return err
 		}
 		for _, uf := range ob.Unacked {
-			if err := binary.Write(bw, binary.LittleEndian, uf.Seq); err != nil {
+			if err := writeU64(bw, uf.Seq); err != nil {
 				return err
 			}
 			if err := writeUpdates(bw, uf.Updates); err != nil {
@@ -515,26 +380,36 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 			return err
 		}
 	}
-	for _, e := range s.Rejected {
-		rec := []uint64{uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+	if err := writeSeqEntries(bw, s.Rejected); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
+func writeU64(w io.Writer, vs ...uint64) error {
+	for _, v := range vs {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeSeqEntries(w io.Writer, es []SeqEntry) error {
+	for _, e := range es {
+		if err := writeU64(w, uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func writeUpdates(w io.Writer, us []p2p.Update) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(us))); err != nil {
+	if err := writeU64(w, uint64(len(us))); err != nil {
 		return err
 	}
 	for _, u := range us {
-		if err := binary.Write(w, binary.LittleEndian, uint64(uint32(u.Doc))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(u.Delta)); err != nil {
+		if err := writeU64(w, uint64(uint32(u.Doc)), math.Float64bits(u.Delta)); err != nil {
 			return err
 		}
 	}
@@ -561,6 +436,23 @@ func capAlloc(n uint64) int {
 		return snapAllocCap
 	}
 	return int(n)
+}
+
+// readSeqEntries reads n (source, destination, seq) records; kind names
+// the table in errors.
+func readSeqEntries(r io.Reader, n uint64, kind string) ([]SeqEntry, error) {
+	var es []SeqEntry
+	for i := uint64(0); i < n; i++ {
+		var src, dest, seq uint64
+		if err := readU64(r, &src, &dest, &seq); err != nil {
+			return nil, fmt.Errorf("wire: reading snapshot %s entry %d: %w", kind, i, err)
+		}
+		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
+			return nil, fmt.Errorf("wire: snapshot %s entry peer id out of range", kind)
+		}
+		es = append(es, SeqEntry{Src: p2p.PeerID(uint32(src)), Dest: p2p.PeerID(uint32(dest)), Seq: seq})
+	}
+	return es, nil
 }
 
 func readUpdates(r io.Reader) ([]p2p.Update, error) {
@@ -610,13 +502,20 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 			version, peerSnapMinVersion, peerSnapVersion)
 	}
 	s := &PeerSnapshot{}
-	var id, ndocs, nseq, nout, nepochs, nrej, shippedBits, foldedBits uint64
-	if err := readU64(br, &id, &ndocs, &nseq, &nout, &nepochs,
-		&s.Sent, &s.Processed, &s.Retries, &s.Reconnects, &s.Redeliveries,
-		&s.Coalesced, &s.DupDropped, &s.Forwarded, &s.Misdropped, &s.EpochRejected,
-		&shippedBits, &foldedBits, &nrej,
-		&s.CreditStalls, &s.ShedCoalesced, &s.SlowPeer); err != nil {
+	var id, ndocs, nseq, nout, nepochs, nrej uint64
+	hdr := []*uint64{&id, &ndocs, &nseq, &nout, &nepochs}
+	stats := make([]uint64, len(statFields))
+	for i := range stats {
+		if i == snapRejectedAt {
+			hdr = append(hdr, &nrej)
+		}
+		hdr = append(hdr, &stats[i])
+	}
+	if err := readU64(br, hdr...); err != nil {
 		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
+	}
+	for i, sf := range statFields {
+		sf.setWord(&s.PeerStats, stats[i])
 	}
 	if id > uint64(^uint32(0)>>1) {
 		return nil, fmt.Errorf("wire: snapshot peer id %d out of range", id)
@@ -628,13 +527,10 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		return nil, fmt.Errorf("wire: snapshot epoch vector of %d slots exceeds limit", nepochs)
 	}
 	s.ID = p2p.PeerID(uint32(id))
-	s.DeltaShipped = math.Float64frombits(shippedBits)
-	s.DeltaFolded = math.Float64frombits(foldedBits)
 	s.Docs = make([]graph.NodeID, 0, capAlloc(ndocs))
 	s.Rank = make([]float64, 0, capAlloc(ndocs))
 	s.Acc = make([]float64, 0, capAlloc(ndocs))
 	s.Last = make([]float64, 0, capAlloc(ndocs))
-	s.LastSeq = make([]SeqEntry, 0, capAlloc(nseq))
 	if nepochs > 0 {
 		s.Epochs = make([]uint64, 0, capAlloc(nepochs))
 		for i := uint64(0); i < nepochs; i++ {
@@ -658,17 +554,9 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		s.Acc = append(s.Acc, math.Float64frombits(acc))
 		s.Last = append(s.Last, math.Float64frombits(last))
 	}
-	for i := uint64(0); i < nseq; i++ {
-		var src, dest, seq uint64
-		if err := readU64(br, &src, &dest, &seq); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot seq entry %d: %w", i, err)
-		}
-		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
-			return nil, fmt.Errorf("wire: snapshot seq entry peer id out of range")
-		}
-		s.LastSeq = append(s.LastSeq, SeqEntry{
-			Src: p2p.PeerID(uint32(src)), Dest: p2p.PeerID(uint32(dest)), Seq: seq,
-		})
+	var err error
+	if s.LastSeq, err = readSeqEntries(br, nseq, "seq"); err != nil {
+		return nil, err
 	}
 	for i := uint64(0); i < nout; i++ {
 		var src, dest, nextSeq, nun, npend, window uint64
@@ -709,17 +597,8 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		ob.Pending = pend
 		s.Outbound = append(s.Outbound, ob)
 	}
-	for i := uint64(0); i < nrej; i++ {
-		var src, dest, seq uint64
-		if err := readU64(br, &src, &dest, &seq); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot rejected entry %d: %w", i, err)
-		}
-		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
-			return nil, fmt.Errorf("wire: snapshot rejected entry peer id out of range")
-		}
-		s.Rejected = append(s.Rejected, SeqEntry{
-			Src: p2p.PeerID(uint32(src)), Dest: p2p.PeerID(uint32(dest)), Seq: seq,
-		})
+	if s.Rejected, err = readSeqEntries(br, nrej, "rejected"); err != nil {
+		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("wire: trailing bytes after snapshot")

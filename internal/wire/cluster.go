@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,28 +44,16 @@ type Cluster struct {
 	cfg ClusterConfig
 
 	docPeer []p2p.PeerID
-	docs    [][]graph.NodeID
+	ring    *dht.Ring
 
-	ring  *dht.Ring
-	nodes []*dht.Node // slot -> ring node
+	mu       sync.Mutex
+	slots    []slot
+	departed PeerStats // frozen counters of departed peers
+	started  bool
 
-	mu        sync.Mutex
-	peers     []*Peer         // nil while a slot is crashed or left
-	snaps     []*PeerSnapshot // decoded snapshot of a crashed slot
-	blobs     [][]byte        // serialized snapshot (exercises the codec)
-	addrs     []string
-	left      []bool       // slot departed permanently
-	fenced    []bool       // slot quorum-evicted but unreachable: state parked until heal
-	forwardTo []p2p.PeerID // left slot -> adopting successor slot
-	epochs    []uint64     // per-slot ownership epoch; bumps on every transfer
-	departed  PeerStats    // frozen counters of departed peers
-	started   bool
-
-	// Telemetry: one registry per slot (retained across Kill/Restart so
-	// a slot's counters survive its crashes), a cluster-level registry
-	// for membership and probe counters, and a shared convergence-event
+	// Telemetry: one registry per slot, a cluster-level registry for
+	// membership and probe counters, and a shared convergence-event
 	// trace. TelemetrySnapshot merges them all.
-	regs  []*telemetry.Registry
 	reg   *telemetry.Registry
 	trace *telemetry.Trace
 	dbg   *telemetry.DebugServer
@@ -86,6 +75,31 @@ type Cluster struct {
 	fdStop sync.Once
 	fdWg   sync.WaitGroup
 }
+
+// slot is everything the cluster knows about one peer slot, guarded by
+// Cluster.mu. A slot is live (peer set), crashed (snap set: the
+// checkpoint Kill took, waiting for Restart or Leave) or departed (left,
+// neither set: its state moved to slot forward). Slots are never
+// reused; Join appends one.
+type slot struct {
+	peer    *Peer
+	snap    *PeerSnapshot
+	addr    string
+	left    bool
+	fenced  bool                // quorum-evicted but unreachable: state parked until heal
+	forward p2p.PeerID          // the successor that adopted a departed slot; NoPeer otherwise
+	epoch   uint64              // ownership epoch of the slot's range; bumps on every transfer
+	node    *dht.Node           // the slot's ring node
+	docs    []graph.NodeID      // the documents it owns
+	reg     *telemetry.Registry // kept across Kill/Restart, so its counters survive a crash
+}
+
+// active reports a running peer on the cluster's side of every
+// partition: the ones a membership change is pushed to. A fenced slot
+// is on the wrong side, and withholding the view is exactly what models
+// that — it catches up through the anti-entropy exchange when the
+// partition heals.
+func (s *slot) active() bool { return s.peer != nil && !s.fenced }
 
 // ClusterConfig parameterizes NewCluster.
 type ClusterConfig struct {
@@ -167,26 +181,12 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = TCPDialer()
 	}
-	r := rng.New(cfg.Seed)
-	docPeer := make([]p2p.PeerID, g.NumNodes())
-	docs := make([][]graph.NodeID, cfg.Peers)
-	for d := 0; d < g.NumNodes(); d++ {
-		pid := p2p.PeerID(r.Intn(cfg.Peers))
-		docPeer[d] = pid
-		docs[pid] = append(docs[pid], graph.NodeID(d))
-	}
 	c := &Cluster{
-		g: g, cfg: cfg, docPeer: docPeer, docs: docs,
-		ring:      dht.NewRing(),
-		snaps:     make([]*PeerSnapshot, cfg.Peers),
-		blobs:     make([][]byte, cfg.Peers),
-		left:      make([]bool, cfg.Peers),
-		fenced:    make([]bool, cfg.Peers),
-		forwardTo: make([]p2p.PeerID, cfg.Peers),
-		epochs:    make([]uint64, cfg.Peers),
-		reg:       telemetry.NewRegistry(),
-		trace:     telemetry.NewTrace(cfg.TraceCap),
-		fdQuit:    make(chan struct{}),
+		g: g, cfg: cfg, docPeer: make([]p2p.PeerID, g.NumNodes()),
+		ring:   dht.NewRing(),
+		reg:    telemetry.NewRegistry(),
+		trace:  telemetry.NewTrace(cfg.TraceCap),
+		fdQuit: make(chan struct{}),
 	}
 	c.trace.SetClock(func() int64 { return time.Now().UnixNano() })
 	c.mJoins = c.reg.Counter("cluster_joins")
@@ -196,36 +196,32 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	c.mEvictQuorum = c.reg.Counter("wire_evictions_quorum")
 	c.mEvictRefused = c.reg.Counter("wire_evictions_refused")
 	for i := 0; i < cfg.Peers; i++ {
-		c.regs = append(c.regs, telemetry.NewRegistry())
-	}
-	for i := 0; i < cfg.Peers; i++ {
-		c.forwardTo[i] = p2p.NoPeer
-		node, err := c.ring.AddPeer(fmt.Sprintf("peer-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-	}
-	for d := 0; d < g.NumNodes(); d++ {
-		node := c.nodes[docPeer[d]]
-		if err := c.ring.PlaceKey(node, docKey(graph.NodeID(d)), graph.NodeID(d)); err != nil {
+		if _, err := c.addSlotLocked(0); err != nil {
 			return nil, err
 		}
 	}
-	addrs := make([]string, cfg.Peers)
-	for i := 0; i < cfg.Peers; i++ {
+	r := rng.New(cfg.Seed)
+	for d := range c.docPeer {
+		pid := r.Intn(cfg.Peers)
+		c.docPeer[d] = p2p.PeerID(pid)
+		c.slots[pid].docs = append(c.slots[pid].docs, graph.NodeID(d))
+	}
+	// A loop of its own: interleaved with the appends above, the ring's
+	// map growth costs NewCluster 6 % on the 500k-document benchmark.
+	for d, pid := range c.docPeer {
+		if err := c.ring.PlaceKey(c.slots[pid].node, docKey(graph.NodeID(d)), graph.NodeID(d)); err != nil {
+			return nil, err
+		}
+	}
+	for i := range c.slots {
 		peer, err := NewPeer(c.peerConfig(i))
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.peers = append(c.peers, peer)
-		addrs[i] = peer.Addr()
+		c.slots[i].peer, c.slots[i].addr = peer, peer.Addr()
 	}
-	c.addrs = addrs
-	for _, p := range c.peers {
-		p.SetPeers(addrs)
-	}
+	c.pushAddrsLocked()
 	if cfg.DebugAddr != "" {
 		dbg, err := telemetry.ServeDebug(cfg.DebugAddr, c.TelemetrySnapshot, c.trace)
 		if err != nil {
@@ -237,24 +233,39 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// addSlotLocked allocates the next slot — a ring node and a registry,
+// no peer yet — and returns its index.
+func (c *Cluster) addSlotLocked(epoch uint64) (int, error) {
+	node, err := c.ring.AddPeer(fmt.Sprintf("peer-%d", len(c.slots)))
+	if err != nil {
+		return -1, err
+	}
+	c.slots = append(c.slots, slot{forward: p2p.NoPeer, epoch: epoch, node: node, reg: telemetry.NewRegistry()})
+	return len(c.slots) - 1, nil
+}
+
 // docKey maps a document id to its ring position.
 func docKey(d graph.NodeID) dht.ID {
 	return dht.GUIDFromUint64(uint64(d)).ID()
 }
 
 func (c *Cluster) peerConfig(i int) PeerConfig {
+	epochs := make([]uint64, len(c.slots))
+	for j := range c.slots {
+		epochs[j] = c.slots[j].epoch
+	}
 	return PeerConfig{
 		ID:        p2p.PeerID(i),
 		Graph:     c.g,
 		DocPeer:   c.docPeer,
-		Docs:      c.docs[i],
+		Docs:      c.slots[i].docs,
 		Damping:   c.cfg.Damping,
 		Epsilon:   c.cfg.Epsilon,
 		Transport: c.cfg.Transport,
 		Retry:     c.cfg.Retry,
-		Registry:  c.regs[i],
+		Registry:  c.slots[i].reg,
 		Trace:     c.trace,
-		Epochs:    append([]uint64(nil), c.epochs...),
+		Epochs:    epochs,
 
 		InboxCap:      c.cfg.InboxCap,
 		CreditWindow:  c.cfg.CreditWindow,
@@ -331,26 +342,16 @@ type ClusterResult struct {
 func (c *Cluster) Kill(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.peers) {
-		return fmt.Errorf("wire: no peer %d", i)
-	}
-	if c.left[i] {
-		return fmt.Errorf("wire: peer %d has left", i)
-	}
-	p := c.peers[i]
-	if p == nil {
-		return fmt.Errorf("wire: peer %d is already down", i)
-	}
-	c.peers[i] = nil
-	snap := p.Kill()
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(snap, &buf); err != nil {
+	s, err := c.slotLocked(i)
+	if err != nil {
 		return err
 	}
-	c.snaps[i] = snap
-	c.blobs[i] = buf.Bytes()
-	c.trace.Record(telemetry.EvKill, int32(i), -1, 0, int64(len(snap.Docs)))
-	if c.fenced[i] {
+	if s.peer == nil {
+		return fmt.Errorf("wire: peer %d is already down", i)
+	}
+	s.snap, s.peer = s.peer.Kill(), nil
+	c.trace.Record(telemetry.EvKill, int32(i), -1, 0, int64(len(s.snap.Docs)))
+	if s.fenced {
 		// The quorum already evicted this slot; it was only being kept
 		// around for a reconciling heal. Now that it crashed there is
 		// nothing to wait for — complete the departure from the
@@ -360,6 +361,18 @@ func (c *Cluster) Kill(i int) error {
 	return nil
 }
 
+// slotLocked returns slot i, or why nothing can be done to it: it does
+// not exist, or it departed.
+func (c *Cluster) slotLocked(i int) (*slot, error) {
+	if i < 0 || i >= len(c.slots) {
+		return nil, fmt.Errorf("wire: no peer %d", i)
+	}
+	if c.slots[i].left {
+		return nil, fmt.Errorf("wire: peer %d has left", i)
+	}
+	return &c.slots[i], nil
+}
+
 // Restart rejoins crashed peer i from its checkpoint: a fresh
 // listener at a new address, redelivery of everything it had stored,
 // and an address-table update pushed to every live peer so their
@@ -367,19 +380,24 @@ func (c *Cluster) Kill(i int) error {
 func (c *Cluster) Restart(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.peers) {
-		return fmt.Errorf("wire: no peer %d", i)
+	s, err := c.slotLocked(i)
+	if err != nil {
+		return err
 	}
-	if c.left[i] {
-		return fmt.Errorf("wire: peer %d has left permanently", i)
-	}
-	if c.peers[i] != nil {
+	if s.peer != nil {
 		return fmt.Errorf("wire: peer %d is not down", i)
 	}
-	if c.blobs[i] == nil {
+	if s.snap == nil {
 		return fmt.Errorf("wire: no checkpoint for peer %d", i)
 	}
-	snap, err := DecodeSnapshot(bytes.NewReader(c.blobs[i]))
+	// The checkpoint crosses its codec here, once, whatever happened to
+	// it while the slot was down (a merged hand-over, a shed range): a
+	// restart only ever consumes what DecodeSnapshot accepted.
+	var blob bytes.Buffer
+	if err := EncodeSnapshot(s.snap, &blob); err != nil {
+		return err
+	}
+	snap, err := DecodeSnapshot(&blob)
 	if err != nil {
 		return err
 	}
@@ -387,10 +405,7 @@ func (c *Cluster) Restart(i int) error {
 	if err != nil {
 		return err
 	}
-	c.peers[i] = p
-	c.snaps[i] = nil
-	c.blobs[i] = nil
-	c.addrs[i] = p.Addr()
+	s.peer, s.snap, s.addr = p, nil, p.Addr()
 	c.pushAddrsLocked()
 	c.trace.Record(telemetry.EvRestart, int32(i), -1, 0, int64(len(snap.Docs)))
 	if c.started {
@@ -412,56 +427,47 @@ func (c *Cluster) Leave(i int) error {
 }
 
 func (c *Cluster) leaveLocked(i int) error {
-	if i < 0 || i >= len(c.peers) {
-		return fmt.Errorf("wire: no peer %d", i)
-	}
-	if c.left[i] {
-		return fmt.Errorf("wire: peer %d has already left", i)
+	s, err := c.slotLocked(i)
+	if err != nil {
+		return err
 	}
 	if c.ring.NumAlive() < 2 {
 		return fmt.Errorf("wire: cannot remove the last live peer")
 	}
 	// The successor inherits everything; resolve it before the ring
 	// forgets the departing node.
-	node := c.nodes[i]
-	succ := node.Successor()
-	if succ == nil || succ == node {
+	succ := s.node.Successor()
+	if succ == nil || succ == s.node {
 		return fmt.Errorf("wire: peer %d has no live successor", i)
 	}
 	j := c.slotOf(succ)
 	if j < 0 {
 		return fmt.Errorf("wire: ring node %s has no cluster slot", succ.Name())
 	}
-	var snap *PeerSnapshot
-	switch {
-	case c.peers[i] != nil:
-		snap = c.peers[i].Kill()
-		c.peers[i] = nil
-	case c.snaps[i] != nil:
-		snap = c.snaps[i]
-	default:
+	if s.peer != nil {
+		s.snap, s.peer = s.peer.Kill(), nil
+	}
+	snap := s.snap
+	if snap == nil {
 		return fmt.Errorf("wire: no state for peer %d", i)
 	}
-	if err := c.ring.LeaveGraceful(node); err != nil {
+	if err := c.ring.LeaveGraceful(s.node); err != nil {
 		return err
 	}
 	// Handoff ordering matters: the successor must hold the departed
 	// peer's dedup tables BEFORE any sender learns the redirected
 	// address, or a redirected retransmission could double-fold.
-	if c.peers[j] != nil {
-		if err := c.peers[j].Adopt(HandoffFromSnapshot(snap)); err != nil {
+	to := &c.slots[j]
+	switch {
+	case to.peer != nil:
+		if err := to.peer.Adopt(snap); err != nil {
 			return err
 		}
-	} else if c.snaps[j] != nil {
+	case to.snap != nil:
 		// Successor is itself crashed: merge the handoff into its
 		// checkpoint so its restart resumes with the adopted range.
-		MergeSnapshot(c.snaps[j], snap)
-		var buf bytes.Buffer
-		if err := EncodeSnapshot(c.snaps[j], &buf); err != nil {
-			return err
-		}
-		c.blobs[j] = buf.Bytes()
-	} else {
+		MergeSnapshot(to.snap, snap)
+	default:
 		return fmt.Errorf("wire: successor %d of peer %d has no state", j, i)
 	}
 	// The departed peer's counters freeze into the cluster-wide
@@ -470,22 +476,18 @@ func (c *Cluster) leaveLocked(i int) error {
 	c.departed = addStats(c.departed, snap.PeerStats)
 	// The slot holds no rows anymore: zero its rank-mass gauge or the
 	// merged cluster gauge would double-count the migrated mass.
-	c.regs[i].Gauge("wire_rank_mass").Set(0)
+	s.reg.Gauge("wire_rank_mass").Set(0)
 	for _, d := range snap.Docs {
 		c.docPeer[d] = p2p.PeerID(j)
 	}
-	c.docs[j] = append(c.docs[j], snap.Docs...)
-	c.docs[i] = nil
-	c.snaps[i] = nil
-	c.blobs[i] = nil
-	c.left[i] = true
-	c.fenced[i] = false
-	c.forwardTo[i] = p2p.PeerID(j)
+	to.docs = append(to.docs, snap.Docs...)
+	s.docs, s.snap = nil, nil
+	s.left, s.fenced, s.forward = true, false, p2p.PeerID(j)
 	// Ownership epochs fence the transfer: the departed range's epoch
 	// and the successor's both bump, so frames stamped under the old
 	// view are rejected rather than folded into stale owners.
-	c.epochs[i]++
-	c.epochs[j]++
+	s.epoch++
+	to.epoch++
 	c.mLeaves.Add(1)
 	c.mMigrated.Add(uint64(len(snap.Docs)))
 	c.trace.Record(telemetry.EvLeave, int32(i), -1, 0, int64(j))
@@ -502,18 +504,20 @@ func (c *Cluster) leaveLocked(i int) error {
 func (c *Cluster) Join() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := len(c.peers)
-	node, err := c.ring.AddPeer(fmt.Sprintf("peer-%d", i))
+	// A joining slot's range is born from a transfer, so its epoch
+	// starts at 1; the shedding owners bump below as their ranges
+	// shrink.
+	i, err := c.addSlotLocked(1)
 	if err != nil {
 		return -1, err
 	}
 	// The ring moved the keys in (pred, node] from the successor; those
 	// are exactly the documents the new peer takes over.
 	var docs []graph.NodeID
-	node.EachKey(func(_ dht.ID, v interface{}) {
+	c.slots[i].node.EachKey(func(_ dht.ID, v interface{}) {
 		docs = append(docs, v.(graph.NodeID))
 	})
-	sortDocs(docs)
+	slices.Sort(docs)
 	// Group by current owner (a single slot in practice — the keys all
 	// came from the ring successor — but ownership is re-read from the
 	// table so the code has no hidden single-source assumption).
@@ -521,36 +525,16 @@ func (c *Cluster) Join() (int, error) {
 	for _, d := range docs {
 		byOwner[c.docPeer[d]] = append(byOwner[c.docPeer[d]], d)
 	}
-	c.peers = append(c.peers, nil)
-	c.snaps = append(c.snaps, nil)
-	c.blobs = append(c.blobs, nil)
-	c.addrs = append(c.addrs, "")
-	c.left = append(c.left, false)
-	c.fenced = append(c.fenced, false)
-	c.forwardTo = append(c.forwardTo, p2p.NoPeer)
-	// A joining slot's range is born from a transfer, so its epoch
-	// starts at 1; the shedding owners bump below as their ranges
-	// shrink.
-	c.epochs = append(c.epochs, 1)
-	c.nodes = append(c.nodes, node)
-	c.docs = append(c.docs, nil)
-	c.regs = append(c.regs, telemetry.NewRegistry())
 	snap := &PeerSnapshot{ID: p2p.PeerID(i)}
 	for owner, od := range byOwner {
+		from := &c.slots[owner]
 		var rank, acc, last []float64
 		var err error
 		switch {
-		case int(owner) < len(c.peers) && c.peers[owner] != nil:
-			rank, acc, last, err = c.peers[owner].Shed(od, p2p.PeerID(i))
-		case int(owner) < len(c.snaps) && c.snaps[owner] != nil:
-			rank, acc, last, err = ShedFromSnapshot(c.snaps[owner], od)
-			if err == nil {
-				c.docs[owner] = removeDocs(c.docs[owner], od)
-				var buf bytes.Buffer
-				if err = EncodeSnapshot(c.snaps[owner], &buf); err == nil {
-					c.blobs[owner] = buf.Bytes()
-				}
-			}
+		case from.peer != nil:
+			rank, acc, last, err = from.peer.Shed(od, p2p.PeerID(i))
+		case from.snap != nil:
+			rank, acc, last, err = ShedFromSnapshot(from.snap, od)
 		default:
 			err = fmt.Errorf("wire: owner %d of joining range has no state", owner)
 		}
@@ -561,21 +545,19 @@ func (c *Cluster) Join() (int, error) {
 		snap.Rank = append(snap.Rank, rank...)
 		snap.Acc = append(snap.Acc, acc...)
 		snap.Last = append(snap.Last, last...)
-		if c.peers[owner] != nil {
-			c.docs[owner] = removeDocs(c.docs[owner], od)
-		}
-		c.epochs[owner]++
+		from.docs = removeDocs(from.docs, od)
+		from.epoch++
 	}
 	for _, d := range snap.Docs {
 		c.docPeer[d] = p2p.PeerID(i)
 	}
-	c.docs[i] = snap.Docs
+	s := &c.slots[i]
+	s.docs = snap.Docs
 	p, err := RestorePeer(c.peerConfig(i), snap)
 	if err != nil {
 		return -1, err
 	}
-	c.peers[i] = p
-	c.addrs[i] = p.Addr()
+	s.peer, s.addr = p, p.Addr()
 	c.mJoins.Add(1)
 	c.mMigrated.Add(uint64(len(snap.Docs)))
 	c.trace.Record(telemetry.EvJoin, int32(i), -1, 0, int64(len(snap.Docs)))
@@ -589,65 +571,54 @@ func (c *Cluster) Join() (int, error) {
 
 // slotOf resolves a ring node back to its cluster slot.
 func (c *Cluster) slotOf(n *dht.Node) int {
-	for i, m := range c.nodes {
-		if m == n {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(c.slots, func(s slot) bool { return s.node == n })
 }
 
-// effectiveAddrsLocked resolves departed slots to their adopting
-// successor's address, following redirect chains across multiple
-// departures. Senders keep dialing the slot their frames were framed
-// for; the redirect delivers them to whoever owns that state now.
-func (c *Cluster) effectiveAddrsLocked() []string {
-	addrs := make([]string, len(c.addrs))
-	for i := range c.addrs {
-		j := i
-		for hops := 0; c.left[j] && c.forwardTo[j] != p2p.NoPeer && hops <= len(c.addrs); hops++ {
-			j = int(c.forwardTo[j])
-		}
-		addrs[i] = c.addrs[j]
-	}
-	return addrs
-}
-
-// viewLocked assembles the membership view pushed to live peers: the
-// effective address table plus the epoch vector and the departed-slot
-// redirects, so every peer reroutes and epoch-stamps consistently.
+// viewLocked assembles the membership view pushed to live peers. A
+// departed slot is listed at the address of whoever holds its state now
+// (View.resolve follows the redirects across multiple departures):
+// senders keep dialing the slot their frames were framed for, and the
+// redirect delivers them.
 func (c *Cluster) viewLocked() View {
-	return View{
-		Addrs:  c.effectiveAddrsLocked(),
-		Epochs: append([]uint64(nil), c.epochs...),
-		Gone:   append([]bool(nil), c.left...),
-		Fwd:    append([]p2p.PeerID(nil), c.forwardTo...),
+	v := make(View, len(c.slots))
+	for i, s := range c.slots {
+		v[i] = ViewSlot{Addr: s.addr, Epoch: s.epoch, Gone: s.left, Fwd: s.forward}
 	}
+	// In place is safe: a chain's last slot resolves to itself, so the
+	// address read here is never one written here.
+	for i := range v {
+		v[i].Addr = v[v.resolve(p2p.PeerID(i))].Addr
+	}
+	return v
 }
 
-// pushAddrsLocked repushes the membership view to every live peer.
-// Fenced slots are skipped: they are on the wrong side of a partition,
-// and withholding the view is exactly what models that — they catch up
-// through the anti-entropy exchange when the partition heals.
+// pushAddrsLocked repushes the membership view to every active peer.
 func (c *Cluster) pushAddrsLocked() {
 	v := c.viewLocked()
-	for i, q := range c.peers {
-		if q != nil && !c.left[i] && !c.fenced[i] {
-			q.SetView(v)
+	for i := range c.slots {
+		if s := &c.slots[i]; s.active() {
+			s.peer.SetView(v)
 		}
 	}
 }
 
 // pushOwnershipLocked pushes a migration (docs now belong to owner)
-// plus the refreshed membership view to every live peer, which
+// plus the refreshed membership view to every active peer, which
 // reroutes their parked updates.
 func (c *Cluster) pushOwnershipLocked(docs []graph.NodeID, owner p2p.PeerID) {
 	v := c.viewLocked()
-	for i, q := range c.peers {
-		if q != nil && !c.left[i] && !c.fenced[i] {
-			q.UpdateOwnership(docs, owner, v)
+	for i := range c.slots {
+		if s := &c.slots[i]; s.active() {
+			s.peer.UpdateOwnership(docs, owner, v)
 		}
 	}
+}
+
+// votingLocked reports whether slot i exists and is neither departed
+// nor fenced: the population that proposes, votes on and is subject to
+// evictions.
+func (c *Cluster) votingLocked(i int) bool {
+	return i >= 0 && i < len(c.slots) && !c.slots[i].left && !c.slots[i].fenced
 }
 
 // evictByQuorum executes a quorum-confirmed eviction proposed by the
@@ -663,22 +634,17 @@ func (c *Cluster) pushOwnershipLocked(docs []graph.NodeID, owner p2p.PeerID) {
 func (c *Cluster) evictByQuorum(s, from, votes, quorum int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s < 0 || s >= len(c.peers) || c.left[s] || c.fenced[s] {
-		return false
-	}
-	if from < 0 || from >= len(c.peers) || c.left[from] || c.fenced[from] {
-		return false // the proposer itself was evicted meanwhile
-	}
-	if c.ring.NumAlive() < 2 {
+	// A false from: the proposer itself was evicted meanwhile.
+	if !c.votingLocked(s) || !c.votingLocked(from) || c.ring.NumAlive() < 2 {
 		return false
 	}
 	c.mEvictQuorum.Add(1)
 	c.trace.Record(telemetry.EvEvict, int32(s), -1, float64(votes), int64(quorum))
-	if c.peers[s] == nil {
+	if c.slots[s].peer == nil {
 		return c.leaveLocked(s) == nil
 	}
-	c.fenced[s] = true
-	c.epochs[s]++
+	c.slots[s].fenced = true
+	c.slots[s].epoch++
 	c.pushAddrsLocked()
 	return true
 }
@@ -692,12 +658,12 @@ func (c *Cluster) evictByQuorum(s, from, votes, quorum int) bool {
 // every document it held.
 func (c *Cluster) reconcileFenced(s, from int) {
 	c.mu.Lock()
-	if s < 0 || s >= len(c.peers) || c.left[s] || !c.fenced[s] || c.peers[s] == nil ||
-		from < 0 || from >= len(c.peers) || c.left[from] || c.fenced[from] || c.peers[from] == nil {
+	if s < 0 || s >= len(c.slots) || !c.slots[s].fenced || c.slots[s].peer == nil ||
+		!c.votingLocked(from) || c.slots[from].peer == nil {
 		c.mu.Unlock()
 		return
 	}
-	q := c.peers[from]
+	q := c.slots[from].peer
 	c.mu.Unlock()
 	// The exchange dials outside the cluster lock; a failure means the
 	// heal was premature and the next detector round retries.
@@ -706,22 +672,12 @@ func (c *Cluster) reconcileFenced(s, from int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.left[s] || !c.fenced[s] {
+	if !c.slots[s].fenced {
 		return // another vantage reconciled first
 	}
 	c.trace.Record(telemetry.EvHeal, int32(s), -1, 0, int64(from))
-	c.fenced[s] = false
+	c.slots[s].fenced = false
 	c.leaveLocked(s) // best effort; a failed leave re-fences nothing — the detector retries
-}
-
-// sortDocs orders a document slice ascending (insertion sort is fine:
-// migration sets are small relative to the graph).
-func sortDocs(docs []graph.NodeID) {
-	for i := 1; i < len(docs); i++ {
-		for j := i; j > 0 && docs[j-1] > docs[j]; j-- {
-			docs[j-1], docs[j] = docs[j], docs[j-1]
-		}
-	}
 }
 
 // removeDocs filters the shed documents out of an ownership list.
@@ -739,26 +695,6 @@ func removeDocs(docs, shed []graph.NodeID) []graph.NodeID {
 	return keep
 }
 
-// addStats sums two counter sets.
-func addStats(a, b PeerStats) PeerStats {
-	a.Sent += b.Sent
-	a.Processed += b.Processed
-	a.Retries += b.Retries
-	a.Reconnects += b.Reconnects
-	a.Redeliveries += b.Redeliveries
-	a.Coalesced += b.Coalesced
-	a.DupDropped += b.DupDropped
-	a.Forwarded += b.Forwarded
-	a.Misdropped += b.Misdropped
-	a.EpochRejected += b.EpochRejected
-	a.CreditStalls += b.CreditStalls
-	a.ShedCoalesced += b.ShedCoalesced
-	a.SlowPeer += b.SlowPeer
-	a.DeltaShipped += b.DeltaShipped
-	a.DeltaFolded += b.DeltaFolded
-	return a
-}
-
 // Run starts every peer, waits for global quiescence (two consecutive
 // probes with equal and unchanged sent/processed totals), collects the
 // ranks, and shuts the cluster down. Peers may be killed, restarted,
@@ -769,16 +705,12 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 	start := time.Now()
 	c.mu.Lock()
 	c.started = true
-	for _, p := range c.peers {
-		if p != nil {
-			p.Start()
+	for i, s := range c.slots {
+		if s.peer != nil {
+			s.peer.Start()
 		}
-	}
-	if c.cfg.Heartbeat > 0 {
-		for i := range c.peers {
-			if !c.left[i] {
-				c.startDetectorLocked(i)
-			}
+		if !s.left {
+			c.startDetectorLocked(i)
 		}
 	}
 	c.mu.Unlock()
@@ -812,93 +744,86 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 	return res, nil
 }
 
-// slotView is a consistent copy of the cluster's slot table.
-type slotView struct {
-	peers    []*Peer
-	snaps    []*PeerSnapshot
-	addrs    []string
-	left     []bool
-	departed PeerStats
-}
-
-func (c *Cluster) slots() slotView {
+// table returns a consistent copy of the slot table and the departed
+// peers' frozen counters.
+func (c *Cluster) table() ([]slot, PeerStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return slotView{
-		peers:    append([]*Peer(nil), c.peers...),
-		snaps:    append([]*PeerSnapshot(nil), c.snaps...),
-		addrs:    append([]string(nil), c.addrs...),
-		left:     append([]bool(nil), c.left...),
-		departed: c.departed,
+	return slices.Clone(c.slots), c.departed
+}
+
+// visit is the one place that knows where a slot's state lives: a
+// running peer (live), a crashed slot's checkpoint (crashed), or — for
+// a departed slot — nowhere, because a live slot adopted it.
+func visit(slots []slot, live func(slot), crashed func(*PeerSnapshot)) {
+	for _, s := range slots {
+		switch {
+		case s.peer != nil:
+			live(s)
+		case s.snap != nil:
+			crashed(s.snap)
+		}
 	}
 }
 
-// counters sums every slot's (sent, processed): live peers over TCP
-// (falling back to a direct read when the probe connection fails
-// transiently), crashed peers from their frozen checkpoint, departed
-// peers from the cluster accumulators.
+// sum adds up every slot's counters: a live peer's as read by live, a
+// crashed peer's from its frozen checkpoint, the departed peers' from
+// the cluster accumulators.
+func (c *Cluster) sum(live func(slot) PeerStats) PeerStats {
+	slots, st := c.table()
+	visit(slots,
+		func(s slot) { st = addStats(st, live(s)) },
+		func(snap *PeerSnapshot) { st = addStats(st, snap.PeerStats) })
+	return st
+}
+
+// counters sums every slot's (sent, processed), probing live peers over
+// TCP and falling back to a direct read when the probe connection
+// fails transiently.
 func (c *Cluster) counters() (sent, processed uint64) {
-	v := c.slots()
-	sent, processed = v.departed.Sent, v.departed.Processed
-	for i := range v.peers {
-		if v.left[i] {
-			continue
-		}
-		if v.peers[i] == nil {
-			if v.snaps[i] != nil {
-				sent += v.snaps[i].Sent
-				processed += v.snaps[i].Processed
-			}
-			continue
-		}
-		s, pr, err := probePeer(c.cfg.Transport, v.addrs[i])
+	st := c.sum(func(s slot) PeerStats {
+		sent, processed, err := probePeer(c.cfg.Transport, s.addr)
 		if err != nil {
-			s, pr = v.peers[i].Counters()
+			sent, processed = s.peer.Counters()
 		}
-		sent += s
-		processed += pr
-	}
-	return
+		return PeerStats{Sent: sent, Processed: processed}
+	})
+	return st.Sent, st.Processed
 }
 
-// collectAll gathers every document's rank: live peers over TCP,
-// crashed peers from their checkpoint. Departed slots hold nothing —
-// their documents were adopted by live slots.
+// DebugCounters sums the live counters without probing over TCP.
+func (c *Cluster) DebugCounters() (sent, processed uint64) {
+	st := c.sum(func(s slot) PeerStats {
+		sent, processed := s.peer.Counters()
+		return PeerStats{Sent: sent, Processed: processed}
+	})
+	return st.Sent, st.Processed
+}
+
+// stats sums every slot's full counter set.
+func (c *Cluster) stats() PeerStats {
+	return c.sum(func(s slot) PeerStats { return s.peer.Stats() })
+}
+
+// collectAll gathers every document's rank: live peers over TCP (read
+// directly when the connection fails), crashed peers from their
+// checkpoint.
 func (c *Cluster) collectAll() []float64 {
 	ranks := make([]float64, c.g.NumNodes())
-	v := c.slots()
-	for i := range v.peers {
-		if v.peers[i] == nil {
-			if v.snaps[i] != nil {
-				for j, d := range v.snaps[i].Docs {
-					ranks[d] = v.snaps[i].Rank[j]
-				}
-			}
-			continue
-		}
-		if err := collectRanks(c.cfg.Transport, v.addrs[i], ranks); err != nil {
-			docs, rs := v.peers[i].rk.snapshotRanks()
-			for j, d := range docs {
-				ranks[d] = rs[j]
-			}
+	put := func(docs []graph.NodeID, rs []float64) {
+		for j, d := range docs {
+			ranks[d] = rs[j]
 		}
 	}
+	slots, _ := c.table()
+	visit(slots,
+		func(s slot) {
+			if err := collectRanks(c.cfg.Transport, s.addr, ranks); err != nil {
+				put(s.peer.rk.snapshotRanks())
+			}
+		},
+		func(snap *PeerSnapshot) { put(snap.Docs, snap.Rank) })
 	return ranks
-}
-
-// stats sums every slot's counters, departed peers included.
-func (c *Cluster) stats() PeerStats {
-	v := c.slots()
-	st := v.departed
-	for i := range v.peers {
-		switch {
-		case v.peers[i] != nil:
-			st = addStats(st, v.peers[i].Stats())
-		case v.snaps[i] != nil:
-			st = addStats(st, v.snaps[i].PeerStats)
-		}
-	}
-	return st
 }
 
 // probeTimeout bounds every observer round-trip so a hung peer can
@@ -931,16 +856,16 @@ func (c *Cluster) Close() {
 	c.fdStop.Do(func() { close(c.fdQuit) })
 	c.fdWg.Wait()
 	c.mu.Lock()
-	peers := append([]*Peer(nil), c.peers...)
+	slots := slices.Clone(c.slots)
 	dbg := c.dbg
 	c.dbg = nil
 	c.mu.Unlock()
 	if dbg != nil {
 		dbg.Close()
 	}
-	for _, p := range peers {
-		if p != nil {
-			p.Close()
+	for _, s := range slots {
+		if s.peer != nil {
+			s.peer.Close()
 		}
 	}
 }
@@ -950,12 +875,10 @@ func (c *Cluster) Close() {
 // final counters) with the cluster-level registry into one snapshot.
 // Valid even after Close: registries are plain memory.
 func (c *Cluster) TelemetrySnapshot() telemetry.Snapshot {
-	c.mu.Lock()
-	regs := append([]*telemetry.Registry(nil), c.regs...)
-	c.mu.Unlock()
+	slots, _ := c.table()
 	snap := c.reg.Snapshot()
-	for _, r := range regs {
-		snap = snap.Merge(r.Snapshot())
+	for _, s := range slots {
+		snap = snap.Merge(s.reg.Snapshot())
 	}
 	return snap
 }
@@ -987,7 +910,7 @@ func (c *Cluster) DebugAddr() string {
 func (c *Cluster) NumPeers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.peers)
+	return len(c.slots)
 }
 
 // NumLive returns the number of live (running, non-departed,
@@ -996,32 +919,10 @@ func (c *Cluster) NumLive() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for i, p := range c.peers {
-		if p != nil && !c.left[i] && !c.fenced[i] {
+	for i := range c.slots {
+		if c.slots[i].active() {
 			n++
 		}
 	}
 	return n
-}
-
-// DebugCounters sums the live counters without probing over TCP.
-func (c *Cluster) DebugCounters() (sent, processed uint64) {
-	v := c.slots()
-	sent, processed = v.departed.Sent, v.departed.Processed
-	for i := range v.peers {
-		if v.left[i] {
-			continue
-		}
-		if v.peers[i] == nil {
-			if v.snaps[i] != nil {
-				sent += v.snaps[i].Sent
-				processed += v.snaps[i].Processed
-			}
-			continue
-		}
-		s, pr := v.peers[i].Counters()
-		sent += s
-		processed += pr
-	}
-	return
 }

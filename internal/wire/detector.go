@@ -62,56 +62,43 @@ func (d *detector) loop() {
 // departure.
 func (d *detector) round() {
 	c := d.c
-	type target struct {
-		slot   int
-		addr   string
-		fenced bool
-	}
-	c.mu.Lock()
-	if c.left[d.slot] || c.peers[d.slot] == nil {
-		c.mu.Unlock()
+	slots, _ := c.table()
+	if slots[d.slot].peer == nil {
 		return // departed or crashed vantage: nothing to observe from
 	}
-	selfFenced := c.fenced[d.slot]
-	leftNow := append([]bool(nil), c.left...)
-	fencedNow := append([]bool(nil), c.fenced...)
-	var targets []target
+	selfFenced := slots[d.slot].fenced
 	n := 0 // voting population: live, unfenced slots (suspects included)
-	for j := range c.peers {
-		if c.left[j] {
-			continue
-		}
-		if !c.fenced[j] {
+	for _, s := range slots {
+		if !s.left && !s.fenced {
 			n++
 		}
-		if j != d.slot {
-			targets = append(targets, target{slot: j, addr: c.addrs[j], fenced: c.fenced[j]})
-		}
 	}
-	c.mu.Unlock()
 	threshold := c.cfg.SuspectAfter
 	interval := c.cfg.Heartbeat
 	quorum := n/2 + 1
 
 	reached := 0
 	var healable []int // fenced slots this vantage reached this round
-	for _, t := range targets {
-		err := d.ping(t.slot, t.addr, interval)
+	for j, t := range slots {
+		if t.left || j == d.slot {
+			continue
+		}
+		err := d.ping(j, t.addr, interval)
 		d.mu.Lock()
 		switch {
 		case err == nil:
-			delete(d.miss, t.slot)
+			delete(d.miss, j)
 		case !t.fenced:
-			d.miss[t.slot]++
-			if d.miss[t.slot] == threshold {
-				c.trace.Record(telemetry.EvSuspect, int32(d.slot), -1, 0, int64(t.slot))
+			d.miss[j]++
+			if d.miss[j] == threshold {
+				c.trace.Record(telemetry.EvSuspect, int32(d.slot), -1, 0, int64(j))
 			}
 		}
 		d.mu.Unlock()
 		if err == nil {
 			reached++
 			if t.fenced {
-				healable = append(healable, t.slot)
+				healable = append(healable, j)
 			}
 		}
 	}
@@ -127,11 +114,12 @@ func (d *detector) round() {
 	votes := make(map[int]int)
 	d.mu.Lock()
 	for s, miss := range d.miss {
-		if s < len(leftNow) && leftNow[s] {
+		// d.miss is keyed by slots this vantage pinged, and slots never go away.
+		if slots[s].left {
 			delete(d.miss, s)
 			continue
 		}
-		if miss < threshold || (s < len(fencedNow) && fencedNow[s]) {
+		if miss < threshold || slots[s].fenced {
 			continue
 		}
 		v := 1

@@ -60,10 +60,9 @@ func FuzzDecodeFrames(f *testing.F) {
 	hugeSender := encodeBatchEpoch(nil, maxViewSlots, 2, 7, 3, nil)
 	gossip := encodeGossip(3, []p2p.PeerID{0, 5})
 	view := encodeView(View{
-		Addrs:  []string{"a:1", "", "c:3"},
-		Epochs: []uint64{2, 0, 9},
-		Gone:   []bool{false, true, false},
-		Fwd:    []p2p.PeerID{p2p.NoPeer, 2, p2p.NoPeer},
+		{Addr: "a:1", Epoch: 2, Fwd: p2p.NoPeer},
+		{Epoch: 0, Gone: true, Fwd: 2},
+		{Addr: "c:3", Epoch: 9, Fwd: p2p.NoPeer},
 	})
 	nack := encodeNackEpoch(nil, 12, 5)
 	credit := encodeCredit(nil, 1<<33, 32)

@@ -106,7 +106,7 @@ func TestLeaveIntoCrashedSuccessorMergesCheckpoints(t *testing.T) {
 	defer c.Close()
 	// Find a leaver whose ring successor we can crash first.
 	leaver := 1
-	succ := c.slotOf(c.nodes[leaver].Successor())
+	succ := c.slotOf(c.slots[leaver].node.Successor())
 	if succ < 0 {
 		t.Fatal("no successor slot")
 	}

@@ -1,6 +1,10 @@
 package wire
 
-import "dpr/internal/telemetry"
+import (
+	"math"
+
+	"dpr/internal/telemetry"
+)
 
 // peerMetrics bundles one peer's registry-backed instruments. They
 // replace the hand-rolled atomic tallies the peers used to carry: the
@@ -8,6 +12,8 @@ import "dpr/internal/telemetry"
 // the telemetry registry, so /metrics, the conservation tests, and the
 // end-of-run result structs all see the same numbers.
 type peerMetrics struct {
+	reg *telemetry.Registry // stats and restore reach the counters by name (statFields)
+
 	sent          *telemetry.Counter // update messages shipped to other peers
 	processed     *telemetry.Counter // update messages consumed (folded or coalesced)
 	retries       *telemetry.Counter // frame transmissions past a frame's first attempt
@@ -52,6 +58,8 @@ type peerMetrics struct {
 
 func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
 	return peerMetrics{
+		reg: reg,
+
 		sent:          reg.Counter("wire_sent"),
 		processed:     reg.Counter("wire_processed"),
 		retries:       reg.Counter("wire_retries"),
@@ -78,44 +86,88 @@ func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
 	}
 }
 
-// stats reads the full counter set.
-func (m *peerMetrics) stats() PeerStats {
-	return PeerStats{
-		Sent:          m.sent.Load(),
-		Processed:     m.processed.Load(),
-		Retries:       m.retries.Load(),
-		Reconnects:    m.reconnects.Load(),
-		Redeliveries:  m.redeliveries.Load(),
-		Coalesced:     m.coalesced.Load(),
-		DupDropped:    m.dupDropped.Load(),
-		Forwarded:     m.forwarded.Load(),
-		Misdropped:    m.misdropped.Load(),
-		EpochRejected: m.epochRejected.Load(),
-		CreditStalls:  m.creditStalls.Load(),
-		ShedCoalesced: m.shedCoalesced.Load(),
-		SlowPeer:      m.slowPeer.Load(),
-		DeltaShipped:  m.deltaShipped.Load(),
-		DeltaFolded:   m.deltaFolded.Load(),
+// statField ties one PeerStats counter to the registry instrument that
+// backs it on a live peer. Exactly one of u and f is set.
+type statField struct {
+	metric string
+	u      func(*PeerStats) *uint64
+	f      func(*PeerStats) *float64
+}
+
+// statFields is the one enumeration of PeerStats. Whatever must handle
+// every counter iterates it — a live peer's stats and restore, the
+// cluster-wide sum, the checkpoint header — so a counter missing here
+// is missing everywhere at once, and a test checks by reflection that
+// none is. The order is the checkpoint header's: a new counter goes at
+// the end and takes a new peerSnapVersion with it.
+var statFields = []statField{
+	{"wire_sent", func(s *PeerStats) *uint64 { return &s.Sent }, nil},
+	{"wire_processed", func(s *PeerStats) *uint64 { return &s.Processed }, nil},
+	{"wire_retries", func(s *PeerStats) *uint64 { return &s.Retries }, nil},
+	{"wire_reconnects", func(s *PeerStats) *uint64 { return &s.Reconnects }, nil},
+	{"wire_redeliveries", func(s *PeerStats) *uint64 { return &s.Redeliveries }, nil},
+	{"wire_coalesced", func(s *PeerStats) *uint64 { return &s.Coalesced }, nil},
+	{"wire_dup_dropped", func(s *PeerStats) *uint64 { return &s.DupDropped }, nil},
+	{"wire_forwarded", func(s *PeerStats) *uint64 { return &s.Forwarded }, nil},
+	{"wire_misdropped", func(s *PeerStats) *uint64 { return &s.Misdropped }, nil},
+	{"wire_epoch_rejected", func(s *PeerStats) *uint64 { return &s.EpochRejected }, nil},
+	{"wire_delta_shipped", nil, func(s *PeerStats) *float64 { return &s.DeltaShipped }},
+	{"wire_delta_folded", nil, func(s *PeerStats) *float64 { return &s.DeltaFolded }},
+	{"wire_credit_stalls", func(s *PeerStats) *uint64 { return &s.CreditStalls }, nil},
+	{"wire_shed_coalesced", func(s *PeerStats) *uint64 { return &s.ShedCoalesced }, nil},
+	{"wire_slow_peer", func(s *PeerStats) *uint64 { return &s.SlowPeer }, nil},
+}
+
+// word reads the counter as a checkpoint header word: a float counter
+// travels as its IEEE 754 bits.
+func (sf statField) word(s *PeerStats) uint64 {
+	if sf.f != nil {
+		return math.Float64bits(*sf.f(s))
 	}
+	return *sf.u(s)
+}
+
+func (sf statField) setWord(s *PeerStats, w uint64) {
+	if sf.f != nil {
+		*sf.f(s) = math.Float64frombits(w)
+	} else {
+		*sf.u(s) = w
+	}
+}
+
+// addStats sums two counter sets.
+func addStats(a, b PeerStats) PeerStats {
+	for _, sf := range statFields {
+		if sf.f != nil {
+			*sf.f(&a) += *sf.f(&b)
+		} else {
+			*sf.u(&a) += *sf.u(&b)
+		}
+	}
+	return a
+}
+
+// stats reads the full counter set.
+func (m *peerMetrics) stats() (st PeerStats) {
+	for _, sf := range statFields {
+		if sf.f != nil {
+			*sf.f(&st) = m.reg.FloatCounter(sf.metric).Load()
+		} else {
+			*sf.u(&st) = m.reg.Counter(sf.metric).Load()
+		}
+	}
+	return st
 }
 
 // restore overwrites every counter from a checkpoint snapshot. Used
 // only on the quiescent restore path; the Stores are idempotent, so
 // restoring into a registry retained across a crash is safe.
 func (m *peerMetrics) restore(s PeerStats) {
-	m.sent.Store(s.Sent)
-	m.processed.Store(s.Processed)
-	m.retries.Store(s.Retries)
-	m.reconnects.Store(s.Reconnects)
-	m.redeliveries.Store(s.Redeliveries)
-	m.coalesced.Store(s.Coalesced)
-	m.dupDropped.Store(s.DupDropped)
-	m.forwarded.Store(s.Forwarded)
-	m.misdropped.Store(s.Misdropped)
-	m.epochRejected.Store(s.EpochRejected)
-	m.creditStalls.Store(s.CreditStalls)
-	m.shedCoalesced.Store(s.ShedCoalesced)
-	m.slowPeer.Store(s.SlowPeer)
-	m.deltaShipped.Store(s.DeltaShipped)
-	m.deltaFolded.Store(s.DeltaFolded)
+	for _, sf := range statFields {
+		if sf.f != nil {
+			m.reg.FloatCounter(sf.metric).Store(*sf.f(&s))
+		} else {
+			m.reg.Counter(sf.metric).Store(*sf.u(&s))
+		}
+	}
 }

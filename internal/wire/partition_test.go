@@ -29,16 +29,16 @@ func waitCounter(t *testing.T, d time.Duration, what string, fn func() bool) {
 func assertSingleOwnership(t *testing.T, c *Cluster) {
 	t.Helper()
 	owners := make([]int, c.g.NumNodes())
-	v := c.slots()
-	for i := range v.peers {
+	slots, _ := c.table()
+	for _, s := range slots {
 		switch {
-		case v.peers[i] != nil:
-			docs, _ := v.peers[i].rk.snapshotRanks()
+		case s.peer != nil:
+			docs, _ := s.peer.rk.snapshotRanks()
 			for _, d := range docs {
 				owners[d]++
 			}
-		case v.snaps[i] != nil:
-			for _, d := range v.snaps[i].Docs {
+		case s.snap != nil:
+			for _, d := range s.snap.Docs {
 				owners[d]++
 			}
 		}
@@ -117,8 +117,7 @@ func TestChaosPartitionSplitHeal(t *testing.T) {
 	out := <-resCh
 	if out.err != nil {
 		s, pr := c.DebugCounters()
-		t.Fatalf("%v (sent %d processed %d, fenced %v left %v)",
-			out.err, s, pr, c.fenced, c.left)
+		t.Fatalf("%v (sent %d processed %d, view %+v)", out.err, s, pr, c.viewLocked())
 	}
 	res := out.res
 

@@ -175,17 +175,12 @@ type Peer struct {
 	ln    net.Listener
 	addr  string
 
-	// Membership view: the address table plus, per slot, the ownership
-	// epoch of the slot's key range, whether the slot departed, and the
-	// slot that adopted a departed slot's state. Mutated when a crashed
-	// peer rejoins at a new address, a departed peer's slot is
-	// redirected to its successor, or an anti-entropy digest merges a
-	// higher-epoch view; reads always go through peerAddr/epochOf/view.
+	// Membership view, one record per slot. Mutated when a crashed peer
+	// rejoins at a new address, a departed peer's slot is redirected to
+	// its successor, or an anti-entropy digest merges a higher-epoch
+	// view; reads always go through peerAddr/epochOf/view.
 	peersMu sync.Mutex
-	peers   []string
-	epochs  []uint64
-	gone    []bool
-	fwd     []p2p.PeerID
+	slots   View
 
 	// Outbound senders, created lazily, keyed by delivery stream,
 	// plus the shared retry queue holding not-yet-framed updates per
@@ -232,12 +227,11 @@ type Peer struct {
 
 	restored bool // resumed from a snapshot: skip the initial push
 
-	// m holds the peer's registry-backed instruments; reg is the
-	// registry they live in and trace the (optional) convergence-event
-	// ring. PeerStats and the termination probe read through m, so the
-	// registry is the single source of truth for every tally.
+	// m holds the peer's registry-backed instruments and trace the
+	// (optional) convergence-event ring. PeerStats and the termination
+	// probe read through m, so the registry is the single source of truth
+	// for every tally.
 	m     peerMetrics
-	reg   *telemetry.Registry
 	trace *telemetry.Trace
 }
 
@@ -245,7 +239,8 @@ type Peer struct {
 // frames, the stream metadata the processing loop needs to suppress
 // duplicates, fence stale epochs and acknowledge folding. Membership
 // operations (handoff adoption, document shedding) also travel through
-// the inbox so they serialize with folding without extra locks.
+// the inbox, as functions for the loop to run (control), so they
+// serialize with folding without extra locks.
 type inItem struct {
 	from     p2p.PeerID
 	origDest p2p.PeerID
@@ -259,21 +254,7 @@ type inItem struct {
 	// dedup, fence or acknowledgement.
 	cw *connWriter
 
-	adopt *Handoff // nil unless this item carries a state handoff
-	shed  *shedReq // nil unless this item requests a document shed
-}
-
-// shedReq asks the processing loop to extract ranker rows for a
-// joining peer; the reply is sent exactly once.
-type shedReq struct {
-	docs     []graph.NodeID
-	newOwner p2p.PeerID
-	reply    chan shedState
-}
-
-type shedState struct {
-	rank, acc, last []float64
-	err             error
+	ctl func() // nil unless this item is a membership operation
 }
 
 // PeerStats is a point-in-time view of one peer's counters. A
@@ -350,10 +331,11 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		quit:     make(chan struct{}),
 		lastSeq:  make(map[stream]uint64),
 		rejected: make(map[stream]map[uint64]struct{}),
-		epochs:   append([]uint64(nil), cfg.Epochs...),
 		m:        m,
-		reg:      cfg.Registry,
 		trace:    cfg.Trace,
+	}
+	for _, e := range cfg.Epochs {
+		p.slots = append(p.slots, ViewSlot{Epoch: e, Fwd: p2p.NoPeer})
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -374,7 +356,13 @@ func (p *Peer) Addr() string { return p.addr }
 // peer's slot is redirected to its successor's address.
 func (p *Peer) SetPeers(addrs []string) {
 	p.peersMu.Lock()
-	p.peers = append([]string(nil), addrs...)
+	p.growViewLocked(len(addrs))
+	for i := range p.slots {
+		p.slots[i].Addr = ""
+		if i < len(addrs) {
+			p.slots[i].Addr = addrs[i]
+		}
+	}
 	p.peersMu.Unlock()
 }
 
@@ -382,22 +370,18 @@ func (p *Peer) SetPeers(addrs []string) {
 func (p *Peer) peerAddr(dest p2p.PeerID) string {
 	p.peersMu.Lock()
 	defer p.peersMu.Unlock()
-	if dest < 0 || int(dest) >= len(p.peers) {
+	if dest < 0 || int(dest) >= len(p.slots) {
 		return ""
 	}
-	return p.peers[dest]
+	return p.slots[dest].Addr
 }
 
-// SetView installs the full membership view: address table, ownership
-// epochs, departed flags and forwarding slots. Pushed by the cluster
-// on every membership change; SetPeers is the address-only entry point
-// a cluster uses before the first one.
+// SetView installs the full membership view. Pushed by the cluster on
+// every membership change; SetPeers is the address-only entry point a
+// cluster uses before the first one.
 func (p *Peer) SetView(v View) {
 	p.peersMu.Lock()
-	p.peers = append([]string(nil), v.Addrs...)
-	p.epochs = append([]uint64(nil), v.Epochs...)
-	p.gone = append([]bool(nil), v.Gone...)
-	p.fwd = append([]p2p.PeerID(nil), v.Fwd...)
+	p.slots = slices.Clone(v)
 	p.peersMu.Unlock()
 }
 
@@ -405,28 +389,14 @@ func (p *Peer) SetView(v View) {
 func (p *Peer) view() View {
 	p.peersMu.Lock()
 	defer p.peersMu.Unlock()
-	return View{
-		Addrs:  append([]string(nil), p.peers...),
-		Epochs: append([]uint64(nil), p.epochs...),
-		Gone:   append([]bool(nil), p.gone...),
-		Fwd:    append([]p2p.PeerID(nil), p.fwd...),
-	}
+	return slices.Clone(p.slots)
 }
 
-// growViewLocked extends the view slices to cover n slots. Caller
-// holds peersMu.
+// growViewLocked extends the view to cover n slots. Caller holds
+// peersMu.
 func (p *Peer) growViewLocked(n int) {
-	for len(p.peers) < n {
-		p.peers = append(p.peers, "")
-	}
-	for len(p.epochs) < n {
-		p.epochs = append(p.epochs, 0)
-	}
-	for len(p.gone) < n {
-		p.gone = append(p.gone, false)
-	}
-	for len(p.fwd) < n {
-		p.fwd = append(p.fwd, p2p.NoPeer)
+	for len(p.slots) < n {
+		p.slots = append(p.slots, ViewSlot{Fwd: p2p.NoPeer})
 	}
 }
 
@@ -435,10 +405,10 @@ func (p *Peer) growViewLocked(n int) {
 func (p *Peer) epochOf(slot p2p.PeerID) uint64 {
 	p.peersMu.Lock()
 	defer p.peersMu.Unlock()
-	if slot < 0 || int(slot) >= len(p.epochs) {
+	if slot < 0 || int(slot) >= len(p.slots) {
 		return 0
 	}
-	return p.epochs[slot]
+	return p.slots[slot].Epoch
 }
 
 // adoptEpoch raises this peer's epoch for a slot's key range. Called
@@ -451,8 +421,8 @@ func (p *Peer) adoptEpoch(slot p2p.PeerID, epoch uint64) {
 	}
 	p.peersMu.Lock()
 	p.growViewLocked(int(slot) + 1)
-	if epoch > p.epochs[slot] {
-		p.epochs[slot] = epoch
+	if epoch > p.slots[slot].Epoch {
+		p.slots[slot].Epoch = epoch
 	}
 	p.peersMu.Unlock()
 }
@@ -464,52 +434,35 @@ func (p *Peer) adoptEpoch(slot p2p.PeerID, epoch uint64) {
 // updates are rerouted — this is how a healed minority peer's parked
 // updates chase documents that migrated while it was cut off.
 func (p *Peer) mergeView(v View) {
-	n := v.viewSlots()
-	type redirect struct{ from, to p2p.PeerID }
-	var redirects []redirect
 	p.peersMu.Lock()
-	p.growViewLocked(n)
-	newlyGone := make([]p2p.PeerID, 0, 2)
-	for i := 0; i < n; i++ {
-		var e uint64
-		if i < len(v.Epochs) {
-			e = v.Epochs[i]
-		}
-		if e <= p.epochs[i] {
+	p.growViewLocked(len(v))
+	var newlyGone []p2p.PeerID
+	for i, theirs := range v {
+		ours := &p.slots[i]
+		if theirs.Epoch <= ours.Epoch {
 			continue
 		}
-		p.epochs[i] = e
-		wasGone := p.gone[i]
-		if i < len(v.Addrs) && v.Addrs[i] != "" {
-			p.peers[i] = v.Addrs[i]
+		if theirs.Addr == "" {
+			theirs.Addr = ours.Addr
 		}
-		if i < len(v.Gone) {
-			p.gone[i] = v.Gone[i]
-		}
-		if i < len(v.Fwd) {
-			p.fwd[i] = v.Fwd[i]
-		}
-		if !wasGone && p.gone[i] {
+		if theirs.Gone && !ours.Gone {
 			newlyGone = append(newlyGone, p2p.PeerID(i))
 		}
+		*ours = theirs
 	}
-	for _, slot := range newlyGone {
-		// Resolve the forwarding chain inside the merged view: the
-		// adopting successor may itself have departed since.
-		j := slot
-		for hops := 0; int(j) < len(p.gone) && p.gone[j] && p.fwd[j] != p2p.NoPeer && hops <= len(p.gone); hops++ {
-			j = p.fwd[j]
-		}
-		if j != slot {
-			redirects = append(redirects, redirect{from: slot, to: j})
-		}
-	}
+	// Resolve inside the merged view: the adopting successor may itself
+	// have departed since.
+	merged := slices.Clone(p.slots)
 	p.peersMu.Unlock()
-	for _, r := range redirects {
-		p.rk.rerouteOwner(r.from, r.to)
+	rerouted := false
+	for _, slot := range newlyGone {
+		if to := merged.resolve(slot); to != slot {
+			p.rk.rerouteOwner(slot, to)
+			rerouted = true
+		}
 	}
-	if len(redirects) > 0 {
-		p.rerouteQueued()
+	if rerouted {
+		p.reroute(nil, true)
 	}
 	p.wakeSenders()
 }
@@ -614,7 +567,7 @@ func (p *Peer) Counters() (uint64, uint64) {
 func (p *Peer) Stats() PeerStats { return p.m.stats() }
 
 // Registry exposes the registry holding this peer's instruments.
-func (p *Peer) Registry() *telemetry.Registry { return p.reg }
+func (p *Peer) Registry() *telemetry.Registry { return p.m.reg }
 
 // event records a convergence-trace event when a trace is attached.
 //
@@ -812,11 +765,8 @@ func (p *Peer) consume(items []inItem) {
 	for i := range items {
 		it := &items[i]
 		switch {
-		case it.adopt != nil:
-			p.applyAdopt(it.adopt)
-			continue
-		case it.shed != nil:
-			p.applyShed(it.shed)
+		case it.ctl != nil:
+			it.ctl()
 			continue
 		case it.cw != nil:
 			if !p.admit(it) {
@@ -1021,43 +971,52 @@ func (p *Peer) newSender(st stream) *sender {
 func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 	p.SetView(v)
 	p.rk.setOwner(docs, owner)
-	p.rerouteQueued()
+	p.reroute(nil, true)
 	p.wakeSenders()
 }
 
-// rerouteQueued re-homes every queued-but-unframed update whose
-// document's owner changed. Entries that merge into an existing entry
-// for the new owner count as coalesced-and-processed, exactly like a
-// first-time DeferMerge absorption; entries for documents this peer
-// now owns fold locally through the inbox.
-func (p *Peer) rerouteQueued() {
+// reroute re-homes updates by the current owner table: us — a nacked
+// frame's, which the receiver never folded — and, with queued set,
+// everything parked in the retry queue as well, which is how updates
+// parked for a departed peer chase its documents. Nothing is re-counted
+// as sent: the updates' origination was counted when they first
+// shipped. One that merges into an entry already queued for its owner
+// counts as coalesced-and-processed, exactly like a first-time
+// DeferMerge absorption; those for documents this peer holds, or with
+// no resolvable owner, go through the inbox, where handle folds or
+// forwards them.
+func (p *Peer) reroute(us []p2p.Update, queued bool) {
 	table := p.rk.ownerTable()
 	var selfUs []p2p.Update
 	merged := 0
-	p.rqMu.Lock()
-	for _, dest := range p.rq.Dests() {
-		for _, u := range p.rq.Drain(dest) {
-			owner := dest
+	place := func(us []p2p.Update) {
+		for _, u := range us {
+			owner := p2p.NoPeer
 			if int(u.Doc) < len(table) {
 				owner = table[u.Doc]
 			}
-			if owner == p.cfg.ID {
+			if owner == p.cfg.ID || owner == p2p.NoPeer {
 				selfUs = append(selfUs, u)
-				continue
-			}
-			if p.rq.DeferMerge(owner, u) {
+			} else if p.rq.DeferMerge(owner, u) {
 				merged++
 			}
 		}
 	}
+	p.rqMu.Lock()
+	if queued {
+		for _, dest := range p.rq.Dests() {
+			place(p.rq.Drain(dest))
+		}
+	}
+	place(us)
 	dests := p.rq.Dests()
 	p.rqMu.Unlock()
 	if merged > 0 {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
 	}
-	// Ensure every destination holding rerouted updates has a live
-	// sender — the new owner may never have been dialed before.
+	// Every destination holding rerouted updates needs a live sender —
+	// the new owner may never have been dialed before.
 	for _, dest := range dests {
 		p.sender(stream{src: p.cfg.ID, dest: dest}).wakeUp()
 	}
@@ -1065,101 +1024,124 @@ func (p *Peer) rerouteQueued() {
 		select {
 		case p.bulk <- inItem{from: p.cfg.ID, us: selfUs}:
 		case <-p.quit:
+			// Killed meanwhile, and nobody else holds these: park them as
+			// queued for this peer itself, which is how a checkpoint
+			// carries self-directed updates (DESIGN.md §13).
+			p.rqMu.Lock()
+			for _, u := range selfUs {
+				p.rq.Defer(p.cfg.ID, u)
+			}
+			p.rqMu.Unlock()
 		}
 	}
+}
+
+// control runs fn on the processing loop through the control lane —
+// ahead of every queued bulk update, serialized with folding — and
+// returns once it ran, or an error when the peer shuts down first.
+func (p *Peer) control(fn func()) error {
+	done := make(chan struct{})
+	select {
+	case p.ctl <- inItem{ctl: func() { defer close(done); fn() }}:
+		select {
+		case <-done:
+			return nil
+		case <-p.quit:
+		}
+	case <-p.quit:
+	}
+	return fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
 }
 
 // Adopt hands a departed peer's durable state to this peer: ranker
 // rows for the migrated documents, the per-stream dedup table, parked
 // (never-framed) updates, and the departed peer's own unacknowledged
 // outbound frames, which this peer takes over retransmitting verbatim
-// under their original stream identity. The call blocks until the
-// processing loop has applied the handoff, so by the time it returns
-// any frame redirected here dedups correctly.
-func (p *Peer) Adopt(h *Handoff) error {
-	if h == nil {
+// under their original stream identity. Everything in the snapshot
+// moves except its counters, which the cluster keeps in its
+// departed-peer accumulators. The call blocks until the processing loop
+// has applied the handoff, so by the time it returns any frame
+// redirected here dedups correctly.
+func (p *Peer) Adopt(s *PeerSnapshot) error {
+	if s == nil {
 		return fmt.Errorf("wire: nil handoff")
 	}
-	h.done = make(chan struct{})
-	select {
-	case p.ctl <- inItem{adopt: h}:
-	case <-p.quit:
-		return fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
-	}
-	select {
-	case <-h.done:
-		return nil
-	case <-p.quit:
-		return fmt.Errorf("wire: peer %d shut down during adoption", p.cfg.ID)
-	}
+	return p.control(func() {
+		p.rk.adopt(s.Docs, s.Rank, s.Acc, s.Last)
+		p.mergeTables(s)
+		for _, ob := range s.Outbound {
+			if len(ob.Unacked) > 0 {
+				p.primeSender(ob)
+			}
+			// Parked updates re-enter as a plain received batch: they were
+			// counted sent by the departed peer, and folding or forwarding
+			// them here balances that exactly once.
+			for next := slices.Clone(ob.Pending); len(next) > 0; {
+				next = p.handle(next)
+			}
+		}
+		p.wakeSenders()
+	})
 }
 
-// applyAdopt runs on the processing loop.
-func (p *Peer) applyAdopt(h *Handoff) {
-	defer close(h.done)
-	p.rk.adopt(h.Docs, h.Rank, h.Acc, h.Last)
-	for i, e := range h.Epochs {
+// mergeTables folds a snapshot's recovery tables into this peer's: the
+// ownership epochs and the per-stream dedup entries each keep the
+// higher number (fencing and folding only ever raise them), and the
+// epoch-rejected sequence numbers are united. It is the one merge
+// behind a restart (into a fresh peer's empty tables) and a successor's
+// adoption, and must have run before any sender learns an address that
+// redirects the snapshot's streams here.
+func (p *Peer) mergeTables(s *PeerSnapshot) {
+	for i, e := range s.Epochs {
 		p.adoptEpoch(p2p.PeerID(i), e)
 	}
-	for st, seq := range h.LastSeq {
-		if seq > p.lastSeq[st] {
-			p.lastSeq[st] = seq
+	for _, e := range s.LastSeq {
+		if st := (stream{src: e.Src, dest: e.Dest}); e.Seq > p.lastSeq[st] {
+			p.lastSeq[st] = e.Seq
 		}
 	}
-	for _, e := range h.Rejected {
+	for _, e := range s.Rejected {
 		st := stream{src: e.Src, dest: e.Dest}
 		if p.rejected[st] == nil {
 			p.rejected[st] = make(map[uint64]struct{})
 		}
 		p.rejected[st][e.Seq] = struct{}{}
 	}
-	for _, ob := range h.Outbound {
-		st := stream{src: ob.Src, dest: ob.Dest}
-		if len(ob.Unacked) > 0 {
-			p.installAdoptedSender(st, ob)
-		}
-		// Parked updates re-enter as a plain received batch: they were
-		// counted sent by the departed peer, and folding or forwarding
-		// them here balances that exactly once.
-		if len(ob.Pending) > 0 {
-			for next := append([]p2p.Update(nil), ob.Pending...); len(next) > 0; {
-				next = p.handle(next)
-			}
-		}
-	}
 }
 
-// installAdoptedSender primes a sender for a departed peer's stream,
-// loaded with its unacknowledged frames for verbatim retransmission.
-func (p *Peer) installAdoptedSender(st stream, ob OutboundState) {
+// primeSender starts the sender of a checkpointed delivery stream where
+// its last owner stopped: same sequence cursor, same advertised window,
+// and the unacknowledged frames loaded for verbatim retransmission —
+// stream identity and seq are preserved, so dedup survives the move,
+// but each frame is re-stamped with this peer's current epoch for the
+// range so a receiver that moved on can nack it. A stream that already
+// has a sender keeps it (a replayed hand-over). The sender sleeps until
+// woken.
+func (p *Peer) primeSender(ob OutboundState) {
+	st := stream{src: ob.Src, dest: ob.Dest}
+	epoch := p.epochOf(st.dest)
 	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
 	if _, dup := p.senders[st]; dup {
-		p.sendMu.Unlock()
-		return // replayed handoff; the live sender already owns the stream
+		return
 	}
 	s := p.newSender(st)
-	s.nextSeq = ob.NextSeq
+	s.nextSeq, s.sendSeq = ob.NextSeq, ob.NextSeq
 	if ob.Window > 0 {
+		// Resume under the receiver's last advertised budget; the first
+		// credit ack refreshes it either way.
 		s.window = ob.Window
 	}
 	for _, uf := range ob.Unacked {
-		// Stamped with the adopter's current epoch for the range: stream
-		// and seq identity are preserved (dedup still works), but the
-		// frame carries a fence-aware epoch so a reconciled receiver can
-		// nack it if ownership moved on.
-		s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: p.epochOf(st.dest), us: uf.Updates})
+		s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: epoch, us: uf.Updates})
 	}
 	if len(s.unacked) > 0 {
 		s.sendSeq = s.unacked[0].seq
 		p.m.unackedFrames.Add(float64(len(s.unacked)))
-	} else {
-		s.sendSeq = s.nextSeq
 	}
 	p.senders[st] = s
 	p.wg.Add(1)
 	go s.loop()
-	p.sendMu.Unlock()
-	s.wakeUp()
 }
 
 // Shed extracts the ranker rows for docs (for handing to a joining
@@ -1167,24 +1149,16 @@ func (p *Peer) installAdoptedSender(st stream, ob OutboundState) {
 // The call blocks until the processing loop has applied it, so no fold
 // can touch the extracted rows afterwards.
 func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last []float64, err error) {
-	req := &shedReq{docs: docs, newOwner: newOwner, reply: make(chan shedState, 1)}
-	select {
-	case p.ctl <- inItem{shed: req}:
-	case <-p.quit:
-		return nil, nil, nil, fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
+	// The loop writes r; it is read only once control says the loop is
+	// done with it.
+	var r struct {
+		rank, acc, last []float64
+		err             error
 	}
-	select {
-	case st := <-req.reply:
-		return st.rank, st.acc, st.last, st.err
-	case <-p.quit:
-		return nil, nil, nil, fmt.Errorf("wire: peer %d shut down during shed", p.cfg.ID)
+	if err := p.control(func() { r.rank, r.acc, r.last, r.err = p.rk.shed(docs, newOwner) }); err != nil {
+		return nil, nil, nil, err
 	}
-}
-
-// applyShed runs on the processing loop.
-func (p *Peer) applyShed(req *shedReq) {
-	rank, acc, last, err := p.rk.shed(req.docs, req.newOwner)
-	req.reply <- shedState{rank: rank, acc: acc, last: last, err: err}
+	return r.rank, r.acc, r.last, r.err
 }
 
 // sender owns the fault-tolerant outbound path of one delivery stream:
@@ -1317,7 +1291,11 @@ func (s *sender) loop() {
 			// in readAcks.
 			conn.SetReadDeadline(time.Now().Add(ackTimeout))
 			s.mu.Lock()
-			if s.sendSeq <= fr.seq {
+			// Only while this is still the connection: if it died since the
+			// write, closeConn has rewound the cursor to retransmit this
+			// frame, and advancing past it would strand it unacknowledged
+			// with nothing left to wake the loop (DESIGN.md §13).
+			if s.conn == conn && s.sendSeq <= fr.seq {
 				s.sendSeq = fr.seq + 1
 			}
 			slow := s.slow
@@ -1618,49 +1596,7 @@ func (s *sender) handleNack(seq, epoch uint64) {
 	}
 	s.mu.Unlock()
 	if len(us) > 0 {
-		s.p.requeueUpdates(us)
+		s.p.reroute(us, false)
 	}
 	s.wakeUp()
-}
-
-// requeueUpdates re-routes nacked updates by the current owner table.
-// Accounting mirrors rerouteQueued: merges into existing queue entries
-// count as coalesced-and-processed, locally owned documents fold
-// through the inbox, and nothing is re-counted as sent — the updates'
-// origination was counted when they first shipped.
-func (p *Peer) requeueUpdates(us []p2p.Update) {
-	table := p.rk.ownerTable()
-	var selfUs []p2p.Update
-	merged := 0
-	p.rqMu.Lock()
-	for _, u := range us {
-		owner := p2p.NoPeer
-		if int(u.Doc) < len(table) {
-			owner = table[u.Doc]
-		}
-		if owner == p.cfg.ID || owner == p2p.NoPeer {
-			selfUs = append(selfUs, u)
-			continue
-		}
-		if p.rq.DeferMerge(owner, u) {
-			merged++
-		}
-	}
-	dests := p.rq.Dests()
-	p.rqMu.Unlock()
-	if merged > 0 {
-		p.m.coalesced.Add(uint64(merged))
-		p.m.processed.Add(uint64(merged))
-	}
-	for _, dest := range dests {
-		p.sender(stream{src: p.cfg.ID, dest: dest}).wakeUp()
-	}
-	if len(selfUs) > 0 {
-		// Locally owned (or owner-unresolvable) updates fold or get
-		// forwarded by handle on the processing loop.
-		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: selfUs}:
-		case <-p.quit:
-		}
-	}
 }

@@ -332,33 +332,31 @@ func decodeGossip(b []byte) (from p2p.PeerID, suspects []p2p.PeerID, err error) 
 	return from, suspects, nil
 }
 
-// View is one peer's picture of cluster membership: per slot the
-// current address, the ownership epoch of the slot's key range, whether
-// the slot departed permanently, and (for departed slots) the slot that
-// adopted its state. It is what the cluster pushes on every membership
-// change and what peers exchange as an anti-entropy digest after a
-// partition heals: the higher epoch wins per slot, so both sides
-// reconcile to the owner that the eviction quorum installed.
-type View struct {
-	Addrs  []string
-	Epochs []uint64
-	Gone   []bool
-	Fwd    []p2p.PeerID // adopting successor of a gone slot; NoPeer otherwise
+// View is one peer's picture of cluster membership, one record per slot.
+// It is what the cluster pushes on every membership change and what
+// peers exchange as an anti-entropy digest after a partition heals: the
+// higher epoch wins per slot, so both sides reconcile to the owner that
+// the eviction quorum installed.
+type View []ViewSlot
+
+// ViewSlot is one slot of a View.
+type ViewSlot struct {
+	Addr  string     // where the slot answers now
+	Epoch uint64     // ownership epoch of the slot's key range
+	Gone  bool       // departed permanently
+	Fwd   p2p.PeerID // adopting successor of a gone slot; NoPeer otherwise
 }
 
-// viewSlots normalizes a view's ragged slices to one slot count.
-func (v View) viewSlots() int {
-	n := len(v.Addrs)
-	if len(v.Epochs) > n {
-		n = len(v.Epochs)
+// resolve follows the forwarding chain from slot to the slot that holds
+// its state now: a departed slot forwards to the successor that adopted
+// it, which may itself have departed since. The cluster's address table
+// and a peer's rerouting after a merge both resolve through here, so a
+// frame is dialed where its updates are routed.
+func (v View) resolve(slot p2p.PeerID) p2p.PeerID {
+	for hops := 0; int(slot) < len(v) && v[slot].Gone && v[slot].Fwd != p2p.NoPeer && hops <= len(v); hops++ {
+		slot = v[slot].Fwd
 	}
-	if len(v.Gone) > n {
-		n = len(v.Gone)
-	}
-	if len(v.Fwd) > n {
-		n = len(v.Fwd)
-	}
-	return n
+	return slot
 }
 
 // maxViewSlots and maxViewAddr bound a decoded view digest.
@@ -374,32 +372,23 @@ const noFwdWire = ^uint32(0)
 // per slot u8 gone flag, u32 forward slot (noFwdWire when none), u64
 // epoch, u16 address length, address bytes.
 func encodeView(v View) []byte {
-	n := v.viewSlots()
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for i := 0; i < n; i++ {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(v)))
+	for _, s := range v {
 		var gone byte
-		if i < len(v.Gone) && v.Gone[i] {
+		if s.Gone {
 			gone = 1
 		}
 		fwd := noFwdWire
-		if i < len(v.Fwd) && v.Fwd[i] != p2p.NoPeer {
-			fwd = uint32(v.Fwd[i])
+		if s.Fwd != p2p.NoPeer {
+			fwd = uint32(s.Fwd)
 		}
-		var epoch uint64
-		if i < len(v.Epochs) {
-			epoch = v.Epochs[i]
-		}
-		var addr string
-		if i < len(v.Addrs) {
-			addr = v.Addrs[i]
-		}
+		addr := s.Addr
 		if len(addr) > maxViewAddr {
 			addr = addr[:maxViewAddr]
 		}
 		buf = append(buf, gone)
 		buf = binary.LittleEndian.AppendUint32(buf, fwd)
-		buf = binary.LittleEndian.AppendUint64(buf, epoch)
+		buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(addr)))
 		buf = append(buf, addr...)
 	}
@@ -410,52 +399,44 @@ func encodeView(v View) []byte {
 // structural inconsistency is an error, never a misparse.
 func decodeView(b []byte) (View, error) {
 	if len(b) < 4 {
-		return View{}, fmt.Errorf("wire: view digest too short")
+		return nil, fmt.Errorf("wire: view digest too short")
 	}
 	n := binary.LittleEndian.Uint32(b[:4])
 	if n > maxViewSlots {
-		return View{}, fmt.Errorf("wire: view digest of %d slots exceeds limit", n)
+		return nil, fmt.Errorf("wire: view digest of %d slots exceeds limit", n)
 	}
-	v := View{
-		Addrs:  make([]string, 0, capAlloc(uint64(n))),
-		Epochs: make([]uint64, 0, capAlloc(uint64(n))),
-		Gone:   make([]bool, 0, capAlloc(uint64(n))),
-		Fwd:    make([]p2p.PeerID, 0, capAlloc(uint64(n))),
-	}
+	v := make(View, 0, capAlloc(uint64(n)))
 	off := 4
 	for i := uint32(0); i < n; i++ {
 		if len(b)-off < 15 {
-			return View{}, fmt.Errorf("wire: truncated view digest slot %d", i)
+			return nil, fmt.Errorf("wire: truncated view digest slot %d", i)
 		}
 		gone := b[off]
 		if gone > 1 {
-			return View{}, fmt.Errorf("wire: view digest slot %d has bad gone flag %d", i, gone)
+			return nil, fmt.Errorf("wire: view digest slot %d has bad gone flag %d", i, gone)
 		}
 		fwdWire := binary.LittleEndian.Uint32(b[off+1:])
 		epoch := binary.LittleEndian.Uint64(b[off+5:])
 		alen := int(binary.LittleEndian.Uint16(b[off+13:]))
 		off += 15
 		if alen > maxViewAddr {
-			return View{}, fmt.Errorf("wire: view digest address of %d bytes exceeds limit", alen)
+			return nil, fmt.Errorf("wire: view digest address of %d bytes exceeds limit", alen)
 		}
 		if len(b)-off < alen {
-			return View{}, fmt.Errorf("wire: truncated view digest address in slot %d", i)
+			return nil, fmt.Errorf("wire: truncated view digest address in slot %d", i)
 		}
 		fwd := p2p.NoPeer
 		if fwdWire != noFwdWire {
 			if fwdWire >= maxViewSlots {
-				return View{}, fmt.Errorf("wire: view digest forward slot %d out of range", fwdWire)
+				return nil, fmt.Errorf("wire: view digest forward slot %d out of range", fwdWire)
 			}
 			fwd = p2p.PeerID(fwdWire)
 		}
-		v.Addrs = append(v.Addrs, string(b[off:off+alen]))
-		v.Epochs = append(v.Epochs, epoch)
-		v.Gone = append(v.Gone, gone == 1)
-		v.Fwd = append(v.Fwd, fwd)
+		v = append(v, ViewSlot{Addr: string(b[off : off+alen]), Epoch: epoch, Gone: gone == 1, Fwd: fwd})
 		off += alen
 	}
 	if off != len(b) {
-		return View{}, fmt.Errorf("wire: trailing bytes after view digest")
+		return nil, fmt.Errorf("wire: trailing bytes after view digest")
 	}
 	return v, nil
 }

@@ -1,0 +1,307 @@
+package wire
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"dpr/internal/graph"
+	"dpr/internal/p2p"
+	"dpr/internal/telemetry"
+)
+
+// senderState is what a primed sender must carry over from an
+// OutboundState, whoever installs it.
+type senderState struct {
+	nextSeq, sendSeq, window uint64
+	unacked                  string // seq@epoch:updates, in order
+}
+
+func senderStates(p *Peer) map[stream]senderState {
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	out := make(map[stream]senderState)
+	for st, s := range p.senders {
+		s.mu.Lock()
+		ss := senderState{nextSeq: s.nextSeq, sendSeq: s.sendSeq, window: s.window}
+		for _, fr := range s.unacked {
+			ss.unacked += fmt.Sprintf("%d@%d:%v ", fr.seq, fr.epoch, fr.us)
+		}
+		s.mu.Unlock()
+		out[st] = ss
+	}
+	return out
+}
+
+func epochsOf(p *Peer) []uint64 {
+	var es []uint64
+	for _, s := range p.view() {
+		es = append(es, s.Epoch)
+	}
+	return es
+}
+
+// TestRestoreAndAdoptInstallTheSameState is the differential test for
+// the single installer: one snapshot goes into a fresh peer through
+// RestorePeer (the owner restarting) and into an empty peer through
+// Adopt (its ring successor taking over). Both must end with the same
+// senders for every stream that has frames to retransmit, the same
+// dedup and rejected tables and the same epoch vector. What may differ
+// is what the snapshot's owner owns: its counters are restored, its
+// pending updates go back into its retry queue behind a sender of their
+// own, while the successor handles them as a received batch.
+func TestRestoreAndAdoptInstallTheSameState(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	// Five slots, two documents each. Slot 0 owns the snapshot, slot 3
+	// is its successor, slot 4 departed earlier and left slot 0 a stream.
+	g := graph.Cycle(10)
+	docPeer := make([]p2p.PeerID, 10)
+	for d := range docPeer {
+		docPeer[d] = p2p.PeerID(d / 2)
+	}
+	snap := &PeerSnapshot{
+		ID:   0,
+		Docs: []graph.NodeID{0, 1},
+		Rank: []float64{0.4, 0.7}, Acc: []float64{0.25, 0.55}, Last: []float64{0.35, 0.7}, // rank = 0.15 + acc
+		LastSeq: []SeqEntry{{Src: 1, Dest: 0, Seq: 12}, {Src: 2, Dest: 0, Seq: 4}, {Src: 2, Dest: 4, Seq: 9}},
+		Rejected: []SeqEntry{
+			{Src: 1, Dest: 0, Seq: 9}, // lastSeq moved past it
+			{Src: 2, Dest: 0, Seq: 6}, // ahead of lastSeq
+		},
+		Outbound: []OutboundState{
+			{ // own stream: frames in flight under a stored window, updates parked behind them
+				Src: 0, Dest: 1, NextSeq: 7, Window: 3,
+				Unacked: []UnackedFrame{
+					{Seq: 5, Updates: []p2p.Update{{Doc: 2, Delta: 0.5}}},
+					{Seq: 6, Updates: []p2p.Update{{Doc: 3, Delta: 0.25}}},
+				},
+				Pending: []p2p.Update{{Doc: 2, Delta: 0.125}, {Doc: 3, Delta: -0.5}},
+			},
+			{ // stream adopted from departed slot 4
+				Src: 4, Dest: 2, NextSeq: 10,
+				Unacked: []UnackedFrame{{Seq: 9, Updates: []p2p.Update{{Doc: 4, Delta: 1}}}},
+			},
+			// own stream with nothing in flight
+			{Src: 0, Dest: 2, NextSeq: 4, Pending: []p2p.Update{{Doc: 5, Delta: 0.25}}},
+			// self-directed batch, too small to push anything onward
+			{Src: 0, Dest: 0, NextSeq: 1, Pending: []p2p.Update{{Doc: 1, Delta: 1e-9}}},
+		},
+		Epochs:    []uint64{2, 0, 5, 1},
+		PeerStats: PeerStats{Sent: 40, Processed: 33, Retries: 5, DeltaShipped: 2.5, DeltaFolded: 2.25},
+	}
+	cfg := PeerConfig{Graph: g, DocPeer: docPeer, Epochs: []uint64{0, 3, 1, 0, 7}}
+	wantEpochs := []uint64{2, 3, 5, 1, 7} // each side ahead on different slots
+
+	own := cfg
+	own.ID, own.Docs = 0, snap.Docs
+	restored, err := RestorePeer(own, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+
+	succ := cfg
+	succ.ID = 3
+	adopter, err := NewPeer(succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adopter.Close()
+	if err := adopter.Adopt(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, as := senderStates(restored), senderStates(adopter)
+	want := map[stream]senderState{
+		{src: 0, dest: 1}: {nextSeq: 7, sendSeq: 5, window: 3, unacked: "5@3:[{2 0.5}] 6@3:[{3 0.25}] "},
+		{src: 4, dest: 2}: {nextSeq: 10, sendSeq: 9, window: defaultCreditWindow, unacked: "9@5:[{4 1}] "},
+	}
+	for st, w := range want {
+		if rs[st] != w {
+			t.Errorf("restored sender %v = %+v, want %+v", st, rs[st], w)
+		}
+		if as[st] != w {
+			t.Errorf("adopted sender %v = %+v, want %+v", st, as[st], w)
+		}
+	}
+	if !reflect.DeepEqual(restored.lastSeq, adopter.lastSeq) || len(restored.lastSeq) != len(snap.LastSeq) {
+		t.Errorf("dedup tables differ: restored %v, adopted %v", restored.lastSeq, adopter.lastSeq)
+	}
+	if !reflect.DeepEqual(restored.rejected, adopter.rejected) || len(restored.rejected) != 2 {
+		t.Errorf("rejected tables differ: restored %v, adopted %v", restored.rejected, adopter.rejected)
+	}
+	if got := epochsOf(restored); !slices.Equal(got, wantEpochs) {
+		t.Errorf("restored epochs %v, want %v", got, wantEpochs)
+	}
+	if got := epochsOf(adopter); !slices.Equal(got, wantEpochs) {
+		t.Errorf("adopted epochs %v, want %v", got, wantEpochs)
+	}
+
+	// The documented differences. The owner keeps framing on its own
+	// streams, so the idle one keeps its sequence cursor and the parked
+	// updates wait in its retry queue; the successor will never frame on
+	// a stream it adopted, and folded or forwarded the updates already.
+	idle := stream{src: 0, dest: 2}
+	if w := (senderState{nextSeq: 4, sendSeq: 4, window: defaultCreditWindow}); rs[idle] != w {
+		t.Errorf("restored idle sender = %+v, want %+v", rs[idle], w)
+	}
+	if _, ok := as[idle]; ok {
+		t.Error("successor started a sender for an adopted stream with nothing to retransmit")
+	}
+	restored.rqMu.Lock()
+	q1, q2 := restored.rq.Queued(1), restored.rq.Queued(2)
+	restored.rqMu.Unlock()
+	if q1 != 2 || q2 != 1 {
+		t.Errorf("restored retry queue holds %d and %d updates for slots 1 and 2, want 2 and 1", q1, q2)
+	}
+	if st := restored.Stats(); st.Retries != 5 || st.DeltaShipped != 2.5 || st.Sent != 40 {
+		t.Errorf("restored peer lost its counters: %+v", st)
+	}
+	if st := adopter.Stats(); st.Retries != 0 || st.DeltaShipped != 0 || st.Forwarded != 3 {
+		t.Errorf("successor counters %+v: want none inherited and the 3 parked updates forwarded", st)
+	}
+}
+
+// TestStatFieldsCoverPeerStats: every numeric field of PeerStats is in
+// statFields exactly once, so a counter added later cannot be dropped
+// from the checkpoint, the restore or the cluster sum without this
+// failing; then one value per field goes through each of them.
+func TestStatFieldsCoverPeerStats(t *testing.T) {
+	var st PeerStats
+	for i, sf := range statFields {
+		if (sf.u == nil) == (sf.f == nil) {
+			t.Fatalf("statFields[%d] (%s): exactly one accessor must be set", i, sf.metric)
+		}
+		if sf.f != nil {
+			*sf.f(&st) = float64(i) + 1.5
+		} else {
+			*sf.u(&st) = uint64(i) + 1
+		}
+	}
+	v := reflect.ValueOf(st)
+	if v.NumField() != len(statFields) {
+		t.Fatalf("PeerStats has %d fields, statFields lists %d", v.NumField(), len(statFields))
+	}
+	seen := make(map[string]string)
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if k := f.Kind(); k != reflect.Uint64 && k != reflect.Float64 {
+			t.Fatalf("PeerStats.%s is a %v; statFields handles uint64 and float64", name, k)
+		}
+		if f.IsZero() {
+			t.Errorf("PeerStats.%s is not in statFields", name)
+		}
+		val := fmt.Sprint(f.Interface())
+		if other, dup := seen[val]; dup {
+			t.Errorf("PeerStats.%s and .%s got the same value: a field is listed twice", name, other)
+		}
+		seen[val] = name
+	}
+
+	t.Run("checkpoint", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&PeerSnapshot{ID: 2, PeerStats: st}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PeerStats != st {
+			t.Fatalf("decoded %+v, want %+v", got.PeerStats, st)
+		}
+	})
+	t.Run("restore", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		m := newPeerMetrics(reg)
+		registered := reg.Snapshot()
+		m.restore(st)
+		if got := m.stats(); got != st {
+			t.Fatalf("stats after restore %+v, want %+v", got, st)
+		}
+		after := reg.Snapshot()
+		if len(after.Counters) != len(registered.Counters) || len(after.Floats) != len(registered.Floats) {
+			t.Fatal("statFields names an instrument newPeerMetrics does not register")
+		}
+	})
+	t.Run("sum", func(t *testing.T) {
+		if got := addStats(PeerStats{}, st); got != st {
+			t.Fatalf("0 + st = %+v, want %+v", got, st)
+		}
+		twice := addStats(st, st)
+		for _, sf := range statFields {
+			if sf.f != nil && *sf.f(&twice) != 2**sf.f(&st) || sf.u != nil && *sf.u(&twice) != 2**sf.u(&st) {
+				t.Errorf("%s not doubled by st + st", sf.metric)
+			}
+		}
+	})
+}
+
+// chainSlots is a 4-slot table with a two-hop forwarding chain: slot 0
+// departed into slot 1, which departed into live slot 2.
+func chainSlots() []slot {
+	return []slot{
+		{addr: "127.0.0.1:7000", left: true, forward: 1, epoch: 3},
+		{addr: "127.0.0.1:7001", left: true, forward: 2, epoch: 2},
+		{addr: "127.0.0.1:7002", forward: p2p.NoPeer, epoch: 5},
+		{addr: "127.0.0.1:7003", forward: p2p.NoPeer},
+	}
+}
+
+// TestFormatsPinned holds the view digest and the checkpoint to the
+// bytes PR 14's code wrote for the same state.
+func TestFormatsPinned(t *testing.T) {
+	c := &Cluster{slots: chainSlots()}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(encodeView(c.viewLocked()))),
+		"53245f7b22db9bc3917153ee15f779d1e86026979ce4b73cf1df63bb64f0961e"; got != want {
+		t.Errorf("view digest sha256 %s, want %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(fuzzSeedSnapshot(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+		"4bea9c88764f915c6a54b6f0ccd69d8a26c9b97e6adffd674360d4af9691fac0"; got != want {
+		t.Errorf("checkpoint sha256 %s, want %s", got, want)
+	}
+}
+
+// TestForwardChainResolvesOnce: the cluster's address table and a
+// peer's rerouting both follow a departed→departed→live chain to the
+// same slot, so a frame is dialed where its updates are routed.
+func TestForwardChainResolvesOnce(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	c := &Cluster{slots: chainSlots()}
+	v := c.viewLocked()
+	for _, slot := range []p2p.PeerID{0, 1, 2} {
+		if to := v.resolve(slot); to != 2 {
+			t.Errorf("slot %d resolves to %d, want 2", slot, to)
+		}
+		if v[slot].Addr != "127.0.0.1:7002" {
+			t.Errorf("cluster lists slot %d at %s, want slot 2's address", slot, v[slot].Addr)
+		}
+	}
+	// Peer 3 of a cluster where slot s owns documents 2s and 2s+1 learns
+	// of both departures at once, from a digest.
+	docPeer := make([]p2p.PeerID, 8)
+	for d := range docPeer {
+		docPeer[d] = p2p.PeerID(d / 2)
+	}
+	p, err := NewPeer(PeerConfig{ID: 3, Graph: graph.Cycle(8), DocPeer: docPeer, Docs: []graph.NodeID{6, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.mergeView(v)
+	if got, want := p.rk.ownerTable(), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
+		t.Errorf("owner table after the merge %v, want %v", got, want)
+	}
+	for _, slot := range []p2p.PeerID{0, 1} {
+		if p.peerAddr(slot) != p.peerAddr(2) {
+			t.Errorf("peer dials slot %d at %s but routes its documents to slot 2 at %s", slot, p.peerAddr(slot), p.peerAddr(2))
+		}
+	}
+}

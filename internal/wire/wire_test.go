@@ -298,12 +298,12 @@ func TestOversizedOrigDestIsRefused(t *testing.T) {
 	p, conn := rawPeer(t)
 	defer p.Close()
 	defer conn.Close()
-	before := p.view().viewSlots()
+	before := len(p.view())
 	if err := writeFrame(conn, frameBatchEpoch, encodeBatchEpoch(nil, 1, 1<<22, 1, 7, nil)); err != nil {
 		t.Fatal(err)
 	}
 	assertDropped(t, p, conn)
-	if got := p.view().viewSlots(); got != before {
+	if got := len(p.view()); got != before {
 		t.Fatalf("view grew from %d to %d slots on a frame for a slot nobody has", before, got)
 	}
 }
