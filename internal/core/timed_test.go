@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -65,6 +68,44 @@ func TestTimedEngineDeterministic(t *testing.T) {
 		if a.Ranks[i] != b.Ranks[i] {
 			t.Fatalf("rank[%d] differs", i)
 		}
+	}
+}
+
+// TestTimedEnginePinned holds the simulation to recorded numbers: the
+// event loop is deterministic, so any change to how a peer folds a
+// batch, orders its pushes or sizes its frames moves at least one.
+func TestTimedEnginePinned(t *testing.T) {
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(3000, 5))
+	teleport := make([]float64, g.NumNodes())
+	for i := range teleport {
+		teleport[i] = float64(1 + i%7)
+	}
+	for _, tc := range []struct {
+		name                                        string
+		opt                                         Options
+		inter, intra, batches, bytes, events, simNS int64
+		rankHash                                    string
+	}{
+		{"plain", Options{Epsilon: 1e-4},
+			1591432, 109461, 1029049, 104053504, 1782075, 285633389565, "afe7a93343cb1abd"},
+		{"teleport", Options{Epsilon: 1e-4, Teleport: teleport},
+			1557955, 105364, 1010505, 102063240, 1747615, 281315462856, "8ac50de0fcec06e5"},
+		{"absolute", Options{Epsilon: 1e-4, Absolute: true},
+			2484366, 190187, 1542116, 158320208, 2890311, 644277256760, "15817217b1907e29"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runTimed(t, g, 17, TimedOptions{Options: tc.opt}, 9)
+			h := fnv.New64a()
+			for _, r := range res.Ranks {
+				fmt.Fprintf(h, "%x,", math.Float64bits(r))
+			}
+			got := fmt.Sprintf("%d %d %d %d %d %d %016x", res.Counters.InterPeerMsgs, res.Counters.IntraPeerMsgs,
+				res.Batches, res.BytesSent, res.Events, int64(res.SimulatedTime), h.Sum64())
+			want := fmt.Sprintf("%d %d %d %d %d %d %s", tc.inter, tc.intra, tc.batches, tc.bytes, tc.events, tc.simNS, tc.rankHash)
+			if got != want {
+				t.Fatalf("got  %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
