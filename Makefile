@@ -1,7 +1,7 @@
 # Distributed Pagerank for P2P Systems — build/test/bench driver.
 GO ?= go
 
-.PHONY: all build vet lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check loc ci
+.PHONY: all build vet fmt-check lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check loc ci
 
 all: build
 
@@ -10,6 +10,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: any file gofmt would rewrite is a failure. Lint fixtures
+# (testdata) are matched against by line and stay as written.
+fmt-check:
+	@out=$$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.*' -print0 | xargs -0 gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # dprlint: the repo's own invariant checkers (determinism, wire
 # deadlines, lock hygiene, hot-path allocations, counter
@@ -86,12 +92,13 @@ bench-pipeline:
 	$(GO) test -run XXX -bench BenchmarkRunPassParallel -benchmem .
 
 # The three per-update stages of the live cluster's rank-update path —
-# ranker fold, retry-queue coalesce + drain, batch frame codec — with
-# allocation counts. BENCHTIME=1x is what CI runs, so they cannot rot.
+# ranker fold and retry-queue coalesce + drain (internal/p2p), batch
+# frame codec (internal/wire) — with allocation counts. BENCHTIME=1x is
+# what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkBatchEpochCodec' -benchmem -benchtime $(BENCHTIME) ./internal/wire
-	$(GO) test -run XXX -bench BenchmarkRetryQueueDeferMergeDrainN -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench BenchmarkBatchEpochCodec -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # every workload in its own process, untraced and then traced for the
@@ -122,7 +129,7 @@ loc:
 
 # Full gate: what a CI job should run.
 ci:
-	$(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
+	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \

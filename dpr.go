@@ -190,21 +190,32 @@ type Result struct {
 	Converged bool
 }
 
+// place spreads g's documents over a fresh network of opt.Peers peers
+// and returns it with the engine options opt describes: the one
+// Options conversion behind ComputePageRank, NewSession and
+// NewDynamicSession. opt has its defaults applied.
+func (o Options) place(g *Graph) (*p2p.Network, core.Options, error) {
+	if o.Peers < 1 {
+		return nil, core.Options{}, fmt.Errorf("dpr: Peers %d < 1", o.Peers)
+	}
+	net := p2p.NewNetwork(o.Peers)
+	net.AssignRandom(g, rng.New(o.Seed))
+	return net, core.Options{
+		Damping: o.Damping, Epsilon: o.Epsilon,
+		MaxPass: o.MaxPasses, Teleport: o.Teleport, Workers: o.Workers,
+	}, nil
+}
+
 // ComputePageRank runs the distributed pagerank computation over a
 // fresh random placement of g's documents onto peers.
 func ComputePageRank(g *Graph, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	if opt.Peers < 1 {
-		return Result{}, fmt.Errorf("dpr: Peers %d < 1", opt.Peers)
-	}
 	if opt.Availability <= 0 || opt.Availability > 1 {
 		return Result{}, fmt.Errorf("dpr: Availability %v outside (0,1]", opt.Availability)
 	}
-	net := p2p.NewNetwork(opt.Peers)
-	net.AssignRandom(g, rng.New(opt.Seed))
-	coreOpt := core.Options{
-		Damping: opt.Damping, Epsilon: opt.Epsilon,
-		MaxPass: opt.MaxPasses, Teleport: opt.Teleport, Workers: opt.Workers,
+	net, coreOpt, err := opt.place(g)
+	if err != nil {
+		return Result{}, err
 	}
 	if opt.Async {
 		if opt.Availability < 1 {
@@ -218,7 +229,6 @@ func ComputePageRank(g *Graph, opt Options) (Result, error) {
 	}
 	var churn *p2p.Churn
 	if opt.Availability < 1 {
-		var err error
 		churn, err = p2p.NewChurn(net, opt.Availability, rng.New(opt.Seed+1))
 		if err != nil {
 			return Result{}, err
@@ -292,12 +302,11 @@ type Session struct {
 // ranks.
 func NewSession(g *Graph, opt Options) (*Session, error) {
 	opt = opt.withDefaults()
-	net := p2p.NewNetwork(opt.Peers)
-	net.AssignRandom(g, rng.New(opt.Seed))
-	e, err := core.NewPassEngine(g, net, nil, core.Options{
-		Damping: opt.Damping, Epsilon: opt.Epsilon,
-		MaxPass: opt.MaxPasses, Teleport: opt.Teleport,
-	})
+	net, coreOpt, err := opt.place(g)
+	if err != nil {
+		return nil, err
+	}
+	e, err := core.NewPassEngine(g, net, nil, coreOpt)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package dpr
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -75,6 +76,12 @@ func TestComputePageRankValidation(t *testing.T) {
 	g := GraphFromLinks([][]NodeID{{1}, {0}})
 	if _, err := ComputePageRank(g, Options{Peers: -1}); err == nil {
 		t.Fatal("accepted negative peers")
+	}
+	if _, err := NewSession(g, Options{Peers: -1}); err == nil {
+		t.Fatal("session accepted negative peers")
+	}
+	if _, err := NewDynamicSession(g, Options{Peers: -1}); err == nil {
+		t.Fatal("dynamic session accepted negative peers")
 	}
 	if _, err := ComputePageRank(g, Options{Availability: 2}); err == nil {
 		t.Fatal("accepted availability > 1")
@@ -149,6 +156,27 @@ func TestSessionInsertRemove(t *testing.T) {
 	}
 	if s.NetworkMessages() == 0 {
 		t.Fatal("no messages recorded")
+	}
+}
+
+func TestSessionWorkersBitIdentical(t *testing.T) {
+	var ranks [2][]float64
+	for i, workers := range []int{1, 4} {
+		g, err := GenerateWebGraph(800, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(g, Options{Peers: 10, Epsilon: 1e-8, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InsertDocument(3, []NodeID{5, 6}); err != nil {
+			t.Fatal(err)
+		}
+		ranks[i] = s.Ranks()
+	}
+	if !slices.Equal(ranks[0], ranks[1]) {
+		t.Fatal("ranks differ between 1 worker and 4")
 	}
 }
 

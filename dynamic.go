@@ -30,13 +30,12 @@ func NewDynamicSession(g *Graph, opt Options) (*DynamicSession, error) {
 	if opt.Teleport != nil {
 		return nil, fmt.Errorf("dpr: dynamic sessions cannot use Teleport (fixed document set)")
 	}
+	net, coreOpt, err := opt.place(g)
+	if err != nil {
+		return nil, err
+	}
 	m := graph.NewMutable(g)
-	net := p2p.NewNetwork(opt.Peers)
-	net.AssignRandom(g, rng.New(opt.Seed))
-	e, err := core.NewPassEngine(m, net, nil, core.Options{
-		Damping: opt.Damping, Epsilon: opt.Epsilon,
-		MaxPass: opt.MaxPasses, Workers: opt.Workers,
-	})
+	e, err := core.NewPassEngine(m, net, nil, coreOpt)
 	if err != nil {
 		return nil, err
 	}

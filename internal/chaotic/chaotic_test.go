@@ -123,34 +123,6 @@ func TestJacobiMatchesGauss(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	r := rng.New(2)
-	for trial := 0; trial < 5; trial++ {
-		n := 10 + r.Intn(40)
-		a, b := randomDominant(r, n)
-		sys, err := FromJacobi(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sys.MaxColumnSum() >= 1.0 {
-			continue
-		}
-		seq, err := sys.Solve(Options{Eps: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := sys.SolveParallel(4, Options{Eps: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range seq.X {
-			if math.Abs(seq.X[i]-par.X[i]) > 1e-6 {
-				t.Fatalf("trial %d: x[%d] seq %v par %v", trial, i, seq.X[i], par.X[i])
-			}
-		}
-	}
-}
-
 func TestPagerankAsSpecialCase(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 3))
 	d := 0.85
@@ -239,21 +211,6 @@ func TestDuplicateEntriesMerged(t *testing.T) {
 	// x1 = 0 + (0.2+0.3)*x0 = 0.5.
 	if math.Abs(res.X[1]-0.5) > 1e-12 {
 		t.Fatalf("merged coefficient wrong: x1 = %v", res.X[1])
-	}
-}
-
-func TestSolveParallelValidation(t *testing.T) {
-	sys, err := NewSystem([]float64{1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SolveParallel(0, Options{}); err == nil {
-		t.Error("accepted zero workers")
-	}
-	// More workers than components clamps rather than fails.
-	res, err := sys.SolveParallel(16, Options{})
-	if err != nil || !res.Converged {
-		t.Errorf("clamped solve failed: %v", err)
 	}
 }
 

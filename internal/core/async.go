@@ -7,6 +7,7 @@ import (
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
+	"dpr/internal/telemetry"
 )
 
 // AsyncEngine is the live chaotic-iteration system the paper
@@ -23,11 +24,13 @@ import (
 // network; churn experiments use the PassEngine, whose pass boundary
 // is where the paper's leave/join model is defined.
 type AsyncEngine struct {
-	g   graph.Linker
-	net *p2p.Network
-	opt Options
+	g       graph.Linker
+	damping float64
 
-	st *state
+	// rankers holds one per-peer state machine — the kernel the TCP
+	// peer runs (p2p.Ranker). The engine only delivers batches between
+	// them and counts credit.
+	rankers []*p2p.Ranker
 
 	boxes    []*mailbox
 	inflight atomic.Int64
@@ -37,7 +40,6 @@ type AsyncEngine struct {
 	interMsgs atomic.Int64
 	intraMsgs atomic.Int64
 	batches   atomic.Int64
-	processed atomic.Int64
 }
 
 // mailbox is an unbounded, mutex-guarded message queue with a edge-
@@ -71,29 +73,55 @@ func (m *mailbox) drain() []p2p.Update {
 	return us
 }
 
-// NewAsyncEngine creates a live engine over graph g with documents
-// already placed on net.
-func NewAsyncEngine(g graph.Linker, net *p2p.Network, opt Options) (*AsyncEngine, error) {
-	opt = opt.withDefaults()
+// newRankers validates opt and the placement and builds an
+// asynchronous engine's per-peer state machines, each reading
+// adjacency through a cursor of its own (compressed representations
+// decode into per-cursor buffers, so sharing one across goroutines
+// would race).
+func newRankers(g graph.Linker, net *p2p.Network, opt Options) ([]*p2p.Ranker, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if err := opt.checkTeleport(g.NumNodes()); err != nil {
 		return nil, err
 	}
-	for d := 0; d < g.NumNodes(); d++ {
-		if net.PeerOf(graph.NodeID(d)) == p2p.NoPeer {
+	docPeer := make([]p2p.PeerID, g.NumNodes())
+	for d := range docPeer {
+		if docPeer[d] = net.PeerOf(graph.NodeID(d)); docPeer[d] == p2p.NoPeer {
 			return nil, fmt.Errorf("core: document %d is not placed on any peer", d)
 		}
 	}
-	e := &AsyncEngine{
-		g:    g,
-		net:  net,
-		opt:  opt,
-		st:   newState(g, opt),
-		done: make(chan struct{}),
+	base := opt.baseTerms(g.NumNodes())
+	rankers := make([]*p2p.Ranker, net.NumPeers())
+	for p := range rankers {
+		rankers[p] = p2p.NewRanker(p2p.PeerID(p), graph.CursorFor(g), net.Docs(p2p.PeerID(p)), docPeer,
+			base, opt.Damping, opt.Epsilon, opt.Absolute, new(telemetry.Gauge))
 	}
-	e.boxes = make([]*mailbox, net.NumPeers())
+	return rankers, nil
+}
+
+// gatherRanks assembles the rank vector from the rankers' rows.
+func gatherRanks(rankers []*p2p.Ranker, n int) []float64 {
+	ranks := make([]float64, n)
+	for _, rk := range rankers {
+		docs, rs := rk.Ranks()
+		for i, d := range docs {
+			ranks[d] = rs[i]
+		}
+	}
+	return ranks
+}
+
+// NewAsyncEngine creates a live engine over graph g with documents
+// already placed on net.
+func NewAsyncEngine(g graph.Linker, net *p2p.Network, opt Options) (*AsyncEngine, error) {
+	opt = opt.withDefaults()
+	rankers, err := newRankers(g, net, opt)
+	if err != nil {
+		return nil, err
+	}
+	e := &AsyncEngine{g: g, damping: opt.Damping, rankers: rankers, done: make(chan struct{})}
+	e.boxes = make([]*mailbox, len(rankers))
 	for i := range e.boxes {
 		e.boxes[i] = newMailbox()
 	}
@@ -103,7 +131,7 @@ func NewAsyncEngine(g graph.Linker, net *p2p.Network, opt Options) (*AsyncEngine
 // Run starts one goroutine per peer, lets the chaotic iteration play
 // out, and returns the converged ranks. It blocks until quiescence.
 func (e *AsyncEngine) Run() Result {
-	numPeers := e.net.NumPeers()
+	numPeers := len(e.rankers)
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -119,7 +147,7 @@ func (e *AsyncEngine) Run() Result {
 	wg.Wait()
 
 	return Result{
-		Ranks:     e.st.rank,
+		Ranks:     e.Ranks(),
 		Passes:    0, // asynchronous: there is no pass structure
 		Converged: true,
 		Counters: p2p.Counters{
@@ -143,26 +171,17 @@ func (e *AsyncEngine) settleCredit(n int) {
 }
 
 // peerLoop is one peer's behaviour: an initial push of every local
-// document's starting rank, then an event loop reacting to arriving
-// update messages exactly as Figure 1 prescribes.
+// document's starting rank, then an event loop folding arriving update
+// messages exactly as Figure 1 prescribes.
 func (e *AsyncEngine) peerLoop(self p2p.PeerID, quit <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
-	out := make(map[p2p.PeerID][]p2p.Update)
-	// Each peer goroutine reads adjacency through its own cursor;
-	// compressed representations decode into per-cursor buffers, so
-	// sharing one across goroutines would race.
-	cur := graph.CursorFor(e.g)
+	rk := e.rankers[self]
 
 	// Initial push (the "At time = 0" block of Figure 1).
-	for _, d := range e.net.Docs(self) {
-		e.pushAsync(self, cur, d, out)
-		e.processed.Add(1)
-	}
-	e.flush(self, out)
+	e.send(self, rk.InitialOut())
 	e.settleCredit(1) // the seed unit for this peer's initial work
 
 	box := e.boxes[self]
-	dirtyDocs := make(map[graph.NodeID]struct{})
 	for {
 		select {
 		case <-quit:
@@ -172,62 +191,32 @@ func (e *AsyncEngine) peerLoop(self p2p.PeerID, quit <-chan struct{}, wg *sync.W
 			if len(us) == 0 {
 				continue
 			}
-			clear(dirtyDocs)
-			for _, u := range us {
-				e.st.acc[u.Doc] += u.Delta
-				dirtyDocs[u.Doc] = struct{}{}
-			}
-			for d := range dirtyDocs {
-				old, new := e.st.recompute(d)
-				e.processed.Add(1)
-				if e.st.exceeds(old, new) {
-					e.pushAsync(self, cur, d, out)
-				}
-			}
-			e.flush(self, out)
+			// Placement is static, so the fold refuses nothing.
+			out, _, _ := rk.Fold(us)
+			e.send(self, out)
 			e.settleCredit(len(us))
 		}
 	}
 }
 
-// pushAsync batches document d's pending rank change into per-peer
-// outboxes. Same-peer updates loop back through the peer's own mailbox
-// so all processing shares one path; they are counted as intra-peer
-// (free) messages.
-func (e *AsyncEngine) pushAsync(self p2p.PeerID, cur graph.LinkCursor, d graph.NodeID, out map[p2p.PeerID][]p2p.Update) {
-	links := cur.OutLinks(d)
-	if len(links) == 0 {
-		e.st.markPushed(d)
-		return
-	}
-	share := e.st.share(d, e.st.pendingDelta(d))
-	if share == 0 {
-		e.st.markPushed(d)
-		return
-	}
-	for _, t := range links {
-		dest := e.net.PeerOf(t)
-		out[dest] = append(out[dest], p2p.Update{Doc: t, Delta: share})
-		if dest == self {
-			e.intraMsgs.Add(1)
-		} else {
-			e.interMsgs.Add(1)
-		}
-	}
-	e.st.markPushed(d)
-}
-
-// flush transmits and clears the per-peer outboxes.
-func (e *AsyncEngine) flush(self p2p.PeerID, out map[p2p.PeerID][]p2p.Update) {
-	for dest, us := range out {
+// send transmits a ranker's outbox (slot PeerID+1 per destination).
+// Same-peer updates loop back through the peer's own mailbox so all
+// processing shares one path; they are counted as intra-peer (free)
+// messages. The mailbox copies, so the outbox may be refilled by the
+// next fold.
+func (e *AsyncEngine) send(self p2p.PeerID, out [][]p2p.Update) {
+	for slot, us := range out {
 		if len(us) == 0 {
 			continue
 		}
+		dest := p2p.PeerID(slot - 1)
 		e.addCredit(len(us))
 		e.boxes[dest].put(us)
-		if dest != self {
+		if dest == self {
+			e.intraMsgs.Add(int64(len(us)))
+		} else {
+			e.interMsgs.Add(int64(len(us)))
 			e.batches.Add(1)
 		}
-		delete(out, dest)
 	}
 }

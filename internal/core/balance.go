@@ -38,12 +38,13 @@ func (e *PassEngine) LastResidual() float64 { return e.passMaxChange }
 // meaningful at quiescence (after Run returns): mid-run, mass in
 // mailboxes is on neither side of the ledger.
 func (e *AsyncEngine) MassBalance() (folded, shipped float64) {
-	for d := range e.st.acc {
-		folded += e.st.acc[d]
-	}
-	for d := 0; d < e.st.g.NumNodes(); d++ {
-		if e.st.g.OutDegree(int32(d)) > 0 {
-			shipped += e.st.opt.Damping * e.st.last[d]
+	for _, rk := range e.rankers {
+		docs, _, acc, last := rk.Rows()
+		for i, d := range docs {
+			folded += acc[i]
+			if e.g.OutDegree(d) > 0 {
+				shipped += e.damping * last[i]
+			}
 		}
 	}
 	return folded, shipped
@@ -52,8 +53,13 @@ func (e *AsyncEngine) MassBalance() (folded, shipped float64) {
 // ProcessedDocs returns the cumulative number of document recomputes
 // (plus initial pushes) the async run performed — the work unit the
 // race harness normalizes into equivalent passes.
-func (e *AsyncEngine) ProcessedDocs() int64 { return e.processed.Load() }
+func (e *AsyncEngine) ProcessedDocs() (n int64) {
+	for _, rk := range e.rankers {
+		n += rk.Recomputed()
+	}
+	return n
+}
 
-// Ranks returns the current rank estimates (live view). Only read it
-// while no run is in flight.
-func (e *AsyncEngine) Ranks() []float64 { return e.st.rank }
+// Ranks returns the current rank estimates. Only read it while no run
+// is in flight.
+func (e *AsyncEngine) Ranks() []float64 { return gatherRanks(e.rankers, e.g.NumNodes()) }

@@ -123,7 +123,6 @@ func (e *PassEngine) RestoreCheckpoint(r io.Reader) error {
 		if !e.initialized[d] {
 			e.uninitialized++
 		}
-		e.st.started[d] = e.initialized[d]
 	}
 	return nil
 }

@@ -85,12 +85,12 @@ type chunkOutbox struct {
 	// merge shard s, in first-touch order within the chunk. The bucket
 	// slices are carved out of one slab on first use (see outboxes), so
 	// warming an outbox costs one allocation, not mergeShards.
-	buckets  [mergeShards][]p2p.Update
-	held     []graph.NodeID // docs whose peer is offline this pass
-	routes   []routeEvent   // inter-peer sends awaiting router pricing
-	deferred []deferredUpdate
-	intra    int64
-	inter    int64
+	buckets   [mergeShards][]p2p.Update
+	held      []graph.NodeID // docs whose peer is offline this pass
+	routes    []routeEvent   // inter-peer sends awaiting router pricing
+	deferred  []deferredUpdate
+	intra     int64
+	inter     int64
 	maxChange float64
 }
 
@@ -374,7 +374,7 @@ func (e *PassEngine) outboxes(n, perBucket int) []chunkOutbox {
 			slab := make([]p2p.Update, e.shardCount*perBucket)
 			for s := 0; s < e.shardCount; s++ {
 				o := s * perBucket
-				out.buckets[s] = slab[o:o : o+perBucket]
+				out.buckets[s] = slab[o : o : o+perBucket]
 			}
 		}
 		out.reset()

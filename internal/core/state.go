@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution: fully distributed
 // pagerank computation by chaotic (asynchronous) iteration.
 //
-// Two engines share the same per-document state machine (Figure 1 of
+// The engines run the same per-document state machine (Figure 1 of
 // the paper):
 //
 //   - PassEngine reproduces the paper's simulation methodology
@@ -11,8 +11,12 @@
 //   - AsyncEngine is the live system the paper describes: one
 //     goroutine per peer, update messages flowing over channels with
 //     no global synchronization, and distributed quiescence detection.
+//     It and TimedEngine (the same iteration on a simulated network)
+//     keep no rank state of their own: each peer is a p2p.Ranker, the
+//     kernel the TCP peer in internal/wire folds with, and the engines
+//     only deliver batches between them.
 //
-// Both use delta-push accumulation: every document keeps an
+// All use delta-push accumulation: every document keeps an
 // accumulator of received in-link mass, so its rank is always
 // (1-d) + acc. When a document's rank moves by more than the relative
 // error threshold epsilon, it pushes d*(rank-lastSent)/outdeg to each
@@ -112,42 +116,46 @@ func (o Options) checkTeleport(n int) error {
 	return nil
 }
 
-// state is the per-document chaotic-iteration state shared by both
-// engines.
+// baseTerms returns each document's constant term: the uniform 1-d, or
+// (1-d) * N * Teleport[i] / sum(Teleport) when personalized.
+func (o Options) baseTerms(n int) []float64 {
+	base := make([]float64, n)
+	if o.Teleport == nil {
+		for i := range base {
+			base[i] = 1 - o.Damping
+		}
+		return base
+	}
+	sum := 0.0
+	for _, w := range o.Teleport {
+		sum += w
+	}
+	scale := (1 - o.Damping) * float64(n) / sum
+	for i, w := range o.Teleport {
+		base[i] = scale * w
+	}
+	return base
+}
+
+// state is the PassEngine's per-document chaotic-iteration state.
 type state struct {
-	g       graph.Linker
-	opt     Options
-	base    []float64 // per-document constant term ((1-d), personalized)
-	rank    []float64 // current pagerank estimate
-	acc     []float64 // received in-link mass; rank = base + acc once computing
-	last    []float64 // rank value as of the last push (0 before first push)
-	started []bool    // has the document computed at least once
+	g    graph.Linker
+	opt  Options
+	base []float64 // per-document constant term ((1-d), personalized)
+	rank []float64 // current pagerank estimate
+	acc  []float64 // received in-link mass; rank = base + acc once computing
+	last []float64 // rank value as of the last push (0 before first push)
 }
 
 func newState(g graph.Linker, opt Options) *state {
 	n := g.NumNodes()
 	s := &state{
-		g:       g,
-		opt:     opt,
-		base:    make([]float64, n),
-		rank:    make([]float64, n),
-		acc:     make([]float64, n),
-		last:    make([]float64, n),
-		started: make([]bool, n),
-	}
-	if opt.Teleport == nil {
-		for i := range s.base {
-			s.base[i] = 1 - opt.Damping
-		}
-	} else {
-		sum := 0.0
-		for _, w := range opt.Teleport {
-			sum += w
-		}
-		scale := (1 - opt.Damping) * float64(n) / sum
-		for i, w := range opt.Teleport {
-			s.base[i] = scale * w
-		}
+		g:    g,
+		opt:  opt,
+		base: opt.baseTerms(n),
+		rank: make([]float64, n),
+		acc:  make([]float64, n),
+		last: make([]float64, n),
 	}
 	copy(s.rank, s.base)
 	return s
@@ -174,7 +182,6 @@ func (s *state) recompute(d graph.NodeID) (old, new float64) {
 	old = s.rank[d]
 	new = s.base[d] + s.acc[d]
 	s.rank[d] = new
-	s.started[d] = true
 	return old, new
 }
 
@@ -199,5 +206,4 @@ func (s *state) grow() {
 	s.rank = append(s.rank, 1-s.opt.Damping)
 	s.acc = append(s.acc, 0)
 	s.last = append(s.last, 0)
-	s.started = append(s.started, false)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dpr/internal/graph"
@@ -29,13 +30,13 @@ import (
 // why a naive per-message implementation would drown; see
 // EXPERIMENTS.md.
 type TimedEngine struct {
-	st  *state
-	net *p2p.Network
 	opt TimedOptions
+	n   int
 
-	// cur is the adjacency read cursor; the event loop is single-
-	// threaded, so one cursor serves every simulated peer.
-	cur graph.LinkCursor
+	// rankers holds one per-peer state machine — the kernel the TCP
+	// peer runs (p2p.Ranker). The engine only prices and delivers the
+	// batches between them.
+	rankers []*p2p.Ranker
 
 	sim     simnet.Sim
 	uplinks []*simnet.Uplink
@@ -126,24 +127,17 @@ type TimedResult struct {
 // NewTimedEngine builds a timed engine over placed documents.
 func NewTimedEngine(g graph.Linker, net *p2p.Network, opt TimedOptions) (*TimedEngine, error) {
 	opt.Options = opt.Options.withDefaults()
-	if err := opt.Options.validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.Options.checkTeleport(g.NumNodes()); err != nil {
-		return nil, err
-	}
 	opt = opt.withDefaults()
 	if opt.Bandwidth < 0 {
 		return nil, fmt.Errorf("core: negative bandwidth")
 	}
-	for d := 0; d < g.NumNodes(); d++ {
-		if net.PeerOf(graph.NodeID(d)) == p2p.NoPeer {
-			return nil, fmt.Errorf("core: document %d is not placed on any peer", d)
-		}
+	rankers, err := newRankers(g, net, opt.Options)
+	if err != nil {
+		return nil, err
 	}
-	e := &TimedEngine{st: newState(g, opt.Options), cur: graph.CursorFor(g), net: net, opt: opt}
-	e.uplinks = make([]*simnet.Uplink, net.NumPeers())
-	e.peers = make([]timedPeer, net.NumPeers())
+	e := &TimedEngine{opt: opt, n: g.NumNodes(), rankers: rankers}
+	e.uplinks = make([]*simnet.Uplink, len(rankers))
+	e.peers = make([]timedPeer, len(rankers))
 	for i := range e.uplinks {
 		e.uplinks[i] = &simnet.Uplink{Bandwidth: opt.Bandwidth, Latency: opt.Latency}
 	}
@@ -153,9 +147,8 @@ func NewTimedEngine(g graph.Linker, net *p2p.Network, opt TimedOptions) (*TimedE
 // Run executes the simulation to quiescence.
 func (e *TimedEngine) Run() (TimedResult, error) {
 	// At t=0 every peer pushes its documents' starting ranks.
-	for p := 0; p < e.net.NumPeers(); p++ {
-		peer := p2p.PeerID(p)
-		e.sim.After(0, func() { e.initialPush(peer) })
+	for p, rk := range e.rankers {
+		e.sim.After(0, func() { e.transmit(p2p.PeerID(p), rk.InitialOut()) })
 	}
 	end, err := e.sim.Run(e.opt.MaxEvents)
 	if err != nil {
@@ -169,7 +162,7 @@ func (e *TimedEngine) Run() (TimedResult, error) {
 	}
 	return TimedResult{
 		Result: Result{
-			Ranks:     e.st.rank,
+			Ranks:     gatherRanks(e.rankers, e.n),
 			Converged: true,
 			Counters: p2p.Counters{
 				InterPeerMsgs: e.interMsgs,
@@ -181,15 +174,6 @@ func (e *TimedEngine) Run() (TimedResult, error) {
 		BytesSent:     bytes,
 		Events:        e.sim.Events(),
 	}, nil
-}
-
-// initialPush emits every local document's starting contribution.
-func (e *TimedEngine) initialPush(self p2p.PeerID) {
-	out := make(map[p2p.PeerID][]p2p.Update)
-	for _, d := range e.net.Docs(self) {
-		e.collect(self, d, out)
-	}
-	e.transmit(self, out)
 }
 
 // handleBatch enqueues a delivered batch into the peer's inbox and
@@ -216,68 +200,32 @@ func (e *TimedEngine) processTick(self p2p.PeerID) {
 	}
 	compute := time.Duration(len(batch)) * e.opt.ComputePerUpdate
 	e.sim.After(compute, func() {
-		seen := make(map[graph.NodeID]struct{}, len(batch))
-		dirty := make([]graph.NodeID, 0, len(batch))
-		for _, u := range batch {
-			e.st.acc[u.Doc] += u.Delta
-			if _, dup := seen[u.Doc]; !dup {
-				seen[u.Doc] = struct{}{}
-				dirty = append(dirty, u.Doc)
-			}
-		}
-		// Deterministic processing order (arrival order) keeps the
-		// whole simulation reproducible bit for bit.
-		out := make(map[p2p.PeerID][]p2p.Update)
-		for _, d := range dirty {
-			old, new := e.st.recompute(d)
-			if e.st.exceeds(old, new) {
-				e.collect(self, d, out)
-			}
-		}
+		// Placement is static, so the fold refuses nothing. It folds in
+		// arrival order, which keeps the whole simulation reproducible
+		// bit for bit.
+		out, _, _ := e.rankers[self].Fold(batch)
 		e.transmit(self, out)
 	})
 }
 
-// collect batches document d's pending delta per destination peer.
-func (e *TimedEngine) collect(self p2p.PeerID, d graph.NodeID, out map[p2p.PeerID][]p2p.Update) {
-	links := e.cur.OutLinks(d)
-	if len(links) == 0 {
-		e.st.markPushed(d)
-		return
-	}
-	share := e.st.share(d, e.st.pendingDelta(d))
-	if share == 0 {
-		e.st.markPushed(d)
-		return
-	}
-	for _, t := range links {
-		dest := e.net.PeerOf(t)
-		out[dest] = append(out[dest], p2p.Update{Doc: t, Delta: share})
-		if dest == self {
-			e.intraMsgs++
-		} else {
-			e.interMsgs++
-		}
-	}
-	e.st.markPushed(d)
-}
-
-// transmit ships each destination's batch: local batches cost only
-// compute; remote batches serialize through the sender's uplink.
-func (e *TimedEngine) transmit(self p2p.PeerID, out map[p2p.PeerID][]p2p.Update) {
-	// Deterministic order over map keys.
-	for dest := p2p.PeerID(0); int(dest) < e.net.NumPeers(); dest++ {
-		batch := out[dest]
-		if len(batch) == 0 {
+// transmit ships a ranker's outbox (slot PeerID+1 per destination), in
+// destination order: local batches cost only compute; remote batches
+// serialize through the sender's uplink. Each batch is copied, since it
+// is delivered after the ranker's next fold may have refilled the
+// outbox.
+func (e *TimedEngine) transmit(self p2p.PeerID, out [][]p2p.Update) {
+	for slot, us := range out {
+		if len(us) == 0 {
 			continue
 		}
+		dest, batch := p2p.PeerID(slot-1), slices.Clone(us)
 		if dest == self {
-			d, b := dest, batch
-			e.sim.After(0, func() { e.handleBatch(d, b) })
+			e.intraMsgs += int64(len(batch))
+			e.sim.After(0, func() { e.handleBatch(dest, batch) })
 			continue
 		}
+		e.interMsgs += int64(len(batch))
 		size := e.opt.BatchHeaderBytes + int64(len(batch))*p2p.UpdateWireBytes
-		d, b := dest, batch
-		e.uplinks[self].Send(&e.sim, size, func() { e.handleBatch(d, b) })
+		e.uplinks[self].Send(&e.sim, size, func() { e.handleBatch(dest, batch) })
 	}
 }

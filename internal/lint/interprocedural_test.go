@@ -117,10 +117,10 @@ const testGoMod = "module brokenmod\n\ngo 1.22\n"
 // lints.
 func TestLoadSurvivesParseError(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod":           testGoMod,
-		"bad/broken.go":    "package bad\n\nfunc oops( {\n",
-		"bad/fine.go":      "package bad\n\nfunc ok() int { return 1 }\n",
-		"good/good.go":     "package good\n\nfunc fine() {}\n",
+		"go.mod":        testGoMod,
+		"bad/broken.go": "package bad\n\nfunc oops( {\n",
+		"bad/fine.go":   "package bad\n\nfunc ok() int { return 1 }\n",
+		"good/good.go":  "package good\n\nfunc fine() {}\n",
 	})
 	loader := NewLoader()
 	pkgs, err := loader.LoadModule(dir)
@@ -144,9 +144,9 @@ func TestLoadSurvivesParseError(t *testing.T) {
 // dropped with diagnostics; sibling packages still lint.
 func TestLoadSurvivesTypeError(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod":          testGoMod,
-		"broken/bad.go":   "package broken\n\nfunc f() int { return undefinedName }\n",
-		"good/good.go":    "package good\n\nfunc fine() {}\n",
+		"go.mod":        testGoMod,
+		"broken/bad.go": "package broken\n\nfunc f() int { return undefinedName }\n",
+		"good/good.go":  "package good\n\nfunc fine() {}\n",
 	})
 	loader := NewLoader()
 	pkgs, err := loader.LoadModule(dir)
@@ -168,9 +168,9 @@ func TestLoadSurvivesTypeError(t *testing.T) {
 // excluded by build constraints is diagnosed, not fatal.
 func TestLoadSurvivesExcludedPackage(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod":        testGoMod,
-		"skip/skip.go":  "//go:build never_enabled_tag\n\npackage skip\n\nfunc f() {}\n",
-		"good/good.go":  "package good\n\nfunc fine() {}\n",
+		"go.mod":       testGoMod,
+		"skip/skip.go": "//go:build never_enabled_tag\n\npackage skip\n\nfunc f() {}\n",
+		"good/good.go": "package good\n\nfunc fine() {}\n",
 	})
 	loader := NewLoader()
 	pkgs, err := loader.LoadModule(dir)

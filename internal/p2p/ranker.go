@@ -1,0 +1,420 @@
+package p2p
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"dpr/internal/graph"
+	"dpr/internal/telemetry"
+)
+
+// Ranker is the per-peer chaotic-iteration state machine of the
+// paper's Figure 1 for the documents one peer holds: accumulate
+// in-link mass, recompute, and push d·Δ/outdeg to each out-link when
+// the rank moved past the ε test. It is the one asynchronous rank-push
+// loop in the repository — the TCP peer (internal/wire), the goroutine
+// engine and the event-simulated engine (internal/core) differ only in
+// who delivers a batch and when, never in how a peer folds one.
+//
+// All methods are safe for concurrent use, except that Fold's results
+// alias scratch the next Fold overwrites.
+//
+// Under dynamic membership the document set is mutable: Adopt appends
+// a departed peer's rows, Shed extracts rows for a joining peer, and
+// SetOwner rewrites the routing table. Each Ranker owns a private
+// route table so a membership change pushed to one peer can never race
+// another peer's routing reads.
+type Ranker struct {
+	id       PeerID
+	cur      graph.LinkCursor
+	teleport []float64 // constant term by document; nil means 1-damping
+	damping  float64
+	epsilon  float64
+	absolute bool
+
+	// mass mirrors sum(rank) into the telemetry registry: Set on
+	// (re)initialisation, Add on every fold/adopt/shed. Per-peer
+	// gauges merge into the cluster's total rank mass.
+	mass *telemetry.Gauge
+
+	mu sync.Mutex
+	// route holds one word per document: the index of the document's
+	// row when this peer holds it, else remoteWord(owner). A held row
+	// therefore always wins over whatever owner the table was told.
+	route []int32
+	docs  []graph.NodeID
+	base  []float64
+	rank  []float64
+	acc   []float64
+	last  []float64
+
+	// Fold scratch, reused from fold to fold. stamp[row] == gen marks a
+	// row dirty in the current fold.
+	stamp []uint32
+	gen   uint32
+	dirty []int32
+	out   [][]Update
+	fwd   []Update
+
+	recomputed int64
+}
+
+// remoteWord encodes "held by owner, no row here": NoPeer is -1, peer
+// 0 is -2, and so on, so ^word is the owner's outbox slot.
+func remoteWord(owner PeerID) int32 { return -2 - int32(owner) }
+
+// wordOwner decodes a route word into the owning peer.
+func (r *Ranker) wordOwner(w int32) PeerID {
+	if w >= 0 {
+		return r.id
+	}
+	return PeerID(-2 - w)
+}
+
+// cover grows the outbox to hold a slot for dest. Outboxes collect
+// updates per destination, indexed by PeerID+1: slot 0 takes updates
+// for documents no peer owns (NoPeer).
+func (r *Ranker) cover(dest PeerID) {
+	for int(dest)+1 >= len(r.out) {
+		r.out = append(r.out, nil)
+	}
+}
+
+// reuse empties a recycled buffer for refilling — unless its last fill
+// used under an eighth of the storage, which is then dropped, so each
+// stays sized by current traffic and not by its largest burst.
+func reuse[T any](s []T) []T {
+	if cap(s) > 1024 && cap(s) > 8*len(s) {
+		return nil
+	}
+	return s[:0]
+}
+
+// NewRanker builds peer id's ranker over the documents docs, reading
+// adjacency through cur (which the ranker then owns: cursors are not
+// safe for concurrent use) and routing by docPeer, the owner of every
+// document. teleport is the per-document constant term; nil means the
+// uniform 1-damping. absolute selects the absolute instead of the
+// relative ε test.
+func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []PeerID,
+	teleport []float64, damping, epsilon float64, absolute bool, mass *telemetry.Gauge) *Ranker {
+	r := &Ranker{
+		id:       id,
+		cur:      cur,
+		teleport: teleport,
+		damping:  damping,
+		epsilon:  epsilon,
+		absolute: absolute,
+		mass:     mass,
+		route:    make([]int32, len(docPeer)),
+		docs:     append([]graph.NodeID(nil), docs...),
+		base:     make([]float64, len(docs)),
+		rank:     make([]float64, len(docs)),
+		acc:      make([]float64, len(docs)),
+		last:     make([]float64, len(docs)),
+		stamp:    make([]uint32, len(docs)),
+	}
+	last := r.id
+	for d, owner := range docPeer {
+		r.route[d] = remoteWord(owner)
+		last = max(last, owner)
+	}
+	r.cover(last)
+	total := 0.0
+	for i, d := range docs {
+		r.route[d] = int32(i)
+		r.base[i] = r.baseOf(d)
+		r.rank[i] = r.base[i]
+		total += r.base[i]
+	}
+	r.mass.Set(total)
+	return r
+}
+
+// baseOf is document d's constant term.
+func (r *Ranker) baseOf(d graph.NodeID) float64 {
+	if r.teleport == nil {
+		return 1 - r.damping
+	}
+	return r.teleport[d]
+}
+
+// InitialOut builds the initial-push batches in an outbox of their
+// own: a caller may ship them while another goroutine is already
+// folding.
+func (r *Ranker) InitialOut() [][]Update {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([][]Update, len(r.out))
+	for i, d := range r.docs {
+		r.collectLocked(int32(i), d, out)
+	}
+	r.recomputed += int64(len(r.docs))
+	return out
+}
+
+// Fold applies a batch of updates and returns the consequent batches,
+// the updates for documents this peer does not hold, and the delta
+// mass it did fold. Misrouted updates are NOT dropped — under dynamic
+// membership they raced an ownership migration, and the caller must
+// forward them to the current owner so no rank mass is ever lost.
+//
+// out (indexed by PeerID+1) and fwd are the ranker's scratch, valid
+// until the next Fold. The batch may be the previous fold's
+// self-directed slot of out: it is read to the end before out is
+// refilled.
+//
+//dpr:hotpath
+func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gen++
+	if r.gen == 0 { // uint32 wrap: forget every stamp the slow way
+		clear(r.stamp)
+		r.gen = 1
+	}
+	dirty, fwd := reuse(r.dirty), reuse(r.fwd)
+	for _, u := range batch {
+		if uint32(u.Doc) >= uint32(len(r.route)) || r.route[u.Doc] < 0 {
+			fwd = append(fwd, u)
+			continue
+		}
+		i := r.route[u.Doc]
+		r.acc[i] += u.Delta
+		folded += u.Delta
+		if r.stamp[i] != r.gen {
+			r.stamp[i] = r.gen
+			dirty = append(dirty, i)
+		}
+	}
+	for slot := range r.out {
+		r.out[slot] = reuse(r.out[slot])
+	}
+	massDelta := 0.0
+	for _, i := range dirty {
+		old := r.rank[i]
+		fresh := r.base[i] + r.acc[i]
+		r.rank[i] = fresh
+		massDelta += fresh - old
+		diff := math.Abs(fresh - old)
+		if !r.absolute {
+			denom := math.Abs(fresh)
+			if denom == 0 {
+				denom = 1
+			}
+			diff /= denom
+		}
+		if diff > r.epsilon {
+			r.collectLocked(i, r.docs[i], r.out)
+		}
+	}
+	if massDelta != 0 {
+		r.mass.Add(massDelta)
+	}
+	r.recomputed += int64(len(dirty))
+	r.dirty, r.fwd = dirty, fwd
+	return r.out, fwd, folded
+}
+
+// collectLocked batches document d's pending delta per destination.
+// Caller holds mu; out covers every owner the route table names.
+//
+//dpr:hotpath
+func (r *Ranker) collectLocked(i int32, d graph.NodeID, out [][]Update) {
+	links := r.cur.OutLinks(d)
+	if len(links) == 0 {
+		r.last[i] = r.rank[i]
+		return
+	}
+	share := r.damping * (r.rank[i] - r.last[i]) / float64(len(links))
+	if share == 0 {
+		r.last[i] = r.rank[i]
+		return
+	}
+	self := int32(r.id) + 1
+	for _, t := range links {
+		slot := self
+		if w := r.route[t]; w < 0 {
+			slot = ^w
+		}
+		out[slot] = append(out[slot], Update{Doc: t, Delta: share})
+	}
+	r.last[i] = r.rank[i]
+}
+
+// ForwardOut sorts updates a fold refused by their documents' current
+// owners, in an outbox of its own; documents held by now (adopted
+// between fold and forward) land in this peer's own slot. Updates with
+// no resolvable owner — nobody's, or this peer's by a transiently
+// inconsistent table but without a row — are counted in dropped.
+func (r *Ranker) ForwardOut(fwd []Update) (out [][]Update, dropped int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out = make([][]Update, len(r.out))
+	for _, u := range fwd {
+		w := remoteWord(NoPeer)
+		if uint32(u.Doc) < uint32(len(r.route)) {
+			w = r.route[u.Doc]
+		}
+		owner := r.wordOwner(w)
+		if w < 0 && (owner == r.id || owner == NoPeer) {
+			dropped++
+			continue
+		}
+		out[owner+1] = append(out[owner+1], u)
+	}
+	return out, dropped
+}
+
+// OwnerTable returns a snapshot of the routing table, decoded.
+func (r *Ranker) OwnerTable() []PeerID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	table := make([]PeerID, len(r.route))
+	for d, w := range r.route {
+		table[d] = r.wordOwner(w)
+	}
+	return table
+}
+
+// RerouteOwner repoints every routing entry held by from at to,
+// except documents this ranker itself holds. Used when a merged view
+// reveals that a slot's range moved (departed peer with a forwarding
+// successor, or a fenced slot reconciled to a higher-epoch owner).
+func (r *Ranker) RerouteOwner(from, to PeerID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cover(to)
+	for d, w := range r.route {
+		if w == remoteWord(from) {
+			r.route[d] = remoteWord(to)
+		}
+	}
+}
+
+// SetOwner points the routing table entries for docs at owner. New
+// outbound updates for those documents route to the new owner from
+// the next fold on. Documents this ranker holds keep their rows: rows
+// only ever leave through Shed.
+func (r *Ranker) SetOwner(docs []graph.NodeID, owner PeerID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cover(owner)
+	for _, d := range docs {
+		if uint32(d) < uint32(len(r.route)) && r.route[d] < 0 {
+			r.route[d] = remoteWord(owner)
+		}
+	}
+}
+
+// Adopt appends a migrated document range: the rows arrive mid-flight
+// from a handoff snapshot and continue exactly where the previous
+// owner's last fold left them (rank/acc committed, last marking what
+// has already been pushed downstream). Adopted docs are immediately
+// marked self-owned in the routing table.
+func (r *Ranker) Adopt(docs []graph.NodeID, rank, acc, last []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	adopted := 0.0
+	for i, d := range docs {
+		if uint32(d) >= uint32(len(r.route)) || r.route[d] >= 0 {
+			continue // already ours (e.g. replayed handoff); keep our state
+		}
+		r.route[d] = int32(len(r.docs))
+		r.docs = append(r.docs, d)
+		r.base = append(r.base, r.baseOf(d))
+		r.rank = append(r.rank, rank[i])
+		r.acc = append(r.acc, acc[i])
+		r.last = append(r.last, last[i])
+		r.stamp = append(r.stamp, 0)
+		adopted += rank[i]
+	}
+	if adopted != 0 {
+		r.mass.Add(adopted)
+	}
+}
+
+// Shed extracts the rows for docs (handing them to a joining peer) and
+// atomically repoints the routing table at newOwner, so an update for
+// a shed document arriving in the very next fold is forwarded rather
+// than folded into state that already left.
+func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []float64, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rank = make([]float64, len(docs))
+	acc = make([]float64, len(docs))
+	last = make([]float64, len(docs))
+	extracted := 0.0
+	for i, d := range docs {
+		if uint32(d) >= uint32(len(r.route)) || r.route[d] < 0 {
+			return nil, nil, nil, fmt.Errorf("p2p: peer %d cannot shed doc %d it does not own", r.id, d)
+		}
+		j := r.route[d]
+		rank[i], acc[i], last[i] = r.rank[j], r.acc[j], r.last[j]
+		extracted += rank[i]
+	}
+	r.cover(newOwner)
+	for _, d := range docs {
+		r.route[d] = remoteWord(newOwner)
+	}
+	// Close the gaps: a row stays iff the route table still points into
+	// the rows, and is renumbered as it moves down.
+	keep := 0
+	for j, d := range r.docs {
+		if r.route[d] < 0 {
+			continue
+		}
+		r.route[d] = int32(keep)
+		r.docs[keep], r.base[keep], r.rank[keep], r.acc[keep], r.last[keep] = d, r.base[j], r.rank[j], r.acc[j], r.last[j]
+		keep++
+	}
+	r.docs, r.base, r.rank, r.acc, r.last = r.docs[:keep], r.base[:keep], r.rank[:keep], r.acc[:keep], r.last[:keep]
+	r.stamp = r.stamp[:keep]
+	clear(r.stamp)
+	if extracted != 0 {
+		r.mass.Add(-extracted)
+	}
+	return rank, acc, last, nil
+}
+
+// Ranks returns copies of the held documents and their ranks, row by
+// row, for collection.
+func (r *Ranker) Ranks() ([]graph.NodeID, []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.rank...)
+}
+
+// Rows copies out the durable state: the held documents and, row by
+// row, their rank, accumulated in-link mass and last-pushed rank.
+func (r *Ranker) Rows() (docs []graph.NodeID, rank, acc, last []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.rank...),
+		append([]float64(nil), r.acc...), append([]float64(nil), r.last...)
+}
+
+// SetRows copies rows saved by Rows back in over the same document
+// set (a checkpoint restore) and re-bases the mass gauge on them.
+func (r *Ranker) SetRows(rank, acc, last []float64) {
+	r.mu.Lock()
+	copy(r.rank, rank)
+	copy(r.acc, acc)
+	copy(r.last, last)
+	total := 0.0
+	for _, v := range r.rank {
+		total += v
+	}
+	r.mu.Unlock()
+	r.mass.Set(total)
+}
+
+// Recomputed returns how many document recomputes (initial pushes
+// included) the ranker has performed: the work unit the race harness
+// normalizes into equivalent passes.
+func (r *Ranker) Recomputed() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recomputed
+}

@@ -120,15 +120,8 @@ type UnackedFrame struct {
 // stopped the peer's goroutines first (stop), so every field is
 // quiescent.
 func (p *Peer) snapshot() *PeerSnapshot {
-	docs, _ := p.rk.snapshotRanks()
-	s := &PeerSnapshot{
-		ID:        p.cfg.ID,
-		Docs:      docs,
-		Rank:      append([]float64(nil), p.rk.rank...),
-		Acc:       append([]float64(nil), p.rk.acc...),
-		Last:      append([]float64(nil), p.rk.last...),
-		PeerStats: p.m.stats(),
-	}
+	docs, rank, acc, last := p.rk.Rows()
+	s := &PeerSnapshot{ID: p.cfg.ID, Docs: docs, Rank: rank, Acc: acc, Last: last, PeerStats: p.m.stats()}
 	for _, vs := range p.view() {
 		s.Epochs = append(s.Epochs, vs.Epoch)
 	}
@@ -220,15 +213,12 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 		return nil, err
 	}
 	p.restored = true
-	copy(p.rk.rank, snap.Rank)
-	copy(p.rk.acc, snap.Acc)
-	copy(p.rk.last, snap.Last)
+	p.rk.SetRows(snap.Rank, snap.Acc, snap.Last)
 	// The config's epoch vector (the cluster's current view) and the
 	// snapshot's (what the peer saw before the crash) can each be ahead
 	// on different slots; mergeTables keeps the higher.
 	p.mergeTables(snap)
 	p.m.restore(snap.PeerStats)
-	p.rk.resetMass()
 	var self []p2p.Update
 	for _, ob := range snap.Outbound {
 		if ob.Src == cfg.ID && ob.Dest == cfg.ID {

@@ -819,7 +819,7 @@ func (c *Cluster) collectAll() []float64 {
 	visit(slots,
 		func(s slot) {
 			if err := collectRanks(c.cfg.Transport, s.addr, ranks); err != nil {
-				put(s.peer.rk.snapshotRanks())
+				put(s.peer.rk.Ranks())
 			}
 		},
 		func(snap *PeerSnapshot) { put(snap.Docs, snap.Rank) })

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"cmp"
 	"math"
 	"net"
 	"slices"
@@ -11,295 +10,7 @@ import (
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
-	"dpr/internal/rng"
-	"dpr/internal/telemetry"
 )
-
-// modelRanker is the reference the ranker is checked against: the
-// rows and the routing table as two plain maps, one fold at a time.
-type modelRanker struct {
-	id           p2p.PeerID
-	g            *graph.Graph
-	damping, eps float64
-	owner        map[graph.NodeID]p2p.PeerID
-	row          map[graph.NodeID]*[3]float64 // rank, acc, last
-}
-
-// dest is where an update for d goes: a held row wins over the table.
-func (m *modelRanker) dest(d graph.NodeID) p2p.PeerID {
-	if m.row[d] != nil {
-		return m.id
-	}
-	if o, ok := m.owner[d]; ok {
-		return o
-	}
-	return p2p.NoPeer
-}
-
-func (m *modelRanker) fold(batch []p2p.Update) (out map[p2p.PeerID][]p2p.Update, fwd []p2p.Update) {
-	out = make(map[p2p.PeerID][]p2p.Update)
-	before := make(map[graph.NodeID]float64)
-	for _, u := range batch {
-		r := m.row[u.Doc]
-		if r == nil {
-			fwd = append(fwd, u)
-			continue
-		}
-		if _, seen := before[u.Doc]; !seen {
-			before[u.Doc] = r[0]
-		}
-		r[1] += u.Delta
-	}
-	for d, old := range before {
-		r := m.row[d]
-		r[0] = (1 - m.damping) + r[1]
-		if math.Abs(r[0]-old)/cmp.Or(math.Abs(r[0]), 1) <= m.eps {
-			continue
-		}
-		links := m.g.OutLinks(d)
-		if share := m.damping * (r[0] - r[2]) / float64(len(links)); len(links) > 0 && share != 0 {
-			for _, t := range links {
-				out[m.dest(t)] = append(out[m.dest(t)], p2p.Update{Doc: t, Delta: share})
-			}
-		}
-		r[2] = r[0]
-	}
-	return out, fwd
-}
-
-func sortedUpdates(us []p2p.Update) []p2p.Update {
-	us = slices.Clone(us)
-	slices.SortFunc(us, func(a, b p2p.Update) int {
-		return cmp.Or(cmp.Compare(a.Doc, b.Doc), cmp.Compare(a.Delta, b.Delta))
-	})
-	return us
-}
-
-// sameOut compares an outbox with the model's per-destination batches
-// as multisets.
-func sameOut(t *testing.T, step int, got outbox, want map[p2p.PeerID][]p2p.Update) {
-	t.Helper()
-	for slot, us := range got {
-		dest := p2p.PeerID(slot - 1)
-		if !slices.Equal(sortedUpdates(us), sortedUpdates(want[dest])) {
-			t.Fatalf("step %d: updates for peer %d = %v, model has %v", step, dest, sortedUpdates(us), sortedUpdates(want[dest]))
-		}
-		delete(want, dest)
-	}
-	for dest, us := range want {
-		if len(us) > 0 {
-			t.Fatalf("step %d: no outbox slot for peer %d, model has %v", step, dest, us)
-		}
-	}
-}
-
-// TestRankerMatchesMapModel drives the ranker and the map model
-// through the same random folds (with their self-directed chains),
-// adoptions, sheds, ownership pushes, reroutes and forwards, and
-// requires identical rows and identical per-destination update
-// multisets after every step — including for owners past the end of
-// the table the ranker was built with, and for documents outside the
-// graph.
-func TestRankerMatchesMapModel(t *testing.T) {
-	const docs, self = 96, p2p.PeerID(1)
-	damping := 0.85 // a variable: 1-damping must round at run time, as the ranker's does
-	for seed := uint64(1); seed <= 20; seed++ {
-		r := rng.New(seed)
-		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
-		cfg := PeerConfig{ID: self, Graph: g, Damping: damping, Epsilon: 1e-3, DocPeer: make([]p2p.PeerID, docs)}
-		m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3,
-			owner: make(map[graph.NodeID]p2p.PeerID), row: make(map[graph.NodeID]*[3]float64)}
-		for d := range cfg.DocPeer {
-			cfg.DocPeer[d] = p2p.PeerID(r.Intn(4))
-			m.owner[graph.NodeID(d)] = cfg.DocPeer[d]
-			if cfg.DocPeer[d] == self {
-				cfg.Docs = append(cfg.Docs, graph.NodeID(d))
-				m.row[graph.NodeID(d)] = &[3]float64{1 - damping, 0, 0}
-			}
-		}
-		rk := newRanker(cfg, telemetry.NewRegistry().Gauge("mass"))
-		sameOut(t, 0, rk.initialOut(), func() map[p2p.PeerID][]p2p.Update {
-			// The initial push is a fold of nothing that collects every row.
-			out := make(map[p2p.PeerID][]p2p.Update)
-			for d, row := range m.row {
-				for _, t := range g.OutLinks(d) {
-					out[m.dest(t)] = append(out[m.dest(t)], p2p.Update{Doc: t, Delta: damping * row[0] / float64(len(g.OutLinks(d)))})
-				}
-				row[2] = row[0]
-			}
-			return out
-		}())
-		held := func() (ds []graph.NodeID) {
-			for d := range m.row {
-				ds = append(ds, d)
-			}
-			slices.Sort(ds)
-			return ds
-		}
-		for step := 1; step <= 300; step++ {
-			switch op := r.Intn(10); {
-			case op < 6: // fold a batch, then the chain of self-directed consequences
-				batch := make([]p2p.Update, 1+r.Intn(40))
-				for i := range batch {
-					batch[i] = p2p.Update{Doc: graph.NodeID(r.Intn(docs+4) - 2), Delta: r.Float64() - 0.3}
-				}
-				for len(batch) > 0 {
-					out, fwd, folded := rk.fold(batch)
-					wantOut, wantFwd := m.fold(batch)
-					want := 0.0
-					for _, u := range batch {
-						want += u.Delta
-					}
-					for _, u := range wantFwd {
-						want -= u.Delta
-					}
-					if !slices.Equal(fwd, wantFwd) || math.Abs(folded-want) > 1e-9 {
-						t.Fatalf("seed %d step %d: fold refused %v and folded %v, model %v and %v", seed, step, fwd, folded, wantFwd, want)
-					}
-					sameOut(t, step, out, maps(wantOut))
-					// Forward what the fold refused, by the current table.
-					fout, dropped := rk.forwardOut(fwd)
-					wantF, wantDropped := make(map[p2p.PeerID][]p2p.Update), 0
-					for _, u := range wantFwd {
-						if o := m.dest(u.Doc); o == p2p.NoPeer || (o == self && m.row[u.Doc] == nil) {
-							wantDropped++
-						} else {
-							wantF[o] = append(wantF[o], u)
-						}
-					}
-					if dropped != wantDropped {
-						t.Fatalf("seed %d step %d: forward dropped %d, model %d", seed, step, dropped, wantDropped)
-					}
-					sameOut(t, step, fout, wantF)
-					batch = slices.Clone(out[self+1])
-				}
-			case op < 7: // adopt rows, some of them already held
-				var ds []graph.NodeID
-				var rank, acc, last []float64
-				for i := r.Intn(6); i >= 0; i-- {
-					d := graph.NodeID(r.Intn(docs))
-					if slices.Contains(ds, d) {
-						continue
-					}
-					ds = append(ds, d)
-					rank, acc, last = append(rank, r.Float64()), append(acc, r.Float64()), append(last, r.Float64())
-					if m.row[d] == nil {
-						m.row[d] = &[3]float64{rank[len(rank)-1], acc[len(acc)-1], last[len(last)-1]}
-					}
-				}
-				rk.adopt(ds, rank, acc, last)
-			case op < 8: // shed held rows to a peer the table may never have seen
-				hs := held()
-				if len(hs) == 0 {
-					continue
-				}
-				r.Shuffle(len(hs), func(i, j int) { hs[i], hs[j] = hs[j], hs[i] })
-				hs = hs[:1+r.Intn(min(len(hs), 5))]
-				to := p2p.PeerID(r.Intn(7))
-				rank, acc, last, err := rk.shed(hs, to)
-				if err != nil {
-					t.Fatalf("seed %d step %d: shed: %v", seed, step, err)
-				}
-				for i, d := range hs {
-					if row := m.row[d]; rank[i] != row[0] || acc[i] != row[1] || last[i] != row[2] {
-						t.Fatalf("seed %d step %d: shed doc %d as (%v %v %v), model row %v", seed, step, d, rank[i], acc[i], last[i], *row)
-					}
-					delete(m.row, d)
-					m.owner[d] = to
-				}
-				if _, _, _, err := rk.shed([]graph.NodeID{hs[0]}, to); err == nil {
-					t.Fatalf("seed %d step %d: shed a row twice", seed, step)
-				}
-			case op < 9: // ownership push: held rows keep their rows
-				ds := make([]graph.NodeID, 1+r.Intn(8))
-				to := p2p.PeerID(r.Intn(7))
-				for i := range ds {
-					ds[i] = graph.NodeID(r.Intn(docs))
-					if m.row[ds[i]] == nil {
-						m.owner[ds[i]] = to
-					}
-				}
-				rk.setOwner(ds, to)
-			default: // a departed slot's range moves on
-				from, to := p2p.PeerID(r.Intn(7)), p2p.PeerID(r.Intn(7))
-				for d, o := range m.owner {
-					if o == from && m.row[d] == nil {
-						m.owner[d] = to
-					}
-				}
-				rk.rerouteOwner(from, to)
-			}
-			table, mass := rk.ownerTable(), 0.0
-			for d := graph.NodeID(0); d < docs; d++ {
-				if table[d] != m.dest(d) {
-					t.Fatalf("seed %d step %d: doc %d routed to %d, model %d", seed, step, d, table[d], m.dest(d))
-				}
-			}
-			if len(rk.docs) != len(m.row) {
-				t.Fatalf("seed %d step %d: %d rows, model %d", seed, step, len(rk.docs), len(m.row))
-			}
-			for i, d := range rk.docs {
-				if row := m.row[d]; row == nil || rk.rank[i] != row[0] || rk.acc[i] != row[1] || rk.last[i] != row[2] {
-					t.Fatalf("seed %d step %d: row of doc %d = (%v %v %v), model %v", seed, step, d, rk.rank[i], rk.acc[i], rk.last[i], row)
-				}
-				mass += rk.rank[i]
-			}
-			if got := rk.mass.Load(); math.Abs(got-mass) > 1e-9 {
-				t.Fatalf("seed %d step %d: mass gauge %v, rows sum to %v", seed, step, got, mass)
-			}
-		}
-	}
-}
-
-// maps drops the model's empty batches, which the outbox cannot tell
-// from absent ones.
-func maps(m map[p2p.PeerID][]p2p.Update) map[p2p.PeerID][]p2p.Update {
-	for k, v := range m {
-		if len(v) == 0 {
-			delete(m, k)
-		}
-	}
-	return m
-}
-
-// foldFixture is a ranker holding an eighth of a power-law graph, as a
-// peer of an 8-peer cluster does, and a batch that touches its rows the
-// way a round of inbound frames does.
-func foldFixture(tb testing.TB, docs, batch int) (*ranker, []p2p.Update) {
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 7))
-	cfg := PeerConfig{ID: 3, Graph: g, Damping: 0.85, Epsilon: 1e-3, DocPeer: make([]p2p.PeerID, docs)}
-	for d := range cfg.DocPeer {
-		if cfg.DocPeer[d] = p2p.PeerID(d % 8); cfg.DocPeer[d] == 3 {
-			cfg.Docs = append(cfg.Docs, graph.NodeID(d))
-		}
-	}
-	r := rng.New(11)
-	us := make([]p2p.Update, batch)
-	for i := range us {
-		us[i] = p2p.Update{Doc: cfg.Docs[r.Intn(len(cfg.Docs))], Delta: 0.01}
-	}
-	return newRanker(cfg, telemetry.NewRegistry().Gauge("mass")), us
-}
-
-func TestRankerWarmFoldAllocatesNothing(t *testing.T) {
-	rk, us := foldFixture(t, 20000, 4096)
-	rk.fold(us)
-	if allocs := testing.AllocsPerRun(20, func() { rk.fold(us) }); allocs != 0 {
-		t.Fatalf("warm fold allocates %v times, want 0", allocs)
-	}
-}
-
-// BenchmarkRankerFold is the receiver-side cost of one update: routed
-// to its row, accumulated, and its document's consequences collected
-// per destination.
-func BenchmarkRankerFold(b *testing.B) {
-	rk, us := foldFixture(b, 100000, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(us) {
-		rk.fold(us)
-	}
-}
 
 func TestBatchEpochCodecAllocations(t *testing.T) {
 	us := make([]p2p.Update, 4096)
@@ -539,7 +250,7 @@ func TestKillKeepsSelfDirectedInboxItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.stop() // the crash; what follows is what Kill finds in the inbox
-	self := p.ship(p.rk.initialOut(), true)
+	self := p.ship(p.rk.InitialOut(), true)
 	p.bulk <- inItem{from: 0, us: slices.Clone(self)}
 	var blob bytes.Buffer
 	if err := EncodeSnapshot(p.snapshot(), &blob); err != nil {
@@ -565,7 +276,7 @@ func TestKillKeepsSelfDirectedInboxItems(t *testing.T) {
 	})
 	st := q.Stats()
 	assertNoMassLost(t, ClusterResult{PeerStats: st})
-	_, ranks := q.rk.snapshotRanks()
+	_, ranks := q.rk.Ranks()
 	assertRanksMatch(t, cfg.Graph, ranks, 1e-3)
 }
 

@@ -33,7 +33,7 @@ func assertSingleOwnership(t *testing.T, c *Cluster) {
 	for _, s := range slots {
 		switch {
 		case s.peer != nil:
-			docs, _ := s.peer.rk.snapshotRanks()
+			docs, _ := s.peer.rk.Ranks()
 			for _, d := range docs {
 				owners[d]++
 			}
@@ -356,7 +356,7 @@ func TestEpochNackRequeuesUpdates(t *testing.T) {
 	assertNoMassLost(t, ClusterResult{PeerStats: st})
 	ranks := make([]float64, 4)
 	for _, p := range []*Peer{a, b} {
-		docs, rs := p.rk.snapshotRanks()
+		docs, rs := p.rk.Ranks()
 		for i, d := range docs {
 			ranks[d] = rs[i]
 		}

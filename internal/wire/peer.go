@@ -171,7 +171,7 @@ type stream struct {
 type Peer struct {
 	cfg   PeerConfig
 	retry RetryPolicy
-	rk    *ranker
+	rk    *p2p.Ranker
 	ln    net.Listener
 	addr  string
 
@@ -320,7 +320,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	p := &Peer{
 		cfg:      cfg,
 		retry:    cfg.Retry.withDefaults(),
-		rk:       newRanker(cfg, m.rankMass),
+		rk:       p2p.NewRanker(cfg.ID, cfg.Graph, cfg.Docs, cfg.DocPeer, nil, cfg.Damping, cfg.Epsilon, false, m.rankMass),
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		senders:  make(map[stream]*sender),
@@ -457,7 +457,7 @@ func (p *Peer) mergeView(v View) {
 	rerouted := false
 	for _, slot := range newlyGone {
 		if to := merged.resolve(slot); to != slot {
-			p.rk.rerouteOwner(slot, to)
+			p.rk.RerouteOwner(slot, to)
 			rerouted = true
 		}
 	}
@@ -502,7 +502,7 @@ func (p *Peer) Start() {
 	// Initial push of every owned document's starting rank. Self-
 	// directed updates enter through the bulk lane; the processing
 	// loop is already running, so the buffered channel drains.
-	if self := p.ship(p.rk.initialOut(), true); len(self) > 0 {
+	if self := p.ship(p.rk.InitialOut(), true); len(self) > 0 {
 		select {
 		case p.bulk <- inItem{from: p.cfg.ID, us: self}:
 		case <-p.quit:
@@ -676,7 +676,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 				return
 			}
 		case frameRanksReq:
-			docs, ranks := p.rk.snapshotRanks()
+			docs, ranks := p.rk.Ranks()
 			if err := cw.write(frameRanks, encodeRanks(docs, ranks)); err != nil {
 				return
 			}
@@ -843,10 +843,10 @@ func (p *Peer) admit(it *inItem) bool {
 // handle folds a batch, ships remote consequences, forwards updates
 // for documents that migrated away, and returns the self-directed
 // ones for the caller to fold next: the ranker's own outbox slot,
-// which only the next handle may be given (see ranker.fold).
+// which only the next handle may be given (see p2p.Ranker.Fold).
 func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
 	n := len(batch) // batch may alias the outbox the fold is about to refill
-	out, fwd, folded := p.rk.fold(batch)
+	out, fwd, folded := p.rk.Fold(batch)
 	self := p.ship(out, true)
 	if len(fwd) > 0 {
 		self = append(self, p.forward(fwd)...)
@@ -866,7 +866,7 @@ func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
 // never observe processed > sent. originated marks freshly minted
 // deltas, which count toward the shipped-mass conservation total;
 // forwarded mass was counted at its origin.
-func (p *Peer) ship(out outbox, originated bool) []p2p.Update {
+func (p *Peer) ship(out [][]p2p.Update, originated bool) []p2p.Update {
 	var self []p2p.Update
 	shipped, n := 0.0, 0
 	for slot, us := range out {
@@ -900,7 +900,7 @@ func (p *Peer) ship(out outbox, originated bool) []p2p.Update {
 // but the fold refused (a transiently inconsistent table) are counted
 // in misdropped, which the conservation check treats as lost mass.
 func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
-	out, dropped := p.rk.forwardOut(fwd)
+	out, dropped := p.rk.ForwardOut(fwd)
 	p.m.misdropped.Add(uint64(dropped)) // no resolvable owner; surfaced in stats
 	p.m.forwarded.Add(uint64(len(fwd)))
 	return p.ship(out, false)
@@ -970,7 +970,7 @@ func (p *Peer) newSender(st stream) *sender {
 // migrated.
 func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 	p.SetView(v)
-	p.rk.setOwner(docs, owner)
+	p.rk.SetOwner(docs, owner)
 	p.reroute(nil, true)
 	p.wakeSenders()
 }
@@ -986,7 +986,7 @@ func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 // no resolvable owner, go through the inbox, where handle folds or
 // forwards them.
 func (p *Peer) reroute(us []p2p.Update, queued bool) {
-	table := p.rk.ownerTable()
+	table := p.rk.OwnerTable()
 	var selfUs []p2p.Update
 	merged := 0
 	place := func(us []p2p.Update) {
@@ -1067,7 +1067,7 @@ func (p *Peer) Adopt(s *PeerSnapshot) error {
 		return fmt.Errorf("wire: nil handoff")
 	}
 	return p.control(func() {
-		p.rk.adopt(s.Docs, s.Rank, s.Acc, s.Last)
+		p.rk.Adopt(s.Docs, s.Rank, s.Acc, s.Last)
 		p.mergeTables(s)
 		for _, ob := range s.Outbound {
 			if len(ob.Unacked) > 0 {
@@ -1155,7 +1155,7 @@ func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last [
 		rank, acc, last []float64
 		err             error
 	}
-	if err := p.control(func() { r.rank, r.acc, r.last, r.err = p.rk.shed(docs, newOwner) }); err != nil {
+	if err := p.control(func() { r.rank, r.acc, r.last, r.err = p.rk.Shed(docs, newOwner) }); err != nil {
 		return nil, nil, nil, err
 	}
 	return r.rank, r.acc, r.last, r.err

@@ -296,7 +296,7 @@ func TestForwardChainResolvesOnce(t *testing.T) {
 	}
 	defer p.Close()
 	p.mergeView(v)
-	if got, want := p.rk.ownerTable(), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
+	if got, want := p.rk.OwnerTable(), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
 		t.Errorf("owner table after the merge %v, want %v", got, want)
 	}
 	for _, slot := range []p2p.PeerID{0, 1} {
