@@ -92,12 +92,13 @@ bench-pipeline:
 	$(GO) test -run XXX -bench BenchmarkRunPassParallel -benchmem .
 
 # The three per-update stages of the live cluster's rank-update path —
-# ranker fold and retry-queue coalesce + drain (internal/p2p), batch
-# frame codec (internal/wire) — with allocation counts. BENCHTIME=1x is
+# ranker fold (and the per-row cost of a threshold-stage sweep) and
+# retry-queue coalesce + drain (internal/p2p), batch frame codec
+# (internal/wire) — with allocation counts. BENCHTIME=1x is
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
 	$(GO) test -run XXX -bench BenchmarkBatchEpochCodec -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md):

@@ -20,12 +20,15 @@ import (
 // every message increments an in-flight counter before it is enqueued
 // and decrements it only after the receiving peer has processed it and
 // sent all consequent messages. The counter reaching zero therefore
-// proves global quiescence. The engine assumes a fully available
-// network; churn experiments use the PassEngine, whose pass boundary
-// is where the paper's leave/join model is defined.
+// proves global quiescence — of one push-threshold stage: Run relaxes
+// every ranker to the next, and quiescence at ε ends it. The engine
+// assumes a fully available network; churn experiments use the
+// PassEngine, whose pass boundary is where the paper's leave/join model
+// is defined.
 type AsyncEngine struct {
 	g       graph.Linker
 	damping float64
+	epsilon float64
 
 	// rankers holds one per-peer state machine — the kernel the TCP
 	// peer runs (p2p.Ranker). The engine only delivers batches between
@@ -34,8 +37,7 @@ type AsyncEngine struct {
 
 	boxes    []*mailbox
 	inflight atomic.Int64
-	done     chan struct{}
-	doneOnce sync.Once
+	quiet    chan struct{} // one token each time inflight reaches zero
 
 	interMsgs atomic.Int64
 	intraMsgs atomic.Int64
@@ -95,7 +97,7 @@ func newRankers(g graph.Linker, net *p2p.Network, opt Options) ([]*p2p.Ranker, e
 	rankers := make([]*p2p.Ranker, net.NumPeers())
 	for p := range rankers {
 		rankers[p] = p2p.NewRanker(p2p.PeerID(p), graph.CursorFor(g), net.Docs(p2p.PeerID(p)), docPeer,
-			base, opt.Damping, opt.Epsilon, opt.Absolute, new(telemetry.Gauge))
+			base, opt.Damping, opt.Epsilon, p2p.StartThreshold(opt.Epsilon), opt.Absolute, new(telemetry.Gauge))
 	}
 	return rankers, nil
 }
@@ -120,7 +122,7 @@ func NewAsyncEngine(g graph.Linker, net *p2p.Network, opt Options) (*AsyncEngine
 	if err != nil {
 		return nil, err
 	}
-	e := &AsyncEngine{g: g, damping: opt.Damping, rankers: rankers, done: make(chan struct{})}
+	e := &AsyncEngine{g: g, damping: opt.Damping, epsilon: opt.Epsilon, rankers: rankers, quiet: make(chan struct{}, 1)}
 	e.boxes = make([]*mailbox, len(rankers))
 	for i := range e.boxes {
 		e.boxes[i] = newMailbox()
@@ -142,7 +144,16 @@ func (e *AsyncEngine) Run() Result {
 	for p := 0; p < numPeers; p++ {
 		go e.peerLoop(p2p.PeerID(p), quit, &wg)
 	}
-	<-e.done
+	<-e.quiet
+	for thr := p2p.StartThreshold(e.epsilon); thr > e.epsilon; <-e.quiet {
+		thr = p2p.NextThreshold(thr, e.epsilon)
+		// The sweep's own credit: no zero before the last peer's pushes are out.
+		e.addCredit(1)
+		for p, rk := range e.rankers {
+			e.send(p2p.PeerID(p), rk.Relax(thr))
+		}
+		e.settleCredit(1)
+	}
 	close(quit)
 	wg.Wait()
 
@@ -166,7 +177,7 @@ func (e *AsyncEngine) Batches() int64 { return e.batches.Load() }
 func (e *AsyncEngine) addCredit(n int) { e.inflight.Add(int64(n)) }
 func (e *AsyncEngine) settleCredit(n int) {
 	if e.inflight.Add(-int64(n)) == 0 {
-		e.doneOnce.Do(func() { close(e.done) })
+		e.quiet <- struct{}{}
 	}
 }
 

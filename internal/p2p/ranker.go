@@ -11,11 +11,17 @@ import (
 
 // Ranker is the per-peer chaotic-iteration state machine of the
 // paper's Figure 1 for the documents one peer holds: accumulate
-// in-link mass, recompute, and push d·Δ/outdeg to each out-link when
-// the rank moved past the ε test. It is the one asynchronous rank-push
-// loop in the repository — the TCP peer (internal/wire), the goroutine
-// engine and the event-simulated engine (internal/core) differ only in
-// who delivers a batch and when, never in how a peer folds one.
+// in-link mass, recompute, and push d·Δ/outdeg to each out-link. It is
+// the one asynchronous rank-push loop in the repository — the TCP peer
+// (internal/wire), the goroutine engine and the event-simulated engine
+// (internal/core) differ only in who delivers a batch and when, never
+// in how a peer folds one.
+//
+// The push test is on the un-pushed residual |rank − last| (D-Iteration's
+// remaining fluid), not on the distance between successive recomputes,
+// and against a threshold that only falls, from StartThreshold to the
+// floor ε: the driver takes it one NextThreshold step down, through
+// Relax, each time its network runs quiet (DESIGN.md §4).
 //
 // All methods are safe for concurrent use, except that Fold's results
 // alias scratch the next Fold overwrites.
@@ -48,6 +54,7 @@ type Ranker struct {
 	rank  []float64
 	acc   []float64
 	last  []float64
+	thr   float64 // push threshold in force, never below epsilon
 
 	// Fold scratch, reused from fold to fold. stamp[row] == gen marks a
 	// row dirty in the current fold.
@@ -59,6 +66,15 @@ type Ranker struct {
 
 	recomputed int64
 }
+
+// The threshold schedule: the first stage pushes only residuals past
+// pushStart, each later one multiplies the threshold by pushRelax, and ε
+// is the floor.
+const pushStart, pushRelax = 0.5, 0.5
+
+// StartThreshold is the first stage, NextThreshold the one after thr.
+func StartThreshold(epsilon float64) float64     { return max(epsilon, pushStart) }
+func NextThreshold(thr, epsilon float64) float64 { return max(epsilon, thr*pushRelax) }
 
 // remoteWord encodes "held by owner, no row here": NoPeer is -1, peer
 // 0 is -2, and so on, so ^word is the owner's outbox slot.
@@ -95,16 +111,17 @@ func reuse[T any](s []T) []T {
 // adjacency through cur (which the ranker then owns: cursors are not
 // safe for concurrent use) and routing by docPeer, the owner of every
 // document. teleport is the per-document constant term; nil means the
-// uniform 1-damping. absolute selects the absolute instead of the
-// relative ε test.
+// uniform 1-damping. threshold is the stage to begin at (at least
+// epsilon); absolute selects the absolute, not relative, residual test.
 func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []PeerID,
-	teleport []float64, damping, epsilon float64, absolute bool, mass *telemetry.Gauge) *Ranker {
+	teleport []float64, damping, epsilon, threshold float64, absolute bool, mass *telemetry.Gauge) *Ranker {
 	r := &Ranker{
 		id:       id,
 		cur:      cur,
 		teleport: teleport,
 		damping:  damping,
 		epsilon:  epsilon,
+		thr:      max(epsilon, threshold),
 		absolute: absolute,
 		mass:     mass,
 		route:    make([]int32, len(docPeer)),
@@ -193,19 +210,10 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 	}
 	massDelta := 0.0
 	for _, i := range dirty {
-		old := r.rank[i]
 		fresh := r.base[i] + r.acc[i]
+		massDelta += fresh - r.rank[i]
 		r.rank[i] = fresh
-		massDelta += fresh - old
-		diff := math.Abs(fresh - old)
-		if !r.absolute {
-			denom := math.Abs(fresh)
-			if denom == 0 {
-				denom = 1
-			}
-			diff /= denom
-		}
-		if diff > r.epsilon {
+		if r.residualLocked(i) > r.thr {
 			r.collectLocked(i, r.docs[i], r.out)
 		}
 	}
@@ -215,6 +223,35 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 	r.recomputed += int64(len(dirty))
 	r.dirty, r.fwd = dirty, fwd
 	return r.out, fwd, folded
+}
+
+// residualLocked is what the threshold is held against: row i's
+// un-pushed rank change, over the rank unless the test is absolute.
+//
+//dpr:hotpath
+func (r *Ranker) residualLocked(i int32) float64 {
+	diff := math.Abs(r.rank[i] - r.last[i])
+	if denom := math.Abs(r.rank[i]); !r.absolute && denom != 0 {
+		diff /= denom
+	}
+	return diff
+}
+
+// Relax lowers the push threshold to thr — never below ε, never raising
+// it — and sweeps every row, returning in an outbox of its own (as
+// InitialOut does) the pushes of those whose residual is past it. At
+// +Inf it is a plain sweep, for rows out of an older checkpoint.
+func (r *Ranker) Relax(thr float64) [][]Update {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.thr = max(r.epsilon, min(r.thr, thr))
+	out := make([][]Update, len(r.out))
+	for i, d := range r.docs {
+		if r.residualLocked(int32(i)) > r.thr {
+			r.collectLocked(int32(i), d, out)
+		}
+	}
+	return out
 }
 
 // collectLocked batches document d's pending delta per destination.

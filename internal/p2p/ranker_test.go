@@ -19,6 +19,7 @@ type modelRanker struct {
 	damping, eps float64
 	teleport     []float64 // constant term by document; nil means 1-damping
 	absolute     bool
+	thr          float64 // push threshold in force
 	owner        map[graph.NodeID]PeerID
 	row          map[graph.NodeID]*[3]float64 // rank, acc, last
 }
@@ -41,39 +42,54 @@ func (m *modelRanker) dest(d graph.NodeID) PeerID {
 	return NoPeer
 }
 
+// push sends document d's un-pushed rank change down its out-links if
+// it is past the threshold: the one test, against the last PUSHED rank.
+func (m *modelRanker) push(d graph.NodeID, out map[PeerID][]Update) {
+	r := m.row[d]
+	diff := math.Abs(r[0] - r[2])
+	if !m.absolute {
+		diff /= cmp.Or(math.Abs(r[0]), 1)
+	}
+	if diff <= m.thr {
+		return
+	}
+	links := m.g.OutLinks(d)
+	if share := m.damping * (r[0] - r[2]) / float64(len(links)); len(links) > 0 && share != 0 {
+		for _, t := range links {
+			out[m.dest(t)] = append(out[m.dest(t)], Update{Doc: t, Delta: share})
+		}
+	}
+	r[2] = r[0]
+}
+
 func (m *modelRanker) fold(batch []Update) (out map[PeerID][]Update, fwd []Update) {
 	out = make(map[PeerID][]Update)
-	before := make(map[graph.NodeID]float64)
+	touched := make(map[graph.NodeID]bool)
 	for _, u := range batch {
 		r := m.row[u.Doc]
 		if r == nil {
 			fwd = append(fwd, u)
 			continue
 		}
-		if _, seen := before[u.Doc]; !seen {
-			before[u.Doc] = r[0]
-		}
+		touched[u.Doc] = true
 		r[1] += u.Delta
 	}
-	for d, old := range before {
-		r := m.row[d]
-		r[0] = m.base(d) + r[1]
-		diff := math.Abs(r[0] - old)
-		if !m.absolute {
-			diff /= cmp.Or(math.Abs(r[0]), 1)
-		}
-		if diff <= m.eps {
-			continue
-		}
-		links := m.g.OutLinks(d)
-		if share := m.damping * (r[0] - r[2]) / float64(len(links)); len(links) > 0 && share != 0 {
-			for _, t := range links {
-				out[m.dest(t)] = append(out[m.dest(t)], Update{Doc: t, Delta: share})
-			}
-		}
-		r[2] = r[0]
+	for d := range touched {
+		m.row[d][0] = m.base(d) + m.row[d][1]
+		m.push(d, out)
 	}
 	return out, fwd
+}
+
+// relax lowers the threshold — never raises it, never below eps — and
+// sweeps every row, touched or not.
+func (m *modelRanker) relax(thr float64) map[PeerID][]Update {
+	m.thr = max(m.eps, min(m.thr, thr))
+	out := make(map[PeerID][]Update)
+	for d := range m.row {
+		m.push(d, out)
+	}
+	return out
 }
 
 func sortedUpdates(us []Update) []Update {
@@ -104,11 +120,11 @@ func sameOut(t *testing.T, step int, got [][]Update, want map[PeerID][]Update) {
 
 // TestRankerMatchesMapModel drives the ranker and the map model
 // through the same random folds (with their self-directed chains),
-// adoptions, sheds, ownership pushes, reroutes and forwards, and
-// requires identical rows and identical per-destination update
-// multisets after every step — including for owners past the end of
-// the table the ranker was built with, and for documents outside the
-// graph. Even seeds run with a per-document constant term, every third
+// threshold relaxations, adoptions, sheds, ownership pushes, reroutes
+// and forwards, and requires identical rows and identical
+// per-destination update multisets after every step — including for
+// owners past the end of the table the ranker was built with, and for
+// documents outside the graph. Even seeds run with a per-document constant term, every third
 // with the absolute threshold.
 func TestRankerMatchesMapModel(t *testing.T) {
 	const docs, self = 96, PeerID(1)
@@ -116,7 +132,7 @@ func TestRankerMatchesMapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
-		m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3, absolute: seed%3 == 0,
+		m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3, thr: StartThreshold(1e-3), absolute: seed%3 == 0,
 			owner: make(map[graph.NodeID]PeerID), row: make(map[graph.NodeID]*[3]float64)}
 		if seed%2 == 0 {
 			m.teleport = make([]float64, docs)
@@ -134,7 +150,7 @@ func TestRankerMatchesMapModel(t *testing.T) {
 				m.row[graph.NodeID(d)] = &[3]float64{m.base(graph.NodeID(d)), 0, 0}
 			}
 		}
-		rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.absolute, telemetry.NewRegistry().Gauge("mass"))
+		rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.thr, m.absolute, telemetry.NewRegistry().Gauge("mass"))
 		sameOut(t, 0, rk.InitialOut(), func() map[PeerID][]Update {
 			// The initial push is a fold of nothing that collects every row.
 			out := make(map[PeerID][]Update)
@@ -154,7 +170,14 @@ func TestRankerMatchesMapModel(t *testing.T) {
 			return ds
 		}
 		for step := 1; step <= 300; step++ {
-			switch op := r.Intn(10); {
+			switch op := r.Intn(11); {
+			case op == 10: // next stage, a stage already passed (a plain sweep), or straight to the floor
+				was := m.thr
+				thr := []float64{NextThreshold(was, m.eps), 2 * was, math.Inf(1), 0}[r.Intn(4)]
+				sameOut(t, step, rk.Relax(thr), maps(m.relax(thr)))
+				if got := rk.thr; got != m.thr || got > was || got < m.eps {
+					t.Fatalf("seed %d step %d: threshold %v after Relax(%v) from %v, model %v", seed, step, got, thr, was, m.thr)
+				}
 			case op < 6: // fold a batch, then the chain of self-directed consequences
 				batch := make([]Update, 1+r.Intn(40))
 				for i := range batch {
@@ -281,8 +304,9 @@ func maps(m map[PeerID][]Update) map[PeerID][]Update {
 }
 
 // foldFixture is a ranker holding an eighth of a power-law graph, as a
-// peer of an 8-peer cluster does, and a batch that touches its rows the
-// way a round of inbound frames does.
+// peer of an 8-peer cluster does — at the last stage of the threshold
+// schedule, where every fold pushes — and a batch that touches its rows
+// the way a round of inbound frames does.
 func foldFixture(tb testing.TB, docs, batch int) (*Ranker, []Update) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 7))
 	docPeer := make([]PeerID, docs)
@@ -297,7 +321,7 @@ func foldFixture(tb testing.TB, docs, batch int) (*Ranker, []Update) {
 	for i := range us {
 		us[i] = Update{Doc: own[r.Intn(len(own))], Delta: 0.01}
 	}
-	return NewRanker(3, g, own, docPeer, nil, 0.85, 1e-3, false, telemetry.NewRegistry().Gauge("mass")), us
+	return NewRanker(3, g, own, docPeer, nil, 0.85, 1e-3, 1e-3, false, telemetry.NewRegistry().Gauge("mass")), us
 }
 
 func TestRankerWarmFoldAllocatesNothing(t *testing.T) {
@@ -317,5 +341,18 @@ func BenchmarkRankerFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(us) {
 		rk.Fold(us)
+	}
+}
+
+// BenchmarkRankerRelax is what a stage costs a peer per held document
+// before anything is released: the residual test over every row.
+func BenchmarkRankerRelax(b *testing.B) {
+	rk, _ := foldFixture(b, 100000, 1)
+	rk.Relax(math.Inf(1)) // the rows' first push
+	rows, _ := rk.Ranks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(rows) {
+		rk.Relax(math.Inf(1))
 	}
 }

@@ -51,6 +51,7 @@ func goldenTrace() *Trace {
 	tr.Record(EvEpochReject, 1, -1, 7, 3)
 	tr.Record(EvCreditStall, 0, -1, 2, 2)
 	tr.Record(EvSlowPeer, 0, -1, 0.031, 2)
+	tr.Record(EvRelax, -1, -1, 0.25, 1200)
 	tr.Record(EvPassEnd, -1, 1, 0.05, 0)
 	return tr
 }
@@ -112,7 +113,7 @@ func TestTraceJSONSchema(t *testing.T) {
 		}
 	}
 	events, ok := doc["events"].([]any)
-	if !ok || len(events) != 9 {
+	if !ok || len(events) != 10 {
 		t.Fatalf("events = %v", doc["events"])
 	}
 	first, ok := events[0].(map[string]any)

@@ -33,6 +33,7 @@ const (
 	EvEpochReject  // a receiver nacked a frame carrying a stale ownership epoch
 	EvCreditStall  // a sender stream ran out of credit and stopped framing
 	EvSlowPeer     // a destination's send-latency EWMA crossed into straggler mode
+	EvRelax        // the cluster moved to the next push-threshold stage (value: threshold, aux: updates released)
 )
 
 var eventNames = [...]string{
@@ -55,6 +56,7 @@ var eventNames = [...]string{
 	EvEpochReject:  "epoch_reject",
 	EvCreditStall:  "credit_stall",
 	EvSlowPeer:     "slow_peer",
+	EvRelax:        "relax",
 }
 
 // String returns the stable wire name of the event type, used in the

@@ -33,6 +33,31 @@ func assertRanksMatch(t *testing.T, g *graph.Graph, ranks []float64, tol float64
 	}
 }
 
+// assertResidualsPushed is the residual-bound oracle: once a run is
+// over, no row anywhere — a peer's ranker or a crashed slot's
+// checkpoint — still holds an un-pushed rank change past ε of its rank
+// (D-Iteration's remaining-fluid bound). Comparing successive recomputes
+// instead lets sub-ε steps pile up in rank − last without limit; so does
+// a hand-over that moves rows saved at an earlier stage of the threshold
+// schedule and never sweeps them.
+func assertResidualsPushed(t *testing.T, c *Cluster, eps float64) {
+	t.Helper()
+	check := func(docs []graph.NodeID, rank, last []float64) {
+		for i, d := range docs {
+			if res := math.Abs(rank[i]-last[i]) / math.Abs(rank[i]); res > eps {
+				t.Errorf("doc %d: un-pushed residual %v of its rank (rank %v, pushed %v), want <= %v", d, res, rank[i], last[i], eps)
+			}
+		}
+	}
+	slots, _ := c.table()
+	visit(slots,
+		func(s slot) {
+			docs, rank, _, last := s.peer.rk.Rows()
+			check(docs, rank, last)
+		},
+		func(snap *PeerSnapshot) { check(snap.Docs, snap.Rank, snap.Last) })
+}
+
 // assertNoMassLost checks the update-conservation invariant: every
 // delta that was shipped was eventually folded (modulo floating-point
 // association order in the two accumulators).
@@ -189,6 +214,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 	assertRanksMatch(t, g, out.res.Ranks, 1e-3)
 	assertNoMassLost(t, out.res)
+	assertResidualsPushed(t, c, 1e-6)
 }
 
 // TestKillWhileIdleThenRestart kills a peer after quiescence-ish idle

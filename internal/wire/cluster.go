@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpr/internal/dht"
@@ -50,6 +52,7 @@ type Cluster struct {
 	slots    []slot
 	departed PeerStats // frozen counters of departed peers
 	started  bool
+	thr      float64 // push-threshold stage (p2p.Ranker): Run lowers it, peers are born at it
 
 	// Telemetry: one registry per slot, a cluster-level registry for
 	// membership and probe counters, and a shared convergence-event
@@ -181,12 +184,14 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = TCPDialer()
 	}
+	cfg.Epsilon = cmp.Or(cfg.Epsilon, 1e-3)
 	c := &Cluster{
 		g: g, cfg: cfg, docPeer: make([]p2p.PeerID, g.NumNodes()),
 		ring:   dht.NewRing(),
 		reg:    telemetry.NewRegistry(),
 		trace:  telemetry.NewTrace(cfg.TraceCap),
 		fdQuit: make(chan struct{}),
+		thr:    p2p.StartThreshold(cfg.Epsilon),
 	}
 	c.trace.SetClock(func() int64 { return time.Now().UnixNano() })
 	c.mJoins = c.reg.Counter("cluster_joins")
@@ -195,6 +200,7 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	c.mProbes = c.reg.Counter("cluster_probes")
 	c.mEvictQuorum = c.reg.Counter("wire_evictions_quorum")
 	c.mEvictRefused = c.reg.Counter("wire_evictions_refused")
+	c.reg.Gauge("cluster_push_threshold").Set(c.thr)
 	for i := 0; i < cfg.Peers; i++ {
 		if _, err := c.addSlotLocked(0); err != nil {
 			return nil, err
@@ -261,6 +267,7 @@ func (c *Cluster) peerConfig(i int) PeerConfig {
 		Docs:      c.slots[i].docs,
 		Damping:   c.cfg.Damping,
 		Epsilon:   c.cfg.Epsilon,
+		Threshold: c.thr,
 		Transport: c.cfg.Transport,
 		Retry:     c.cfg.Retry,
 		Registry:  c.slots[i].reg,
@@ -695,7 +702,15 @@ func removeDocs(docs, shed []graph.NodeID) []graph.NodeID {
 	return keep
 }
 
-// Run starts every peer, waits for global quiescence (two consecutive
+// stageInflight: Run moves to the next push-threshold stage once
+// in-flight updates are down to this share of the documents — no
+// barrier, it costs more than the ordering saves (DESIGN.md §13).
+const stageInflight = 16
+
+// Run starts every peer, walks the push threshold down to ε — a stage
+// each time the in-process counters show in-flight updates down to
+// 1/stageInflight of the documents, or stuck; early costs messages,
+// never correctness — then waits for global quiescence (two consecutive
 // probes with equal and unchanged sent/processed totals), collects the
 // ranks, and shuts the cluster down. Peers may be killed, restarted,
 // permanently removed and joined concurrently; quiescence is only
@@ -713,13 +728,24 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 			c.startDetectorLocked(i)
 		}
 	}
+	staged := c.thr > c.cfg.Epsilon
 	c.mu.Unlock()
 	res := ClusterResult{}
 	var prevSent, prevProcessed uint64 = ^uint64(0), ^uint64(0)
 	deadline := time.Now().Add(timeout)
-	for {
+	for ; ; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			return res, fmt.Errorf("wire: no quiescence within %v", timeout)
+		}
+		if staged {
+			// Stuck: frames parked for a crashed slot hold in-flight up.
+			sent, processed := c.DebugCounters()
+			if sent <= processed+uint64(c.g.NumNodes()/stageInflight) || (sent == prevSent && processed == prevProcessed) {
+				staged = c.relax()
+				sent, processed = ^uint64(0), ^uint64(0) // what follows compares with nothing older
+			}
+			prevSent, prevProcessed = sent, processed
+			continue
 		}
 		sent, processed := c.counters()
 		c.mProbes.Add(1)
@@ -729,7 +755,6 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 			break
 		}
 		prevSent, prevProcessed = sent, processed
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	res.Ranks = c.collectAll()
@@ -742,6 +767,34 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 	res.Elapsed = time.Since(start)
 	c.Close()
 	return res, nil
+}
+
+// relax moves the cluster to the next push-threshold stage: every live
+// peer sweeps at it on its own processing loop (one shutting down is
+// skipped: RestorePeer and Adopt sweep). Reports whether stages remain.
+func (c *Cluster) relax() bool {
+	c.mu.Lock()
+	c.thr = p2p.NextThreshold(c.thr, c.cfg.Epsilon)
+	thr := c.thr
+	slots := slices.Clone(c.slots)
+	c.mu.Unlock()
+	var wg sync.WaitGroup
+	var released atomic.Int64
+	for _, s := range slots {
+		if s.peer == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, _ := s.peer.Relax(thr)
+			released.Add(int64(n))
+		}()
+	}
+	wg.Wait()
+	c.reg.Gauge("cluster_push_threshold").Set(thr)
+	c.trace.Record(telemetry.EvRelax, -1, -1, thr, released.Load())
+	return thr > c.cfg.Epsilon
 }
 
 // table returns a consistent copy of the slot table and the departed

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,5 +410,94 @@ func TestRerouteDuringKillKeepsSelfDirectedUpdates(t *testing.T) {
 	}
 	if got != 0.75 {
 		t.Fatalf("checkpoint carries self-directed delta mass %v, want 0.75: the inbox item and the rerouted update", got)
+	}
+}
+
+// tapTransport dials real connections that copy everything read from
+// them — on a sender's connection, the receiver's answers — for the test
+// to parse afterwards.
+type tapTransport struct {
+	mu   sync.Mutex
+	read bytes.Buffer
+}
+
+type tapConn struct {
+	net.Conn
+	tr *tapTransport
+}
+
+func (c tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.tr.mu.Lock()
+	c.tr.read.Write(b[:n])
+	c.tr.mu.Unlock()
+	return n, err
+}
+
+func (tr *tapTransport) Dial(_, _ p2p.PeerID, addr string) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{conn, tr}, nil
+}
+
+// TestOneCumulativeAckPerConnection: three frames of one stream that
+// reach a receiver's inbox before its loop turns are folded in one
+// consume, and the ack being cumulative, the receiver owes the
+// connection exactly one credit frame, for the third — not one per
+// frame, each costing the sender a read and a wake-up for nothing.
+func TestOneCumulativeAckPerConnection(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g, docPeer := graph.Cycle(4), []p2p.PeerID{0, 1, 1, 1}
+	recv, err := NewPeer(PeerConfig{ID: 1, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	tap := &tapTransport{}
+	send, err := NewPeer(PeerConfig{ID: 0, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{0}, Transport: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	send.SetPeers([]string{send.Addr(), recv.Addr()})
+
+	// Hold the receiver's loop inside a control item — and only then let
+	// the sender go — until all three frames sit in its inbox.
+	entered, release, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before the deferred Closes, which wait for the loop
+	go func() { held <- recv.control(func() { close(entered); <-release }) }()
+	<-entered
+	send.primeSender(OutboundState{Src: 0, Dest: 1, NextSeq: 4, Unacked: []UnackedFrame{
+		{Seq: 1, Updates: []p2p.Update{{Doc: 1, Delta: 0.5}}},
+		{Seq: 2, Updates: []p2p.Update{{Doc: 2, Delta: 0.5}}},
+		{Seq: 3, Updates: []p2p.Update{{Doc: 3, Delta: 0.5}}},
+	}})
+	send.wakeSenders()
+	waitCounter(t, 10*time.Second, "three frames in the receiver's inbox", func() bool { return len(recv.bulk) == 3 })
+	unblock()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, 10*time.Second, "the sender's unacked frames to empty", func() bool {
+		return senderStates(send)[stream{src: 0, dest: 1}].unacked == ""
+	})
+	// Whatever else the receiver wrote is on the connection by the time
+	// it is closed from that side.
+	recv.Close()
+	send.Close()
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	typ, payload, err := readFrame(&tap.read)
+	if err != nil || typ != frameCredit {
+		t.Fatalf("first answer is frame %q, err %v; want a credit frame", typ, err)
+	}
+	if seq, _, err := decodeCredit(payload); err != nil || seq != 3 {
+		t.Fatalf("credit frame acks seq %d, err %v; want the cumulative ack for 3", seq, err)
+	}
+	if typ, _, err := readFrame(&tap.read); err != io.EOF {
+		t.Fatalf("a second answer, frame %q (err %v): one consume owes one connection one ack", typ, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpr/internal/graph"
+	"dpr/internal/p2p"
 )
 
 // runAsync starts a cluster run in the background.
@@ -169,6 +170,85 @@ func TestJoinTakesOverKeyRange(t *testing.T) {
 	t.Logf("join migrated %d docs; %d forwarded updates", res.Migrated, res.Forwarded)
 }
 
+// thresholds reads the cluster's stage of the push-threshold schedule
+// and the one every live peer was born at.
+func thresholds(c *Cluster) (cluster float64, born map[int]float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	born = make(map[int]float64)
+	for i, s := range c.slots {
+		if s.peer != nil {
+			born[i] = s.peer.cfg.Threshold
+		}
+	}
+	return c.thr, born
+}
+
+// TestCrashedSlotDoesNotHoldTheScheduleHostage kills a peer in the first
+// stages and leaves it down: the frames parked for it keep sent −
+// processed high for good, so the schedule has to move on counters that
+// stopped moving. The cluster is the one that knows the stage: a peer
+// that joins once the floor is reached is born at ε, not back at the
+// start, and so is the crashed slot's next incarnation. Its checkpoint
+// was taken at a laxer stage nobody will sweep for it, so whoever
+// installs the rows — the restarted peer, or the successor adopting them
+// when the slot leaves for good — sweeps them itself.
+func TestCrashedSlotDoesNotHoldTheScheduleHostage(t *testing.T) {
+	t.Run("restart", func(t *testing.T) { crashedSlotSchedule(t, (*Cluster).Restart) })
+	t.Run("leave", func(t *testing.T) { crashedSlotSchedule(t, (*Cluster).Leave) })
+}
+
+func crashedSlotSchedule(t *testing.T, revive func(*Cluster, int) error) {
+	defer assertNoGoroutineLeaks(t)()
+	const eps = 1e-6
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(2000, 91))
+	c, err := NewCluster(g, ClusterConfig{Peers: 4, Epsilon: eps, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	early, err := c.Join() // before the run: the first stage
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thr, peers := thresholds(c); thr != p2p.StartThreshold(eps) || peers[0] != thr || peers[early] != thr {
+		t.Fatalf("before the run the cluster is at %v, peers at %v; want all at %v", thr, peers, p2p.StartThreshold(eps))
+	}
+	resCh := runAsync(c, 120*time.Second)
+	if err := c.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if thr, _ := thresholds(c); thr <= 1e-3 {
+		t.Fatalf("peer 1 was killed at threshold %v: too late to have rows saved at a laxer stage", thr)
+	}
+	waitCounter(t, 60*time.Second, "the schedule to reach ε around the crashed slot", func() bool {
+		thr, _ := thresholds(c)
+		return thr == eps
+	})
+	late, err := c.Join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := revive(c, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Slot 1 is in the table only if it was restarted.
+	_, born := thresholds(c)
+	if thr, restarted := born[1]; born[late] != eps || (restarted && thr != eps) || born[early] != p2p.StartThreshold(eps) {
+		t.Fatalf("peers were born at thresholds %v: want %v for slot %d and for slot 1, which were born at the floor", born, eps, late)
+	}
+	out := <-resCh
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	assertRanksMatch(t, g, out.res.Ranks, 1e-3)
+	assertNoMassLost(t, out.res)
+	assertResidualsPushed(t, c, eps)
+	if got := c.TelemetrySnapshot().GaugeValue("cluster_push_threshold"); got != eps {
+		t.Fatalf("cluster_push_threshold gauge = %v after the run, want %v", got, eps)
+	}
+}
+
 // TestFailureDetectorAutoLeave kills a peer and never restarts it: the
 // heartbeat detector must suspect it, remove it permanently, and the
 // computation must converge without any operator intervention.
@@ -295,6 +375,7 @@ func TestChaosMembershipJoinLeave(t *testing.T) {
 	if res.Misdropped != 0 {
 		t.Fatalf("%d updates lost to unresolved ownership", res.Misdropped)
 	}
+	assertResidualsPushed(t, c, 1e-6)
 	t.Logf("membership chaos: %d msgs, %d migrated docs, %d forwarded, %d leaves, %d joins, faults %+v",
 		res.Messages, res.Migrated, res.Forwarded, res.Leaves, res.Joins, ft.Stats())
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -94,6 +95,10 @@ type PeerConfig struct {
 	Docs    []graph.NodeID
 	Damping float64 // 0 means 0.85
 	Epsilon float64 // 0 means 1e-3
+
+	// Threshold is the push threshold the peer is born at, the stage its
+	// cluster is in (p2p.Ranker); the zero value means Epsilon.
+	Threshold float64
 
 	// Transport dials outbound connections; nil means the real TCP
 	// dialer. Tests inject a FaultTransport here.
@@ -320,7 +325,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	p := &Peer{
 		cfg:      cfg,
 		retry:    cfg.Retry.withDefaults(),
-		rk:       p2p.NewRanker(cfg.ID, cfg.Graph, cfg.Docs, cfg.DocPeer, nil, cfg.Damping, cfg.Epsilon, false, m.rankMass),
+		rk:       p2p.NewRanker(cfg.ID, cfg.Graph, cfg.Docs, cfg.DocPeer, nil, cfg.Damping, cfg.Epsilon, cfg.Threshold, false, m.rankMass),
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		senders:  make(map[stream]*sender),
@@ -772,7 +777,12 @@ func (p *Peer) consume(items []inItem) {
 			if !p.admit(it) {
 				continue
 			}
-			acks = append(acks, it)
+			// The ack is cumulative: one per connection, for its highest seq.
+			if j := slices.IndexFunc(acks, func(a *inItem) bool { return a.cw == it.cw }); j < 0 {
+				acks = append(acks, it)
+			} else if it.seq > acks[j].seq {
+				acks[j] = it
+			}
 		}
 		batch = append(batch, it.us...)
 	}
@@ -858,6 +868,30 @@ func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
 	p.m.processed.Add(uint64(n))
 	p.event(telemetry.EvFold, folded, int64(n))
 	return self
+}
+
+// relax sweeps the ranker at push threshold thr, ships what that
+// releases, folds the self-directed chain, and returns how many updates
+// it released. Processing loop only.
+func (p *Peer) relax(thr float64) (released int) {
+	out := p.rk.Relax(thr)
+	for _, us := range out {
+		released += len(us)
+	}
+	for next := p.ship(out, true); len(next) > 0; {
+		next = p.handle(next)
+	}
+	return released
+}
+
+// Relax runs relax through the control lane. It fails when the peer
+// shuts down first; the slot's next incarnation sweeps instead.
+func (p *Peer) Relax(thr float64) (released int, err error) {
+	var n int // written by the loop; read only once control says it is done
+	if err := p.control(func() { n = p.relax(thr) }); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ship routes batches toward their destinations and returns the
@@ -1080,6 +1114,8 @@ func (p *Peer) Adopt(s *PeerSnapshot) error {
 				next = p.handle(next)
 			}
 		}
+		// The rows may date from a laxer stage; nobody else sweeps them.
+		p.relax(math.Inf(1))
 		p.wakeSenders()
 	})
 }

@@ -65,7 +65,7 @@ func TestRestoreAndAdoptInstallTheSameState(t *testing.T) {
 	snap := &PeerSnapshot{
 		ID:   0,
 		Docs: []graph.NodeID{0, 1},
-		Rank: []float64{0.4, 0.7}, Acc: []float64{0.25, 0.55}, Last: []float64{0.35, 0.7}, // rank = 0.15 + acc
+		Rank: []float64{0.4, 0.7}, Acc: []float64{0.25, 0.55}, Last: []float64{0.4, 0.7}, // rank = 0.15 + acc, all of it pushed
 		LastSeq: []SeqEntry{{Src: 1, Dest: 0, Seq: 12}, {Src: 2, Dest: 0, Seq: 4}, {Src: 2, Dest: 4, Seq: 9}},
 		Rejected: []SeqEntry{
 			{Src: 1, Dest: 0, Seq: 9}, // lastSeq moved past it

@@ -117,6 +117,7 @@ func TestClusterComputesPagerankOverTCP(t *testing.T) {
 	if worst > 1e-3 {
 		t.Fatalf("TCP cluster max relative error %v", worst)
 	}
+	assertResidualsPushed(t, c, 1e-6)
 }
 
 func TestClusterTightThresholdSmallGraph(t *testing.T) {
