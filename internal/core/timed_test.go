@@ -86,11 +86,11 @@ func TestTimedEnginePinned(t *testing.T) {
 		rankHash                                    string
 	}{
 		{"plain", Options{Epsilon: 1e-4},
-			1591432, 109461, 1029049, 104053504, 1782075, 285633389565, "afe7a93343cb1abd"},
+			57576, 3668, 23125, 2861824, 43814, 16730688866, "7894a6cd9f875ca2"},
 		{"teleport", Options{Epsilon: 1e-4, Teleport: teleport},
-			1557955, 105364, 1010505, 102063240, 1747615, 281315462856, "8ac50de0fcec06e5"},
+			58116, 3679, 24005, 2931104, 45327, 18489383193, "cee3ed23ff603f05"},
 		{"absolute", Options{Epsilon: 1e-4, Absolute: true},
-			2484366, 190187, 1542116, 158320208, 2890311, 644277256760, "15817217b1907e29"},
+			82623, 5632, 39836, 4532456, 77823, 35046139840, "541e91c8175c70fa"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := runTimed(t, g, 17, TimedOptions{Options: tc.opt}, 9)
