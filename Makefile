@@ -93,13 +93,14 @@ bench-pipeline:
 
 # The three per-update stages of the live cluster's rank-update path —
 # ranker fold (and the per-row cost of a threshold-stage sweep) and
-# retry-queue coalesce + drain (internal/p2p), batch frame codec
+# retry-queue coalesce + drain (internal/p2p), ordering a frame for the
+# batch codec and the codec itself, with its bytes per update
 # (internal/wire) — with allocation counts. BENCHTIME=1x is
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
-	$(GO) test -run XXX -bench BenchmarkBatchEpochCodec -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # every workload in its own process, untraced and then traced for the

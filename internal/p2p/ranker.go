@@ -165,7 +165,11 @@ func (r *Ranker) InitialOut() [][]Update {
 	defer r.mu.Unlock()
 	out := make([][]Update, len(r.out))
 	for i, d := range r.docs {
-		r.collectLocked(int32(i), d, out)
+		// A fold that ran before Start has pushed this row already; what
+		// rounding left in its residual waits for the threshold like any other.
+		if r.last[i] == 0 {
+			r.collectLocked(int32(i), d, out)
+		}
 	}
 	r.recomputed += int64(len(r.docs))
 	return out
@@ -254,7 +258,10 @@ func (r *Ranker) Relax(thr float64) [][]Update {
 	return out
 }
 
-// collectLocked batches document d's pending delta per destination.
+// collectLocked batches document d's pending delta per destination,
+// each link's share rounded to a float32 — half the bytes on a socket —
+// and last advanced by what that emits, so the rounding stays in the
+// residual for a later push and no mass is lost to it (DESIGN.md §4).
 // Caller holds mu; out covers every owner the route table names.
 //
 //dpr:hotpath
@@ -264,9 +271,9 @@ func (r *Ranker) collectLocked(i int32, d graph.NodeID, out [][]Update) {
 		r.last[i] = r.rank[i]
 		return
 	}
-	share := r.damping * (r.rank[i] - r.last[i]) / float64(len(links))
+	share := float64(float32(r.damping * (r.rank[i] - r.last[i]) / float64(len(links))))
+	r.last[i] += share * float64(len(links)) / r.damping
 	if share == 0 {
-		r.last[i] = r.rank[i]
 		return
 	}
 	self := int32(r.id) + 1
@@ -277,7 +284,6 @@ func (r *Ranker) collectLocked(i int32, d graph.NodeID, out [][]Update) {
 		}
 		out[slot] = append(out[slot], Update{Doc: t, Delta: share})
 	}
-	r.last[i] = r.rank[i]
 }
 
 // ForwardOut sorts updates a fold refused by their documents' current

@@ -50,16 +50,27 @@ func (m *modelRanker) push(d graph.NodeID, out map[PeerID][]Update) {
 	if !m.absolute {
 		diff /= cmp.Or(math.Abs(r[0]), 1)
 	}
-	if diff <= m.thr {
+	if diff > m.thr {
+		m.emit(d, out)
+	}
+}
+
+// emit is the push itself: each link's share as a float32, and only
+// what that emits counted as pushed — the rounding stays un-pushed.
+func (m *modelRanker) emit(d graph.NodeID, out map[PeerID][]Update) {
+	r, links := m.row[d], m.g.OutLinks(d)
+	if len(links) == 0 {
+		r[2] = r[0]
 		return
 	}
-	links := m.g.OutLinks(d)
-	if share := m.damping * (r[0] - r[2]) / float64(len(links)); len(links) > 0 && share != 0 {
-		for _, t := range links {
-			out[m.dest(t)] = append(out[m.dest(t)], Update{Doc: t, Delta: share})
-		}
+	share := float64(float32(m.damping * (r[0] - r[2]) / float64(len(links))))
+	r[2] += share * float64(len(links)) / m.damping
+	if share == 0 {
+		return // nothing to push, or too little for a float32 to hold
 	}
-	r[2] = r[0]
+	for _, t := range links {
+		out[m.dest(t)] = append(out[m.dest(t)], Update{Doc: t, Delta: share})
+	}
 }
 
 func (m *modelRanker) fold(batch []Update) (out map[PeerID][]Update, fwd []Update) {
@@ -154,11 +165,8 @@ func TestRankerMatchesMapModel(t *testing.T) {
 		sameOut(t, 0, rk.InitialOut(), func() map[PeerID][]Update {
 			// The initial push is a fold of nothing that collects every row.
 			out := make(map[PeerID][]Update)
-			for d, row := range m.row {
-				for _, t := range g.OutLinks(d) {
-					out[m.dest(t)] = append(out[m.dest(t)], Update{Doc: t, Delta: damping * row[0] / float64(len(g.OutLinks(d)))})
-				}
-				row[2] = row[0]
+			for d := range m.row {
+				m.emit(d, out)
 			}
 			return out
 		}())
@@ -289,6 +297,84 @@ func TestRankerMatchesMapModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: mass gauge %v, rows sum to %v", seed, step, got, mass)
 			}
 		}
+	}
+}
+
+// TestRankerPushConservesMass: a push emits float32 shares, so it cannot
+// emit a row's whole residual — and must not claim to. Row by row, what
+// has been emitted (over the damping factor) plus what is still un-pushed
+// is the rank, to 1e-15; and an emitted share is always a float32.
+// Document i links to fan[i] documents of its own on another peer, so
+// every update names the row that pushed it.
+func TestRankerPushConservesMass(t *testing.T) {
+	const rows, span, damping = 40, 16, 0.85
+	r := rng.New(31)
+	adj := make([][]graph.NodeID, rows+rows*span)
+	docPeer := make([]PeerID, len(adj))
+	own := make([]graph.NodeID, rows)
+	for i := range own {
+		own[i] = graph.NodeID(i)
+		for k := 0; k <= r.Intn(span); k++ {
+			adj[i] = append(adj[i], graph.NodeID(rows+i*span+k))
+		}
+	}
+	for d := rows; d < len(docPeer); d++ {
+		docPeer[d] = 1
+	}
+	rk := NewRanker(0, graph.FromAdjacency(adj), own, docPeer, nil, damping, 1e-6, StartThreshold(1e-6), false, telemetry.NewRegistry().Gauge("mass"))
+	emitted := make([]float64, rows) // per row, summed over its links
+	tally := func(out [][]Update) {
+		for _, us := range out {
+			for _, u := range us {
+				if float64(float32(u.Delta)) != u.Delta {
+					t.Fatalf("pushed %v to doc %d: not a float32", u.Delta, u.Doc)
+				}
+				emitted[(int(u.Doc)-rows)/span] += u.Delta
+			}
+		}
+	}
+	check := func(step int) {
+		_, rank, _, last := rk.Rows()
+		for i := range rank {
+			if got := emitted[i]/damping + (rank[i] - last[i]); math.Abs(got-rank[i]) > 1e-15*math.Max(1, math.Abs(rank[i])) {
+				t.Fatalf("step %d row %d: emitted %v/d + residual %v = %v, rank %v (off by %g)",
+					step, i, emitted[i], rank[i]-last[i], got, rank[i], got-rank[i])
+			}
+		}
+	}
+	tally(rk.InitialOut())
+	check(0)
+	for step := 1; step <= 400; step++ {
+		if step%40 == 0 {
+			tally(rk.Relax(NextThreshold(rk.thr, 1e-6)))
+		}
+		batch := make([]Update, 1+r.Intn(30))
+		for i := range batch {
+			batch[i] = Update{Doc: graph.NodeID(r.Intn(rows)), Delta: (r.Float64() - 0.4) * math.Pow(10, -float64(r.Intn(9)))}
+		}
+		out, _, _ := rk.Fold(batch)
+		tally(out)
+		check(step)
+	}
+}
+
+// TestInitialOutSkipsRowsAlreadyPushed: a fold can run before Start (a
+// neighbour's initial push arrives first) and push a row; the initial
+// push must then leave the row alone. Its residual is not zero — the
+// float32 shares left a remainder — and re-pushing remainders cost the
+// 500k-document cluster half a message a document.
+func TestInitialOutSkipsRowsAlreadyPushed(t *testing.T) {
+	g := graph.FromAdjacency([][]graph.NodeID{{2, 3, 4}, {2, 3, 4}, nil, nil, nil})
+	rk := NewRanker(0, g, []graph.NodeID{0, 1}, []PeerID{0, 0, 1, 1, 1}, nil, 0.85, 1e-3, StartThreshold(1e-3), false, telemetry.NewRegistry().Gauge("mass"))
+	out, _, _ := rk.Fold([]Update{{Doc: 0, Delta: 0.7}})
+	if len(out[2]) != 3 {
+		t.Fatalf("the early fold pushed %v, want row 0's three links", out[2])
+	}
+	if _, rank, _, last := rk.Rows(); rank[0] == last[0] {
+		t.Fatalf("no remainder after pushing rank %v in float32 thirds: the test needs one", rank[0])
+	}
+	if first := rk.InitialOut()[2]; len(first) != 3 || first[0].Delta != float64(float32(0.85*(1-0.85)/3)) {
+		t.Fatalf("initial push %v, want row 1's three links and nothing of row 0", first)
 	}
 }
 

@@ -54,8 +54,8 @@ const (
 	// wrote it, from Kill to Restart or Leave, so no reader ever meets
 	// an older writer's output; the version is a corruption check and
 	// the hook for a future format, and floor and ceiling coincide.
-	peerSnapVersion    = 5
-	peerSnapMinVersion = 5
+	peerSnapVersion    = 6
+	peerSnapMinVersion = 6
 )
 
 // PeerSnapshot is a crashed peer's durable state.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"dpr/internal/graph"
@@ -40,7 +42,7 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 		Epochs: []uint64{1, 0, 4, 0, 2},
 		PeerStats: PeerStats{
 			Sent: 42, Processed: 40, Forwarded: 2, EpochRejected: 1,
-			CreditStalls: 5, ShedCoalesced: 17, SlowPeer: 1,
+			CreditStalls: 5, ShedCoalesced: 17, SlowPeer: 1, UpdatesWide: 9,
 			DeltaShipped: 3.5, DeltaFolded: 3.25,
 		},
 	}
@@ -53,7 +55,12 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 // over-allocate, and accepted input must round-trip through its
 // encoder.
 func FuzzDecodeFrames(f *testing.F) {
-	batch := encodeBatchEpoch(nil, 1, 2, 7, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}})
+	batch := encodeBatchEpoch(nil, 1, 2, 7, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}, {Doc: 9, Delta: 0.1}, {Doc: -1, Delta: math.NaN()}})
+	// The same stream header in front of the layout before this one, of a
+	// count no payload could hold, and of a document id run past a u32.
+	oldBatch := append(slices.Clone(batch[:batchEpochHeader]), oldLayoutBatch([]p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}})...)
+	hugeCount := append(slices.Clone(batch[:batchEpochHeader]), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5)
+	pastU32 := append(slices.Clone(batch[:batchEpochHeader]), 2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x1f, 0, 0, 0, 0, 2, 0, 0, 0, 0)
 	// Well-formed but for a peer id past any view: the receiver sizes its
 	// membership view by origDest, so the decoder must refuse these.
 	hugeDest := encodeBatchEpoch(nil, 1, 1<<22, 7, 3, nil)
@@ -67,8 +74,8 @@ func FuzzDecodeFrames(f *testing.F) {
 	nack := encodeNackEpoch(nil, 12, 5)
 	credit := encodeCredit(nil, 1<<33, 32)
 	probe := encodeSnapshot(17, 12)
-	ranks := encodeRanks([]graph.NodeID{0, 3}, []float64{0.5, 1.25})
-	for _, seed := range [][]byte{batch, hugeDest, gossip, view, nack, credit, hugeSender, probe, ranks, nil, {0xff}} {
+	ranks := encodeRanks([]graph.NodeID{3, 0}, []float64{0.1, 1.25})
+	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, hugeDest, gossip, view, nack, credit, hugeSender, probe, ranks, nil, {0xff}} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -76,9 +83,13 @@ func FuzzDecodeFrames(f *testing.F) {
 			if sender >= maxViewSlots || origDest >= maxViewSlots {
 				t.Fatalf("decoder accepted peer ids (%d, %d) past the view bound", sender, origDest)
 			}
+			// The batch inside need not re-encode to the same bytes (padded
+			// varints and float32s sent wide are accepted, never written),
+			// but the header must and the updates must survive the trip.
 			again := encodeBatchEpoch(nil, sender, origDest, seq, epoch, us)
-			if !bytes.Equal(data, again) {
-				t.Fatalf("batch-epoch round trip mismatch: %x != %x", data, again)
+			_, _, _, _, back, err := decodeBatchEpoch(again)
+			if i := firstChanged(us, back); err != nil || i >= 0 || !bytes.Equal(data[:batchEpochHeader], again[:batchEpochHeader]) {
+				t.Fatalf("batch-epoch round trip mismatch: %x != %x (%v, update %d)", data, again, err, i)
 			}
 		}
 		if from, sus, err := decodeGossip(data); err == nil {
@@ -114,13 +125,13 @@ func FuzzDecodeFrames(f *testing.F) {
 				t.Fatalf("probe round trip mismatch: %x != %x", data, again)
 			}
 		}
-		// decodeRanks scatters into a dense vector, so the doc order of
-		// the original encoding is not recoverable; the obligations here
-		// are no-panic and strict length/id validation.
+		// decodeRanks scatters into a dense vector, so the original
+		// encoding is not recoverable; the obligations here are no-panic,
+		// a count the bytes can hold and strict id validation.
 		out := make([]float64, 16)
 		if n, err := decodeRanks(data, out); err == nil {
-			if want := (len(data) - 4) / 12; n != want {
-				t.Fatalf("decodeRanks accepted %d bytes but reported %d entries (want %d)", len(data), n, want)
+			if us, err := decodeBatch(data); err != nil || n != len(us) || 5*n > len(data)-4 {
+				t.Fatalf("decodeRanks accepted %d bytes as %d entries; as a batch: %d entries, %v", len(data), n, len(us), err)
 			}
 		}
 	})

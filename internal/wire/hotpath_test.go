@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"math"
 	"net"
@@ -12,6 +13,7 @@ import (
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
+	"dpr/internal/rng"
 )
 
 func TestBatchEpochCodecAllocations(t *testing.T) {
@@ -28,21 +30,68 @@ func TestBatchEpochCodecAllocations(t *testing.T) {
 	}
 }
 
+// frameFixture is a full frame as an 8-peer cluster over 500k documents
+// builds one: 4096 updates for documents of the destination's share, in
+// the order the folds queued them, a tenth of the deltas sums that no
+// longer fit a float32.
+func frameFixture() []p2p.Update {
+	r := rng.New(19)
+	us := make([]p2p.Update, 4096)
+	for i := range us {
+		us[i] = p2p.Update{Doc: graph.NodeID(8*r.Intn(500000/8) + 5), Delta: float64(float32(r.Float64()))}
+		if i%10 == 0 {
+			us[i].Delta += 1e-9
+		}
+	}
+	return us
+}
+
+// TestFrameBuildAllocations holds building a frame — the copy out of
+// the retry queue, ordered for the codec — to the copy: the sort's
+// scratch is pooled.
+func TestFrameBuildAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds at random under the race detector")
+	}
+	queued := frameFixture()
+	sortUpdates(slices.Clone(queued))
+	allocs := testing.AllocsPerRun(20, func() {
+		us := slices.Clone(queued)
+		sortUpdates(us)
+		if !slices.IsSortedFunc(us, func(a, b p2p.Update) int { return cmp.Compare(a.Doc, b.Doc) }) {
+			t.Fatal("not sorted")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("building a %d-update frame allocates %v times, want at most 1 (the frame's own updates)", len(queued), allocs)
+	}
+}
+
 // BenchmarkBatchEpochCodec is the wire cost of one update: rendered
 // into the sender's frame buffer and parsed back out of the reader's.
 func BenchmarkBatchEpochCodec(b *testing.B) {
-	us := make([]p2p.Update, 4096)
-	for i := range us {
-		us[i] = p2p.Update{Doc: graph.NodeID(i * 3), Delta: float64(i)}
-	}
+	us := frameFixture()
+	sortUpdates(us)
 	var buf []byte
 	b.ReportAllocs()
-	b.SetBytes(12)
+	b.ResetTimer()
 	for i := 0; i < b.N; i += len(us) {
 		buf = appendBatchEpochFrame(buf[:0], 1, 2, uint64(i), 4, us)
 		if _, _, _, _, _, err := decodeBatchEpoch(buf[frameHeader:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(len(buf))/float64(len(us)), "B/update")
+}
+
+// BenchmarkFrameSort is what ordering a frame for the codec costs per
+// update, the frame's own copy included.
+func BenchmarkFrameSort(b *testing.B) {
+	queued := frameFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(queued) {
+		sortUpdates(slices.Clone(queued))
 	}
 }
 

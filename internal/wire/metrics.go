@@ -33,6 +33,7 @@ type peerMetrics struct {
 	creditStalls  *telemetry.Counter
 	shedCoalesced *telemetry.Counter
 	slowPeer      *telemetry.Counter
+	updatesWide   *telemetry.Counter // framed updates crossing in 8 bytes: mostly coalesced sums
 
 	// Occupancy instruments: inboxOccupancy is the bulk-lane depth
 	// observed at each processing batch, unackedFrames the in-flight
@@ -73,6 +74,7 @@ func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
 		creditStalls:  reg.Counter("wire_credit_stalls"),
 		shedCoalesced: reg.Counter("wire_shed_coalesced"),
 		slowPeer:      reg.Counter("wire_slow_peer"),
+		updatesWide:   reg.Counter("wire_updates_wide"),
 
 		inboxOccupancy:  reg.Gauge("wire_inbox_occupancy"),
 		unackedFrames:   reg.Gauge("wire_unacked_frames"),
@@ -116,6 +118,7 @@ var statFields = []statField{
 	{"wire_credit_stalls", func(s *PeerStats) *uint64 { return &s.CreditStalls }, nil},
 	{"wire_shed_coalesced", func(s *PeerStats) *uint64 { return &s.ShedCoalesced }, nil},
 	{"wire_slow_peer", func(s *PeerStats) *uint64 { return &s.SlowPeer }, nil},
+	{"wire_updates_wide", func(s *PeerStats) *uint64 { return &s.UpdatesWide }, nil},
 }
 
 // word reads the counter as a checkpoint header word: a float counter

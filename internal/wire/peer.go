@@ -285,6 +285,7 @@ type PeerStats struct {
 	CreditStalls  uint64 // sender streams transitioning to credit-blocked
 	ShedCoalesced uint64 // updates losslessly coalesced while their stream was stalled
 	SlowPeer      uint64 // destinations transitioning into straggler mode
+	UpdatesWide   uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
 
 	DeltaShipped float64 // total delta mass shipped
 	DeltaFolded  float64 // total delta mass folded (== shipped when none lost)
@@ -1169,6 +1170,7 @@ func (p *Peer) primeSender(ob OutboundState) {
 		s.window = ob.Window
 	}
 	for _, uf := range ob.Unacked {
+		sortUpdates(uf.Updates) // in place: an older writer's frame is in queue order
 		s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: epoch, us: uf.Updates})
 	}
 	if len(s.unacked) > 0 {
@@ -1395,6 +1397,8 @@ func (s *sender) nextFrame() *frameRec {
 	if len(us) == 0 {
 		return nil
 	}
+	// Ordered by document, the ids cross as small gaps (appendUpdates).
+	p.m.updatesWide.Add(uint64(sortUpdates(us)))
 	// Fresh frames are stamped with the sender's current epoch for the
 	// destination key range; a receiver that saw a later ownership
 	// transfer of that range nacks the frame instead of folding it.

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -39,7 +40,7 @@ const (
 	frameSnapReq    = 'Q' // termination probe request
 	frameSnapResp   = 'S' // u64 sent, u64 processed
 	frameRanksReq   = 'R' // rank collection request
-	frameRanks      = 'K' // u32 n, then n x (u32 doc, f64 rank)
+	frameRanks      = 'K' // a batch payload of (doc, rank) in place of (doc, delta)
 	framePing       = 'P' // failure-detector heartbeat: a suspicion-gossip payload
 	framePong       = 'O' // heartbeat response: a suspicion-gossip payload
 	frameViewReq    = 'W' // anti-entropy request: a view-digest payload
@@ -102,40 +103,112 @@ func reuse[T any](s []T) []T {
 	return s[:0]
 }
 
-// appendUpdates appends a batch payload: u32 n, then n x (u32 doc, f64
-// delta).
+// appendUpdates appends a batch payload: u32 n, then per update the
+// uvarint (doc - previous doc)<<1 | wide and the delta, as a float32
+// where that is exact and as a float64 (wide) where not — a NaN, unequal
+// to itself, always is. us is ordered by document (sortUpdates).
 //
 //dpr:hotpath
 func appendUpdates(dst []byte, us []p2p.Update) []byte {
-	off := len(dst)
-	dst = slices.Grow(dst, 4+12*len(us))[:off+4+12*len(us)]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(us)))
-	off += 4
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 4+13*len(us)), uint32(len(us)))
+	prev := uint32(0)
 	for _, u := range us {
-		binary.LittleEndian.PutUint32(dst[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(dst[off+4:], math.Float64bits(u.Delta))
-		off += 12
+		doc := uint32(u.Doc)
+		if doc < prev {
+			panic("wire: batch not ordered by document")
+		}
+		key := uint64(doc-prev) << 1
+		prev = doc
+		if f := float32(u.Delta); float64(f) == u.Delta {
+			dst = binary.LittleEndian.AppendUint32(binary.AppendUvarint(dst, key), math.Float32bits(f))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(binary.AppendUvarint(dst, key|1), math.Float64bits(u.Delta))
+		}
 	}
 	return dst
 }
 
-// decodeBatch parses a batch payload.
+// decodeBatch parses a batch payload. The count sizes nothing before it
+// is held against the bytes that follow: an update is at least five.
 func decodeBatch(b []byte) ([]p2p.Update, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("wire: batch too short")
 	}
 	n := binary.LittleEndian.Uint32(b[:4])
-	if uint64(len(b)-4) != 12*uint64(n) {
-		return nil, fmt.Errorf("wire: batch length mismatch: %d entries, %d bytes", n, len(b)-4)
+	b = b[4:]
+	if uint64(n) > uint64(len(b))/5 {
+		return nil, fmt.Errorf("wire: batch length mismatch: %d entries, %d bytes", n, len(b))
 	}
 	us := make([]p2p.Update, n)
-	off := 4
+	doc := uint64(0)
 	for i := range us {
-		us[i].Doc = graph.NodeID(binary.LittleEndian.Uint32(b[off:]))
-		us[i].Delta = math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
-		off += 12
+		key, k := binary.Uvarint(b)
+		width := 4 + 4*int(key&1)
+		if doc += key >> 1; k <= 0 || doc > math.MaxUint32 || len(b)-k < width {
+			return nil, fmt.Errorf("wire: batch entry %d: bad varint, document id or length", i)
+		}
+		us[i].Doc = graph.NodeID(uint32(doc))
+		if width == 4 {
+			us[i].Delta = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[k:])))
+		} else {
+			us[i].Delta = math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+		}
+		b = b[k+width:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b))
 	}
 	return us, nil
+}
+
+// sortScratch is sortUpdates' second buffer and digit counts, pooled for
+// the process: a 32-peer cluster has a thousand streams, few sorting.
+type sortScratch struct {
+	tmp   []p2p.Update
+	count [4][256]uint32
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// sortUpdates orders a frame's updates by document (as a u32, like the
+// codec), stably and in linear time: an LSD radix sort on bytes that
+// skips a byte every key shares. Bytes, not wider digits, because the
+// median frame is a few hundred updates and pays for the counts it
+// clears; a comparison sort costs twice what encoding the frame does
+// (DESIGN.md §13). It returns how many of the deltas will cross wide.
+func sortUpdates(us []p2p.Update) (wide int) {
+	sc := sortPool.Get().(*sortScratch)
+	defer sortPool.Put(sc)
+	sc.count = [4][256]uint32{}
+	for _, u := range us {
+		k := uint32(u.Doc)
+		sc.count[0][byte(k)]++
+		sc.count[1][byte(k>>8)]++
+		sc.count[2][byte(k>>16)]++
+		sc.count[3][k>>24]++
+		if float64(float32(u.Delta)) != u.Delta {
+			wide++
+		}
+	}
+	sc.tmp = slices.Grow(reuse(sc.tmp), len(us))[:len(us)]
+	src, dst := us, sc.tmp
+	for d := 0; d < 4 && len(us) > 0; d++ {
+		count, shift, at := &sc.count[d], 8*d, uint32(0)
+		if count[byte(uint32(us[0].Doc)>>shift)] == uint32(len(us)) {
+			continue
+		}
+		for k, n := range count {
+			count[k], at = at, at+n
+		}
+		for _, u := range src {
+			k := byte(uint32(u.Doc) >> shift)
+			dst[count[k]] = u
+			count[k]++
+		}
+		src, dst = dst, src
+	}
+	copy(us, src) // onto itself after an even number of passes
+	return wide
 }
 
 // encodeCredit appends a flow-controlled acknowledgement to dst: the
@@ -175,39 +248,33 @@ func decodeSnapshot(b []byte) (sent, processed uint64, err error) {
 	return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), nil
 }
 
-// encodeRanks serializes (doc, rank) pairs.
+// encodeRanks serializes (doc, rank) pairs as a batch payload, the rank
+// in the delta's place.
 func encodeRanks(docs []graph.NodeID, ranks []float64) []byte {
-	buf := make([]byte, 4+12*len(docs))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(docs)))
-	off := 4
+	us := make([]p2p.Update, len(docs))
 	for i, d := range docs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(d))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(ranks[i]))
-		off += 12
+		us[i] = p2p.Update{Doc: d, Delta: ranks[i]}
 	}
-	return buf
+	sortUpdates(us)
+	return appendUpdates(nil, us)
 }
 
 // decodeRanks parses a rank payload into the dense output slice.
 func decodeRanks(b []byte, out []float64) (int, error) {
-	if len(b) < 4 {
-		return 0, fmt.Errorf("wire: ranks too short")
+	if len(b) > 4+13*len(out) { // one entry a document at most: checked before anything is sized
+		return 0, fmt.Errorf("wire: rank payload of %d bytes for %d documents", len(b), len(out))
 	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if uint64(len(b)-4) != 12*uint64(n) {
-		return 0, fmt.Errorf("wire: ranks length mismatch")
+	us, err := decodeBatch(b)
+	if err != nil {
+		return 0, err
 	}
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		doc := binary.LittleEndian.Uint32(b[off:])
-		rank := math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
-		if int(doc) >= len(out) {
-			return 0, fmt.Errorf("wire: rank for unknown document %d", doc)
+	for _, u := range us {
+		if uint32(u.Doc) >= uint32(len(out)) {
+			return 0, fmt.Errorf("wire: rank for unknown document %d", uint32(u.Doc))
 		}
-		out[doc] = rank
-		off += 12
+		out[u.Doc] = u.Delta
 	}
-	return int(n), nil
+	return len(us), nil
 }
 
 // batchEpochHeader is the length of the (sender, origDest, seq, epoch)
@@ -242,8 +309,10 @@ func encodeBatchEpoch(dst []byte, sender, origDest p2p.PeerID, seq, epoch uint64
 //
 //dpr:hotpath
 func appendBatchEpochFrame(dst []byte, sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
-	dst = appendFrameHeader(dst, frameBatchEpoch, batchEpochHeader+4+12*len(us))
-	return encodeBatchEpoch(dst, sender, origDest, seq, epoch, us)
+	at := len(dst)
+	dst = encodeBatchEpoch(appendFrameHeader(dst, frameBatchEpoch, 0), sender, origDest, seq, epoch, us)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-frameHeader)) // known only now
+	return dst
 }
 
 // decodeBatchEpoch parses an epoch-stamped stream batch payload. Peer

@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -251,8 +253,62 @@ func chainSlots() []slot {
 	}
 }
 
+// TestUnsortedCheckpointFrameIsRetransmitted restores a checkpoint whose
+// unacknowledged frame is in the order an older writer queued it —
+// documents going backwards, one of them twice. The codec's gaps are
+// unsigned, so the installer must order the frame before the sender
+// meets it; the destination then folds every update of it, once.
+func TestUnsortedCheckpointFrameIsRetransmitted(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.FromAdjacency(make([][]graph.NodeID, 10)) // no links: nothing else is ever shipped
+	docPeer := []p2p.PeerID{0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
+	frame := []p2p.Update{{Doc: 7, Delta: 0.5}, {Doc: 3, Delta: 0.1}, {Doc: 9, Delta: -0.25}, {Doc: 3, Delta: 1e-300}, {Doc: 2, Delta: 2}}
+	var file bytes.Buffer
+	if err := EncodeSnapshot(&PeerSnapshot{
+		ID: 0, Docs: []graph.NodeID{0, 1}, Rank: []float64{0.15, 0.15}, Acc: []float64{0, 0}, Last: []float64{0.15, 0.15},
+		Outbound:  []OutboundState{{Src: 0, Dest: 1, NextSeq: 6, Unacked: []UnackedFrame{{Seq: 5, Updates: slices.Clone(frame)}}}},
+		PeerStats: PeerStats{Sent: uint64(len(frame))},
+	}, &file); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(snap.Outbound[0].Unacked[0].Updates, frame) {
+		t.Fatalf("the checkpoint reordered the frame: %v", snap.Outbound[0].Unacked[0].Updates)
+	}
+	restored, err := RestorePeer(PeerConfig{ID: 0, Graph: g, DocPeer: docPeer, Docs: snap.Docs}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	dest, err := NewPeer(PeerConfig{ID: 1, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{2, 3, 4, 5, 6, 7, 8, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dest.Close()
+	addrs := []string{restored.Addr(), dest.Addr()}
+	restored.SetPeers(addrs)
+	dest.SetPeers(addrs)
+	dest.Start()
+	restored.Start()
+	waitCounter(t, 10*time.Second, "the inherited frame to be acknowledged", func() bool {
+		return senderStates(restored)[stream{src: 0, dest: 1}].unacked == ""
+	})
+	if st := dest.Stats(); st.Processed != uint64(len(frame)) || st.DeltaFolded != 0.5+0.1-0.25+1e-300+2 {
+		t.Fatalf("destination folded %d updates, delta %v; the frame has %d, delta %v", st.Processed, st.DeltaFolded, len(frame), 0.5+0.1-0.25+1e-300+2)
+	}
+	_, _, acc, _ := dest.rk.Rows()
+	if want := []float64{2, 0.1 + 1e-300, 0, 0, 0, 0.5, 0, -0.25}; !slices.Equal(acc, want) {
+		t.Fatalf("destination rows accumulated %v, want %v", acc, want)
+	}
+}
+
 // TestFormatsPinned holds the view digest and the checkpoint to the
-// bytes PR 14's code wrote for the same state.
+// bytes PR 14's code wrote for the same state. Checkpoint version 6 is
+// version 5 plus one header word, the wire_updates_wide counter after
+// the other statFields: cut it out and what is left is the old file.
 func TestFormatsPinned(t *testing.T) {
 	c := &Cluster{slots: chainSlots()}
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(encodeView(c.viewLocked()))),
@@ -263,7 +319,14 @@ func TestFormatsPinned(t *testing.T) {
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+	b := buf.Bytes()
+	at := len(peerSnapMagic) + 8*(6+len(statFields)) // version and five counts, the counters with the rejected count among them
+	if got := binary.LittleEndian.Uint64(b[at:]); got != fuzzSeedSnapshot().UpdatesWide {
+		t.Fatalf("header word %d is %d, want the seed's UpdatesWide", at/8, got)
+	}
+	v5 := append(slices.Clone(b[:at]), b[at+8:]...)
+	binary.LittleEndian.PutUint64(v5[len(peerSnapMagic):], 5)
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(v5)),
 		"4bea9c88764f915c6a54b6f0ccd69d8a26c9b97e6adffd674360d4af9691fac0"; got != want {
 		t.Errorf("checkpoint sha256 %s, want %s", got, want)
 	}

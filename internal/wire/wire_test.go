@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,19 +74,29 @@ func TestSnapshotCodec(t *testing.T) {
 }
 
 func TestRanksCodec(t *testing.T) {
-	docs := []graph.NodeID{0, 3}
-	ranks := []float64{1.5, 2.5}
+	// Row order, as a ranker that has adopted rows hands them over.
+	docs := []graph.NodeID{3, 0, 2}
+	ranks := []float64{2.5, 1.0 / 3, 0.15000000000000002}
 	out := make([]float64, 4)
-	n, err := decodeRanks(encodeRanks(docs, ranks), out)
-	if err != nil || n != 2 {
-		t.Fatal(err)
+	b := encodeRanks(docs, ranks)
+	n, err := decodeRanks(b, out)
+	if err != nil || n != 3 {
+		t.Fatal(n, err)
 	}
-	if out[0] != 1.5 || out[3] != 2.5 {
+	if !slices.Equal(out, []float64{1.0 / 3, 0, 0.15000000000000002, 2.5}) {
 		t.Fatalf("ranks: %v", out)
 	}
+	// It is the batch payload: one-byte gaps, and 2.5 is a float32.
+	if want := 4 + (1 + 8) + (1 + 8) + (1 + 4); len(b) != want {
+		t.Fatalf("3 ranks in %d bytes, want %d", len(b), want)
+	}
 	// Out-of-range doc rejected.
-	if _, err := decodeRanks(encodeRanks([]graph.NodeID{99}, []float64{1}), out); err == nil {
+	if _, err := decodeRanks(encodeRanks([]graph.NodeID{99}, []float64{1}), make([]float64, 99)); err == nil {
 		t.Fatal("accepted unknown doc")
+	}
+	// So is more payload than one entry a document could fill, unparsed.
+	if _, err := decodeRanks(encodeRanks([]graph.NodeID{0, 0, 0, 1}, []float64{0.1, 0.1, 0.1, 0.1}), make([]float64, 2)); err == nil {
+		t.Fatal("accepted 4 entries for 2 documents")
 	}
 }
 
@@ -120,10 +131,14 @@ func TestClusterComputesPagerankOverTCP(t *testing.T) {
 	assertResidualsPushed(t, c, 1e-6)
 }
 
+// TestClusterTightThresholdSmallGraph: ε = 1e-9 buys 1e-7 of the
+// centralized ranks. The deltas cross as float32s — relative precision
+// 6e-8 each — yet put no floor under the result: what a push rounds away
+// stays in the pusher's residual, and the codec itself loses nothing.
 func TestClusterTightThresholdSmallGraph(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(150, 122))
-	c, err := NewCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-7, Seed: 4})
+	c, err := NewCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-9, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +151,15 @@ func TestClusterTightThresholdSmallGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range ref.Ranks {
-		if math.Abs(res.Ranks[i]-ref.Ranks[i])/ref.Ranks[i] > 1e-4 {
+		if math.Abs(res.Ranks[i]-ref.Ranks[i])/ref.Ranks[i] > 1e-7 {
 			t.Fatalf("rank[%d]: %v vs %v", i, res.Ranks[i], ref.Ranks[i])
 		}
+	}
+	if framed := res.Sent - res.Coalesced; res.UpdatesWide == 0 || res.UpdatesWide > framed/2 {
+		t.Fatalf("%d of about %d framed updates crossed wide: want some (coalesced sums), and most narrow", res.UpdatesWide, framed)
+	}
+	if math.Abs(res.DeltaShipped-res.DeltaFolded) > 1e-9*res.DeltaShipped {
+		t.Fatalf("shipped %v, folded %v", res.DeltaShipped, res.DeltaFolded)
 	}
 }
 
@@ -280,7 +301,7 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &cur); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint64{3, 4} {
+	for _, version := range []uint64{3, 4, 5} {
 		hdr := append([]byte(nil), cur.Bytes()...)
 		le.PutUint64(hdr[len(peerSnapMagic):], version)
 		_, err := DecodeSnapshot(bytes.NewReader(hdr))
