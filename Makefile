@@ -37,9 +37,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-check the concurrent hot paths (pass pipeline, async engine,
-# chaotic solver, p2p substrate, fault-tolerant wire layer).
+# the engine seam over it and the mutexed rankers, p2p substrate,
+# fault-tolerant wire layer).
 race:
-	$(GO) test -race ./internal/core ./internal/chaotic ./internal/p2p ./internal/wire ./internal/telemetry
+	$(GO) test -race ./internal/core ./internal/engine ./internal/p2p ./internal/wire ./internal/telemetry
 
 # Fault-injection suite: resets, drops, partitions and crash/restart
 # cycles under the race detector. -count=1 defeats the test cache so

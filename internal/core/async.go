@@ -27,7 +27,6 @@ import (
 // is defined.
 type AsyncEngine struct {
 	g       graph.Linker
-	damping float64
 	epsilon float64
 
 	// rankers holds one per-peer state machine — the kernel the TCP
@@ -75,12 +74,14 @@ func (m *mailbox) drain() []p2p.Update {
 	return us
 }
 
-// newRankers validates opt and the placement and builds an
-// asynchronous engine's per-peer state machines, each reading
-// adjacency through a cursor of its own (compressed representations
-// decode into per-cursor buffers, so sharing one across goroutines
-// would race).
-func newRankers(g graph.Linker, net *p2p.Network, opt Options) ([]*p2p.Ranker, error) {
+// NewRankers validates opt and the placement and builds one p2p.Ranker
+// per peer at push threshold start (ε when start is below it) — what the
+// asynchronous engines here and the round driver in internal/engine
+// deliver batches between. Each ranker reads adjacency through a cursor
+// of its own (compressed representations decode into per-cursor buffers,
+// so sharing one across goroutines would race).
+func NewRankers(g graph.Linker, net *p2p.Network, opt Options, start float64) ([]*p2p.Ranker, error) {
+	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -97,7 +98,7 @@ func newRankers(g graph.Linker, net *p2p.Network, opt Options) ([]*p2p.Ranker, e
 	rankers := make([]*p2p.Ranker, net.NumPeers())
 	for p := range rankers {
 		rankers[p] = p2p.NewRanker(p2p.PeerID(p), graph.CursorFor(g), net.Docs(p2p.PeerID(p)), docPeer,
-			base, opt.Damping, opt.Epsilon, p2p.StartThreshold(opt.Epsilon), opt.Absolute, new(telemetry.Gauge))
+			base, opt.Damping, opt.Epsilon, start, opt.Absolute, new(telemetry.Gauge))
 	}
 	return rankers, nil
 }
@@ -106,10 +107,7 @@ func newRankers(g graph.Linker, net *p2p.Network, opt Options) ([]*p2p.Ranker, e
 func gatherRanks(rankers []*p2p.Ranker, n int) []float64 {
 	ranks := make([]float64, n)
 	for _, rk := range rankers {
-		docs, rs := rk.Ranks()
-		for i, d := range docs {
-			ranks[d] = rs[i]
-		}
+		rk.RanksInto(ranks)
 	}
 	return ranks
 }
@@ -118,11 +116,11 @@ func gatherRanks(rankers []*p2p.Ranker, n int) []float64 {
 // already placed on net.
 func NewAsyncEngine(g graph.Linker, net *p2p.Network, opt Options) (*AsyncEngine, error) {
 	opt = opt.withDefaults()
-	rankers, err := newRankers(g, net, opt)
+	rankers, err := NewRankers(g, net, opt, p2p.StartThreshold(opt.Epsilon))
 	if err != nil {
 		return nil, err
 	}
-	e := &AsyncEngine{g: g, damping: opt.Damping, epsilon: opt.Epsilon, rankers: rankers, quiet: make(chan struct{}, 1)}
+	e := &AsyncEngine{g: g, epsilon: opt.Epsilon, rankers: rankers, quiet: make(chan struct{}, 1)}
 	e.boxes = make([]*mailbox, len(rankers))
 	for i := range e.boxes {
 		e.boxes[i] = newMailbox()

@@ -39,13 +39,8 @@ func (e *PassEngine) LastResidual() float64 { return e.passMaxChange }
 // mailboxes is on neither side of the ledger.
 func (e *AsyncEngine) MassBalance() (folded, shipped float64) {
 	for _, rk := range e.rankers {
-		docs, _, acc, last := rk.Rows()
-		for i, d := range docs {
-			folded += acc[i]
-			if e.g.OutDegree(d) > 0 {
-				shipped += e.damping * last[i]
-			}
-		}
+		f, s := rk.MassBalance()
+		folded, shipped = folded+f, shipped+s
 	}
 	return folded, shipped
 }

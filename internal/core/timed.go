@@ -129,7 +129,7 @@ func NewTimedEngine(g graph.Linker, net *p2p.Network, opt TimedOptions) (*TimedE
 	if opt.Bandwidth < 0 {
 		return nil, fmt.Errorf("core: negative bandwidth")
 	}
-	rankers, err := newRankers(g, net, opt.Options)
+	rankers, err := NewRankers(g, net, opt.Options, p2p.StartThreshold(opt.Epsilon))
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,12 @@
 //
 // Five engines register at init: "pass" (core.PassEngine, the paper's
 // §4.2 simulation), "async" (core.AsyncEngine, the live goroutine
-// system), "chaotic" (the generic relaxation solver of
-// internal/chaotic on the pagerank system), "diffusion" (per-node
-// residual fluid pushed along out-links, work-list ordered by
-// remaining fluid) and "walk" (a seeded walk ensemble with
-// visit-count rank estimation and an ε-precision stopping rule).
+// system), "chaotic" and "diffusion" (ranker.go: one single-goroutine
+// round driver over the same per-peer p2p.Ranker fold async and the TCP
+// peer run, started at push threshold ε — Figure 1 as stated — and at
+// the staged 1/2-halved-to-ε schedule respectively) and "walk" (a
+// seeded walk ensemble with visit-count rank estimation and an
+// ε-precision stopping rule).
 package engine
 
 import (
@@ -146,7 +147,7 @@ func New(name string, cfg Config) (Engine, error) {
 
 // Drive steps e until its own stopping rule fires or maxSteps steps
 // have run, returning the final state in the core result shape.
-// maxSteps <= 0 means the engine options' MaxPass.
+// maxSteps <= 0 means 10000.
 func Drive(e Engine, maxSteps int) core.Result {
 	if maxSteps <= 0 {
 		maxSteps = 10000

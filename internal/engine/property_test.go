@@ -90,6 +90,9 @@ func TestQuickWalkMassExact(t *testing.T) {
 // TestQuickDiffusionMonotoneResidual: each diffusion sweep removes
 // fluid f and injects at most d·f, so the residual (total remaining
 // fluid, normalized) never increases — on any graph, from any seed.
+// The residual is a sum over rows plus a sum over inboxes, and mass
+// moving between the two re-associates the additions, so a step that
+// releases almost nothing may read an ulp higher: hence the 1e-12.
 func TestQuickDiffusionMonotoneResidual(t *testing.T) {
 	prop := func(rawDocs, rawPeers uint16, seed uint64) bool {
 		cfg := quickCfg(t, rawDocs, rawPeers, seed)
@@ -100,7 +103,7 @@ func TestQuickDiffusionMonotoneResidual(t *testing.T) {
 		prev := e.Residual()
 		for s := 0; s < 25; s++ {
 			st := e.Step()
-			if st.Residual > prev {
+			if st.Residual > prev*(1+1e-12) {
 				t.Logf("step %d: residual rose %v -> %v", st.Step, prev, st.Residual)
 				return false
 			}

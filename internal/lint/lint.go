@@ -5,9 +5,9 @@
 // The analyzers encode contracts established by earlier PRs:
 //
 //   - determinism: the deterministic packages (rng, graph, core,
-//     chaotic, simnet, experiments) must be bit-reproducible from a
-//     seed. Global math/rand, time.Now and map-iteration-ordered
-//     writes to ordered outputs are forbidden there.
+//     simnet, experiments) must be bit-reproducible from a seed.
+//     Global math/rand, time.Now and map-iteration-ordered writes to
+//     ordered outputs are forbidden there.
 //   - wiredeadline: every net.Conn read/write in internal/wire must be
 //     covered by a Set{Read,Write}Deadline in the same function, so a
 //     hung peer surfaces as an error instead of a stuck goroutine.
@@ -140,7 +140,7 @@ func DefaultConfig(module string) Config {
 	return Config{
 		DeterministicPkgs: []string{
 			p("internal/rng"), p("internal/graph"), p("internal/core"),
-			p("internal/chaotic"), p("internal/simnet"), p("internal/experiments"),
+			p("internal/simnet"), p("internal/experiments"),
 			p("internal/telemetry"), p("internal/csr"),
 			p("internal/solver"), p("internal/search"), p("internal/netmodel"),
 			p("internal/engine"), p("internal/race"),

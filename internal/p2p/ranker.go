@@ -429,6 +429,48 @@ func (r *Ranker) Ranks() ([]graph.NodeID, []float64) {
 	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.rank...)
 }
 
+// RanksInto writes each held document's rank at its index in dst, which
+// spans the whole graph: the copy-free form of Ranks for an in-process
+// driver assembling one vector from every peer.
+func (r *Ranker) RanksInto(dst []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, d := range r.docs {
+		dst[d] = r.rank[i]
+	}
+}
+
+// Unpushed returns the held rows' total un-pushed rank change
+// Σ|rank − last|: D-Iteration's remaining fluid at this peer. With u the
+// sum of it over all peers and f the delta mass in flight between them,
+// the rank vector is within (f + d·u)/(1−d) of the fixed point in the
+// 1-norm.
+func (r *Ranker) Unpushed() (u float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.rank {
+		u += math.Abs(r.rank[i] - r.last[i])
+	}
+	return u
+}
+
+// MassBalance returns the two sides of this peer's rank-mass ledger: the
+// in-link mass its rows have folded, and the mass they have shipped —
+// d·last per document with out-links, since every push advances last by
+// exactly what it emits. Summed over all peers the two differ by the
+// mass still in flight.
+func (r *Ranker) MassBalance() (folded, shipped float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, d := range r.docs {
+		folded += r.acc[i]
+		if len(r.cur.OutLinks(d)) > 0 {
+			shipped += r.damping * r.last[i]
+		}
+	}
+	return folded, shipped
+}
+
 // Rows copies out the durable state: the held documents and, row by
 // row, their rank, accumulated in-link mass and last-pushed rank.
 func (r *Ranker) Rows() (docs []graph.NodeID, rank, acc, last []float64) {
