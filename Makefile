@@ -1,7 +1,7 @@
 # Distributed Pagerank for P2P Systems — build/test/bench driver.
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-e2e bench-check loc ci
+.PHONY: all build vet fmt-check lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-csr bench-e2e bench-check loc ci
 
 all: build
 
@@ -103,6 +103,13 @@ bench-wire:
 	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
 	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
+# The compressed substrate's read path, nanoseconds per Cursor.OutLinks
+# call over the three access shapes the engines produce: every node
+# ascending (a dense pass), one in eight ascending (a late pass),
+# random (ranker drivers, walk). Also run by CI at BENCHTIME=1x.
+bench-csr:
+	$(GO) test -run XXX -bench 'BenchmarkCursor' -benchmem -benchtime $(BENCHTIME) ./internal/csr
+
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # every workload in its own process, untraced and then traced for the
 # per-layer table.
@@ -139,4 +146,5 @@ ci:
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \
 		&& $(GO) test -race -count=1 -run Overload ./internal/wire \
 		&& $(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race \
-		&& $(MAKE) bench-wire BENCHTIME=1x
+		&& $(MAKE) bench-wire BENCHTIME=1x \
+		&& $(MAKE) bench-csr BENCHTIME=1x

@@ -258,10 +258,10 @@ func (e *PassEngine) RunPass() PassStats {
 	// retry traffic above was sent in an earlier pass, so it is
 	// visible now. The list is rebuilt in ascending document order
 	// into a pass-reused buffer: chunk workers then sweep adjacency in
-	// document order, so block-decoding cursors (internal/csr)
-	// amortize one decode across every dirty document in a block
-	// instead of re-decoding per seek, and the plain representation
-	// gets sequential access too. Dense passes (the common early ones)
+	// document order, so positional cursors (internal/csr) skip ahead
+	// from the last document read instead of from the start of its
+	// block, and the plain representation gets sequential access too.
+	// Dense passes (the common early ones)
 	// read the order straight off the dirty flags with one sequential
 	// scan; sparse passes sort the per-shard lists, whose shard-major
 	// concatenation is the same ascending order. Both are

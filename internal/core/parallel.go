@@ -112,9 +112,10 @@ func (o *chunkOutbox) reset() {
 // bumping epoch resets the whole index in O(1) between chunks.
 //
 // cur is the worker's private adjacency read cursor: compressed
-// representations (internal/csr) decode blocks into a per-cursor
-// buffer, so each chunk worker streams its own decode-ahead state
-// instead of allocating a fresh slice per OutLinks call.
+// representations (internal/csr) decode into a per-cursor buffer from
+// a per-cursor payload position, so each chunk worker skips ahead
+// through its own chunk instead of allocating a fresh slice per
+// OutLinks call.
 type chunkScratch struct {
 	mark  []uint64
 	epoch uint32
@@ -347,16 +348,23 @@ func (e *PassEngine) chunkWork(work []graph.NodeID) ([][]graph.NodeID, int) {
 		e.pipe.deg = e.st.g.OutDegree
 	}
 	deg := e.pipe.deg
-	total := len(work)
-	for _, d := range work {
-		total += deg(d)
-	}
+	total := workWeight(work, deg)
 	n := (total + chunkGrain - 1) / chunkGrain
 	if n > maxChunks {
 		n = maxChunks
 	}
-	e.pipe.chunks = splitChunksInto(e.pipe.chunks[:0], work, n, deg)
+	e.pipe.chunks = splitChunksInto(e.pipe.chunks[:0], work, n, total, deg)
 	return e.pipe.chunks, total
+}
+
+// workWeight is the total weight of a work list: document d weighs
+// 1+outDegree(d).
+func workWeight(work []graph.NodeID, outDegree func(graph.NodeID) int) int {
+	total := len(work)
+	for _, d := range work {
+		total += outDegree(d)
+	}
+	return total
 }
 
 // outboxes returns n reset chunk outboxes, reusing capacity across
@@ -407,11 +415,13 @@ func (e *PassEngine) scratchFor(w int) *chunkScratch {
 // The split is deterministic for a given (work, n) and every chunk is
 // non-empty, so n > len(work) yields at most len(work) chunks.
 func splitChunks(work []graph.NodeID, n int, outDegree func(graph.NodeID) int) [][]graph.NodeID {
-	return splitChunksInto(nil, work, n, outDegree)
+	return splitChunksInto(nil, work, n, workWeight(work, outDegree), outDegree)
 }
 
-// splitChunksInto is splitChunks appending into a reusable buffer.
-func splitChunksInto(dst [][]graph.NodeID, work []graph.NodeID, n int, outDegree func(graph.NodeID) int) [][]graph.NodeID {
+// splitChunksInto is splitChunks appending into a reusable buffer,
+// handed the work list's total weight (workWeight) by a caller that
+// already has it.
+func splitChunksInto(dst [][]graph.NodeID, work []graph.NodeID, n, total int, outDegree func(graph.NodeID) int) [][]graph.NodeID {
 	if len(work) == 0 {
 		return dst
 	}
@@ -420,10 +430,6 @@ func splitChunksInto(dst [][]graph.NodeID, work []graph.NodeID, n int, outDegree
 	}
 	if n <= 1 {
 		return append(dst, work)
-	}
-	total := len(work)
-	for _, d := range work {
-		total += outDegree(d)
 	}
 	// Greedy fair-share split: close a chunk once it carries at least
 	// remaining/chunksLeft weight, keeping one document for each chunk

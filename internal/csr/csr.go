@@ -15,18 +15,21 @@
 // long-range links spend five or six. Degrees live outside the payload
 // in a uint16-per-node array (an escape value spills the rare >= 65535
 // degrees to a sorted side table), and a block-skip index stores the
-// payload nibble offset of every block's first node. A cursor seek
-// therefore costs one index lookup plus at most one 64-node block
-// decode, and sequential sweeps — the pass pipeline's shard-major work
-// lists — decode each block once.
+// payload nibble offset of every block's first node. A read of node v
+// starts from that offset — or, through a Cursor, from wherever the
+// cursor's last read in the block stopped — passes the varints of the
+// nodes in between a 16-nibble word at a time (their number is a sum
+// over the degree array, their ends a popcount), and decodes v alone:
+// the cost follows the rows a pass pushes from, not the blocks they sit
+// in. Ascending sweeps — the pass pipeline's shard-major work lists —
+// never pass a varint twice.
 //
 // The representation implements graph.Linker and graph.CursorLinker,
 // so every engine runs on it unchanged, and decode emits each target
 // list in ascending id order — the package-wide adjacency invariant —
 // which keeps ranks bit-identical with the uncompressed
-// representation. Hot loops obtain per-worker Cursors that stream
-// adjacency blocks through a reused buffer with zero steady-state
-// allocations.
+// representation. Hot loops obtain per-worker Cursors that decode into
+// a reused buffer with zero steady-state allocations.
 //
 // The same sections serialize to a file (magic "DPRZ") whose payload
 // is memory-mapped on Linux, so a graph bigger than RAM pages in on
@@ -34,7 +37,9 @@
 package csr
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dpr/internal/graph"
@@ -43,7 +48,7 @@ import (
 const (
 	// blockShift sets the skip-index granularity: 64 nodes per block
 	// balances index overhead (one offset per block, ~0.13 bytes/node)
-	// against worst-case random-seek decode work.
+	// against worst-case random-seek skip work.
 	blockShift = 6
 	blockNodes = 1 << blockShift
 	blockMask  = blockNodes - 1
@@ -113,7 +118,8 @@ func readNibVar(data []byte, p int64) (uint64, int64) {
 	}
 }
 
-// skipNibVars advances past count varints starting at nibble index p.
+// skipNibVars advances past count varints starting at nibble index p,
+// a nibble at a time: skipVars' fallback for the payload's last bytes.
 func skipNibVars(data []byte, p int64, count int) int64 {
 	for ; count > 0; count-- {
 		for data[p>>1]>>(uint(p&1)<<2)&0x8 != 0 {
@@ -124,14 +130,60 @@ func skipNibVars(data []byte, p int64, count int) int64 {
 	return p
 }
 
-// decodeInto decodes node v's target list starting at nibble index p
-// into dst (len = OutDegree(v)), returning the advanced index. Output
-// is ascending: the below-source distances fill dst backwards from the
-// split point, the above-source distances forwards.
-func (g *Graph) decodeInto(v graph.NodeID, p int64, dst []graph.NodeID) int64 {
-	if len(dst) == 0 {
-		return p
+// skipVars advances past count varints starting at nibble index p, 16
+// nibbles per step: a varint ends at the one nibble with a clear top
+// bit, so the terminators in an 8-byte load are a popcount. The payload
+// may be a read-only mapping that ends on the file's last byte, so a
+// word is only loaded where all 8 bytes lie inside data.
+//
+//dpr:hotpath
+func skipVars(data []byte, p int64, count int) int64 {
+	for count > 0 {
+		i := int(p >> 1)
+		if i+8 > len(data) {
+			return skipNibVars(data, p, count)
+		}
+		// An odd p starts mid-byte: the low nibble is already behind it.
+		m := ^binary.LittleEndian.Uint64(data[i:]) & 0x8888888888888888 &^ (uint64(p&1) << 3)
+		if n := bits.OnesCount64(m); n < count {
+			count -= n
+			p = int64(i+8) << 1
+			continue
+		}
+		for ; count > 1; count-- {
+			m &= m - 1
+		}
+		return int64(i)<<1 + int64(bits.TrailingZeros64(m)>>2) + 1
 	}
+	return p
+}
+
+// skipNodes advances p from the first varint of node from to the first
+// varint of node to (from <= to, same block): each node in between
+// holds its below-source count plus one gap per target, or nothing at
+// degree 0.
+//
+//dpr:hotpath
+func (g *Graph) skipNodes(from, to int, p int64) int64 {
+	count := 0
+	for i, d := range g.deg[from:to] {
+		switch d {
+		case 0:
+		case degEscape:
+			count += g.OutDegree(graph.NodeID(from+i)) + 1
+		default:
+			count += int(d) + 1
+		}
+	}
+	return skipVars(g.payload, p, count)
+}
+
+// decodeInto decodes node v's target list starting at nibble index p
+// into dst (len = OutDegree(v), not 0: a node without targets holds no
+// varints), returning the advanced index. Output is ascending: the
+// below-source distances fill dst backwards from the split point, the
+// above-source distances forwards.
+func (g *Graph) decodeInto(v graph.NodeID, p int64, dst []graph.NodeID) int64 {
 	data := g.payload
 	k, p := readNibVar(data, p)
 	t := v
@@ -161,13 +213,8 @@ func (g *Graph) OutLinks(v graph.NodeID) []graph.NodeID {
 		return nil
 	}
 	out := make([]graph.NodeID, d)
-	b := int(v) >> blockShift
-	p := g.blockOff[b]
-	for u := b << blockShift; u < int(v); u++ {
-		if du := g.OutDegree(graph.NodeID(u)); du > 0 {
-			p = skipNibVars(g.payload, p, du+1) // count varint + gaps
-		}
-	}
+	first := int(v) &^ blockMask
+	p := g.skipNodes(first, int(v), g.blockOff[first>>blockShift])
 	g.decodeInto(v, p, out)
 	return out
 }
@@ -217,126 +264,58 @@ func (g *Graph) TotalBytesPerEdge() float64 {
 
 // NewCursor returns a fresh decode cursor. Each concurrent reader
 // needs its own.
-func (g *Graph) NewCursor() graph.LinkCursor { return &Cursor{g: g, block: -1} }
+func (g *Graph) NewCursor() graph.LinkCursor { return &Cursor{g: g, at: -1} }
 
 var (
 	_ graph.Linker       = (*Graph)(nil)
 	_ graph.CursorLinker = (*Graph)(nil)
 )
 
-// Cursor is a sequential decode handle: it caches the most recently
-// decoded block, so a sweep in (quasi-)ascending node order — the pass
-// pipeline's shard-major work lists — decodes each block exactly once
-// and serves the nodes inside it as O(1) slice views. Seeking costs one
-// block-skip index lookup plus one 64-node block decode. Not safe for
-// concurrent use; the slice returned by OutLinks is valid until the
-// next OutLinks call.
+// Cursor is a positional decode handle: it remembers the node its last
+// decode stopped in front of and that node's payload offset. OutLinks(v)
+// skips from there to v when v lies at or ahead of it in the same block
+// — from the block's skip-index entry otherwise — and decodes v alone,
+// so a read costs the varints skipped (a word at a time) plus v's own
+// degree, never the block around it. Not safe for concurrent use; the
+// slice returned by OutLinks is valid until the next OutLinks call.
 type Cursor struct {
-	g     *Graph
-	block int            // currently decoded block, -1 when empty
-	buf   []graph.NodeID // decoded targets of the current block
-	ends  [blockNodes + 1]int32
+	g   *Graph
+	at  int            // node whose varints begin at p, -1 before the first decode
+	p   int64          // payload nibble offset of node at
+	buf []graph.NodeID // decoded targets of the last node read
 }
 
-// OutLinks returns the out-links of v in ascending id order, decoding
-// v's block if it is not the one already cached.
+// OutLinks returns the out-links of v in ascending id order, decoded
+// into the cursor's reused buffer.
 //
 //dpr:hotpath
 func (c *Cursor) OutLinks(v graph.NodeID) []graph.NodeID {
-	b := int(v) >> blockShift
-	if b != c.block {
-		//dpr:ignore hotpath-transitive: loadBlock's only allocation is the grow cold path, amortized to zero once the buffer fits the heaviest block
-		c.loadBlock(b)
-	}
-	i := int(v) & blockMask
-	return c.buf[c.ends[i]:c.ends[i+1]]
-}
-
-// loadBlock decodes every node of block b into the cursor's reused
-// buffer. Steady-state it allocates nothing: the buffer grows (via the
-// cold grow helper) to the heaviest block seen and is reused after.
-// The varint loops are manually unrolled into the function — a
-// per-nibble call would dominate the decode cost.
-//
-//dpr:hotpath
-func (c *Cursor) loadBlock(b int) {
 	g := c.g
-	base := b << blockShift
-	hi := base + blockNodes
-	if hi > g.n {
-		hi = g.n
+	d := int(g.deg[v])
+	if d == 0 {
+		return nil // no varints to pass: the position stays good
 	}
-	tot := 0
-	for v := base; v < hi; v++ {
-		tot += g.OutDegree(graph.NodeID(v))
+	if d == degEscape {
+		d = g.OutDegree(v)
 	}
-	if cap(c.buf) < tot {
-		//dpr:ignore hotpath-transitive: grow is the explicit cold path — it runs until the buffer fits the heaviest block, then never again
-		c.grow(tot)
+	at, p := c.at, c.p
+	if first := int(v) &^ blockMask; at < first || at > int(v) {
+		at, p = first, g.blockOff[first>>blockShift]
 	}
-	buf := c.buf[:tot]
-	data := g.payload
-	p := g.blockOff[b]
-	w := int32(0)
-	for i, v := 0, base; v < hi; i, v = i+1, v+1 {
-		d := int32(g.OutDegree(graph.NodeID(v)))
-		if d == 0 {
-			c.ends[i+1] = w
-			continue
-		}
-		segStart := w
-		var k uint64
-		var shift uint
-		for {
-			nb := data[p>>1] >> (uint(p&1) << 2) & 0xF
-			p++
-			k |= uint64(nb&7) << shift
-			if nb < 8 {
-				break
-			}
-			shift += 3
-		}
-		t := graph.NodeID(v)
-		for j := int32(k); j > 0; j-- {
-			var x uint64
-			shift = 0
-			for {
-				nb := data[p>>1] >> (uint(p&1) << 2) & 0xF
-				p++
-				x |= uint64(nb&7) << shift
-				if nb < 8 {
-					break
-				}
-				shift += 3
-			}
-			t -= graph.NodeID(x) + 1
-			buf[segStart+j-1] = t
-		}
-		t = graph.NodeID(v)
-		for j := int32(k); j < d; j++ {
-			var x uint64
-			shift = 0
-			for {
-				nb := data[p>>1] >> (uint(p&1) << 2) & 0xF
-				p++
-				x |= uint64(nb&7) << shift
-				if nb < 8 {
-					break
-				}
-				shift += 3
-			}
-			t += graph.NodeID(x) + 1
-			buf[segStart+j] = t
-		}
-		w = segStart + d
-		c.ends[i+1] = w
+	if at < int(v) {
+		p = g.skipNodes(at, int(v), p)
 	}
-	c.buf = buf
-	c.block = b
+	if cap(c.buf) < d {
+		//dpr:ignore hotpath-transitive: grow is the explicit cold path — it runs until the buffer fits the heaviest node read, then never again
+		c.grow(d)
+	}
+	dst := c.buf[:d]
+	c.at, c.p = int(v)+1, g.decodeInto(v, p, dst)
+	return dst
 }
 
-// grow is loadBlock's cold path: replace the decode buffer with one
-// that fits tot targets.
-func (c *Cursor) grow(tot int) {
-	c.buf = make([]graph.NodeID, 0, tot)
+// grow is OutLinks' cold path: replace the decode buffer with one that
+// fits d targets.
+func (c *Cursor) grow(d int) {
+	c.buf = make([]graph.NodeID, d)
 }

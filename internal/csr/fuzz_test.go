@@ -55,6 +55,23 @@ func FuzzDecodeCSR(f *testing.F) {
 		if edges != g.NumEdges() {
 			t.Fatalf("decoded %d edges, header says %d", edges, g.NumEdges())
 		}
+		// A second cursor reads it backwards and then strided, so every
+		// read is a seek: from the block's skip-index entry going down,
+		// over a run of other nodes' varints going up.
+		seek := g.NewCursor()
+		check := func(v int) {
+			if !slices.Equal(seek.OutLinks(graph.NodeID(v)), g.OutLinks(graph.NodeID(v))) {
+				t.Fatalf("node %d: seeking cursor and generic decode disagree", v)
+			}
+		}
+		for v := g.NumNodes() - 1; v >= 0; v-- {
+			check(v)
+		}
+		for _, step := range []int{3, 7, 67} {
+			for v := 0; v < g.NumNodes(); v += step {
+				check(v)
+			}
+		}
 	})
 }
 
