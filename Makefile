@@ -76,9 +76,11 @@ chaos-overload:
 race-engines-smoke:
 	$(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race
 
-# Short fuzz burst over the checkpoint decoder (truncated/corrupt input).
+# Short fuzz bursts over the checkpoint decoder (truncated/corrupt
+# input) and the row codec every snapshot format is built on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
 
 # Fuzz the compressed-graph (DPRZ) decoder: arbitrary bytes must error
 # or decode to a self-consistent graph, never panic.
@@ -96,12 +98,13 @@ bench-pipeline:
 # ranker fold (and the per-row cost of a threshold-stage sweep) and
 # retry-queue coalesce + drain (internal/p2p), ordering a frame for the
 # batch codec and the codec itself, with its bytes per update
-# (internal/wire) — with allocation counts. BENCHTIME=1x is
+# (internal/wire) — with allocation counts, plus the checkpoint codec's
+# bytes and encode/decode ns per row. BENCHTIME=1x is
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
-	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort|BenchmarkSnapshotCodec' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks
 # call over the three access shapes the engines produce: every node

@@ -1,127 +1,99 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"dpr/internal/graph"
+	"dpr/internal/p2p"
 )
-
-// Checkpointing lets a long-lived network persist its converged state:
-// the paper's motivation is *continuously accurate* pageranks, so a
-// peer restarting should resume from the last fixed point instead of
-// recomputing from scratch. A checkpoint captures every document's
-// rank, accumulator, last-pushed value and liveness; restoring into an
-// engine over the same graph resumes exactly where the computation
-// left off (pending un-pushed deltas included).
 
 const (
 	checkpointMagic   = "DPRC"
-	checkpointVersion = 1
+	checkpointVersion = 2
+	checkpointHeader  = len(checkpointMagic) + 4*8
 )
 
-// WriteCheckpoint serializes the engine's document state. The engine
-// should be quiescent (between passes); mid-pass incoming mass is
-// folded into the accumulators so nothing is lost.
+// WriteCheckpoint persists the document state so a restart resumes from
+// the last fixed point: magic, u64 words (version, documents, damping,
+// epsilon), then p2p row lists — documents 0..n-1 with rank, accumulator
+// (undelivered incoming mass folded in) and last-pushed value, and the
+// uninitialized, removed and dirty documents with no columns.
 func (e *PassEngine) WriteCheckpoint(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		return err
-	}
 	n := e.st.g.NumNodes()
-	hdr := []uint64{checkpointVersion, uint64(n), math.Float64bits(e.st.opt.Damping),
-		math.Float64bits(e.st.opt.Epsilon)}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	b := []byte(checkpointMagic)
+	for _, v := range []uint64{checkpointVersion, uint64(n), math.Float64bits(e.st.opt.Damping), math.Float64bits(e.st.opt.Epsilon)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	for d := 0; d < n; d++ {
-		// Fold any undelivered incoming mass so the checkpoint is
-		// self-contained.
-		acc := e.st.acc[d] + e.incoming[d]
-		var flags uint8
-		if e.initialized[d] {
-			flags |= 1
-		}
-		if e.removed[d] {
-			flags |= 2
-		}
-		if e.dirty[d] {
-			flags |= 4
-		}
-		fields := []uint64{
-			math.Float64bits(e.st.rank[d]),
-			math.Float64bits(acc),
-			math.Float64bits(e.st.last[d]),
-		}
-		for _, v := range fields {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
+	docs, acc := make([]graph.NodeID, n), make([]float64, n)
+	var sets [3][]graph.NodeID
+	for d := range docs {
+		docs[d], acc[d] = graph.NodeID(d), e.st.acc[d]+e.incoming[d]
+		for i, in := range [3]bool{!e.initialized[d], e.removed[d], e.dirty[d]} {
+			if in {
+				sets[i] = append(sets[i], graph.NodeID(d))
 			}
 		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	b = p2p.EncodeRows(b, docs, e.st.rank[:n], acc, e.st.last[:n])
+	for _, set := range sets {
+		b = p2p.EncodeRows(b, set)
+	}
+	_, err := w.Write(b)
+	return err
 }
 
-// RestoreCheckpoint loads state written by WriteCheckpoint into this
-// engine. The engine must be over a graph with the same node count;
-// damping must match (epsilon may differ — tightening the threshold
-// on a restored state resumes refinement, which is the expected
-// workflow).
+// RestoreCheckpoint loads a checkpoint over a graph of the same size and
+// damping (a tighter epsilon resumes refinement). The whole file is
+// parsed before anything is installed: a refused one changes nothing.
 func (e *PassEngine) RestoreCheckpoint(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("core: reading checkpoint magic: %w", err)
+	b, err := io.ReadAll(r)
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[len(checkpointMagic)+8*i:]) }
+	n := e.st.g.NumNodes()
+	switch {
+	case err != nil:
+		return fmt.Errorf("core: reading checkpoint: %w", err)
+	case len(b) < checkpointHeader || string(b[:len(checkpointMagic)]) != checkpointMagic:
+		return fmt.Errorf("core: not a DPRC checkpoint, or its header is cut short")
+	case word(0) != checkpointVersion:
+		return fmt.Errorf("core: unsupported checkpoint version %d (this is version %d)", word(0), checkpointVersion)
+	case word(1) != uint64(n):
+		return fmt.Errorf("core: checkpoint has %d documents, graph has %d", word(1), n)
+	case math.Float64frombits(word(2)) != e.st.opt.Damping:
+		return fmt.Errorf("core: checkpoint damping %v != engine damping %v", math.Float64frombits(word(2)), e.st.opt.Damping)
 	}
-	if string(magic) != checkpointMagic {
-		return fmt.Errorf("core: bad checkpoint magic %q", magic)
+	docs, cols, b, err := p2p.DecodeRows(b[checkpointHeader:], 3)
+	lists := [4][]graph.NodeID{docs} // the rows', then the uninitialized, removed and dirty documents
+	for i := 1; i < len(lists) && err == nil; i++ {
+		lists[i], _, b, err = p2p.DecodeRows(b, 0)
 	}
-	var version, n, dampingBits, epsBits uint64
-	for _, p := range []*uint64{&version, &n, &dampingBits, &epsBits} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return fmt.Errorf("core: reading checkpoint header: %w", err)
+	if err != nil || len(b) != 0 || len(docs) != n {
+		return fmt.Errorf("core: checkpoint body cut short, corrupt or too long (%d rows, %d bytes left)", len(docs), len(b))
+	}
+	var flags [4][]bool
+	for i, list := range lists {
+		flags[i] = make([]bool, n)
+		for j, d := range list {
+			if uint32(d) >= uint32(n) || flags[i][d] || i == 0 && d != graph.NodeID(j) {
+				return fmt.Errorf("core: checkpoint list %d names document %d at %d, or again", i, d, j)
+			}
+			flags[i][d] = true
 		}
 	}
-	if version != checkpointVersion {
-		return fmt.Errorf("core: unsupported checkpoint version %d", version)
-	}
-	if int(n) != e.st.g.NumNodes() {
-		return fmt.Errorf("core: checkpoint has %d documents, graph has %d", n, e.st.g.NumNodes())
-	}
-	if d := math.Float64frombits(dampingBits); d != e.st.opt.Damping {
-		return fmt.Errorf("core: checkpoint damping %v != engine damping %v", d, e.st.opt.Damping)
-	}
+	copy(e.st.rank, cols[0])
+	copy(e.st.acc, cols[1])
+	copy(e.st.last, cols[2])
+	clear(e.incoming[:n])
 	for s := range e.dirtyShard {
 		e.dirtyShard[s] = e.dirtyShard[s][:0]
 	}
-	e.uninitialized = 0
-	buf := make([]byte, 25)
-	for d := 0; d < int(n); d++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("core: reading checkpoint document %d: %w", d, err)
-		}
-		e.st.rank[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
-		e.st.acc[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-		e.st.last[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:]))
-		flags := buf[24]
-		e.initialized[d] = flags&1 != 0
-		e.removed[d] = flags&2 != 0
-		e.incoming[d] = 0
-		e.dirty[d] = flags&4 != 0
+	e.uninitialized = len(lists[1])
+	for d := range n {
+		e.initialized[d], e.removed[d], e.dirty[d] = !flags[1][d], flags[2][d], flags[3][d]
 		if e.dirty[d] {
-			s := d >> e.shardShift
-			e.dirtyShard[s] = append(e.dirtyShard[s], graph.NodeID(d))
-		}
-		if !e.initialized[d] {
-			e.uninitialized++
+			e.dirtyShard[d>>e.shardShift] = append(e.dirtyShard[d>>e.shardShift], graph.NodeID(d))
 		}
 	}
 	return nil

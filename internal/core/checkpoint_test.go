@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,5 +168,59 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 	if err := e4.RestoreCheckpoint(bytes.NewReader(full)); err == nil {
 		t.Error("accepted checkpoint with mismatched damping")
+	}
+	// A version 1 file: the same magic, its version word says what it is.
+	v1 := slices.Clone(full)
+	binary.LittleEndian.PutUint64(v1[len(checkpointMagic):], 1)
+	e5, _ := setup(t, g, 2, Options{}, 4)
+	if err := e5.RestoreCheckpoint(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1 checkpoint: err %v, want one naming version 1", err)
+	}
+}
+
+// TestRefusedCheckpointLeavesEngineUntouched: a checkpoint cut at any
+// byte, or one byte too long, is refused before anything is installed.
+// The engine's ranks, pending documents and convergence, and the run
+// after the refusal, are those of an engine that never saw the file.
+func TestRefusedCheckpointLeavesEngineUntouched(t *testing.T) {
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(80, 65))
+	opt := Options{Epsilon: 1e-6}
+	src, _ := setup(t, g, 4, opt, 6)
+	src.Run()
+	if err := src.RemoveDoc(3); err != nil { // removed and dirty sets, not empty
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	midRun := func() *PassEngine {
+		e, _ := setup(t, g, 4, opt, 6)
+		e.RunPass()
+		e.RunPass()
+		return e
+	}
+	ref := midRun()
+	ranks, pending, converged := slices.Clone(ref.Ranks()), ref.pendingDocs(), ref.Converged()
+	if pending == 0 {
+		t.Fatal("nothing pending two passes in: the test no longer tests")
+	}
+	want := ref.Run()
+	inputs := [][]byte{append(slices.Clone(file), 0)}
+	for cut := range file {
+		inputs = append(inputs, file[:cut])
+	}
+	for _, in := range inputs {
+		e := midRun()
+		if e.RestoreCheckpoint(bytes.NewReader(in)) == nil {
+			t.Fatalf("accepted a %d-byte checkpoint of %d", len(in), len(file))
+		}
+		if !slices.Equal(e.Ranks(), ranks) || e.pendingDocs() != pending || e.Converged() != converged {
+			t.Fatalf("refused %d-byte checkpoint changed the engine: %d pending documents, want %d", len(in), e.pendingDocs(), pending)
+		}
+		if got := e.Run(); !slices.Equal(got.Ranks, want.Ranks) || got.Passes != want.Passes || got.Counters != want.Counters || got.Converged != want.Converged {
+			t.Fatalf("after a refused %d-byte checkpoint the run differs: %d passes, %+v; want %d, %+v", len(in), got.Passes, got.Counters, want.Passes, want.Counters)
+		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"dpr/internal/core"
-	"dpr/internal/graph"
 	"dpr/internal/p2p"
 )
 
@@ -199,60 +199,45 @@ func (e *rankerEngine) MassBalance() (got, want float64) {
 	return got, want
 }
 
-const rankerSnapMagic = 0x314b525044 // "DPRK1", little-endian
+const rankerSnapMagic = 0x324b525044 // "DPRK2", little-endian
 
-// Snapshot captures the full solver state — threshold, step, counters
-// and, per peer, ranker rows and inbox — as little-endian 64-bit words.
+// Snapshot captures the full solver state: eight little-endian words
+// (magic, documents, peers, damping, threshold, step and the two message
+// counters), then per peer its ranker rows and its inbox as p2p row
+// lists. The inbox keeps its order, which is the order it folds in.
 func (e *rankerEngine) Snapshot() ([]byte, error) {
-	b := make([]byte, 0, 8*(8+2*len(e.rankers)+3*e.n+2*e.pending))
-	word := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	var b []byte
 	for _, v := range []uint64{rankerSnapMagic, uint64(e.n), uint64(len(e.rankers)),
 		math.Float64bits(e.damping), math.Float64bits(e.thr), uint64(e.step),
 		uint64(e.counters.InterPeerMsgs), uint64(e.counters.IntraPeerMsgs)} {
-		word(v)
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	for p, rk := range e.rankers {
-		_, rank, acc, last := rk.Rows()
-		word(uint64(len(rank)))
-		for _, col := range [][]float64{rank, acc, last} {
-			for _, f := range col {
-				word(math.Float64bits(f))
-			}
-		}
-		word(uint64(len(e.inbox[p])))
-		for _, u := range e.inbox[p] {
-			word(uint64(u.Doc))
-			word(math.Float64bits(u.Delta))
-		}
+		docs, rank, acc, last := rk.Rows()
+		b = p2p.EncodeRows(b, docs, rank, acc, last)
+		docs, delta := p2p.SplitUpdates(e.inbox[p])
+		b = p2p.EncodeRows(b, docs, delta)
 	}
 	return b, nil
 }
 
 // Restore installs a snapshot taken over the same graph, placement and
 // damping by an engine whose threshold had not passed below this one's;
-// anything else, and a snapshot cut short, is refused with the engine
-// untouched. Rankers are relaxed to the snapshot's threshold, and what
-// that sweep releases joins the restored inboxes. Between folds a row
-// holds nothing above the threshold but a push's float32 rounding
-// (under 6e-8 of the rank), so above that the sweep releases nothing and
-// the run continues bit for bit; below it the restored run pushes some
-// rounding earlier than the original would have.
+// anything else, rows that are not their peer's documents and a
+// snapshot cut short included, is refused with the engine untouched.
+// Rankers are relaxed to the snapshot's threshold, and what that sweep
+// releases joins the restored inboxes. Between folds a row holds nothing
+// above the threshold but a push's float32 rounding (under 6e-8 of the
+// rank), so above that the sweep releases nothing and the run continues
+// bit for bit; below it the restored run pushes some rounding earlier
+// than the original would have.
 func (e *rankerEngine) Restore(snap []byte) error {
-	short := false
-	word := func() (v uint64) {
-		if len(snap) < 8 {
-			short, snap = true, nil
-			return 0
-		}
-		v, snap = binary.LittleEndian.Uint64(snap), snap[8:]
-		return v
+	if len(snap) < 64 || binary.LittleEndian.Uint64(snap) != rankerSnapMagic {
+		return fmt.Errorf("engine: not a DPRK2 %s snapshot (it begins %q), or its header is cut short", e.name, snap[:min(len(snap), 5)])
 	}
-	magic, n, peers := word(), word(), word()
-	damping, thr := math.Float64frombits(word()), math.Float64frombits(word())
-	step, inter, intra := word(), word(), word()
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(snap[8*i:]) }
+	n, peers, damping, thr := word(1), word(2), math.Float64frombits(word(3)), math.Float64frombits(word(4))
 	switch {
-	case short || magic != rankerSnapMagic:
-		return fmt.Errorf("engine: not a %s snapshot, or its header is cut short", e.name)
 	case n != uint64(e.n) || peers != uint64(len(e.rankers)):
 		return fmt.Errorf("engine: snapshot has %d documents on %d peers, engine has %d on %d", n, peers, e.n, len(e.rankers))
 	case damping != e.damping:
@@ -260,39 +245,32 @@ func (e *rankerEngine) Restore(snap []byte) error {
 	case !(thr >= e.eps && thr <= e.thr):
 		return fmt.Errorf("engine: snapshot threshold %v outside [%v, %v]", thr, e.eps, e.thr)
 	}
-	rows := make([][3][]float64, len(e.rankers))
+	rows := make([][][]float64, len(e.rankers))
 	inbox := make([][]p2p.Update, len(e.rankers))
-	pending := 0
+	pending, b := 0, snap[64:]
 	for p, rk := range e.rankers {
-		_, rank, acc, last := rk.Rows() // storage of the right size, overwritten
-		rows[p] = [3][]float64{rank, acc, last}
-		if k := word(); k != uint64(len(rank)) || len(snap)/24 < len(rank) {
-			return fmt.Errorf("engine: snapshot peer %d has %d rows, placement has %d, or they are cut short", p, k, len(rank))
+		held, _, _, _ := rk.Rows()
+		docs, cols, rest, err := p2p.DecodeRows(b, 3)
+		if err != nil || !slices.Equal(docs, held) {
+			return fmt.Errorf("engine: snapshot peer %d rows are cut short, corrupt or not that peer's documents", p)
 		}
-		for _, col := range rows[p] {
-			for i := range col {
-				col[i] = math.Float64frombits(word())
+		docs, delta, rest, err := p2p.DecodeRows(rest, 1)
+		if err != nil {
+			return fmt.Errorf("engine: snapshot peer %d inbox: %w", p, err)
+		}
+		for _, d := range docs {
+			if uint32(d) >= uint32(e.n) {
+				return fmt.Errorf("engine: snapshot peer %d inbox names document %d of %d", p, d, e.n)
 			}
 		}
-		k := word()
-		if k > uint64(len(snap)/16) {
-			return fmt.Errorf("engine: snapshot peer %d inbox of %d updates is cut short", p, k)
-		}
-		inbox[p] = make([]p2p.Update, k)
-		for i := range inbox[p] {
-			doc, delta := word(), math.Float64frombits(word())
-			if doc >= n {
-				return fmt.Errorf("engine: snapshot peer %d inbox names document %d of %d", p, doc, n)
-			}
-			inbox[p][i] = p2p.Update{Doc: graph.NodeID(doc), Delta: delta}
-		}
-		pending += len(inbox[p])
+		rows[p], inbox[p], b = cols, p2p.JoinUpdates(docs, delta[0]), rest
+		pending += len(docs)
 	}
-	if short || len(snap) != 0 {
-		return fmt.Errorf("engine: %s snapshot is cut short or %d bytes too long", e.name, len(snap))
+	if len(b) != 0 {
+		return fmt.Errorf("engine: %s snapshot is %d bytes too long", e.name, len(b))
 	}
-	e.inbox, e.pending, e.thr, e.step = inbox, pending, thr, int(step)
-	e.counters = p2p.Counters{InterPeerMsgs: int64(inter), IntraPeerMsgs: int64(intra), Passes: e.step}
+	e.inbox, e.pending, e.thr, e.step = inbox, pending, thr, int(word(5))
+	e.counters = p2p.Counters{InterPeerMsgs: int64(word(6)), IntraPeerMsgs: int64(word(7)), Passes: e.step}
 	for p, rk := range e.rankers {
 		rk.SetRows(rows[p][0], rows[p][1], rows[p][2])
 		e.deliver(p, rk.Relax(thr))

@@ -3,9 +3,12 @@ package engine
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"dpr/internal/core"
+	"dpr/internal/p2p"
 )
 
 var rankerEngines = []string{"chaotic", "diffusion"}
@@ -94,15 +97,16 @@ func TestRankerSnapshotRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The first inbox entry follows the 8-word header, peer 0's
-			// row count, its three columns and its inbox length.
+			// The first inbox entry follows the 8-word header, peer 0's rows
+			// and its inbox count: a varint, spliced out for one past the graph.
 			ra := a.(*rankerEngine)
 			if len(ra.inbox[0]) == 0 {
 				t.Fatal("peer 0 has nothing in flight after two steps")
 			}
-			_, rows, _, _ := ra.rankers[0].Rows()
-			stray := append([]byte(nil), snap...)
-			binary.LittleEndian.PutUint64(stray[8*(8+1+3*len(rows)+1):], docs)
+			held, rank, acc, last := ra.rankers[0].Rows()
+			at := 8*8 + len(p2p.EncodeRows(nil, held, rank, acc, last)) + len(binary.AppendUvarint(nil, uint64(len(ra.inbox[0]))))
+			_, k := binary.Varint(snap[at:])
+			stray := slices.Concat(snap[:at], binary.AppendVarint(nil, docs), snap[at+k:])
 
 			b := build(docs, opt)
 			refuse := func(what string, e Engine, snap []byte) {
@@ -117,6 +121,12 @@ func TestRankerSnapshotRefused(t *testing.T) {
 			refuse("trailing bytes", b, append(append([]byte(nil), snap...), 0))
 			for cut := range snap {
 				refuse("cut short", b, snap[:cut])
+			}
+			// PR 20's layout: the same header under the magic "DPRK1".
+			dprk1 := slices.Clone(snap)
+			dprk1[4] = '1'
+			if err := b.(Checkpointer).Restore(dprk1); err == nil || !strings.Contains(err.Error(), "DPRK1") {
+				t.Fatalf("DPRK1 image: err %v, want one naming DPRK1", err)
 			}
 
 			if err := b.(Checkpointer).Restore(snap); err != nil {

@@ -13,12 +13,13 @@ import (
 )
 
 // checkCodecSym enforces encoder/decoder symmetry in the codec
-// packages (internal/wire). A wire format is an implicit contract
-// with every deployed peer; the rule makes its obligations explicit:
+// packages (internal/wire, internal/p2p). A wire format is an implicit
+// contract with every deployed peer; the rule makes its obligations
+// explicit:
 //
 //   - every encodeX/EncodeX function has a matching decodeX/DecodeX
 //     in the same package — an encoder without a decoder is a frame
-//     nobody can ever parse back;
+//     nobody can ever parse back — and no two codecs share a suffix X;
 //   - every decoder whose input is a byte slice checks len() of it —
 //     frames arrive from the network, and PR 2's fuzz targets exist
 //     precisely because unchecked offsets panic on truncated input;
@@ -44,11 +45,19 @@ func (p *pass) checkCodecSym() {
 				continue
 			}
 			funcs = append(funcs, fd)
-			name := fd.Name.Name
-			if s, ok := codecSuffix(name, "encode", "Encode"); ok {
-				encoders[s] = fd
-			} else if s, ok := codecSuffix(name, "decode", "Decode"); ok {
-				decoders[s] = fd
+			side := encoders
+			s, ok := codecSuffix(fd.Name.Name, "encode", "Encode")
+			if !ok {
+				side = decoders
+				s, ok = codecSuffix(fd.Name.Name, "decode", "Decode")
+			}
+			if first := side[s]; ok && first != nil {
+				// Pairs are keyed by suffix: a second codec of the same one
+				// would silently go unchecked.
+				p.report(RuleCodecSym, fd.Name.Pos(),
+					"%s repeats the codec suffix %q of %s; rename one, or only one of them is checked", fd.Name.Name, s, first.Name.Name)
+			} else if ok {
+				side[s] = fd
 			}
 		}
 	}

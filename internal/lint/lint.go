@@ -148,7 +148,7 @@ func DefaultConfig(module string) Config {
 		DeadlinePkgs:  []string{p("internal/wire")},
 		LockPkgs:      []string{p("internal/wire"), p("internal/p2p")},
 		GoroutinePkgs: []string{p("internal/wire"), p("internal/p2p")},
-		CodecPkgs:     []string{p("internal/wire")},
+		CodecPkgs:     []string{p("internal/wire"), p("internal/p2p")},
 	}
 }
 

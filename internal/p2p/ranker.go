@@ -1,8 +1,10 @@
 package p2p
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dpr/internal/graph"
@@ -493,6 +495,71 @@ func (r *Ranker) SetRows(rank, acc, last []float64) {
 	}
 	r.mu.Unlock()
 	r.mass.Set(total)
+}
+
+// EncodeRows appends a row list to dst: a uvarint count, then per row
+// the signed varint of its document minus the previous row's (0 before
+// the first) and each column's value as a little-endian float64. Every
+// snapshot format (DESIGN.md, "Fault tolerance") writes its documents
+// and values through here and nowhere else. Rows keep their order, in
+// which documents may go backwards or repeat, and every int32 document
+// and float64 bit pattern survives.
+func EncodeRows(dst []byte, docs []graph.NodeID, cols ...[]float64) []byte {
+	dst = binary.AppendUvarint(slices.Grow(dst, binary.MaxVarintLen64+len(docs)*(5+8*len(cols))), uint64(len(docs)))
+	prev := int64(0)
+	for i, d := range docs {
+		dst = binary.AppendVarint(dst, int64(d)-prev)
+		prev = int64(d)
+		for _, c := range cols {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c[i]))
+		}
+	}
+	return dst
+}
+
+// DecodeRows parses a row list of ncols columns off the front of b and
+// returns it with the bytes after it. The count sizes nothing before it
+// is held against len(b): a row is at least 1 + 8·ncols bytes.
+func DecodeRows(b []byte, ncols int) (docs []graph.NodeID, cols [][]float64, rest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k)/uint64(1+8*ncols) {
+		return nil, nil, nil, fmt.Errorf("p2p: row count unreadable or past its %d bytes", len(b))
+	}
+	b, docs, cols = b[k:], make([]graph.NodeID, n), make([][]float64, ncols)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+	}
+	prev := int64(0)
+	for i := range docs {
+		gap, k := binary.Varint(b)
+		if k <= 0 || gap < math.MinInt32-prev || gap > math.MaxInt32-prev || len(b)-k < 8*ncols {
+			return nil, nil, nil, fmt.Errorf("p2p: row %d: bad varint, document or length", i)
+		}
+		prev += gap
+		docs[i], b = graph.NodeID(prev), b[k:]
+		for _, c := range cols {
+			c[i], b = math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:]
+		}
+	}
+	return docs, cols, b, nil
+}
+
+// SplitUpdates returns an update list as one-column rows for EncodeRows.
+func SplitUpdates(us []Update) (docs []graph.NodeID, delta []float64) {
+	docs, delta = make([]graph.NodeID, len(us)), make([]float64, len(us))
+	for i, u := range us {
+		docs[i], delta[i] = u.Doc, u.Delta
+	}
+	return docs, delta
+}
+
+// JoinUpdates is SplitUpdates' inverse, over what DecodeRows returns.
+func JoinUpdates(docs []graph.NodeID, delta []float64) []Update {
+	us := make([]Update, len(docs))
+	for i, d := range docs {
+		us[i] = Update{Doc: d, Delta: delta[i]}
+	}
+	return us
 }
 
 // Recomputed returns how many document recomputes (initial pushes

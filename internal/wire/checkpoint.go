@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -15,8 +15,8 @@ import (
 
 // Peer crash/restart follows internal/core's checkpoint design: the
 // durable state is the per-document ranker triple (rank, accumulator,
-// last-pushed value), serialized in the same magic/version/records
-// layout, extended with the wire layer's recovery state. Restoring a
+// last-pushed value) as a p2p row list behind a magic/version header,
+// extended with the wire layer's recovery state. Restoring a
 // snapshot into a fresh Peer resumes the computation exactly where the
 // crash left it: senders redeliver everything unacknowledged, receivers
 // suppress what was already folded, and the termination counters carry
@@ -54,8 +54,8 @@ const (
 	// wrote it, from Kill to Restart or Leave, so no reader ever meets
 	// an older writer's output; the version is a corruption check and
 	// the hook for a future format, and floor and ceiling coincide.
-	peerSnapVersion    = 6
-	peerSnapMinVersion = 6
+	peerSnapVersion    = 7
+	peerSnapMinVersion = 7
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -278,9 +278,7 @@ func MergeSnapshot(dst, src *PeerSnapshot) {
 	dst.Outbound = append(dst.Outbound, src.Outbound...)
 	// Fencing only ever raises an epoch, so the higher observation is
 	// the fresher one.
-	if len(src.Epochs) > len(dst.Epochs) {
-		dst.Epochs = append(dst.Epochs, make([]uint64, len(src.Epochs)-len(dst.Epochs))...)
-	}
+	dst.Epochs = append(dst.Epochs, make([]uint64, max(0, len(src.Epochs)-len(dst.Epochs)))...)
 	for i, e := range src.Epochs {
 		dst.Epochs[i] = max(dst.Epochs[i], e)
 	}
@@ -292,310 +290,171 @@ func MergeSnapshot(dst, src *PeerSnapshot) {
 // stay put: pending updates for shed documents are re-routed when the
 // peer is restored and the cluster pushes the new ownership table.
 func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []float64, err error) {
-	index := make(map[graph.NodeID]int, len(s.Docs))
-	for i, d := range s.Docs {
-		index[d] = i
+	at := make(map[graph.NodeID]int, len(s.Docs))
+	for j, d := range s.Docs {
+		at[d] = j
 	}
-	rank = make([]float64, len(docs))
-	acc = make([]float64, len(docs))
-	last = make([]float64, len(docs))
-	shedSet := make(map[graph.NodeID]struct{}, len(docs))
-	for i, d := range docs {
-		j, ok := index[d]
+	gone := make([]bool, len(s.Docs))
+	for _, d := range docs {
+		j, ok := at[d]
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("wire: snapshot of peer %d does not hold doc %d", s.ID, d)
 		}
-		rank[i], acc[i], last[i] = s.Rank[j], s.Acc[j], s.Last[j]
-		shedSet[d] = struct{}{}
+		rank, acc, last, gone[j] = append(rank, s.Rank[j]), append(acc, s.Acc[j]), append(last, s.Last[j]), true
 	}
-	keepDocs := s.Docs[:0]
-	keepRank, keepAcc, keepLast := s.Rank[:0], s.Acc[:0], s.Last[:0]
-	for j, d := range s.Docs {
-		if _, gone := shedSet[d]; gone {
-			continue
+	keep := 0
+	for j := range s.Docs {
+		if !gone[j] {
+			s.Docs[keep], s.Rank[keep], s.Acc[keep], s.Last[keep] = s.Docs[j], s.Rank[j], s.Acc[j], s.Last[j]
+			keep++
 		}
-		keepDocs = append(keepDocs, d)
-		keepRank = append(keepRank, s.Rank[j])
-		keepAcc = append(keepAcc, s.Acc[j])
-		keepLast = append(keepLast, s.Last[j])
 	}
-	s.Docs, s.Rank, s.Acc, s.Last = keepDocs, keepRank, keepAcc, keepLast
+	s.Docs, s.Rank, s.Acc, s.Last = s.Docs[:keep], s.Rank[:keep], s.Acc[:keep], s.Last[:keep]
 	return rank, acc, last, nil
 }
 
-// snapRejectedAt is where the header's rejected-record count sits among
-// the statFields counters: the count joined the header after the first
-// twelve counters and before the overload-protection ones.
-const snapRejectedAt = 12
-
-// EncodeSnapshot serializes a snapshot in the checkpoint layout:
-// magic, version, header, then fixed-size records.
+// EncodeSnapshot writes the checkpoint layout: magic, u64 header words
+// (version, id, the five counts, statFields in order), the epochs, the
+// ranker rows, the seq and rejected entries, then per outbound stream its
+// words, unacked frames and pending updates. Every document and value is
+// in a p2p row list; DESIGN.md, "Fault tolerance", says why not a frame's.
 func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(peerSnapMagic); err != nil {
-		return err
-	}
-	hdr := []uint64{
-		peerSnapVersion, uint64(uint32(s.ID)), uint64(len(s.Docs)),
-		uint64(len(s.LastSeq)), uint64(len(s.Outbound)), uint64(len(s.Epochs)),
-	}
-	for i, sf := range statFields {
-		if i == snapRejectedAt {
-			hdr = append(hdr, uint64(len(s.Rejected))) // the records follow the outbound section
-		}
-		hdr = append(hdr, sf.word(&s.PeerStats))
-	}
-	if err := writeU64(bw, append(hdr, s.Epochs...)...); err != nil {
-		return err
-	}
-	for i, d := range s.Docs {
-		if err := writeU64(bw, uint64(uint32(d)),
-			math.Float64bits(s.Rank[i]), math.Float64bits(s.Acc[i]), math.Float64bits(s.Last[i])); err != nil {
-			return err
+	b := []byte(peerSnapMagic)
+	word := func(vs ...uint64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
-	if err := writeSeqEntries(bw, s.LastSeq); err != nil {
-		return err
+	word(peerSnapVersion, uint64(uint32(s.ID)), uint64(len(s.Docs)), uint64(len(s.LastSeq)),
+		uint64(len(s.Outbound)), uint64(len(s.Epochs)), uint64(len(s.Rejected)))
+	for _, sf := range statFields {
+		word(sf.word(&s.PeerStats))
+	}
+	word(s.Epochs...)
+	b = p2p.EncodeRows(b, s.Docs, s.Rank, s.Acc, s.Last)
+	for _, e := range slices.Concat(s.LastSeq, s.Rejected) {
+		word(uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq)
 	}
 	for _, ob := range s.Outbound {
-		if err := writeU64(bw, uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
-			uint64(len(ob.Unacked)), uint64(len(ob.Pending)), ob.Window); err != nil {
-			return err
-		}
+		word(uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq, ob.Window, uint64(len(ob.Unacked)))
 		for _, uf := range ob.Unacked {
-			if err := writeU64(bw, uf.Seq); err != nil {
-				return err
-			}
-			if err := writeUpdates(bw, uf.Updates); err != nil {
-				return err
-			}
+			word(uf.Seq)
+			docs, delta := p2p.SplitUpdates(uf.Updates)
+			b = p2p.EncodeRows(b, docs, delta)
 		}
-		if err := writeUpdates(bw, ob.Pending); err != nil {
-			return err
-		}
+		docs, delta := p2p.SplitUpdates(ob.Pending)
+		b = p2p.EncodeRows(b, docs, delta)
 	}
-	if err := writeSeqEntries(bw, s.Rejected); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-func writeU64(w io.Writer, vs ...uint64) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
+// snapReader walks a checkpoint image. The first thing that does not
+// fit is kept in err, and every read after it yields nothing.
+type snapReader struct {
+	b   []byte
+	err error
 }
 
-func writeSeqEntries(w io.Writer, es []SeqEntry) error {
-	for _, e := range es {
-		if err := writeU64(w, uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *snapReader) fail(format string, args ...any) {
+	r.err, r.b = cmp.Or(r.err, fmt.Errorf("wire: snapshot "+format, args...)), nil
 }
 
-func writeUpdates(w io.Writer, us []p2p.Update) error {
-	if err := writeU64(w, uint64(len(us))); err != nil {
-		return err
+func (r *snapReader) word() (v uint64) {
+	if r.fits(1, 8) == 1 {
+		v, r.b = binary.LittleEndian.Uint64(r.b), r.b[8:]
 	}
-	for _, u := range us {
-		if err := writeU64(w, uint64(uint32(u.Doc)), math.Float64bits(u.Delta)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v
 }
 
-func readU64(r io.Reader, vs ...*uint64) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
+// bounded reads a word that no valid snapshot has above limit.
+func (r *snapReader) bounded(limit uint64) uint64 {
+	v := r.word()
+	if v > limit {
+		r.fail("word %d past its limit %d", v, limit)
 	}
-	return nil
+	return v
 }
 
-// snapAllocCap bounds the initial capacity of any decoded slice so a
-// corrupted count field costs at most a few kilobytes up front; the
-// slices grow incrementally and a lying count dies on a short read
-// long before it can exhaust memory.
-const snapAllocCap = 4096
+func (r *snapReader) peer() p2p.PeerID { return p2p.PeerID(r.bounded(math.MaxInt32)) }
 
-func capAlloc(n uint64) int {
-	if n > snapAllocCap {
-		return snapAllocCap
+// fits holds a count of records at least size bytes each against what
+// is left, before anything is sized by it.
+func (r *snapReader) fits(n uint64, size int) int {
+	if n > uint64(len(r.b)/size) {
+		r.fail("cut short: %d records of %d bytes, %d bytes left", n, size, len(r.b))
+		n = 0
 	}
 	return int(n)
 }
 
-// readSeqEntries reads n (source, destination, seq) records; kind names
-// the table in errors.
-func readSeqEntries(r io.Reader, n uint64, kind string) ([]SeqEntry, error) {
-	var es []SeqEntry
-	for i := uint64(0); i < n; i++ {
-		var src, dest, seq uint64
-		if err := readU64(r, &src, &dest, &seq); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot %s entry %d: %w", kind, i, err)
-		}
-		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
-			return nil, fmt.Errorf("wire: snapshot %s entry peer id out of range", kind)
-		}
-		es = append(es, SeqEntry{Src: p2p.PeerID(uint32(src)), Dest: p2p.PeerID(uint32(dest)), Seq: seq})
+func (r *snapReader) rows(ncols int) ([]graph.NodeID, [][]float64) {
+	docs, cols, rest, err := p2p.DecodeRows(r.b, ncols)
+	if err != nil {
+		r.fail("%v", err)
+		return nil, make([][]float64, ncols)
 	}
-	return es, nil
+	r.b = rest
+	return docs, cols
 }
 
-func readUpdates(r io.Reader) ([]p2p.Update, error) {
-	var n uint64
-	if err := readU64(r, &n); err != nil {
-		return nil, err
-	}
-	if n > uint64(maxFrameBytes) {
-		return nil, fmt.Errorf("wire: snapshot update list of %d entries exceeds limit", n)
-	}
-	us := make([]p2p.Update, 0, capAlloc(n))
-	for i := uint64(0); i < n; i++ {
-		var doc, bits uint64
-		if err := readU64(r, &doc, &bits); err != nil {
-			return nil, fmt.Errorf("wire: truncated snapshot update list: %w", err)
-		}
-		if doc > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("wire: snapshot update doc %d out of range", doc)
-		}
-		us = append(us, p2p.Update{Doc: graph.NodeID(uint32(doc)), Delta: math.Float64frombits(bits)})
-	}
-	return us, nil
+func (r *snapReader) updates() []p2p.Update {
+	docs, cols := r.rows(1)
+	return p2p.JoinUpdates(docs, cols[0])
 }
 
-// DecodeSnapshot parses a snapshot written by EncodeSnapshot. It is
-// hardened against truncated and corrupted input: every count field is
-// bounded, allocation grows incrementally rather than trusting counts,
-// and any structural inconsistency (including trailing garbage) is an
-// error rather than a silently misparsed snapshot.
+func (r *snapReader) seqEntries(n uint64) (es []SeqEntry) {
+	for range r.fits(n, 24) {
+		es = append(es, SeqEntry{Src: r.peer(), Dest: r.peer(), Seq: r.word()})
+	}
+	return es
+}
+
+// DecodeSnapshot parses a snapshot written by EncodeSnapshot. Every
+// count is held against the bytes left before it sizes anything, and any
+// inconsistency, trailing bytes included, is an error, never a misparse.
 func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("wire: reading snapshot magic: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading snapshot: %w", err)
 	}
-	if string(magic) != peerSnapMagic {
-		return nil, fmt.Errorf("wire: bad snapshot magic %q", magic)
+	if !bytes.HasPrefix(b, []byte(peerSnapMagic)) {
+		return nil, fmt.Errorf("wire: bad snapshot magic %q", b[:min(len(b), len(peerSnapMagic))])
 	}
-	// The version is read and judged on its own, before anything it
-	// governs: another version's header is another length.
-	var version uint64
-	if err := readU64(br, &version); err != nil {
-		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
-	}
-	if version < peerSnapMinVersion || version > peerSnapVersion {
+	sr := &snapReader{b: b[len(peerSnapMagic):]}
+	// The version is judged on its own, before anything it governs:
+	// another version's header is another length.
+	if version := sr.word(); sr.err == nil && (version < peerSnapMinVersion || version > peerSnapVersion) {
 		return nil, fmt.Errorf("wire: unsupported snapshot version %d (supported %d..%d)",
 			version, peerSnapMinVersion, peerSnapVersion)
 	}
-	s := &PeerSnapshot{}
-	var id, ndocs, nseq, nout, nepochs, nrej uint64
-	hdr := []*uint64{&id, &ndocs, &nseq, &nout, &nepochs}
-	stats := make([]uint64, len(statFields))
-	for i := range stats {
-		if i == snapRejectedAt {
-			hdr = append(hdr, &nrej)
-		}
-		hdr = append(hdr, &stats[i])
+	s := &PeerSnapshot{ID: sr.peer()}
+	ndocs, nseq, nout, nepochs, nrej := sr.word(), sr.word(), sr.word(), sr.bounded(maxViewSlots), sr.word()
+	for _, sf := range statFields {
+		sf.setWord(&s.PeerStats, sr.word())
 	}
-	if err := readU64(br, hdr...); err != nil {
-		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
+	for range sr.fits(nepochs, 8) {
+		s.Epochs = append(s.Epochs, sr.word())
 	}
-	for i, sf := range statFields {
-		sf.setWord(&s.PeerStats, stats[i])
+	docs, cols := sr.rows(3)
+	s.Docs, s.Rank, s.Acc, s.Last = docs, cols[0], cols[1], cols[2]
+	if uint64(len(docs)) != ndocs {
+		sr.fail("header says %d documents, rows hold %d", ndocs, len(docs))
 	}
-	if id > uint64(^uint32(0)>>1) {
-		return nil, fmt.Errorf("wire: snapshot peer id %d out of range", id)
-	}
-	if ndocs > uint64(maxFrameBytes) || nseq > uint64(maxFrameBytes) || nout > uint64(maxFrameBytes) || nrej > uint64(maxFrameBytes) {
-		return nil, fmt.Errorf("wire: snapshot header sizes out of range")
-	}
-	if nepochs > maxViewSlots {
-		return nil, fmt.Errorf("wire: snapshot epoch vector of %d slots exceeds limit", nepochs)
-	}
-	s.ID = p2p.PeerID(uint32(id))
-	s.Docs = make([]graph.NodeID, 0, capAlloc(ndocs))
-	s.Rank = make([]float64, 0, capAlloc(ndocs))
-	s.Acc = make([]float64, 0, capAlloc(ndocs))
-	s.Last = make([]float64, 0, capAlloc(ndocs))
-	if nepochs > 0 {
-		s.Epochs = make([]uint64, 0, capAlloc(nepochs))
-		for i := uint64(0); i < nepochs; i++ {
-			var e uint64
-			if err := readU64(br, &e); err != nil {
-				return nil, fmt.Errorf("wire: reading snapshot epoch %d: %w", i, err)
-			}
-			s.Epochs = append(s.Epochs, e)
+	s.LastSeq, s.Rejected = sr.seqEntries(nseq), sr.seqEntries(nrej)
+	for range sr.fits(nout, 41) {
+		ob := OutboundState{Src: sr.peer(), Dest: sr.peer(), NextSeq: sr.word(), Window: sr.bounded(maxFrameBytes)}
+		for range sr.fits(sr.word(), 9) {
+			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: sr.word(), Updates: sr.updates()})
 		}
-	}
-	for i := uint64(0); i < ndocs; i++ {
-		var doc, rank, acc, last uint64
-		if err := readU64(br, &doc, &rank, &acc, &last); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot document %d: %w", i, err)
-		}
-		if doc > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("wire: snapshot document id %d out of range", doc)
-		}
-		s.Docs = append(s.Docs, graph.NodeID(uint32(doc)))
-		s.Rank = append(s.Rank, math.Float64frombits(rank))
-		s.Acc = append(s.Acc, math.Float64frombits(acc))
-		s.Last = append(s.Last, math.Float64frombits(last))
-	}
-	var err error
-	if s.LastSeq, err = readSeqEntries(br, nseq, "seq"); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nout; i++ {
-		var src, dest, nextSeq, nun, npend, window uint64
-		if err := readU64(br, &src, &dest, &nextSeq, &nun, &npend, &window); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot outbound %d: %w", i, err)
-		}
-		if window > uint64(maxFrameBytes) {
-			return nil, fmt.Errorf("wire: snapshot outbound window out of range")
-		}
-		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
-			return nil, fmt.Errorf("wire: snapshot outbound peer id out of range")
-		}
-		if nun > uint64(maxFrameBytes) {
-			return nil, fmt.Errorf("wire: snapshot outbound sizes out of range")
-		}
-		ob := OutboundState{
-			Src: p2p.PeerID(uint32(src)), Dest: p2p.PeerID(uint32(dest)), NextSeq: nextSeq,
-			Window: window,
-		}
-		for j := uint64(0); j < nun; j++ {
-			var seq uint64
-			if err := readU64(br, &seq); err != nil {
-				return nil, fmt.Errorf("wire: reading snapshot frame seq: %w", err)
-			}
-			us, err := readUpdates(br)
-			if err != nil {
-				return nil, err
-			}
-			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: seq, Updates: us})
-		}
-		pend, err := readUpdates(br)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(pend)) != npend {
-			return nil, fmt.Errorf("wire: snapshot pending count mismatch")
-		}
-		ob.Pending = pend
+		ob.Pending = sr.updates()
 		s.Outbound = append(s.Outbound, ob)
 	}
-	if s.Rejected, err = readSeqEntries(br, nrej, "rejected"); err != nil {
-		return nil, err
+	if len(sr.b) != 0 {
+		sr.fail("followed by %d trailing bytes", len(sr.b))
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("wire: trailing bytes after snapshot")
+	if sr.err != nil {
+		return nil, sr.err
 	}
 	return s, nil
 }

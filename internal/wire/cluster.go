@@ -891,7 +891,7 @@ func probePeer(tr Transport, addr string) (sent, processed uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return decodeSnapshot(payload)
+	return decodeProbe(payload)
 }
 
 func collectRanks(tr Transport, addr string, out []float64) error {

@@ -73,7 +73,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	})
 	nack := encodeNackEpoch(nil, 12, 5)
 	credit := encodeCredit(nil, 1<<33, 32)
-	probe := encodeSnapshot(17, 12)
+	probe := encodeProbe(17, 12)
 	ranks := encodeRanks([]graph.NodeID{3, 0}, []float64{0.1, 1.25})
 	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, hugeDest, gossip, view, nack, credit, hugeSender, probe, ranks, nil, {0xff}} {
 		f.Add(seed)
@@ -119,8 +119,8 @@ func FuzzDecodeFrames(f *testing.F) {
 				t.Fatalf("credit round trip mismatch: %x != %x", data, again)
 			}
 		}
-		if sent, processed, err := decodeSnapshot(data); err == nil {
-			again := encodeSnapshot(sent, processed)
+		if sent, processed, err := decodeProbe(data); err == nil {
+			again := encodeProbe(sent, processed)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("probe round trip mismatch: %x != %x", data, again)
 			}

@@ -678,7 +678,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			}
 		case frameSnapReq:
 			sent, processed := p.Counters()
-			if err := cw.write(frameSnapResp, encodeSnapshot(sent, processed)); err != nil {
+			if err := cw.write(frameSnapResp, encodeProbe(sent, processed)); err != nil {
 				return
 			}
 		case frameRanksReq:

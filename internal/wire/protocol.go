@@ -232,16 +232,16 @@ func decodeCredit(b []byte) (seq uint64, window uint32, err error) {
 	return seq, window, nil
 }
 
-// encodeSnapshot serializes a termination-probe response.
-func encodeSnapshot(sent, processed uint64) []byte {
+// encodeProbe serializes a termination-probe response.
+func encodeProbe(sent, processed uint64) []byte {
 	buf := make([]byte, 16)
 	binary.LittleEndian.PutUint64(buf[:8], sent)
 	binary.LittleEndian.PutUint64(buf[8:], processed)
 	return buf
 }
 
-// decodeSnapshot parses a probe response.
-func decodeSnapshot(b []byte) (sent, processed uint64, err error) {
+// decodeProbe parses a probe response.
+func decodeProbe(b []byte) (sent, processed uint64, err error) {
 	if len(b) != 16 {
 		return 0, 0, fmt.Errorf("wire: snapshot payload %d bytes", len(b))
 	}
@@ -470,11 +470,13 @@ func decodeView(b []byte) (View, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("wire: view digest too short")
 	}
+	// A slot is at least 15 bytes: the count sizes nothing the payload
+	// could not hold.
 	n := binary.LittleEndian.Uint32(b[:4])
-	if n > maxViewSlots {
-		return nil, fmt.Errorf("wire: view digest of %d slots exceeds limit", n)
+	if n > maxViewSlots || int(n) > (len(b)-4)/15 {
+		return nil, fmt.Errorf("wire: view digest of %d slots exceeds limit or its %d bytes", n, len(b))
 	}
-	v := make(View, 0, capAlloc(uint64(n)))
+	v := make(View, 0, n)
 	off := 4
 	for i := uint32(0); i < n; i++ {
 		if len(b)-off < 15 {

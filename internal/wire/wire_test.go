@@ -64,11 +64,11 @@ func TestBatchCodec(t *testing.T) {
 }
 
 func TestSnapshotCodec(t *testing.T) {
-	s, p, err := decodeSnapshot(encodeSnapshot(42, 41))
+	s, p, err := decodeProbe(encodeProbe(42, 41))
 	if err != nil || s != 42 || p != 41 {
 		t.Fatalf("snapshot: %d %d %v", s, p, err)
 	}
-	if _, _, err := decodeSnapshot([]byte{1}); err == nil {
+	if _, _, err := decodeProbe([]byte{1}); err == nil {
 		t.Fatal("accepted short snapshot")
 	}
 }
@@ -301,7 +301,7 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &cur); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint64{3, 4, 5} {
+	for _, version := range []uint64{3, 4, 5, 6} {
 		hdr := append([]byte(nil), cur.Bytes()...)
 		le.PutUint64(hdr[len(peerSnapMagic):], version)
 		_, err := DecodeSnapshot(bytes.NewReader(hdr))
