@@ -305,10 +305,10 @@ func TestUnsortedCheckpointFrameIsRetransmitted(t *testing.T) {
 	}
 }
 
-// TestFormatsPinned holds the view digest and the checkpoint to the
-// bytes PR 14's code wrote for the same state. Checkpoint version 6 is
-// version 5 plus one header word, the wire_updates_wide counter after
-// the other statFields: cut it out and what is left is the old file.
+// TestFormatsPinned holds the view digest to the bytes PR 14's code
+// wrote for the same state, and the checkpoint to version 7's (PR 25),
+// whose last header word is still the wire_updates_wide counter: the
+// hash is of the file with that word cut out and the version set to 5.
 func TestFormatsPinned(t *testing.T) {
 	c := &Cluster{slots: chainSlots()}
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(encodeView(c.viewLocked()))),
@@ -327,7 +327,7 @@ func TestFormatsPinned(t *testing.T) {
 	v5 := append(slices.Clone(b[:at]), b[at+8:]...)
 	binary.LittleEndian.PutUint64(v5[len(peerSnapMagic):], 5)
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(v5)),
-		"4bea9c88764f915c6a54b6f0ccd69d8a26c9b97e6adffd674360d4af9691fac0"; got != want {
+		"7e5c07b195681de4f30dbcf5d837b7bc1b8443c060bf30e81ff7bb592f6c5942"; got != want {
 		t.Errorf("checkpoint sha256 %s, want %s", got, want)
 	}
 }
