@@ -63,8 +63,8 @@ chaos-partition:
 # Overload-protection gate: the firehose scenario (credit stalls,
 # lossless coalescing, bounded queued-frame memory, no false eviction
 # of a slow-but-alive peer), the control-lane Leave-under-load check,
-# straggler degradation, and the raw-connection credit-window
-# enforcement test, under -race.
+# convergence over a delayed link at the default window of one frame,
+# and the raw-connection credit-window enforcement test, under -race.
 chaos-overload:
 	$(GO) test -race -count=1 -run Overload ./internal/wire
 

@@ -134,12 +134,12 @@ type Options struct {
 	InboxCap int
 
 	// CreditWindow caps the number of unacknowledged frames a sender
-	// may have in flight per stream on the TCP cluster. Each
-	// acknowledgement carries the receiver's currently advertised
-	// window (shrunk when its inbox fills), so a fast sender framing
-	// into a slow receiver stalls after CreditWindow frames and the
-	// backlog coalesces in its retry queue instead of queueing on the
-	// socket. Zero picks the default of 32; negative is an error.
+	// may have in flight per stream on the TCP cluster; each ack carries
+	// the receiver's advertised window, shrunk as its inbox fills, and
+	// the backlog coalesces in the retry queue. Zero means 1: a stream
+	// sends once the receiver has folded its last frame. Raise it for
+	// links whose round trip is long next to a fold. Negative is an
+	// error.
 	CreditWindow int
 
 	// DebugAddr, when non-empty, starts an HTTP debug listener on the

@@ -178,9 +178,8 @@ func (q *RetryQueue) Drain(dest PeerID) []Update {
 }
 
 // DrainN removes and returns at most n queued updates for dest, oldest
-// first, leaving the remainder queued and coalescing. Senders
-// throttling toward a slow destination use it to frame small batches.
-// n <= 0 drains nothing. The returned slice aliases the queue's own
+// first, leaving the remainder queued and coalescing. Senders use it
+// to cap the updates in one frame. n <= 0 drains nothing. The returned slice aliases the queue's own
 // storage: it is valid only until the next Defer or DeferMerge, so a
 // caller that keeps the updates copies them first.
 //

@@ -32,7 +32,7 @@ const (
 	EvHeal         // a fenced slot was reached again and reconciled
 	EvEpochReject  // a receiver nacked a frame carrying a stale ownership epoch
 	EvCreditStall  // a sender stream ran out of credit and stopped framing
-	EvSlowPeer     // a destination's send-latency EWMA crossed into straggler mode
+	EvSlowPeer     // unused: the wire layer's straggler mode that recorded it is gone; the name stays in the /trace contract
 	EvRelax        // the cluster moved to the next push-threshold stage (value: threshold, aux: updates released)
 )
 

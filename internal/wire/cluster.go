@@ -135,13 +135,11 @@ type ClusterConfig struct {
 	// CreditWindow caps the unacknowledged frames a sender keeps in
 	// flight per stream and the largest window a receiver advertises.
 	// Together with InboxCap it bounds queued-frame memory per
-	// connection under overload. 0 means 32; negative is rejected.
+	// connection under overload. 0 means 1: a stream sends its next
+	// frame when the last one is folded, and batches in its retry queue
+	// until then. Raise it only for links whose round trip is long next
+	// to a fold. Negative is rejected.
 	CreditWindow int
-
-	// SlowThreshold is the send-to-ack latency EWMA past which a
-	// destination is treated as a straggler (smaller batches, stretched
-	// ship cadence). 0 means 25ms; negative is rejected.
-	SlowThreshold time.Duration
 
 	// Transport dials every peer-to-peer connection; nil means the
 	// real TCP dialer. Tests inject a FaultTransport to script
@@ -177,9 +175,6 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.CreditWindow < 0 {
 		return nil, fmt.Errorf("wire: negative CreditWindow %d", cfg.CreditWindow)
-	}
-	if cfg.SlowThreshold < 0 {
-		return nil, fmt.Errorf("wire: negative SlowThreshold %v", cfg.SlowThreshold)
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = TCPDialer()
@@ -274,10 +269,9 @@ func (c *Cluster) peerConfig(i int) PeerConfig {
 		Trace:     c.trace,
 		Epochs:    epochs,
 
-		InboxCap:      c.cfg.InboxCap,
-		CreditWindow:  c.cfg.CreditWindow,
-		SlowThreshold: c.cfg.SlowThreshold,
-		Gossip:        c.gossipFor(i),
+		InboxCap:     c.cfg.InboxCap,
+		CreditWindow: c.cfg.CreditWindow,
+		Gossip:       c.gossipFor(i),
 	}
 }
 

@@ -63,7 +63,7 @@ type FaultTransport struct {
 	cut   map[dirKey]bool
 	conns map[dirKey]map[*faultConn]struct{}
 
-	// Straggler injection, per link direction: linkDelay adds a
+	// Slow-link injection, per link direction: linkDelay adds a
 	// constant latency to every write, trickle throttles writes to
 	// chunkBytes per chunkEvery sleep. Both model a slow-but-alive
 	// destination — nothing is lost or reset, delivery just crawls.
@@ -105,7 +105,7 @@ type trickleSpec struct {
 
 // SetLinkDelay adds a constant latency to every write in the from->to
 // direction (0 removes it). Unlike DelayProb this is deterministic and
-// per link, which is what a straggler-degradation test needs: one slow
+// per link, which is what a delayed-link test needs: one slow
 // destination among fast ones.
 func (t *FaultTransport) SetLinkDelay(from, to p2p.PeerID, d time.Duration) {
 	t.mu.Lock()

@@ -264,7 +264,7 @@ func TestDuplicatedControlFramesStillParse(t *testing.T) {
 // and its cumulative ack would make the sender discard them unfolded.
 func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
+	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}, CreditWindow: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,26 +25,23 @@ type peerMetrics struct {
 	misdropped    *telemetry.Counter // updates with no resolvable owner (must stay 0)
 	epochRejected *telemetry.Counter // frames nacked for carrying a stale ownership epoch
 
-	// Overload protection: creditStalls counts stall episodes (a stream
+	// Flow control: creditStalls counts stall episodes (a stream
 	// transitioning from framing to credit-blocked), shedCoalesced the
-	// updates losslessly absorbed by delta coalescing while their
-	// destination was credit-blocked, and slowPeer the transitions of a
-	// destination into straggler mode.
+	// updates merged while their stream was credit-blocked. At the
+	// default window of 1 both measure batching: about one stall per
+	// fresh frame awaiting its ack, and every merge meanwhile.
 	creditStalls  *telemetry.Counter
 	shedCoalesced *telemetry.Counter
-	slowPeer      *telemetry.Counter
 	updatesWide   *telemetry.Counter // framed updates crossing in 8 bytes: mostly coalesced sums
 
 	// Occupancy instruments: inboxOccupancy is the bulk-lane depth
 	// observed at each processing batch, unackedFrames the in-flight
 	// (sent or framed, not yet acked) frames across this peer's
-	// senders, sendLatencyEwma the most recent send-to-ack EWMA any
-	// sender computed, and sendLatency the distribution of raw
-	// send-to-ack latencies.
-	inboxOccupancy  *telemetry.Gauge
-	unackedFrames   *telemetry.Gauge
-	sendLatencyEwma *telemetry.Gauge
-	sendLatency     *telemetry.Histogram
+	// senders, and sendLatency the distribution of send-to-ack
+	// latencies.
+	inboxOccupancy *telemetry.Gauge
+	unackedFrames  *telemetry.Gauge
+	sendLatency    *telemetry.Histogram
 
 	// The conservation pair: delta mass originated versus delta mass
 	// folded. At quiescence the two must be equal (dprlint's
@@ -58,6 +55,9 @@ type peerMetrics struct {
 }
 
 func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
+	// Never incremented since the straggler mode went; registered, at 0,
+	// for PeerStats.SlowPeer's place in statFields and the checkpoint.
+	reg.Counter("wire_slow_peer")
 	return peerMetrics{
 		reg: reg,
 
@@ -73,12 +73,10 @@ func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
 		epochRejected: reg.Counter("wire_epoch_rejected"),
 		creditStalls:  reg.Counter("wire_credit_stalls"),
 		shedCoalesced: reg.Counter("wire_shed_coalesced"),
-		slowPeer:      reg.Counter("wire_slow_peer"),
 		updatesWide:   reg.Counter("wire_updates_wide"),
 
-		inboxOccupancy:  reg.Gauge("wire_inbox_occupancy"),
-		unackedFrames:   reg.Gauge("wire_unacked_frames"),
-		sendLatencyEwma: reg.Gauge("wire_send_latency_ewma_seconds"),
+		inboxOccupancy: reg.Gauge("wire_inbox_occupancy"),
+		unackedFrames:  reg.Gauge("wire_unacked_frames"),
 		sendLatency: reg.Histogram("wire_send_latency_seconds",
 			telemetry.ExpBuckets(100e-6, 4, 8)),
 

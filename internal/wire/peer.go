@@ -67,24 +67,19 @@ const (
 	// defaultInboxCap sizes the bulk lane of the two-lane inbox.
 	defaultInboxCap = 1024
 	// defaultCreditWindow caps in-flight unacknowledged frames per
-	// stream. Small enough that a stalled receiver bounds sender memory
-	// at a few frames; large enough that a healthy pipeline never
-	// notices the window.
-	defaultCreditWindow = 32
-	// defaultSlowThreshold is the send-to-ack latency EWMA above which
-	// a destination is treated as a straggler.
-	defaultSlowThreshold = 25 * time.Millisecond
+	// stream: one fresh frame out at a time. The receiver acks a frame
+	// after the consume that folded it, so a stream sends exactly when
+	// its receiver holds no unfolded work from it, and whatever the
+	// ranker emits meanwhile coalesces in the retry queue (DESIGN.md §11).
+	defaultCreditWindow = 1
 
 	// ctlLaneCap sizes the control lane: membership operations and
 	// other must-not-starve items are rare, so a small buffer suffices.
 	ctlLaneCap = 64
 
 	// batchCap bounds the coalesced updates drained into one fresh
-	// frame; slowBatchCap is the shrunken bound used toward straggler
-	// destinations, trading throughput for shorter per-frame transmit
-	// and fold times on the slow path.
-	batchCap     = 4096
-	slowBatchCap = 256
+	// frame.
+	batchCap = 4096
 )
 
 // PeerConfig configures one TCP peer.
@@ -138,14 +133,10 @@ type PeerConfig struct {
 
 	// CreditWindow caps the unacknowledged frames a sender keeps in
 	// flight per stream, and the largest window a receiver ever
-	// advertises on its credit acks. 0 means 32.
+	// advertises on its credit acks. 0 means 1: one fresh frame out,
+	// the rest batching in the retry queue until it is acked. Raise it
+	// only for links whose round trip is long next to a fold.
 	CreditWindow int
-
-	// SlowThreshold is the send-to-ack latency EWMA above which a
-	// destination counts as a straggler: senders shrink batches and
-	// stretch ship cadence toward it until the EWMA halves back below
-	// the threshold. 0 means 25ms.
-	SlowThreshold time.Duration
 }
 
 // stream identifies one exactly-once delivery sequence: the sender and
@@ -281,10 +272,11 @@ type PeerStats struct {
 	Misdropped    uint64 // updates dropped with no resolvable owner (0 = none)
 	EpochRejected uint64 // frames nacked for carrying a stale ownership epoch
 
-	// Overload-protection accounting.
+	// Flow-control accounting; at the default window of 1, batching: a
+	// stream stalls about once per fresh frame awaiting its ack.
 	CreditStalls  uint64 // sender streams transitioning to credit-blocked
-	ShedCoalesced uint64 // updates losslessly coalesced while their stream was stalled
-	SlowPeer      uint64 // destinations transitioning into straggler mode
+	ShedCoalesced uint64 // updates coalesced into queued ones while their stream was credit-blocked
+	SlowPeer      uint64 // always 0 since the straggler mode went; keeps its checkpoint-header word
 	UpdatesWide   uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
 
 	DeltaShipped float64 // total delta mass shipped
@@ -314,9 +306,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	if cfg.CreditWindow <= 0 {
 		cfg.CreditWindow = defaultCreditWindow
-	}
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = defaultSlowThreshold
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -961,9 +950,8 @@ func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
 		if s.isStalled() {
-			// Lossless load shedding: the destination is out of credit and
-			// these updates were absorbed into already-queued entries
-			// instead of growing the backlog.
+			// Merged while the stream waits for credit: the batching the
+			// window buys, not only overload (DESIGN.md §11).
 			p.m.shedCoalesced.Add(uint64(merged))
 		}
 	}
@@ -1226,17 +1214,6 @@ type sender struct {
 	window  uint64
 	stalled bool
 
-	// Straggler detection: an EWMA of send-to-ack latency per
-	// destination, with hysteresis on the slow flag so the degraded
-	// mode does not flap: set above SlowThreshold, cleared below half
-	// of it once what was left queued behind the last frame (backlog)
-	// fits one full frame. Latency alone is no exit test: the degraded
-	// mode's small paced frames are acked quickly however far behind
-	// the destination is (DESIGN.md §13).
-	ewma    time.Duration
-	slow    bool
-	backlog int
-
 	// buf holds the frame being transmitted, rendered afresh for every
 	// (re)transmission and written with one Write. Only the sender's
 	// own goroutine touches it.
@@ -1252,7 +1229,7 @@ type frameRec struct {
 	epoch    uint64 // the destination range's epoch when the frame was built
 	us       []p2p.Update
 	attempts int
-	sentAt   time.Time // last transmission start; feeds the latency EWMA
+	sentAt   time.Time // last transmission start; feeds wire_send_latency_seconds
 }
 
 func (s *sender) wakeUp() {
@@ -1303,8 +1280,8 @@ func (s *sender) loop() {
 			retry := fr.attempts > 1
 			seq := fr.seq
 			// Latency is measured from transmission start, so a trickling
-			// connection (slow writes) raises the EWMA just like a slow
-			// folder on the far side.
+			// connection (slow writes) shows just like a slow folder on the
+			// far side.
 			fr.sentAt = time.Now()
 			s.mu.Unlock()
 			if retry {
@@ -1336,18 +1313,7 @@ func (s *sender) loop() {
 			if s.conn == conn && s.sendSeq <= fr.seq {
 				s.sendSeq = fr.seq + 1
 			}
-			slow := s.slow
 			s.mu.Unlock()
-			if slow {
-				// Straggler degradation: stretch the ship cadence so the
-				// slow destination drains between frames instead of
-				// accumulating an in-flight pile-up.
-				select {
-				case <-s.p.quit:
-					return
-				case <-time.After(s.p.cfg.SlowThreshold / 4):
-				}
-			}
 		}
 	}
 }
@@ -1385,14 +1351,9 @@ func (s *sender) nextFrame() *frameRec {
 		return nil
 	}
 	s.stalled = false
-	limit := batchCap
-	if s.slow {
-		limit = slowBatchCap
-	}
 	p.rqMu.Lock()
 	// DrainN lends the queue's own storage; the frame keeps a copy.
-	us := slices.Clone(p.rq.DrainN(s.strm.dest, limit))
-	s.backlog = p.rq.Queued(s.strm.dest)
+	us := slices.Clone(p.rq.DrainN(s.strm.dest, batchCap))
 	p.rqMu.Unlock()
 	if len(us) == 0 {
 		return nil
@@ -1543,14 +1504,12 @@ func (s *sender) readAcks(c net.Conn) {
 }
 
 // ack discards every frame with seq <= the cumulative acknowledgement,
-// feeds the send-to-ack latency of the newest discarded frame into the
-// destination's straggler EWMA, and wakes the sender loop — a stream
-// that stalled on credit regains it exactly here.
+// records the send-to-ack latency of the newest discarded frame, and
+// wakes the sender loop — a stream that stalled on credit regains it
+// exactly here, and frames what queued up meanwhile.
 func (s *sender) ack(seq uint64) {
 	now := time.Now()
 	var lat time.Duration
-	var slowFlip bool
-	var ewma time.Duration
 	s.mu.Lock()
 	i := 0
 	for i < len(s.unacked) && s.unacked[i].seq <= seq {
@@ -1566,32 +1525,10 @@ func (s *sender) ack(seq uint64) {
 		s.unacked = slices.Delete(s.unacked, 0, i)
 		s.p.m.unackedFrames.Add(float64(-i))
 	}
-	if i > 0 && lat > 0 {
-		// EWMA with alpha = 1/4: new = old + (sample - old) / 4. The
-		// first sample seeds the average directly.
-		if s.ewma == 0 {
-			s.ewma = lat
-		} else {
-			s.ewma += (lat - s.ewma) / 4
-		}
-		ewma = s.ewma
-		threshold := s.p.cfg.SlowThreshold
-		switch {
-		case !s.slow && s.ewma > threshold:
-			s.slow, slowFlip = true, true
-		case s.slow && s.ewma < threshold/2 && s.backlog < batchCap:
-			s.slow = false
-		}
-	}
 	s.mu.Unlock()
 	if i > 0 {
 		if lat > 0 {
 			s.p.m.sendLatency.Observe(lat.Seconds())
-			s.p.m.sendLatencyEwma.Set(ewma.Seconds())
-		}
-		if slowFlip {
-			s.p.m.slowPeer.Add(1)
-			s.p.event(telemetry.EvSlowPeer, ewma.Seconds(), int64(s.strm.dest))
 		}
 		s.wakeUp()
 	}

@@ -30,10 +30,10 @@ type TCPResult struct {
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
 	EpochRejected    uint64 // frames nacked for carrying a stale ownership epoch
 
-	// Overload-protection accounting (zero on an unloaded run).
+	// Flow-control accounting: at the default window of 1, batching
+	// (about one stall per frame awaiting its ack), not overload.
 	CreditStalls  uint64 // sender stall episodes on an exhausted credit window
 	ShedCoalesced uint64 // deltas folded into queued ones while stalled
-	SlowPeer      uint64 // straggler detections (send-latency EWMA crossings)
 }
 
 func fromClusterResult(res wire.ClusterResult) TCPResult {
@@ -55,7 +55,6 @@ func fromClusterResult(res wire.ClusterResult) TCPResult {
 		EpochRejected:    res.EpochRejected,
 		CreditStalls:     res.CreditStalls,
 		ShedCoalesced:    res.ShedCoalesced,
-		SlowPeer:         res.SlowPeer,
 	}
 }
 
