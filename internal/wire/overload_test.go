@@ -342,6 +342,54 @@ func TestDefaultWindowHoldsOneFreshFrame(t *testing.T) {
 	}
 }
 
+// TestOverloadBlockedStreamIsNotWoken pins the wake rule: an enqueue
+// onto a stream whose credit window is full only queues, and the ack
+// that frees the window is what wakes the sender. The sender's loop is
+// never started, so its wake channel holds every wake-up it was sent.
+func TestOverloadBlockedStreamIsNotWoken(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	// enqueue queues two updates behind frame 1 of the stream to peer 1,
+	// whose ack is still owed, and returns that stream's sender.
+	enqueue := func(t *testing.T, window int) *sender {
+		t.Helper()
+		p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}, CreditWindow: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		st := stream{src: 0, dest: 1}
+		s := p.newSender(st)
+		s.unacked = []*frameRec{{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1}}
+		s.nextSeq, s.sendSeq = 2, 2
+		p.sendMu.Lock()
+		p.senders[st] = s
+		p.sendMu.Unlock()
+
+		p.queueRemote(1, []p2p.Update{{Doc: 2, Delta: 0.25}, {Doc: 3, Delta: 0.25}})
+		p.rqMu.Lock()
+		defer p.rqMu.Unlock()
+		if n := p.rq.Queued(1); n != 2 {
+			t.Fatalf("window %d: %d updates queued, want 2", window, n)
+		}
+		return s
+	}
+	t.Run("window=1", func(t *testing.T) {
+		s := enqueue(t, 1)
+		if n := len(s.wake); n != 0 {
+			t.Fatalf("window 1: %d wakes queued after an enqueue, want 0", n)
+		}
+		s.ack(1)
+		if n := len(s.wake); n != 1 {
+			t.Fatalf("window 1: %d wakes queued after the freeing ack, want 1", n)
+		}
+	})
+	t.Run("window=2", func(t *testing.T) {
+		if n := len(enqueue(t, 2).wake); n != 1 {
+			t.Fatalf("window 2: %d wakes queued after an enqueue with credit, want 1", n)
+		}
+	})
+}
+
 // TestOverloadCreditWindowEnforced drives the credit protocol over a
 // raw connection: a fake receiver that withholds acknowledgements must
 // cap the sender at CreditWindow in-flight frames, a credit frame

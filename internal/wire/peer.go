@@ -274,7 +274,7 @@ type PeerStats struct {
 
 	// Flow-control accounting; at the default window of 1, batching: a
 	// stream stalls about once per fresh frame awaiting its ack.
-	CreditStalls  uint64 // sender streams transitioning to credit-blocked
+	CreditStalls  uint64 // fresh frames a sender refused for lack of credit
 	ShedCoalesced uint64 // updates coalesced into queued ones while their stream was credit-blocked
 	SlowPeer      uint64 // always 0 since the straggler mode went; keeps its checkpoint-header word
 	UpdatesWide   uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
@@ -931,11 +931,13 @@ func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
 }
 
 // queueRemote coalesces updates into the destination's retry queue
-// and wakes its sender. An update absorbed by coalescing counts as
-// processed on the spot: its delta mass survives inside the merged
-// entry, so exactly one fold will account for both — this is what
-// keeps the sender's stored state bounded by the destination's
-// distinct documents while the termination probe stays exact.
+// and wakes its sender if the stream has credit; a blocked one is woken
+// by the ack that frees it (DESIGN.md §11). An update absorbed by
+// coalescing counts as processed on the spot: its delta mass survives
+// inside the merged entry, so exactly one fold will account for both —
+// this is what keeps the sender's stored state bounded by the
+// destination's distinct documents while the termination probe stays
+// exact.
 func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 	merged := 0
 	p.rqMu.Lock()
@@ -946,14 +948,18 @@ func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 	}
 	p.rqMu.Unlock()
 	s := p.sender(stream{src: p.cfg.ID, dest: dest})
+	s.mu.Lock()
+	blocked := s.blocked()
+	s.mu.Unlock()
 	if merged > 0 {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
-		if s.isStalled() {
-			// Merged while the stream waits for credit: the batching the
-			// window buys, not only overload (DESIGN.md §11).
-			p.m.shedCoalesced.Add(uint64(merged))
-		}
+	}
+	if blocked {
+		// Merged while the stream waits for credit: the batching the
+		// window buys, not only overload (DESIGN.md §11).
+		p.m.shedCoalesced.Add(uint64(merged))
+		return
 	}
 	s.wakeUp()
 }
@@ -1208,11 +1214,9 @@ type sender struct {
 	everConn bool
 
 	// Flow control: window is the receiver's advertised credit (frames
-	// in flight allowed); stalled marks a stream currently refusing to
-	// frame fresh updates for lack of credit, during which queued
-	// deltas coalesce in the retry queue instead of growing unacked.
-	window  uint64
-	stalled bool
+	// in flight allowed). While the stream is blocked, queued deltas
+	// coalesce in the retry queue instead of growing unacked.
+	window uint64
 
 	// buf holds the frame being transmitted, rendered afresh for every
 	// (re)transmission and written with one Write. Only the sender's
@@ -1342,15 +1346,11 @@ func (s *sender) nextFrame() *frameRec {
 	if s.strm.src != p.cfg.ID {
 		return nil // adopted stream: only inherited frames, never fresh ones
 	}
-	if uint64(len(s.unacked)) >= s.window {
-		if !s.stalled {
-			s.stalled = true
-			p.m.creditStalls.Add(1)
-			p.event(telemetry.EvCreditStall, float64(len(s.unacked)), int64(s.strm.dest))
-		}
+	if s.blocked() {
+		p.m.creditStalls.Add(1)
+		p.event(telemetry.EvCreditStall, float64(len(s.unacked)), int64(s.strm.dest))
 		return nil
 	}
-	s.stalled = false
 	p.rqMu.Lock()
 	// DrainN lends the queue's own storage; the frame keeps a copy.
 	us := slices.Clone(p.rq.DrainN(s.strm.dest, batchCap))
@@ -1546,11 +1546,10 @@ func (s *sender) setWindow(w uint32) {
 	}
 }
 
-// isStalled reports whether the stream is currently credit-blocked.
-func (s *sender) isStalled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stalled
+// blocked reports whether the credit window is full, so no fresh frame
+// may be built until an ack frees it. The caller holds s.mu.
+func (s *sender) blocked() bool {
+	return uint64(len(s.unacked)) >= s.window
 }
 
 // handleNack processes a stale-epoch rejection: adopt the receiver's

@@ -32,7 +32,7 @@ type TCPResult struct {
 
 	// Flow-control accounting: at the default window of 1, batching
 	// (about one stall per frame awaiting its ack), not overload.
-	CreditStalls  uint64 // sender stall episodes on an exhausted credit window
+	CreditStalls  uint64 // fresh frames refused on an exhausted credit window
 	ShedCoalesced uint64 // deltas folded into queued ones while stalled
 }
 
