@@ -61,10 +61,10 @@ chaos-partition:
 	$(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire
 
 # Overload-protection gate: the firehose scenario (credit stalls,
-# lossless coalescing, bounded queued-frame memory, no false eviction
-# of a slow-but-alive peer), the control-lane Leave-under-load check,
-# convergence over a delayed link at the default window of one frame,
-# and the raw-connection credit-window enforcement test, under -race.
+# lossless coalescing, at most one unacked frame per stream, no false
+# eviction of a slow-but-alive peer), the control-lane Leave-under-load
+# check, convergence over a delayed link, and the wake rule of a stream
+# whose frame is in flight, under -race.
 chaos-overload:
 	$(GO) test -race -count=1 -run Overload ./internal/wire
 
@@ -77,9 +77,11 @@ race-engines-smoke:
 	$(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race
 
 # Short fuzz bursts over the checkpoint decoder (truncated/corrupt
-# input) and the row codec every snapshot format is built on.
+# input), the frame codecs and the row codec every snapshot format is
+# built on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
 
 # Fuzz the compressed-graph (DPRZ) decoder: arbitrary bytes must error

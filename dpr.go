@@ -123,25 +123,6 @@ type Options struct {
 	// majority to agree. Zero picks the default of 3.
 	SuspectAfter int
 
-	// InboxCap bounds each TCP peer's bulk inbound queue (update
-	// batches and rank pushes). When the queue is full the peer stops
-	// advertising credit, senders park further deltas in their retry
-	// queues (where same-document deltas coalesce losslessly), and
-	// membership/control traffic keeps flowing on a separate priority
-	// lane — so an overloaded peer slows its senders down instead of
-	// growing without bound or getting falsely evicted. Zero picks the
-	// default of 1024; negative is an error.
-	InboxCap int
-
-	// CreditWindow caps the number of unacknowledged frames a sender
-	// may have in flight per stream on the TCP cluster; each ack carries
-	// the receiver's advertised window, shrunk as its inbox fills, and
-	// the backlog coalesces in the retry queue. Zero means 1: a stream
-	// sends once the receiver has folded its last frame. Raise it for
-	// links whose round trip is long next to a fold. Negative is an
-	// error.
-	CreditWindow int
-
 	// DebugAddr, when non-empty, starts an HTTP debug listener on the
 	// TCP cluster serving /metrics (plain-text exposition of the
 	// telemetry registry), /trace (the convergence event ring as JSON)

@@ -148,7 +148,7 @@ func TestChaosResetsPartitionAndCrashes(t *testing.T) {
 
 // TestChaosDropsAndDialFailures exercises detectable frame loss and
 // failed connection establishment: every dropped frame must be
-// redelivered from the sender's unacked window.
+// redelivered as the sender's frame in flight.
 func TestChaosDropsAndDialFailures(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 55))
@@ -333,7 +333,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				Dest:    0,
 				NextSeq: 9,
 				Unacked: []UnackedFrame{
-					{Seq: 7, Updates: []p2p.Update{{Doc: 1, Delta: 0.5}}},
 					{Seq: 8, Updates: []p2p.Update{{Doc: 4, Delta: -0.25}, {Doc: 9, Delta: 1}}},
 				},
 				Pending: []p2p.Update{{Doc: 2, Delta: 0.125}},

@@ -44,9 +44,6 @@ import (
 //     or the peer itself after a restart — must also inherit this
 //     exemption list, or a retransmission of the rejected frame would
 //     be swallowed as a duplicate and its updates lost.
-//   - Per outbound stream, the last credit window the destination
-//     advertised, so a restarted sender resumes under the receiver's
-//     pre-crash budget instead of bursting at the configured maximum.
 
 const (
 	peerSnapMagic = "DPRW"
@@ -54,8 +51,8 @@ const (
 	// wrote it, from Kill to Restart or Leave, so no reader ever meets
 	// an older writer's output; the version is a corruption check and
 	// the hook for a future format, and floor and ceiling coincide.
-	peerSnapVersion    = 7
-	peerSnapMinVersion = 7
+	peerSnapVersion    = 8
+	peerSnapMinVersion = 8
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -103,8 +100,7 @@ type OutboundState struct {
 	Src     p2p.PeerID
 	Dest    p2p.PeerID
 	NextSeq uint64
-	Window  uint64         // last advertised credit window (0: use configured default)
-	Unacked []UnackedFrame // framed, possibly transmitted, not acknowledged
+	Unacked []UnackedFrame // the frame in flight, if any: at most one (DecodeSnapshot refuses more)
 	Pending []p2p.Update   // coalesced, not yet framed (Src == snapshot owner only)
 }
 
@@ -151,11 +147,11 @@ func (p *Peer) snapshot() *PeerSnapshot {
 	})
 	for _, st := range strms {
 		snd := p.senders[st]
-		ob := OutboundState{Src: st.src, Dest: st.dest, NextSeq: snd.nextSeq, Window: snd.window}
-		for _, fr := range snd.unacked {
+		ob := OutboundState{Src: st.src, Dest: st.dest, NextSeq: snd.nextSeq}
+		if fr := snd.inflight; fr != nil {
 			// The restore re-frames the updates under the same stream
 			// identity and sequence number.
-			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: fr.seq, Updates: fr.us})
+			ob.Unacked = []UnackedFrame{{Seq: fr.seq, Updates: fr.us}}
 		}
 		if st.src == p.cfg.ID {
 			ob.Pending = p.rq.Drain(st.dest)
@@ -336,7 +332,7 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		word(uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq)
 	}
 	for _, ob := range s.Outbound {
-		word(uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq, ob.Window, uint64(len(ob.Unacked)))
+		word(uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq, uint64(len(ob.Unacked)))
 		for _, uf := range ob.Unacked {
 			word(uf.Seq)
 			docs, delta := p2p.SplitUpdates(uf.Updates)
@@ -442,9 +438,9 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		sr.fail("header says %d documents, rows hold %d", ndocs, len(docs))
 	}
 	s.LastSeq, s.Rejected = sr.seqEntries(nseq), sr.seqEntries(nrej)
-	for range sr.fits(nout, 41) {
-		ob := OutboundState{Src: sr.peer(), Dest: sr.peer(), NextSeq: sr.word(), Window: sr.bounded(maxFrameBytes)}
-		for range sr.fits(sr.word(), 9) {
+	for range sr.fits(nout, 33) {
+		ob := OutboundState{Src: sr.peer(), Dest: sr.peer(), NextSeq: sr.word()}
+		for range sr.fits(sr.bounded(1), 9) { // one frame in flight per stream
 			ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: sr.word(), Updates: sr.updates()})
 		}
 		ob.Pending = sr.updates()

@@ -126,21 +126,6 @@ type ClusterConfig struct {
 	// itself — that takes a quorum of concurring vantages); 0 means 3.
 	SuspectAfter int
 
-	// InboxCap sizes each peer's bulk inbox lane — the queue of
-	// delivered-but-unfolded update batches, and the quantity the
-	// receiver's advertised credit window shrinks with. 0 means 1024;
-	// negative is rejected.
-	InboxCap int
-
-	// CreditWindow caps the unacknowledged frames a sender keeps in
-	// flight per stream and the largest window a receiver advertises.
-	// Together with InboxCap it bounds queued-frame memory per
-	// connection under overload. 0 means 1: a stream sends its next
-	// frame when the last one is folded, and batches in its retry queue
-	// until then. Raise it only for links whose round trip is long next
-	// to a fold. Negative is rejected.
-	CreditWindow int
-
 	// Transport dials every peer-to-peer connection; nil means the
 	// real TCP dialer. Tests inject a FaultTransport to script
 	// failures.
@@ -169,12 +154,6 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 3
-	}
-	if cfg.InboxCap < 0 {
-		return nil, fmt.Errorf("wire: negative InboxCap %d", cfg.InboxCap)
-	}
-	if cfg.CreditWindow < 0 {
-		return nil, fmt.Errorf("wire: negative CreditWindow %d", cfg.CreditWindow)
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = TCPDialer()
@@ -268,10 +247,7 @@ func (c *Cluster) peerConfig(i int) PeerConfig {
 		Registry:  c.slots[i].reg,
 		Trace:     c.trace,
 		Epochs:    epochs,
-
-		InboxCap:     c.cfg.InboxCap,
-		CreditWindow: c.cfg.CreditWindow,
-		Gossip:       c.gossipFor(i),
+		Gossip:    c.gossipFor(i),
 	}
 }
 

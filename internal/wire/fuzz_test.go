@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -13,8 +14,8 @@ import (
 // fuzzSeedSnapshot is a representative snapshot exercising every
 // record kind: documents, stream-keyed dedup entries, own and adopted
 // outbound streams, unacked frames, pending updates, the
-// ownership-epoch vector, and the overload-protection fields
-// (per-stream credit windows plus the stall/shed/straggler counters).
+// ownership-epoch vector, and the overload-protection counters
+// (stall, shed, straggler).
 func fuzzSeedSnapshot() *PeerSnapshot {
 	return &PeerSnapshot{
 		ID:   1,
@@ -32,11 +33,11 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 		},
 		Outbound: []OutboundState{
 			{
-				Src: 1, Dest: 0, NextSeq: 4, Window: 2,
+				Src: 1, Dest: 0, NextSeq: 4,
 				Unacked: []UnackedFrame{{Seq: 3, Updates: []p2p.Update{{Doc: 9, Delta: 0.5}}}},
 				Pending: []p2p.Update{{Doc: 7, Delta: -0.25}},
 			},
-			{Src: 4, Dest: 2, NextSeq: 2, Window: 16,
+			{Src: 4, Dest: 2, NextSeq: 2,
 				Unacked: []UnackedFrame{{Seq: 1, Updates: []p2p.Update{{Doc: 3, Delta: 1}}}}},
 		},
 		Epochs: []uint64{1, 0, 4, 0, 2},
@@ -72,10 +73,12 @@ func FuzzDecodeFrames(f *testing.F) {
 		{Addr: "c:3", Epoch: 9, Fwd: p2p.NoPeer},
 	})
 	nack := encodeNackEpoch(nil, 12, 5)
-	credit := encodeCredit(nil, 1<<33, 32)
+	credit := encodeCredit(nil, 1<<33)
+	// The credit payload before this one: the ack, then a u32 window.
+	oldCredit := binary.LittleEndian.AppendUint32(encodeCredit(nil, 1<<33), 32)
 	probe := encodeProbe(17, 12)
 	ranks := encodeRanks([]graph.NodeID{3, 0}, []float64{0.1, 1.25})
-	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, hugeDest, gossip, view, nack, credit, hugeSender, probe, ranks, nil, {0xff}} {
+	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, hugeDest, gossip, view, nack, credit, hugeSender, probe, ranks, nil, {0xff}, oldCredit} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -110,11 +113,8 @@ func FuzzDecodeFrames(f *testing.F) {
 				t.Fatalf("nack round trip mismatch: %x != %x", data, again)
 			}
 		}
-		if seq, window, err := decodeCredit(data); err == nil {
-			if window == 0 {
-				t.Fatal("decoder accepted a zero credit window")
-			}
-			again := encodeCredit(nil, seq, window)
+		if seq, err := decodeCredit(data); err == nil {
+			again := encodeCredit(nil, seq)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("credit round trip mismatch: %x != %x", data, again)
 			}

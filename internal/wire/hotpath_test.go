@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
@@ -180,7 +181,7 @@ func TestNackedFrameIsRequeuedWhole(t *testing.T) {
 			for _, u := range us {
 				mass += u.Delta
 			}
-			writeFrame(conn, frameCredit, encodeCredit(nil, seq, 32))
+			writeFrame(conn, frameCredit, encodeCredit(nil, seq))
 			accepted <- mass
 			return
 		}
@@ -202,7 +203,7 @@ func TestNackedFrameIsRequeuedWhole(t *testing.T) {
 		s := p.sender(stream{src: 0, dest: 1})
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.unacked) == 0
+		return s.inflight == nil
 	})
 }
 
@@ -255,16 +256,16 @@ func TestDuplicatedControlFramesStillParse(t *testing.T) {
 }
 
 // TestReconnectSendsOldestUnackedFirst is the regression test for a
-// lost frame: a sender whose frames 1 and 2 are out but unacknowledged
-// — the receiver crashed with them unfolded in its inbox — has fresh
-// updates queued when it finds its connection dead. Whatever frame its
-// cursor pointed at before the reconnect, the first frame on the new
-// connection must be 1: were the fresh frame 3 to arrive first, the
-// receiver would fold it, advance its dedup watermark past 1 and 2,
-// and its cumulative ack would make the sender discard them unfolded.
+// lost frame: a sender whose frame 1 is out but unacknowledged — the
+// receiver crashed with it unfolded in its inbox — has fresh updates
+// queued when it finds its connection dead. The first frame on the new
+// connection must be 1, and nothing fresh may follow it before it is
+// acked: were a fresh frame 2 to be folded first, the receiver's dedup
+// watermark would pass 1, and its cumulative ack would make the sender
+// discard frame 1 unfolded.
 func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}, CreditWindow: 3})
+	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,28 +277,29 @@ func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 	defer ln.Close()
 	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
 
+	dead, other := net.Pipe()
+	dead.Close()
+	other.Close()
 	st := stream{src: 0, dest: 1}
 	s := p.newSender(st)
-	s.unacked = []*frameRec{
-		{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1},
-		{seq: 2, us: []p2p.Update{{Doc: 2, Delta: 0.5}}, attempts: 1},
-	}
-	s.nextSeq, s.sendSeq = 3, 3 // both transmitted; the connection died since
+	// Transmitted on a connection that has died since.
+	s.inflight = &frameRec{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1, sentOn: dead}
+	s.nextSeq = 2
 	p.sendMu.Lock()
 	p.senders[st] = s
 	p.wg.Add(1)
 	go s.loop()
 	p.sendMu.Unlock()
 
-	seqs := make(chan uint64, 3)
+	seqs, connCh := make(chan uint64, 2), make(chan net.Conn, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		defer conn.Close()
+		connCh <- conn
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 2; i++ {
 			typ, payload, err := readFrame(conn)
 			if err != nil || typ != frameBatchEpoch {
 				return
@@ -309,17 +311,31 @@ func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 			seqs <- seq
 		}
 	}()
-	p.queueRemote(1, []p2p.Update{{Doc: 3, Delta: 0.5}})
-	for want := uint64(1); want <= 3; want++ {
+	next := func(want uint64) {
+		t.Helper()
 		select {
 		case got := <-seqs:
 			if got != want {
-				t.Fatalf("frame %d on the new connection has seq %d, want frames in order from the oldest unacknowledged", want, got)
+				t.Fatalf("frame %d on the new connection has seq %d, want the frame in flight first", want, got)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("frame %d never arrived", want)
 		}
 	}
+	p.queueRemote(1, []p2p.Update{{Doc: 3, Delta: 0.5}})
+	p.wakeSenders() // the view change that lets the sender find its connection dead
+	next(1)
+	select {
+	case got := <-seqs:
+		t.Fatalf("frame %d left before frame 1 was acked", got)
+	case <-time.After(300 * time.Millisecond): // a second frame would arrive well within this
+	}
+	conn := <-connCh
+	defer conn.Close()
+	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	next(2)
 }
 
 // TestKillKeepsSelfDirectedInboxItems is the regression test for the
@@ -424,7 +440,7 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 
 	s := p.sender(stream{src: 0, dest: 1})
 	tr.afterWrite = func(conn net.Conn) {
-		conn.Close() // the ack reader fails, closes the connection and rewinds
+		conn.Close() // the ack reader fails and drops the connection
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			s.mu.Lock()
 			gone := s.conn == nil
@@ -447,7 +463,7 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 			if n > 0 && err == nil && typ == frameBatchEpoch {
 				if _, _, seq, _, _, err := decodeBatchEpoch(payload); err == nil {
 					again <- seq
-					writeFrame(conn, frameCredit, encodeCredit(nil, seq, 32))
+					writeFrame(conn, frameCredit, encodeCredit(nil, seq))
 				}
 			}
 			conn.Close()
@@ -464,6 +480,65 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 	}
 }
 
+// TestWindowedCreditIsRefused: a credit payload of the layout before
+// this one, the ack followed by a u32 window, is a protocol violation on
+// the ack path. The sender must drop the connection and open the next
+// one with the same frame, not take the frame as acknowledged.
+func TestWindowedCreditIsRefused(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
+
+	seqs := make(chan uint64, 2)
+	go func() {
+		for n := 0; n < 2; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			typ, payload, err := readFrame(conn)
+			if err != nil || typ != frameBatchEpoch {
+				return
+			}
+			_, _, seq, _, _, err := decodeBatchEpoch(payload)
+			if err != nil {
+				return
+			}
+			seqs <- seq
+			ack := binary.LittleEndian.AppendUint64(nil, seq)
+			if n == 0 {
+				ack = binary.LittleEndian.AppendUint32(ack, 1) // the window the old layout carried
+			}
+			writeFrame(conn, frameCredit, ack)
+		}
+	}()
+	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
+	for n := 1; n <= 2; n++ {
+		select {
+		case seq := <-seqs:
+			if seq != 1 {
+				t.Fatalf("connection %d opened with frame %d, want frame 1", n, seq)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("frame 1 never came on connection %d: the windowed credit was taken as its ack", n)
+		}
+	}
+	waitCounter(t, 10*time.Second, "frame 1 to be acknowledged on its second attempt", func() bool {
+		return p.Stats().Redeliveries == 1
+	})
+}
+
 // TestRerouteDuringKillKeepsSelfDirectedUpdates is the regression test
 // for updates lost between a sender and a checkpoint: a stale-epoch
 // nack withdraws a frame and reroutes its updates, they turn out to be
@@ -475,13 +550,17 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 // same moment.)
 func TestRerouteDuringKillKeepsSelfDirectedUpdates(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	p, err := NewPeer(PeerConfig{Graph: graph.Cycle(4), DocPeer: make([]p2p.PeerID, 4), Docs: []graph.NodeID{0, 1, 2, 3}, InboxCap: 1})
+	p, err := NewPeer(PeerConfig{Graph: graph.Cycle(4), DocPeer: make([]p2p.PeerID, 4), Docs: []graph.NodeID{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.stop()                                                           // the kill, as far as the loops are concerned
-	p.bulk <- inItem{from: 0, us: []p2p.Update{{Doc: 1, Delta: 0.25}}} // a full inbox nobody drains anymore
-	p.reroute([]p2p.Update{{Doc: 2, Delta: 0.5}}, false)               // the nack's reader got this far
+	p.stop() // the kill, as far as the loops are concerned
+	// A full inbox nobody drains anymore.
+	for len(p.bulk) < cap(p.bulk) {
+		p.bulk <- inItem{from: 0, us: []p2p.Update{{Doc: 1, Delta: 0.25}}}
+	}
+	p.reroute([]p2p.Update{{Doc: 2, Delta: 0.5}}, false) // the nack's reader got this far
+	want := 0.25*float64(cap(p.bulk)) + 0.5
 	got := 0.0
 	for _, ob := range p.snapshot().Outbound {
 		if ob.Src != 0 || ob.Dest != 0 {
@@ -491,96 +570,65 @@ func TestRerouteDuringKillKeepsSelfDirectedUpdates(t *testing.T) {
 			got += u.Delta
 		}
 	}
-	if got != 0.75 {
-		t.Fatalf("checkpoint carries self-directed delta mass %v, want 0.75: the inbox item and the rerouted update", got)
+	if got != want {
+		t.Fatalf("checkpoint carries self-directed delta mass %v, want %v: the inbox items and the rerouted update", got, want)
 	}
-}
-
-// tapTransport dials real connections that copy everything read from
-// them — on a sender's connection, the receiver's answers — for the test
-// to parse afterwards.
-type tapTransport struct {
-	mu   sync.Mutex
-	read bytes.Buffer
-}
-
-type tapConn struct {
-	net.Conn
-	tr *tapTransport
-}
-
-func (c tapConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	c.tr.mu.Lock()
-	c.tr.read.Write(b[:n])
-	c.tr.mu.Unlock()
-	return n, err
-}
-
-func (tr *tapTransport) Dial(_, _ p2p.PeerID, addr string) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return tapConn{conn, tr}, nil
 }
 
 // TestOneCumulativeAckPerConnection: three frames of one stream that
 // reach a receiver's inbox before its loop turns are folded in one
 // consume, and the ack being cumulative, the receiver owes the
 // connection exactly one credit frame, for the third — not one per
-// frame, each costing the sender a read and a wake-up for nothing.
+// frame, each costing the sender a read and a wake-up for nothing. A
+// sender keeps one frame in flight, so the three come from a raw
+// connection: the receiver does not trust its senders to behave.
 func TestOneCumulativeAckPerConnection(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	g, docPeer := graph.Cycle(4), []p2p.PeerID{0, 1, 1, 1}
-	recv, err := NewPeer(PeerConfig{ID: 1, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{1, 2, 3}})
+	recv, err := NewPeer(PeerConfig{ID: 1, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
-	tap := &tapTransport{}
-	send, err := NewPeer(PeerConfig{ID: 0, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{0}, Transport: tap})
+	conn, err := net.DialTimeout("tcp", recv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer send.Close()
-	send.SetPeers([]string{send.Addr(), recv.Addr()})
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 
-	// Hold the receiver's loop inside a control item — and only then let
-	// the sender go — until all three frames sit in its inbox.
+	// Hold the receiver's loop inside a control item until all three
+	// frames sit in its inbox.
 	entered, release, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	unblock := sync.OnceFunc(func() { close(release) })
-	defer unblock() // before the deferred Closes, which wait for the loop
+	defer unblock() // before the deferred Close, which waits for the loop
 	go func() { held <- recv.control(func() { close(entered); <-release }) }()
 	<-entered
-	send.primeSender(OutboundState{Src: 0, Dest: 1, NextSeq: 4, Unacked: []UnackedFrame{
-		{Seq: 1, Updates: []p2p.Update{{Doc: 1, Delta: 0.5}}},
-		{Seq: 2, Updates: []p2p.Update{{Doc: 2, Delta: 0.5}}},
-		{Seq: 3, Updates: []p2p.Update{{Doc: 3, Delta: 0.5}}},
-	}})
-	send.wakeSenders()
+	for seq := uint64(1); seq <= 3; seq++ {
+		us := []p2p.Update{{Doc: graph.NodeID(seq), Delta: 0.5}}
+		if err := writeFrame(conn, frameBatchEpoch, encodeBatchEpoch(nil, 0, 1, seq, 0, us)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	waitCounter(t, 10*time.Second, "three frames in the receiver's inbox", func() bool { return len(recv.bulk) == 3 })
 	unblock()
 	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, 10*time.Second, "the sender's unacked frames to empty", func() bool {
-		return senderStates(send)[stream{src: 0, dest: 1}].unacked == ""
-	})
-	// Whatever else the receiver wrote is on the connection by the time
-	// it is closed from that side.
-	recv.Close()
-	send.Close()
-	tap.mu.Lock()
-	defer tap.mu.Unlock()
-	typ, payload, err := readFrame(&tap.read)
+	typ, payload, err := readFrame(conn)
 	if err != nil || typ != frameCredit {
 		t.Fatalf("first answer is frame %q, err %v; want a credit frame", typ, err)
 	}
-	if seq, _, err := decodeCredit(payload); err != nil || seq != 3 {
+	if seq, err := decodeCredit(payload); err != nil || seq != 3 {
 		t.Fatalf("credit frame acks seq %d, err %v; want the cumulative ack for 3", seq, err)
 	}
-	if typ, _, err := readFrame(&tap.read); err != io.EOF {
+	// A control item queued now runs after the consume that wrote that
+	// ack, so whatever else the consume wrote is on the connection ahead
+	// of the close.
+	if err := recv.control(func() {}); err != nil {
+		t.Fatal(err)
+	}
+	recv.Close()
+	if typ, _, err := readFrame(conn); err != io.EOF {
 		t.Fatalf("a second answer, frame %q (err %v): one consume owes one connection one ack", typ, err)
 	}
 }

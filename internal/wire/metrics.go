@@ -27,8 +27,8 @@ type peerMetrics struct {
 
 	// Flow control: creditStalls counts fresh frames refused for lack
 	// of credit, shedCoalesced the updates merged while their stream
-	// was credit-blocked. At the default window of 1 both measure
-	// batching: about one stall per fresh frame awaiting its ack, and
+	// was credit-blocked. With one frame in flight per stream both
+	// measure batching: about one stall per frame awaiting its ack, and
 	// every merge meanwhile.
 	creditStalls  *telemetry.Counter
 	shedCoalesced *telemetry.Counter

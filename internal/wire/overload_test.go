@@ -41,12 +41,10 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 	const (
 		heartbeat = 40 * time.Millisecond
 		suspects  = 2
-		window    = 2
 	)
 	c, err := NewCluster(g, ClusterConfig{
 		Peers: 3, Epsilon: 1e-9, Seed: 5, Transport: ft,
 		Heartbeat: heartbeat, SuspectAfter: suspects,
-		InboxCap: 16, CreditWindow: window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +59,10 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 	ft.SetLinkTrickle(1, slow, 1500, time.Millisecond)
 	resCh := runAsync(c, 120*time.Second)
 
-	// Queued-frame memory must stay bounded by the configured constant:
-	// at most CreditWindow unacknowledged frames per stream, over the 6
-	// ordered peer pairs. Track the gauge's peak while overloaded.
-	const unackedBound = 6 * window
+	// Queued-frame memory must stay bounded: at most one unacknowledged
+	// frame per stream, over the 6 ordered peer pairs. Track the gauge's
+	// peak while overloaded.
+	const unackedBound = 6
 	peak := 0.0
 	sample := func() {
 		if v := c.TelemetrySnapshot().GaugeValue("wire_unacked_frames"); v > peak {
@@ -101,7 +99,7 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 		t.Fatalf("slow-but-alive peer evicted %d times, want 0", res.EvictionsQuorum)
 	}
 	if peak > unackedBound {
-		t.Fatalf("peak unacked frames %v exceeds configured bound %d", peak, unackedBound)
+		t.Fatalf("peak unacked frames %v exceeds one per stream (%d)", peak, unackedBound)
 	}
 	assertNoMassLost(t, res)
 	assertRegistryConservation(t, c.TelemetrySnapshot(), res.Ranks)
@@ -120,18 +118,14 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 }
 
 // TestOverloadMembershipLeaveUnderFirehose checks the control lane:
-// with the bulk path of peer 3 jammed solid by trickled links and
-// stalled senders, a Leave — whose shed/adopt traffic rides the
-// priority lane — must still complete promptly instead of queueing
-// behind the firehose.
+// with every link into peer 3 trickled and its senders stalled, a
+// Leave — whose shed/adopt traffic rides the priority lane — must still
+// complete promptly instead of queueing behind the firehose.
 func TestOverloadMembershipLeaveUnderFirehose(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 83))
 	ft := NewFaultTransport(nil, FaultConfig{Seed: 11})
-	c, err := NewCluster(g, ClusterConfig{
-		Peers: 4, Epsilon: 1e-6, Seed: 13, Transport: ft,
-		InboxCap: 16, CreditWindow: 2,
-	})
+	c, err := NewCluster(g, ClusterConfig{Peers: 4, Epsilon: 1e-6, Seed: 13, Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +224,9 @@ func TestOverloadDelayedLinkConverges(t *testing.T) {
 		res.Messages, res.CreditStalls, res.ShedCoalesced, peak)
 }
 
-// TestDefaultWindowHoldsOneFreshFrame drives the default flow control
-// over a raw connection: with no CreditWindow configured, a fake
-// receiver that withholds acknowledgements gets exactly one frame.
+// TestDefaultWindowHoldsOneFreshFrame drives the flow control over a
+// raw connection: a fake receiver that withholds acknowledgements gets
+// exactly one frame.
 // Updates queued meanwhile wait in the retry queue and leave together,
 // as one frame, once a credit ack arrives — each delivered exactly
 // once.
@@ -320,7 +314,7 @@ func TestDefaultWindowHoldsOneFreshFrame(t *testing.T) {
 	defer conn.Close()
 
 	// Ack frame 1: the five updates queued behind it leave as one frame.
-	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 1, 1)); err != nil {
+	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	waitFrames(2)
@@ -343,185 +337,40 @@ func TestDefaultWindowHoldsOneFreshFrame(t *testing.T) {
 }
 
 // TestOverloadBlockedStreamIsNotWoken pins the wake rule: an enqueue
-// onto a stream whose credit window is full only queues, and the ack
-// that frees the window is what wakes the sender. The sender's loop is
+// onto a stream whose frame is still in flight only queues, and the ack
+// that frees the stream is what wakes the sender. The sender's loop is
 // never started, so its wake channel holds every wake-up it was sent.
 func TestOverloadBlockedStreamIsNotWoken(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	// enqueue queues two updates behind frame 1 of the stream to peer 1,
-	// whose ack is still owed, and returns that stream's sender.
-	enqueue := func(t *testing.T, window int) *sender {
-		t.Helper()
-		p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}, CreditWindow: window})
+	t.Run("window=1", func(t *testing.T) {
+		p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(p.Close)
+		defer p.Close()
+		// Two updates queue behind frame 1 of the stream to peer 1, whose
+		// ack is still owed.
 		st := stream{src: 0, dest: 1}
 		s := p.newSender(st)
-		s.unacked = []*frameRec{{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1}}
-		s.nextSeq, s.sendSeq = 2, 2
+		s.inflight = &frameRec{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1}
+		s.nextSeq = 2
 		p.sendMu.Lock()
 		p.senders[st] = s
 		p.sendMu.Unlock()
 
 		p.queueRemote(1, []p2p.Update{{Doc: 2, Delta: 0.25}, {Doc: 3, Delta: 0.25}})
 		p.rqMu.Lock()
-		defer p.rqMu.Unlock()
-		if n := p.rq.Queued(1); n != 2 {
-			t.Fatalf("window %d: %d updates queued, want 2", window, n)
+		queued := p.rq.Queued(1)
+		p.rqMu.Unlock()
+		if queued != 2 {
+			t.Fatalf("%d updates queued, want 2", queued)
 		}
-		return s
-	}
-	t.Run("window=1", func(t *testing.T) {
-		s := enqueue(t, 1)
 		if n := len(s.wake); n != 0 {
-			t.Fatalf("window 1: %d wakes queued after an enqueue, want 0", n)
+			t.Fatalf("%d wakes queued after an enqueue, want 0", n)
 		}
 		s.ack(1)
 		if n := len(s.wake); n != 1 {
-			t.Fatalf("window 1: %d wakes queued after the freeing ack, want 1", n)
+			t.Fatalf("%d wakes queued after the freeing ack, want 1", n)
 		}
 	})
-	t.Run("window=2", func(t *testing.T) {
-		if n := len(enqueue(t, 2).wake); n != 1 {
-			t.Fatalf("window 2: %d wakes queued after an enqueue with credit, want 1", n)
-		}
-	})
-}
-
-// TestOverloadCreditWindowEnforced drives the credit protocol over a
-// raw connection: a fake receiver that withholds acknowledgements must
-// cap the sender at CreditWindow in-flight frames, a credit frame
-// advertising a smaller window must shrink it, and a larger one must
-// release the coalesced backlog — with every queued delta eventually
-// delivered exactly once.
-func TestOverloadCreditWindowEnforced(t *testing.T) {
-	defer assertNoGoroutineLeaks(t)()
-	// Docs 1..8 live on peer 1, which the test impersonates with a raw
-	// listener. Link structure is irrelevant: updates are injected
-	// straight into the sender's retry queue.
-	adj := make([][]graph.NodeID, 9)
-	for i := 1; i < 9; i++ {
-		adj[0] = append(adj[0], graph.NodeID(i))
-	}
-	g := graph.FromAdjacency(adj)
-	docPeer := make([]p2p.PeerID, 9)
-	for i := 1; i < 9; i++ {
-		docPeer[i] = 1
-	}
-	p, err := NewPeer(PeerConfig{
-		ID: 0, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{0},
-		CreditWindow: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
-
-	var mu sync.Mutex
-	seqs := map[uint64]int{} // seq -> updates in that frame, first delivery only
-	connCh := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		connCh <- conn
-		for {
-			typ, payload, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			if typ != frameBatchEpoch {
-				continue
-			}
-			_, _, seq, _, us, err := decodeBatchEpoch(payload)
-			if err != nil {
-				continue
-			}
-			mu.Lock()
-			if _, dup := seqs[seq]; !dup {
-				seqs[seq] = len(us)
-			}
-			mu.Unlock()
-		}
-	}()
-
-	distinct := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seqs)
-	}
-	waitFrames := func(want int) {
-		t.Helper()
-		waitCounter(t, 10*time.Second, "frames to arrive", func() bool {
-			return distinct() >= want
-		})
-	}
-
-	// Six updates for six distinct documents, spaced so each would be
-	// framed individually if credit allowed. The receiver acknowledges
-	// nothing, so exactly CreditWindow frames may leave; the other four
-	// updates must park (and stay coalescible) in the retry queue.
-	for i := 1; i <= 6; i++ {
-		p.queueRemote(1, []p2p.Update{{Doc: graph.NodeID(i), Delta: 0.1}})
-		time.Sleep(20 * time.Millisecond)
-	}
-	waitFrames(2)
-	time.Sleep(300 * time.Millisecond) // any third frame would arrive well within this
-	if n := distinct(); n != 2 {
-		t.Fatalf("receiver saw %d distinct frames with no credit granted, want exactly 2", n)
-	}
-	if st := p.Stats(); st.CreditStalls == 0 {
-		t.Fatal("sender recorded no credit stall while gated")
-	}
-
-	conn := <-connCh
-	defer conn.Close()
-
-	// Acknowledge both frames but shrink the window to 1: the four
-	// parked updates drain into one frame, and nothing may follow it —
-	// not even for updates queued afterwards.
-	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFrames(3)
-	p.queueRemote(1, []p2p.Update{{Doc: 7, Delta: 0.1}})
-	p.queueRemote(1, []p2p.Update{{Doc: 8, Delta: 0.1}})
-	time.Sleep(300 * time.Millisecond)
-	if n := distinct(); n != 3 {
-		t.Fatalf("receiver saw %d distinct frames under a window of 1, want exactly 3", n)
-	}
-
-	// Reopen the window: the rest of the backlog ships.
-	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	waitFrames(4)
-	waitCounter(t, 10*time.Second, "all queued updates to deliver", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		total := 0
-		for _, n := range seqs {
-			total += n
-		}
-		return total == 8
-	})
-	mu.Lock()
-	total := 0
-	for _, n := range seqs {
-		total += n
-	}
-	mu.Unlock()
-	if total != 8 {
-		t.Fatalf("delivered %d updates across frames, want all 8 exactly once", total)
-	}
 }

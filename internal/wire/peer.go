@@ -62,16 +62,16 @@ const writeTimeout = 10 * time.Second
 // and then hangs is torn down and its frames retransmitted elsewhere.
 const ackTimeout = 15 * time.Second
 
-// Overload-protection defaults; PeerConfig overrides each.
+// Overload protection. A stream keeps one frame in flight: the receiver
+// acks a frame after the consume that folded it, so a stream sends
+// exactly when its receiver holds no unfolded work from it, and
+// whatever the ranker emits meanwhile coalesces in the retry queue
+// (DESIGN.md §11).
 const (
-	// defaultInboxCap sizes the bulk lane of the two-lane inbox.
-	defaultInboxCap = 1024
-	// defaultCreditWindow caps in-flight unacknowledged frames per
-	// stream: one fresh frame out at a time. The receiver acks a frame
-	// after the consume that folded it, so a stream sends exactly when
-	// its receiver holds no unfolded work from it, and whatever the
-	// ranker emits meanwhile coalesces in the retry queue (DESIGN.md §11).
-	defaultCreditWindow = 1
+	// bulkLaneCap sizes the bulk lane of the two-lane inbox. With one
+	// frame in flight per stream it seldom holds more than an item per
+	// inbound stream.
+	bulkLaneCap = 1024
 
 	// ctlLaneCap sizes the control lane: membership operations and
 	// other must-not-starve items are rare, so a small buffer suffices.
@@ -125,18 +125,6 @@ type PeerConfig struct {
 	// wires it to the slot's failure-detector vantage; a nil hook serves
 	// empty pongs.
 	Gossip func(from p2p.PeerID, suspects []p2p.PeerID) []p2p.PeerID
-
-	// InboxCap sizes the bulk lane of the peer's two-lane inbox — the
-	// queue of not-yet-folded inbound update batches. 0 means 1024;
-	// negative is rejected by the cluster frontends.
-	InboxCap int
-
-	// CreditWindow caps the unacknowledged frames a sender keeps in
-	// flight per stream, and the largest window a receiver ever
-	// advertises on its credit acks. 0 means 1: one fresh frame out,
-	// the rest batching in the retry queue until it is acked. Raise it
-	// only for links whose round trip is long next to a fold.
-	CreditWindow int
 }
 
 // stream identifies one exactly-once delivery sequence: the sender and
@@ -194,8 +182,7 @@ type Peer struct {
 	// adoption, document shedding), which must never queue behind bulk
 	// updates: an overloaded peer still serves ownership transfers
 	// promptly, so a slow peer cannot wedge a cluster-wide Leave or
-	// Join. bulk carries update batches; its capacity (InboxCap) is
-	// what the receiver's advertised credit window shrinks with.
+	// Join. bulk carries update batches.
 	ctl  chan inItem
 	bulk chan inItem
 	quit chan struct{}
@@ -272,8 +259,8 @@ type PeerStats struct {
 	Misdropped    uint64 // updates dropped with no resolvable owner (0 = none)
 	EpochRejected uint64 // frames nacked for carrying a stale ownership epoch
 
-	// Flow-control accounting; at the default window of 1, batching: a
-	// stream stalls about once per fresh frame awaiting its ack.
+	// Flow-control accounting, which with one frame in flight is
+	// batching: a stream stalls about once per frame awaiting its ack.
 	CreditStalls  uint64 // fresh frames a sender refused for lack of credit
 	ShedCoalesced uint64 // updates coalesced into queued ones while their stream was credit-blocked
 	SlowPeer      uint64 // always 0 since the straggler mode went; keeps its checkpoint-header word
@@ -301,12 +288,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	if cfg.InboxCap <= 0 {
-		cfg.InboxCap = defaultInboxCap
-	}
-	if cfg.CreditWindow <= 0 {
-		cfg.CreditWindow = defaultCreditWindow
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -322,7 +303,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		rq:       p2p.NewRetryQueue(),
 		ins:      make(map[net.Conn]struct{}),
 		ctl:      make(chan inItem, ctlLaneCap),
-		bulk:     make(chan inItem, cfg.InboxCap),
+		bulk:     make(chan inItem, bulkLaneCap),
 		quit:     make(chan struct{}),
 		lastSeq:  make(map[stream]uint64),
 		rejected: make(map[stream]map[uint64]struct{}),
@@ -681,29 +662,12 @@ func (p *Peer) serveConn(conn net.Conn) {
 	}
 }
 
-// advertiseWindow computes the credit window this receiver grants a
-// sender right now: the configured ceiling, shrunk toward 1 as the
-// bulk lane fills. The window is never zero — a stream always keeps
-// the right to one in-flight frame, so flow control throttles senders
-// without ever deadlocking them.
-func (p *Peer) advertiseWindow() uint32 {
-	w := p.cfg.CreditWindow
-	if free := cap(p.bulk) - len(p.bulk); free < w {
-		w = free
-	}
-	if w < 1 {
-		w = 1
-	}
-	return uint32(w)
-}
-
 // ack acknowledges a remote frame as folded (or as a duplicate of a
-// folded one) with a credit frame: the cumulative ack plus this
-// receiver's advertised window, computed now so it reflects current
-// bulk-lane occupancy.
+// folded one) with a credit frame, the cumulative ack that lets its
+// stream send its next frame.
 func (p *Peer) ack(it *inItem) {
-	var b [12]byte
-	it.cw.write(frameCredit, encodeCredit(b[:0], it.seq, p.advertiseWindow()))
+	var b [8]byte
+	it.cw.write(frameCredit, encodeCredit(b[:0], it.seq))
 }
 
 // processLoop consumes delivered batches, coalescing whatever is
@@ -931,13 +895,13 @@ func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
 }
 
 // queueRemote coalesces updates into the destination's retry queue
-// and wakes its sender if the stream has credit; a blocked one is woken
-// by the ack that frees it (DESIGN.md §11). An update absorbed by
-// coalescing counts as processed on the spot: its delta mass survives
-// inside the merged entry, so exactly one fold will account for both —
-// this is what keeps the sender's stored state bounded by the
-// destination's distinct documents while the termination probe stays
-// exact.
+// and wakes its sender if the stream has no frame in flight; a blocked
+// one is woken by the ack that frees it (DESIGN.md §11). An update
+// absorbed by coalescing counts as processed on the spot: its delta
+// mass survives inside the merged entry, so exactly one fold will
+// account for both — this is what keeps the sender's stored state
+// bounded by the destination's distinct documents while the
+// termination probe stays exact.
 func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 	merged := 0
 	p.rqMu.Lock()
@@ -956,8 +920,8 @@ func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 		p.m.processed.Add(uint64(merged))
 	}
 	if blocked {
-		// Merged while the stream waits for credit: the batching the
-		// window buys, not only overload (DESIGN.md §11).
+		// Merged while the stream waits for its ack: the batching one
+		// frame in flight buys, not only overload (DESIGN.md §11).
 		p.m.shedCoalesced.Add(uint64(merged))
 		return
 	}
@@ -985,8 +949,6 @@ func (p *Peer) newSender(st stream) *sender {
 		rng:     rng.New(uint64(uint32(st.src))<<32 ^ uint64(uint32(st.dest)) ^ 0x5bd1e995),
 		wake:    make(chan struct{}, 1),
 		nextSeq: 1,
-		sendSeq: 1,
-		window:  uint64(p.cfg.CreditWindow),
 	}
 }
 
@@ -1141,13 +1103,12 @@ func (p *Peer) mergeTables(s *PeerSnapshot) {
 }
 
 // primeSender starts the sender of a checkpointed delivery stream where
-// its last owner stopped: same sequence cursor, same advertised window,
-// and the unacknowledged frames loaded for verbatim retransmission —
-// stream identity and seq are preserved, so dedup survives the move,
-// but each frame is re-stamped with this peer's current epoch for the
-// range so a receiver that moved on can nack it. A stream that already
-// has a sender keeps it (a replayed hand-over). The sender sleeps until
-// woken.
+// its last owner stopped: same sequence counter, and the frame in
+// flight loaded for verbatim retransmission — stream identity and seq
+// are preserved, so dedup survives the move, but the frame is
+// re-stamped with this peer's current epoch for the range so a
+// receiver that moved on can nack it. A stream that already has a
+// sender keeps it (a replayed hand-over). The sender sleeps until woken.
 func (p *Peer) primeSender(ob OutboundState) {
 	st := stream{src: ob.Src, dest: ob.Dest}
 	epoch := p.epochOf(st.dest)
@@ -1157,19 +1118,12 @@ func (p *Peer) primeSender(ob OutboundState) {
 		return
 	}
 	s := p.newSender(st)
-	s.nextSeq, s.sendSeq = ob.NextSeq, ob.NextSeq
-	if ob.Window > 0 {
-		// Resume under the receiver's last advertised budget; the first
-		// credit ack refreshes it either way.
-		s.window = ob.Window
-	}
-	for _, uf := range ob.Unacked {
+	s.nextSeq = ob.NextSeq
+	if len(ob.Unacked) > 0 { // at most one: DecodeSnapshot refuses more
+		uf := ob.Unacked[0]
 		sortUpdates(uf.Updates) // in place: an older writer's frame is in queue order
-		s.unacked = append(s.unacked, &frameRec{seq: uf.Seq, epoch: epoch, us: uf.Updates})
-	}
-	if len(s.unacked) > 0 {
-		s.sendSeq = s.unacked[0].seq
-		p.m.unackedFrames.Add(float64(len(s.unacked)))
+		s.inflight = &frameRec{seq: uf.Seq, epoch: epoch, us: uf.Updates}
+		p.m.unackedFrames.Add(1)
 	}
 	p.senders[st] = s
 	p.wg.Add(1)
@@ -1194,29 +1148,26 @@ func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last [
 }
 
 // sender owns the fault-tolerant outbound path of one delivery stream:
-// framing pending updates from the retry queue (own streams only),
-// transmitting in sequence order, keeping every frame until it is
+// framing pending updates from the retry queue (own streams only), one
+// frame in flight at a time, keeping that frame until it is
 // acknowledged, and reconnecting with exponential backoff —
-// retransmitting all unacked frames verbatim — whenever the connection
-// is lost. Adopted streams (src != this peer) only drain their
-// inherited frames; once everything is acknowledged they idle.
+// retransmitting the frame verbatim — whenever the connection is lost.
+// Adopted streams (src != this peer) only drain their inherited frame;
+// once it is acknowledged they idle.
 type sender struct {
 	p    *Peer
 	strm stream
 	rng  *rng.Rand // jitter; used only by the sender's own goroutine
 	wake chan struct{}
 
-	mu       sync.Mutex
-	conn     net.Conn
-	unacked  []*frameRec // FIFO by seq; kept until acknowledged
-	nextSeq  uint64      // seq assigned to the next newly built frame
-	sendSeq  uint64      // seq of the next frame to (re)transmit
+	mu   sync.Mutex
+	conn net.Conn
+	// inflight is the stream's one unacknowledged frame, nil when the
+	// next may be built. While it is out, queued deltas coalesce in the
+	// retry queue.
+	inflight *frameRec
+	nextSeq  uint64 // seq assigned to the next newly built frame
 	everConn bool
-
-	// Flow control: window is the receiver's advertised credit (frames
-	// in flight allowed). While the stream is blocked, queued deltas
-	// coalesce in the retry queue instead of growing unacked.
-	window uint64
 
 	// buf holds the frame being transmitted, rendered afresh for every
 	// (re)transmission and written with one Write. Only the sender's
@@ -1234,6 +1185,7 @@ type frameRec struct {
 	us       []p2p.Update
 	attempts int
 	sentAt   time.Time // last transmission start; feeds wire_send_latency_seconds
+	sentOn   net.Conn  // the connection that carried it last; any other must carry it again
 }
 
 func (s *sender) wakeUp() {
@@ -1270,11 +1222,9 @@ func (s *sender) loop() {
 			if conn == nil {
 				return // shutting down
 			}
-			// Pick the frame only now that the connection is known: one
-			// picked before ensureConn found the connection dead would
-			// overtake the unacknowledged frames the reconnect rewinds to,
-			// and the receiver's cumulative ack for it discards those
-			// unfolded (DESIGN.md §13).
+			// Pick the frame only now that the connection is known, so what
+			// opens a new connection is whatever is in flight by then
+			// (DESIGN.md §13).
 			fr := s.nextFrame()
 			if fr == nil {
 				break
@@ -1310,45 +1260,41 @@ func (s *sender) loop() {
 			// in readAcks.
 			conn.SetReadDeadline(time.Now().Add(ackTimeout))
 			s.mu.Lock()
-			// Only while this is still the connection: if it died since the
-			// write, closeConn has rewound the cursor to retransmit this
-			// frame, and advancing past it would strand it unacknowledged
-			// with nothing left to wake the loop (DESIGN.md §13).
-			if s.conn == conn && s.sendSeq <= fr.seq {
-				s.sendSeq = fr.seq + 1
+			// Only while both are still current: if the connection died
+			// since the write, the frame must open the next one, and marking
+			// it carried would strand it unacknowledged with nothing left to
+			// wake the loop (DESIGN.md §13).
+			if s.conn == conn && s.inflight == fr {
+				fr.sentOn = conn
 			}
 			s.mu.Unlock()
 		}
 	}
 }
 
-// nextFrame returns the next frame to transmit: the first
-// unacknowledged frame at or past the send cursor, else — for streams
-// this peer originates, when credit allows — a fresh frame built from
+// nextFrame returns the frame to transmit: the one in flight, unless
+// the current connection carried it already, else — for streams this
+// peer originates, when nothing is in flight — a fresh frame built from
 // the retry queue's coalesced pending updates.
 //
-// Credit gating happens here, and only for fresh frames:
-// retransmissions of already-built frames never consume new credit
-// (the receiver granted it when they were first framed), so a
-// reconnect can always drain the pipe. While the stream is out of
-// credit, queued updates stay in the retry queue where DeferMerge
+// Only a fresh frame is ever refused: the frame in flight goes out on
+// every new connection, so a reconnect can always drain the pipe. While
+// it is out, queued updates stay in the retry queue where DeferMerge
 // coalesces them per document — sender memory stays bounded by the
 // destination's distinct documents, and no delta mass is dropped.
 func (s *sender) nextFrame() *frameRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, fr := range s.unacked {
-		if fr.seq >= s.sendSeq {
-			return fr
-		}
+	if fr := s.inflight; fr != nil && (s.conn == nil || fr.sentOn != s.conn) {
+		return fr
 	}
 	p := s.p
 	if s.strm.src != p.cfg.ID {
-		return nil // adopted stream: only inherited frames, never fresh ones
+		return nil // adopted stream: only the inherited frame, never fresh ones
 	}
 	if s.blocked() {
 		p.m.creditStalls.Add(1)
-		p.event(telemetry.EvCreditStall, float64(len(s.unacked)), int64(s.strm.dest))
+		p.event(telemetry.EvCreditStall, 1, int64(s.strm.dest))
 		return nil
 	}
 	p.rqMu.Lock()
@@ -1365,7 +1311,7 @@ func (s *sender) nextFrame() *frameRec {
 	// transfer of that range nacks the frame instead of folding it.
 	fr := &frameRec{seq: s.nextSeq, epoch: p.epochOf(s.strm.dest), us: us}
 	s.nextSeq++
-	s.unacked = append(s.unacked, fr)
+	s.inflight = fr
 	p.m.unackedFrames.Add(1)
 	return fr
 }
@@ -1411,10 +1357,6 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 		}
 		s.everConn = true
 		s.conn = c
-		// Retransmit everything unacknowledged on the new connection.
-		if len(s.unacked) > 0 {
-			s.sendSeq = s.unacked[0].seq
-		}
 		s.mu.Unlock()
 		if recon {
 			s.p.event(telemetry.EvReconnect, 0, int64(s.strm.dest))
@@ -1437,16 +1379,14 @@ func (s *sender) backoff(fails int) bool {
 	}
 }
 
-// closeConn tears down a connection (the current one when c is nil)
-// and rewinds the send cursor so unacked frames are retransmitted.
+// closeConn tears down a connection (the current one when c is nil).
+// The frame in flight, carried by a connection that is no longer the
+// current one, goes out again on the next.
 func (s *sender) closeConn(c net.Conn) {
 	s.mu.Lock()
 	cur := s.conn
 	if c == nil || cur == c {
 		s.conn = nil
-		if len(s.unacked) > 0 {
-			s.sendSeq = s.unacked[0].seq
-		}
 	}
 	s.mu.Unlock()
 	if c == nil {
@@ -1472,13 +1412,8 @@ func (s *sender) readAcks(c net.Conn) {
 					s.handleNack(seq, epoch)
 				}
 			case frameCredit:
-				// A credit frame is a cumulative ack carrying the receiver's
-				// refreshed window; adopt the window before discarding frames
-				// so a woken sender sees the new budget.
 				var seq uint64
-				var window uint32
-				if seq, window, err = decodeCredit(payload); err == nil {
-					s.setWindow(window)
+				if seq, err = decodeCredit(payload); err == nil {
 					s.ack(seq)
 				}
 			default:
@@ -1490,10 +1425,10 @@ func (s *sender) readAcks(c net.Conn) {
 			s.wakeUp()
 			return
 		}
-		// Progress: extend the deadline while more acks are owed, clear
-		// it once nothing is outstanding so idle connections never expire.
+		// Progress: extend the deadline while an ack is owed, clear it
+		// once nothing is outstanding so idle connections never expire.
 		s.mu.Lock()
-		owed := len(s.unacked) > 0
+		owed := s.inflight != nil
 		s.mu.Unlock()
 		if owed {
 			c.SetReadDeadline(time.Now().Add(ackTimeout))
@@ -1503,53 +1438,35 @@ func (s *sender) readAcks(c net.Conn) {
 	}
 }
 
-// ack discards every frame with seq <= the cumulative acknowledgement,
-// records the send-to-ack latency of the newest discarded frame, and
-// wakes the sender loop — a stream that stalled on credit regains it
-// exactly here, and frames what queued up meanwhile.
+// ack discards the frame in flight when the cumulative acknowledgement
+// covers it, records its send-to-ack latency, and wakes the sender loop
+// — a stream that stalled on credit regains it exactly here, and frames
+// what queued up meanwhile.
 func (s *sender) ack(seq uint64) {
 	now := time.Now()
-	var lat time.Duration
 	s.mu.Lock()
-	i := 0
-	for i < len(s.unacked) && s.unacked[i].seq <= seq {
-		if s.unacked[i].attempts > 1 {
-			s.p.m.redeliveries.Add(1)
-		}
-		if !s.unacked[i].sentAt.IsZero() {
-			lat = now.Sub(s.unacked[i].sentAt)
-		}
-		i++
+	fr := s.inflight
+	if fr == nil || fr.seq > seq {
+		s.mu.Unlock()
+		return
 	}
-	if i > 0 {
-		s.unacked = slices.Delete(s.unacked, 0, i)
-		s.p.m.unackedFrames.Add(float64(-i))
+	s.inflight = nil
+	s.p.m.unackedFrames.Add(-1)
+	if fr.attempts > 1 {
+		s.p.m.redeliveries.Add(1)
 	}
+	sentAt := fr.sentAt
 	s.mu.Unlock()
-	if i > 0 {
-		if lat > 0 {
-			s.p.m.sendLatency.Observe(lat.Seconds())
-		}
-		s.wakeUp()
+	if !sentAt.IsZero() {
+		s.p.m.sendLatency.Observe(now.Sub(sentAt).Seconds())
 	}
+	s.wakeUp()
 }
 
-// setWindow adopts the receiver's advertised credit window. A grown
-// window wakes the loop so a credit-stalled stream resumes framing.
-func (s *sender) setWindow(w uint32) {
-	s.mu.Lock()
-	grew := uint64(w) > s.window
-	s.window = uint64(w)
-	s.mu.Unlock()
-	if grew {
-		s.wakeUp()
-	}
-}
-
-// blocked reports whether the credit window is full, so no fresh frame
-// may be built until an ack frees it. The caller holds s.mu.
+// blocked reports whether a frame is in flight, so no fresh frame may
+// be built until an ack frees the stream. The caller holds s.mu.
 func (s *sender) blocked() bool {
-	return uint64(len(s.unacked)) >= s.window
+	return s.inflight != nil
 }
 
 // handleNack processes a stale-epoch rejection: adopt the receiver's
@@ -1561,14 +1478,10 @@ func (s *sender) handleNack(seq, epoch uint64) {
 	s.p.adoptEpoch(s.strm.dest, epoch)
 	var us []p2p.Update
 	s.mu.Lock()
-	for i, fr := range s.unacked {
-		if fr.seq != seq {
-			continue
-		}
+	if fr := s.inflight; fr != nil && fr.seq == seq {
 		us = fr.us
-		s.unacked = slices.Delete(s.unacked, i, i+1)
+		s.inflight = nil
 		s.p.m.unackedFrames.Add(-1)
-		break
 	}
 	s.mu.Unlock()
 	if len(us) > 0 {

@@ -35,7 +35,7 @@ import (
 // protocol", has the table of payload layouts, senders and responders.
 const (
 	frameBatchEpoch = 'E' // u32 sender, u32 origDest, u64 seq, u64 epoch, then a batch payload
-	frameCredit     = 'C' // u64 seq, u32 window: cumulative ack plus the receiver's credit window
+	frameCredit     = 'C' // u64 seq: cumulative ack, the stream's credit for its next frame
 	frameNackEpoch  = 'N' // u64 seq, u64 epoch: per-frame stale-epoch rejection
 	frameSnapReq    = 'Q' // termination probe request
 	frameSnapResp   = 'S' // u64 sent, u64 processed
@@ -211,25 +211,19 @@ func sortUpdates(us []p2p.Update) (wide int) {
 	return wide
 }
 
-// encodeCredit appends a flow-controlled acknowledgement to dst: the
-// cumulative ack plus the receiver's advertised credit window.
-func encodeCredit(dst []byte, seq uint64, window uint32) []byte {
-	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(dst, seq), window)
+// encodeCredit appends a credit frame's payload to dst: the cumulative
+// ack, which with one frame in flight per stream is all the credit a
+// receiver grants.
+func encodeCredit(dst []byte, seq uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, seq)
 }
 
-// decodeCredit parses a flow-controlled acknowledgement payload. A
-// zero window is a structural error: the protocol guarantees at least
-// one frame of credit so a stream can always make progress.
-func decodeCredit(b []byte) (seq uint64, window uint32, err error) {
-	if len(b) != 12 {
-		return 0, 0, fmt.Errorf("wire: credit payload %d bytes", len(b))
+// decodeCredit parses a credit payload.
+func decodeCredit(b []byte) (seq uint64, err error) {
+	if len(b) != 8 {
+		return 0, fmt.Errorf("wire: credit payload %d bytes", len(b))
 	}
-	seq = binary.LittleEndian.Uint64(b[:8])
-	window = binary.LittleEndian.Uint32(b[8:])
-	if window == 0 {
-		return 0, 0, fmt.Errorf("wire: credit frame with zero window")
-	}
-	return seq, window, nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // encodeProbe serializes a termination-probe response.

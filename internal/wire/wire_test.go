@@ -301,13 +301,30 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &cur); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint64{3, 4, 5, 6} {
+	for _, version := range []uint64{3, 4, 5, 6, 7} {
 		hdr := append([]byte(nil), cur.Bytes()...)
 		le.PutUint64(hdr[len(peerSnapMagic):], version)
 		_, err := DecodeSnapshot(bytes.NewReader(hdr))
 		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
 			t.Fatalf("version %d snapshot: err %v, want unsupported snapshot version", version, err)
 		}
+	}
+}
+
+// TestCheckpointRefusesTwoFramesInFlight: a stream keeps one frame in
+// flight, so a checkpoint stream that carries two is refused, not
+// installed.
+func TestCheckpointRefusesTwoFramesInFlight(t *testing.T) {
+	snap := fuzzSeedSnapshot()
+	ob := &snap.Outbound[0]
+	ob.Unacked = append(ob.Unacked, UnackedFrame{Seq: ob.NextSeq, Updates: []p2p.Update{{Doc: 4, Delta: 0.5}}})
+	ob.NextSeq++
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(snap, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(&buf); err == nil {
+		t.Fatal("decoded a stream with two unacknowledged frames")
 	}
 }
 

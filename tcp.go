@@ -30,9 +30,9 @@ type TCPResult struct {
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
 	EpochRejected    uint64 // frames nacked for carrying a stale ownership epoch
 
-	// Flow-control accounting: at the default window of 1, batching
-	// (about one stall per frame awaiting its ack), not overload.
-	CreditStalls  uint64 // fresh frames refused on an exhausted credit window
+	// Flow-control accounting: with one frame in flight per stream,
+	// batching (about one stall per frame awaiting its ack), not overload.
+	CreditStalls  uint64 // fresh frames refused while the stream's frame was unacked
 	ShedCoalesced uint64 // deltas folded into queued ones while stalled
 }
 
@@ -67,8 +67,6 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 		Retry:        wire.RetryPolicy{Base: o.RetryBase, Max: o.RetryMax},
 		Heartbeat:    o.Heartbeat,
 		SuspectAfter: o.SuspectAfter,
-		InboxCap:     o.InboxCap,
-		CreditWindow: o.CreditWindow,
 		DebugAddr:    o.DebugAddr,
 	}
 }
