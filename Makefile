@@ -36,9 +36,10 @@ lint-graphs:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race-check the concurrent hot paths (pass pipeline, async engine,
-# the engine seam over it and the mutexed rankers, p2p substrate,
-# fault-tolerant wire layer).
+# Race-check the concurrent hot paths (pass pipeline, the engine seam,
+# p2p substrate, fault-tolerant wire layer). The 100k engine
+# equivalence sweep runs on one goroutine and skips itself under -race;
+# `ci` runs it without.
 race:
 	$(GO) test -race ./internal/core ./internal/engine ./internal/p2p ./internal/wire ./internal/telemetry
 
@@ -68,10 +69,10 @@ chaos-partition:
 chaos-overload:
 	$(GO) test -race -count=1 -run Overload ./internal/wire
 
-# Engine-race smoke gate: every registered solver engine (pass, async,
-# chaotic, diffusion, walk) races on one small seeded graph; asserts
-# the deterministic engines reach the shared accuracy target and the
-# diffusion engine beats the pass engine on work-to-target. -count=1
+# Engine-race smoke gate: every registered solver engine (pass,
+# chaotic, diffusion) races on one small seeded graph; asserts every
+# engine reaches the shared accuracy target and the diffusion engine
+# beats the pass engine on work-to-target. -count=1
 # defeats the cache so the gate actually reruns.
 race-engines-smoke:
 	$(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race
@@ -111,7 +112,7 @@ bench-wire:
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks
 # call over the three access shapes the engines produce: every node
 # ascending (a dense pass), one in eight ascending (a late pass),
-# random (ranker drivers, walk). Also run by CI at BENCHTIME=1x.
+# random (ranker drivers). Also run by CI at BENCHTIME=1x.
 bench-csr:
 	$(GO) test -run XXX -bench 'BenchmarkCursor' -benchmem -benchtime $(BENCHTIME) ./internal/csr
 
@@ -146,6 +147,7 @@ loc:
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
+		&& $(GO) test -count=1 -run Equivalence100k ./internal/engine \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dpr/internal/core"
+	"dpr/internal/engine"
 	"dpr/internal/experiments"
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -152,9 +153,10 @@ func BenchmarkFigure2Propagation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPassVsAsync compares the paper's pass-based
-// simulation with the live goroutine engine on identical input.
-func BenchmarkAblationPassVsAsync(b *testing.B) {
+// BenchmarkAblationPassVsDiffusion compares the paper's pass-based
+// simulation with the round driver under the staged push threshold on
+// identical input.
+func BenchmarkAblationPassVsDiffusion(b *testing.B) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(5000, 4))
 	b.Run("pass", func(b *testing.B) {
 		b.ReportAllocs()
@@ -169,16 +171,16 @@ func BenchmarkAblationPassVsAsync(b *testing.B) {
 			b.ReportMetric(float64(res.Counters.InterPeerMsgs), "netmsgs")
 		}
 	})
-	b.Run("async", func(b *testing.B) {
+	b.Run("diffusion", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			net := p2p.NewNetwork(16)
 			net.AssignRandom(g, rng.New(1))
-			e, err := core.NewAsyncEngine(g, net, core.Options{})
+			e, err := engine.New("diffusion", engine.Config{Graph: g, Net: net})
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := e.Run()
+			res := engine.Drive(e, 0)
 			b.ReportMetric(float64(res.Counters.InterPeerMsgs), "netmsgs")
 		}
 	})

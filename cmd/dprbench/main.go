@@ -16,8 +16,8 @@
 //	dprbench -docs 10000000 -compressed -graphfile g.dprz    # out-of-core mmap
 //	dprbench -docs 100000 -json results/BENCH_bigraph.json   # record the run
 //
-// The engine race runs every registered solver engine (pass, async,
-// chaotic, diffusion, walk) on the same seeded 100k power-law graph
+// The engine race runs every registered solver engine (pass, chaotic,
+// diffusion) on the same seeded 100k power-law graph
 // across the plain, CSR and mmap substrates, recording each engine's
 // trajectory toward a shared accuracy target:
 //

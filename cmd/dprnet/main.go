@@ -1,13 +1,13 @@
-// Command dprnet runs the live asynchronous pagerank network: one
-// goroutine per peer, update messages over channels, no global
-// synchronization — the system the paper describes and simulates.
-// It reports convergence statistics and verifies the result against
-// the centralized solver.
+// Command dprnet runs the live pagerank network: a cluster of peers
+// on localhost TCP sockets exchanging update messages with no global
+// synchronization — the system the paper describes and simulates. It
+// reports convergence statistics and verifies the result against the
+// centralized solver.
 //
 // Usage:
 //
 //	dprnet -docs 10000 -peers 64 -eps 1e-3
-//	dprnet -docs 5000 -peers 8 -tcp       # real sockets instead of channels
+//	dprnet -telemetry                     # serve /metrics, /trace and pprof, dump the registry on exit
 package main
 
 import (
@@ -18,20 +18,15 @@ import (
 	"time"
 
 	"dpr"
-	"dpr/internal/core"
-	"dpr/internal/p2p"
-	"dpr/internal/rng"
-	"dpr/internal/telemetry"
 )
 
 func main() {
 	docs := flag.Int("docs", 10000, "number of documents")
-	peers := flag.Int("peers", 64, "number of peer goroutines")
+	peers := flag.Int("peers", 64, "number of peers")
 	eps := flag.Float64("eps", 1e-3, "relative-error send threshold")
 	seed := flag.Uint64("seed", 42, "graph and placement seed")
 	topK := flag.Int("top", 10, "top documents to print")
-	useTCP := flag.Bool("tcp", false, "run over real TCP sockets on localhost")
-	telemetryFlag := flag.Bool("telemetry", false, "serve /metrics, /trace and pprof during the run (-tcp) and dump the registry on exit")
+	telemetryFlag := flag.Bool("telemetry", false, "serve /metrics, /trace and pprof during the run and dump the registry on exit")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -43,70 +38,30 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("graph: %d documents, %d links; %d peer goroutines, eps=%g\n",
+	fmt.Printf("graph: %d documents, %d links; %d peers, eps=%g\n",
 		g.NumNodes(), g.NumEdges(), *peers, *eps)
 
-	start := time.Now()
-	var ranks []float64
-	switch {
-	case *useTCP:
-		opt := dpr.Options{Peers: *peers, Epsilon: *eps, Seed: *seed}
-		if *telemetryFlag {
-			opt.DebugAddr = "127.0.0.1:0"
-		}
-		cluster, err := dpr.NewTCPCluster(g, opt)
-		if err != nil {
-			fail(err)
-		}
-		if addr := cluster.DebugAddr(); addr != "" {
-			fmt.Printf("debug listener: http://%s/metrics  /trace  /debug/pprof/\n", addr)
-		}
-		res, err := cluster.Run(10 * time.Minute)
-		if err != nil {
-			cluster.Close()
-			fail(err)
-		}
-		fmt.Printf("quiesced in %v over TCP; %d update messages, %d termination probes\n",
-			res.Elapsed.Round(time.Millisecond), res.Messages, res.Probes)
-		ranks = res.Ranks
-		if *telemetryFlag {
-			fmt.Println("--- telemetry ---")
-			fmt.Print(cluster.TelemetryText())
-		}
-	case *telemetryFlag:
-		// The channel engine has no pass structure to trace, so
-		// -telemetry without -tcp runs the synchronized pass engine
-		// with a pass sink attached and dumps its registry.
-		net := p2p.NewNetwork(*peers)
-		net.AssignRandom(g, rng.New(*seed))
-		e, err := core.NewPassEngine(g, net, nil, core.Options{Epsilon: *eps})
-		if err != nil {
-			fail(err)
-		}
-		reg := telemetry.NewRegistry()
-		sink := telemetry.NewPassSink(reg, nil)
-		sink.Clock = func() int64 { return time.Now().UnixNano() }
-		e.Sink = sink
-		res := e.Run()
-		elapsed := time.Since(start)
-		fmt.Printf("converged=%v in %v; %d passes, %d network messages\n",
-			res.Converged, elapsed.Round(time.Millisecond), res.Passes, res.Counters.InterPeerMsgs)
-		ranks = res.Ranks
+	opt := dpr.Options{Peers: *peers, Epsilon: *eps, Seed: *seed}
+	if *telemetryFlag {
+		opt.DebugAddr = "127.0.0.1:0"
+	}
+	cluster, err := dpr.NewTCPCluster(g, opt)
+	if err != nil {
+		fail(err)
+	}
+	if addr := cluster.DebugAddr(); addr != "" {
+		fmt.Printf("debug listener: http://%s/metrics  /trace  /debug/pprof/\n", addr)
+	}
+	res, err := cluster.Run(10 * time.Minute)
+	if err != nil {
+		cluster.Close()
+		fail(err)
+	}
+	fmt.Printf("quiesced in %v over TCP; %d update messages, %d termination probes\n",
+		res.Elapsed.Round(time.Millisecond), res.Messages, res.Probes)
+	if *telemetryFlag {
 		fmt.Println("--- telemetry ---")
-		if err := reg.Snapshot().RenderText(os.Stdout); err != nil {
-			fail(err)
-		}
-	default:
-		res, err := dpr.ComputePageRank(g, dpr.Options{
-			Peers: *peers, Epsilon: *eps, Async: true, Seed: *seed,
-		})
-		if err != nil {
-			fail(err)
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("quiesced in %v; %d network messages, %d local updates\n",
-			elapsed.Round(time.Millisecond), res.NetworkMessages, res.LocalUpdates)
-		ranks = res.Ranks
+		fmt.Print(cluster.TelemetryText())
 	}
 
 	ref, err := dpr.CentralizedPageRank(g, 0.85)
@@ -115,7 +70,7 @@ func main() {
 	}
 	worst, sum := 0.0, 0.0
 	for i := range ref {
-		rel := math.Abs(ranks[i]-ref[i]) / ref[i]
+		rel := math.Abs(res.Ranks[i]-ref[i]) / ref[i]
 		sum += rel
 		if rel > worst {
 			worst = rel
@@ -125,7 +80,7 @@ func main() {
 		worst, sum/float64(len(ref)))
 
 	fmt.Printf("\ntop %d documents by pagerank:\n", *topK)
-	for _, dr := range dpr.TopDocuments(ranks, *topK) {
+	for _, dr := range dpr.TopDocuments(res.Ranks, *topK) {
 		fmt.Printf("  doc %-8d rank %.4f (in-links %d)\n", dr.Doc, dr.Rank, g.InDegree(dr.Doc))
 	}
 }

@@ -77,14 +77,8 @@ type Options struct {
 	Epsilon float64
 
 	// Availability keeps this fraction of peers online each pass
-	// (peers churn randomly between passes). Default 1.0. Values
-	// below 1 require the pass engine (Async must be false).
+	// (peers churn randomly between passes). Default 1.0.
 	Availability float64
-
-	// Async runs the live engine: one goroutine per peer exchanging
-	// update messages over channels with no global synchronization,
-	// instead of the paper's pass-based simulation.
-	Async bool
 
 	// MaxPasses caps each pass-engine Run. Default 100000.
 	MaxPasses int
@@ -159,8 +153,7 @@ type Result struct {
 	// Ranks holds every document's pagerank, indexed by NodeID.
 	Ranks []float64
 
-	// Passes is the number of simulation passes (0 for the async
-	// engine, which has no pass structure).
+	// Passes is the number of simulation passes.
 	Passes int
 
 	// NetworkMessages counts rank updates that crossed peer
@@ -197,16 +190,6 @@ func ComputePageRank(g *Graph, opt Options) (Result, error) {
 	net, coreOpt, err := opt.place(g)
 	if err != nil {
 		return Result{}, err
-	}
-	if opt.Async {
-		if opt.Availability < 1 {
-			return Result{}, fmt.Errorf("dpr: churn (Availability < 1) requires the pass engine")
-		}
-		e, err := core.NewAsyncEngine(g, net, coreOpt)
-		if err != nil {
-			return Result{}, err
-		}
-		return toResult(e.Run()), nil
 	}
 	var churn *p2p.Churn
 	if opt.Availability < 1 {

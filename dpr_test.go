@@ -34,26 +34,6 @@ func TestComputePageRankMatchesCentralized(t *testing.T) {
 	}
 }
 
-func TestComputePageRankAsync(t *testing.T) {
-	g, err := GenerateWebGraph(1000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ComputePageRank(g, Options{Peers: 8, Epsilon: 1e-8, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := CentralizedPageRank(g, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if math.Abs(res.Ranks[i]-ref[i]) > 1e-4*math.Max(1, ref[i]) {
-			t.Fatalf("async rank[%d] off: %v vs %v", i, res.Ranks[i], ref[i])
-		}
-	}
-}
-
 func TestComputePageRankChurn(t *testing.T) {
 	g, err := GenerateWebGraph(1000, 8)
 	if err != nil {
@@ -65,10 +45,6 @@ func TestComputePageRankChurn(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("did not converge under churn")
-	}
-	// Async engine rejects churn.
-	if _, err := ComputePageRank(g, Options{Peers: 20, Availability: 0.5, Async: true}); err == nil {
-		t.Fatal("async engine accepted churn")
 	}
 }
 

@@ -33,28 +33,3 @@ func (e *PassEngine) MassBalance() (folded, shipped float64) {
 // change — the engine's convergence residual, the same quantity
 // PassStats.MaxChange reports and the telemetry sink records.
 func (e *PassEngine) LastResidual() float64 { return e.passMaxChange }
-
-// MassBalance is the AsyncEngine's conservation audit. It is only
-// meaningful at quiescence (after Run returns): mid-run, mass in
-// mailboxes is on neither side of the ledger.
-func (e *AsyncEngine) MassBalance() (folded, shipped float64) {
-	for _, rk := range e.rankers {
-		f, s := rk.MassBalance()
-		folded, shipped = folded+f, shipped+s
-	}
-	return folded, shipped
-}
-
-// ProcessedDocs returns the cumulative number of document recomputes
-// (plus initial pushes) the async run performed — the work unit the
-// race harness normalizes into equivalent passes.
-func (e *AsyncEngine) ProcessedDocs() (n int64) {
-	for _, rk := range e.rankers {
-		n += rk.Recomputed()
-	}
-	return n
-}
-
-// Ranks returns the current rank estimates. Only read it while no run
-// is in flight.
-func (e *AsyncEngine) Ranks() []float64 { return gatherRanks(e.rankers, e.g.NumNodes()) }

@@ -229,3 +229,16 @@ func TestPassEngineRanksLowerBounded(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkPassEngine10k(b *testing.B) {
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(10000, 1))
+	for i := 0; i < b.N; i++ {
+		net := p2p.NewNetwork(500)
+		net.AssignRandom(g, rng.New(1))
+		e, err := NewPassEngine(g, net, nil, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Run()
+	}
+}

@@ -8,15 +8,14 @@
 //     (section 4.2): all peers compute concurrently from the previous
 //     pass's values, messages are exchanged instantaneously between
 //     passes, and peers churn between passes.
-//   - AsyncEngine is the live system the paper describes: one
-//     goroutine per peer, update messages flowing over channels with
-//     no global synchronization, and distributed quiescence detection.
-//     It and TimedEngine (the same iteration on a simulated network)
-//     keep no rank state of their own: each peer is a p2p.Ranker, the
-//     kernel the TCP peer in internal/wire folds with, and the engines
-//     only deliver batches between them.
+//   - TimedEngine runs the asynchronous iteration on a simulated
+//     network with message timing. It keeps no rank state of its own:
+//     each peer is a p2p.Ranker, the kernel the TCP peer in
+//     internal/wire folds with, and the engine only delivers batches
+//     between them. The live system the paper describes is that TCP
+//     cluster (internal/wire).
 //
-// All use delta-push accumulation: every document keeps an
+// Both use delta-push accumulation: every document keeps an
 // accumulator of received in-link mass, so its rank is always
 // (1-d) + acc. When a document's rank moves by more than the relative
 // error threshold epsilon, it pushes d*(rank-lastSent)/outdeg to each

@@ -66,7 +66,7 @@ func TestTeleportConcentratedBoostsTopic(t *testing.T) {
 	}
 }
 
-func TestTeleportAsyncEngine(t *testing.T) {
+func TestTeleportTimedEngine(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(600, 53))
 	tp := make([]float64, g.NumNodes())
 	for i := range tp {
@@ -76,15 +76,9 @@ func TestTeleportAsyncEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := p2p.NewNetwork(8)
-	net.AssignRandom(g, rng.New(4))
-	e, err := NewAsyncEngine(g, net, Options{Epsilon: 1e-9, Teleport: tp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run()
+	res := runTimed(t, g, 8, TimedOptions{Options: Options{Epsilon: 1e-9, Teleport: tp}}, 4)
 	if err := maxRelErr(res.Ranks, ref.Ranks); err > 1e-5 {
-		t.Fatalf("async teleport vs solver: %v", err)
+		t.Fatalf("timed teleport vs solver: %v", err)
 	}
 }
 
@@ -102,8 +96,8 @@ func TestTeleportValidation(t *testing.T) {
 		if _, err := NewPassEngine(g, net, nil, opt); err == nil {
 			t.Errorf("case %d accepted %+v", i, opt)
 		}
-		if _, err := NewAsyncEngine(g, net, opt); err == nil {
-			t.Errorf("case %d (async) accepted %+v", i, opt)
+		if _, err := NewRankers(g, net, opt, 0); err == nil {
+			t.Errorf("case %d (rankers) accepted %+v", i, opt)
 		}
 	}
 }

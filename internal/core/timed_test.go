@@ -128,21 +128,16 @@ func TestTimedEnginePinnedAccuracy(t *testing.T) {
 }
 
 // TestResidualBoundAtQuiescence is the residual-bound oracle for the
-// two drivers of p2p.Ranker in this package: when Run returns, no row
-// holds an un-pushed rank change past ε of its rank — D-Iteration's
-// bound on what the fixed point can still be missing. A test on the
-// distance between successive recomputes cannot give it: steps under ε
-// each pile up in rank − last without limit.
+// driver of p2p.Ranker in this package: when Run returns, no row holds
+// an un-pushed rank change past ε of its rank — D-Iteration's bound on
+// what the fixed point can still be missing. A test on the distance
+// between successive recomputes cannot give it: steps under ε each pile
+// up in rank − last without limit.
 func TestResidualBoundAtQuiescence(t *testing.T) {
 	const eps = 1e-3
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(3000, 5))
 	net := p2p.NewNetwork(17)
 	net.AssignRandom(g, rng.New(9))
-	async, err := NewAsyncEngine(g, net, Options{Epsilon: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	async.Run()
 	timed, err := NewTimedEngine(g, net, TimedOptions{Options: Options{Epsilon: eps}})
 	if err != nil {
 		t.Fatal(err)
@@ -150,17 +145,15 @@ func TestResidualBoundAtQuiescence(t *testing.T) {
 	if _, err := timed.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for name, rankers := range map[string][]*p2p.Ranker{"async": async.rankers, "timed": timed.rankers} {
-		worst := 0.0
-		for _, rk := range rankers {
-			_, rank, _, last := rk.Rows()
-			for i := range rank {
-				worst = max(worst, math.Abs(rank[i]-last[i])/math.Abs(rank[i]))
-			}
+	worst := 0.0
+	for _, rk := range timed.rankers {
+		_, rank, _, last := rk.Rows()
+		for i := range rank {
+			worst = max(worst, math.Abs(rank[i]-last[i])/math.Abs(rank[i]))
 		}
-		if worst > eps {
-			t.Errorf("%s: a row holds an un-pushed residual of %v of its rank, want <= %v", name, worst, eps)
-		}
+	}
+	if worst > eps {
+		t.Errorf("a row holds an un-pushed residual of %v of its rank, want <= %v", worst, eps)
 	}
 }
 

@@ -46,7 +46,7 @@ func BenchmarkCursorSparseSweep(b *testing.B) {
 }
 
 // BenchmarkCursorRandomSeek reads nodes in random order: a ranker
-// driver folding its inbox, or a walk hop.
+// driver folding its inbox.
 func BenchmarkCursorRandomSeek(b *testing.B) {
 	n := benchGraph().NumNodes()
 	r := rand.New(rand.NewSource(1))

@@ -1,22 +1,18 @@
 // Package engine is the solver seam: one wire/membership/telemetry
 // stack, many solvers. The paper's §2.2 chaotic iteration is a single
-// point in a design space that also contains synchronized passes,
-// D-Iteration-style residual diffusion (Hong et al.) and random-walk
-// rank estimation (Das Sarma et al.); this package puts every solver
-// behind one interface so they share graph substrates (plain, CSR,
-// mmap via graph.Linker/CursorLinker), peer placement, message
-// accounting, deterministic seeding and the telemetry sink — and so
-// the convergence race harness (internal/race) can compare them on
-// equal footing.
+// point in a design space that also contains synchronized passes and
+// D-Iteration-style residual diffusion (Hong et al.); this package
+// puts every solver behind one interface so they share graph
+// substrates (plain, CSR, mmap via graph.Linker/CursorLinker), peer
+// placement, message accounting and the telemetry sink — and so the
+// convergence race harness (internal/race) can compare them on equal
+// footing.
 //
-// Five engines register at init: "pass" (core.PassEngine, the paper's
-// §4.2 simulation), "async" (core.AsyncEngine, the live goroutine
-// system), "chaotic" and "diffusion" (ranker.go: one single-goroutine
-// round driver over the same per-peer p2p.Ranker fold async and the TCP
-// peer run, started at push threshold ε — Figure 1 as stated — and at
-// the staged 1/2-halved-to-ε schedule respectively) and "walk" (a
-// seeded walk ensemble with visit-count rank estimation and an
-// ε-precision stopping rule).
+// Three engines register at init: "pass" (core.PassEngine, the paper's
+// §4.2 simulation), and "chaotic" and "diffusion" (ranker.go: one
+// single-goroutine round driver over the same per-peer p2p.Ranker fold
+// the TCP peer runs, started at push threshold ε — Figure 1 as stated —
+// and at the staged 1/2-halved-to-ε schedule respectively).
 package engine
 
 import (
@@ -33,15 +29,17 @@ import (
 // Config is everything an engine needs to start: the graph (any
 // Linker; engines mint per-worker cursors via graph.CursorFor so the
 // compressed and mmap substrates slot in unchanged), the peer
-// placement, the shared solver options, a deterministic seed for
-// randomized engines, and an optional telemetry sink.
+// placement, the shared solver options, a seed, and an optional
+// telemetry sink.
 type Config struct {
 	Graph graph.Linker
 	Net   *p2p.Network
 	Churn *p2p.Churn // pass engine only; others reject non-nil
 	Opt   core.Options
-	Seed  uint64
-	Sink  *telemetry.PassSink
+	// Seed is for randomized engines. Every registered engine is
+	// deterministic, so none reads it today.
+	Seed uint64
+	Sink *telemetry.PassSink
 }
 
 func (c Config) validate() error {
@@ -55,14 +53,14 @@ func (c Config) validate() error {
 }
 
 // StepStats reports one engine step. A step is the engine's natural
-// unit of scheduling — a pass, a relaxation slice, a diffusion sweep,
-// a walk round — so raw step counts are not comparable across
-// engines; Processed is (it counts document visits), which is what
-// the race harness normalizes into equivalent passes.
+// unit of scheduling — a pass, a round of per-peer folds — so raw step
+// counts are not comparable across engines; Processed is (it counts
+// document visits), which is what the race harness normalizes into
+// equivalent passes.
 type StepStats struct {
 	Step      int     // 1-based step number
 	Residual  float64 // engine's own residual estimate after the step
-	Processed int64   // document visits (or walk origins) this step
+	Processed int64   // document visits this step
 	Messages  int64   // cross-peer messages sent this step
 	Done      bool    // the engine's own stopping rule fired
 }
@@ -169,20 +167,8 @@ func Drive(e Engine, maxSteps int) core.Result {
 	}
 }
 
-// classify routes one delivered share for message accounting: free
-// within a peer, a counted network message across peers. Engines
-// without a store-and-retry path (everything but "pass") require a
-// fully online network, which their factories enforce.
-func classify(net *p2p.Network, from, to graph.NodeID, c *p2p.Counters) {
-	if net.SamePeer(from, to) {
-		c.IntraPeerMsgs++
-	} else {
-		c.InterPeerMsgs++
-	}
-}
-
-// sinkRecorder adapts the optional telemetry PassSink so the new
-// engines record residual decay and per-step work through the same
+// sinkRecorder adapts the optional telemetry PassSink so the round
+// driver records residual decay and per-step work through the same
 // instruments the pass engine uses, without nil checks at every call
 // site. (The pass adapter wires the sink straight into
 // core.PassEngine instead.)

@@ -35,7 +35,7 @@ func reference(t testing.TB, g *graph.Graph) []float64 {
 }
 
 func TestNamesSortedAndComplete(t *testing.T) {
-	want := []string{"async", "chaotic", "diffusion", "pass", "walk"}
+	want := []string{"chaotic", "diffusion", "pass"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -48,13 +48,14 @@ func TestRegistryResolution(t *testing.T) {
 		wantErr string // substring of the expected error, "" for success
 	}{
 		{name: "pass"},
-		{name: "async"},
 		{name: "chaotic"},
 		{name: "diffusion"},
-		{name: "walk"},
 		{name: "", wantErr: `unknown engine ""`},
 		{name: "Pass", wantErr: `unknown engine "Pass"`},
-		{name: "gauss-seidel", wantErr: "valid: async, chaotic, diffusion, pass, walk"},
+		{name: "gauss-seidel", wantErr: "valid: chaotic, diffusion, pass"},
+		// Retired engines: a script that still names one is told what is left.
+		{name: "async", wantErr: `unknown engine "async" (valid: chaotic, diffusion, pass)`},
+		{name: "walk", wantErr: `unknown engine "walk" (valid: chaotic, diffusion, pass)`},
 	}
 	for _, tc := range cases {
 		t.Run("name="+tc.name, func(t *testing.T) {
@@ -101,7 +102,7 @@ func TestConfigValidation(t *testing.T) {
 // stays a pass-engine capability: the store-and-retry path the other
 // engines lack is what makes offline peers survivable.
 func TestStaticOnlyEnginesRejectChurn(t *testing.T) {
-	for _, name := range []string{"async", "chaotic", "diffusion", "walk"} {
+	for _, name := range rankerEngines {
 		cfg, _ := testCfg(t, 50, 4, 3, core.Options{})
 		churn, err := p2p.NewChurn(cfg.Net, 0.5, rng.New(9))
 		if err != nil {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"testing"
 
 	"dpr/internal/core"
@@ -9,17 +8,14 @@ import (
 
 // Cross-engine equivalence: every engine, run to a tight target on the
 // same seeded graph and placement, must land on the centralized
-// reference solution. The iterative engines (pass, async, chaotic,
-// diffusion) are deterministic fixed-point solvers and get the 1e-6
-// bar the issue sets. The walk engine is a Monte Carlo estimator: its
-// error shrinks as 1/sqrt(rounds), so it gets a documented statistical
-// bound instead (see TestWalkEquivalence10k).
+// reference solution. All are deterministic fixed-point solvers and get
+// the same 1e-6 bar.
 
 // iterativeEps returns per-engine epsilons that all guarantee better
 // than 1e-6 final error. The engines define residuals differently
 // (max relative pass change, max pending delta, total remaining
 // fluid), so the knobs differ while the bar is shared:
-//   - pass/async: relative delta cutoff eps leaves at most
+//   - pass: relative delta cutoff eps leaves at most
 //     eps·d/(1-d) ≈ 5.7·eps relative error; 1e-8 → ~6e-8.
 //   - chaotic: absolute pending cutoff eps·(1-d) per component,
 //     amplified at most 1/(1-d) on fold-in; 1e-8 is ample.
@@ -52,7 +48,7 @@ func TestIterativeEquivalence10k(t *testing.T) {
 	const docs, seed = 10_000, 42
 	_, g := testCfg(t, docs, 32, seed, core.Options{})
 	ref := reference(t, g)
-	for _, name := range []string{"pass", "async", "chaotic", "diffusion"} {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			ranks := runIterative(t, name, docs, seed)
@@ -64,13 +60,13 @@ func TestIterativeEquivalence10k(t *testing.T) {
 }
 
 func TestIterativeEquivalence100k(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k equivalence sweep skipped in -short")
+	if testing.Short() || raceDetector {
+		t.Skip("100k equivalence sweep skipped in -short and under -race")
 	}
 	const docs, seed = 100_000, 43
 	_, g := testCfg(t, docs, 64, seed, core.Options{})
 	ref := reference(t, g)
-	for _, name := range []string{"pass", "async", "chaotic", "diffusion"} {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			ranks := runIterative(t, name, docs, seed)
@@ -81,60 +77,13 @@ func TestIterativeEquivalence100k(t *testing.T) {
 	}
 }
 
-// walkError drives the walk engine for exactly rounds rounds and
-// returns its mean absolute rank error against the reference.
-func walkError(t *testing.T, docs int, seed uint64, rounds int) float64 {
-	t.Helper()
-	// Epsilon well below what `rounds` rounds can reach, so the
-	// engine's own stopping rule never fires early and the round count
-	// is exact.
-	cfg, g := testCfg(t, docs, 32, seed, core.Options{Epsilon: 1e-12})
-	ref := reference(t, g)
-	e, err := New("walk", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rounds; r++ {
-		e.Step()
-	}
-	sum := 0.0
-	for i, r := range e.Ranks() {
-		sum += math.Abs(r - ref[i])
-	}
-	return sum / float64(docs)
-}
-
-// TestWalkEquivalence10k documents the walk engine's statistical
-// bound: with R=400 rounds the per-document standard error is
-// (1-d)·sqrt(Var/R) ≈ sqrt(x·(1-d)/R) ≤ ~0.02 for typical ranks, so a
-// mean absolute error of 0.05 (ranks average 1.0) has enormous slack
-// and a failure indicates an estimator bug, not noise.
-func TestWalkEquivalence10k(t *testing.T) {
-	const docs, seed, rounds = 10_000, 42, 400
-	if err := walkError(t, docs, seed, rounds); err > 0.05 {
-		t.Fatalf("walk mean abs err %v > 0.05 after %d rounds", err, rounds)
-	}
-}
-
-func TestWalkEquivalence100k(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k walk sweep skipped in -short")
-	}
-	// Fewer rounds on the big graph: the bound loosens to ~0.15.
-	const docs, seed, rounds = 100_000, 43, 48
-	if err := walkError(t, docs, seed, rounds); err > 0.15 {
-		t.Fatalf("walk mean abs err %v > 0.15 after %d rounds", err, rounds)
-	}
-}
-
 // TestDeterminismAcrossWorkers pins that the Workers option never
 // changes the answer: the pass engine's parallel fold is designed to
 // be bit-identical to the serial one, and the single-threaded engines
-// must ignore the knob entirely. (async is excluded: its fold order is
-// scheduling-dependent by design, see TestAsyncRunToRunTolerance.)
+// must ignore the knob entirely.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	const docs, seed = 3_000, 7
-	for _, name := range []string{"pass", "chaotic", "diffusion", "walk"} {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var runs [2][]float64
@@ -167,7 +116,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 // and message totals.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	const docs, seed = 3_000, 11
-	for _, name := range []string{"pass", "chaotic", "diffusion", "walk"} {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			type run struct {
@@ -209,29 +158,5 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAsyncRunToRunTolerance is the async engine's determinism
-// contract: exact bits depend on goroutine scheduling, so two runs
-// agree to within the epsilon-derived tolerance rather than
-// bit-for-bit. Each run's distance from the fixed point is bounded by
-// roughly eps·d/(1-d) ≈ 5.7·eps, so at eps=1e-8 two runs sit within
-// ~1.2e-7 of each other; the 1e-6 bar has an order of magnitude of
-// slack.
-func TestAsyncRunToRunTolerance(t *testing.T) {
-	const docs, seed = 3_000, 11
-	var runs [2][]float64
-	for i := range runs {
-		cfg, _ := testCfg(t, docs, 16, seed, core.Options{Epsilon: 1e-8})
-		e, err := New("async", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Drive(e, 0)
-		runs[i] = append([]float64(nil), e.Ranks()...)
-	}
-	if err := maxRelErr(runs[0], runs[1]); err > 1e-6 {
-		t.Fatalf("async runs diverge by %v > 1e-6", err)
 	}
 }

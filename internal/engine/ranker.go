@@ -20,7 +20,7 @@ func init() {
 }
 
 // rankerEngine drives one p2p.Ranker per peer — the fold the TCP peer
-// and core's async and timed engines run — on a single goroutine, in
+// and core's timed engine run — on a single goroutine, in
 // rounds. A Step is one round: peers in ascending id fold what their
 // inbox holds, and each fold's outbox goes into its destinations'
 // inboxes at once, so a later peer meets it in the same round

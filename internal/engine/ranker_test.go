@@ -8,10 +8,71 @@ import (
 	"testing"
 
 	"dpr/internal/core"
+	"dpr/internal/graph"
 	"dpr/internal/p2p"
+	"dpr/internal/rng"
 )
 
 var rankerEngines = []string{"chaotic", "diffusion"}
+
+// TestSmallGraphs runs the round driver on graphs a seeded power-law
+// placement never produces: a cycle, where every rank is 1; more peers
+// than documents, where idle peers must not stall quiescence; no edges,
+// quiescent without one update, every rank the no-in-links 1−d; and one
+// peer, where every update stays local.
+func TestSmallGraphs(t *testing.T) {
+	uniform := func(n int, v float64) []float64 {
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = v
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		peers     int
+		seed      uint64
+		eps       float64
+		want      []float64 // nil: the centralized solution
+		tol       float64   // max relative error
+		noNetwork bool      // no update crosses a peer boundary
+		noUpdates bool      // no update at all
+	}{
+		{"cycle12", graph.Cycle(12), 4, 1, 1e-10, uniform(12, 1), 1e-6, false, false},
+		{"many-peers-few-docs", graph.Cycle(5), 32, 5, 1e-8, uniform(5, 1), 1e-4, false, false},
+		{"no-edges", graph.NewBuilder(10).Build(), 4, 6, 0, uniform(10, 1-core.DefaultDamping), 1e-12, true, true},
+		{"single-peer", graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(300, 43)), 1, 4, 1e-8, nil, 1e-4, true, false},
+	} {
+		want := tc.want
+		if want == nil {
+			want = reference(t, tc.g)
+		}
+		for _, name := range rankerEngines {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				net := p2p.NewNetwork(tc.peers)
+				net.AssignRandom(tc.g, rng.New(tc.seed))
+				e, err := New(name, Config{Graph: tc.g, Net: net, Opt: core.Options{Epsilon: tc.eps}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := Drive(e, 0)
+				if !res.Converged {
+					t.Fatal("did not converge")
+				}
+				if err := maxRelErr(res.Ranks, want); err > tc.tol {
+					t.Fatalf("max rel err %v > %v", err, tc.tol)
+				}
+				if tc.noNetwork && res.Counters.InterPeerMsgs != 0 {
+					t.Fatalf("%d updates crossed a peer boundary", res.Counters.InterPeerMsgs)
+				}
+				if tc.noUpdates && res.Counters.Total() != 0 {
+					t.Fatalf("%d updates sent", res.Counters.Total())
+				}
+			})
+		}
+	}
+}
 
 // TestResidualBoundsError pins the D-Iteration identity the residual is
 // read from: ‖x*−x‖₁ ≤ (‖in-flight‖₁ + d‖un-pushed‖₁)/(1−d), so after

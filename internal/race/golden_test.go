@@ -8,12 +8,11 @@ import (
 	"testing"
 )
 
-// goldenReport runs a tiny fully deterministic race: the async engine
-// is excluded (its message counts are scheduling-dependent), the
-// clock is a fake monotonic counter, and everything else — graph,
-// placement, walk trajectories, message totals, error trajectory — is
-// a pure function of the seed. The serialized report is therefore
-// byte-stable and pins the BENCH_engines.json schema.
+// goldenReport runs a tiny fully deterministic race: the clock is a
+// fake monotonic counter, and everything else — graph, placement,
+// message totals, error trajectory — is a pure function of the seed.
+// The serialized report is therefore byte-stable and pins the
+// BENCH_engines.json schema.
 func goldenReport(t *testing.T) []byte {
 	t.Helper()
 	ns := int64(0)
@@ -23,7 +22,7 @@ func goldenReport(t *testing.T) []byte {
 		Seed:       7,
 		Target:     1e-2,
 		MaxSteps:   25,
-		Engines:    []string{"pass", "chaotic", "diffusion", "walk"},
+		Engines:    []string{"pass", "chaotic", "diffusion"},
 		Substrates: []string{"plain", "csr"},
 		Clock:      func() int64 { ns += 1000; return ns },
 	})
@@ -82,8 +81,8 @@ func TestRaceReportSchema(t *testing.T) {
 		t.Fatalf("schema = %v, want %v", doc["schema"], Schema)
 	}
 	runs, ok := doc["runs"].([]any)
-	if !ok || len(runs) != 8 {
-		t.Fatalf("runs = %d entries, want 4 engines x 2 substrates", len(runs))
+	if !ok || len(runs) != 6 {
+		t.Fatalf("runs = %d entries, want 3 engines x 2 substrates", len(runs))
 	}
 	run, ok := runs[0].(map[string]any)
 	if !ok {

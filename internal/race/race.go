@@ -10,9 +10,8 @@
 // the fewest equivalent passes, at what message cost, in how much
 // wall-clock.
 //
-// Fairness rules: raw steps are not comparable (a pass, a relaxation
-// slice, a diffusion sweep and a walk round are different amounts of
-// work), so the ranking metric is equivalent passes — cumulative
+// Fairness rules: raw steps are not comparable (a pass and a round of
+// per-peer folds are different amounts of work), so the ranking metric is equivalent passes — cumulative
 // document visits divided by graph size. All engines see the same
 // placement (seed^0xa5a5, the experiments-package derivation) and the
 // same accuracy target; each engine's own epsilon is set a notch
@@ -22,7 +21,6 @@ package race
 
 import (
 	"fmt"
-	"math"
 
 	"dpr/internal/core"
 	"dpr/internal/csr"
@@ -87,7 +85,7 @@ type Point struct {
 	Step        int     `json:"step"`
 	EquivPasses float64 `json:"equiv_passes"` // cumulative docs visited / N
 	ErrVsRef    float64 `json:"err_vs_ref"`   // max rel error vs reference
-	Residual    float64 `json:"residual"`     // engine's own residual; -1 = not yet defined
+	Residual    float64 `json:"residual"`     // engine's own residual
 	Messages    int64   `json:"messages"`     // cumulative cross-peer messages
 	Nanos       int64   `json:"nanos"`        // wall-clock since engine start
 }
@@ -268,17 +266,11 @@ func raceOne(name, sub string, g graph.Linker, ref []float64, cfg Config) (Engin
 		st := e.Step()
 		processed += st.Processed
 		errVsRef := solver.MaxRelDiff(e.Ranks(), ref)
-		// JSON has no Inf/NaN; the walk engine reports +Inf until it
-		// has a variance estimate, which serializes as -1.
-		residual := st.Residual
-		if math.IsInf(residual, 0) || math.IsNaN(residual) {
-			residual = -1
-		}
 		pt := Point{
 			Step:        st.Step,
 			EquivPasses: float64(processed) / n,
 			ErrVsRef:    errVsRef,
-			Residual:    residual,
+			Residual:    st.Residual,
 			Messages:    e.Counters().InterPeerMsgs,
 			Nanos:       cfg.Clock() - start,
 		}

@@ -20,8 +20,7 @@ func findRun(t *testing.T, rep *Report, eng, sub string) EngineRun {
 // TestRaceEnginesSmoke is the CI gate (make race-engines-smoke): a
 // small seeded race across every registered engine, asserting the
 // cross-engine equivalence the harness exists to measure — every
-// deterministic engine reaches the shared accuracy target, the walk
-// estimator makes measurable progress toward it, and the diffusion
+// engine reaches the shared accuracy target, and the diffusion
 // engine's work-ordering advantage over the everything-dirty pass
 // engine shows up as fewer equivalent passes to target.
 func TestRaceEnginesSmoke(t *testing.T) {
@@ -37,10 +36,10 @@ func TestRaceEnginesSmoke(t *testing.T) {
 	if rep.Schema != Schema {
 		t.Fatalf("schema = %q, want %q", rep.Schema, Schema)
 	}
-	if len(rep.Runs) != 5 {
-		t.Fatalf("got %d runs, want one per registered engine (5)", len(rep.Runs))
+	if len(rep.Runs) != 3 {
+		t.Fatalf("got %d runs, want one per registered engine (3)", len(rep.Runs))
 	}
-	for _, name := range []string{"pass", "async", "chaotic", "diffusion"} {
+	for _, name := range []string{"pass", "chaotic", "diffusion"} {
 		r := findRun(t, rep, name, "plain")
 		if !r.ReachedTarget {
 			t.Errorf("%s did not reach target %v (final err %v after %d steps)",
@@ -49,16 +48,6 @@ func TestRaceEnginesSmoke(t *testing.T) {
 		if len(r.Trajectory) == 0 {
 			t.Errorf("%s recorded no trajectory", name)
 		}
-	}
-
-	// The walk estimator cannot hit a 1e-3 max-norm target in any
-	// reasonable round budget (Monte Carlo error shrinks as
-	// 1/sqrt(rounds)); its contract here is honest progress: final
-	// error well below the first-round error.
-	walk := findRun(t, rep, "walk", "plain")
-	first := walk.Trajectory[0].ErrVsRef
-	if walk.FinalErr >= first/2 {
-		t.Errorf("walk made no progress: first-step err %v, final err %v", first, walk.FinalErr)
 	}
 
 	// The acceptance claim: residual-ordered diffusion beats the pass

@@ -30,15 +30,6 @@ type Rand struct {
 // New returns a generator seeded from seed via SplitMix64.
 func New(seed uint64) *Rand {
 	r := &Rand{}
-	r.Reseed(seed)
-	return r
-}
-
-// Reseed resets r to the state New(seed) produces, without allocating.
-// Hot loops that need one independent short-lived stream per item (the
-// walk engine derives one stream per walk) reuse a single Rand value
-// this way instead of constructing millions of generators.
-func (r *Rand) Reseed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitMix64(&st)
@@ -47,6 +38,7 @@ func (r *Rand) Reseed(seed uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
+	return r
 }
 
 // Split derives an independent generator from r's current state and a
