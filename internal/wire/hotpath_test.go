@@ -200,10 +200,7 @@ func TestNackedFrameIsRequeuedWhole(t *testing.T) {
 		t.Fatalf("sender's epoch for the range = %d after the nack, want 9", got)
 	}
 	waitCounter(t, 5*time.Second, "the redelivered frame to be acknowledged", func() bool {
-		s := p.sender(stream{src: 0, dest: 1})
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.inflight == nil
+		return p.Registry().Snapshot().GaugeValue("wire_unacked_frames") == 0
 	})
 }
 
@@ -257,9 +254,9 @@ func TestDuplicatedControlFramesStillParse(t *testing.T) {
 
 // TestReconnectSendsOldestUnackedFirst is the regression test for a
 // lost frame: a sender whose frame 1 is out but unacknowledged — the
-// receiver crashed with it unfolded in its inbox — has fresh updates
-// queued when it finds its connection dead. The first frame on the new
-// connection must be 1, and nothing fresh may follow it before it is
+// receiver crashed with it unfolded in its inbox, and the connection
+// with it — has fresh updates queued when it redials. The first frame
+// on the new connection must be 1, and nothing fresh may follow it before it is
 // acked: were a fresh frame 2 to be folded first, the receiver's dedup
 // watermark would pass 1, and its cumulative ack would make the sender
 // discard frame 1 unfolded.
@@ -277,13 +274,10 @@ func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 	defer ln.Close()
 	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
 
-	dead, other := net.Pipe()
-	dead.Close()
-	other.Close()
 	st := stream{src: 0, dest: 1}
 	s := p.newSender(st)
 	// Transmitted on a connection that has died since.
-	s.inflight = &frameRec{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1, sentOn: dead}
+	s.inflight = &frameRec{seq: 1, us: []p2p.Update{{Doc: 1, Delta: 0.5}}, attempts: 1}
 	s.nextSeq = 2
 	p.sendMu.Lock()
 	p.senders[st] = s
@@ -323,7 +317,7 @@ func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 		}
 	}
 	p.queueRemote(1, []p2p.Update{{Doc: 3, Delta: 0.5}})
-	p.wakeSenders() // the view change that lets the sender find its connection dead
+	p.wakeSenders() // the view change that sends the sender to redial
 	next(1)
 	select {
 	case got := <-seqs:
@@ -398,7 +392,7 @@ func (c *dyingConn) Write(b []byte) (int, error) {
 }
 
 // dyingTransport arms the next dialed connection only. The test sets
-// afterWrite before it queues the update that makes the sender dial.
+// afterWrite before the sender's first dial.
 type dyingTransport struct {
 	afterWrite func(net.Conn)
 }
@@ -413,19 +407,14 @@ func (tr *dyingTransport) Dial(_, _ p2p.PeerID, addr string) (net.Conn, error) {
 	return &dyingConn{Conn: conn, afterWrite: hook}, nil
 }
 
-// TestFrameWrittenAsConnectionDiesIsRetransmitted is the regression
-// test for a frame lost to a race in the sender loop: the write of
-// frame 1 succeeds, the connection dies, and the ack reader notices —
-// rewinding the send cursor to 1 — before the loop gets to advance the
-// cursor past the frame it just wrote. The loop then moved the cursor
-// to 2 on a connection that no longer existed: frame 1 stayed
-// unacknowledged with nothing pointing at it and nothing left to wake
-// the loop, so its updates were never folded anywhere (about one run in
-// fifty of TestOverloadMembershipLeaveUnderFirehose never reached
-// quiescence). The frame must go out again on a new connection.
+// TestFrameWrittenAsConnectionDiesIsRetransmitted: the write of frame
+// 1 succeeds and the connection dies before the reply. The frame must
+// go out again on a new connection, not stay in flight with nothing
+// left to send it: that lost updates in about one run in fifty of
+// TestOverloadMembershipLeaveUnderFirehose (DESIGN.md §13).
 func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
-	tr := &dyingTransport{}
+	tr := &dyingTransport{afterWrite: func(conn net.Conn) { conn.Close() }}
 	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -437,19 +426,6 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 	}
 	defer ln.Close()
 	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
-
-	s := p.sender(stream{src: 0, dest: 1})
-	tr.afterWrite = func(conn net.Conn) {
-		conn.Close() // the ack reader fails and drops the connection
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			s.mu.Lock()
-			gone := s.conn == nil
-			s.mu.Unlock()
-			if gone {
-				return // only now does the loop learn its write "succeeded"
-			}
-		}
-	}
 
 	again := make(chan uint64, 1)
 	go func() {
@@ -575,14 +551,13 @@ func TestRerouteDuringKillKeepsSelfDirectedUpdates(t *testing.T) {
 	}
 }
 
-// TestOneCumulativeAckPerConnection: three frames of one stream that
-// reach a receiver's inbox before its loop turns are folded in one
-// consume, and the ack being cumulative, the receiver owes the
-// connection exactly one credit frame, for the third — not one per
-// frame, each costing the sender a read and a wake-up for nothing. A
-// sender keeps one frame in flight, so the three come from a raw
-// connection: the receiver does not trust its senders to behave.
-func TestOneCumulativeAckPerConnection(t *testing.T) {
+// TestEachAdmittedFrameIsAcked: three frames of one stream that reach a
+// receiver's inbox before its loop turns are folded in one consume, and
+// each gets its own credit frame, for 1, 2 and 3 in order, all written
+// after the fold. A sender keeps one frame in flight and reads one reply
+// for it, so there is nothing to coalesce; the three come from a raw
+// connection, since the receiver does not trust its senders to behave.
+func TestEachAdmittedFrameIsAcked(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	recv, err := NewPeer(PeerConfig{ID: 1, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{1, 2, 3}})
 	if err != nil {
@@ -614,21 +589,86 @@ func TestOneCumulativeAckPerConnection(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn)
-	if err != nil || typ != frameCredit {
-		t.Fatalf("first answer is frame %q, err %v; want a credit frame", typ, err)
+	for want := uint64(1); want <= 3; want++ {
+		typ, payload, err := readFrame(conn)
+		if err != nil || typ != frameCredit {
+			t.Fatalf("answer %d is frame %q, err %v; want a credit frame", want, typ, err)
+		}
+		if seq, err := decodeCredit(payload); err != nil || seq != want {
+			t.Fatalf("credit frame %d acks seq %d, err %v; want %d", want, seq, err, want)
+		}
+		// The fold of all three, and of the chain they set off, came first.
+		if _, processed := recv.Counters(); processed < 3 {
+			t.Fatalf("credit for %d written with %d updates folded, want all three frames' first", want, processed)
+		}
 	}
-	if seq, err := decodeCredit(payload); err != nil || seq != 3 {
-		t.Fatalf("credit frame acks seq %d, err %v; want the cumulative ack for 3", seq, err)
-	}
-	// A control item queued now runs after the consume that wrote that
-	// ack, so whatever else the consume wrote is on the connection ahead
+	// A control item queued now runs after the consume that wrote those
+	// acks, so whatever else the consume wrote is on the connection ahead
 	// of the close.
 	if err := recv.control(func() {}); err != nil {
 		t.Fatal(err)
 	}
 	recv.Close()
 	if typ, _, err := readFrame(conn); err != io.EOF {
-		t.Fatalf("a second answer, frame %q (err %v): one consume owes one connection one ack", typ, err)
+		t.Fatalf("a fourth answer, frame %q (err %v): three frames owe three acks", typ, err)
 	}
+}
+
+// TestStaleAckIsNotTakenForTheNextFrame: a raw receiver acks frame 1
+// twice, as it does when the link duplicates the frame. The second ack
+// arrives while frame 2 is out. The sender must not take it for frame
+// 2's reply: frame 2 stays owed, on the same connection, until the ack
+// for 2.
+func TestStaleAckIsNotTakenForTheNextFrame(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
+	unacked := func() float64 { return p.Registry().Snapshot().GaugeValue("wire_unacked_frames") }
+
+	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	frame := func(want uint64) {
+		t.Helper()
+		typ, payload, err := readFrame(conn)
+		if err != nil || typ != frameBatchEpoch {
+			t.Fatalf("frame %q, err %v; want batch frame %d", typ, err, want)
+		}
+		if _, _, seq, _, _, err := decodeBatchEpoch(payload); err != nil || seq != want {
+			t.Fatalf("batch frame seq %d, err %v; want %d", seq, err, want)
+		}
+	}
+	frame(1)
+	p.queueRemote(1, []p2p.Update{{Doc: 2, Delta: 0.5}}) // frame 2's update, queued behind frame 1
+	for range 2 {
+		if err := writeFrame(conn, frameCredit, encodeCredit(nil, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame(2)
+	time.Sleep(200 * time.Millisecond) // the stale ack is read well within this
+	if n := unacked(); n != 1 {
+		t.Fatalf("%v frames owed after the second ack for 1, want frame 2", n)
+	}
+	if st := p.Stats(); st.Redeliveries != 0 || st.Retries != 0 || st.Reconnects != 0 {
+		t.Fatalf("redeliveries %d, retries %d, reconnects %d: the stale ack must be skipped, not break the connection",
+			st.Redeliveries, st.Retries, st.Reconnects)
+	}
+	if err := writeFrame(conn, frameCredit, encodeCredit(nil, 2)); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, 5*time.Second, "the ack for 2 to finish frame 2", func() bool { return unacked() == 0 })
 }

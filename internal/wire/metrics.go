@@ -25,11 +25,11 @@ type peerMetrics struct {
 	misdropped    *telemetry.Counter // updates with no resolvable owner (must stay 0)
 	epochRejected *telemetry.Counter // frames nacked for carrying a stale ownership epoch
 
-	// Flow control: creditStalls counts fresh frames refused for lack
-	// of credit, shedCoalesced the updates merged while their stream
-	// was credit-blocked. With one frame in flight per stream both
-	// measure batching: about one stall per frame awaiting its ack, and
-	// every merge meanwhile.
+	// Flow control: creditStalls counts the frame writes after which a
+	// stream awaited the reply with no credit, shedCoalesced the updates
+	// merged while their stream was credit-blocked. With one frame in
+	// flight per stream both measure batching: one stall per frame
+	// written, and every merge meanwhile.
 	creditStalls  *telemetry.Counter
 	shedCoalesced *telemetry.Counter
 	updatesWide   *telemetry.Counter // framed updates crossing in 8 bytes: mostly coalesced sums

@@ -55,11 +55,11 @@ func (rp RetryPolicy) delay(r *rng.Rand, fails int) time.Duration {
 // instead of blocking a sender forever.
 const writeTimeout = 10 * time.Second
 
-// ackTimeout bounds how long a sender waits for an acknowledgement
-// once frames are outstanding. The deadline is armed after each frame
-// write and extended (or cleared, when nothing is owed) on each ack,
-// so an idle connection never expires but a peer that accepts frames
-// and then hangs is torn down and its frames retransmitted elsewhere.
+// ackTimeout bounds how long a sender waits for the reply to its frame
+// in flight. The deadline is armed for each reply read; with nothing in
+// flight nobody reads, so an idle connection never expires, but a peer
+// that accepts a frame and then hangs is torn down and the frame
+// retransmitted on the next connection.
 const ackTimeout = 15 * time.Second
 
 // Overload protection. A stream keeps one frame in flight: the receiver
@@ -261,7 +261,7 @@ type PeerStats struct {
 
 	// Flow-control accounting, which with one frame in flight is
 	// batching: a stream stalls about once per frame awaiting its ack.
-	CreditStalls  uint64 // fresh frames a sender refused for lack of credit
+	CreditStalls  uint64 // frame writes after which the stream awaited the reply with no credit
 	ShedCoalesced uint64 // updates coalesced into queued ones while their stream was credit-blocked
 	SlowPeer      uint64 // always 0 since the straggler mode went; keeps its checkpoint-header word
 	UpdatesWide   uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
@@ -507,7 +507,7 @@ func (p *Peer) stop() {
 	}
 	p.sendMu.Unlock()
 	for _, s := range ss {
-		s.closeConn(nil)
+		s.interrupt()
 	}
 	p.inMu.Lock()
 	for conn := range p.ins {
@@ -731,12 +731,7 @@ func (p *Peer) consume(items []inItem) {
 			if !p.admit(it) {
 				continue
 			}
-			// The ack is cumulative: one per connection, for its highest seq.
-			if j := slices.IndexFunc(acks, func(a *inItem) bool { return a.cw == it.cw }); j < 0 {
-				acks = append(acks, it)
-			} else if it.seq > acks[j].seq {
-				acks[j] = it
-			}
+			acks = append(acks, it)
 		}
 		batch = append(batch, it.us...)
 	}
@@ -896,9 +891,9 @@ func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
 
 // queueRemote coalesces updates into the destination's retry queue
 // and wakes its sender if the stream has no frame in flight; a blocked
-// one is woken by the ack that frees it (DESIGN.md §11). An update
-// absorbed by coalescing counts as processed on the spot: its delta
-// mass survives inside the merged entry, so exactly one fold will
+// one frames them once the reply it awaits is in (DESIGN.md §11). An
+// update absorbed by coalescing counts as processed on the spot: its
+// delta mass survives inside the merged entry, so exactly one fold will
 // account for both — this is what keeps the sender's stored state
 // bounded by the destination's distinct documents while the
 // termination probe stays exact.
@@ -912,9 +907,7 @@ func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 	}
 	p.rqMu.Unlock()
 	s := p.sender(stream{src: p.cfg.ID, dest: dest})
-	s.mu.Lock()
 	blocked := s.blocked()
-	s.mu.Unlock()
 	if merged > 0 {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
@@ -1147,19 +1140,23 @@ func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last [
 	return r.rank, r.acc, r.last, r.err
 }
 
-// sender owns the fault-tolerant outbound path of one delivery stream:
-// framing pending updates from the retry queue (own streams only), one
-// frame in flight at a time, keeping that frame until it is
-// acknowledged, and reconnecting with exponential backoff —
-// retransmitting the frame verbatim — whenever the connection is lost.
-// Adopted streams (src != this peer) only drain their inherited frame;
-// once it is acknowledged they idle.
+// sender owns the fault-tolerant outbound path of one delivery stream,
+// on one goroutine: it frames pending updates from the retry queue (own
+// streams only), writes the frame, awaits the reply on the same
+// connection and applies it, then frames the next. A lost connection
+// means a redial with exponential backoff and the same frame again,
+// verbatim. Adopted streams (src != this peer) only drain their
+// inherited frame; once it is acknowledged they idle.
 type sender struct {
 	p    *Peer
 	strm stream
 	rng  *rng.Rand // jitter; used only by the sender's own goroutine
 	wake chan struct{}
 
+	// mu guards what other goroutines read: conn, which stop closes to
+	// unblock the loop, and inflight and nextSeq, which queueRemote reads
+	// through blocked. The loop is their only writer once it runs, so it
+	// reads them without mu.
 	mu   sync.Mutex
 	conn net.Conn
 	// inflight is the stream's one unacknowledged frame, nil when the
@@ -1167,25 +1164,23 @@ type sender struct {
 	// retry queue.
 	inflight *frameRec
 	nextSeq  uint64 // seq assigned to the next newly built frame
-	everConn bool
+
+	everConn bool // a connection was up before: the next dial is a reconnect
 
 	// buf holds the frame being transmitted, rendered afresh for every
-	// (re)transmission and written with one Write. Only the sender's
-	// own goroutine touches it.
+	// (re)transmission and written with one Write.
 	buf []byte
 }
 
 // frameRec is one framed batch awaiting acknowledgement. It keeps the
 // updates themselves, never their encoding: they are never modified
-// once the frame exists, so transmissions read them without the lock,
-// and a nack or a checkpoint takes them back as they are.
+// once the frame exists, so a nack or a checkpoint takes them back as
+// they are.
 type frameRec struct {
 	seq      uint64
 	epoch    uint64 // the destination range's epoch when the frame was built
 	us       []p2p.Update
 	attempts int
-	sentAt   time.Time // last transmission start; feeds wire_send_latency_seconds
-	sentOn   net.Conn  // the connection that carried it last; any other must carry it again
 }
 
 func (s *sender) wakeUp() {
@@ -1195,13 +1190,15 @@ func (s *sender) wakeUp() {
 	}
 }
 
-// loop transmits until the peer shuts down.
+// loop runs the stream until the peer shuts down: while there is a
+// frame to send it connects, sends it and applies the reply, and with
+// nothing to send it sleeps until an enqueue or a membership change
+// wakes it. A frame in flight is always this goroutine's business —
+// being written, awaiting its reply, or waiting out a backoff — so
+// nothing else ever needs to wake it.
 func (s *sender) loop() {
 	defer s.p.wg.Done()
-	// The loop is the only goroutine that dials, so closing the current
-	// connection on exit guarantees no readAcks goroutine outlives the
-	// peer — stop()'s own closeConn can race with a dial in flight.
-	defer s.closeConn(nil)
+	defer s.hangUp()
 	fails := 0
 	for {
 		select {
@@ -1209,93 +1206,38 @@ func (s *sender) loop() {
 			return
 		case <-s.wake:
 		}
-		for {
-			select {
-			case <-s.p.quit:
-				return
-			default:
-			}
-			if s.nextFrame() == nil {
-				break
-			}
+		for fr := s.nextFrame(); fr != nil; fr = s.nextFrame() {
 			conn := s.ensureConn(&fails)
 			if conn == nil {
 				return // shutting down
 			}
-			// Pick the frame only now that the connection is known, so what
-			// opens a new connection is whatever is in flight by then
-			// (DESIGN.md §13).
-			fr := s.nextFrame()
-			if fr == nil {
-				break
-			}
-			s.mu.Lock()
-			fr.attempts++
-			retry := fr.attempts > 1
-			seq := fr.seq
-			// Latency is measured from transmission start, so a trickling
-			// connection (slow writes) shows just like a slow folder on the
-			// far side.
-			fr.sentAt = time.Now()
-			s.mu.Unlock()
-			if retry {
-				s.p.m.retries.Add(1)
-				s.p.event(telemetry.EvRetry, float64(seq), int64(s.strm.dest))
-			}
-			s.buf = appendBatchEpochFrame(reuse(s.buf), s.strm.src, s.strm.dest, seq, fr.epoch, fr.us)
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			_, err := conn.Write(s.buf)
-			conn.SetWriteDeadline(time.Time{})
-			if err != nil {
-				s.closeConn(conn)
-				fails++
-				if !s.backoff(fails) {
-					return
-				}
+			if s.send(conn, fr) {
+				fails = 0
 				continue
 			}
-			fails = 0
-			// Arm the ack deadline: an acknowledgement for this frame is
-			// now owed, and SetReadDeadline reaches a Read already blocked
-			// in readAcks.
-			conn.SetReadDeadline(time.Now().Add(ackTimeout))
-			s.mu.Lock()
-			// Only while both are still current: if the connection died
-			// since the write, the frame must open the next one, and marking
-			// it carried would strand it unacknowledged with nothing left to
-			// wake the loop (DESIGN.md §13).
-			if s.conn == conn && s.inflight == fr {
-				fr.sentOn = conn
+			s.hangUp()
+			fails++
+			if !s.backoff(fails) {
+				return
 			}
-			s.mu.Unlock()
 		}
 	}
 }
 
-// nextFrame returns the frame to transmit: the one in flight, unless
-// the current connection carried it already, else — for streams this
-// peer originates, when nothing is in flight — a fresh frame built from
-// the retry queue's coalesced pending updates.
-//
-// Only a fresh frame is ever refused: the frame in flight goes out on
-// every new connection, so a reconnect can always drain the pipe. While
-// it is out, queued updates stay in the retry queue where DeferMerge
-// coalesces them per document — sender memory stays bounded by the
-// destination's distinct documents, and no delta mass is dropped.
+// nextFrame returns the frame to transmit: the one in flight, else —
+// for streams this peer originates — a fresh frame built from the
+// retry queue's coalesced pending updates, or nil when none are queued.
+// While a frame is out, queued updates stay in the retry queue where
+// DeferMerge coalesces them per document, so sender memory stays
+// bounded by the destination's distinct documents and no delta mass is
+// dropped.
 func (s *sender) nextFrame() *frameRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fr := s.inflight; fr != nil && (s.conn == nil || fr.sentOn != s.conn) {
-		return fr
+	if s.inflight != nil {
+		return s.inflight
 	}
 	p := s.p
 	if s.strm.src != p.cfg.ID {
 		return nil // adopted stream: only the inherited frame, never fresh ones
-	}
-	if s.blocked() {
-		p.m.creditStalls.Add(1)
-		p.event(telemetry.EvCreditStall, 1, int64(s.strm.dest))
-		return nil
 	}
 	p.rqMu.Lock()
 	// DrainN lends the queue's own storage; the frame keeps a copy.
@@ -1310,10 +1252,67 @@ func (s *sender) nextFrame() *frameRec {
 	// destination key range; a receiver that saw a later ownership
 	// transfer of that range nacks the frame instead of folding it.
 	fr := &frameRec{seq: s.nextSeq, epoch: p.epochOf(s.strm.dest), us: us}
-	s.nextSeq++
+	s.mu.Lock()
 	s.inflight = fr
+	s.nextSeq++
+	s.mu.Unlock()
 	p.m.unackedFrames.Add(1)
 	return fr
+}
+
+// send writes fr on conn and reads replies until one settles it: the
+// ack that covers it, or the nack that withdraws it. A reply for an
+// older seq — the second ack of a frame the link duplicated — is
+// skipped. false means the connection failed (a write or read error,
+// the reply deadline, a frame no sender expects) and fr, still in
+// flight, must go out on the next one.
+func (s *sender) send(conn net.Conn, fr *frameRec) bool {
+	p := s.p
+	fr.attempts++
+	if fr.attempts > 1 {
+		p.m.retries.Add(1)
+		p.event(telemetry.EvRetry, float64(fr.seq), int64(s.strm.dest))
+	}
+	// Latency is measured from transmission start, so a trickling
+	// connection (slow writes) shows just like a slow folder on the far
+	// side.
+	sentAt := time.Now()
+	s.buf = appendBatchEpochFrame(reuse(s.buf), s.strm.src, s.strm.dest, fr.seq, fr.epoch, fr.us)
+	conn.SetWriteDeadline(sentAt.Add(writeTimeout))
+	_, err := conn.Write(s.buf)
+	conn.SetWriteDeadline(time.Time{})
+	if err != nil {
+		return false
+	}
+	// The stream has no credit until the reply: about one stall a frame.
+	p.m.creditStalls.Add(1)
+	p.event(telemetry.EvCreditStall, 1, int64(s.strm.dest))
+	for s.inflight == fr {
+		conn.SetReadDeadline(time.Now().Add(ackTimeout))
+		typ, payload, err := readFrame(conn)
+		if err != nil {
+			return false
+		}
+		switch typ {
+		case frameCredit:
+			seq, err := decodeCredit(payload)
+			if err != nil {
+				return false
+			}
+			if s.ack(seq) {
+				p.m.sendLatency.Observe(time.Since(sentAt).Seconds())
+			}
+		case frameNackEpoch:
+			seq, epoch, err := decodeNackEpoch(payload)
+			if err != nil {
+				return false
+			}
+			s.handleNack(seq, epoch)
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // ensureConn returns the live connection, dialing with backoff until
@@ -1322,13 +1321,9 @@ func (s *sender) nextFrame() *frameRec {
 // rejoined at a new address — or a departed slot redirected to its
 // successor — is found without any extra signalling.
 func (s *sender) ensureConn(fails *int) net.Conn {
-	s.mu.Lock()
 	if s.conn != nil {
-		c := s.conn
-		s.mu.Unlock()
-		return c
+		return s.conn
 	}
-	s.mu.Unlock()
 	for {
 		select {
 		case <-s.p.quit:
@@ -1350,19 +1345,21 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 			}
 			continue
 		}
-		s.mu.Lock()
-		recon := s.everConn
-		if recon {
+		if s.everConn {
 			s.p.m.reconnects.Add(1)
-		}
-		s.everConn = true
-		s.conn = c
-		s.mu.Unlock()
-		if recon {
 			s.p.event(telemetry.EvReconnect, 0, int64(s.strm.dest))
 		}
-		s.p.wg.Add(1)
-		go s.readAcks(c)
+		s.everConn = true
+		s.mu.Lock()
+		s.conn = c
+		s.mu.Unlock()
+		// stop closes quit before it closes the connection it finds: one
+		// stored too late for it is closed by the loop on its way out.
+		select {
+		case <-s.p.quit:
+			return nil
+		default:
+		}
 		return c
 	}
 }
@@ -1379,93 +1376,59 @@ func (s *sender) backoff(fails int) bool {
 	}
 }
 
-// closeConn tears down a connection (the current one when c is nil).
-// The frame in flight, carried by a connection that is no longer the
-// current one, goes out again on the next.
-func (s *sender) closeConn(c net.Conn) {
-	s.mu.Lock()
-	cur := s.conn
-	if c == nil || cur == c {
-		s.conn = nil
-	}
-	s.mu.Unlock()
+// hangUp closes and forgets the stream's connection; the frame in
+// flight goes out again on the next. Loop only.
+func (s *sender) hangUp() {
+	c := s.conn
 	if c == nil {
-		c = cur
+		return
 	}
+	s.mu.Lock()
+	s.conn = nil
+	s.mu.Unlock()
+	c.Close()
+}
+
+// interrupt closes the stream's connection from outside the loop, which
+// fails a write or reply read in progress there; stop calls it after
+// closing quit.
+func (s *sender) interrupt() {
+	s.mu.Lock()
+	c := s.conn
+	s.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
 }
 
-// readAcks consumes the receiver's answers — credit acks and
-// stale-epoch nacks — from one connection until it dies, then schedules
-// retransmission.
-func (s *sender) readAcks(c net.Conn) {
-	defer s.p.wg.Done()
-	for {
-		typ, payload, err := readFrame(c)
-		if err == nil {
-			switch typ {
-			case frameNackEpoch:
-				var seq, epoch uint64
-				if seq, epoch, err = decodeNackEpoch(payload); err == nil {
-					s.handleNack(seq, epoch)
-				}
-			case frameCredit:
-				var seq uint64
-				if seq, err = decodeCredit(payload); err == nil {
-					s.ack(seq)
-				}
-			default:
-				err = fmt.Errorf("wire: unexpected frame %c on ack path", typ)
-			}
-		}
-		if err != nil {
-			s.closeConn(c)
-			s.wakeUp()
-			return
-		}
-		// Progress: extend the deadline while an ack is owed, clear it
-		// once nothing is outstanding so idle connections never expire.
-		s.mu.Lock()
-		owed := s.inflight != nil
-		s.mu.Unlock()
-		if owed {
-			c.SetReadDeadline(time.Now().Add(ackTimeout))
-		} else {
-			c.SetReadDeadline(time.Time{})
-		}
-	}
-}
-
 // ack discards the frame in flight when the cumulative acknowledgement
-// covers it, records its send-to-ack latency, and wakes the sender loop
-// — a stream that stalled on credit regains it exactly here, and frames
-// what queued up meanwhile.
-func (s *sender) ack(seq uint64) {
-	now := time.Now()
-	s.mu.Lock()
+// covers it, and reports whether it did. Loop only: the loop frames
+// what queued up meanwhile as soon as this returns.
+func (s *sender) ack(seq uint64) bool {
 	fr := s.inflight
 	if fr == nil || fr.seq > seq {
-		s.mu.Unlock()
-		return
+		return false
 	}
-	s.inflight = nil
-	s.p.m.unackedFrames.Add(-1)
+	s.release()
 	if fr.attempts > 1 {
 		s.p.m.redeliveries.Add(1)
 	}
-	sentAt := fr.sentAt
+	return true
+}
+
+// release clears the frame in flight, so the stream may build its next.
+func (s *sender) release() {
+	s.mu.Lock()
+	s.inflight = nil
 	s.mu.Unlock()
-	if !sentAt.IsZero() {
-		s.p.m.sendLatency.Observe(now.Sub(sentAt).Seconds())
-	}
-	s.wakeUp()
+	s.p.m.unackedFrames.Add(-1)
 }
 
 // blocked reports whether a frame is in flight, so no fresh frame may
-// be built until an ack frees the stream. The caller holds s.mu.
+// be built until its reply frees the stream. Safe from any goroutine.
 func (s *sender) blocked() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.inflight != nil
 }
 
@@ -1473,19 +1436,15 @@ func (s *sender) blocked() bool {
 // epoch for the stream's key range, withdraw exactly the rejected
 // frame, and requeue its updates through the current owner table —
 // the receiver never folded them, so re-originating them under this
-// peer's own streams keeps delivery exactly-once.
+// peer's own streams keeps delivery exactly-once. Loop only. reroute
+// may block on a full bulk lane; that cannot deadlock, because the
+// processing loop that drains the lane never waits on a sender.
 func (s *sender) handleNack(seq, epoch uint64) {
 	s.p.adoptEpoch(s.strm.dest, epoch)
-	var us []p2p.Update
-	s.mu.Lock()
-	if fr := s.inflight; fr != nil && fr.seq == seq {
-		us = fr.us
-		s.inflight = nil
-		s.p.m.unackedFrames.Add(-1)
+	fr := s.inflight
+	if fr == nil || fr.seq != seq {
+		return
 	}
-	s.mu.Unlock()
-	if len(us) > 0 {
-		s.p.reroute(us, false)
-	}
-	s.wakeUp()
+	s.release()
+	s.p.reroute(fr.us, false)
 }
