@@ -38,8 +38,8 @@ test:
 
 # Race-check the concurrent hot paths (pass pipeline, the engine seam,
 # p2p substrate, fault-tolerant wire layer). The 100k engine
-# equivalence sweep runs on one goroutine and skips itself under -race;
-# `ci` runs it without.
+# equivalence sweep and core's refused-checkpoint sweep run on one
+# goroutine and skip themselves under -race; `ci` runs them without.
 race:
 	$(GO) test -race ./internal/core ./internal/engine ./internal/p2p ./internal/wire ./internal/telemetry
 
@@ -61,11 +61,11 @@ chaos-membership:
 chaos-partition:
 	$(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire
 
-# Overload-protection gate: the firehose scenario (credit stalls,
-# lossless coalescing, at most one unacked frame per stream, no false
-# eviction of a slow-but-alive peer), the control-lane Leave-under-load
-# check, convergence over a delayed link, and the wake rule of a stream
-# whose frame is in flight, under -race.
+# Overload-protection gate: the firehose scenario (lossless coalescing,
+# at most one unacked frame per stream, no false eviction of a
+# slow-but-alive peer), a Leave completing promptly under that load
+# through the one inbox, convergence over a delayed link, and the wake
+# rule of a stream whose frame is in flight, under -race.
 chaos-overload:
 	$(GO) test -race -count=1 -run Overload ./internal/wire
 
@@ -147,7 +147,7 @@ loc:
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
-		&& $(GO) test -count=1 -run Equivalence100k ./internal/engine \
+		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched' ./internal/engine ./internal/core \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \

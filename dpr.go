@@ -90,14 +90,6 @@ type Options struct {
 	// Seed drives document placement and churn. Default 1.
 	Seed uint64
 
-	// RetryBase and RetryMax bound the wire layer's reconnect/resend
-	// backoff (TCP deployments only): failed deliveries are
-	// retried after RetryBase, doubling per consecutive failure up to
-	// RetryMax, with jitter. Zero values pick the library defaults
-	// (5ms base, 250ms cap).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
 	// Heartbeat enables the TCP cluster's partition-tolerant failure
 	// detection: every live peer pings the others each Heartbeat
 	// interval and gossips which peers it currently suspects. A peer is

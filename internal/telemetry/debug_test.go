@@ -70,7 +70,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/trace JSON: %v", err)
 	}
-	if doc.Len != 10 || len(doc.Events) != 10 {
+	if doc.Len != 8 || len(doc.Events) != 8 {
 		t.Fatalf("/trace doc = %+v", doc)
 	}
 

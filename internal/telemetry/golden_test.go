@@ -49,8 +49,6 @@ func goldenTrace() *Trace {
 	tr.Record(EvSuspect, 2, -1, 0, 4)
 	tr.Record(EvEvictRefused, 4, -1, 2, 0)
 	tr.Record(EvEpochReject, 1, -1, 7, 3)
-	tr.Record(EvCreditStall, 0, -1, 2, 2)
-	tr.Record(EvSlowPeer, 0, -1, 0.031, 2)
 	tr.Record(EvRelax, -1, -1, 0.25, 1200)
 	tr.Record(EvPassEnd, -1, 1, 0.05, 0)
 	return tr
@@ -113,7 +111,7 @@ func TestTraceJSONSchema(t *testing.T) {
 		}
 	}
 	events, ok := doc["events"].([]any)
-	if !ok || len(events) != 10 {
+	if !ok || len(events) != 8 {
 		t.Fatalf("events = %v", doc["events"])
 	}
 	first, ok := events[0].(map[string]any)

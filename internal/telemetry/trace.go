@@ -31,8 +31,6 @@ const (
 	EvEvictRefused // a suspicion reached no eviction quorum this round
 	EvHeal         // a fenced slot was reached again and reconciled
 	EvEpochReject  // a receiver nacked a frame carrying a stale ownership epoch
-	EvCreditStall  // a sender stream ran out of credit and stopped framing
-	EvSlowPeer     // unused: the wire layer's straggler mode that recorded it is gone; the name stays in the /trace contract
 	EvRelax        // the cluster moved to the next push-threshold stage (value: threshold, aux: updates released)
 )
 
@@ -54,8 +52,6 @@ var eventNames = [...]string{
 	EvEvictRefused: "evict_refused",
 	EvHeal:         "heal",
 	EvEpochReject:  "epoch_reject",
-	EvCreditStall:  "credit_stall",
-	EvSlowPeer:     "slow_peer",
 	EvRelax:        "relax",
 }
 

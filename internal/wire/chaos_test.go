@@ -385,25 +385,18 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyDelay pins the backoff shape: exponential from Base,
-// capped at Max, jittered within ±Jitter/2.
+// TestRetryPolicyDelay pins the backoff: 5ms, doubling per consecutive
+// failure, capped at 250ms, jittered within ±25 %.
 func TestRetryPolicyDelay(t *testing.T) {
-	pol := RetryPolicy{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}.withDefaults()
+	if retryBase != 5*time.Millisecond || retryMax != 250*time.Millisecond || retryJitter != 0.5 {
+		t.Fatalf("backoff constants %v, %v, %v; want 5ms, 250ms, 0.5", retryBase, retryMax, retryJitter)
+	}
 	r := rng.New(42)
-	prevCap := time.Duration(0)
-	for fails := 1; fails <= 8; fails++ {
-		want := 10 * time.Millisecond << (fails - 1)
-		if want > 80*time.Millisecond {
-			want = 80 * time.Millisecond
-		}
-		d := pol.delay(r, fails)
-		lo := time.Duration(float64(want) * (1 - pol.Jitter/2))
-		hi := time.Duration(float64(want) * (1 + pol.Jitter/2))
-		if d < lo || d > hi {
+	for fails := 1; fails <= 10; fails++ {
+		want := min(5*time.Millisecond<<(fails-1), 250*time.Millisecond)
+		lo, hi := time.Duration(float64(want)*0.75), time.Duration(float64(want)*1.25)
+		if d := backoffDelay(r, fails); d < lo || d > hi {
 			t.Fatalf("fails=%d: delay %v outside [%v, %v]", fails, d, lo, hi)
-		}
-		if want > prevCap {
-			prevCap = want
 		}
 	}
 }

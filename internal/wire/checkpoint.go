@@ -51,8 +51,8 @@ const (
 	// wrote it, from Kill to Restart or Leave, so no reader ever meets
 	// an older writer's output; the version is a corruption check and
 	// the hook for a future format, and floor and ceiling coincide.
-	peerSnapVersion    = 8
-	peerSnapMinVersion = 8
+	peerSnapVersion    = 9
+	peerSnapMinVersion = 9
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -172,8 +172,8 @@ func (p *Peer) snapshot() *PeerSnapshot {
 	// updates for documents held here) have nobody to retransmit them:
 	// they are saved as updates pending for this peer itself.
 	var self []p2p.Update
-	for len(p.bulk) > 0 {
-		if it := <-p.bulk; it.cw == nil {
+	for len(p.inbox) > 0 {
+		if it := <-p.inbox; it.cw == nil {
 			self = append(self, it.us...)
 		}
 	}
@@ -247,7 +247,7 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	// updates of its own; until here the retry queue was this
 	// goroutine's alone.
 	if len(self) > 0 {
-		p.bulk <- inItem{from: cfg.ID, us: self}
+		p.inbox <- inItem{from: cfg.ID, us: self}
 	}
 	// The rows may date from a laxer stage of the threshold schedule than
 	// this peer is born into, and past the last nobody else sweeps them.

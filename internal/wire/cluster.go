@@ -131,9 +131,6 @@ type ClusterConfig struct {
 	// failures.
 	Transport Transport
 
-	// Retry shapes reconnect/redelivery backoff (defaults apply).
-	Retry RetryPolicy
-
 	// DebugAddr, when non-empty, starts the opt-in debug listener on
 	// that address (host:port; ":0" picks an ephemeral port) serving
 	// /metrics, /trace and /debug/pprof. Cluster.DebugAddr reports the
@@ -243,7 +240,6 @@ func (c *Cluster) peerConfig(i int) PeerConfig {
 		Epsilon:   c.cfg.Epsilon,
 		Threshold: c.thr,
 		Transport: c.cfg.Transport,
-		Retry:     c.cfg.Retry,
 		Registry:  c.slots[i].reg,
 		Trace:     c.trace,
 		Epochs:    epochs,
@@ -306,6 +302,11 @@ type ClusterResult struct {
 	// Partition-tolerance accounting.
 	EvictionsQuorum  uint64 // evictions confirmed by a live-peer majority
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
+
+	// Always 0: the counters these named are gone. bench/workload.go,
+	// edited only as benchmark upkeep, is their only reader; ROADMAP
+	// item 11(6) deletes them together with that read.
+	CreditStalls, ShedCoalesced, SlowPeer uint64
 }
 
 // Kill crashes peer i: its goroutines stop, its connections reset,

@@ -103,9 +103,12 @@ func (d *detector) round() {
 		}
 	}
 
-	// Tally: one vote from this vantage plus one per other vantage
-	// whose freshly gossiped suspicion set concurs. Slots already
-	// fenced or departed are being handled; they are not re-proposed.
+	// Tally: one vote from this vantage plus one per other voter — a
+	// slot of the population the quorum is sized over — whose freshly
+	// gossiped suspicion set concurs. A departed or fenced slot's view
+	// does not count, nor one from a slot newer than this round's table.
+	// Slots already fenced or departed are being handled; they are not
+	// re-proposed.
 	fresh := 2 * interval * time.Duration(threshold)
 	if fresh < 200*time.Millisecond {
 		fresh = 200 * time.Millisecond
@@ -124,7 +127,8 @@ func (d *detector) round() {
 		}
 		v := 1
 		for j, view := range d.views {
-			if j != d.slot && j != s && now.Sub(view.at) <= fresh && view.suspects[s] {
+			voter := j < len(slots) && !slots[j].left && !slots[j].fenced
+			if voter && j != d.slot && j != s && now.Sub(view.at) <= fresh && view.suspects[s] {
 				v++
 			}
 		}

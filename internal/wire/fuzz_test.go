@@ -14,8 +14,7 @@ import (
 // fuzzSeedSnapshot is a representative snapshot exercising every
 // record kind: documents, stream-keyed dedup entries, own and adopted
 // outbound streams, unacked frames, pending updates, the
-// ownership-epoch vector, and the overload-protection counters
-// (stall, shed, straggler).
+// ownership-epoch vector, and the counters.
 func fuzzSeedSnapshot() *PeerSnapshot {
 	return &PeerSnapshot{
 		ID:   1,
@@ -43,7 +42,7 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 		Epochs: []uint64{1, 0, 4, 0, 2},
 		PeerStats: PeerStats{
 			Sent: 42, Processed: 40, Forwarded: 2, EpochRejected: 1,
-			CreditStalls: 5, ShedCoalesced: 17, SlowPeer: 1, UpdatesWide: 9,
+			UpdatesWide:  9,
 			DeltaShipped: 3.5, DeltaFolded: 3.25,
 		},
 	}

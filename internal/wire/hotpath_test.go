@@ -346,7 +346,7 @@ func TestKillKeepsSelfDirectedInboxItems(t *testing.T) {
 	}
 	p.stop() // the crash; what follows is what Kill finds in the inbox
 	self := p.ship(p.rk.InitialOut(), true)
-	p.bulk <- inItem{from: 0, us: slices.Clone(self)}
+	p.inbox <- inItem{from: 0, us: slices.Clone(self)}
 	var blob bytes.Buffer
 	if err := EncodeSnapshot(p.snapshot(), &blob); err != nil {
 		t.Fatal(err)
@@ -532,11 +532,11 @@ func TestRerouteDuringKillKeepsSelfDirectedUpdates(t *testing.T) {
 	}
 	p.stop() // the kill, as far as the loops are concerned
 	// A full inbox nobody drains anymore.
-	for len(p.bulk) < cap(p.bulk) {
-		p.bulk <- inItem{from: 0, us: []p2p.Update{{Doc: 1, Delta: 0.25}}}
+	for len(p.inbox) < cap(p.inbox) {
+		p.inbox <- inItem{from: 0, us: []p2p.Update{{Doc: 1, Delta: 0.25}}}
 	}
 	p.reroute([]p2p.Update{{Doc: 2, Delta: 0.5}}, false) // the nack's reader got this far
-	want := 0.25*float64(cap(p.bulk)) + 0.5
+	want := 0.25*float64(cap(p.inbox)) + 0.5
 	got := 0.0
 	for _, ob := range p.snapshot().Outbound {
 		if ob.Src != 0 || ob.Dest != 0 {
@@ -584,7 +584,7 @@ func TestEachAdmittedFrameIsAcked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitCounter(t, 10*time.Second, "three frames in the receiver's inbox", func() bool { return len(recv.bulk) == 3 })
+	waitCounter(t, 10*time.Second, "three frames in the receiver's inbox", func() bool { return len(recv.inbox) == 3 })
 	unblock()
 	if err := <-held; err != nil {
 		t.Fatal(err)

@@ -24,17 +24,9 @@ type peerMetrics struct {
 	forwarded     *telemetry.Counter // misrouted updates re-shipped to the current owner
 	misdropped    *telemetry.Counter // updates with no resolvable owner (must stay 0)
 	epochRejected *telemetry.Counter // frames nacked for carrying a stale ownership epoch
-
-	// Flow control: creditStalls counts the frame writes after which a
-	// stream awaited the reply with no credit, shedCoalesced the updates
-	// merged while their stream was credit-blocked. With one frame in
-	// flight per stream both measure batching: one stall per frame
-	// written, and every merge meanwhile.
-	creditStalls  *telemetry.Counter
-	shedCoalesced *telemetry.Counter
 	updatesWide   *telemetry.Counter // framed updates crossing in 8 bytes: mostly coalesced sums
 
-	// Occupancy instruments: inboxOccupancy is the bulk-lane depth
+	// Occupancy instruments: inboxOccupancy is the inbox depth
 	// observed at each processing batch, unackedFrames the in-flight
 	// (sent or framed, not yet acked) frames across this peer's
 	// senders, and sendLatency the distribution of send-to-ack
@@ -55,9 +47,6 @@ type peerMetrics struct {
 }
 
 func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
-	// Never incremented since the straggler mode went; registered, at 0,
-	// for PeerStats.SlowPeer's place in statFields and the checkpoint.
-	reg.Counter("wire_slow_peer")
 	return peerMetrics{
 		reg: reg,
 
@@ -71,8 +60,6 @@ func newPeerMetrics(reg *telemetry.Registry) peerMetrics {
 		forwarded:     reg.Counter("wire_forwarded"),
 		misdropped:    reg.Counter("wire_misdropped"),
 		epochRejected: reg.Counter("wire_epoch_rejected"),
-		creditStalls:  reg.Counter("wire_credit_stalls"),
-		shedCoalesced: reg.Counter("wire_shed_coalesced"),
 		updatesWide:   reg.Counter("wire_updates_wide"),
 
 		inboxOccupancy: reg.Gauge("wire_inbox_occupancy"),
@@ -113,9 +100,6 @@ var statFields = []statField{
 	{"wire_epoch_rejected", func(s *PeerStats) *uint64 { return &s.EpochRejected }, nil},
 	{"wire_delta_shipped", nil, func(s *PeerStats) *float64 { return &s.DeltaShipped }},
 	{"wire_delta_folded", nil, func(s *PeerStats) *float64 { return &s.DeltaFolded }},
-	{"wire_credit_stalls", func(s *PeerStats) *uint64 { return &s.CreditStalls }, nil},
-	{"wire_shed_coalesced", func(s *PeerStats) *uint64 { return &s.ShedCoalesced }, nil},
-	{"wire_slow_peer", func(s *PeerStats) *uint64 { return &s.SlowPeer }, nil},
 	{"wire_updates_wide", func(s *PeerStats) *uint64 { return &s.UpdatesWide }, nil},
 }
 

@@ -16,10 +16,10 @@ import (
 // (localhost TCP otherwise moves hundreds of MB/s, so the senders
 // outpace the receiver's drain rate by far more than 10x) while the
 // failure detector runs. The overload must be sustained across
-// multiple suspect windows, and the protocol must respond by stalling
-// on credit and coalescing the backlog in the retry queues — never by
-// unbounded queueing, dropped deltas, or a false eviction of the
-// slow-but-alive peer. After the throttle lifts, the run converges to
+// multiple suspect windows, and the protocol must respond by holding
+// one frame in flight per stream and coalescing the backlog in the
+// retry queues — never by unbounded queueing, dropped deltas, or a
+// false eviction of the slow-but-alive peer. After the throttle lifts, the run converges to
 // the same fixed point as an unloaded run of the same placement.
 func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
@@ -69,9 +69,9 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 			peak = v
 		}
 	}
-	waitCounter(t, 60*time.Second, "credit stalls under firehose", func() bool {
+	waitCounter(t, 60*time.Second, "a frame in flight under the trickle", func() bool {
 		sample()
-		return c.stats().CreditStalls >= 3
+		return peak >= 1
 	})
 	// Hold the overload across at least two full suspect windows, so a
 	// wrongly starving detector would have had every chance to evict.
@@ -89,11 +89,8 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 	}
 	res := out.res
 
-	if res.CreditStalls == 0 {
-		t.Fatal("firehose produced no credit stalls")
-	}
-	if res.ShedCoalesced == 0 {
-		t.Fatal("no deltas recorded as shed into coalesced entries while stalled")
+	if res.Coalesced == 0 {
+		t.Fatal("no deltas coalesced into queued entries behind a frame in flight")
 	}
 	if res.EvictionsQuorum != 0 {
 		t.Fatalf("slow-but-alive peer evicted %d times, want 0", res.EvictionsQuorum)
@@ -113,14 +110,14 @@ func TestOverloadFirehoseLosslessShedding(t *testing.T) {
 				i, res.Ranks[i], refRes.Ranks[i])
 		}
 	}
-	t.Logf("firehose: %d msgs, stalls %d, shed %d, slow flags %d, peak unacked %v",
-		res.Messages, res.CreditStalls, res.ShedCoalesced, res.SlowPeer, peak)
+	t.Logf("firehose: %d msgs, coalesced %d, peak unacked %v", res.Messages, res.Coalesced, peak)
 }
 
-// TestOverloadMembershipLeaveUnderFirehose checks the control lane:
-// with every link into peer 3 trickled and its senders stalled, a
-// Leave — whose shed/adopt traffic rides the priority lane — must still
-// complete promptly instead of queueing behind the firehose.
+// TestOverloadMembershipLeaveUnderFirehose: with every link into peer 3
+// trickled and its senders each holding a frame in flight, a Leave —
+// whose adopt runs as a control operation on the successor's inbox,
+// behind whatever frames are queued there — must still complete
+// promptly instead of queueing behind the firehose.
 func TestOverloadMembershipLeaveUnderFirehose(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 83))
@@ -136,19 +133,28 @@ func TestOverloadMembershipLeaveUnderFirehose(t *testing.T) {
 		ft.SetLinkTrickle(from, slow, 1500, time.Millisecond)
 	}
 	resCh := runAsync(c, 120*time.Second)
-	waitCounter(t, 60*time.Second, "credit stalls under firehose", func() bool {
-		return c.stats().CreditStalls >= 1
+	// The run lasts a few tenths of a second, so wait on a count that
+	// stays put, not on the frames-in-flight gauge a poll can miss.
+	waitCounter(t, 60*time.Second, "a frame acknowledged under the trickle", func() bool {
+		for _, h := range c.TelemetrySnapshot().Hists {
+			if h.Name == "wire_send_latency_seconds" {
+				return h.Count > 0
+			}
+		}
+		return false
 	})
 
 	done := make(chan error, 1)
+	start := time.Now()
 	go func() { done <- c.Leave(1) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Logf("Leave under the firehose took %v", time.Since(start))
 	case <-time.After(20 * time.Second):
-		t.Fatal("Leave wedged for 20s behind bulk traffic; control lane not prioritized")
+		t.Fatal("Leave wedged for 20s behind the firehose")
 	}
 
 	for _, from := range []p2p.PeerID{0, 1, 2} {
@@ -211,17 +217,13 @@ func TestOverloadDelayedLinkConverges(t *testing.T) {
 		t.Fatal(out.err)
 	}
 	res := out.res
-	if res.SlowPeer != 0 {
-		t.Fatalf("SlowPeer = %d, want 0: nothing flags a straggler any more", res.SlowPeer)
-	}
 	if peak > unackedBound {
 		t.Fatalf("peak unacked frames %v exceeds one per stream (%d)", peak, unackedBound)
 	}
 	assertNoMassLost(t, res)
 	assertRegistryConservation(t, c.TelemetrySnapshot(), res.Ranks)
 	assertRanksMatch(t, g, res.Ranks, 1e-3)
-	t.Logf("delayed link: %d msgs, stalls %d, shed %d, peak unacked %v",
-		res.Messages, res.CreditStalls, res.ShedCoalesced, peak)
+	t.Logf("delayed link: %d msgs, coalesced %d, peak unacked %v", res.Messages, res.Coalesced, peak)
 }
 
 // TestDefaultWindowHoldsOneFreshFrame drives the flow control over a

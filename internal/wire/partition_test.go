@@ -196,6 +196,43 @@ func TestOneWayPartitionRefusesEviction(t *testing.T) {
 	assertRanksMatch(t, g, res.Ranks, 1e-3)
 }
 
+// TestOnlyVotersVote: the quorum is sized over live, unfenced slots, so
+// only their views may be tallied. Slot 3 departed still suspecting slot
+// 2, and its gossip is fresh; counted, it would make slot 0's lone
+// suspicion of crashed slot 2 a quorum of two out of three.
+func TestOnlyVotersVote(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(200, 61))
+	c, err := NewCluster(g, ClusterConfig{Peers: 4, Seed: 3, Heartbeat: 20 * time.Millisecond, SuspectAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Leave(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	d := &detector{c: c, slot: 0,
+		miss:  map[int]int{2: 1},
+		views: map[int]detView{3: {suspects: map[int]bool{2: true}, at: time.Now()}},
+	}
+	d.round()
+	if got := c.mEvictRefused.Load(); got != 1 {
+		t.Errorf("wire_evictions_refused = %d, want 1: votes 1 < quorum 2", got)
+	}
+	if got := c.mEvictQuorum.Load(); got != 0 {
+		t.Errorf("wire_evictions_quorum = %d, want 0", got)
+	}
+	c.mu.Lock()
+	crashed := c.slots[2].snap != nil && !c.slots[2].left
+	c.mu.Unlock()
+	if !crashed {
+		t.Error("slot 2 was evicted on a departed slot's vote; want it still crashed")
+	}
+}
+
 // TestEpochRejectStaleFrame drives the receiver's epoch fence over a
 // raw connection: a frame stamped with an epoch behind the receiver's
 // view of its origDest range must be nacked with the current epoch and

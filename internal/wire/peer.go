@@ -14,40 +14,25 @@ import (
 	"dpr/internal/telemetry"
 )
 
-// RetryPolicy shapes the reconnect/redelivery backoff of the fault-
-// tolerant senders: delays grow exponentially from Base to Max, with
-// a +/- Jitter/2 multiplicative spread so a burst of failures does
-// not resynchronize every peer's retry clock.
-type RetryPolicy struct {
-	Base   time.Duration // first backoff; 0 means 5ms
-	Max    time.Duration // backoff cap; 0 means 250ms
-	Jitter float64       // multiplicative spread; 0 means 0.5
-}
+// The reconnect/redelivery backoff of the fault-tolerant senders: delays
+// grow exponentially from retryBase to retryMax, with a ±retryJitter/2
+// multiplicative spread so a burst of failures does not resynchronize
+// every peer's retry clock.
+const (
+	retryBase   = 5 * time.Millisecond
+	retryMax    = 250 * time.Millisecond
+	retryJitter = 0.5
+)
 
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.Base <= 0 {
-		rp.Base = 5 * time.Millisecond
-	}
-	if rp.Max <= 0 {
-		rp.Max = 250 * time.Millisecond
-	}
-	if rp.Jitter <= 0 {
-		rp.Jitter = 0.5
-	}
-	return rp
-}
-
-// delay returns the backoff for the given consecutive-failure count.
-func (rp RetryPolicy) delay(r *rng.Rand, fails int) time.Duration {
-	d := rp.Base
-	for i := 1; i < fails && d < rp.Max; i++ {
+// backoffDelay returns the backoff for the given consecutive-failure
+// count.
+func backoffDelay(r *rng.Rand, fails int) time.Duration {
+	d := retryBase
+	for i := 1; i < fails && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > rp.Max {
-		d = rp.Max
-	}
-	spread := 1 + rp.Jitter*(r.Float64()-0.5)
-	return time.Duration(float64(d) * spread)
+	d = min(d, retryMax)
+	return time.Duration(float64(d) * (1 + retryJitter*(r.Float64()-0.5)))
 }
 
 // writeTimeout bounds every frame write on the wire path, so a hung
@@ -68,14 +53,9 @@ const ackTimeout = 15 * time.Second
 // whatever the ranker emits meanwhile coalesces in the retry queue
 // (DESIGN.md §11).
 const (
-	// bulkLaneCap sizes the bulk lane of the two-lane inbox. With one
-	// frame in flight per stream it seldom holds more than an item per
-	// inbound stream.
-	bulkLaneCap = 1024
-
-	// ctlLaneCap sizes the control lane: membership operations and
-	// other must-not-starve items are rare, so a small buffer suffices.
-	ctlLaneCap = 64
+	// inboxCap sizes the inbox. With one frame in flight per stream it
+	// seldom holds more than an item per inbound stream.
+	inboxCap = 1024
 
 	// batchCap bounds the coalesced updates drained into one fresh
 	// frame.
@@ -98,10 +78,6 @@ type PeerConfig struct {
 	// Transport dials outbound connections; nil means the real TCP
 	// dialer. Tests inject a FaultTransport here.
 	Transport Transport
-
-	// Retry shapes reconnect/redelivery backoff; zero fields get
-	// defaults.
-	Retry RetryPolicy
 
 	// Registry receives the peer's instruments (wire_sent,
 	// wire_delta_shipped, ...); nil means a private registry, which
@@ -153,11 +129,10 @@ type stream struct {
 // where both the frames and the duplicate-suppression table move to
 // the departed peer's successor together.
 type Peer struct {
-	cfg   PeerConfig
-	retry RetryPolicy
-	rk    *p2p.Ranker
-	ln    net.Listener
-	addr  string
+	cfg  PeerConfig
+	rk   *p2p.Ranker
+	ln   net.Listener
+	addr string
 
 	// Membership view, one record per slot. Mutated when a crashed peer
 	// rejoins at a new address, a departed peer's slot is redirected to
@@ -178,14 +153,10 @@ type Peer struct {
 	inMu sync.Mutex
 	ins  map[net.Conn]struct{}
 
-	// Two-lane inbox. ctl carries membership operations (handoff
-	// adoption, document shedding), which must never queue behind bulk
-	// updates: an overloaded peer still serves ownership transfers
-	// promptly, so a slow peer cannot wedge a cluster-wide Leave or
-	// Join. bulk carries update batches.
-	ctl  chan inItem
-	bulk chan inItem
-	quit chan struct{}
+	// inbox carries update batches and control operations (control) to
+	// the processing loop, in arrival order.
+	inbox chan inItem
+	quit  chan struct{}
 	// stopOnce guards quit's close: stop is reachable from Close, Kill
 	// and the cluster's shutdown at once.
 	stopOnce sync.Once
@@ -220,10 +191,10 @@ type Peer struct {
 
 // inItem is one inbox entry: a batch of updates plus, for remote
 // frames, the stream metadata the processing loop needs to suppress
-// duplicates, fence stale epochs and acknowledge folding. Membership
-// operations (handoff adoption, document shedding) also travel through
-// the inbox, as functions for the loop to run (control), so they
-// serialize with folding without extra locks.
+// duplicates, fence stale epochs and acknowledge folding. Control
+// operations (handoff adoption, document shedding, threshold sweeps)
+// also travel through the inbox, as functions for the loop to run
+// (control), so they serialize with folding without extra locks.
 type inItem struct {
 	from     p2p.PeerID
 	origDest p2p.PeerID
@@ -237,7 +208,7 @@ type inItem struct {
 	// dedup, fence or acknowledgement.
 	cw *connWriter
 
-	ctl func() // nil unless this item is a membership operation
+	op func() // nil unless this item is a control operation
 }
 
 // PeerStats is a point-in-time view of one peer's counters. A
@@ -259,12 +230,7 @@ type PeerStats struct {
 	Misdropped    uint64 // updates dropped with no resolvable owner (0 = none)
 	EpochRejected uint64 // frames nacked for carrying a stale ownership epoch
 
-	// Flow-control accounting, which with one frame in flight is
-	// batching: a stream stalls about once per frame awaiting its ack.
-	CreditStalls  uint64 // frame writes after which the stream awaited the reply with no credit
-	ShedCoalesced uint64 // updates coalesced into queued ones while their stream was credit-blocked
-	SlowPeer      uint64 // always 0 since the straggler mode went; keeps its checkpoint-header word
-	UpdatesWide   uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
+	UpdatesWide uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
 
 	DeltaShipped float64 // total delta mass shipped
 	DeltaFolded  float64 // total delta mass folded (== shipped when none lost)
@@ -295,15 +261,13 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	m := newPeerMetrics(cfg.Registry)
 	p := &Peer{
 		cfg:      cfg,
-		retry:    cfg.Retry.withDefaults(),
 		rk:       p2p.NewRanker(cfg.ID, cfg.Graph, cfg.Docs, cfg.DocPeer, nil, cfg.Damping, cfg.Epsilon, cfg.Threshold, false, m.rankMass),
 		ln:       ln,
 		addr:     ln.Addr().String(),
 		senders:  make(map[stream]*sender),
 		rq:       p2p.NewRetryQueue(),
 		ins:      make(map[net.Conn]struct{}),
-		ctl:      make(chan inItem, ctlLaneCap),
-		bulk:     make(chan inItem, bulkLaneCap),
+		inbox:    make(chan inItem, inboxCap),
 		quit:     make(chan struct{}),
 		lastSeq:  make(map[stream]uint64),
 		rejected: make(map[stream]map[uint64]struct{}),
@@ -476,11 +440,11 @@ func (p *Peer) Start() {
 		return
 	}
 	// Initial push of every owned document's starting rank. Self-
-	// directed updates enter through the bulk lane; the processing
-	// loop is already running, so the buffered channel drains.
+	// directed updates enter through the inbox; the processing loop is
+	// already running, so the buffered channel drains.
 	if self := p.ship(p.rk.InitialOut(), true); len(self) > 0 {
 		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: self}:
+		case p.inbox <- inItem{from: p.cfg.ID, us: self}:
 		case <-p.quit:
 		}
 	}
@@ -617,7 +581,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			}
 			it := inItem{from: from, origDest: origDest, seq: seq, epoch: epoch, us: us, cw: cw}
 			select {
-			case p.bulk <- it:
+			case p.inbox <- it:
 			case <-p.quit:
 				return
 			}
@@ -670,13 +634,10 @@ func (p *Peer) ack(it *inItem) {
 	it.cw.write(frameCredit, encodeCredit(b[:0], it.seq))
 }
 
-// processLoop consumes delivered batches, coalescing whatever is
-// already queued before recomputing. The control lane has strict
-// priority: membership operations are served before any queued bulk
-// update, so an overloaded peer still turns around Adopt/Shed
-// promptly. Self-directed consequences are folded in the same loop
-// rather than re-queued through the inbox channels, which would
-// self-deadlock when the channel is full.
+// processLoop consumes delivered batches, taking whatever is already
+// queued along before recomputing. Self-directed consequences are
+// folded in the same loop rather than re-queued through the inbox,
+// which would self-deadlock when the channel is full.
 func (p *Peer) processLoop() {
 	defer p.wg.Done()
 	for {
@@ -684,35 +645,23 @@ func (p *Peer) processLoop() {
 		select {
 		case <-p.quit:
 			return
-		case it = <-p.ctl:
-		default:
-			select {
-			case <-p.quit:
-				return
-			case it = <-p.ctl:
-			case it = <-p.bulk:
-			}
+		case it = <-p.inbox:
 		}
 		items := []inItem{it}
 		for drained := false; !drained; {
 			select {
-			case more := <-p.ctl:
+			case more := <-p.inbox:
 				items = append(items, more)
 			default:
-				select {
-				case more := <-p.bulk:
-					items = append(items, more)
-				default:
-					drained = true
-				}
+				drained = true
 			}
 		}
-		p.m.inboxOccupancy.Set(float64(len(items) + len(p.bulk)))
+		p.m.inboxOccupancy.Set(float64(len(items) + len(p.inbox)))
 		p.consume(items)
 	}
 }
 
-// consume applies membership operations, admits remote frames through
+// consume runs control operations, admits remote frames through
 // dedup and the epoch fence, folds the surviving updates (and the whole
 // chain of self-directed consequences), then acknowledges. The dedup
 // table is advanced in the same loop iteration as the fold, so a crash
@@ -724,8 +673,8 @@ func (p *Peer) consume(items []inItem) {
 	for i := range items {
 		it := &items[i]
 		switch {
-		case it.ctl != nil:
-			it.ctl()
+		case it.op != nil:
+			it.op()
 			continue
 		case it.cw != nil:
 			if !p.admit(it) {
@@ -833,7 +782,7 @@ func (p *Peer) relax(thr float64) (released int) {
 	return released
 }
 
-// Relax runs relax through the control lane. It fails when the peer
+// Relax runs relax as a control operation. It fails when the peer
 // shuts down first; the slot's next incarnation sweeps instead.
 func (p *Peer) Relax(thr float64) (released int, err error) {
 	var n int // written by the loop; read only once control says it is done
@@ -906,19 +855,13 @@ func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
 		}
 	}
 	p.rqMu.Unlock()
-	s := p.sender(stream{src: p.cfg.ID, dest: dest})
-	blocked := s.blocked()
 	if merged > 0 {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
 	}
-	if blocked {
-		// Merged while the stream waits for its ack: the batching one
-		// frame in flight buys, not only overload (DESIGN.md §11).
-		p.m.shedCoalesced.Add(uint64(merged))
-		return
+	if s := p.sender(stream{src: p.cfg.ID, dest: dest}); !s.blocked() {
+		s.wakeUp()
 	}
-	s.wakeUp()
 }
 
 // sender returns (creating on first use) the stream's sender.
@@ -1006,7 +949,7 @@ func (p *Peer) reroute(us []p2p.Update, queued bool) {
 	}
 	if len(selfUs) > 0 {
 		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: selfUs}:
+		case p.inbox <- inItem{from: p.cfg.ID, us: selfUs}:
 		case <-p.quit:
 			// Killed meanwhile, and nobody else holds these: park them as
 			// queued for this peer itself, which is how a checkpoint
@@ -1020,13 +963,24 @@ func (p *Peer) reroute(us []p2p.Update, queued bool) {
 	}
 }
 
-// control runs fn on the processing loop through the control lane —
-// ahead of every queued bulk update, serialized with folding — and
+// control runs fn on the processing loop, serialized with folding, and
 // returns once it ran, or an error when the peer shuts down first.
+//
+// fn queues in the inbox behind whatever arrived before it, with no
+// priority, and still waits at most one consume: the loop drains the
+// whole inbox into each consume, and consume runs every control item
+// before it folds the batch it was drained with. So fn runs once the
+// consume in progress when it was queued returns (the inbox has room:
+// one frame in flight per stream keeps it to about an item per inbound
+// stream, against inboxCap). Nor can an admitted frame depend on a
+// control operation queued behind it: the frames an Adopt makes
+// dedupable here, those redirected to an adopted stream, are dialed
+// only after Adopt has returned and the cluster has pushed the view
+// that redirects them.
 func (p *Peer) control(fn func()) error {
 	done := make(chan struct{})
 	select {
-	case p.ctl <- inItem{ctl: func() { defer close(done); fn() }}:
+	case p.inbox <- inItem{op: func() { defer close(done); fn() }}:
 		select {
 		case <-done:
 			return nil
@@ -1284,9 +1238,6 @@ func (s *sender) send(conn net.Conn, fr *frameRec) bool {
 	if err != nil {
 		return false
 	}
-	// The stream has no credit until the reply: about one stall a frame.
-	p.m.creditStalls.Add(1)
-	p.event(telemetry.EvCreditStall, 1, int64(s.strm.dest))
 	for s.inflight == fr {
 		conn.SetReadDeadline(time.Now().Add(ackTimeout))
 		typ, payload, err := readFrame(conn)
@@ -1364,14 +1315,12 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 	}
 }
 
-// backoff sleeps the policy's delay; false means the peer is shutting
-// down.
+// backoff sleeps backoffDelay; false means the peer is shutting down.
 func (s *sender) backoff(fails int) bool {
-	d := s.p.retry.delay(s.rng, fails)
 	select {
 	case <-s.p.quit:
 		return false
-	case <-time.After(d):
+	case <-time.After(backoffDelay(s.rng, fails)):
 		return true
 	}
 }
@@ -1437,8 +1386,8 @@ func (s *sender) blocked() bool {
 // frame, and requeue its updates through the current owner table —
 // the receiver never folded them, so re-originating them under this
 // peer's own streams keeps delivery exactly-once. Loop only. reroute
-// may block on a full bulk lane; that cannot deadlock, because the
-// processing loop that drains the lane never waits on a sender.
+// may block on a full inbox; that cannot deadlock, because the
+// processing loop that drains it never waits on a sender.
 func (s *sender) handleNack(seq, epoch uint64) {
 	s.p.adoptEpoch(s.strm.dest, epoch)
 	fr := s.inflight

@@ -29,11 +29,6 @@ type TCPResult struct {
 	EvictionsQuorum  uint64 // evictions confirmed by a live-peer majority
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
 	EpochRejected    uint64 // frames nacked for carrying a stale ownership epoch
-
-	// Flow-control accounting: with one frame in flight per stream,
-	// batching (about one stall per frame awaiting its ack), not overload.
-	CreditStalls  uint64 // fresh frames refused while the stream's frame was unacked
-	ShedCoalesced uint64 // deltas folded into queued ones while stalled
 }
 
 func fromClusterResult(res wire.ClusterResult) TCPResult {
@@ -53,8 +48,6 @@ func fromClusterResult(res wire.ClusterResult) TCPResult {
 		EvictionsQuorum:  res.EvictionsQuorum,
 		EvictionsRefused: res.EvictionsRefused,
 		EpochRejected:    res.EpochRejected,
-		CreditStalls:     res.CreditStalls,
-		ShedCoalesced:    res.ShedCoalesced,
 	}
 }
 
@@ -64,7 +57,6 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 		Damping:      o.Damping,
 		Epsilon:      o.Epsilon,
 		Seed:         o.Seed,
-		Retry:        wire.RetryPolicy{Base: o.RetryBase, Max: o.RetryMax},
 		Heartbeat:    o.Heartbeat,
 		SuspectAfter: o.SuspectAfter,
 		DebugAddr:    o.DebugAddr,
@@ -82,7 +74,8 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 // updates bound for an unreachable peer are coalesced in a sender-side
 // retry queue and redelivered (with reconnect backoff and exactly-once
 // folding) when the peer is reachable again, so connection loss never
-// corrupts the final ranks.
+// corrupts the final ranks. The backoff is fixed: 5ms after a failure,
+// doubling per consecutive failure up to 250ms, with jitter.
 func ComputePageRankOverTCP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
 	opt = opt.withDefaults()
 	cluster, err := wire.NewCluster(g, opt.clusterConfig())
