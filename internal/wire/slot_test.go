@@ -302,7 +302,7 @@ func TestUnsortedCheckpointFrameIsRetransmitted(t *testing.T) {
 }
 
 // TestFormatsPinned holds the view digest, and the checkpoint at version
-// 8, to the bytes they were recorded with for the same state. A layout
+// 9, to the bytes they were recorded with for the same state. A layout
 // change re-records the hash it moves, in a commit of its own.
 func TestFormatsPinned(t *testing.T) {
 	c := &Cluster{slots: chainSlots()}
@@ -315,7 +315,7 @@ func TestFormatsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
-		"1726b44e5e41182e7c9acc811df224e2b7162be18822be7191d5f83168fc5e05"; got != want {
+		"a1936145ef2b3c136a80feb48d1c44c55d495edf267cb5e95184669bff14c912"; got != want {
 		t.Errorf("checkpoint sha256 %s, want %s", got, want)
 	}
 }
