@@ -143,10 +143,13 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
-# Full gate: what a CI job should run.
+# Full gate: what a CI job should run. internal/lint is static
+# analysis and starts no goroutines: its tests skip themselves under
+# -race and run once here without the detector.
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
+		&& $(GO) test -count=1 ./internal/lint \
 		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched' ./internal/engine ./internal/core \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \

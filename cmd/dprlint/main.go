@@ -13,9 +13,11 @@
 //
 // With no arguments every package in the module is linted. Positional
 // arguments restrict reporting to packages whose import path has one
-// of the given suffixes (e.g. `dprlint internal/wire`). With -graphs,
-// the call graph and lock-acquisition graph are written to dir as
-// callgraph.{json,dot} and lockgraph.{json,dot}.
+// of the given suffixes (e.g. `dprlint internal/wire`). A suffix that
+// names no package, or a -rules name outside lint.AllRules, exits 2
+// instead of checking nothing. With -graphs, the call graph and
+// lock-acquisition graph are written to dir as callgraph.{json,dot}
+// and lockgraph.{json,dot}.
 package main
 
 import (
@@ -41,50 +43,29 @@ func main() {
 	flag.Parse()
 
 	dir := *root
+	var err error
 	if dir == "" {
-		var err error
 		dir, err = findModuleRoot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dprlint:", err)
-			os.Exit(2)
-		}
+		check(err)
 	}
 	module, err := lint.ModulePath(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dprlint:", err)
-		os.Exit(2)
-	}
-
-	loader := lint.NewLoader()
-	pkgs, err := loader.LoadModule(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dprlint:", err)
-		os.Exit(2)
-	}
-	if args := flag.Args(); len(args) > 0 {
-		var kept []*lint.Package
-		for _, p := range pkgs {
-			for _, suffix := range args {
-				if p.ImportPath == suffix || strings.HasSuffix(p.ImportPath, "/"+strings.TrimSuffix(suffix, "/")) ||
-					p.ImportPath == module+"/"+strings.TrimSuffix(suffix, "/") {
-					kept = append(kept, p)
-					break
-				}
-			}
-		}
-		pkgs = kept
-	}
-
+	check(err)
 	cfg := lint.DefaultConfig(module)
 	if *rules != "" {
 		cfg.Rules = strings.Split(*rules, ",")
 	}
+	check(cfg.CheckRules())
+
+	loader := lint.NewLoader()
+	pkgs, err := loader.LoadModule(dir)
+	check(err)
+	if args := flag.Args(); len(args) > 0 {
+		pkgs, err = loader.Select(pkgs, args)
+		check(err)
+	}
 	res := lint.Analyze(loader, pkgs, cfg)
 	if *graphs != "" {
-		if err := writeGraphs(*graphs, res); err != nil {
-			fmt.Fprintln(os.Stderr, "dprlint:", err)
-			os.Exit(2)
-		}
+		check(writeGraphs(*graphs, res))
 	}
 	for _, d := range res.Diags {
 		if rel, err := filepath.Rel(dir, d.File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -95,6 +76,14 @@ func main() {
 	if len(res.Diags) > 0 {
 		fmt.Fprintf(os.Stderr, "dprlint: %d issue(s)\n", len(res.Diags))
 		os.Exit(1)
+	}
+}
+
+// check exits with status 2 on a usage or I/O error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dprlint:", err)
+		os.Exit(2)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // pass engine's messages — a hub's in-link mass arrives staggered, and
 // each sufficiently large piece fired a push of its own. With
 // p2p.Ranker's residual test and a threshold relaxed each time the
-// event queue drains it sends 0.6x (EXPERIMENTS.md). The ProcessInterval
+// event queue drains it sends 0.6x (EXPERIMENTS.md). The processInterval
 // window trades latency for batch economy; the paper's per-pass
 // batching is the limit of a long one.
 type TimedEngine struct {
@@ -54,6 +54,20 @@ type timedPeer struct {
 	scheduled bool
 }
 
+// The timed engine's compute and batching costs.
+const (
+	// computePerUpdate is the processing cost of one received update.
+	computePerUpdate = time.Microsecond
+
+	// batchHeaderBytes is the fixed per-batch wire overhead; each
+	// update adds p2p.UpdateWireBytes (24).
+	batchHeaderBytes = 64
+
+	// processInterval is how often a peer's event loop drains its
+	// inbox; arrivals within a tick coalesce into one recompute.
+	processInterval = 10 * time.Millisecond
+)
+
 // TimedOptions extends Options with the network/compute cost model.
 type TimedOptions struct {
 	Options
@@ -66,20 +80,6 @@ type TimedOptions struct {
 	// (a wide-area round trip's worth); use a negative value for a
 	// true zero-latency network.
 	Latency time.Duration
-
-	// ComputePerUpdate is the processing cost of one received update.
-	// 0 means 1 microsecond; negative means free.
-	ComputePerUpdate time.Duration
-
-	// BatchHeaderBytes is the fixed per-batch wire overhead.
-	// 0 means 64 bytes; each update adds p2p.UpdateWireBytes (24).
-	BatchHeaderBytes int64
-
-	// ProcessInterval is how often a peer's event loop drains its
-	// inbox; arrivals within a tick coalesce into one recompute.
-	// 0 means 10 ms; negative means immediate (no coalescing: more,
-	// smaller batches).
-	ProcessInterval time.Duration
 
 	// MaxEvents aborts runaway simulations. 0 means unlimited.
 	MaxEvents int64
@@ -94,21 +94,6 @@ func (o TimedOptions) withDefaults() TimedOptions {
 	}
 	if o.Latency < 0 {
 		o.Latency = 0
-	}
-	if o.ComputePerUpdate == 0 {
-		o.ComputePerUpdate = time.Microsecond
-	}
-	if o.ComputePerUpdate < 0 {
-		o.ComputePerUpdate = 0
-	}
-	if o.BatchHeaderBytes == 0 {
-		o.BatchHeaderBytes = 64
-	}
-	if o.ProcessInterval == 0 {
-		o.ProcessInterval = 10 * time.Millisecond
-	}
-	if o.ProcessInterval < 0 {
-		o.ProcessInterval = 0
 	}
 	return o
 }
@@ -188,7 +173,7 @@ func (e *TimedEngine) handleBatch(self p2p.PeerID, batch []p2p.Update) {
 	ps.inbox = append(ps.inbox, batch...)
 	if !ps.scheduled {
 		ps.scheduled = true
-		e.sim.After(e.opt.ProcessInterval, func() { e.processTick(self) })
+		e.sim.After(processInterval, func() { e.processTick(self) })
 	}
 }
 
@@ -203,7 +188,7 @@ func (e *TimedEngine) processTick(self p2p.PeerID) {
 	if len(batch) == 0 {
 		return
 	}
-	compute := time.Duration(len(batch)) * e.opt.ComputePerUpdate
+	compute := time.Duration(len(batch)) * computePerUpdate
 	e.sim.After(compute, func() {
 		// Placement is static, so the fold refuses nothing. It folds in
 		// arrival order, which keeps the whole simulation reproducible
@@ -230,7 +215,7 @@ func (e *TimedEngine) transmit(self p2p.PeerID, out [][]p2p.Update) {
 			continue
 		}
 		e.interMsgs += int64(len(batch))
-		size := e.opt.BatchHeaderBytes + int64(len(batch))*p2p.UpdateWireBytes
+		size := batchHeaderBytes + int64(len(batch))*p2p.UpdateWireBytes
 		e.uplinks[self].Send(&e.sim, size, func() { e.handleBatch(dest, batch) })
 	}
 }

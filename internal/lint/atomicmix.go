@@ -26,7 +26,7 @@ func (prog *program) checkAtomicMix() {
 	// Phase 1: find every object passed raw to a sync/atomic function.
 	rawAtomics := make(map[types.Object]bool)
 	for _, pkg := range prog.pkgs {
-		p := &pass{prog: prog, cfg: prog.cfg, loader: prog.loader, pkg: pkg}
+		p := prog.pass(pkg)
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -51,7 +51,7 @@ func (prog *program) checkAtomicMix() {
 	// Phase 2: audit every mention of a raw-atomic or atomic-typed
 	// object against the legal contexts.
 	for _, pkg := range prog.pkgs {
-		p := &pass{prog: prog, cfg: prog.cfg, loader: prog.loader, pkg: pkg}
+		p := prog.pass(pkg)
 		for _, f := range pkg.Files {
 			parents := parentMap(f)
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -70,7 +70,7 @@ func (prog *program) checkAtomicMix() {
 					return true
 				}
 				raw := rawAtomics[obj]
-				boxed := !raw && isAtomicBoxType(obj.Type())
+				boxed := !raw && namedType(obj.Type(), "sync/atomic")
 				if !raw && !boxed {
 					return true
 				}
@@ -155,23 +155,6 @@ func legalBoxContext(parents map[ast.Node]ast.Node, m ast.Expr, ctx ast.Node) bo
 		return c.Op == token.AND // passing the box by pointer
 	}
 	return false
-}
-
-// isAtomicBoxType reports whether t is (a pointer to) one of the
-// sync/atomic box types.
-func isAtomicBoxType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // parentMap records each node's syntactic parent within one file.

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // The call-graph engine. Interprocedural rules (goroutinelife,
@@ -71,7 +72,7 @@ func (prog *program) buildCallGraph() {
 
 	passes := make(map[*Package]*pass)
 	for _, pkg := range prog.pkgs {
-		passes[pkg] = &pass{prog: prog, cfg: prog.cfg, loader: prog.loader, pkg: pkg}
+		passes[pkg] = prog.pass(pkg)
 	}
 
 	// Register every declared function first, so forward and
@@ -256,19 +257,31 @@ func (g *callGraph) propagate(direct map[*funcNode]factSet) map[*funcNode]factSe
 	return result
 }
 
-// witnessChain renders a fact's provenance: "via a.b → c.d: desc at
-// file:line". The via links always terminate (a fact is installed at
-// most once per node, inherited only from nodes that had it first).
-func (prog *program) witnessChain(facts map[*funcNode]factSet, key any, f fact) string {
-	var hops []string
+// origin follows a fact's via links back to its direct witness and
+// returns it with the functions passed on the way. The links always
+// terminate (a fact is installed at most once per node, inherited only
+// from nodes that had it first).
+func origin(facts map[*funcNode]factSet, key any, f fact) (fact, []*funcNode) {
+	var via []*funcNode
 	for f.via != nil {
-		hops = append(hops, f.via.shortName())
+		via = append(via, f.via)
 		f = facts[f.via][key]
 	}
+	return f, via
+}
+
+// witnessChain renders a fact's provenance: "via a.b → c.d: desc at
+// file:line".
+func (prog *program) witnessChain(facts map[*funcNode]factSet, key any, f fact) string {
+	f, via := origin(facts, key, f)
 	pos := prog.loader.Fset.Position(f.pos)
 	s := sprintf("%s at %s:%d", f.desc, shortFile(pos.Filename), pos.Line)
-	if len(hops) > 0 {
-		s = "via " + joinArrow(hops) + ": " + s
+	if len(via) > 0 {
+		hops := make([]string, len(via))
+		for i, n := range via {
+			hops[i] = n.shortName()
+		}
+		s = "via " + strings.Join(hops, " → ") + ": " + s
 	}
 	return s
 }
@@ -279,17 +292,6 @@ func (n *funcNode) shortName() string {
 		return "(" + types.TypeString(sig.Recv().Type(), func(p *types.Package) string { return "" }) + ")." + n.obj.Name()
 	}
 	return n.obj.Name()
-}
-
-func joinArrow(hops []string) string {
-	s := ""
-	for i, h := range hops {
-		if i > 0 {
-			s += " → "
-		}
-		s += h
-	}
-	return s
 }
 
 // shortFile trims a path to its final two elements for messages.

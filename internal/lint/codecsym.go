@@ -159,7 +159,7 @@ func (p *pass) loadFuzzTargets() []*fuzzTarget {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(p.loader.Fset, filepath.Join(p.pkg.Dir, e.Name()), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(p.prog.loader.Fset, filepath.Join(p.pkg.Dir, e.Name()), nil, parser.SkipObjectResolution)
 		if err != nil {
 			continue
 		}

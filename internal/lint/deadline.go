@@ -59,7 +59,7 @@ func (p *pass) checkDeadlines() {
 			if armedRead {
 				continue
 			}
-			if p.hasNoDeadline(p.loader.Fset.Position(op.pos), fn) {
+			if p.hasNoDeadline(p.prog.loader.Fset.Position(op.pos), fn) {
 				continue
 			}
 			p.report(RuleWireDeadline, op.pos,
@@ -70,7 +70,7 @@ func (p *pass) checkDeadlines() {
 			if armedWrite {
 				continue
 			}
-			if p.hasNoDeadline(p.loader.Fset.Position(op.pos), fn) {
+			if p.hasNoDeadline(p.prog.loader.Fset.Position(op.pos), fn) {
 				continue
 			}
 			p.report(RuleWireDeadline, op.pos,
@@ -98,7 +98,7 @@ type connOp struct {
 // netConnType resolves the net.Conn interface from the loader's
 // standard-library importer (nil if unavailable).
 func (p *pass) netConnType() *types.Interface {
-	netPkg, err := p.loader.StdImport("net")
+	netPkg, err := p.prog.loader.StdImport("net")
 	if err != nil {
 		return nil
 	}

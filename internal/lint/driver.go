@@ -5,7 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -30,11 +30,12 @@ type program struct {
 // single-package analyzer. It shares the program's annotation index
 // and diagnostic sink.
 type pass struct {
-	prog   *program
-	cfg    Config
-	loader *Loader
-	pkg    *Package
+	prog *program
+	pkg  *Package
 }
+
+// pass returns the analysis context for one of the program's packages.
+func (prog *program) pass(pkg *Package) *pass { return &pass{prog: prog, pkg: pkg} }
 
 // Result is everything one analysis run produced: the findings plus
 // the proof artifacts (call graph, lock-acquisition graph) that the
@@ -58,7 +59,7 @@ func Analyze(loader *Loader, pkgs []*Package, cfg Config) Result {
 
 	// Per-package rules.
 	for _, pkg := range pkgs {
-		p := &pass{prog: prog, cfg: cfg, loader: loader, pkg: pkg}
+		p := prog.pass(pkg)
 		if cfg.ruleEnabled(RuleDeterminism) && cfg.inScope(cfg.DeterministicPkgs, pkg.ImportPath) {
 			p.checkDeterminism()
 		}
@@ -111,66 +112,52 @@ func Analyze(loader *Loader, pkgs []*Package, cfg Config) Result {
 // actually suppresses a diagnostic; entries still false at the end of
 // the run (for rules that ran) are themselves reported.
 type ignoreEntry struct {
-	file   string
-	line   int
 	pos    token.Pos
 	rules  []string
 	reason string
 	used   bool
 }
 
-// annotations indexes every dpr: directive in the program.
+// lineKey addresses one source line.
+type lineKey struct {
+	file string
+	line int
+}
+
+// annotations indexes every dpr: directive in the program by line.
 type annotations struct {
 	ignores    []*ignoreEntry
-	byLine     map[string]map[int][]*ignoreEntry
-	nodeadline map[string]map[int]bool
-	detached   map[string]map[int]string // file -> line -> reason
+	byLine     map[lineKey][]*ignoreEntry
+	nodeadline map[lineKey]bool
+	detached   map[lineKey]string // reason
 }
 
 // collectAnnotations scans every comment in every package for
 // //dpr:ignore, //dpr:nodeadline and //dpr:detached markers.
 func (prog *program) collectAnnotations() {
 	a := &annotations{
-		byLine:     make(map[string]map[int][]*ignoreEntry),
-		nodeadline: make(map[string]map[int]bool),
-		detached:   make(map[string]map[int]string),
+		byLine:     make(map[lineKey][]*ignoreEntry),
+		nodeadline: make(map[lineKey]bool),
+		detached:   make(map[lineKey]string),
 	}
 	prog.anns = a
 	for _, pkg := range prog.pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := c.Text
 					pos := prog.loader.Fset.Position(c.Pos())
-					if rest, ok := cutDirective(text, "dpr:ignore"); ok {
+					at := lineKey{pos.Filename, pos.Line}
+					if rest, ok := cutDirective(c.Text, "dpr:ignore"); ok {
 						rules, reason := parseIgnore(rest)
-						e := &ignoreEntry{
-							file: pos.Filename, line: pos.Line, pos: c.Pos(),
-							rules: rules, reason: reason,
-						}
+						e := &ignoreEntry{pos: c.Pos(), rules: rules, reason: reason}
 						a.ignores = append(a.ignores, e)
-						m := a.byLine[pos.Filename]
-						if m == nil {
-							m = make(map[int][]*ignoreEntry)
-							a.byLine[pos.Filename] = m
-						}
-						m[pos.Line] = append(m[pos.Line], e)
+						a.byLine[at] = append(a.byLine[at], e)
 					}
-					if _, ok := cutDirective(text, "dpr:nodeadline"); ok {
-						m := a.nodeadline[pos.Filename]
-						if m == nil {
-							m = make(map[int]bool)
-							a.nodeadline[pos.Filename] = m
-						}
-						m[pos.Line] = true
+					if _, ok := cutDirective(c.Text, "dpr:nodeadline"); ok {
+						a.nodeadline[at] = true
 					}
-					if rest, ok := cutDirective(text, "dpr:detached"); ok {
-						m := a.detached[pos.Filename]
-						if m == nil {
-							m = make(map[int]string)
-							a.detached[pos.Filename] = m
-						}
-						m[pos.Line] = rest
+					if rest, ok := cutDirective(c.Text, "dpr:detached"); ok {
+						a.detached[at] = rest
 					}
 				}
 			}
@@ -198,13 +185,9 @@ func cutDirective(comment, directive string) (rest string, ok bool) {
 // suppressed reports whether rule is ignored at pos (same line or the
 // line directly above), marking any matching entry as used.
 func (prog *program) suppressed(rule string, pos token.Position) bool {
-	m := prog.anns.byLine[pos.Filename]
-	if m == nil {
-		return false
-	}
 	hit := false
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, e := range m[line] {
+		for _, e := range prog.anns.byLine[lineKey{pos.Filename, line}] {
 			for _, r := range e.rules {
 				if r == rule || r == "*" {
 					e.used = true
@@ -220,12 +203,8 @@ func (prog *program) suppressed(rule string, pos token.Position) bool {
 // line or the line above): found=false when absent, reason possibly
 // empty when malformed.
 func (prog *program) detachedAt(pos token.Position) (reason string, found bool) {
-	m := prog.anns.detached[pos.Filename]
-	if m == nil {
-		return "", false
-	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if r, ok := m[line]; ok {
+		if r, ok := prog.anns.detached[lineKey{pos.Filename, line}]; ok {
 			return r, true
 		}
 	}
@@ -240,21 +219,10 @@ func (prog *program) checkAnnotations() {
 	if !prog.cfg.ruleEnabled(RuleIgnore) {
 		return
 	}
-	known := func(rule string) bool {
-		if rule == "*" {
-			return true
-		}
-		for _, r := range AllRules {
-			if r == rule {
-				return true
-			}
-		}
-		return false
-	}
 	for _, e := range prog.anns.ignores {
 		bad := false
 		for _, r := range e.rules {
-			if !known(r) {
+			if r != "*" && !slices.Contains(AllRules, r) {
 				prog.reportAt(RuleIgnore, e.pos,
 					"//dpr:ignore names unknown rule %q (known: %s)", r, strings.Join(AllRules, ", "))
 				bad = true
@@ -289,17 +257,9 @@ func (prog *program) checkAnnotations() {
 
 // report records a diagnostic unless an ignore comment covers it.
 func (prog *program) report(rule string, pos token.Pos, format string, args ...interface{}) {
-	position := prog.loader.Fset.Position(pos)
-	if prog.suppressed(rule, position) {
-		return
+	if !prog.suppressed(rule, prog.loader.Fset.Position(pos)) {
+		prog.reportAt(rule, pos, format, args...)
 	}
-	prog.diags = append(prog.diags, Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Column:  position.Column,
-		Rule:    rule,
-		Message: sprintf(format, args...),
-	})
 }
 
 // reportAt records a diagnostic unconditionally (meta-rules are not
@@ -318,7 +278,7 @@ func (prog *program) reportAt(rule string, pos token.Pos, format string, args ..
 // hasNoDeadline reports whether a //dpr:nodeadline annotation covers
 // pos: same line, the line above, or the doc comment of fn.
 func (p *pass) hasNoDeadline(pos token.Position, fn *ast.FuncDecl) bool {
-	if m := p.prog.anns.nodeadline[pos.Filename]; m != nil && (m[pos.Line] || m[pos.Line-1]) {
+	if m := p.prog.anns.nodeadline; m[lineKey{pos.Filename, pos.Line}] || m[lineKey{pos.Filename, pos.Line - 1}] {
 		return true
 	}
 	if fn != nil && fn.Doc != nil {
@@ -429,12 +389,27 @@ func walkScope(body *ast.BlockStmt, visit func(ast.Node) bool) {
 	})
 }
 
+// namedType reports whether t is, or points to, a named type of
+// package pkgPath, and one of names when any are given.
+func namedType(t types.Type, pkgPath string, names ...string) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath &&
+		(len(names) == 0 || slices.Contains(names, obj.Name()))
+}
+
 func sprintf(format string, args ...interface{}) string {
 	if len(args) == 0 {
 		return format
 	}
 	return fmt.Sprintf(format, args...)
 }
-
-// sortStrings is sort.Strings, aliased so graph code reads plainly.
-func sortStrings(s []string) { sort.Strings(s) }

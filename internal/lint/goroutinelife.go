@@ -57,7 +57,7 @@ func (prog *program) checkGoroutineLife() {
 		if !prog.cfg.inScope(prog.cfg.GoroutinePkgs, pkg.ImportPath) {
 			continue
 		}
-		p := &pass{prog: prog, cfg: prog.cfg, loader: prog.loader, pkg: pkg}
+		p := prog.pass(pkg)
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				gs, ok := n.(*ast.GoStmt)
@@ -174,7 +174,7 @@ func collectSignals(p *pass, root ast.Node, set factSet) {
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-			if isWaitGroup(p.typeOf(sel.X)) {
+			if namedType(p.typeOf(sel.X), "sync", "WaitGroup") {
 				if obj := p.fieldOrVarObject(sel.X); obj != nil {
 					label := p.ownerLabel(sel.X, obj)
 					set[wgKey{obj, label}] = fact{pos: call.Pos(), desc: label + ".Done()"}
@@ -205,7 +205,7 @@ func (prog *program) joinSites() (waiters, recvers map[types.Object][]*funcNode)
 		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.CallExpr:
-				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && isWaitGroup(p.typeOf(sel.X)) {
+				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && namedType(p.typeOf(sel.X), "sync", "WaitGroup") {
 					if obj := p.fieldOrVarObject(sel.X); obj != nil {
 						waiters[obj] = append(waiters[obj], n)
 					}
@@ -217,8 +217,9 @@ func (prog *program) joinSites() (waiters, recvers map[types.Object][]*funcNode)
 					}
 				}
 			case *ast.RangeStmt:
-				if _, isChan := typeUnderlying(p.typeOf(x.X)).(*types.Chan); isChan {
-					if obj := p.fieldOrVarObject(x.X); obj != nil {
+				// A resolved field or variable always has a type.
+				if obj := p.fieldOrVarObject(x.X); obj != nil {
+					if _, isChan := p.typeOf(x.X).Underlying().(*types.Chan); isChan {
 						recvers[obj] = append(recvers[obj], n)
 					}
 				}
@@ -240,26 +241,4 @@ func (prog *program) shutdownRoots() []*funcNode {
 		}
 	}
 	return roots
-}
-
-func isWaitGroup(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-func typeUnderlying(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	return t.Underlying()
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -32,7 +33,10 @@ func (p *pass) checkHotPath() {
 			if !ok || fd.Body == nil || !p.isHotPath(fd) {
 				continue
 			}
-			p.checkHotFunc(fd)
+			p.allocSites(fd.Body, false, func(s allocSite) bool {
+				p.report(RuleHotPath, s.pos, s.msg, fd.Name.Name)
+				return true
+			})
 		}
 	}
 }
@@ -50,65 +54,89 @@ func (p *pass) isHotPath(fn *ast.FuncDecl) bool {
 	return false
 }
 
-func (p *pass) checkHotFunc(fn *ast.FuncDecl) {
-	name := fn.Name.Name
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			p.report(RuleHotPath, n.Pos(), "closure in hot-path function %s allocates", name)
+// allocSite is one allocating construct in a function body: where it
+// is, its short name (the transitive rule's fact) and the hotpath
+// rule's message, whose %s is the hot function's name.
+type allocSite struct {
+	pos  token.Pos
+	desc string
+	msg  string
+}
+
+// allocSites yields every allocating construct in body, in source
+// order, until yield returns false. This is the one construct list
+// both hot-path rules enforce. A function literal is yielded and not
+// entered. With skipPanic the arguments of a panic are skipped: what
+// feeds a crash is not on the hot path.
+func (p *pass) allocSites(body *ast.BlockStmt, skipPanic bool, yield func(allocSite) bool) {
+	stopped := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if stopped {
 			return false
-		case *ast.GoStmt:
-			p.report(RuleHotPath, n.Pos(), "go statement in hot-path function %s spawns per call", name)
-		case *ast.CompositeLit:
-			t := p.typeOf(n)
-			if t == nil {
-				return true
-			}
-			switch t.Underlying().(type) {
-			case *types.Map:
-				p.report(RuleHotPath, n.Pos(), "map literal in hot-path function %s allocates", name)
-			case *types.Slice:
-				p.report(RuleHotPath, n.Pos(), "slice literal in hot-path function %s allocates", name)
-			}
-		case *ast.CallExpr:
-			p.checkHotCall(fn, n)
-		case *ast.BinaryExpr:
-			if n.Op.String() == "+" && isString(p.typeOf(n)) {
-				p.report(RuleHotPath, n.Pos(), "string concatenation in hot-path function %s allocates", name)
-			}
 		}
-		return true
+		site, descend := p.allocAt(n, skipPanic)
+		if site.desc != "" && !yield(site) {
+			stopped = true
+		}
+		return descend && !stopped
 	})
 }
 
-func (p *pass) checkHotCall(fn *ast.FuncDecl, call *ast.CallExpr) {
-	name := fn.Name.Name
+// allocAt classifies one node for allocSites: the site it is (desc ""
+// when none) and whether the walk descends into it.
+func (p *pass) allocAt(n ast.Node, skipPanic bool) (allocSite, bool) {
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		return allocSite{n.Pos(), "closure literal", "closure in hot-path function %s allocates"}, false
+	case *ast.GoStmt:
+		return allocSite{n.Pos(), "go statement", "go statement in hot-path function %s spawns per call"}, true
+	case *ast.CompositeLit:
+		if t := p.typeOf(n); t != nil {
+			switch t.Underlying().(type) {
+			case *types.Map:
+				return allocSite{n.Pos(), "map literal", "map literal in hot-path function %s allocates"}, true
+			case *types.Slice:
+				return allocSite{n.Pos(), "slice literal", "slice literal in hot-path function %s allocates"}, true
+			}
+		}
+	case *ast.BinaryExpr:
+		if n.Op == token.ADD && isString(p.typeOf(n)) {
+			return allocSite{n.Pos(), "string concatenation", "string concatenation in hot-path function %s allocates"}, true
+		}
+	case *ast.CallExpr:
+		return p.allocCall(n, skipPanic)
+	}
+	return allocSite{}, true
+}
+
+// allocCall classifies a call: the allocating builtins, fmt, and
+// string/[]byte conversions.
+func (p *pass) allocCall(call *ast.CallExpr, skipPanic bool) (allocSite, bool) {
+	pos := call.Pos()
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if _, builtin := p.objectOf(id).(*types.Builtin); builtin {
-			switch id.Name {
-			case "make":
-				p.report(RuleHotPath, call.Pos(), "make in hot-path function %s allocates", name)
-			case "new":
-				p.report(RuleHotPath, call.Pos(), "new in hot-path function %s allocates", name)
-			case "append":
-				if len(call.Args) > 0 && isFreshBase(call.Args[0]) {
-					p.report(RuleHotPath, call.Pos(),
-						"append to a fresh slice in hot-path function %s grows without preallocated capacity", name)
-				}
+			switch {
+			case id.Name == "make":
+				return allocSite{pos, "make", "make in hot-path function %s allocates"}, true
+			case id.Name == "new":
+				return allocSite{pos, "new", "new in hot-path function %s allocates"}, true
+			case id.Name == "append" && len(call.Args) > 0 && isFreshBase(call.Args[0]):
+				return allocSite{pos, "append to fresh slice",
+					"append to a fresh slice in hot-path function %s grows without preallocated capacity"}, true
 			}
-			return
+			return allocSite{}, !(skipPanic && id.Name == "panic")
 		}
 	}
-	if pkgPath, _ := p.calleePkg(call); pkgPath == "fmt" {
-		p.report(RuleHotPath, call.Pos(), "fmt call in hot-path function %s allocates and boxes", name)
+	if pkgPath, name := p.calleePkg(call); pkgPath == "fmt" {
+		return allocSite{pos, "fmt." + name, "fmt call in hot-path function %s allocates and boxes"}, true
 	}
-	// string([]byte) / []byte(string) conversions.
 	if tv, ok := p.pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to, from := p.typeOf(call.Fun), p.typeOf(call.Args[0])
 		if (isString(to) && isByteSlice(from)) || (isByteSlice(to) && isString(from)) {
-			p.report(RuleHotPath, call.Pos(), "string/[]byte conversion in hot-path function %s copies", name)
+			return allocSite{pos, "string/[]byte conversion", "string/[]byte conversion in hot-path function %s copies"}, true
 		}
 	}
+	return allocSite{}, true
 }
 
 // isFreshBase reports append bases with no capacity behind them: nil

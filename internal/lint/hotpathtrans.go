@@ -1,11 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // checkHotPathTransitive extends the hotpath allocation contract
 // through the call graph: a //dpr:hotpath function must not call a
 // callee that allocates, however deep the allocation hides. The base
@@ -50,89 +44,17 @@ func (prog *program) checkHotPathTransitive() {
 type allocMark struct{}
 
 // allocFacts records, per function, the first allocating construct in
-// its declaration scope. Nested literals are opaque (they are
-// themselves the allocation; what they do inside runs on their own
-// schedule), and go statements count as allocations outright.
+// its declaration scope (allocSites, panic arguments skipped). Nested
+// literals are opaque (they are themselves the allocation; what they
+// do inside runs on their own schedule), and go statements count as
+// allocations outright.
 func (prog *program) allocFacts() map[*funcNode]factSet {
 	direct := make(map[*funcNode]factSet)
 	for _, n := range prog.graph.nodes {
-		if desc, pos, ok := firstAlloc(n.pass, n.decl.Body); ok {
-			direct[n] = factSet{allocMark{}: {pos: pos, desc: desc}}
-		}
+		n.pass.allocSites(n.decl.Body, true, func(s allocSite) bool {
+			direct[n] = factSet{allocMark{}: {pos: s.pos, desc: s.desc}}
+			return false
+		})
 	}
 	return direct
-}
-
-// firstAlloc finds the first allocating construct in body, mirroring
-// checkHotFunc's construct list but stopping at the first hit.
-func firstAlloc(p *pass, body *ast.BlockStmt) (desc string, pos token.Pos, found bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			desc, pos, found = "closure literal", n.Pos(), true
-			return false
-		case *ast.GoStmt:
-			desc, pos, found = "go statement", n.Pos(), true
-		case *ast.CompositeLit:
-			t := p.typeOf(n)
-			if t == nil {
-				return true
-			}
-			switch t.Underlying().(type) {
-			case *types.Map:
-				desc, pos, found = "map literal", n.Pos(), true
-			case *types.Slice:
-				desc, pos, found = "slice literal", n.Pos(), true
-			}
-		case *ast.BinaryExpr:
-			if n.Op.String() == "+" && isString(p.typeOf(n)) {
-				desc, pos, found = "string concatenation", n.Pos(), true
-			}
-		case *ast.CallExpr:
-			// Allocations feeding a panic are a crash path, not a hot
-			// path; skip the panic's arguments entirely.
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				if _, builtin := p.objectOf(id).(*types.Builtin); builtin {
-					return false
-				}
-			}
-			if d, ok := allocCall(p, n); ok {
-				desc, pos, found = d, n.Pos(), true
-			}
-		}
-		return !found
-	})
-	return desc, pos, found
-}
-
-// allocCall classifies a call as allocating, mirroring checkHotCall.
-func allocCall(p *pass, call *ast.CallExpr) (string, bool) {
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, builtin := p.objectOf(id).(*types.Builtin); builtin {
-			switch id.Name {
-			case "make":
-				return "make", true
-			case "new":
-				return "new", true
-			case "append":
-				if len(call.Args) > 0 && isFreshBase(call.Args[0]) {
-					return "append to fresh slice", true
-				}
-			}
-			return "", false
-		}
-	}
-	if pkgPath, name := p.calleePkg(call); pkgPath == "fmt" {
-		return "fmt." + name, true
-	}
-	if tv, ok := p.pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to, from := p.typeOf(call.Fun), p.typeOf(call.Args[0])
-		if (isString(to) && isByteSlice(from)) || (isByteSlice(to) && isString(from)) {
-			return "string/[]byte conversion", true
-		}
-	}
-	return "", false
 }

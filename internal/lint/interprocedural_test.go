@@ -39,7 +39,7 @@ func TestHotPathTransitiveFixture(t *testing.T) {
 // suppression check only fires when the named rules actually ran).
 func TestIgnoreHygieneFixture(t *testing.T) {
 	ip := "fixture/ignorehygiene"
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "ignorehygiene"), ip)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
@@ -53,7 +53,7 @@ func TestIgnoreHygieneFixture(t *testing.T) {
 // deterministically sorted, with the edges the fixtures establish.
 func TestAnalyzeGraphArtifacts(t *testing.T) {
 	ip := "fixture/lockorder"
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "lockorder"), ip)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
@@ -122,7 +122,7 @@ func TestLoadSurvivesParseError(t *testing.T) {
 		"bad/fine.go":   "package bad\n\nfunc ok() int { return 1 }\n",
 		"good/good.go":  "package good\n\nfunc fine() {}\n",
 	})
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkgs, err := loader.LoadModule(dir)
 	if err != nil {
 		t.Fatalf("LoadModule should survive a parse error, got: %v", err)
@@ -148,7 +148,7 @@ func TestLoadSurvivesTypeError(t *testing.T) {
 		"broken/bad.go": "package broken\n\nfunc f() int { return undefinedName }\n",
 		"good/good.go":  "package good\n\nfunc fine() {}\n",
 	})
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkgs, err := loader.LoadModule(dir)
 	if err != nil {
 		t.Fatalf("LoadModule should survive a type error, got: %v", err)
@@ -172,7 +172,7 @@ func TestLoadSurvivesExcludedPackage(t *testing.T) {
 		"skip/skip.go": "//go:build never_enabled_tag\n\npackage skip\n\nfunc f() {}\n",
 		"good/good.go": "package good\n\nfunc fine() {}\n",
 	})
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkgs, err := loader.LoadModule(dir)
 	if err != nil {
 		t.Fatalf("LoadModule should survive an excluded package, got: %v", err)

@@ -5,7 +5,8 @@
 // The analyzers encode contracts established by earlier PRs:
 //
 //   - determinism: the deterministic packages (rng, graph, core,
-//     simnet, experiments) must be bit-reproducible from a seed.
+//     simnet, experiments, telemetry, csr, solver, search, netmodel,
+//     engine, race) must be bit-reproducible from a seed.
 //     Global math/rand, time.Now and map-iteration-ordered writes to
 //     ordered outputs are forbidden there.
 //   - wiredeadline: every net.Conn read/write in internal/wire must be
@@ -54,13 +55,14 @@
 // goroutinelife accepts `//dpr:detached <reason>` on a go statement
 // whose goroutine intentionally outlives its spawner's shutdown path.
 //
-// Everything here is built on go/parser, go/types and go/ast alone —
-// no analysis frameworks, matching the repository's from-scratch
-// ethos.
+// Everything here is built on go/parser, go/types, go/ast and go/build
+// alone — no analysis frameworks, matching the repository's
+// from-scratch ethos.
 package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -153,24 +155,23 @@ func DefaultConfig(module string) Config {
 }
 
 func (c Config) inScope(list []string, importPath string) bool {
-	for _, p := range list {
-		if p == importPath {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(list, importPath)
 }
 
 func (c Config) ruleEnabled(rule string) bool {
-	if len(c.Rules) == 0 {
-		return true
-	}
+	return len(c.Rules) == 0 || slices.Contains(c.Rules, rule)
+}
+
+// CheckRules rejects a Rules entry that is not in AllRules. Run would
+// otherwise treat it as a subset that turns every rule off, the ignore
+// rule included, and pass having checked nothing.
+func (c Config) CheckRules() error {
 	for _, r := range c.Rules {
-		if r == rule {
-			return true
+		if !slices.Contains(AllRules, r) {
+			return fmt.Errorf("unknown rule %q (known: %s)", r, strings.Join(AllRules, ", "))
 		}
 	}
-	return false
+	return nil
 }
 
 // sortDiagnostics orders findings by file, line, column, rule.

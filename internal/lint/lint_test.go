@@ -23,7 +23,7 @@ var wantRe = regexp.MustCompile("// want `([^`]+)`")
 func loadFixture(t *testing.T, name, rule string) []Diagnostic {
 	t.Helper()
 	ip := "fixture/" + name
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name), ip)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
@@ -37,6 +37,16 @@ func loadFixture(t *testing.T, name, rule string) []Diagnostic {
 		Rules:             []string{rule},
 	}
 	return Run(loader, []*Package{pkg}, cfg)
+}
+
+// newLoader returns a fresh loader, and skips the test under -race
+// (see raceDetector).
+func newLoader(t *testing.T) *Loader {
+	t.Helper()
+	if raceDetector {
+		t.Skip("static analysis starts no goroutines; make ci runs this package without -race")
+	}
+	return NewLoader()
 }
 
 func checkWants(t *testing.T, name string, diags []Diagnostic) {
@@ -141,7 +151,7 @@ func TestRepoLintsClean(t *testing.T) {
 		t.Skip("type-checks the whole module")
 	}
 	root := filepath.Join("..", "..")
-	loader := NewLoader()
+	loader := newLoader(t)
 	pkgs, err := loader.LoadModule(root)
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
@@ -199,5 +209,43 @@ func TestFamilyOf(t *testing.T) {
 		if got := familyOf(c.name); got != c.fam {
 			t.Errorf("familyOf(%q) = %v, want %v", c.name, got, c.fam)
 		}
+	}
+}
+
+// TestUnknownRuleRejected: a misspelt rule name is an error, not a
+// rule subset that turns every rule off.
+func TestUnknownRuleRejected(t *testing.T) {
+	cfg := DefaultConfig("dpr")
+	cfg.Rules = []string{RuleLockOrder, "lockordr"}
+	err := cfg.CheckRules()
+	if err == nil || !strings.Contains(err.Error(), `"lockordr"`) || !strings.Contains(err.Error(), RuleHotPathTrans) {
+		t.Fatalf("CheckRules() = %v, want an error naming \"lockordr\" and listing AllRules", err)
+	}
+	cfg.Rules = AllRules
+	if err := cfg.CheckRules(); err != nil {
+		t.Fatalf("CheckRules(AllRules) = %v", err)
+	}
+}
+
+// TestSelectRejectsUnmatchedSuffix: a package suffix that names no
+// package is an error, not an empty run. A package that failed to load
+// is known to the loader, so naming it is not.
+func TestSelectRejectsUnmatchedSuffix(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":                testGoMod,
+		"internal/wire/wire.go": "package wire\n",
+		"broken/bad.go":         "package broken\n\nfunc f() int { return undefinedName }\n",
+	})
+	loader := newLoader(t)
+	pkgs, err := loader.LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := loader.Select(pkgs, []string{"internal/wire/", "broken"})
+	if err != nil || len(kept) != 1 || kept[0].ImportPath != "brokenmod/internal/wire" {
+		t.Fatalf("Select = %v, %v; want brokenmod/internal/wire alone", kept, err)
+	}
+	if _, err := loader.Select(pkgs, []string{"internal/wire", "internal/wrie"}); err == nil || !strings.Contains(err.Error(), `"internal/wrie"`) {
+		t.Fatalf("Select(internal/wrie) = %v, want an error naming it", err)
 	}
 }

@@ -1,11 +1,9 @@
 package lint
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
@@ -13,7 +11,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -158,6 +156,32 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	return out, nil
 }
 
+// Select keeps the packages whose import path is one of suffixes or
+// ends in "/" and one of them (a trailing slash ignored), in load
+// order. A suffix that names no package the loader found is an error:
+// it would leave nothing to lint.
+func (l *Loader) Select(pkgs []*Package, suffixes []string) ([]*Package, error) {
+	match := func(importPath, s string) bool {
+		return importPath == s || strings.HasSuffix(importPath, "/"+strings.TrimSuffix(s, "/"))
+	}
+	for _, s := range suffixes {
+		found := false
+		for ip := range l.pkgs {
+			found = found || match(ip, s)
+		}
+		if !found {
+			return nil, fmt.Errorf("package suffix %q matches no package in module %s", s, l.module)
+		}
+	}
+	var kept []*Package
+	for _, p := range pkgs {
+		if slices.ContainsFunc(suffixes, func(s string) bool { return match(p.ImportPath, s) }) {
+			kept = append(kept, p)
+		}
+	}
+	return kept, nil
+}
+
 // LoadDiagnostics returns the findings produced while loading:
 // unparseable files, packages that fail type-checking, and packages
 // whose files are all excluded by build constraints. They carry Rule
@@ -205,13 +229,16 @@ func (l *Loader) parseDir(dir, importPath string) (*loadEntry, error) {
 			continue
 		}
 		sawGo = true
+		// Platform-variant files (mmap_linux.go / mmap_other.go) must not
+		// both load into one package. A constraint go/build cannot
+		// evaluate keeps the file, and the parser reports it.
+		if ok, err := build.Default.MatchFile(dir, name); err == nil && !ok {
+			continue
+		}
 		path := filepath.Join(dir, name)
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
-		}
-		if !buildTagsMatch(name, src) {
-			continue
 		}
 		f, err := parser.ParseFile(l.Fset, path, src,
 			parser.ParseComments|parser.SkipObjectResolution)
@@ -240,66 +267,6 @@ func (l *Loader) parseDir(dir, importPath string) (*loadEntry, error) {
 		return &loadEntry{err: fmt.Errorf("lint: no loadable Go files in %s", dir)}, nil
 	}
 	return &loadEntry{pkg: p}, nil
-}
-
-// buildTagsMatch reports whether a file is part of the build on the
-// host platform, honoring both the GOOS/GOARCH filename convention
-// (foo_linux.go) and //go:build constraint lines. Without this filter,
-// platform-variant files (mmap_linux.go / mmap_other.go) would both be
-// loaded into one package and fail type-checking with redeclarations.
-func buildTagsMatch(name string, src []byte) bool {
-	base := strings.TrimSuffix(name, ".go")
-	if i := strings.LastIndex(base, "_"); i >= 0 {
-		if suffix := base[i+1:]; knownPlatformTag(suffix) && !hostTag(suffix) {
-			return false
-		}
-	}
-	sc := bufio.NewScanner(bytes.NewReader(src))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if constraint.IsGoBuild(line) {
-			expr, err := constraint.Parse(line)
-			if err != nil {
-				return true // malformed constraint: let the parser report it
-			}
-			return expr.Eval(hostTag)
-		}
-		// Constraints must precede the package clause; stop at the
-		// first line that is neither blank nor a comment.
-		if line != "" && !strings.HasPrefix(line, "//") && !strings.HasPrefix(line, "/*") {
-			break
-		}
-	}
-	return true
-}
-
-// hostTag evaluates one build tag for the linting host.
-func hostTag(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-		tag == "unix" && isUnixGOOS(runtime.GOOS) ||
-		strings.HasPrefix(tag, "go1.")
-}
-
-// knownPlatformTag reports whether a filename suffix selects a
-// platform (only those suffixes imply an implicit constraint).
-func knownPlatformTag(s string) bool {
-	switch s {
-	case "linux", "darwin", "windows", "freebsd", "netbsd", "openbsd", "solaris",
-		"aix", "dragonfly", "illumos", "ios", "js", "plan9", "wasip1", "android",
-		"amd64", "arm64", "arm", "386", "wasm", "ppc64", "ppc64le", "riscv64",
-		"s390x", "mips", "mipsle", "mips64", "mips64le", "loong64":
-		return true
-	}
-	return false
-}
-
-func isUnixGOOS(goos string) bool {
-	switch goos {
-	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "solaris",
-		"aix", "dragonfly", "illumos", "ios", "android":
-		return true
-	}
-	return false
 }
 
 // Import implements types.Importer over the loader's package set,

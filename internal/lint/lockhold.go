@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // checkLockHold flags blocking operations performed while a
@@ -30,71 +31,83 @@ func (p *pass) checkLockHold() {
 	}
 }
 
-// lockRegion is one critical section's source interval.
+// lockRegion is one critical section of a function scope: the source
+// interval between a Lock and its Unlock, with the mutex rendered
+// ("p.mu"), as an object (nil when the receiver is no field or
+// variable) and as its lock-graph label.
 type lockRegion struct {
-	key        string // rendering of the mutex expression ("p.mu")
+	key        string
+	obj        types.Object
+	label      string
 	start, end token.Pos
-	rlock      bool
 }
 
-func (p *pass) checkScopeLocks(scope funcScope, conn *types.Interface) {
-	type openLock struct {
-		key   string
-		pos   token.Pos
-		rlock bool
-	}
-	var open []openLock
-	var regions []lockRegion
+// lockRegions collects the critical sections of one function scope
+// from its Lock/Unlock pairs in source order. An Unlock closes the
+// latest open section of the same mutex; a deferred Unlock, and a Lock
+// never released, hold to the end of the scope. lockhold matches a
+// mutex by its rendering; lockorder, with byObj, by its object, and
+// then a receiver with no object opens no section.
+func (p *pass) lockRegions(scope funcScope, byObj bool) []lockRegion {
+	var open, regions []lockRegion
 	end := scope.body.End()
-
-	// Pass 1: collect critical sections from Lock/Unlock pairs in
-	// source order.
+	unlock := func(call *ast.CallExpr, upto token.Pos) {
+		u, ok := p.mutexCallX(call, "Unlock", "RUnlock")
+		if !ok {
+			return
+		}
+		for i := len(open) - 1; i >= 0; i-- {
+			if byObj && open[i].obj == u.obj || !byObj && open[i].key == u.key {
+				open[i].end = upto
+				regions = append(regions, open[i])
+				open = append(open[:i], open[i+1:]...)
+				return
+			}
+		}
+	}
 	walkScope(scope.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			if key, _, ok := p.mutexCall(n.Call, "Unlock", "RUnlock"); ok {
-				for i := len(open) - 1; i >= 0; i-- {
-					if open[i].key == key {
-						regions = append(regions, lockRegion{key: key, start: open[i].pos, end: end, rlock: open[i].rlock})
-						open = append(open[:i], open[i+1:]...)
-						break
-					}
-				}
-			}
+			unlock(n.Call, end)
 			return false // a deferred call body runs at return, not here
 		case *ast.CallExpr:
-			if key, rlock, ok := p.mutexCall(n, "Lock", "RLock"); ok {
-				open = append(open, openLock{key: key, pos: n.End(), rlock: rlock})
-			} else if key, _, ok := p.mutexCall(n, "Unlock", "RUnlock"); ok {
-				for i := len(open) - 1; i >= 0; i-- {
-					if open[i].key == key {
-						regions = append(regions, lockRegion{key: key, start: open[i].pos, end: n.Pos(), rlock: open[i].rlock})
-						open = append(open[:i], open[i+1:]...)
-						break
-					}
+			if r, ok := p.mutexCallX(n, "Lock", "RLock"); ok {
+				if r.obj != nil || !byObj {
+					r.start = n.End()
+					open = append(open, r)
 				}
+			} else {
+				unlock(n, n.Pos())
 			}
 		}
 		return true
 	})
 	// Locks never released in this scope hold to the end of it.
-	for _, o := range open {
-		regions = append(regions, lockRegion{key: o.key, start: o.pos, end: end, rlock: o.rlock})
+	for _, r := range open {
+		r.end = end
+		regions = append(regions, r)
 	}
+	return regions
+}
+
+// held returns the regions that contain pos, in region order.
+func held(regions []lockRegion, pos token.Pos) []lockRegion {
+	var hs []lockRegion
+	for _, r := range regions {
+		if pos > r.start && pos < r.end {
+			hs = append(hs, r)
+		}
+	}
+	return hs
+}
+
+func (p *pass) checkScopeLocks(scope funcScope, conn *types.Interface) {
+	regions := p.lockRegions(scope, false)
 	if len(regions) == 0 {
 		return
 	}
-
-	held := func(pos token.Pos) (lockRegion, bool) {
-		for _, r := range regions {
-			if pos > r.start && pos < r.end {
-				return r, true
-			}
-		}
-		return lockRegion{}, false
-	}
-
-	// Pass 2: flag blocking operations inside any critical section.
+	// Flag blocking operations inside any critical section, naming the
+	// first section that holds them.
 	walkScope(scope.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectStmt:
@@ -102,77 +115,39 @@ func (p *pass) checkScopeLocks(scope funcScope, conn *types.Interface) {
 				return false // non-blocking by construction
 			}
 		case *ast.SendStmt:
-			if r, ok := held(n.Pos()); ok {
-				p.report(RuleLockHold, n.Pos(), "channel send while holding %s", r.key)
+			if hs := held(regions, n.Pos()); len(hs) > 0 {
+				p.report(RuleLockHold, n.Pos(), "channel send while holding %s", hs[0].key)
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if r, ok := held(n.Pos()); ok {
-					p.report(RuleLockHold, n.Pos(), "channel receive while holding %s", r.key)
+				if hs := held(regions, n.Pos()); len(hs) > 0 {
+					p.report(RuleLockHold, n.Pos(), "channel receive while holding %s", hs[0].key)
 				}
 			}
 		case *ast.CallExpr:
-			r, ok := held(n.Pos())
-			if !ok {
-				return true
-			}
-			if what := p.blockingCall(n, conn); what != "" {
-				p.report(RuleLockHold, n.Pos(), "%s while holding %s", what, r.key)
+			if hs := held(regions, n.Pos()); len(hs) > 0 {
+				if what := p.blockingCall(n, conn); what != "" {
+					p.report(RuleLockHold, n.Pos(), "%s while holding %s", what, hs[0].key)
+				}
 			}
 		}
 		return true
 	})
 }
 
-// mutexCall matches a call `X.name()` where X is a sync.Mutex or
+// mutexCallX matches a call `X.name()` where X is a sync.Mutex or
 // sync.RWMutex (possibly behind a pointer) and name is one of names.
-// It returns the rendered receiver expression as the region key.
-func (p *pass) mutexCall(call *ast.CallExpr, names ...string) (key string, rlock bool, ok bool) {
-	x, rlock, ok := p.mutexCallX(call, names...)
-	if !ok {
-		return "", false, false
+// It returns X as a region's mutex, with no interval yet.
+func (p *pass) mutexCallX(call *ast.CallExpr, names ...string) (lockRegion, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !slices.Contains(names, sel.Sel.Name) || !namedType(p.typeOf(sel.X), "sync", "Mutex", "RWMutex") {
+		return lockRegion{}, false
 	}
-	return types.ExprString(x), rlock, true
-}
-
-// mutexCallX is mutexCall returning the receiver expression itself,
-// for callers (lockorder) that key sections by object identity rather
-// than source rendering.
-func (p *pass) mutexCallX(call *ast.CallExpr, names ...string) (x ast.Expr, rlock bool, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, false, false
+	r := lockRegion{key: types.ExprString(sel.X), obj: p.fieldOrVarObject(sel.X)}
+	if r.obj != nil {
+		r.label = lockLabel(p, sel.X, r.obj)
 	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-			break
-		}
-	}
-	if !match {
-		return nil, false, false
-	}
-	t := p.typeOf(sel.X)
-	if t == nil || !isSyncMutex(t) {
-		return nil, false, false
-	}
-	return sel.X, sel.Sel.Name == "RLock" || sel.Sel.Name == "RUnlock", true
-}
-
-func isSyncMutex(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	return r, true
 }
 
 // blockingCall describes why a call blocks ("" when it does not).

@@ -29,13 +29,13 @@ type lockEdgeInfo struct {
 // and the p2p membership path cross package boundaries where no
 // single reviewer sees both orders.
 //
-// Held regions are collected lexically (the lockhold machinery) from
-// functions in the LockPkgs packages; what a callee acquires is the
-// transitive closure of its Lock/RLock calls over synchronous call
-// edges into any loaded package. Go-spawned callees are excluded (the
-// spawner's locks are not held on the new goroutine's stack — it has
-// its own ordering obligations), as are nested literals when
-// summarizing callees.
+// Held regions are collected lexically (lockRegions, as for
+// lockhold) from functions in the LockPkgs packages; what a callee
+// acquires is the transitive closure of its Lock/RLock calls over
+// synchronous call edges into any loaded package. Go-spawned callees
+// are excluded (the spawner's locks are not held on the new
+// goroutine's stack — it has its own ordering obligations), as are
+// nested literals when summarizing callees.
 //
 // The full graph — not just the cycles — is exported as the lockgraph
 // artifact so reviewers can audit the order the code has implicitly
@@ -65,23 +65,14 @@ func (prog *program) checkLockOrder() {
 		if !prog.cfg.inScope(prog.cfg.LockPkgs, pkg.ImportPath) {
 			continue
 		}
-		p := &pass{prog: prog, cfg: prog.cfg, loader: prog.loader, pkg: pkg}
+		p := prog.pass(pkg)
 		for _, scope := range p.funcScopes() {
-			regions := p.lockObjRegions(scope)
+			regions := p.lockRegions(scope, true)
 			if len(regions) == 0 {
 				continue
 			}
 			for _, r := range regions {
 				note(r.obj, r.label)
-			}
-			held := func(pos token.Pos) []objRegion {
-				var hs []objRegion
-				for _, r := range regions {
-					if pos > r.start && pos < r.end {
-						hs = append(hs, r)
-					}
-				}
-				return hs
 			}
 			goCalls := make(map[*ast.CallExpr]bool)
 			walkScope(scope.body, func(n ast.Node) bool {
@@ -89,15 +80,13 @@ func (prog *program) checkLockOrder() {
 				case *ast.GoStmt:
 					goCalls[n.Call] = true
 				case *ast.CallExpr:
-					if x, _, ok := p.mutexCallX(n, "Lock", "RLock"); ok {
-						obj := p.fieldOrVarObject(x)
-						if obj == nil {
-							return true
-						}
-						note(obj, lockLabel(p, x, obj))
-						for _, h := range held(n.Pos()) {
-							if h.obj != obj {
-								addEdge(h.obj, obj, lockEdgeInfo{pos: n.Pos(), kind: "direct"})
+					if m, ok := p.mutexCallX(n, "Lock", "RLock"); ok {
+						if m.obj != nil {
+							note(m.obj, m.label)
+							for _, h := range held(regions, n.Pos()) {
+								if h.obj != m.obj {
+									addEdge(h.obj, m.obj, lockEdgeInfo{pos: n.Pos(), kind: "direct"})
+								}
 							}
 						}
 						return true
@@ -109,7 +98,7 @@ func (prog *program) checkLockOrder() {
 					if callee == nil {
 						return true
 					}
-					hs := held(n.Pos())
+					hs := held(regions, n.Pos())
 					if len(hs) == 0 {
 						return true
 					}
@@ -118,7 +107,8 @@ func (prog *program) checkLockOrder() {
 						if !ok {
 							continue
 						}
-						note(lo, lockFactLabel(acquires, key, f))
+						witness, _ := origin(acquires, key, f)
+						note(lo, witness.desc) // the direct witness carries the label
 						for _, h := range hs {
 							if h.obj != lo {
 								addEdge(h.obj, lo, lockEdgeInfo{pos: n.Pos(), via: callee, kind: "via-call"})
@@ -135,16 +125,6 @@ func (prog *program) checkLockOrder() {
 	prog.reportLockCycles(order, labels, edges)
 }
 
-// lockFactLabel digs the label out of a propagated acquisition fact
-// (the direct witness carries it in desc; inherited facts point back
-// through via).
-func lockFactLabel(acquires map[*funcNode]factSet, key any, f fact) string {
-	for f.via != nil {
-		f = acquires[f.via][key]
-	}
-	return f.desc
-}
-
 // acquireFacts collects, per function, the mutexes its body locks
 // (decl scope only — nested literals run on their own schedule). The
 // fact key is the mutex's types.Object; desc is its label.
@@ -158,14 +138,12 @@ func (prog *program) acquireFacts() map[*funcNode]factSet {
 			if !ok {
 				return true
 			}
-			if recv, _, ok := p.mutexCallX(call, "Lock", "RLock"); ok {
-				if obj := p.fieldOrVarObject(recv); obj != nil {
-					if set == nil {
-						set = make(factSet)
-					}
-					if _, dup := set[obj]; !dup {
-						set[obj] = fact{pos: call.Pos(), desc: lockLabel(p, recv, obj)}
-					}
+			if m, ok := p.mutexCallX(call, "Lock", "RLock"); ok && m.obj != nil {
+				if set == nil {
+					set = make(factSet)
+				}
+				if _, dup := set[m.obj]; !dup {
+					set[m.obj] = fact{pos: call.Pos(), desc: m.label}
 				}
 			}
 			return true
@@ -175,67 +153,6 @@ func (prog *program) acquireFacts() map[*funcNode]factSet {
 		}
 	}
 	return direct
-}
-
-// objRegion is a critical section keyed by the mutex object.
-type objRegion struct {
-	obj        types.Object
-	label      string
-	start, end token.Pos
-}
-
-// lockObjRegions is the object-identity analogue of checkScopeLocks'
-// pass 1: the critical sections of one function scope.
-func (p *pass) lockObjRegions(scope funcScope) []objRegion {
-	type openLock struct {
-		obj   types.Object
-		label string
-		pos   token.Pos
-	}
-	var open []openLock
-	var regions []objRegion
-	end := scope.body.End()
-
-	unlockOf := func(call *ast.CallExpr) (types.Object, bool) {
-		if x, _, ok := p.mutexCallX(call, "Unlock", "RUnlock"); ok {
-			if obj := p.fieldOrVarObject(x); obj != nil {
-				return obj, true
-			}
-		}
-		return nil, false
-	}
-	closeRegion := func(obj types.Object, upto token.Pos) {
-		for i := len(open) - 1; i >= 0; i-- {
-			if open[i].obj == obj {
-				regions = append(regions, objRegion{obj: obj, label: open[i].label, start: open[i].pos, end: upto})
-				open = append(open[:i], open[i+1:]...)
-				return
-			}
-		}
-	}
-
-	walkScope(scope.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if obj, ok := unlockOf(n.Call); ok {
-				closeRegion(obj, end)
-			}
-			return false
-		case *ast.CallExpr:
-			if x, _, ok := p.mutexCallX(n, "Lock", "RLock"); ok {
-				if obj := p.fieldOrVarObject(x); obj != nil {
-					open = append(open, openLock{obj: obj, label: lockLabel(p, x, obj), pos: n.End()})
-				}
-			} else if obj, ok := unlockOf(n); ok {
-				closeRegion(obj, n.Pos())
-			}
-		}
-		return true
-	})
-	for _, o := range open {
-		regions = append(regions, objRegion{obj: o.obj, label: o.label, start: o.pos, end: end})
-	}
-	return regions
 }
 
 // lockLabel renders a globally unique, stable label for a mutex

@@ -39,6 +39,9 @@ func (e *engine) hot(v int, s string) {
 	e.buf = append(e.buf, v)
 	//dpr:ignore hotpath setup path, runs once per topology change
 	e.names = append([]string(nil), s)
+	if v < 0 {
+		panic(fmt.Sprintf("negative %d", v)) // want `fmt call in hot-path function hot allocates and boxes`
+	}
 }
 
 // cold has no annotation: identical constructs pass.

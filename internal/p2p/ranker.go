@@ -15,9 +15,9 @@ import (
 // paper's Figure 1 for the documents one peer holds: accumulate
 // in-link mass, recompute, and push d·Δ/outdeg to each out-link. It is
 // the one asynchronous rank-push loop in the repository — the TCP peer
-// (internal/wire), the goroutine engine and the event-simulated engine
-// (internal/core) differ only in who delivers a batch and when, never
-// in how a peer folds one.
+// (internal/wire), core.TimedEngine and internal/engine's round driver
+// differ only in who delivers a batch and when, never in how a peer
+// folds one.
 //
 // The push test is on the un-pushed residual |rank − last| (D-Iteration's
 // remaining fluid), not on the distance between successive recomputes,
