@@ -98,7 +98,8 @@ bench-pipeline:
 	$(GO) test -run XXX -bench BenchmarkRunPassParallel -benchmem .
 
 # The three per-update stages of the live cluster's rank-update path —
-# ranker fold (and the per-row cost of a threshold-stage sweep) and
+# ranker fold (and the per-row cost of a threshold-stage sweep, and the
+# per-out-link cost of building a peer's shard, which set-up pays) and
 # retry-queue coalesce + drain (internal/p2p), ordering a frame for the
 # batch codec and the codec itself, with its bytes per update
 # (internal/wire) — with allocation counts, plus the checkpoint codec's
@@ -106,7 +107,7 @@ bench-pipeline:
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
 	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort|BenchmarkSnapshotCodec' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks

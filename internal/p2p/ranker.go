@@ -30,9 +30,9 @@ import (
 //
 // Under dynamic membership the document set is mutable: Adopt appends
 // a departed peer's rows, Shed extracts rows for a joining peer, and
-// SetOwner rewrites the routing table. Each Ranker owns a private
-// route table so a membership change pushed to one peer can never race
-// another peer's routing reads.
+// SetOwner and RerouteOwner repoint documents at new owners. Routing
+// and adjacency live in the ranker's shard, sized by the rows it holds
+// and their out-links, never by the graph (shard.go).
 type Ranker struct {
 	id       PeerID
 	cur      graph.LinkCursor
@@ -41,22 +41,23 @@ type Ranker struct {
 	epsilon  float64
 	absolute bool
 
+	// placement is the driver's owner of every document, shared and
+	// never written while the ranker lives.
+	placement []PeerID
+
 	// mass mirrors sum(rank) into the telemetry registry: Set on
 	// (re)initialisation, Add on every fold/adopt/shed. Per-peer
 	// gauges merge into the cluster's total rank mass.
 	mass *telemetry.Gauge
 
 	mu sync.Mutex
-	// route holds one word per document: the index of the document's
-	// row when this peer holds it, else remoteWord(owner). A held row
-	// therefore always wins over whatever owner the table was told.
-	route []int32
-	docs  []graph.NodeID
-	base  []float64
-	rank  []float64
-	acc   []float64
-	last  []float64
-	thr   float64 // push threshold in force, never below epsilon
+	shard
+	docs []graph.NodeID // row → document
+	base []float64
+	rank []float64
+	acc  []float64
+	last []float64
+	thr  float64 // push threshold in force, never below epsilon
 
 	// Fold scratch, reused from fold to fold. stamp[row] == gen marks a
 	// row dirty in the current fold.
@@ -77,18 +78,6 @@ const pushStart, pushRelax = 0.5, 0.5
 // StartThreshold is the first stage, NextThreshold the one after thr.
 func StartThreshold(epsilon float64) float64     { return max(epsilon, pushStart) }
 func NextThreshold(thr, epsilon float64) float64 { return max(epsilon, thr*pushRelax) }
-
-// remoteWord encodes "held by owner, no row here": NoPeer is -1, peer
-// 0 is -2, and so on, so ^word is the owner's outbox slot.
-func remoteWord(owner PeerID) int32 { return -2 - int32(owner) }
-
-// wordOwner decodes a route word into the owning peer.
-func (r *Ranker) wordOwner(w int32) PeerID {
-	if w >= 0 {
-		return r.id
-	}
-	return PeerID(-2 - w)
-}
 
 // cover grows the outbox to hold a slot for dest. Outboxes collect
 // updates per destination, indexed by PeerID+1: slot 0 takes updates
@@ -112,37 +101,35 @@ func reuse[T any](s []T) []T {
 // NewRanker builds peer id's ranker over the documents docs, reading
 // adjacency through cur (which the ranker then owns: cursors are not
 // safe for concurrent use) and routing by docPeer, the owner of every
-// document. teleport is the per-document constant term; nil means the
-// uniform 1-damping. threshold is the stage to begin at (at least
-// epsilon); absolute selects the absolute, not relative, residual test.
+// document. docPeer is kept, not copied, and must not be written while
+// the ranker lives: it stays the owner of every document the ranker is
+// not told otherwise about (SetOwner, Shed, RerouteOwner). teleport is the
+// per-document constant term; nil means the uniform 1-damping.
+// threshold is the stage to begin at (at least epsilon); absolute
+// selects the absolute, not relative, residual test.
 func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []PeerID,
 	teleport []float64, damping, epsilon, threshold float64, absolute bool, mass *telemetry.Gauge) *Ranker {
 	r := &Ranker{
-		id:       id,
-		cur:      cur,
-		teleport: teleport,
-		damping:  damping,
-		epsilon:  epsilon,
-		thr:      max(epsilon, threshold),
-		absolute: absolute,
-		mass:     mass,
-		route:    make([]int32, len(docPeer)),
-		docs:     append([]graph.NodeID(nil), docs...),
-		base:     make([]float64, len(docs)),
-		rank:     make([]float64, len(docs)),
-		acc:      make([]float64, len(docs)),
-		last:     make([]float64, len(docs)),
-		stamp:    make([]uint32, len(docs)),
+		id:        id,
+		cur:       cur,
+		teleport:  teleport,
+		damping:   damping,
+		epsilon:   epsilon,
+		thr:       max(epsilon, threshold),
+		absolute:  absolute,
+		mass:      mass,
+		placement: docPeer,
+		docs:      append([]graph.NodeID(nil), docs...),
+		base:      make([]float64, len(docs)),
+		rank:      make([]float64, len(docs)),
+		acc:       make([]float64, len(docs)),
+		last:      make([]float64, len(docs)),
+		stamp:     make([]uint32, len(docs)),
+		shard:     shard{off: make([]int32, 1, len(docs)+1)},
 	}
-	last := r.id
-	for d, owner := range docPeer {
-		r.route[d] = remoteWord(owner)
-		last = max(last, owner)
-	}
-	r.cover(last)
+	r.compileLocked(0)
 	total := 0.0
 	for i, d := range docs {
-		r.route[d] = int32(i)
 		r.base[i] = r.baseOf(d)
 		r.rank[i] = r.base[i]
 		total += r.base[i]
@@ -166,11 +153,11 @@ func (r *Ranker) InitialOut() [][]Update {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([][]Update, len(r.out))
-	for i, d := range r.docs {
+	for i := range r.docs {
 		// A fold that ran before Start has pushed this row already; what
 		// rounding left in its residual waits for the threshold like any other.
 		if r.last[i] == 0 {
-			r.collectLocked(int32(i), d, out)
+			r.collectLocked(int32(i), out)
 		}
 	}
 	r.recomputed += int64(len(r.docs))
@@ -199,11 +186,11 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 	}
 	dirty, fwd := reuse(r.dirty), reuse(r.fwd)
 	for _, u := range batch {
-		if uint32(u.Doc) >= uint32(len(r.route)) || r.route[u.Doc] < 0 {
+		i := r.index.find(u.Doc)
+		if i < 0 {
 			fwd = append(fwd, u)
 			continue
 		}
-		i := r.route[u.Doc]
 		r.acc[i] += u.Delta
 		folded += u.Delta
 		if r.stamp[i] != r.gen {
@@ -220,7 +207,7 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 		massDelta += fresh - r.rank[i]
 		r.rank[i] = fresh
 		if r.residualLocked(i) > r.thr {
-			r.collectLocked(i, r.docs[i], r.out)
+			r.collectLocked(i, r.out)
 		}
 	}
 	if massDelta != 0 {
@@ -252,23 +239,24 @@ func (r *Ranker) Relax(thr float64) [][]Update {
 	defer r.mu.Unlock()
 	r.thr = max(r.epsilon, min(r.thr, thr))
 	out := make([][]Update, len(r.out))
-	for i, d := range r.docs {
+	for i := range r.docs {
 		if r.residualLocked(int32(i)) > r.thr {
-			r.collectLocked(int32(i), d, out)
+			r.collectLocked(int32(i), out)
 		}
 	}
 	return out
 }
 
-// collectLocked batches document d's pending delta per destination,
-// each link's share rounded to a float32 — half the bytes on a socket —
-// and last advanced by what that emits, so the rounding stays in the
-// residual for a later push and no mass is lost to it (DESIGN.md §4).
-// Caller holds mu; out covers every owner the route table names.
+// collectLocked batches row i's pending delta per destination, in link
+// order, each link's share rounded to a float32 — half the bytes on a
+// socket — and last advanced by what that emits, so the rounding stays
+// in the residual for a later push and no mass is lost to it
+// (DESIGN.md §4). Caller holds mu; out covers every owner the shard
+// names.
 //
 //dpr:hotpath
-func (r *Ranker) collectLocked(i int32, d graph.NodeID, out [][]Update) {
-	links := r.cur.OutLinks(d)
+func (r *Ranker) collectLocked(i int32, out [][]Update) {
+	links := r.links[r.off[i]:r.off[i+1]]
 	if len(links) == 0 {
 		r.last[i] = r.rank[i]
 		return
@@ -278,77 +266,91 @@ func (r *Ranker) collectLocked(i int32, d graph.NodeID, out [][]Update) {
 	if share == 0 {
 		return
 	}
-	self := int32(r.id) + 1
-	for _, t := range links {
-		slot := self
-		if w := r.route[t]; w < 0 {
-			slot = ^w
-		}
-		out[slot] = append(out[slot], Update{Doc: t, Delta: share})
+	for _, to := range links {
+		out[to.box] = append(out[to.box], Update{Doc: to.doc, Delta: share})
 	}
 }
 
 // ForwardOut sorts updates a fold refused by their documents' current
 // owners, in an outbox of its own; documents held by now (adopted
 // between fold and forward) land in this peer's own slot. Updates with
-// no resolvable owner — nobody's, or this peer's by a transiently
-// inconsistent table but without a row — are counted in dropped.
+// no resolvable owner — nobody's, or routed to this peer without a row
+// here — are counted in dropped.
 func (r *Ranker) ForwardOut(fwd []Update) (out [][]Update, dropped int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out = make([][]Update, len(r.out))
 	for _, u := range fwd {
-		w := remoteWord(NoPeer)
-		if uint32(u.Doc) < uint32(len(r.route)) {
-			w = r.route[u.Doc]
-		}
-		owner := r.wordOwner(w)
-		if w < 0 && (owner == r.id || owner == NoPeer) {
+		owner := r.ownerLocked(u.Doc)
+		if owner == NoPeer || owner == r.id && r.index.find(u.Doc) < 0 {
 			dropped++
 			continue
+		}
+		for int(owner)+1 >= len(out) {
+			out = append(out, nil)
 		}
 		out[owner+1] = append(out[owner+1], u)
 	}
 	return out, dropped
 }
 
-// OwnerTable returns a snapshot of the routing table, decoded.
-func (r *Ranker) OwnerTable() []PeerID {
+// Owners appends to dst the current owner of each update's document,
+// this peer for a held row, under one lock.
+func (r *Ranker) Owners(us []Update, dst []PeerID) []PeerID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	table := make([]PeerID, len(r.route))
-	for d, w := range r.route {
-		table[d] = r.wordOwner(w)
+	for _, u := range us {
+		dst = append(dst, r.ownerLocked(u.Doc))
 	}
-	return table
+	return dst
 }
 
-// RerouteOwner repoints every routing entry held by from at to,
-// except documents this ranker itself holds. Used when a merged view
-// reveals that a slot's range moved (departed peer with a forwarding
+// RerouteOwner repoints every document routed to from at to, except
+// documents this ranker itself holds. Used when a merged view reveals
+// that a slot's range moved (departed peer with a forwarding
 // successor, or a fenced slot reconciled to a higher-epoch owner).
 func (r *Ranker) RerouteOwner(from, to PeerID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for i := range r.moved {
+		if r.moved[i].owner() == from {
+			r.moved[i].box = int32(to) + 1
+		}
+	}
+	for len(r.curOf) <= int(from)+1 {
+		r.curOf = append(r.curOf, PeerID(len(r.curOf)-1))
+	}
+	for o, now := range r.curOf {
+		if now == from {
+			r.curOf[o] = to
+		}
+	}
 	r.cover(to)
-	for d, w := range r.route {
-		if w == remoteWord(from) {
-			r.route[d] = remoteWord(to)
+	for i, l := range r.links {
+		if l.owner() == from && (from != r.id || r.index.find(l.doc) < 0) {
+			r.links[i].box = int32(to) + 1
 		}
 	}
 }
 
-// SetOwner points the routing table entries for docs at owner. New
-// outbound updates for those documents route to the new owner from
-// the next fold on. Documents this ranker holds keep their rows: rows
-// only ever leave through Shed.
+// SetOwner points docs at owner. New outbound updates for those
+// documents route to the new owner from the next fold on. Documents
+// this ranker holds keep their rows: rows only ever leave through Shed.
 func (r *Ranker) SetOwner(docs []graph.NodeID, owner PeerID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cover(owner)
+	var named []graph.NodeID
 	for _, d := range docs {
-		if uint32(d) < uint32(len(r.route)) && r.route[d] < 0 {
-			r.route[d] = remoteWord(owner)
+		if uint32(d) < uint32(len(r.placement)) && r.index.find(d) < 0 {
+			named = append(named, d)
+		}
+	}
+	r.moveLocked(named, owner)
+	r.cover(owner)
+	idx := newDocIndex(named)
+	for i, l := range r.links {
+		if idx.find(l.doc) >= 0 {
+			r.links[i].box = int32(owner) + 1
 		}
 	}
 }
@@ -357,16 +359,17 @@ func (r *Ranker) SetOwner(docs []graph.NodeID, owner PeerID) {
 // from a handoff snapshot and continue exactly where the previous
 // owner's last fold left them (rank/acc committed, last marking what
 // has already been pushed downstream). Adopted docs are immediately
-// marked self-owned in the routing table.
+// routed to this peer.
 func (r *Ranker) Adopt(docs []graph.NodeID, rank, acc, last []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	adopted := 0.0
+	adopted, n := 0.0, len(r.docs)
+	added := make(map[graph.NodeID]bool)
 	for i, d := range docs {
-		if uint32(d) >= uint32(len(r.route)) || r.route[d] >= 0 {
+		if uint32(d) >= uint32(len(r.placement)) || r.index.find(d) >= 0 || added[d] {
 			continue // already ours (e.g. replayed handoff); keep our state
 		}
-		r.route[d] = int32(len(r.docs))
+		added[d] = true
 		r.docs = append(r.docs, d)
 		r.base = append(r.base, r.baseOf(d))
 		r.rank = append(r.rank, rank[i])
@@ -375,48 +378,53 @@ func (r *Ranker) Adopt(docs []graph.NodeID, rank, acc, last []float64) {
 		r.stamp = append(r.stamp, 0)
 		adopted += rank[i]
 	}
+	if len(r.docs) > n {
+		r.compileLocked(n)
+	}
 	if adopted != 0 {
 		r.mass.Add(adopted)
 	}
 }
 
 // Shed extracts the rows for docs (handing them to a joining peer) and
-// atomically repoints the routing table at newOwner, so an update for
-// a shed document arriving in the very next fold is forwarded rather
-// than folded into state that already left.
+// atomically repoints them at newOwner, so an update for a shed
+// document arriving in the very next fold is forwarded rather than
+// folded into state that already left.
 func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []float64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rank = make([]float64, len(docs))
 	acc = make([]float64, len(docs))
 	last = make([]float64, len(docs))
+	gone := make([]bool, len(r.docs))
 	extracted := 0.0
 	for i, d := range docs {
-		if uint32(d) >= uint32(len(r.route)) || r.route[d] < 0 {
+		j := r.index.find(d)
+		if j < 0 {
 			return nil, nil, nil, fmt.Errorf("p2p: peer %d cannot shed doc %d it does not own", r.id, d)
 		}
-		j := r.route[d]
 		rank[i], acc[i], last[i] = r.rank[j], r.acc[j], r.last[j]
 		extracted += rank[i]
+		gone[j] = true
 	}
-	r.cover(newOwner)
-	for _, d := range docs {
-		r.route[d] = remoteWord(newOwner)
-	}
-	// Close the gaps: a row stays iff the route table still points into
-	// the rows, and is renumbered as it moves down.
-	keep := 0
+	// Close the gaps, out-links and all, renumbering rows as they move
+	// down.
+	keep, links := 0, r.links[:0]
 	for j, d := range r.docs {
-		if r.route[d] < 0 {
+		if gone[j] {
 			continue
 		}
-		r.route[d] = int32(keep)
+		links = append(links, r.links[r.off[j]:r.off[j+1]]...)
 		r.docs[keep], r.base[keep], r.rank[keep], r.acc[keep], r.last[keep] = d, r.base[j], r.rank[j], r.acc[j], r.last[j]
+		r.off[keep+1] = int32(len(links))
 		keep++
 	}
 	r.docs, r.base, r.rank, r.acc, r.last = r.docs[:keep], r.base[:keep], r.rank[:keep], r.acc[:keep], r.last[:keep]
-	r.stamp = r.stamp[:keep]
+	r.off, r.links, r.stamp = r.off[:keep+1], links, r.stamp[:keep]
 	clear(r.stamp)
+	r.moveLocked(docs, newOwner)
+	r.cover(newOwner)
+	r.compileLocked(keep)
 	if extracted != 0 {
 		r.mass.Add(-extracted)
 	}
@@ -464,9 +472,9 @@ func (r *Ranker) Unpushed() (u float64) {
 func (r *Ranker) MassBalance() (folded, shipped float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, d := range r.docs {
+	for i := range r.docs {
 		folded += r.acc[i]
-		if len(r.cur.OutLinks(d)) > 0 {
+		if r.off[i+1] > r.off[i] {
 			shipped += r.damping * r.last[i]
 		}
 	}

@@ -3,6 +3,7 @@ package p2p
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -441,4 +442,112 @@ func BenchmarkRankerRelax(b *testing.B) {
 	for i := 0; i < b.N; i += len(rows) {
 		rk.Relax(math.Inf(1))
 	}
+}
+
+// TestRankerLinksFollowOwners: a push sends each link's share to the
+// outbox its link carries, which the membership setters update in
+// place; after every one of them, every link must still name the owner
+// a lookup of its document gives.
+func TestRankerLinksFollowOwners(t *testing.T) {
+	const docs, peers = 200, 5
+	r := rng.New(5)
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 5))
+	docPeer := make([]PeerID, docs)
+	var own []graph.NodeID
+	for d := range docPeer {
+		if docPeer[d] = PeerID(r.Intn(peers)); docPeer[d] == 0 {
+			own = append(own, graph.NodeID(d))
+		}
+	}
+	rk := NewRanker(0, g, own, docPeer, nil, 0.85, 1e-3, 1e-3, false, telemetry.NewRegistry().Gauge("mass"))
+	some := func() []graph.NodeID {
+		ds := make([]graph.NodeID, 1+r.Intn(20))
+		for i := range ds {
+			ds[i] = graph.NodeID(r.Intn(docs))
+		}
+		return ds
+	}
+	for step := 0; step < 500; step++ {
+		switch r.Intn(4) {
+		case 0:
+			rk.SetOwner(some(), PeerID(r.Intn(peers+2)))
+		case 1:
+			rk.RerouteOwner(PeerID(r.Intn(peers+2)), PeerID(r.Intn(peers+2)))
+		case 2:
+			ds := some()
+			rk.Adopt(ds, make([]float64, len(ds)), make([]float64, len(ds)), make([]float64, len(ds)))
+		default:
+			held, _ := rk.Ranks()
+			if len(held) > 0 {
+				if _, _, _, err := rk.Shed(held[:1+r.Intn(min(len(held), 10))], PeerID(r.Intn(peers+2))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, l := range rk.links {
+			if want := rk.ownerLocked(l.doc); l.owner() != want {
+				t.Fatalf("step %d: link %d to doc %d goes to peer %d, its owner is %d", step, i, l.doc, l.owner(), want)
+			}
+		}
+	}
+}
+
+// TestRankerSizedByRowsNotDocs: a ranker holding a thousand rows of a
+// graph of 2^20 documents keeps what its rows need and nothing sized by
+// the graph — a word per document alone would be 4 MB.
+func TestRankerSizedByRowsNotDocs(t *testing.T) {
+	const docs, stride = 1 << 20, 1 << 10
+	g := graph.Cycle(docs)
+	docPeer := make([]PeerID, docs)
+	var own []graph.NodeID
+	for d := range docPeer {
+		if d%stride == 0 {
+			own = append(own, graph.NodeID(d))
+		} else {
+			docPeer[d] = PeerID(1 + d%7)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rk := NewRanker(0, g, own, docPeer, nil, 0.85, 1e-3, 1e-3, false, telemetry.NewRegistry().Gauge("mass"))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept >= 1<<20 {
+		t.Fatalf("a ranker of %d rows over %d documents keeps %d bytes, want under 1 MB", len(own), docs, kept)
+	}
+	sent := 0
+	for _, us := range rk.InitialOut() {
+		sent += len(us)
+	}
+	if sent != len(own) {
+		t.Fatalf("initial push sent %d updates, want one per row", sent)
+	}
+	runtime.KeepAlive(rk)
+	runtime.KeepAlive(docPeer) // the driver's, live on both sides of the measurement
+}
+
+// BenchmarkRankerBuild is what NewRanker costs per out-link of the rows
+// it compiles: one peer's shard of a 500k-document graph placed at
+// random on 32 peers, as wire.NewCluster builds each of its peers.
+func BenchmarkRankerBuild(b *testing.B) {
+	const docs, peers, self = 500000, 32, 3
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 42))
+	r := rng.New(42)
+	docPeer := make([]PeerID, docs)
+	var own []graph.NodeID
+	edges := 0
+	for d := range docPeer {
+		if docPeer[d] = PeerID(r.Intn(peers)); docPeer[d] == self {
+			own = append(own, graph.NodeID(d))
+			edges += len(g.OutLinks(graph.NodeID(d)))
+		}
+	}
+	mass := telemetry.NewRegistry().Gauge("mass")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewRanker(self, g, own, docPeer, nil, 0.85, 1e-3, 1e-3, false, mass)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edges), "ns/edge")
 }

@@ -45,6 +45,10 @@ type Cluster struct {
 	g   *graph.Graph
 	cfg ClusterConfig
 
+	// docPeer is every document's owner. Each peer's ranker keeps the
+	// table it was built with and reads it without a lock, so a
+	// membership change replaces the table (setOwnersLocked) rather than
+	// writing into one a peer may be reading.
 	docPeer []p2p.PeerID
 	ring    *dht.Ring
 
@@ -455,9 +459,7 @@ func (c *Cluster) leaveLocked(i int) error {
 	// The slot holds no rows anymore: zero its rank-mass gauge or the
 	// merged cluster gauge would double-count the migrated mass.
 	s.reg.Gauge("wire_rank_mass").Set(0)
-	for _, d := range snap.Docs {
-		c.docPeer[d] = p2p.PeerID(j)
-	}
+	c.setOwnersLocked(snap.Docs, p2p.PeerID(j))
 	to.docs = append(to.docs, snap.Docs...)
 	s.docs, s.snap = nil, nil
 	s.left, s.fenced, s.forward = true, false, p2p.PeerID(j)
@@ -526,9 +528,7 @@ func (c *Cluster) Join() (int, error) {
 		from.docs = removeDocs(from.docs, od)
 		from.epoch++
 	}
-	for _, d := range snap.Docs {
-		c.docPeer[d] = p2p.PeerID(i)
-	}
+	c.setOwnersLocked(snap.Docs, p2p.PeerID(i))
 	s := &c.slots[i]
 	s.docs = snap.Docs
 	p, err := RestorePeer(c.peerConfig(i), snap)
@@ -545,6 +545,14 @@ func (c *Cluster) Join() (int, error) {
 		c.startDetectorLocked(i)
 	}
 	return i, nil
+}
+
+// setOwnersLocked gives docs to owner in a copy of the placement.
+func (c *Cluster) setOwnersLocked(docs []graph.NodeID, owner p2p.PeerID) {
+	c.docPeer = slices.Clone(c.docPeer)
+	for _, d := range docs {
+		c.docPeer[d] = owner
+	}
 }
 
 // slotOf resolves a ring node back to its cluster slot.

@@ -379,3 +379,47 @@ func TestChaosMembershipJoinLeave(t *testing.T) {
 	t.Logf("membership chaos: %d msgs, %d migrated docs, %d forwarded, %d leaves, %d joins, faults %+v",
 		res.Messages, res.Migrated, res.Forwarded, res.Leaves, res.Joins, ft.Stats())
 }
+
+// TestMembershipJoinLeaveWhileForwarding joins and removes peers over
+// and over while the cluster computes, so updates keep racing the
+// migrations and get forwarded, and every peer keeps resolving owners
+// while the cluster rewrites its placement: under -race a peer that
+// read the cluster's live table would be caught here. Nothing may be
+// lost, and the ranks must still be the centralized ones.
+func TestMembershipJoinLeaveWhileForwarding(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(3000, 47))
+	c, err := NewCluster(g, ClusterConfig{Peers: 6, Epsilon: 1e-7, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resCh := runAsync(c, 120*time.Second)
+	for k := 0; k < 4; k++ {
+		time.Sleep(5 * time.Millisecond)
+		if _, err := c.Join(); err != nil {
+			t.Fatalf("join %d: %v", k, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if err := c.Leave(k); err != nil {
+			t.Fatalf("leave %d: %v", k, err)
+		}
+	}
+	out := <-resCh
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	res := out.res
+	assertRanksMatch(t, g, res.Ranks, 1e-3)
+	assertNoMassLost(t, res)
+	if res.Joins != 4 || res.Leaves != 4 {
+		t.Fatalf("%d joins and %d leaves, want 4 of each", res.Joins, res.Leaves)
+	}
+	if res.Misdropped != 0 {
+		t.Fatalf("%d updates lost to unresolved ownership", res.Misdropped)
+	}
+	if res.Forwarded == 0 {
+		t.Fatal("no update raced a migration: the test exercised no forwarding")
+	}
+	t.Logf("%d migrated docs, %d forwarded updates, %d msgs", res.Migrated, res.Forwarded, res.Messages)
+}

@@ -66,7 +66,7 @@ const (
 type PeerConfig struct {
 	ID      p2p.PeerID
 	Graph   *graph.Graph // shared, read-only
-	DocPeer []p2p.PeerID // doc -> owning peer (copied; mutable per peer)
+	DocPeer []p2p.PeerID // doc -> owning peer; kept by the ranker, so never written afterwards (p2p.NewRanker)
 	Docs    []graph.NodeID
 	Damping float64 // 0 means 0.85
 	Epsilon float64 // 0 means 1e-3
@@ -902,7 +902,7 @@ func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 	p.wakeSenders()
 }
 
-// reroute re-homes updates by the current owner table: us — a nacked
+// reroute re-homes updates by their documents' current owners: us — a nacked
 // frame's, which the receiver never folded — and, with queued set,
 // everything parked in the retry queue as well, which is how updates
 // parked for a departed peer chase its documents. Nothing is re-counted
@@ -913,16 +913,13 @@ func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 // no resolvable owner, go through the inbox, where handle folds or
 // forwards them.
 func (p *Peer) reroute(us []p2p.Update, queued bool) {
-	table := p.rk.OwnerTable()
 	var selfUs []p2p.Update
+	var owners []p2p.PeerID
 	merged := 0
 	place := func(us []p2p.Update) {
-		for _, u := range us {
-			owner := p2p.NoPeer
-			if int(u.Doc) < len(table) {
-				owner = table[u.Doc]
-			}
-			if owner == p.cfg.ID || owner == p2p.NoPeer {
+		owners = p.rk.Owners(us, owners[:0])
+		for i, u := range us {
+			if owner := owners[i]; owner == p.cfg.ID || owner == p2p.NoPeer {
 				selfUs = append(selfUs, u)
 			} else if p.rq.DeferMerge(owner, u) {
 				merged++

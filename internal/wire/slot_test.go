@@ -347,7 +347,11 @@ func TestForwardChainResolvesOnce(t *testing.T) {
 	}
 	defer p.Close()
 	p.mergeView(v)
-	if got, want := p.rk.OwnerTable(), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
+	all := make([]p2p.Update, 8)
+	for d := range all {
+		all[d].Doc = graph.NodeID(d)
+	}
+	if got, want := p.rk.Owners(all, nil), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
 		t.Errorf("owner table after the merge %v, want %v", got, want)
 	}
 	for _, slot := range []p2p.PeerID{0, 1} {
