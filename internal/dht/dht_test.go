@@ -90,6 +90,9 @@ func TestSingletonRing(t *testing.T) {
 	if owner != n || hops != 0 {
 		t.Fatalf("singleton lookup: owner=%v hops=%d", owner, hops)
 	}
+	if !n.Owns(12345) {
+		t.Fatal("singleton does not own the whole ring")
+	}
 }
 
 func TestLookupMatchesOracle(t *testing.T) {
@@ -102,8 +105,14 @@ func TestLookupMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := r.Owner(k); owner != want {
+		want := r.Owner(k)
+		if owner != want {
 			t.Fatalf("lookup(%016x) = %s, oracle says %s", uint64(k), owner.name, want.name)
+		}
+		for _, n := range r.Nodes() {
+			if n.Owns(k) != (n == want) {
+				t.Fatalf("%s.Owns(%016x) = %v, oracle owner %s", n.name, uint64(k), n.Owns(k), want.name)
+			}
 		}
 	}
 }

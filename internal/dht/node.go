@@ -19,8 +19,9 @@ type Node struct {
 	fingers [fingerBits]*Node
 	alive   bool
 
-	// keys maps document GUID ring positions to opaque values (the
-	// pagerank layer stores document references here).
+	// keys maps ring positions to the opaque values Put and PlaceKey
+	// stored here; LeaveGraceful and a join's transfer move them with
+	// membership.
 	keys map[ID]interface{}
 }
 
@@ -43,16 +44,10 @@ func (n *Node) Successor() *Node {
 	return nil
 }
 
-// NumKeys reports how many keys this node stores.
-func (n *Node) NumKeys() int { return len(n.keys) }
-
-// EachKey visits every key/value pair stored at this node. Iteration
-// order is unspecified; callers needing determinism must sort.
-func (n *Node) EachKey(visit func(ID, interface{})) {
-	for k, v := range n.keys {
-		visit(k, v)
-	}
-}
+// Owns reports whether key k lies in the live node's range (pred, id]:
+// the keys it owns, and so the ones it took from its successor when it
+// joined.
+func (n *Node) Owns(k ID) bool { return between(k, n.pred.id, n.id) }
 
 // closestPrecedingNode returns the live finger (or successor) whose id
 // most closely precedes k, the Chord routing step.

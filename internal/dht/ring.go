@@ -173,12 +173,10 @@ func (r *Ring) Lookup(k ID, start *Node) (*Node, int, error) {
 }
 
 // PlaceKey stores value under key k at a specific live node, even when
-// that node is not the key's canonical owner. The wire cluster uses it
-// to mirror the paper's random document placement onto the ring: docs
-// start wherever the placement seed put them, and from then on key
-// ownership moves with membership — LeaveGraceful hands a departing
-// node's keys to its successor, and AddPeer's transferKeysOnJoin pulls
-// the new node's canonical range from its successor.
+// that node is not the key's canonical owner, as a random placement
+// does; from then on the key moves with membership — LeaveGraceful
+// hands a departing node's keys to its successor, and AddPeer's
+// transferKeysOnJoin pulls the new node's range from its successor.
 func (r *Ring) PlaceKey(n *Node, k ID, v interface{}) error {
 	if err := r.checkLive(n); err != nil {
 		return err

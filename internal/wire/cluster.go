@@ -26,21 +26,22 @@ import (
 // single update.
 //
 // Membership is live (paper section 3.1): a Chord ring (internal/dht)
-// is the membership oracle, each document's GUID is a ring key placed
-// at its owner, and ownership moves with the ring. Leave permanently
-// removes a peer — its document range, duplicate-suppression tables
-// and outbound queues migrate to its ring successor, and every live
-// peer's routing and address tables are repushed so in-flight and
-// parked updates chase the documents to their new owner. Join adds a
-// fresh peer that takes over its canonical key range from its
-// successor. Failure detection is partition-tolerant: every live slot
-// runs its own heartbeat vantage (ClusterConfig.Heartbeat), suspicions
-// gossip on the ping/pong exchange, and an unresponsive peer is only
-// removed once a majority of live peers concurs — a minority side of a
-// network split refuses to evict the majority, parks its updates, and
-// reconciles through an anti-entropy view exchange when the partition
-// heals. Every ownership transfer bumps a per-range epoch so frames
-// stamped under a stale view are rejected instead of folded twice.
+// is the membership oracle — it holds the peers, not the documents —
+// and ownership moves with it. Leave permanently removes a peer — its
+// document range, duplicate-suppression tables and outbound queues
+// migrate to its ring successor, and every live peer's routing and
+// address tables are repushed so in-flight and parked updates chase
+// the documents to their new owner. Join adds a fresh peer that takes
+// over its key range from its successor: the successor's documents
+// whose GUID lies in the joiner's range. Failure detection is
+// partition-tolerant: every live slot runs its own heartbeat vantage
+// (ClusterConfig.Heartbeat), suspicions gossip on the ping/pong
+// exchange, and an unresponsive peer is only removed once a majority of
+// live peers concurs — a minority side of a network split refuses to
+// evict the majority, parks its updates, and reconciles through an
+// anti-entropy view exchange when the partition heals. Every ownership
+// transfer bumps a per-range epoch so frames stamped under a stale view
+// are rejected instead of folded twice.
 type Cluster struct {
 	g   *graph.Graph
 	cfg ClusterConfig
@@ -146,9 +147,8 @@ type ClusterConfig struct {
 }
 
 // NewCluster starts cfg.Peers TCP peers and distributes g's documents
-// among them uniformly at random. Each document's GUID is also placed
-// on the membership ring at its owner, so ownership can migrate with
-// ring membership from then on.
+// among them uniformly at random. The placement lives in docPeer and
+// the slots' document lists only; the ring decides where it moves.
 func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Peers < 1 {
 		return nil, fmt.Errorf("wire: need at least one peer")
@@ -186,13 +186,6 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		pid := r.Intn(cfg.Peers)
 		c.docPeer[d] = p2p.PeerID(pid)
 		c.slots[pid].docs = append(c.slots[pid].docs, graph.NodeID(d))
-	}
-	// A loop of its own: interleaved with the appends above, the ring's
-	// map growth costs NewCluster 6 % on the 500k-document benchmark.
-	for d, pid := range c.docPeer {
-		if err := c.ring.PlaceKey(c.slots[pid].node, docKey(graph.NodeID(d)), graph.NodeID(d)); err != nil {
-			return nil, err
-		}
 	}
 	for i := range c.slots {
 		peer, err := NewPeer(c.peerConfig(i))
@@ -475,57 +468,53 @@ func (c *Cluster) leaveLocked(i int) error {
 	return nil
 }
 
-// Join adds a fresh peer: a new ring node takes over its canonical key
-// range from its successor, the matching ranker rows are shed (from
-// the live successor, or surgically from its checkpoint if crashed),
-// and the new peer starts computing at the handed-over state while
-// every live peer's routing and address tables are repushed. Returns
-// the new slot index.
+// Join adds a fresh peer: a new ring node takes over its key range
+// from its successor — the successor's documents whose docKey lies in
+// it — the matching ranker rows are shed (from the live successor, or
+// surgically from its checkpoint if crashed), and the new peer starts
+// computing at the handed-over state while every live peer's routing
+// and address tables are repushed. Returns the new slot index.
 func (c *Cluster) Join() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A joining slot's range is born from a transfer, so its epoch
-	// starts at 1; the shedding owners bump below as their ranges
-	// shrink.
+	// starts at 1; the successor's bumps below as its range shrinks.
 	i, err := c.addSlotLocked(1)
 	if err != nil {
 		return -1, err
 	}
-	// The ring moved the keys in (pred, node] from the successor; those
-	// are exactly the documents the new peer takes over.
-	var docs []graph.NodeID
-	c.slots[i].node.EachKey(func(_ dht.ID, v interface{}) {
-		docs = append(docs, v.(graph.NodeID))
-	})
-	slices.Sort(docs)
-	// Group by current owner (a single slot in practice — the keys all
-	// came from the ring successor — but ownership is re-read from the
-	// table so the code has no hidden single-source assumption).
-	byOwner := make(map[p2p.PeerID][]graph.NodeID)
-	for _, d := range docs {
-		byOwner[c.docPeer[d]] = append(byOwner[c.docPeer[d]], d)
+	// The range (pred, node] was the successor's, so the new peer takes
+	// exactly the successor's documents that hash into it; the successor
+	// keeps the rest in their order.
+	node := c.slots[i].node
+	j := c.slotOf(node.Successor())
+	if j < 0 {
+		return -1, fmt.Errorf("wire: joining peer %d has no live successor", i)
 	}
+	from := &c.slots[j]
 	snap := &PeerSnapshot{ID: p2p.PeerID(i)}
-	for owner, od := range byOwner {
-		from := &c.slots[owner]
-		var rank, acc, last []float64
-		var err error
+	kept := make([]graph.NodeID, 0, len(from.docs))
+	for _, d := range from.docs {
+		if node.Owns(docKey(d)) {
+			snap.Docs = append(snap.Docs, d)
+		} else {
+			kept = append(kept, d)
+		}
+	}
+	slices.Sort(snap.Docs)
+	if len(snap.Docs) > 0 {
 		switch {
 		case from.peer != nil:
-			rank, acc, last, err = from.peer.Shed(od, p2p.PeerID(i))
+			snap.Rank, snap.Acc, snap.Last, err = from.peer.Shed(snap.Docs, p2p.PeerID(i))
 		case from.snap != nil:
-			rank, acc, last, err = ShedFromSnapshot(from.snap, od)
+			snap.Rank, snap.Acc, snap.Last, err = ShedFromSnapshot(from.snap, snap.Docs)
 		default:
-			err = fmt.Errorf("wire: owner %d of joining range has no state", owner)
+			err = fmt.Errorf("wire: successor %d of joining peer %d has no state", j, i)
 		}
 		if err != nil {
 			return -1, err
 		}
-		snap.Docs = append(snap.Docs, od...)
-		snap.Rank = append(snap.Rank, rank...)
-		snap.Acc = append(snap.Acc, acc...)
-		snap.Last = append(snap.Last, last...)
-		from.docs = removeDocs(from.docs, od)
+		from.docs = kept
 		from.epoch++
 	}
 	c.setOwnersLocked(snap.Docs, p2p.PeerID(i))
@@ -664,21 +653,6 @@ func (c *Cluster) reconcileFenced(s, from int) {
 	c.trace.Record(telemetry.EvHeal, int32(s), -1, 0, int64(from))
 	c.slots[s].fenced = false
 	c.leaveLocked(s) // best effort; a failed leave re-fences nothing — the detector retries
-}
-
-// removeDocs filters the shed documents out of an ownership list.
-func removeDocs(docs, shed []graph.NodeID) []graph.NodeID {
-	gone := make(map[graph.NodeID]struct{}, len(shed))
-	for _, d := range shed {
-		gone[d] = struct{}{}
-	}
-	keep := docs[:0]
-	for _, d := range docs {
-		if _, ok := gone[d]; !ok {
-			keep = append(keep, d)
-		}
-	}
-	return keep
 }
 
 // stageInflight: Run moves to the next push-threshold stage once

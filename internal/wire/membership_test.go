@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"dpr/internal/dht"
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
 )
@@ -134,9 +137,10 @@ func TestLeaveIntoCrashedSuccessorMergesCheckpoints(t *testing.T) {
 	}
 }
 
-// TestJoinTakesOverKeyRange adds a fresh peer mid-computation: it
-// takes its canonical key range from its ring successor and the run
-// still converges exactly.
+// TestJoinTakesOverKeyRange adds fresh peers mid-computation: each
+// takes exactly its ring range of its successor's documents, the
+// second from a successor that has just inherited a leaver's, and the
+// run still converges exactly.
 func TestJoinTakesOverKeyRange(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 37))
@@ -147,13 +151,20 @@ func TestJoinTakesOverKeyRange(t *testing.T) {
 	defer c.Close()
 	resCh := runAsync(c, 60*time.Second)
 	time.Sleep(10 * time.Millisecond)
-	slot, err := c.Join()
-	if err != nil {
-		t.Fatalf("join: %v", err)
+	joinTakesSuccessorRange(t, c, 4)
+	// The next joiner's ring successor first inherits its predecessor's
+	// documents.
+	c.mu.Lock()
+	next := c.ring.Owner(dht.PeerIDFromName(fmt.Sprintf("peer-%d", len(c.slots))))
+	live := c.ring.Nodes()
+	at := slices.Index(live, next)
+	leaver, heir := c.slotOf(live[(at+len(live)-1)%len(live)]), c.slotOf(next)
+	c.mu.Unlock()
+	if err := c.Leave(leaver); err != nil {
+		t.Fatalf("leave: %v", err)
 	}
-	if slot != 4 {
-		t.Fatalf("join slot = %d, want 4", slot)
-	}
+	t.Logf("slot %d left; its heir %d is the next joiner's successor", leaver, heir)
+	joinTakesSuccessorRange(t, c, 5)
 	out := <-resCh
 	if out.err != nil {
 		t.Fatal(out.err)
@@ -161,13 +172,58 @@ func TestJoinTakesOverKeyRange(t *testing.T) {
 	res := out.res
 	assertRanksMatch(t, g, res.Ranks, 1e-3)
 	assertNoMassLost(t, res)
-	if res.Joins != 1 {
-		t.Fatalf("joins = %d, want 1", res.Joins)
+	if res.Joins != 2 || res.Leaves != 1 {
+		t.Fatalf("joins, leaves = %d, %d, want 2, 1", res.Joins, res.Leaves)
 	}
 	if res.Misdropped != 0 {
 		t.Fatalf("%d updates lost to unresolved ownership", res.Misdropped)
 	}
-	t.Logf("join migrated %d docs; %d forwarded updates", res.Migrated, res.Forwarded)
+	t.Logf("membership migrated %d docs; %d forwarded updates", res.Migrated, res.Forwarded)
+}
+
+// joinTakesSuccessorRange joins a peer as slot want and checks that it
+// took exactly its ring successor's former documents that the ring now
+// assigns to it, and that the successor kept none of them.
+func joinTakesSuccessorRange(t *testing.T, c *Cluster, want int) {
+	t.Helper()
+	c.mu.Lock()
+	before := make([][]graph.NodeID, len(c.slots))
+	for i, s := range c.slots {
+		before[i] = slices.Clone(s.docs)
+	}
+	c.mu.Unlock()
+	i, err := c.Join()
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if i != want {
+		t.Fatalf("join slot = %d, want %d", i, want)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	node := c.slots[i].node
+	succ := c.slotOf(node.Successor())
+	var took []graph.NodeID
+	for _, d := range before[succ] {
+		if c.ring.Owner(docKey(d)) == node {
+			took = append(took, d)
+		}
+	}
+	slices.Sort(took)
+	got := slices.Clone(c.slots[i].docs)
+	slices.Sort(got)
+	if len(took) == 0 || !slices.Equal(got, took) {
+		t.Fatalf("slot %d took %d documents from successor %d, want its %d in range", i, len(got), succ, len(took))
+	}
+	for _, d := range c.slots[succ].docs {
+		if _, found := slices.BinarySearch(took, d); found {
+			t.Fatalf("document %d is at both slot %d and its successor %d", d, i, succ)
+		}
+	}
+	t.Logf("slot %d took %d of successor %d's %d documents", i, len(took), succ, len(before[succ]))
+	if len(c.slots[succ].docs)+len(took) != len(before[succ]) {
+		t.Fatalf("successor %d holds %d documents, want %d", succ, len(c.slots[succ].docs), len(before[succ])-len(took))
+	}
 }
 
 // thresholds reads the cluster's stage of the push-threshold schedule

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -197,6 +198,49 @@ func TestClusterEdgelessGraphTerminates(t *testing.T) {
 			t.Fatalf("rank[%d] = %v, want 0.15", i, r)
 		}
 	}
+}
+
+// TestNewClusterAllocatesPerPeerNotPerDocument: the placement lives in
+// the slots' document lists and the ring holds only the peers, so
+// set-up allocates per peer (listeners, rankers, shards), not per
+// document. Not parallel: no other test's allocations may be counted.
+func TestNewClusterAllocatesPerPeerNotPerDocument(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	const docs = 50_000
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 41))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := NewCluster(g, ClusterConfig{Peers: 4, Seed: 5})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := after.Mallocs - before.Mallocs
+	if n >= docs/10 {
+		t.Fatalf("NewCluster made %d allocations for %d documents on 4 peers, want under %d", n, docs, docs/10)
+	}
+	t.Logf("NewCluster: %d allocations for %d documents", n, docs)
+}
+
+// BenchmarkNewCluster is set-up per document at 100k documents on 8
+// peers: placement, listeners and the rankers' shards. Close is not
+// timed.
+func BenchmarkNewCluster(b *testing.B) {
+	const docs = 100_000
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 43))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := NewCluster(g, ClusterConfig{Peers: 8, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/docs, "ns/doc")
 }
 
 func TestClusterValidation(t *testing.T) {
