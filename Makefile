@@ -38,8 +38,9 @@ test:
 
 # Race-check the concurrent hot paths (pass pipeline, the engine seam,
 # p2p substrate, fault-tolerant wire layer). The 100k engine
-# equivalence sweep and core's refused-checkpoint sweep run on one
-# goroutine and skip themselves under -race; `ci` runs them without.
+# equivalence sweep, core's refused-checkpoint sweep and p2p's
+# retry-queue model test run on one goroutine and skip themselves
+# under -race; `ci` runs them without.
 race:
 	$(GO) test -race ./internal/core ./internal/engine ./internal/p2p ./internal/wire ./internal/telemetry
 
@@ -152,7 +153,7 @@ ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
 		&& $(GO) test -count=1 ./internal/lint \
-		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched' ./internal/engine ./internal/core \
+		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel' ./internal/engine ./internal/core ./internal/p2p \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \

@@ -147,7 +147,8 @@ func TestResidualBoundAtQuiescence(t *testing.T) {
 	}
 	worst := 0.0
 	for _, rk := range timed.rankers {
-		_, rank, _, last := rk.Rows()
+		_, rank := rk.Ranks()
+		_, _, last := rk.Rows()
 		for i := range rank {
 			worst = max(worst, math.Abs(rank[i]-last[i])/math.Abs(rank[i]))
 		}

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dpr/internal/core"
+	"dpr/internal/rng"
 )
 
 // Property suite (testing/quick): randomized graphs, seeds and step
@@ -100,15 +102,24 @@ func TestQuickDiffusionMonotoneResidual(t *testing.T) {
 // interrupting a run at an arbitrary step boundary, snapshotting, and
 // restoring into a FRESH engine must land on bit-identical final ranks
 // versus the uninterrupted run — the restart-safety contract the
-// paper's churn model leans on.
+// paper's churn model leans on. The "-teleport" arm runs the engine
+// with a non-uniform constant term, which a restore must rebuild row by
+// row from the teleport vector, not from 1 − d.
 func TestQuickSnapshotRestartEquivalence(t *testing.T) {
-	for _, name := range []string{"pass", "diffusion"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, arm := range []string{"pass", "diffusion", "diffusion-teleport"} {
+		name, teleport := strings.CutSuffix(arm, "-teleport")
+		t.Run(arm, func(t *testing.T) {
 			prop := func(rawDocs, rawPeers uint16, seed uint64, rawCut uint8) bool {
 				docs := 50 + int(rawDocs)%400
 				peers := 2 + int(rawPeers)%14
 				opt := core.Options{Epsilon: 1e-8}
+				if teleport {
+					r := rng.New(seed)
+					opt.Teleport = make([]float64, docs)
+					for d := range opt.Teleport {
+						opt.Teleport[d] = float64(d%3) * r.Float64()
+					}
+				}
 
 				// Uninterrupted run.
 				cfgA, _ := testCfg(t, docs, peers, seed, opt)

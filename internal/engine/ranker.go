@@ -199,12 +199,12 @@ func (e *rankerEngine) MassBalance() (got, want float64) {
 	return got, want
 }
 
-const rankerSnapMagic = 0x324b525044 // "DPRK2", little-endian
+const rankerSnapMagic = 0x334b525044 // "DPRK3", little-endian
 
 // Snapshot captures the full solver state: eight little-endian words
 // (magic, documents, peers, damping, threshold, step and the two message
-// counters), then per peer its ranker rows and its inbox as p2p row
-// lists. The inbox keeps its order, which is the order it folds in.
+// counters), then per peer its rows (acc, last) and its inbox as p2p
+// row lists. The inbox keeps its order, which is the order it folds in.
 func (e *rankerEngine) Snapshot() ([]byte, error) {
 	var b []byte
 	for _, v := range []uint64{rankerSnapMagic, uint64(e.n), uint64(len(e.rankers)),
@@ -213,8 +213,8 @@ func (e *rankerEngine) Snapshot() ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	for p, rk := range e.rankers {
-		docs, rank, acc, last := rk.Rows()
-		b = p2p.EncodeRows(b, docs, rank, acc, last)
+		docs, acc, last := rk.Rows()
+		b = p2p.EncodeRows(b, docs, acc, last)
 		docs, delta := p2p.SplitUpdates(e.inbox[p])
 		b = p2p.EncodeRows(b, docs, delta)
 	}
@@ -233,7 +233,7 @@ func (e *rankerEngine) Snapshot() ([]byte, error) {
 // than the original would have.
 func (e *rankerEngine) Restore(snap []byte) error {
 	if len(snap) < 64 || binary.LittleEndian.Uint64(snap) != rankerSnapMagic {
-		return fmt.Errorf("engine: not a DPRK2 %s snapshot (it begins %q), or its header is cut short", e.name, snap[:min(len(snap), 5)])
+		return fmt.Errorf("engine: not a DPRK3 %s snapshot (it begins %q), or its header is cut short", e.name, snap[:min(len(snap), 5)])
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(snap[8*i:]) }
 	n, peers, damping, thr := word(1), word(2), math.Float64frombits(word(3)), math.Float64frombits(word(4))
@@ -249,8 +249,8 @@ func (e *rankerEngine) Restore(snap []byte) error {
 	inbox := make([][]p2p.Update, len(e.rankers))
 	pending, b := 0, snap[64:]
 	for p, rk := range e.rankers {
-		held, _, _, _ := rk.Rows()
-		docs, cols, rest, err := p2p.DecodeRows(b, 3)
+		held, _, _ := rk.Rows()
+		docs, cols, rest, err := p2p.DecodeRows(b, 2)
 		if err != nil || !slices.Equal(docs, held) {
 			return fmt.Errorf("engine: snapshot peer %d rows are cut short, corrupt or not that peer's documents", p)
 		}
@@ -272,7 +272,7 @@ func (e *rankerEngine) Restore(snap []byte) error {
 	e.inbox, e.pending, e.thr, e.step = inbox, pending, thr, int(word(5))
 	e.counters = p2p.Counters{InterPeerMsgs: int64(word(6)), IntraPeerMsgs: int64(word(7)), Passes: e.step}
 	for p, rk := range e.rankers {
-		rk.SetRows(rows[p][0], rows[p][1], rows[p][2])
+		rk.SetRows(rows[p][0], rows[p][1])
 		e.deliver(p, rk.Relax(thr))
 	}
 	return nil

@@ -164,8 +164,8 @@ func TestRankerSnapshotRefused(t *testing.T) {
 			if len(ra.inbox[0]) == 0 {
 				t.Fatal("peer 0 has nothing in flight after two steps")
 			}
-			held, rank, acc, last := ra.rankers[0].Rows()
-			at := 8*8 + len(p2p.EncodeRows(nil, held, rank, acc, last)) + len(binary.AppendUvarint(nil, uint64(len(ra.inbox[0]))))
+			held, acc, last := ra.rankers[0].Rows()
+			at := 8*8 + len(p2p.EncodeRows(nil, held, acc, last)) + len(binary.AppendUvarint(nil, uint64(len(ra.inbox[0]))))
 			_, k := binary.Varint(snap[at:])
 			stray := slices.Concat(snap[:at], binary.AppendVarint(nil, docs), snap[at+k:])
 
@@ -183,11 +183,15 @@ func TestRankerSnapshotRefused(t *testing.T) {
 			for cut := range snap {
 				refuse("cut short", b, snap[:cut])
 			}
-			// PR 20's layout: the same header under the magic "DPRK1".
-			dprk1 := slices.Clone(snap)
-			dprk1[4] = '1'
-			if err := b.(Checkpointer).Restore(dprk1); err == nil || !strings.Contains(err.Error(), "DPRK1") {
-				t.Fatalf("DPRK1 image: err %v, want one naming DPRK1", err)
+			// Retired layouts: the same header under the magics "DPRK1"
+			// (PR 20's) and "DPRK2" (rows that still carried a rank column).
+			for _, v := range []byte{'1', '2'} {
+				old := slices.Clone(snap)
+				old[4] = v
+				name := "DPRK" + string(v)
+				if err := b.(Checkpointer).Restore(old); err == nil || !strings.Contains(err.Error(), name) {
+					t.Fatalf("%s image: err %v, want one naming %s", name, err, name)
+				}
 			}
 
 			if err := b.(Checkpointer).Restore(snap); err != nil {

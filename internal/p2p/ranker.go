@@ -52,9 +52,8 @@ type Ranker struct {
 
 	mu sync.Mutex
 	shard
+	// A row is (docs, acc, last); rankLocked recomputes its rank from acc.
 	docs []graph.NodeID // row → document
-	base []float64
-	rank []float64
 	acc  []float64
 	last []float64
 	thr  float64 // push threshold in force, never below epsilon
@@ -120,30 +119,41 @@ func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []P
 		mass:      mass,
 		placement: docPeer,
 		docs:      append([]graph.NodeID(nil), docs...),
-		base:      make([]float64, len(docs)),
-		rank:      make([]float64, len(docs)),
 		acc:       make([]float64, len(docs)),
 		last:      make([]float64, len(docs)),
 		stamp:     make([]uint32, len(docs)),
 		shard:     shard{off: make([]int32, 1, len(docs)+1)},
 	}
 	r.compileLocked(0)
-	total := 0.0
-	for i, d := range docs {
-		r.base[i] = r.baseOf(d)
-		r.rank[i] = r.base[i]
-		total += r.base[i]
-	}
-	r.mass.Set(total)
+	r.rebaseLocked()
 	return r
 }
 
-// baseOf is document d's constant term.
-func (r *Ranker) baseOf(d graph.NodeID) float64 {
-	if r.teleport == nil {
-		return 1 - r.damping
+// rebaseLocked sets the mass gauge to the rows' total rank.
+func (r *Ranker) rebaseLocked() {
+	total := 0.0
+	for i := range r.docs {
+		total += r.rankLocked(int32(i))
 	}
-	return r.teleport[d]
+	r.mass.Set(total)
+}
+
+// rankLocked is row i's rank: the paper's (1 − d) + acc, or its
+// document's teleport term + acc (only then is the document read).
+func (r *Ranker) rankLocked(i int32) float64 {
+	if r.teleport == nil {
+		return 1 - r.damping + r.acc[i]
+	}
+	return r.teleport[r.docs[i]] + r.acc[i]
+}
+
+// UniformRanksInto is RanksInto for rows held outside a ranker: it writes
+// at each document's index in dst the rank a ranker without a teleport
+// vector reports for a row that folded acc.
+func UniformRanksInto(dst []float64, damping float64, docs []graph.NodeID, acc []float64) {
+	for i, d := range docs {
+		dst[d] = 1 - damping + acc[i]
+	}
 }
 
 // InitialOut builds the initial-push batches in an outbox of their
@@ -157,7 +167,7 @@ func (r *Ranker) InitialOut() [][]Update {
 		// A fold that ran before Start has pushed this row already; what
 		// rounding left in its residual waits for the threshold like any other.
 		if r.last[i] == 0 {
-			r.collectLocked(int32(i), out)
+			r.collectLocked(int32(i), r.rankLocked(int32(i)), out)
 		}
 	}
 	r.recomputed += int64(len(r.docs))
@@ -201,17 +211,14 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 	for slot := range r.out {
 		r.out[slot] = reuse(r.out[slot])
 	}
-	massDelta := 0.0
 	for _, i := range dirty {
-		fresh := r.base[i] + r.acc[i]
-		massDelta += fresh - r.rank[i]
-		r.rank[i] = fresh
-		if r.residualLocked(i) > r.thr {
-			r.collectLocked(i, r.out)
+		if rank := r.rankLocked(i); r.residualLocked(i, rank) > r.thr {
+			r.collectLocked(i, rank, r.out)
 		}
 	}
-	if massDelta != 0 {
-		r.mass.Add(massDelta)
+	// A row's base is constant, so the rank mass moves by what folded.
+	if folded != 0 {
+		r.mass.Add(folded)
 	}
 	r.recomputed += int64(len(dirty))
 	r.dirty, r.fwd = dirty, fwd
@@ -219,12 +226,12 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 }
 
 // residualLocked is what the threshold is held against: row i's
-// un-pushed rank change, over the rank unless the test is absolute.
+// un-pushed rank change, over its rank unless the test is absolute.
 //
 //dpr:hotpath
-func (r *Ranker) residualLocked(i int32) float64 {
-	diff := math.Abs(r.rank[i] - r.last[i])
-	if denom := math.Abs(r.rank[i]); !r.absolute && denom != 0 {
+func (r *Ranker) residualLocked(i int32, rank float64) float64 {
+	diff := math.Abs(rank - r.last[i])
+	if denom := math.Abs(rank); !r.absolute && denom != 0 {
 		diff /= denom
 	}
 	return diff
@@ -233,35 +240,35 @@ func (r *Ranker) residualLocked(i int32) float64 {
 // Relax lowers the push threshold to thr — never below ε, never raising
 // it — and sweeps every row, returning in an outbox of its own (as
 // InitialOut does) the pushes of those whose residual is past it. At
-// +Inf it is a plain sweep, for rows out of an older checkpoint.
+// +Inf it is a plain sweep, for rows from a laxer stage.
 func (r *Ranker) Relax(thr float64) [][]Update {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.thr = max(r.epsilon, min(r.thr, thr))
 	out := make([][]Update, len(r.out))
 	for i := range r.docs {
-		if r.residualLocked(int32(i)) > r.thr {
-			r.collectLocked(int32(i), out)
+		if rank := r.rankLocked(int32(i)); r.residualLocked(int32(i), rank) > r.thr {
+			r.collectLocked(int32(i), rank, out)
 		}
 	}
 	return out
 }
 
-// collectLocked batches row i's pending delta per destination, in link
-// order, each link's share rounded to a float32 — half the bytes on a
-// socket — and last advanced by what that emits, so the rounding stays
-// in the residual for a later push and no mass is lost to it
-// (DESIGN.md §4). Caller holds mu; out covers every owner the shard
-// names.
+// collectLocked batches row i's pending delta, rank − last, per
+// destination, in link order, each link's share rounded to a float32 —
+// half the bytes on a socket — and last advanced by what that emits, so
+// the rounding stays in the residual for a later push and no mass is
+// lost to it (DESIGN.md §4). rank is the row's, from rankLocked. Caller
+// holds mu; out covers every owner the shard names.
 //
 //dpr:hotpath
-func (r *Ranker) collectLocked(i int32, out [][]Update) {
+func (r *Ranker) collectLocked(i int32, rank float64, out [][]Update) {
 	links := r.links[r.off[i]:r.off[i+1]]
 	if len(links) == 0 {
-		r.last[i] = r.rank[i]
+		r.last[i] = rank
 		return
 	}
-	share := float64(float32(r.damping * (r.rank[i] - r.last[i]) / float64(len(links))))
+	share := float64(float32(r.damping * (rank - r.last[i]) / float64(len(links))))
 	r.last[i] += share * float64(len(links)) / r.damping
 	if share == 0 {
 		return
@@ -357,10 +364,10 @@ func (r *Ranker) SetOwner(docs []graph.NodeID, owner PeerID) {
 
 // Adopt appends a migrated document range: the rows arrive mid-flight
 // from a handoff snapshot and continue exactly where the previous
-// owner's last fold left them (rank/acc committed, last marking what
-// has already been pushed downstream). Adopted docs are immediately
-// routed to this peer.
-func (r *Ranker) Adopt(docs []graph.NodeID, rank, acc, last []float64) {
+// owner's last fold left them (acc committed, last marking what has
+// already been pushed downstream). Adopted docs are immediately routed
+// to this peer.
+func (r *Ranker) Adopt(docs []graph.NodeID, acc, last []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	adopted, n := 0.0, len(r.docs)
@@ -371,29 +378,24 @@ func (r *Ranker) Adopt(docs []graph.NodeID, rank, acc, last []float64) {
 		}
 		added[d] = true
 		r.docs = append(r.docs, d)
-		r.base = append(r.base, r.baseOf(d))
-		r.rank = append(r.rank, rank[i])
 		r.acc = append(r.acc, acc[i])
 		r.last = append(r.last, last[i])
 		r.stamp = append(r.stamp, 0)
-		adopted += rank[i]
+		adopted += r.rankLocked(int32(len(r.docs) - 1))
 	}
 	if len(r.docs) > n {
 		r.compileLocked(n)
 	}
-	if adopted != 0 {
-		r.mass.Add(adopted)
-	}
+	r.mass.Add(adopted)
 }
 
 // Shed extracts the rows for docs (handing them to a joining peer) and
 // atomically repoints them at newOwner, so an update for a shed
 // document arriving in the very next fold is forwarded rather than
 // folded into state that already left.
-func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []float64, err error) {
+func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (acc, last []float64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rank = make([]float64, len(docs))
 	acc = make([]float64, len(docs))
 	last = make([]float64, len(docs))
 	gone := make([]bool, len(r.docs))
@@ -401,10 +403,10 @@ func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []f
 	for i, d := range docs {
 		j := r.index.find(d)
 		if j < 0 {
-			return nil, nil, nil, fmt.Errorf("p2p: peer %d cannot shed doc %d it does not own", r.id, d)
+			return nil, nil, fmt.Errorf("p2p: peer %d cannot shed doc %d it does not own", r.id, d)
 		}
-		rank[i], acc[i], last[i] = r.rank[j], r.acc[j], r.last[j]
-		extracted += rank[i]
+		acc[i], last[i] = r.acc[j], r.last[j]
+		extracted += r.rankLocked(j)
 		gone[j] = true
 	}
 	// Close the gaps, out-links and all, renumbering rows as they move
@@ -415,20 +417,18 @@ func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []f
 			continue
 		}
 		links = append(links, r.links[r.off[j]:r.off[j+1]]...)
-		r.docs[keep], r.base[keep], r.rank[keep], r.acc[keep], r.last[keep] = d, r.base[j], r.rank[j], r.acc[j], r.last[j]
+		r.docs[keep], r.acc[keep], r.last[keep] = d, r.acc[j], r.last[j]
 		r.off[keep+1] = int32(len(links))
 		keep++
 	}
-	r.docs, r.base, r.rank, r.acc, r.last = r.docs[:keep], r.base[:keep], r.rank[:keep], r.acc[:keep], r.last[:keep]
+	r.docs, r.acc, r.last = r.docs[:keep], r.acc[:keep], r.last[:keep]
 	r.off, r.links, r.stamp = r.off[:keep+1], links, r.stamp[:keep]
 	clear(r.stamp)
 	r.moveLocked(docs, newOwner)
 	r.cover(newOwner)
 	r.compileLocked(keep)
-	if extracted != 0 {
-		r.mass.Add(-extracted)
-	}
-	return rank, acc, last, nil
+	r.mass.Add(-extracted)
+	return acc, last, nil
 }
 
 // Ranks returns copies of the held documents and their ranks, row by
@@ -436,7 +436,11 @@ func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (rank, acc, last []f
 func (r *Ranker) Ranks() ([]graph.NodeID, []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.rank...)
+	ranks := make([]float64, len(r.docs))
+	for i := range ranks {
+		ranks[i] = r.rankLocked(int32(i))
+	}
+	return append([]graph.NodeID(nil), r.docs...), ranks
 }
 
 // RanksInto writes each held document's rank at its index in dst, which
@@ -446,7 +450,7 @@ func (r *Ranker) RanksInto(dst []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, d := range r.docs {
-		dst[d] = r.rank[i]
+		dst[d] = r.rankLocked(int32(i))
 	}
 }
 
@@ -458,8 +462,8 @@ func (r *Ranker) RanksInto(dst []float64) {
 func (r *Ranker) Unpushed() (u float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.rank {
-		u += math.Abs(r.rank[i] - r.last[i])
+	for i := range r.docs {
+		u += math.Abs(r.rankLocked(int32(i)) - r.last[i])
 	}
 	return u
 }
@@ -482,27 +486,22 @@ func (r *Ranker) MassBalance() (folded, shipped float64) {
 }
 
 // Rows copies out the durable state: the held documents and, row by
-// row, their rank, accumulated in-link mass and last-pushed rank.
-func (r *Ranker) Rows() (docs []graph.NodeID, rank, acc, last []float64) {
+// row, their accumulated in-link mass and last-pushed rank. A row's rank
+// is not state: its document and acc give it (Ranks).
+func (r *Ranker) Rows() (docs []graph.NodeID, acc, last []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.rank...),
-		append([]float64(nil), r.acc...), append([]float64(nil), r.last...)
+	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.acc...), append([]float64(nil), r.last...)
 }
 
 // SetRows copies rows saved by Rows back in over the same document
 // set (a checkpoint restore) and re-bases the mass gauge on them.
-func (r *Ranker) SetRows(rank, acc, last []float64) {
+func (r *Ranker) SetRows(acc, last []float64) {
 	r.mu.Lock()
-	copy(r.rank, rank)
+	defer r.mu.Unlock()
 	copy(r.acc, acc)
 	copy(r.last, last)
-	total := 0.0
-	for _, v := range r.rank {
-		total += v
-	}
-	r.mu.Unlock()
-	r.mass.Set(total)
+	r.rebaseLocked()
 }
 
 // EncodeRows appends a row list to dst: a uvarint count, then per row

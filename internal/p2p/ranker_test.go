@@ -22,7 +22,7 @@ type modelRanker struct {
 	absolute     bool
 	thr          float64 // push threshold in force
 	owner        map[graph.NodeID]PeerID
-	row          map[graph.NodeID]*[3]float64 // rank, acc, last
+	row          map[graph.NodeID]*[2]float64 // acc, last
 }
 
 func (m *modelRanker) base(d graph.NodeID) float64 {
@@ -31,6 +31,9 @@ func (m *modelRanker) base(d graph.NodeID) float64 {
 	}
 	return m.teleport[d]
 }
+
+// rank is the paper's recompute: the constant term plus the folded mass.
+func (m *modelRanker) rank(d graph.NodeID) float64 { return m.base(d) + m.row[d][0] }
 
 // dest is where an update for d goes: a held row wins over the table.
 func (m *modelRanker) dest(d graph.NodeID) PeerID {
@@ -46,10 +49,10 @@ func (m *modelRanker) dest(d graph.NodeID) PeerID {
 // push sends document d's un-pushed rank change down its out-links if
 // it is past the threshold: the one test, against the last PUSHED rank.
 func (m *modelRanker) push(d graph.NodeID, out map[PeerID][]Update) {
-	r := m.row[d]
-	diff := math.Abs(r[0] - r[2])
+	rank := m.rank(d)
+	diff := math.Abs(rank - m.row[d][1])
 	if !m.absolute {
-		diff /= cmp.Or(math.Abs(r[0]), 1)
+		diff /= cmp.Or(math.Abs(rank), 1)
 	}
 	if diff > m.thr {
 		m.emit(d, out)
@@ -59,13 +62,13 @@ func (m *modelRanker) push(d graph.NodeID, out map[PeerID][]Update) {
 // emit is the push itself: each link's share as a float32, and only
 // what that emits counted as pushed — the rounding stays un-pushed.
 func (m *modelRanker) emit(d graph.NodeID, out map[PeerID][]Update) {
-	r, links := m.row[d], m.g.OutLinks(d)
+	r, rank, links := m.row[d], m.rank(d), m.g.OutLinks(d)
 	if len(links) == 0 {
-		r[2] = r[0]
+		r[1] = rank
 		return
 	}
-	share := float64(float32(m.damping * (r[0] - r[2]) / float64(len(links))))
-	r[2] += share * float64(len(links)) / m.damping
+	share := float64(float32(m.damping * (rank - r[1]) / float64(len(links))))
+	r[1] += share * float64(len(links)) / m.damping
 	if share == 0 {
 		return // nothing to push, or too little for a float32 to hold
 	}
@@ -84,10 +87,9 @@ func (m *modelRanker) fold(batch []Update) (out map[PeerID][]Update, fwd []Updat
 			continue
 		}
 		touched[u.Doc] = true
-		r[1] += u.Delta
+		r[0] += u.Delta
 	}
 	for d := range touched {
-		m.row[d][0] = m.base(d) + m.row[d][1]
 		m.push(d, out)
 	}
 	return out, fwd
@@ -145,7 +147,7 @@ func TestRankerMatchesMapModel(t *testing.T) {
 		r := rng.New(seed)
 		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
 		m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3, thr: StartThreshold(1e-3), absolute: seed%3 == 0,
-			owner: make(map[graph.NodeID]PeerID), row: make(map[graph.NodeID]*[3]float64)}
+			owner: make(map[graph.NodeID]PeerID), row: make(map[graph.NodeID]*[2]float64)}
 		if seed%2 == 0 {
 			m.teleport = make([]float64, docs)
 			for d := range m.teleport {
@@ -159,7 +161,7 @@ func TestRankerMatchesMapModel(t *testing.T) {
 			m.owner[graph.NodeID(d)] = docPeer[d]
 			if docPeer[d] == self {
 				own = append(own, graph.NodeID(d))
-				m.row[graph.NodeID(d)] = &[3]float64{m.base(graph.NodeID(d)), 0, 0}
+				m.row[graph.NodeID(d)] = &[2]float64{0, 0}
 			}
 		}
 		rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.thr, m.absolute, telemetry.NewRegistry().Gauge("mass"))
@@ -224,19 +226,19 @@ func TestRankerMatchesMapModel(t *testing.T) {
 				}
 			case op < 7: // adopt rows, some of them already held
 				var ds []graph.NodeID
-				var rank, acc, last []float64
+				var acc, last []float64
 				for i := r.Intn(6); i >= 0; i-- {
 					d := graph.NodeID(r.Intn(docs))
 					if slices.Contains(ds, d) {
 						continue
 					}
 					ds = append(ds, d)
-					rank, acc, last = append(rank, r.Float64()), append(acc, r.Float64()), append(last, r.Float64())
+					acc, last = append(acc, r.Float64()), append(last, r.Float64())
 					if m.row[d] == nil {
-						m.row[d] = &[3]float64{rank[len(rank)-1], acc[len(acc)-1], last[len(last)-1]}
+						m.row[d] = &[2]float64{acc[len(acc)-1], last[len(last)-1]}
 					}
 				}
-				rk.Adopt(ds, rank, acc, last)
+				rk.Adopt(ds, acc, last)
 			case op < 8: // shed held rows to a peer the table may never have seen
 				hs := held()
 				if len(hs) == 0 {
@@ -245,18 +247,18 @@ func TestRankerMatchesMapModel(t *testing.T) {
 				r.Shuffle(len(hs), func(i, j int) { hs[i], hs[j] = hs[j], hs[i] })
 				hs = hs[:1+r.Intn(min(len(hs), 5))]
 				to := PeerID(r.Intn(7))
-				rank, acc, last, err := rk.Shed(hs, to)
+				acc, last, err := rk.Shed(hs, to)
 				if err != nil {
 					t.Fatalf("seed %d step %d: shed: %v", seed, step, err)
 				}
 				for i, d := range hs {
-					if row := m.row[d]; rank[i] != row[0] || acc[i] != row[1] || last[i] != row[2] {
-						t.Fatalf("seed %d step %d: shed doc %d as (%v %v %v), model row %v", seed, step, d, rank[i], acc[i], last[i], *row)
+					if row := m.row[d]; acc[i] != row[0] || last[i] != row[1] {
+						t.Fatalf("seed %d step %d: shed doc %d as (%v %v), model row %v", seed, step, d, acc[i], last[i], *row)
 					}
 					delete(m.row, d)
 					m.owner[d] = to
 				}
-				if _, _, _, err := rk.Shed([]graph.NodeID{hs[0]}, to); err == nil {
+				if _, _, err := rk.Shed([]graph.NodeID{hs[0]}, to); err == nil {
 					t.Fatalf("seed %d step %d: shed a row twice", seed, step)
 				}
 			case op < 9: // ownership push: held rows keep their rows
@@ -284,12 +286,13 @@ func TestRankerMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: doc %d routed to %d, model %d", seed, step, d, table[d], m.dest(d))
 				}
 			}
-			ds, rank, acc, last := rk.Rows()
+			ds, acc, last := rk.Rows()
 			if len(ds) != len(m.row) {
 				t.Fatalf("seed %d step %d: %d rows, model %d", seed, step, len(ds), len(m.row))
 			}
+			_, rank := rk.Ranks()
 			for i, d := range ds {
-				if row := m.row[d]; row == nil || rank[i] != row[0] || acc[i] != row[1] || last[i] != row[2] {
+				if row := m.row[d]; row == nil || rank[i] != m.rank(d) || acc[i] != row[0] || last[i] != row[1] {
 					t.Fatalf("seed %d step %d: row of doc %d = (%v %v %v), model %v", seed, step, d, rank[i], acc[i], last[i], row)
 				}
 				mass += rank[i]
@@ -335,7 +338,8 @@ func TestRankerPushConservesMass(t *testing.T) {
 		}
 	}
 	check := func(step int) {
-		_, rank, _, last := rk.Rows()
+		_, rank := rk.Ranks()
+		_, _, last := rk.Rows()
 		for i := range rank {
 			if got := emitted[i]/damping + (rank[i] - last[i]); math.Abs(got-rank[i]) > 1e-15*math.Max(1, math.Abs(rank[i])) {
 				t.Fatalf("step %d row %d: emitted %v/d + residual %v = %v, rank %v (off by %g)",
@@ -371,7 +375,8 @@ func TestInitialOutSkipsRowsAlreadyPushed(t *testing.T) {
 	if len(out[2]) != 3 {
 		t.Fatalf("the early fold pushed %v, want row 0's three links", out[2])
 	}
-	if _, rank, _, last := rk.Rows(); rank[0] == last[0] {
+	_, rank := rk.Ranks()
+	if _, _, last := rk.Rows(); rank[0] == last[0] {
 		t.Fatalf("no remainder after pushing rank %v in float32 thirds: the test needs one", rank[0])
 	}
 	if first := rk.InitialOut()[2]; len(first) != 3 || first[0].Delta != float64(float32(0.85*(1-0.85)/3)) {
@@ -475,11 +480,11 @@ func TestRankerLinksFollowOwners(t *testing.T) {
 			rk.RerouteOwner(PeerID(r.Intn(peers+2)), PeerID(r.Intn(peers+2)))
 		case 2:
 			ds := some()
-			rk.Adopt(ds, make([]float64, len(ds)), make([]float64, len(ds)), make([]float64, len(ds)))
+			rk.Adopt(ds, make([]float64, len(ds)), make([]float64, len(ds)))
 		default:
 			held, _ := rk.Ranks()
 			if len(held) > 0 {
-				if _, _, _, err := rk.Shed(held[:1+r.Intn(min(len(held), 10))], PeerID(r.Intn(peers+2))); err != nil {
+				if _, _, err := rk.Shed(held[:1+r.Intn(min(len(held), 10))], PeerID(r.Intn(peers+2))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -14,9 +14,9 @@ import (
 )
 
 // Peer crash/restart follows internal/core's checkpoint design: the
-// durable state is the per-document ranker triple (rank, accumulator,
-// last-pushed value) as a p2p row list behind a magic/version header,
-// extended with the wire layer's recovery state. Restoring a
+// durable state is the per-document ranker pair (accumulator, last-pushed
+// rank; the rank is recomputed) as a p2p row list behind a magic/version
+// header, extended with the wire layer's recovery state. Restoring a
 // snapshot into a fresh Peer resumes the computation exactly where the
 // crash left it: senders redeliver everything unacknowledged, receivers
 // suppress what was already folded, and the termination counters carry
@@ -51,8 +51,8 @@ const (
 	// wrote it, from Kill to Restart or Leave, so no reader ever meets
 	// an older writer's output; the version is a corruption check and
 	// the hook for a future format, and floor and ceiling coincide.
-	peerSnapVersion    = 9
-	peerSnapMinVersion = 9
+	peerSnapVersion    = 10
+	peerSnapMinVersion = 10
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -61,7 +61,10 @@ type PeerSnapshot struct {
 	Docs []graph.NodeID
 
 	// Ranker state, indexed like Docs.
-	Rank, Acc, Last []float64
+	Acc, Last []float64
+	// Rank is unused. bench/layers.go, edited only as benchmark upkeep,
+	// still sets it; ROADMAP item 11(3) deletes it with that write.
+	Rank []float64
 
 	// LastSeq is the highest folded sequence number per delivery
 	// stream (source peer, original destination).
@@ -116,8 +119,8 @@ type UnackedFrame struct {
 // stopped the peer's goroutines first (stop), so every field is
 // quiescent.
 func (p *Peer) snapshot() *PeerSnapshot {
-	docs, rank, acc, last := p.rk.Rows()
-	s := &PeerSnapshot{ID: p.cfg.ID, Docs: docs, Rank: rank, Acc: acc, Last: last, PeerStats: p.m.stats()}
+	docs, acc, last := p.rk.Rows()
+	s := &PeerSnapshot{ID: p.cfg.ID, Docs: docs, Acc: acc, Last: last, PeerStats: p.m.stats()}
 	for _, vs := range p.view() {
 		s.Epochs = append(s.Epochs, vs.Epoch)
 	}
@@ -201,7 +204,7 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if !slices.Equal(cfg.Docs, snap.Docs) {
 		return nil, fmt.Errorf("wire: snapshot document set does not match config")
 	}
-	if len(snap.Rank) != len(snap.Docs) || len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
+	if len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
 		return nil, fmt.Errorf("wire: snapshot ranker state does not match its document set")
 	}
 	p, err := NewPeer(cfg)
@@ -209,7 +212,7 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 		return nil, err
 	}
 	p.restored = true
-	p.rk.SetRows(snap.Rank, snap.Acc, snap.Last)
+	p.rk.SetRows(snap.Acc, snap.Last)
 	// The config's epoch vector (the cluster's current view) and the
 	// snapshot's (what the peer saw before the crash) can each be ahead
 	// on different slots; mergeTables keeps the higher.
@@ -266,7 +269,6 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 // counters separately, exactly as in the live-adoption path.
 func MergeSnapshot(dst, src *PeerSnapshot) {
 	dst.Docs = append(dst.Docs, src.Docs...)
-	dst.Rank = append(dst.Rank, src.Rank...)
 	dst.Acc = append(dst.Acc, src.Acc...)
 	dst.Last = append(dst.Last, src.Last...)
 	dst.LastSeq = append(dst.LastSeq, src.LastSeq...)
@@ -285,7 +287,7 @@ func MergeSnapshot(dst, src *PeerSnapshot) {
 // them from the snapshot in place. The snapshot's streams and queues
 // stay put: pending updates for shed documents are re-routed when the
 // peer is restored and the cluster pushes the new ownership table.
-func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []float64, err error) {
+func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (acc, last []float64, err error) {
 	at := make(map[graph.NodeID]int, len(s.Docs))
 	for j, d := range s.Docs {
 		at[d] = j
@@ -294,19 +296,19 @@ func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []f
 	for _, d := range docs {
 		j, ok := at[d]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("wire: snapshot of peer %d does not hold doc %d", s.ID, d)
+			return nil, nil, fmt.Errorf("wire: snapshot of peer %d does not hold doc %d", s.ID, d)
 		}
-		rank, acc, last, gone[j] = append(rank, s.Rank[j]), append(acc, s.Acc[j]), append(last, s.Last[j]), true
+		acc, last, gone[j] = append(acc, s.Acc[j]), append(last, s.Last[j]), true
 	}
 	keep := 0
 	for j := range s.Docs {
 		if !gone[j] {
-			s.Docs[keep], s.Rank[keep], s.Acc[keep], s.Last[keep] = s.Docs[j], s.Rank[j], s.Acc[j], s.Last[j]
+			s.Docs[keep], s.Acc[keep], s.Last[keep] = s.Docs[j], s.Acc[j], s.Last[j]
 			keep++
 		}
 	}
-	s.Docs, s.Rank, s.Acc, s.Last = s.Docs[:keep], s.Rank[:keep], s.Acc[:keep], s.Last[:keep]
-	return rank, acc, last, nil
+	s.Docs, s.Acc, s.Last = s.Docs[:keep], s.Acc[:keep], s.Last[:keep]
+	return acc, last, nil
 }
 
 // EncodeSnapshot writes the checkpoint layout: magic, u64 header words
@@ -327,7 +329,7 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		word(sf.word(&s.PeerStats))
 	}
 	word(s.Epochs...)
-	b = p2p.EncodeRows(b, s.Docs, s.Rank, s.Acc, s.Last)
+	b = p2p.EncodeRows(b, s.Docs, s.Acc, s.Last)
 	for _, e := range slices.Concat(s.LastSeq, s.Rejected) {
 		word(uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq)
 	}
@@ -432,8 +434,8 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 	for range sr.fits(nepochs, 8) {
 		s.Epochs = append(s.Epochs, sr.word())
 	}
-	docs, cols := sr.rows(3)
-	s.Docs, s.Rank, s.Acc, s.Last = docs, cols[0], cols[1], cols[2]
+	docs, cols := sr.rows(2)
+	s.Docs, s.Acc, s.Last = docs, cols[0], cols[1]
 	if uint64(len(docs)) != ndocs {
 		sr.fail("header says %d documents, rows hold %d", ndocs, len(docs))
 	}

@@ -159,7 +159,7 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = TCPDialer()
 	}
-	cfg.Epsilon = cmp.Or(cfg.Epsilon, 1e-3)
+	cfg.Epsilon, cfg.Damping = cmp.Or(cfg.Epsilon, 1e-3), cmp.Or(cfg.Damping, 0.85)
 	c := &Cluster{
 		g: g, cfg: cfg, docPeer: make([]p2p.PeerID, g.NumNodes()),
 		ring:   dht.NewRing(),
@@ -505,9 +505,9 @@ func (c *Cluster) Join() (int, error) {
 	if len(snap.Docs) > 0 {
 		switch {
 		case from.peer != nil:
-			snap.Rank, snap.Acc, snap.Last, err = from.peer.Shed(snap.Docs, p2p.PeerID(i))
+			snap.Acc, snap.Last, err = from.peer.Shed(snap.Docs, p2p.PeerID(i))
 		case from.snap != nil:
-			snap.Rank, snap.Acc, snap.Last, err = ShedFromSnapshot(from.snap, snap.Docs)
+			snap.Acc, snap.Last, err = ShedFromSnapshot(from.snap, snap.Docs)
 		default:
 			err = fmt.Errorf("wire: successor %d of joining peer %d has no state", j, i)
 		}
@@ -816,19 +816,14 @@ func (c *Cluster) stats() PeerStats {
 // checkpoint.
 func (c *Cluster) collectAll() []float64 {
 	ranks := make([]float64, c.g.NumNodes())
-	put := func(docs []graph.NodeID, rs []float64) {
-		for j, d := range docs {
-			ranks[d] = rs[j]
-		}
-	}
 	slots, _ := c.table()
 	visit(slots,
 		func(s slot) {
 			if err := collectRanks(c.cfg.Transport, s.addr, ranks); err != nil {
-				put(s.peer.rk.Ranks())
+				s.peer.rk.RanksInto(ranks)
 			}
 		},
-		func(snap *PeerSnapshot) { put(snap.Docs, snap.Rank) })
+		func(snap *PeerSnapshot) { p2p.UniformRanksInto(ranks, c.cfg.Damping, snap.Docs, snap.Acc) })
 	return ranks
 }
 

@@ -19,7 +19,6 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 	return &PeerSnapshot{
 		ID:   1,
 		Docs: []graph.NodeID{0, 2, 5},
-		Rank: []float64{0.15, 1.5, 0.3},
 		Acc:  []float64{0, 0.25, -0.125},
 		Last: []float64{0.15, 1.25, 0.3},
 		LastSeq: []SeqEntry{
@@ -164,9 +163,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(snap.Rank) != len(snap.Docs) || len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
-			t.Fatalf("accepted snapshot with inconsistent ranker state: %d docs, %d/%d/%d values",
-				len(snap.Docs), len(snap.Rank), len(snap.Acc), len(snap.Last))
+		if len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
+			t.Fatalf("accepted snapshot with inconsistent ranker state: %d docs, %d/%d values",
+				len(snap.Docs), len(snap.Acc), len(snap.Last))
 		}
 		var out bytes.Buffer
 		if err := EncodeSnapshot(snap, &out); err != nil {

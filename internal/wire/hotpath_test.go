@@ -98,7 +98,7 @@ func BenchmarkFrameSort(b *testing.B) {
 
 // BenchmarkSnapshotCodec is what a checkpoint costs per row at the size
 // bench/'s checkpoint replay encodes: one peer's 62,500 of 500k
-// documents on 8 peers, the same value as rank, accumulator and last.
+// documents on 8 peers, the same value as accumulator and last.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	const rows = 62_500
 	r := rng.New(25)
@@ -106,7 +106,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	for i := range rows {
 		v := 0.15 + r.Float64()
 		s.Docs = append(s.Docs, graph.NodeID(8*i+r.Intn(8)))
-		s.Rank, s.Acc, s.Last = append(s.Rank, v), append(s.Acc, v), append(s.Last, v)
+		s.Acc, s.Last = append(s.Acc, v), append(s.Last, v)
 	}
 	var buf bytes.Buffer
 	var enc, dec time.Duration

@@ -1002,7 +1002,7 @@ func (p *Peer) Adopt(s *PeerSnapshot) error {
 		return fmt.Errorf("wire: nil handoff")
 	}
 	return p.control(func() {
-		p.rk.Adopt(s.Docs, s.Rank, s.Acc, s.Last)
+		p.rk.Adopt(s.Docs, s.Acc, s.Last)
 		p.mergeTables(s)
 		for _, ob := range s.Outbound {
 			if len(ob.Unacked) > 0 {
@@ -1078,17 +1078,17 @@ func (p *Peer) primeSender(ob OutboundState) {
 // peer) and atomically repoints this peer's routing table at newOwner.
 // The call blocks until the processing loop has applied it, so no fold
 // can touch the extracted rows afterwards.
-func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last []float64, err error) {
+func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (acc, last []float64, err error) {
 	// The loop writes r; it is read only once control says the loop is
 	// done with it.
 	var r struct {
-		rank, acc, last []float64
-		err             error
+		acc, last []float64
+		err       error
 	}
-	if err := p.control(func() { r.rank, r.acc, r.last, r.err = p.rk.Shed(docs, newOwner) }); err != nil {
-		return nil, nil, nil, err
+	if err := p.control(func() { r.acc, r.last, r.err = p.rk.Shed(docs, newOwner) }); err != nil {
+		return nil, nil, err
 	}
-	return r.rank, r.acc, r.last, r.err
+	return r.acc, r.last, r.err
 }
 
 // sender owns the fault-tolerant outbound path of one delivery stream,

@@ -345,7 +345,7 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &cur); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []uint64{3, 4, 5, 6, 7, 8} {
+	for _, version := range []uint64{3, 4, 5, 6, 7, 8, 9} {
 		hdr := append([]byte(nil), cur.Bytes()...)
 		le.PutUint64(hdr[len(peerSnapMagic):], version)
 		_, err := DecodeSnapshot(bytes.NewReader(hdr))
