@@ -148,12 +148,14 @@ loc:
 
 # Full gate: what a CI job should run. internal/lint is static
 # analysis and starts no goroutines: its tests skip themselves under
-# -race and run once here without the detector.
+# -race and run once here without the detector. So do the one-goroutine
+# sweeps: the 100k engine equivalence, core's refused-checkpoint sweep,
+# p2p's retry-queue model and the execution-time seed sweep.
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
 		&& $(GO) test -count=1 ./internal/lint \
-		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel' ./internal/engine ./internal/core ./internal/p2p \
+		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel|ExecTimeValidation' ./internal/engine ./internal/core ./internal/p2p ./internal/experiments \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \
