@@ -711,14 +711,17 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 	}
 
 	res.Ranks = c.collectAll()
+	res.Elapsed = time.Since(start)
+	c.Close()
+	// Counters are read from the registries, which outlive Close, once
+	// nothing can move them: a retransmission of a frame whose ack the
+	// faults dropped after quiescence still counts before Close returns.
 	res.PeerStats = c.stats()
 	res.Joins = c.mJoins.Load()
 	res.Leaves = c.mLeaves.Load()
 	res.Migrated = c.mMigrated.Load()
 	res.EvictionsQuorum = c.mEvictQuorum.Load()
 	res.EvictionsRefused = c.mEvictRefused.Load()
-	res.Elapsed = time.Since(start)
-	c.Close()
 	return res, nil
 }
 
