@@ -33,15 +33,20 @@ func TestBatchEpochCodecAllocations(t *testing.T) {
 
 // frameFixture is a full frame as an 8-peer cluster over 500k documents
 // builds one: 4096 updates for documents of the destination's share, in
-// the order the folds queued them, a tenth of the deltas sums that no
-// longer fit a float32.
+// the order the folds queued them, the deltas bfloat16 shares but for a
+// tenth of float32 shares the ranker's guard kept and a tenth of sums
+// that no longer fit a float32.
 func frameFixture() []p2p.Update {
 	r := rng.New(19)
 	us := make([]p2p.Update, 4096)
 	for i := range us {
-		us[i] = p2p.Update{Doc: graph.NodeID(8*r.Intn(500000/8) + 5), Delta: float64(float32(r.Float64()))}
-		if i%10 == 0 {
-			us[i].Delta += 1e-9
+		f := float32(r.Float64())
+		us[i] = p2p.Update{Doc: graph.NodeID(8*r.Intn(500000/8) + 5), Delta: float64(math.Float32frombits(math.Float32bits(f) &^ 0xffff))}
+		switch i % 10 {
+		case 0:
+			us[i].Delta = float64(f) + 1e-9
+		case 5:
+			us[i].Delta = float64(f)
 		}
 	}
 	return us

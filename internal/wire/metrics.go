@@ -24,7 +24,7 @@ type peerMetrics struct {
 	forwarded     *telemetry.Counter // misrouted updates re-shipped to the current owner
 	misdropped    *telemetry.Counter // updates with no resolvable owner (must stay 0)
 	epochRejected *telemetry.Counter // frames nacked for carrying a stale ownership epoch
-	updatesWide   *telemetry.Counter // framed updates crossing in 8 bytes: mostly coalesced sums
+	updatesWide   *telemetry.Counter // framed updates not sent in 2 bytes: float32 shares past the guard, coalesced sums
 
 	// Occupancy instruments: inboxOccupancy is the inbox depth
 	// observed at each processing batch, unackedFrames the in-flight

@@ -230,7 +230,7 @@ type PeerStats struct {
 	Misdropped    uint64 // updates dropped with no resolvable owner (0 = none)
 	EpochRejected uint64 // frames nacked for carrying a stale ownership epoch
 
-	UpdatesWide uint64 // framed updates whose delta is no float32 and crosses in 8 bytes
+	UpdatesWide uint64 // framed updates whose delta is no bfloat16 and crosses in 4 or 8 bytes
 
 	DeltaShipped float64 // total delta mass shipped
 	DeltaFolded  float64 // total delta mass folded (== shipped when none lost)

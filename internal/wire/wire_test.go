@@ -87,8 +87,8 @@ func TestRanksCodec(t *testing.T) {
 	if !slices.Equal(out, []float64{1.0 / 3, 0, 0.15000000000000002, 2.5}) {
 		t.Fatalf("ranks: %v", out)
 	}
-	// It is the batch payload: one-byte gaps, and 2.5 is a float32.
-	if want := 4 + (1 + 8) + (1 + 8) + (1 + 4); len(b) != want {
+	// It is the batch payload: one-byte gaps, and 2.5 is a bfloat16.
+	if want := 4 + (1 + 8) + (1 + 8) + (1 + 2); len(b) != want {
 		t.Fatalf("3 ranks in %d bytes, want %d", len(b), want)
 	}
 	// Out-of-range doc rejected.
