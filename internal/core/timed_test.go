@@ -86,11 +86,11 @@ func TestTimedEnginePinned(t *testing.T) {
 		rankHash                                    string
 	}{
 		{"plain", Options{Epsilon: 1e-4},
-			56922, 3626, 23203, 2851120, 44387, 17919704051, "8f8a88ff3e1ab334"},
+			58141, 3685, 22742, 2850872, 43522, 17156040496, "162dff53c32d566e"},
 		{"teleport", Options{Epsilon: 1e-4, Teleport: teleport},
-			58116, 3679, 24005, 2931104, 45327, 18489383193, "829ea20bdfdd7698"},
+			59168, 3703, 23766, 2941056, 45266, 18681443457, "4c9b9ad3760eb8b7"},
 		{"absolute", Options{Epsilon: 1e-4, Absolute: true},
-			82623, 5632, 39836, 4532456, 77823, 35046139840, "f0f57555e91a0491"},
+			79294, 5383, 37690, 4315216, 73284, 34251740989, "5ca2e324ed1d43a2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := runTimed(t, g, 17, TimedOptions{Options: tc.opt}, 9)
