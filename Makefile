@@ -100,17 +100,17 @@ bench-pipeline:
 
 # The three per-update stages of the live cluster's rank-update path —
 # ranker fold (and the per-row cost of a threshold-stage sweep, and the
-# per-out-link cost of building a peer's shard, which set-up pays) and
-# retry-queue coalesce + drain (internal/p2p), ordering a frame for the
-# batch codec and the codec itself, with its bytes per update
-# (internal/wire) — with allocation counts, plus the checkpoint codec's
+# per-out-link cost of building a peer's shard, which set-up pays),
+# the retry queue from enqueue to merged and ordered frame, and its
+# radix sort alone (internal/p2p), and the batch codec, with its bytes
+# per update (internal/wire) — with allocation counts, plus the checkpoint codec's
 # bytes and encode/decode ns per row, and NewCluster's set-up ns per
 # document and allocations (100k documents, 8 peers). BENCHTIME=1x is
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkRetryQueueDeferMergeDrainN' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
-	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkFrameSort|BenchmarkSnapshotCodec|BenchmarkNewCluster' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkRetryQueueDeferMergeDrainN|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkSnapshotCodec|BenchmarkNewCluster' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks
 # call over the three access shapes the engines produce: every node

@@ -1,8 +1,8 @@
 package p2p
 
 import (
-	"math"
-	"math/bits"
+	"cmp"
+	"slices"
 
 	"dpr/internal/graph"
 )
@@ -31,37 +31,24 @@ type RetryQueue struct {
 	size    int
 	maxSize int
 	merges  int
+	sorter  // compact's scratch, shared by every destination
 }
 
-// destQueue is one destination's FIFO and its coalescing index: an
-// open-addressed table from document to the absolute position of its
-// queued entry (how many entries were queued for the destination
-// before it, modulo 2^31). Draining advances head and base and never
-// touches the table: a slot is believed only if its position falls in
-// the queued window and the entry there is for the slot's document.
-// Any other slot is the leftover of a drained entry, overwritten when
-// its document is queued again (DESIGN.md §13).
+// destQueue is one destination's queue: us[head:head+sorted] is what
+// is left of the run the last compaction made, one entry a document,
+// ordered by document from from round; behind it, what arrived since,
+// unmerged (DESIGN.md §13).
 type destQueue struct {
-	us        []Update // us[head:] is queued, oldest first
-	head      int
-	base      uint32 // absolute position of us[head]
-	peak      int    // most entries queued at once since last empty
-	slots     []slot // power-of-two length; nil until the first DeferMerge
-	shift     uint8  // 32 - log2(len(slots))
-	used      int    // occupied slots, leftovers included
-	unindexed bool   // Defer appended behind the table's back
+	us     []Update
+	head   int
+	sorted int
+	left   int    // the run's length when the last compaction made it
+	from   uint32 // one past the last document DrainN took
 }
 
-type slot struct {
-	doc graph.NodeID
-	pos uint32 // occupied | absolute position; 0 marks an empty slot
-}
-
-const (
-	occupied = 1 << 31
-	posMask  = occupied - 1
-	minSlots = 16
-)
+// compactFloor is the fewest queued entries at which DeferMerge merges
+// on its own. A variable only so that the model test can reach it.
+var compactFloor = 1 << 14
 
 // NewRetryQueue returns an empty queue.
 func NewRetryQueue() *RetryQueue { return &RetryQueue{} }
@@ -74,114 +61,121 @@ func (q *RetryQueue) queue(dest PeerID) *destQueue {
 	return &q.dests[dest+1]
 }
 
-// push appends u to dq, reclaiming the drained prefix in place when
+// push appends us to dq, reclaiming the drained prefix in place when
 // that avoids growing the storage.
-func (q *RetryQueue) push(dq *destQueue, u Update) {
+func (q *RetryQueue) push(dq *destQueue, us []Update) {
+	if len(us) == 0 {
+		return
+	}
 	if len(dq.us) == 0 {
 		q.active++
-	} else if len(dq.us) == cap(dq.us) && dq.head > len(dq.us)/2 {
+	} else if len(dq.us)+len(us) > cap(dq.us) && dq.head > len(dq.us)/2 {
 		n := copy(dq.us, dq.us[dq.head:])
 		dq.us, dq.head = dq.us[:n], 0
 	}
-	dq.us = append(dq.us, u)
-	if n := len(dq.us) - dq.head; n > dq.peak {
-		dq.peak = n
+	if len(us) == 1 {
+		dq.us = append(dq.us, us[0]) // not worth a memmove call
+	} else {
+		dq.us = append(dq.us, us...)
 	}
-	q.size++
-	if q.size > q.maxSize {
-		q.maxSize = q.size
-	}
+	q.size += len(us)
+	q.maxSize = max(q.maxSize, q.size)
 }
 
-// Defer stores an update for an absent peer.
-func (q *RetryQueue) Defer(dest PeerID, u Update) {
-	dq := q.queue(dest)
-	dq.unindexed = true
-	q.push(dq, u)
-}
+// Defer stores an update for an absent peer. It never merges: Drain
+// hands it back as it went in.
+func (q *RetryQueue) Defer(dest PeerID, u Update) { q.push(q.queue(dest), []Update{u}) }
 
-// DeferMerge stores an update, coalescing it into an already-queued
-// update for the same document by summing deltas. This keeps the
-// queued state bounded by the number of distinct destination documents
-// — the paper's sum-of-out-links argument for sender-side storage —
-// no matter how long the destination peer stays unreachable. Reports
-// whether the update was absorbed into an existing entry.
+// DeferMerge stores updates for dest, to be merged with queued updates
+// for the same document by summing deltas: by the next DrainN, or here
+// once dest's queue reaches twice what the last merge left, and at
+// least compactFloor. Queued state thus stays within max(compactFloor,
+// 2 × the destination's distinct documents) — the paper's
+// sum-of-out-links argument for sender-side storage, doubled — however
+// long the destination peer stays unreachable.
 //
 //dpr:hotpath
-func (q *RetryQueue) DeferMerge(dest PeerID, u Update) bool {
+func (q *RetryQueue) DeferMerge(dest PeerID, us ...Update) {
 	dq := q.queue(dest)
-	if dq.unindexed || 4*dq.used >= 3*len(dq.slots) {
-		//dpr:ignore hotpath-transitive: reindex is the cold path — it runs once per len(slots)/4 appends at most, and allocates only when the queue outgrew its table
-		dq.reindex()
-	}
-	s := dq.find(u.Doc)
-	queued := uint32(len(dq.us) - dq.head)
-	if s.pos == 0 {
-		dq.used++
-	} else if off := (s.pos - dq.base) & posMask; off < queued {
-		if e := &dq.us[dq.head+int(off)]; e.Doc == u.Doc {
-			e.Delta += u.Delta
-			q.merges++
-			return true
-		}
-	}
-	s.doc, s.pos = u.Doc, occupied|(dq.base+queued)&posMask
-	q.push(dq, u)
-	return false
-}
-
-// find returns doc's slot, or the empty slot that ends its probe run.
-// The table is never full: DeferMerge rebuilds it at three quarters.
-func (dq *destQueue) find(doc graph.NodeID) *slot {
-	mask := uint32(len(dq.slots) - 1)
-	for i := uint32(doc) * 2654435761 >> dq.shift; ; i = (i + 1) & mask {
-		if s := &dq.slots[i]; s.pos == 0 || s.doc == doc {
-			return s
-		}
+	q.push(dq, us)
+	if len(dq.us)-dq.head >= max(compactFloor, 2*dq.left) {
+		q.compact(dq)
 	}
 }
 
-// reindex rebuilds the table from the queued entries, growing it
-// until they load it to a half at most. A later entry for a document
-// replaces an earlier one, so DeferMerge folds into the newest.
-func (dq *destQueue) reindex() {
-	queued := dq.us[dq.head:]
-	n := max(len(dq.slots), minSlots)
-	for n < 2*len(queued) {
-		n *= 2
+// compact merges what arrived since the last compaction into what is
+// left of the run it made: a stable radix sort of the arrivals by
+// document, then one pass that takes them from dq.from round, merges
+// them into the run and sums equal documents in queue order, the run's
+// older entry first. So a merged delta is its updates summed left to
+// right in arrival order, bit for bit what summing on arrival gave.
+//
+//dpr:hotpath
+func (q *RetryQueue) compact(dq *destQueue) {
+	run, in := dq.us[dq.head:dq.head+dq.sorted], dq.us[dq.head+dq.sorted:]
+	if len(in) == 0 {
+		return
 	}
-	if n == len(dq.slots) {
-		clear(dq.slots)
+	n := len(run) + len(in)
+	q.tmp = slices.Grow(q.tmp[:0], n)[:n]
+	q.sort(in)
+	out := q.tmp[:0]
+	if len(run) == 0 { // nothing older waits: start over from document 0, in place
+		out, dq.from = in[:0], 0
+	}
+	from := dq.from
+	split, _ := slices.BinarySearchFunc(in, from, byDoc) // in[split:] is at or past from
+	i := 0
+	for pass, part := 0, in[split:]; pass < 2; pass, part = pass+1, in[:split] {
+		for _, u := range part {
+			k := uint32(u.Doc) - from
+			for ; i < len(run) && uint32(run[i].Doc)-from <= k; i++ {
+				out = append(out, run[i])
+			}
+			if m := len(out) - 1; m >= 0 && out[m].Doc == u.Doc {
+				out[m].Delta += u.Delta
+			} else {
+				out = append(out, u)
+			}
+		}
+	}
+	out = append(out, run[i:]...)
+	if len(run) > 0 { // the merge is in the scratch: swap it with the storage
+		dq.us, dq.head, q.tmp = out, 0, dq.us[:cap(dq.us)]
 	} else {
-		dq.slots = make([]slot, n)
-		dq.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+		dq.us = dq.us[:dq.head+len(out)]
 	}
-	dq.used, dq.unindexed = 0, false
-	for i, e := range queued {
-		s := dq.find(e.Doc)
-		if s.pos == 0 {
-			dq.used++
-		}
-		s.doc, s.pos = e.Doc, occupied|(dq.base+uint32(i))&posMask
-	}
+	q.size -= n - len(out)
+	q.merges += n - len(out)
+	dq.sorted, dq.left = len(out), len(out)
 }
 
-// Drain removes and returns all queued updates for dest, typically
-// called when the peer is observed online again. Returns nil when
+// byDoc orders an update against a document id as the wire codec does.
+func byDoc(u Update, doc uint32) int { return cmp.Compare(uint32(u.Doc), doc) }
+
+// Drain removes and returns every update queued for dest as it lies in
+// the queue, unmerged, so a document may repeat and the pass engine,
+// which only Defers, gets back exactly what it queued. Returns nil when
 // nothing is queued. The caller owns the returned slice.
 func (q *RetryQueue) Drain(dest PeerID) []Update {
-	us := q.DrainN(dest, math.MaxInt)
-	if us != nil {
-		q.dests[dest+1].us = nil // hand the storage over with the updates
+	if q.Queued(dest) == 0 {
+		return nil
 	}
-	return us
+	dq := &q.dests[dest+1]
+	out := dq.us[dq.head:]
+	*dq = destQueue{} // hand the storage over with the updates
+	q.size -= len(out)
+	q.active--
+	return out
 }
 
-// DrainN removes and returns at most n queued updates for dest, oldest
-// first, leaving the remainder queued and coalescing. Senders use it
-// to cap the updates in one frame. n <= 0 drains nothing. The returned slice aliases the queue's own
-// storage: it is valid only until the next Defer or DeferMerge, so a
-// caller that keeps the updates copies them first.
+// DrainN merges what is queued for dest and removes and returns at
+// most n updates, one a document and ordered by document, as a frame
+// needs them. Each call resumes after the last document the one before
+// took and wraps past the highest, so a queued update leaves before the
+// calls have gone once round its queue, however much keeps arriving.
+// n <= 0 drains nothing. The returned slice aliases the queue's
+// storage: it is valid only until the next Defer or DeferMerge.
 //
 //dpr:hotpath
 func (q *RetryQueue) DrainN(dest PeerID, n int) []Update {
@@ -189,20 +183,28 @@ func (q *RetryQueue) DrainN(dest PeerID, n int) []Update {
 		return nil
 	}
 	dq := &q.dests[dest+1]
+	q.compact(dq)
+	n = min(n, dq.sorted)
 	out := dq.us[dq.head : dq.head+n : dq.head+n]
-	dq.head += n
-	dq.base += uint32(n)
+	dq.head, dq.sorted, dq.from = dq.head+n, dq.sorted-n, uint32(out[n-1].Doc)+1
+	if first := uint32(out[0].Doc); uint32(out[n-1].Doc) < first {
+		// Wrapped past the highest id: the lower ids go to the front.
+		w := 1
+		for uint32(out[w].Doc) >= first {
+			w++
+		}
+		slices.Reverse(out[:w])
+		slices.Reverse(out[w:])
+		slices.Reverse(out)
+	}
 	q.size -= n
 	if dq.head == len(dq.us) {
-		// Empty: release storage the backlog never filled to an eighth, so
-		// memory follows what is pending, not the largest burst ever seen.
-		if cap(dq.us) > 8*dq.peak {
+		// Empty: release storage the last merge never filled to an eighth,
+		// so memory follows what is pending, not the largest burst ever seen.
+		if cap(dq.us) > 8*dq.left {
 			dq.us = nil
 		}
-		if len(dq.slots) > 16*dq.peak && len(dq.slots) > minSlots {
-			dq.slots, dq.used = nil, 0
-		}
-		dq.us, dq.head, dq.peak = dq.us[:0], 0, 0
+		dq.us, dq.head, dq.left = dq.us[:0], 0, 0
 		q.active--
 	}
 	return out
@@ -275,6 +277,60 @@ func (q *RetryQueue) MaxLen() int { return q.maxSize }
 // Destinations returns the number of peers with queued updates.
 func (q *RetryQueue) Destinations() int { return q.active }
 
-// Merges returns how many updates DeferMerge absorbed into existing
-// entries instead of growing the queue.
+// Merges returns how many queued updates were summed into another
+// entry for the same document.
 func (q *RetryQueue) Merges() int { return q.merges }
+
+// SortUpdates orders us stably by document, as the wire codec does.
+func SortUpdates(us []Update) { (&sorter{tmp: make([]Update, len(us))}).sort(us) }
+
+// sorter is sort's scratch: the second buffer, as long as the longest
+// input, and the digit counts.
+type sorter struct {
+	tmp   []Update
+	count [4][1 << 11]uint32
+}
+
+// sort orders us stably by document, as the wire codec does, in linear
+// time: an LSD radix sort over s.tmp that skips a digit every key
+// shares. Digits are bytes below 8,192 updates, where a frame pays for
+// the counts it clears, and 11 bits from there: two passes for ids
+// under 2²², and evenly spread ids do not land every bucket on the
+// same cache set (DESIGN.md §13).
+//
+//dpr:hotpath
+func (s *sorter) sort(us []Update) {
+	w := uint32(8)
+	if len(us) >= 1<<13 {
+		w = 11 // the fourth digit is then always 0
+	}
+	mask := uint32(1)<<w - 1
+	c := &s.count
+	for d := range c {
+		clear(c[d][:mask+1])
+	}
+	for _, u := range us {
+		k := uint32(u.Doc)
+		c[0][k&mask&2047]++ // & 2047: no bounds check
+		c[1][k>>w&mask&2047]++
+		c[2][k>>(2*w)&mask&2047]++
+		c[3][k>>(3*w)&mask&2047]++
+	}
+	src, dst := us, s.tmp[:len(us)]
+	for d := 0; d < 4 && len(us) > 0; d++ {
+		cd, shift, at := &c[d], w*uint32(d), uint32(0)
+		if cd[uint32(us[0].Doc)>>shift&mask&2047] == uint32(len(us)) {
+			continue
+		}
+		for k, n := range cd[:mask+1] {
+			cd[k], at = at, at+n
+		}
+		for _, u := range src {
+			k := uint32(u.Doc) >> shift & mask & 2047
+			dst[cd[k]] = u
+			cd[k]++
+		}
+		src, dst = dst, src
+	}
+	copy(us, src) // onto itself after an even number of passes
+}

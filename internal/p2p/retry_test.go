@@ -1,7 +1,7 @@
 package p2p
 
 import (
-	"math"
+	"cmp"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -12,172 +12,177 @@ import (
 
 func TestRetryQueueDeferMergeCoalesces(t *testing.T) {
 	q := NewRetryQueue()
-	// Many updates to few documents: the queue must stay bounded by the
-	// number of distinct (dest, doc) pairs, with deltas summed.
+	// Many updates to few documents: they queue as they come, and the
+	// drain merges them to one entry per document, deltas summed.
 	for i := 0; i < 100; i++ {
 		q.DeferMerge(3, Update{Doc: graph.NodeID(i % 4), Delta: 0.5})
 	}
-	if q.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 distinct docs", q.Len())
+	if q.Len() != 100 || q.Merges() != 0 {
+		t.Fatalf("Len = %d, Merges = %d before the drain, want 100 and 0", q.Len(), q.Merges())
 	}
-	if q.MaxLen() != 4 {
-		t.Fatalf("MaxLen = %d, want 4", q.MaxLen())
+	us := q.DrainN(3, 4096)
+	if len(us) != 4 {
+		t.Fatalf("drained %d updates, want 4 distinct docs", len(us))
 	}
 	if q.Merges() != 96 {
 		t.Fatalf("Merges = %d, want 96", q.Merges())
 	}
-	us := q.Drain(3)
-	if len(us) != 4 {
-		t.Fatalf("drained %d updates", len(us))
-	}
-	total := 0.0
-	for _, u := range us {
-		if math.Abs(u.Delta-12.5) > 1e-12 {
-			t.Fatalf("doc %d delta %v, want 12.5", u.Doc, u.Delta)
+	for i, u := range us {
+		if u.Doc != graph.NodeID(i) || u.Delta != 12.5 {
+			t.Fatalf("drained %v, want docs 0..3 in order with 12.5 each", us)
 		}
-		total += u.Delta
-	}
-	if math.Abs(total-50) > 1e-12 {
-		t.Fatalf("total drained delta %v, want 50", total)
 	}
 	if q.Len() != 0 || q.Destinations() != 0 {
 		t.Fatalf("queue not empty after drain: len=%d dests=%d", q.Len(), q.Destinations())
 	}
 }
 
-func TestRetryQueueDeferMergeReportsAbsorption(t *testing.T) {
+// TestRetryQueueDrainHandsOverUnmerged: Drain merges nothing. It hands
+// over the run the last merge left and then what arrived since, as it
+// arrived, and Merges does not move; a document may repeat.
+func TestRetryQueueDrainHandsOverUnmerged(t *testing.T) {
 	q := NewRetryQueue()
-	if q.DeferMerge(1, Update{Doc: 7, Delta: 1}) {
-		t.Fatal("first update reported as merged")
+	q.DeferMerge(1, Update{Doc: 9, Delta: 1}, Update{Doc: 2, Delta: 1}, Update{Doc: 9, Delta: 2}, Update{Doc: 4, Delta: 1})
+	if got := q.DrainN(1, 1); !slices.Equal(got, []Update{{Doc: 2, Delta: 1}}) || q.Merges() != 1 {
+		t.Fatalf("DrainN(1) = %v with %d merges, want doc 2 and 1 merge", got, q.Merges())
 	}
-	if !q.DeferMerge(1, Update{Doc: 7, Delta: 2}) {
-		t.Fatal("second update to same doc not merged")
+	q.Defer(1, Update{Doc: 4, Delta: 5})
+	q.DeferMerge(1, Update{Doc: 1, Delta: 1}, Update{Doc: 4, Delta: 3})
+	want := []Update{{Doc: 4, Delta: 1}, {Doc: 9, Delta: 3}, {Doc: 4, Delta: 5}, {Doc: 1, Delta: 1}, {Doc: 4, Delta: 3}}
+	if got := q.Drain(1); !slices.Equal(got, want) || q.Merges() != 1 {
+		t.Fatalf("Drain = %v with %d merges, want %v and 1", got, q.Merges(), want)
 	}
-	if q.DeferMerge(2, Update{Doc: 7, Delta: 3}) {
-		t.Fatal("same doc, different dest reported as merged")
+	if q.Len() != 0 || q.Destinations() != 0 || q.Drain(1) != nil || q.DrainN(1, 5) != nil {
+		t.Fatal("queue not empty after Drain")
 	}
 }
 
-func TestRetryQueueDeferMergeAfterPlainDefer(t *testing.T) {
-	// Defer appends without indexing; DeferMerge must still coalesce
-	// against those entries after rebuilding its index.
+// TestRetryQueueBoundedUnderStalledDestination: a destination that never
+// drains holds no more than max(compactFloor, 2 × its distinct
+// documents) updates, however many arrive, and loses none.
+func TestRetryQueueBoundedUnderStalledDestination(t *testing.T) {
+	const docs, updates = 1000, 1 << 20
 	q := NewRetryQueue()
-	q.Defer(5, Update{Doc: 1, Delta: 1})
-	q.Defer(5, Update{Doc: 2, Delta: 1})
-	if !q.DeferMerge(5, Update{Doc: 1, Delta: 0.5}) {
-		t.Fatal("did not merge into plain-deferred entry")
+	r := rng.New(41)
+	bound := max(compactFloor, 2*docs)
+	for sent := 0; sent < updates; {
+		batch := make([]Update, min(1+r.Intn(64), updates-sent))
+		for i := range batch {
+			batch[i] = Update{Doc: graph.NodeID(r.Intn(docs)), Delta: 1}
+		}
+		q.DeferMerge(7, batch...)
+		if sent += len(batch); q.Len() > bound {
+			t.Fatalf("%d updates queued after %d sent, bound %d", q.Len(), sent, bound)
+		}
 	}
-	// And Defer after DeferMerge invalidates the index without losing
-	// entries.
-	q.Defer(5, Update{Doc: 3, Delta: 1})
-	if !q.DeferMerge(5, Update{Doc: 3, Delta: 1}) {
-		t.Fatal("did not merge after index invalidation")
+	if q.MaxLen() > bound+63 { // MaxLen also counts a batch before its merge
+		t.Fatalf("MaxLen %d, bound %d", q.MaxLen(), bound)
 	}
-	us := q.Drain(5)
-	if len(us) != 3 {
-		t.Fatalf("drained %d updates, want 3", len(us))
-	}
-	want := map[graph.NodeID]float64{1: 1.5, 2: 1, 3: 2}
+	us := q.DrainN(7, updates)
+	total := 0.0
 	for _, u := range us {
-		if math.Abs(u.Delta-want[u.Doc]) > 1e-12 {
-			t.Fatalf("doc %d delta %v, want %v", u.Doc, u.Delta, want[u.Doc])
+		total += u.Delta
+	}
+	if len(us) > docs || total != updates || q.Merges() != updates-len(us) {
+		t.Fatalf("drained %d entries summing to %v with %d merges, want at most %d summing to %d", len(us), total, q.Merges(), docs, updates)
+	}
+}
+
+// TestRetryQueueDoesNotStarveUnderBacklog: under a standing backlog —
+// every document framed is queued again, and the lowest documents are
+// queued before every frame — each queued document is framed within
+// ⌈queued / frame⌉ frames. A drain that took the lowest documents first
+// would frame those and nothing else.
+func TestRetryQueueDoesNotStarveUnderBacklog(t *testing.T) {
+	const docs, frame = 5000, 512
+	q := NewRetryQueue()
+	since := make([]int, docs) // the frame since which each document has waited
+	for d := range docs {
+		q.DeferMerge(1, Update{Doc: graph.NodeID(d), Delta: 1})
+	}
+	for f := 0; f < 100; f++ {
+		for d := range 64 {
+			q.DeferMerge(1, Update{Doc: graph.NodeID(d), Delta: 1})
+		}
+		within := (q.Len() + frame - 1) / frame
+		took := slices.Clone(q.DrainN(1, frame))
+		if !slices.IsSortedFunc(took, func(a, b Update) int { return cmp.Compare(a.Doc, b.Doc) }) {
+			t.Fatalf("frame %d not ordered by document", f)
+		}
+		for _, u := range took {
+			since[u.Doc] = f + 1
+			q.DeferMerge(1, Update{Doc: u.Doc, Delta: 1})
+		}
+		for d, s := range since {
+			if waited := f + 1 - s; waited >= within {
+				t.Fatalf("after frame %d, doc %d has waited %d frames unframed, want it framed within %d", f, d, waited, within)
+			}
 		}
 	}
 }
 
-func TestRetryQueueDrainNPartial(t *testing.T) {
-	q := NewRetryQueue()
-	for i := 0; i < 5; i++ {
-		q.DeferMerge(3, Update{Doc: graph.NodeID(i), Delta: float64(i)})
-	}
-	got := q.DrainN(3, 2)
-	if len(got) != 2 || got[0].Doc != 0 || got[1].Doc != 1 {
-		t.Fatalf("DrainN(2) = %v, want oldest two docs", got)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d after partial drain, want 3", q.Len())
-	}
-	// The remainder must still coalesce: the index was invalidated by
-	// the shift and has to rebuild against the new positions.
-	if !q.DeferMerge(3, Update{Doc: 4, Delta: 1}) {
-		t.Fatal("did not merge into a remaining entry after partial drain")
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d after merge, want 3", q.Len())
-	}
-	// n past the queue length takes the full-drain path.
-	rest := q.DrainN(3, 10)
-	if len(rest) != 3 {
-		t.Fatalf("DrainN(10) drained %d updates, want 3", len(rest))
-	}
-	want := map[graph.NodeID]float64{2: 2, 3: 3, 4: 5}
-	for _, u := range rest {
-		if math.Abs(u.Delta-want[u.Doc]) > 1e-12 {
-			t.Fatalf("doc %d delta %v, want %v", u.Doc, u.Delta, want[u.Doc])
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after full drain, want 0", q.Len())
-	}
-	if us := q.DrainN(3, 1); us != nil {
-		t.Fatalf("DrainN on empty queue = %v, want nil", us)
-	}
-	q.DeferMerge(3, Update{Doc: 0, Delta: 1})
-	if us := q.DrainN(3, 0); us != nil {
-		t.Fatalf("DrainN(0) = %v, want nil", us)
-	}
-}
-
-func TestRetryQueueDrainResetsIndex(t *testing.T) {
-	q := NewRetryQueue()
-	q.DeferMerge(1, Update{Doc: 4, Delta: 1})
-	q.Drain(1)
-	// A fresh update after a drain must start a new entry, not merge
-	// into a stale index position.
-	if q.DeferMerge(1, Update{Doc: 4, Delta: 2}) {
-		t.Fatal("merged into drained entry")
-	}
-	us := q.Drain(1)
-	if len(us) != 1 || us[0].Delta != 2 {
-		t.Fatalf("post-drain state: %v", us)
-	}
-}
-
-// modelQueue is the reference the RetryQueue is checked against: a
-// slice per destination and a doc->position map that is thrown away
-// and rebuilt whenever positions shift. Slow, and obviously right.
+// modelQueue is the reference the RetryQueue is checked against: per
+// destination, the queued updates as a plain slice, how many at its
+// front are left of the last merge's run and how long that run was, and
+// where the last drain stopped. A merge stable-sorts the whole queue
+// with the library, from document 0 when no run is left, and sums
+// neighbours. Slow, and obviously right.
 type modelQueue struct {
-	pending map[PeerID][]Update
-	merges  int
+	pending      map[PeerID][]Update
+	sorted, left map[PeerID]int
+	from         map[PeerID]uint32
+	merges       int
 }
 
-func (m *modelQueue) deferMerge(dest PeerID, u Update, merge bool) bool {
-	if merge {
-		idx := make(map[graph.NodeID]int)
-		for i, e := range m.pending[dest] {
-			idx[e.Doc] = i // a later entry for the same doc wins
-		}
-		if i, ok := idx[u.Doc]; ok {
-			m.pending[dest][i].Delta += u.Delta
+func (m *modelQueue) deferMerge(dest PeerID, us []Update, merge bool) {
+	m.pending[dest] = append(m.pending[dest], us...)
+	if n := len(m.pending[dest]); merge && n > 0 && n >= max(compactFloor, 2*m.left[dest]) {
+		m.merge(dest)
+	}
+}
+
+func (m *modelQueue) merge(dest PeerID) {
+	if len(m.pending[dest]) == m.sorted[dest] {
+		return // nothing arrived since the last merge
+	}
+	if m.sorted[dest] == 0 {
+		m.from[dest] = 0
+	}
+	from := m.from[dest]
+	us := slices.Clone(m.pending[dest])
+	slices.SortStableFunc(us, func(a, b Update) int { return cmp.Compare(uint32(a.Doc)-from, uint32(b.Doc)-from) })
+	var out []Update
+	for _, u := range us {
+		if n := len(out) - 1; n >= 0 && out[n].Doc == u.Doc {
+			out[n].Delta += u.Delta
 			m.merges++
-			return true
+		} else {
+			out = append(out, u)
 		}
 	}
-	m.pending[dest] = append(m.pending[dest], u)
-	return false
+	m.pending[dest], m.sorted[dest], m.left[dest] = out, len(out), len(out)
 }
 
 func (m *modelQueue) drainN(dest PeerID, n int) []Update {
-	us := m.pending[dest]
-	if n <= 0 || len(us) == 0 {
+	if n = min(n, len(m.pending[dest])); n <= 0 {
 		return nil
 	}
+	m.merge(dest)
+	us := m.pending[dest]
 	n = min(n, len(us))
-	out := append([]Update(nil), us[:n]...)
-	if m.pending[dest] = append([]Update(nil), us[n:]...); n == len(us) {
-		delete(m.pending, dest)
+	m.from[dest] = uint32(us[n-1].Doc) + 1
+	out := slices.Clone(us[:n])
+	slices.SortFunc(out, func(a, b Update) int { return cmp.Compare(uint32(a.Doc), uint32(b.Doc)) })
+	if m.pending[dest], m.sorted[dest] = us[n:], len(us)-n; n == len(us) {
+		m.left[dest] = 0
 	}
 	return out
+}
+
+func (m *modelQueue) drain(dest PeerID) []Update {
+	us := m.pending[dest]
+	m.pending[dest], m.sorted[dest], m.left[dest] = nil, 0, 0
+	return us
 }
 
 func (m *modelQueue) len() (n int) {
@@ -189,61 +194,62 @@ func (m *modelQueue) len() (n int) {
 
 // TestRetryQueueMatchesModel drives the queue and the model through
 // the same random Defer / DeferMerge / DrainN / Drain / reroute
-// sequences and requires the same updates out in the same order, and
-// the same Len, Queued, Merges, Destinations, Dests and Mass after every
-// step.
-// Few destinations and documents keep merges, partial drains, in-place
-// compaction, index rebuilds and storage release all busy.
+// sequences and requires the same updates out in the same order — a
+// merged delta equal bit for bit to the model's sum in arrival order —
+// and the same Len, Queued, Merges, Destinations, Dests and Mass after
+// every step. Few destinations and documents, and a compaction floor
+// lowered to a few entries, keep merges on enqueue and on drain,
+// partial drains that wrap round the documents, in-place reclaiming and
+// storage release all busy.
 func TestRetryQueueMatchesModel(t *testing.T) {
 	if raceDetector {
 		t.Skip("one-goroutine model test skipped under -race; make ci runs it without")
 	}
+	defer func(floor int) { compactFloor = floor }(compactFloor)
 	run := func(seed uint64, steps uint16) bool {
 		r := rng.New(seed)
-		q, m := NewRetryQueue(), &modelQueue{pending: make(map[PeerID][]Update)}
+		compactFloor = 1 + r.Intn(64)
+		q := NewRetryQueue()
+		m := &modelQueue{pending: make(map[PeerID][]Update), sorted: make(map[PeerID]int), left: make(map[PeerID]int), from: make(map[PeerID]uint32)}
 		docs := 1 + r.Intn(200)
-		same := func(got, want []Update) bool {
-			if len(got) != len(want) {
-				return false
+		doc := func() graph.NodeID {
+			if r.Intn(8) == 0 {
+				return graph.NodeID(-1 - r.Intn(3)) // ids past MaxInt32 as the codec's u32
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			return true
+			return graph.NodeID(r.Intn(docs))
 		}
 		for i := 0; i < int(steps)%4000; i++ {
 			dest := PeerID(r.Intn(5) - 1) // NoPeer included
-			u := Update{Doc: graph.NodeID(r.Intn(docs)), Delta: float64(1 + r.Intn(8))}
 			switch op := r.Intn(20); {
 			case op < 1:
+				u := Update{Doc: doc(), Delta: float64(1 + r.Intn(8))}
 				q.Defer(dest, u)
-				m.deferMerge(dest, u, false)
+				m.deferMerge(dest, []Update{u}, false)
 			case op < 15:
-				if q.DeferMerge(dest, u) != m.deferMerge(dest, u, true) {
-					return false
+				us := make([]Update, 1+r.Intn(4))
+				for j := range us {
+					// Deltas that round when summed, so the order of a sum shows.
+					us[j] = Update{Doc: doc(), Delta: 1 / float64(1+r.Intn(9))}
 				}
+				q.DeferMerge(dest, us...)
+				m.deferMerge(dest, us, true)
 			case op < 17:
 				n := r.Intn(40) - 1
-				if !same(q.DrainN(dest, n), m.drainN(dest, n)) {
+				if !slices.Equal(q.DrainN(dest, n), m.drainN(dest, n)) {
 					return false
 				}
 			case op < 18:
-				if !same(q.Drain(dest), m.drainN(dest, 1<<30)) {
+				if !slices.Equal(q.Drain(dest), m.drain(dest)) {
 					return false
 				}
 			default: // reroute, as a peer does after an ownership change
 				to := PeerID(r.Intn(4))
-				got, want := q.Drain(dest), m.drainN(dest, 1<<30)
-				if !same(got, want) {
+				got, want := q.Drain(dest), m.drain(dest)
+				if !slices.Equal(got, want) {
 					return false
 				}
-				for _, e := range got {
-					if q.DeferMerge(to, e) != m.deferMerge(to, e, true) {
-						return false
-					}
-				}
+				q.DeferMerge(to, got...)
+				m.deferMerge(to, want, true)
 			}
 			mass := 0.0
 			var dests []PeerID
@@ -289,9 +295,10 @@ func TestRetryQueueWarmCycleAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkRetryQueueDeferMergeDrainN is the sender-side cost of one
-// update: coalesced in, framed out. The backlog case keeps more queued
-// than one DrainN takes, which is where a drain that copies the
-// remainder and drops the index goes quadratic.
+// update from queue to ordered frame: appended, merged and sorted by
+// the drain, and copied out as the sender's frame. The backlog case
+// keeps more queued than one DrainN takes, which is where a drain that
+// re-sorted the remainder for every frame would go quadratic.
 func BenchmarkRetryQueueDeferMergeDrainN(b *testing.B) {
 	for _, bc := range []struct {
 		name            string
@@ -307,9 +314,50 @@ func BenchmarkRetryQueueDeferMergeDrainN(b *testing.B) {
 					doc += 7
 				}
 				for q.Len() > bc.round/2 { // the backlog case leaves half queued
-					q.DrainN(1, 4096)
+					_ = slices.Clone(q.DrainN(1, 4096))
 				}
 			}
 		})
+	}
+}
+
+// TestSortUpdatesMatchesStableSort holds the radix sort to the library's
+// stable sort on the codec's key, for keys of one to four bytes, runs of
+// equal keys, and frames of every small size.
+func TestSortUpdatesMatchesStableSort(t *testing.T) {
+	r := rng.New(29)
+	byDoc := func(a, b Update) int { return cmp.Compare(uint32(a.Doc), uint32(b.Doc)) }
+	for round := 0; round < 400; round++ {
+		us := make([]Update, []int{0, 1, 2, 3, 17, 300, 5000}[round%7])
+		bits := []int{3, 11, 19, 22, 32}[round%5]
+		for i := range us {
+			us[i] = Update{Doc: graph.NodeID(uint32(r.Uint64()) >> (32 - bits)), Delta: float64(i)} // Delta is the arrival order
+		}
+		if round%3 == 0 {
+			slices.SortStableFunc(us, byDoc) // frames out of a checkpoint arrive sorted
+		}
+		want := slices.Clone(us)
+		slices.SortStableFunc(want, byDoc)
+		if SortUpdates(us); !slices.Equal(us, want) {
+			t.Fatalf("round %d: %d updates of %d-bit documents sorted differently from the stable sort", round, len(us), bits)
+		}
+	}
+}
+
+// BenchmarkFrameSort is what ordering a frame costs per update, the
+// frame's own copy included: 4096 updates for documents of one
+// destination's share of 500k on 8 peers, in the order folds queued
+// them.
+func BenchmarkFrameSort(b *testing.B) {
+	r := rng.New(19)
+	queued := make([]Update, 4096)
+	for i := range queued {
+		queued[i] = Update{Doc: graph.NodeID(8*r.Intn(500000/8) + 5), Delta: r.Float64()}
+	}
+	s := sorter{tmp: make([]Update, len(queued))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(queued) {
+		s.sort(slices.Clone(queued))
 	}
 }

@@ -225,16 +225,10 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 			continue
 		}
 		p.primeSender(ob)
-		for _, u := range ob.Pending {
-			// Two merged checkpoints can queue the same document for
-			// the same destination; an absorbed update is consumed
-			// here, exactly like live coalescing, or the termination
-			// probe could never balance.
-			if p.rq.DeferMerge(ob.Dest, u) {
-				p.m.coalesced.Add(1)
-				p.m.processed.Add(1)
-			}
-		}
+		// Pending may repeat a document (Drain hands the queue over
+		// unmerged); what merges counts as consumed, or the probe never balances.
+		p.rq.DeferMerge(ob.Dest, ob.Pending...)
+		p.countMerges()
 	}
 	// Pending updates only ever leave through a self-stream sender
 	// (adopted streams retransmit their inherited frames but never

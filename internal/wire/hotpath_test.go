@@ -52,19 +52,19 @@ func frameFixture() []p2p.Update {
 	return us
 }
 
-// TestFrameBuildAllocations holds building a frame — the copy out of
-// the retry queue, ordered for the codec — to the copy: the sort's
-// scratch is pooled.
+// TestFrameBuildAllocations holds building a frame — queued, then
+// merged and ordered for the codec by the retry queue's drain, and
+// copied out as the frame — to the copy: the queue keeps its sort
+// scratch.
 func TestFrameBuildAllocations(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool sheds at random under the race detector")
-	}
 	queued := frameFixture()
-	sortUpdates(slices.Clone(queued))
+	q := p2p.NewRetryQueue()
+	q.DeferMerge(1, queued...)
+	q.DrainN(1, batchCap)
 	allocs := testing.AllocsPerRun(20, func() {
-		us := slices.Clone(queued)
-		sortUpdates(us)
-		if !slices.IsSortedFunc(us, func(a, b p2p.Update) int { return cmp.Compare(a.Doc, b.Doc) }) {
+		q.DeferMerge(1, queued...)
+		us := slices.Clone(q.DrainN(1, batchCap))
+		if len(us) == 0 || !slices.IsSortedFunc(us, func(a, b p2p.Update) int { return cmp.Compare(a.Doc, b.Doc) }) {
 			t.Fatal("not sorted")
 		}
 	})
@@ -77,7 +77,7 @@ func TestFrameBuildAllocations(t *testing.T) {
 // into the sender's frame buffer and parsed back out of the reader's.
 func BenchmarkBatchEpochCodec(b *testing.B) {
 	us := frameFixture()
-	sortUpdates(us)
+	p2p.SortUpdates(us)
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -88,17 +88,6 @@ func BenchmarkBatchEpochCodec(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(buf))/float64(len(us)), "B/update")
-}
-
-// BenchmarkFrameSort is what ordering a frame for the codec costs per
-// update, the frame's own copy included.
-func BenchmarkFrameSort(b *testing.B) {
-	queued := frameFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(queued) {
-		sortUpdates(slices.Clone(queued))
-	}
 }
 
 // BenchmarkSnapshotCodec is what a checkpoint costs per row at the size

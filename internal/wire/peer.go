@@ -148,6 +148,7 @@ type Peer struct {
 	senders map[stream]*sender
 	rqMu    sync.Mutex
 	rq      *p2p.RetryQueue
+	merges  int // rq.Merges() when countMerges last ran; guarded by rqMu
 
 	// Inbound connections, tracked so Close can unblock their readers.
 	inMu sync.Mutex
@@ -838,29 +839,29 @@ func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
 	return p.ship(out, false)
 }
 
-// queueRemote coalesces updates into the destination's retry queue
-// and wakes its sender if the stream has no frame in flight; a blocked
-// one frames them once the reply it awaits is in (DESIGN.md §11). An
-// update absorbed by coalescing counts as processed on the spot: its
-// delta mass survives inside the merged entry, so exactly one fold will
-// account for both — this is what keeps the sender's stored state
-// bounded by the destination's distinct documents while the
-// termination probe stays exact.
+// queueRemote queues updates in the destination's retry queue and
+// wakes its sender if the stream has no frame in flight; a blocked one
+// frames them once the reply it awaits is in (DESIGN.md §11).
 func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
-	merged := 0
 	p.rqMu.Lock()
-	for _, u := range us {
-		if p.rq.DeferMerge(dest, u) {
-			merged++
-		}
-	}
+	p.rq.DeferMerge(dest, us...)
+	p.countMerges()
 	p.rqMu.Unlock()
-	if merged > 0 {
-		p.m.coalesced.Add(uint64(merged))
-		p.m.processed.Add(uint64(merged))
-	}
 	if s := p.sender(stream{src: p.cfg.ID, dest: dest}); !s.blocked() {
 		s.wakeUp()
+	}
+}
+
+// countMerges counts the retry queue's merges since its last call as
+// coalesced and processed: a merged delta survives in the entry it
+// joined, so one fold accounts for both. The caller owns the queue
+// (holds rqMu); every DeferMerge and DrainN is followed by one, so a
+// merge counts once.
+func (p *Peer) countMerges() {
+	if n := p.rq.Merges() - p.merges; n > 0 {
+		p.merges += n
+		p.m.coalesced.Add(uint64(n))
+		p.m.processed.Add(uint64(n))
 	}
 }
 
@@ -907,22 +908,21 @@ func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 // everything parked in the retry queue as well, which is how updates
 // parked for a departed peer chase its documents. Nothing is re-counted
 // as sent: the updates' origination was counted when they first
-// shipped. One that merges into an entry already queued for its owner
-// counts as coalesced-and-processed, exactly like a first-time
-// DeferMerge absorption; those for documents this peer holds, or with
+// shipped. Drain hands the queued ones over unmerged, and whatever
+// merges once they are queued again counts as coalesced-and-processed
+// like any other merge; those for documents this peer holds, or with
 // no resolvable owner, go through the inbox, where handle folds or
 // forwards them.
 func (p *Peer) reroute(us []p2p.Update, queued bool) {
 	var selfUs []p2p.Update
 	var owners []p2p.PeerID
-	merged := 0
 	place := func(us []p2p.Update) {
 		owners = p.rk.Owners(us, owners[:0])
 		for i, u := range us {
 			if owner := owners[i]; owner == p.cfg.ID || owner == p2p.NoPeer {
 				selfUs = append(selfUs, u)
-			} else if p.rq.DeferMerge(owner, u) {
-				merged++
+			} else {
+				p.rq.DeferMerge(owner, u)
 			}
 		}
 	}
@@ -934,11 +934,8 @@ func (p *Peer) reroute(us []p2p.Update, queued bool) {
 	}
 	place(us)
 	dests := p.rq.Dests()
+	p.countMerges()
 	p.rqMu.Unlock()
-	if merged > 0 {
-		p.m.coalesced.Add(uint64(merged))
-		p.m.processed.Add(uint64(merged))
-	}
 	// Every destination holding rerouted updates needs a live sender —
 	// the new owner may never have been dialed before.
 	for _, dest := range dests {
@@ -1065,7 +1062,7 @@ func (p *Peer) primeSender(ob OutboundState) {
 	s.nextSeq = ob.NextSeq
 	if len(ob.Unacked) > 0 { // at most one: DecodeSnapshot refuses more
 		uf := ob.Unacked[0]
-		sortUpdates(uf.Updates) // in place: an older writer's frame is in queue order
+		p2p.SortUpdates(uf.Updates) // in place: an older writer's frame is in queue order
 		s.inflight = &frameRec{seq: uf.Seq, epoch: epoch, us: uf.Updates}
 		p.m.unackedFrames.Add(1)
 	}
@@ -1176,12 +1173,10 @@ func (s *sender) loop() {
 }
 
 // nextFrame returns the frame to transmit: the one in flight, else —
-// for streams this peer originates — a fresh frame built from the
-// retry queue's coalesced pending updates, or nil when none are queued.
-// While a frame is out, queued updates stay in the retry queue where
-// DeferMerge coalesces them per document, so sender memory stays
-// bounded by the destination's distinct documents and no delta mass is
-// dropped.
+// for streams this peer originates — a fresh frame of the retry queue's
+// pending updates, merged and ordered by document (DrainN), or nil when
+// none are queued. While a frame is out, updates wait in the retry
+// queue, so no delta mass is dropped.
 func (s *sender) nextFrame() *frameRec {
 	if s.inflight != nil {
 		return s.inflight
@@ -1193,12 +1188,18 @@ func (s *sender) nextFrame() *frameRec {
 	p.rqMu.Lock()
 	// DrainN lends the queue's own storage; the frame keeps a copy.
 	us := slices.Clone(p.rq.DrainN(s.strm.dest, batchCap))
+	p.countMerges()
 	p.rqMu.Unlock()
 	if len(us) == 0 {
 		return nil
 	}
-	// Ordered by document, the ids cross as small gaps (appendUpdates).
-	p.m.updatesWide.Add(uint64(sortUpdates(us)))
+	wide := 0
+	for _, u := range us {
+		if deltaWidth(u.Delta) != 0 {
+			wide++
+		}
+	}
+	p.m.updatesWide.Add(uint64(wide))
 	// Fresh frames are stamped with the sender's current epoch for the
 	// destination key range; a receiver that saw a later ownership
 	// transfer of that range nacks the frame instead of folding it.

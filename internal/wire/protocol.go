@@ -21,7 +21,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -122,7 +121,7 @@ func deltaWidth(d float64) uint64 {
 
 // appendUpdates appends a batch payload: u32 n, then per update the
 // uvarint (doc - previous doc)<<2 | w and the delta in 2<<w bytes, w
-// its deltaWidth. us is ordered by document (sortUpdates).
+// its deltaWidth. us is ordered by document (p2p.SortUpdates).
 //
 //dpr:hotpath
 func appendUpdates(dst []byte, us []p2p.Update) []byte {
@@ -185,57 +184,6 @@ func decodeBatch(b []byte) ([]p2p.Update, error) {
 	return us, nil
 }
 
-// sortScratch is sortUpdates' second buffer and digit counts, pooled for
-// the process: a 32-peer cluster has a thousand streams, few sorting.
-type sortScratch struct {
-	tmp   []p2p.Update
-	count [4][256]uint32
-}
-
-var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
-
-// sortUpdates orders a frame's updates by document (as a u32, like the
-// codec), stably and in linear time: an LSD radix sort on bytes that
-// skips a byte every key shares. Bytes, not wider digits, because the
-// median frame is a few hundred updates and pays for the counts it
-// clears; a comparison sort costs twice what encoding the frame does
-// (DESIGN.md §13). It returns how many of the deltas will cross wide:
-// in more than two bytes.
-func sortUpdates(us []p2p.Update) (wide int) {
-	sc := sortPool.Get().(*sortScratch)
-	defer sortPool.Put(sc)
-	sc.count = [4][256]uint32{}
-	for _, u := range us {
-		k := uint32(u.Doc)
-		sc.count[0][byte(k)]++
-		sc.count[1][byte(k>>8)]++
-		sc.count[2][byte(k>>16)]++
-		sc.count[3][k>>24]++
-		if deltaWidth(u.Delta) != 0 {
-			wide++
-		}
-	}
-	sc.tmp = slices.Grow(reuse(sc.tmp), len(us))[:len(us)]
-	src, dst := us, sc.tmp
-	for d := 0; d < 4 && len(us) > 0; d++ {
-		count, shift, at := &sc.count[d], 8*d, uint32(0)
-		if count[byte(uint32(us[0].Doc)>>shift)] == uint32(len(us)) {
-			continue
-		}
-		for k, n := range count {
-			count[k], at = at, at+n
-		}
-		for _, u := range src {
-			k := byte(uint32(u.Doc) >> shift)
-			dst[count[k]] = u
-			count[k]++
-		}
-		src, dst = dst, src
-	}
-	copy(us, src) // onto itself after an even number of passes
-	return wide
-}
-
 // encodeCredit appends a credit frame's payload to dst: the cumulative
 // ack, which with one frame in flight per stream is all the credit a
 // receiver grants.
@@ -274,7 +222,7 @@ func encodeRanks(docs []graph.NodeID, ranks []float64) []byte {
 	for i, d := range docs {
 		us[i] = p2p.Update{Doc: d, Delta: ranks[i]}
 	}
-	sortUpdates(us)
+	p2p.SortUpdates(us)
 	return appendUpdates(nil, us)
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -144,8 +143,7 @@ func deltaBytes(d float64) int {
 
 // TestBatchCodecIsLossless: whatever the 64 bits of a delta, they come
 // back; a delta crosses in 2 bytes exactly when it is a bfloat16, in 4
-// when it is another float32, and the count sortUpdates reports is of
-// those not in 2. Documents repeat (gap 0), jump, and reach MaxUint32.
+// when it is another float32, and deltaWidth says which are not in 2. Documents repeat (gap 0), jump, and reach MaxUint32.
 func TestBatchCodecIsLossless(t *testing.T) {
 	for _, f := range bfloat16Deltas() {
 		if n := len(appendUpdates(nil, []p2p.Update{{Delta: float64(f)}})); n != 4+1+2 {
@@ -171,13 +169,16 @@ func TestBatchCodecIsLossless(t *testing.T) {
 		us[i] = p2p.Update{Doc: graph.NodeID(doc), Delta: d}
 	}
 	us = append(us, p2p.Update{Doc: -1, Delta: 0.5}, p2p.Update{Doc: -1, Delta: 0.1}, p2p.Update{Doc: 0, Delta: 0.25})
-	wide := sortUpdates(us)
-	size, wantWide := 4, 0
+	p2p.SortUpdates(us)
+	size, wide, wantWide := 4, 0, 0
 	widthCode := map[int]uint64{2: 0, 4: 1, 8: 2}
 	for i, u := range us {
 		gap := uint64(uint32(u.Doc))
 		if i > 0 {
 			gap -= uint64(uint32(us[i-1].Doc))
+		}
+		if deltaWidth(u.Delta) != 0 {
+			wide++
 		}
 		n := deltaBytes(u.Delta)
 		size += len(binary.AppendUvarint(nil, gap<<2|widthCode[n])) + n
@@ -192,38 +193,6 @@ func TestBatchCodecIsLossless(t *testing.T) {
 	got, err := decodeBatch(b)
 	if i := firstChanged(us, got); err != nil || i >= 0 {
 		t.Fatalf("sent %d updates, received %d (%v), the first to differ is %d", len(us), len(got), err, i)
-	}
-}
-
-// TestSortUpdatesMatchesStableSort holds the radix sort to the library's
-// stable sort on the codec's key, for keys of one to four bytes, runs of
-// equal keys, and frames of every small size.
-func TestSortUpdatesMatchesStableSort(t *testing.T) {
-	r := rng.New(29)
-	byDoc := func(a, b p2p.Update) int { return cmp.Compare(uint32(a.Doc), uint32(b.Doc)) }
-	for round := 0; round < 400; round++ {
-		us := make([]p2p.Update, []int{0, 1, 2, 3, 17, 300, 5000}[round%7])
-		bits := []int{3, 11, 19, 22, 32}[round%5]
-		for i := range us {
-			us[i] = p2p.Update{Doc: graph.NodeID(uint32(r.Uint64()) >> (32 - bits)), Delta: float64(i)} // Delta is the arrival order
-		}
-		if round%3 == 0 {
-			slices.SortStableFunc(us, byDoc) // frames out of a checkpoint arrive sorted
-		}
-		want := slices.Clone(us)
-		slices.SortStableFunc(want, byDoc)
-		wantWide := 0
-		for i := range us {
-			if deltaBytes(float64(i)) != 2 {
-				wantWide++
-			}
-		}
-		if wide := sortUpdates(us); !slices.Equal(us, want) || wide != wantWide {
-			t.Fatalf("round %d: %d updates of %d-bit documents sorted differently from the stable sort (%d wide, want %d)", round, len(us), bits, wide, wantWide)
-		}
-	}
-	if len(sortPool.Get().(*sortScratch).tmp) > 5000 {
-		t.Fatal("scratch grew past the largest frame sorted")
 	}
 }
 

@@ -304,6 +304,62 @@ func TestUnsortedCheckpointFrameIsRetransmitted(t *testing.T) {
 	}
 }
 
+// TestRestoredPendingWithRepeatedDocumentsBalances: a checkpoint's
+// pending updates are the retry queue as Drain handed it over, so a
+// document may repeat. The restored peer frames them merged, one
+// update a document summed in arrival order, and counts each merged
+// update processed, so sent == processed once the frame is folded.
+func TestRestoredPendingWithRepeatedDocumentsBalances(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.FromAdjacency(make([][]graph.NodeID, 10)) // no links: nothing else is ever shipped
+	docPeer := []p2p.PeerID{0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
+	pending := []p2p.Update{{Doc: 7, Delta: 0.1}, {Doc: 3, Delta: 0.2}, {Doc: 7, Delta: 0.3}, {Doc: 3, Delta: 1e-17}, {Doc: 7, Delta: -0.05}}
+	docs, folded, last := []graph.NodeID{0, 1}, []float64{0, 0}, make([]float64, 2)
+	p2p.UniformRanksInto(last, 0.85, docs, folded) // all of the rank pushed
+	var file bytes.Buffer
+	if err := EncodeSnapshot(&PeerSnapshot{
+		ID: 0, Docs: docs, Acc: folded, Last: last,
+		Outbound:  []OutboundState{{Src: 0, Dest: 1, NextSeq: 1, Pending: slices.Clone(pending)}},
+		PeerStats: PeerStats{Sent: uint64(len(pending))},
+	}, &file); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestorePeer(PeerConfig{ID: 0, Graph: g, DocPeer: docPeer, Docs: snap.Docs}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	dest, err := NewPeer(PeerConfig{ID: 1, Graph: g, DocPeer: docPeer, Docs: []graph.NodeID{2, 3, 4, 5, 6, 7, 8, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dest.Close()
+	addrs := []string{restored.Addr(), dest.Addr()}
+	restored.SetPeers(addrs)
+	dest.SetPeers(addrs)
+	dest.Start()
+	restored.Start()
+	waitCounter(t, 10*time.Second, "the merged pending updates to be folded", func() bool {
+		return dest.Stats().Processed == 2 && senderStates(restored)[stream{src: 0, dest: 1}].unacked == ""
+	})
+	src, dst := restored.Stats(), dest.Stats()
+	if src.Coalesced != 3 || src.Sent != src.Processed+dst.Processed {
+		t.Fatalf("sent %d, processed %d here and %d there, %d coalesced; want sent == processed with 3 coalesced", src.Sent, src.Processed, dst.Processed, src.Coalesced)
+	}
+	_, acc, _ := dest.rk.Rows()
+	want := make([]float64, 8) // rows 2..9, each the left-to-right sum of its pending updates
+	for _, u := range pending {
+		want[u.Doc-2] += u.Delta
+	}
+	if !slices.Equal(acc, want) {
+		t.Fatalf("destination rows accumulated %v, want %v", acc, want)
+	}
+}
+
 // TestFormatsPinned holds the view digest, and the checkpoint at version
 // 10, to the bytes they were recorded with for the same state. A layout
 // change re-records the hash it moves, in a commit of its own.
