@@ -37,10 +37,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-check the concurrent hot paths (pass pipeline, the engine seam,
-# p2p substrate, fault-tolerant wire layer). The 100k engine
-# equivalence sweep, core's refused-checkpoint sweep and p2p's
-# retry-queue model test run on one goroutine and skip themselves
-# under -race; `ci` runs them without.
+# p2p substrate, fault-tolerant wire layer). The engine equivalence
+# sweeps, residual bound and threshold-schedule ablation, core's
+# refused-checkpoint sweep and p2p's retry-queue model test run on one
+# goroutine and skip themselves under -race; `ci` runs them without.
 race:
 	$(GO) test -race ./internal/core ./internal/engine ./internal/p2p ./internal/wire ./internal/telemetry
 
@@ -149,13 +149,15 @@ loc:
 # Full gate: what a CI job should run. internal/lint is static
 # analysis and starts no goroutines: its tests skip themselves under
 # -race and run once here without the detector. So do the one-goroutine
-# sweeps: the 100k engine equivalence, core's refused-checkpoint sweep,
-# p2p's retry-queue model and the execution-time seed sweep.
+# sweeps: the 10k and 100k engine equivalence, the round driver's
+# residual bound and threshold-schedule ablation, core's
+# refused-checkpoint sweep, p2p's retry-queue model and the
+# execution-time seed sweep.
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
 		&& $(GO) test -race -shuffle=on ./... \
 		&& $(GO) test -count=1 ./internal/lint \
-		&& $(GO) test -count=1 -run 'Equivalence100k|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel|ExecTimeValidation' ./internal/engine ./internal/core ./internal/p2p ./internal/experiments \
+		&& $(GO) test -count=1 -run 'Equivalence10k|Equivalence100k|ResidualBoundsError|ThresholdScheduleSavesMessages|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel|ExecTimeValidation' ./internal/engine ./internal/core ./internal/p2p ./internal/experiments \
 		&& $(GO) test -race -count=1 -run Chaos ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Membership|Leave|Join|FailureDetector' ./internal/wire \
 		&& $(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire \

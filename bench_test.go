@@ -209,8 +209,9 @@ func BenchmarkAblationRelVsAbs(b *testing.B) {
 }
 
 // BenchmarkAblationSolvers compares the centralized solver family the
-// related-work section discusses: plain power iteration, Gauss-Seidel
-// and Aitken-accelerated power iteration.
+// related-work section discusses: plain power iteration, Gauss-Seidel,
+// and power iteration accelerated by Aitken Δ² and by Kamvar's
+// quadratic extrapolation.
 func BenchmarkAblationSolvers(b *testing.B) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(10000, 6))
 	g.Transpose()
@@ -239,6 +240,16 @@ func BenchmarkAblationSolvers(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := solver.PowerAitken(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(res.Iterations), "iters")
+		}
+	})
+	b.Run("quadratic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := solver.PowerQuadratic(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
 			if err != nil {
 				b.Fatal(err)
 			}

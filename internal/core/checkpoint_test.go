@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
@@ -89,6 +90,58 @@ func TestCheckpointResumeRefinement(t *testing.T) {
 	if resumed.Counters.InterPeerMsgs >= sres.Counters.InterPeerMsgs {
 		t.Fatalf("resume (%d msgs) not cheaper than scratch (%d msgs)",
 			resumed.Counters.InterPeerMsgs, sres.Counters.InterPeerMsgs)
+	}
+}
+
+// TestQuickCheckpointRestartEquivalence: a run interrupted after an
+// arbitrary pass, checkpointed and restored into a fresh engine lands on
+// bit-identical final ranks against the uninterrupted run — the
+// restart-safety contract the paper's churn model leans on, and the
+// format dpr.Session ships. The teleport arm runs with a non-uniform
+// constant term, which the restore must take from the engine's options,
+// not from 1 − d.
+func TestQuickCheckpointRestartEquivalence(t *testing.T) {
+	for _, arm := range []string{"plain", "teleport"} {
+		t.Run(arm, func(t *testing.T) {
+			prop := func(rawDocs, rawPeers uint16, seed uint64, rawCut uint8) bool {
+				docs := 50 + int(rawDocs)%400
+				peers := 2 + int(rawPeers)%14
+				opt := Options{Epsilon: 1e-8}
+				if arm == "teleport" {
+					r := rng.New(seed)
+					opt.Teleport = make([]float64, docs)
+					for d := range opt.Teleport {
+						opt.Teleport[d] = float64(d%3) * r.Float64()
+					}
+				}
+				g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
+
+				a, _ := setup(t, g, peers, opt, seed^0xa5a5)
+				for cut := 1 + int(rawCut)%5; cut > 0; cut-- {
+					a.RunPass()
+				}
+				var buf bytes.Buffer
+				if err := a.WriteCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				resA := a.Run()
+
+				b, _ := setup(t, g, peers, opt, seed^0xa5a5)
+				if err := b.RestoreCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				resB := b.Run()
+				if resA.Converged != resB.Converged || !slices.Equal(resA.Ranks, resB.Ranks) {
+					t.Logf("%d docs on %d peers, seed %d: converged %v/%v, ranks differ after restore",
+						docs, peers, seed, resA.Converged, resB.Converged)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 6}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -176,7 +176,7 @@ func TestNoMassLossUnderChurnProperty(t *testing.T) {
 		avail := 0.4 + 0.6*r.Float64()
 		net := p2p.NewNetwork(peers)
 		net.AssignRandom(g, r)
-		churn, err := p2p.NewChurn(net, avail, r.Split(1))
+		churn, err := p2p.NewChurn(net, avail, rng.New(r.Uint64()))
 		if err != nil {
 			return false
 		}

@@ -407,20 +407,14 @@ func (e *PassEngine) scratchFor(w int) *chunkScratch {
 	return sc
 }
 
-// splitChunks divides work into at most n contiguous chunks of nearly
-// equal total weight, where document d weighs 1+outDegree(d) — the
-// cost of recomputing it plus pushing to its out-links. Count-based
-// splitting let one hub document serialize its whole chunk on
-// power-law graphs; weighting gives a heavy hub a chunk of its own.
+// splitChunksInto divides work into at most n contiguous chunks of
+// nearly equal total weight, appended to dst, where document d weighs
+// 1+outDegree(d) — the cost of recomputing it plus pushing to its
+// out-links — and total is the work list's weight (workWeight).
+// Count-based splitting let one hub document serialize its whole chunk
+// on power-law graphs; weighting gives a heavy hub a chunk of its own.
 // The split is deterministic for a given (work, n) and every chunk is
 // non-empty, so n > len(work) yields at most len(work) chunks.
-func splitChunks(work []graph.NodeID, n int, outDegree func(graph.NodeID) int) [][]graph.NodeID {
-	return splitChunksInto(nil, work, n, workWeight(work, outDegree), outDegree)
-}
-
-// splitChunksInto is splitChunks appending into a reusable buffer,
-// handed the work list's total weight (workWeight) by a caller that
-// already has it.
 func splitChunksInto(dst [][]graph.NodeID, work []graph.NodeID, n, total int, outDegree func(graph.NodeID) int) [][]graph.NodeID {
 	if len(work) == 0 {
 		return dst

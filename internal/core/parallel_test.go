@@ -140,10 +140,10 @@ func TestSplitChunks(t *testing.T) {
 	uniform := func(graph.NodeID) int { return 1 }
 
 	// Empty work: no chunks, regardless of n.
-	if got := splitChunks(nil, 4, uniform); got != nil {
+	if got := splitChunksInto(nil, nil, 4, 0, uniform); got != nil {
 		t.Fatalf("empty work produced %d chunks", len(got))
 	}
-	if got := splitChunks([]graph.NodeID{}, 0, uniform); got != nil {
+	if got := splitChunksInto(nil, []graph.NodeID{}, 0, 0, uniform); got != nil {
 		t.Fatalf("empty work with n=0 produced %d chunks", len(got))
 	}
 
@@ -154,7 +154,7 @@ func TestSplitChunks(t *testing.T) {
 
 	// One worker (and the n<1 degenerate) yields a single chunk.
 	for _, n := range []int{1, 0, -3} {
-		chunks := splitChunks(work, n, uniform)
+		chunks := splitChunksInto(nil, work, n, workWeight(work, uniform), uniform)
 		if len(chunks) != 1 || len(chunks[0]) != len(work) {
 			t.Fatalf("n=%d: want one full chunk, got %d chunks", n, len(chunks))
 		}
@@ -163,7 +163,7 @@ func TestSplitChunks(t *testing.T) {
 	// More workers than documents: at most one chunk per document,
 	// never an empty chunk.
 	for _, n := range []int{10, 20, 1000} {
-		chunks := splitChunks(work, n, uniform)
+		chunks := splitChunksInto(nil, work, n, workWeight(work, uniform), uniform)
 		checkChunks(t, work, chunks, n)
 		if len(chunks) != len(work) {
 			t.Fatalf("n=%d over %d docs: got %d chunks, want %d",
@@ -173,7 +173,7 @@ func TestSplitChunks(t *testing.T) {
 
 	// Uniform weights split near-evenly.
 	for _, n := range []int{2, 3, 5} {
-		chunks := splitChunks(work, n, uniform)
+		chunks := splitChunksInto(nil, work, n, workWeight(work, uniform), uniform)
 		checkChunks(t, work, chunks, n)
 		for ci, c := range chunks {
 			if len(c) > (len(work)+n-1)/n+1 {
@@ -196,7 +196,7 @@ func TestSplitChunksDegreeWeighted(t *testing.T) {
 		}
 		return 1
 	}
-	chunks := splitChunks(work, 4, deg)
+	chunks := splitChunksInto(nil, work, 4, workWeight(work, deg), deg)
 	checkChunks(t, work, chunks, 4)
 	if len(chunks[0]) != 1 || chunks[0][0] != 0 {
 		t.Fatalf("hub not isolated: first chunk %v", chunks[0])
@@ -209,7 +209,7 @@ func TestSplitChunksDegreeWeighted(t *testing.T) {
 	}
 
 	// Weighted split is deterministic.
-	again := splitChunks(work, 4, deg)
+	again := splitChunksInto(nil, work, 4, workWeight(work, deg), deg)
 	if len(again) != len(chunks) {
 		t.Fatalf("nondeterministic chunk count: %d vs %d", len(again), len(chunks))
 	}

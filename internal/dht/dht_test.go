@@ -48,16 +48,12 @@ func TestBetween(t *testing.T) {
 }
 
 func TestGUIDs(t *testing.T) {
-	a := GUIDFromString("doc-a")
-	b := GUIDFromString("doc-b")
-	if a == b {
-		t.Fatal("distinct names produced equal GUIDs")
-	}
-	if a != GUIDFromString("doc-a") {
-		t.Fatal("GUID not deterministic")
-	}
-	if GUIDFromUint64(1) == GUIDFromUint64(2) {
+	a := GUIDFromUint64(1)
+	if a == GUIDFromUint64(2) {
 		t.Fatal("numeric GUIDs collided")
+	}
+	if a != GUIDFromUint64(1) {
+		t.Fatal("GUID not deterministic")
 	}
 	if len(a.String()) != 32 {
 		t.Fatalf("GUID hex length = %d", len(a.String()))
@@ -140,37 +136,43 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	}
 }
 
-func TestPutGet(t *testing.T) {
-	r := buildRing(t, 10)
-	k := GUIDFromString("my-doc").ID()
-	if _, err := r.Put(k, "payload"); err != nil {
-		t.Fatal(err)
+// placeAtOwners stores n random keys, each at its owner, with its
+// index as the value.
+func placeAtOwners(t *testing.T, r *Ring, seed uint64, n int) []ID {
+	t.Helper()
+	gen := rng.New(seed)
+	keys := make([]ID, n)
+	for i := range keys {
+		keys[i] = ID(gen.Uint64())
+		if err := r.PlaceKey(r.Owner(keys[i]), keys[i], i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v, owner, _, err := r.Get(k, r.Nodes()[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "payload" {
-		t.Fatalf("Get = %v", v)
-	}
-	if owner != r.Owner(k) {
-		t.Fatal("Get returned wrong owner")
-	}
-	if _, _, _, err := r.Get(k+1, r.Nodes()[0]); err == nil {
-		t.Fatal("Get of absent key succeeded")
+	return keys
+}
+
+// checkKeysAtOwners: every key is held, with its value, by the node the
+// oracle says owns it, and a lookup from the first live node reaches it.
+func checkKeysAtOwners(t *testing.T, r *Ring, keys []ID) {
+	t.Helper()
+	start := r.Nodes()[0]
+	for i, k := range keys {
+		owner, _, err := r.Lookup(k, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner != r.Owner(k) {
+			t.Fatalf("key %d routed to %s, owner is %s", i, owner.name, r.Owner(k).name)
+		}
+		if v, ok := owner.keys[k]; !ok || v != i {
+			t.Fatalf("key %d not held by its owner %s (value %v, present %v)", i, owner.name, v, ok)
+		}
 	}
 }
 
 func TestGracefulLeaveHandsOffKeys(t *testing.T) {
 	r := buildRing(t, 8)
-	gen := rng.New(3)
-	keys := make([]ID, 200)
-	for i := range keys {
-		keys[i] = ID(gen.Uint64())
-		if _, err := r.Put(keys[i], i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	keys := placeAtOwners(t, r, 3, 200)
 	victim := r.Nodes()[2]
 	if err := r.LeaveGraceful(victim); err != nil {
 		t.Fatal(err)
@@ -178,73 +180,15 @@ func TestGracefulLeaveHandsOffKeys(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Every key must still be retrievable.
-	start := r.Nodes()[0]
-	for i, k := range keys {
-		v, _, _, err := r.Get(k, start)
-		if err != nil {
-			t.Fatalf("key %d lost after graceful leave: %v", i, err)
-		}
-		if v != i {
-			t.Fatalf("key %d value corrupted", i)
-		}
+	if len(victim.keys) != 0 {
+		t.Fatalf("departed node still holds %d keys", len(victim.keys))
 	}
-}
-
-func TestAbruptLeaveLosesOnlyVictimKeys(t *testing.T) {
-	r := buildRing(t, 8)
-	gen := rng.New(4)
-	type placed struct {
-		k     ID
-		owner *Node
-	}
-	var items []placed
-	for i := 0; i < 200; i++ {
-		k := ID(gen.Uint64())
-		o, err := r.Put(k, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, placed{k, o})
-	}
-	victim := r.Nodes()[5]
-	if err := r.LeaveAbrupt(victim); err != nil {
-		t.Fatal(err)
-	}
-	start := r.Nodes()[0]
-	for i, it := range items {
-		_, _, _, err := r.Get(it.k, start)
-		if it.owner == victim && err == nil {
-			t.Fatalf("key %d on failed peer still reachable", i)
-		}
-		if it.owner != victim && err != nil {
-			t.Fatalf("key %d on surviving peer lost: %v", i, err)
-		}
-	}
-	// Rejoin restores the keys the victim kept.
-	if err := r.Rejoin(victim); err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range items {
-		if it.owner == victim {
-			if _, _, _, err := r.Get(it.k, start); err != nil {
-				t.Fatalf("key %d not restored after rejoin: %v", i, err)
-			}
-		}
-		_ = i
-	}
+	checkKeysAtOwners(t, r, keys)
 }
 
 func TestJoinTransfersKeys(t *testing.T) {
 	r := buildRing(t, 4)
-	gen := rng.New(5)
-	keys := make([]ID, 300)
-	for i := range keys {
-		keys[i] = ID(gen.Uint64())
-		if _, err := r.Put(keys[i], i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	keys := placeAtOwners(t, r, 5, 300)
 	for i := 4; i < 12; i++ {
 		if _, err := r.AddPeer(fmt.Sprintf("peer-%d", i)); err != nil {
 			t.Fatal(err)
@@ -253,49 +197,34 @@ func TestJoinTransfersKeys(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	start := r.Nodes()[0]
-	for i, k := range keys {
-		v, owner, _, err := r.Get(k, start)
-		if err != nil {
-			t.Fatalf("key %d lost after joins: %v", i, err)
-		}
-		if v != i {
-			t.Fatalf("key %d corrupted", i)
-		}
-		if owner != r.Owner(k) {
-			t.Fatalf("key %d stored at %s, owner is %s", i, owner.name, r.Owner(k).name)
-		}
-	}
+	checkKeysAtOwners(t, r, keys)
 }
 
 func TestLeaveErrors(t *testing.T) {
 	r := buildRing(t, 3)
 	n := r.Nodes()[0]
-	if err := r.LeaveAbrupt(n); err != nil {
+	if err := r.LeaveGraceful(n); err != nil {
 		t.Fatal(err)
-	}
-	if err := r.LeaveAbrupt(n); err == nil {
-		t.Fatal("double leave accepted")
 	}
 	if err := r.LeaveGraceful(n); err == nil {
-		t.Fatal("graceful leave of dead node accepted")
+		t.Fatal("double leave accepted")
 	}
-	if err := r.Rejoin(n); err != nil {
-		t.Fatal(err)
+	if err := r.PlaceKey(n, 1, nil); err == nil {
+		t.Fatal("key placed at a departed node")
 	}
-	if err := r.Rejoin(n); err == nil {
-		t.Fatal("double rejoin accepted")
+	if _, err := r.AddPeer(n.name); err == nil {
+		t.Fatal("departed node's name reused")
 	}
-	other := &Node{id: 42, name: "alien", alive: false}
-	if err := r.Rejoin(other); err == nil {
-		t.Fatal("rejoin of non-member accepted")
+	other := &Node{id: 42, name: "alien", alive: true}
+	if err := r.LeaveGraceful(other); err == nil {
+		t.Fatal("leave of non-member accepted")
 	}
 }
 
 func TestLookupFromDeadNode(t *testing.T) {
 	r := buildRing(t, 3)
 	n := r.Nodes()[1]
-	if err := r.LeaveAbrupt(n); err != nil {
+	if err := r.LeaveGraceful(n); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.Lookup(1, n); err == nil {
@@ -303,31 +232,6 @@ func TestLookupFromDeadNode(t *testing.T) {
 	}
 	if _, _, err := r.Lookup(1, nil); err == nil {
 		t.Fatal("lookup from nil node succeeded")
-	}
-}
-
-func TestStabilizeRoundRepairsAfterJoin(t *testing.T) {
-	r := buildRing(t, 16)
-	// Manually corrupt some fingers, then let stabilization fix them.
-	for _, n := range r.Nodes() {
-		for b := 0; b < fingerBits; b += 3 {
-			n.fingers[b] = nil
-		}
-	}
-	for round := 0; round < fingerBits; round++ {
-		r.StabilizeRound(round)
-	}
-	gen := rng.New(6)
-	start := r.Nodes()[0]
-	for i := 0; i < 200; i++ {
-		k := ID(gen.Uint64())
-		owner, _, err := r.Lookup(k, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner != r.Owner(k) {
-			t.Fatal("lookup wrong after stabilization")
-		}
 	}
 }
 
@@ -377,88 +281,64 @@ func BenchmarkAddPeer(b *testing.B) {
 func TestMassChurnSurvivors(t *testing.T) {
 	r := buildRing(t, 64)
 	gen := rng.New(71)
-	// Half the ring fails abruptly.
-	var victims []*Node
+	lookups := func(when string) {
+		t.Helper()
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		start := r.Nodes()[0]
+		for i := 0; i < 300; i++ {
+			k := ID(gen.Uint64())
+			owner, _, err := r.Lookup(k, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if owner != r.Owner(k) {
+				t.Fatalf("lookup wrong %s", when)
+			}
+		}
+	}
+	// Half the ring leaves.
 	for i, n := range append([]*Node(nil), r.Nodes()...) {
 		if i%2 == 0 {
-			victims = append(victims, n)
+			if err := r.LeaveGraceful(n); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for _, v := range victims {
-		if err := r.LeaveAbrupt(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Survivors still resolve every key correctly.
-	start := r.Nodes()[0]
-	for i := 0; i < 300; i++ {
-		k := ID(gen.Uint64())
-		owner, _, err := r.Lookup(k, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner != r.Owner(k) {
-			t.Fatal("lookup wrong after mass churn")
-		}
-	}
-	// Everyone rejoins; the ring is whole again.
-	for _, v := range victims {
-		if err := r.Rejoin(v); err != nil {
+	lookups("after half the ring left")
+	// As many new peers join; the ring is whole again.
+	for i := 0; i < 32; i++ {
+		if _, err := r.AddPeer(fmt.Sprintf("peer-new-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if r.NumAlive() != 64 {
-		t.Fatalf("NumAlive = %d after rejoin", r.NumAlive())
+		t.Fatalf("NumAlive = %d after the joins", r.NumAlive())
 	}
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	lookups("after the joins")
 }
 
-// Property: after any sequence of joins and abrupt leaves (keeping at
-// least one node), lookups from any survivor agree with the oracle.
+// Property: after any sequence of joins and leaves (keeping at least
+// one node), lookups from any survivor agree with the oracle.
 func TestChurnSequenceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		gen := rng.New(seed)
 		r := NewRing()
-		var members []*Node
 		for i := 0; i < 8; i++ {
-			n, err := r.AddPeer(fmt.Sprintf("cs-%d-%d", seed, i))
-			if err != nil {
+			if _, err := r.AddPeer(fmt.Sprintf("cs-%d-%d", seed, i)); err != nil {
 				return false
 			}
-			members = append(members, n)
 		}
 		for step := 0; step < 30; step++ {
-			switch gen.Intn(3) {
-			case 0:
-				n, err := r.AddPeer(fmt.Sprintf("cs-%d-extra-%d", seed, step))
-				if err != nil {
+			if gen.Intn(2) == 0 {
+				if _, err := r.AddPeer(fmt.Sprintf("cs-%d-extra-%d", seed, step)); err != nil {
 					return false
 				}
-				members = append(members, n)
-			case 1:
-				if r.NumAlive() > 1 {
-					alive := r.Nodes()
-					if err := r.LeaveAbrupt(alive[gen.Intn(len(alive))]); err != nil {
-						return false
-					}
-				}
-			case 2:
-				// Rejoin a random dead member if any.
-				var dead []*Node
-				for _, m := range members {
-					if !m.Alive() {
-						dead = append(dead, m)
-					}
-				}
-				if len(dead) > 0 {
-					if err := r.Rejoin(dead[gen.Intn(len(dead))]); err != nil {
-						return false
-					}
+			} else if r.NumAlive() > 1 {
+				alive := r.Nodes()
+				if err := r.LeaveGraceful(alive[gen.Intn(len(alive))]); err != nil {
+					return false
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package dht implements the distributed-hash-table substrate the
 // paper assumes (section 2.1): a Chord-style ring with consistent
 // hashing, finger-table routing with O(log P) lookup hops, peer
-// join/leave with key handoff, and stabilization. Documents are
+// join/leave with key handoff, and pointer repair. Documents are
 // identified by GUIDs; each document's GUID hashes to a position on
 // the ring, and the peer succeeding that position owns the document
 // reference.
@@ -25,14 +25,6 @@ type ID uint64
 // assumes CAN/Pastry/Chord-style GUIDs of this size; the message-size
 // accounting in section 4.6 uses 128-bit GUIDs too).
 type GUID [16]byte
-
-// GUIDFromString derives a GUID by hashing an arbitrary name.
-func GUIDFromString(s string) GUID {
-	sum := sha1.Sum([]byte(s))
-	var g GUID
-	copy(g[:], sum[:16])
-	return g
-}
 
 // GUIDFromUint64 derives a GUID from a numeric document id; used by
 // the simulator where documents are dense integers.

@@ -19,8 +19,8 @@ type Node struct {
 	fingers [fingerBits]*Node
 	alive   bool
 
-	// keys maps ring positions to the opaque values Put and PlaceKey
-	// stored here; LeaveGraceful and a join's transfer move them with
+	// keys maps ring positions to the opaque values PlaceKey stored
+	// here; LeaveGraceful and a join's transfer move them with
 	// membership.
 	keys map[ID]interface{}
 }

@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// Ring simulates a Chord network. It tracks every node ever added
-// (dead ones stay around so they can rejoin, as peers do in the
-// paper's section 3.1) and keeps a sorted oracle of live nodes for
-// validation and deterministic pointer repair.
+// Ring simulates a Chord network. It tracks every node ever added,
+// departed ones included, so no name or id is used twice, and keeps a
+// sorted oracle of live nodes for validation and deterministic pointer
+// repair.
 type Ring struct {
 	byID   map[ID]*Node
 	byName map[string]*Node
@@ -26,9 +26,6 @@ func (r *Ring) NumAlive() int { return len(r.sorted) }
 // Nodes returns the live peers in ring order. The slice is shared;
 // callers must not modify it.
 func (r *Ring) Nodes() []*Node { return r.sorted }
-
-// NodeByName returns the named peer, alive or not.
-func (r *Ring) NodeByName(name string) *Node { return r.byName[name] }
 
 // AddPeer creates a peer named name, joins it to the ring, hands over
 // the keys it now owns, and repairs routing state. It returns an error
@@ -50,22 +47,6 @@ func (r *Ring) AddPeer(name string) (*Node, error) {
 	return n, nil
 }
 
-// Rejoin brings a previously departed peer back, reclaiming the keys
-// it now owns from its successor.
-func (r *Ring) Rejoin(n *Node) error {
-	if n.alive {
-		return fmt.Errorf("dht: %s is already alive", n.name)
-	}
-	if r.byID[n.id] != n {
-		return fmt.Errorf("dht: %s is not a member of this ring", n.name)
-	}
-	n.alive = true
-	r.insertSorted(n)
-	r.transferKeysOnJoin(n)
-	r.repairPointers()
-	return nil
-}
-
 // LeaveGraceful removes a peer, handing its keys to its successor
 // (used for permanent departures where data must survive).
 func (r *Ring) LeaveGraceful(n *Node) error {
@@ -79,20 +60,6 @@ func (r *Ring) LeaveGraceful(n *Node) error {
 		}
 	}
 	n.keys = make(map[ID]interface{})
-	n.alive = false
-	r.removeSorted(n)
-	r.repairPointers()
-	return nil
-}
-
-// LeaveAbrupt marks a peer as failed without any handoff: its
-// documents disappear with it until it rejoins, exactly the transient
-// behaviour of section 3.1 ("when peers leave the P2P system, they
-// take away with them (until they reappear) all their documents").
-func (r *Ring) LeaveAbrupt(n *Node) error {
-	if err := r.checkLive(n); err != nil {
-		return err
-	}
 	n.alive = false
 	r.removeSorted(n)
 	r.repairPointers()
@@ -185,30 +152,6 @@ func (r *Ring) PlaceKey(n *Node, k ID, v interface{}) error {
 	return nil
 }
 
-// Put stores value under key k at its owner (found via the oracle; the
-// storing path's routing cost is measured separately by Lookup).
-func (r *Ring) Put(k ID, v interface{}) (*Node, error) {
-	o := r.Owner(k)
-	if o == nil {
-		return nil, fmt.Errorf("dht: empty ring")
-	}
-	o.keys[k] = v
-	return o, nil
-}
-
-// Get routes from start to k's owner and returns the stored value.
-func (r *Ring) Get(k ID, start *Node) (interface{}, *Node, int, error) {
-	o, hops, err := r.Lookup(k, start)
-	if err != nil {
-		return nil, nil, hops, err
-	}
-	v, present := o.keys[k]
-	if !present {
-		return nil, o, hops, fmt.Errorf("dht: key %016x not found at owner %s", uint64(k), o.name)
-	}
-	return v, o, hops, nil
-}
-
 // --- membership plumbing ---
 
 func (r *Ring) insertSorted(n *Node) {
@@ -250,8 +193,7 @@ func (r *Ring) predecessorOf(n *Node) *Node {
 
 // repairPointers deterministically rebuilds predecessor, successor
 // lists and finger tables for every live node, equivalent to Chord's
-// stabilization protocol having fully converged. The incremental
-// protocol itself is exercised by StabilizeRound.
+// stabilization protocol having fully converged.
 func (r *Ring) repairPointers() {
 	m := len(r.sorted)
 	if m == 0 {
@@ -272,35 +214,6 @@ func (r *Ring) repairPointers() {
 		n.pred = n
 		for j := range n.succ {
 			n.succ[j] = n
-		}
-	}
-}
-
-// StabilizeRound runs one round of the Chord stabilization protocol on
-// every live node: verify successor via its predecessor pointer,
-// notify, and refresh one finger per node. Repeated rounds converge
-// the routing state after churn without the global repair.
-func (r *Ring) StabilizeRound(fingerIndex int) {
-	for _, n := range r.sorted {
-		succ := n.Successor()
-		if succ == nil {
-			continue
-		}
-		if x := succ.pred; x != nil && x.alive && betweenOpen(x.id, n.id, succ.id) {
-			// A node slipped in between us and our successor.
-			copy(n.succ[1:], n.succ[:successorListLen-1])
-			n.succ[0] = x
-			succ = x
-		}
-		// notify: successor adopts us as predecessor if closer.
-		if succ.pred == nil || !succ.pred.alive || betweenOpen(n.id, succ.pred.id, succ.id) {
-			succ.pred = n
-		}
-		// refresh one finger via routing.
-		b := fingerIndex % fingerBits
-		target := n.id + (ID(1) << uint(b))
-		if owner, _, err := r.Lookup(target, n); err == nil {
-			n.fingers[b] = owner
 		}
 	}
 }

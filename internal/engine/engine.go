@@ -86,15 +86,6 @@ type Engine interface {
 	Counters() p2p.Counters
 }
 
-// Checkpointer is implemented by engines whose full solver state can
-// be captured and restored: a restore into a fresh engine over the
-// same graph and placement must continue exactly as the original
-// would have (the property suite asserts bit-identical final ranks).
-type Checkpointer interface {
-	Snapshot() ([]byte, error)
-	Restore([]byte) error
-}
-
 // MassAccountant is implemented by engines with an internal rank-mass
 // conservation identity: two totals kept by independent bookkeeping
 // (folded-side vs shipped-side) that exact accounting keeps equal up

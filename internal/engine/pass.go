@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-
 	"dpr/internal/core"
 	"dpr/internal/p2p"
 )
@@ -14,8 +12,7 @@ func init() { Register("pass", newPassEngine) }
 // is exactly one RunPass, and the existing bit-identity and bench
 // gates keep holding on the underlying engine. It is the only engine
 // supporting churn (the pass boundary is where the paper's leave/join
-// model is defined), and it checkpoints via the core checkpoint
-// format.
+// model is defined).
 //
 // Residual semantics: the most recent pass's maximum relative rank
 // change (PassStats.MaxChange).
@@ -55,19 +52,4 @@ func (p *passEngine) Counters() p2p.Counters { return p.e.Counters() }
 
 func (p *passEngine) MassBalance() (got, want float64) { return p.e.MassBalance() }
 
-func (p *passEngine) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.e.WriteCheckpoint(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (p *passEngine) Restore(snap []byte) error {
-	return p.e.RestoreCheckpoint(bytes.NewReader(snap))
-}
-
-var (
-	_ Checkpointer   = (*passEngine)(nil)
-	_ MassAccountant = (*passEngine)(nil)
-)
+var _ MassAccountant = (*passEngine)(nil)

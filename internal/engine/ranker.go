@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
-	"slices"
 
 	"dpr/internal/core"
 	"dpr/internal/p2p"
@@ -199,86 +196,4 @@ func (e *rankerEngine) MassBalance() (got, want float64) {
 	return got, want
 }
 
-const rankerSnapMagic = 0x334b525044 // "DPRK3", little-endian
-
-// Snapshot captures the full solver state: eight little-endian words
-// (magic, documents, peers, damping, threshold, step and the two message
-// counters), then per peer its rows (acc, last) and its inbox as p2p
-// row lists. The inbox keeps its order, which is the order it folds in.
-func (e *rankerEngine) Snapshot() ([]byte, error) {
-	var b []byte
-	for _, v := range []uint64{rankerSnapMagic, uint64(e.n), uint64(len(e.rankers)),
-		math.Float64bits(e.damping), math.Float64bits(e.thr), uint64(e.step),
-		uint64(e.counters.InterPeerMsgs), uint64(e.counters.IntraPeerMsgs)} {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	for p, rk := range e.rankers {
-		docs, acc, last := rk.Rows()
-		b = p2p.EncodeRows(b, docs, acc, last)
-		docs, delta := p2p.SplitUpdates(e.inbox[p])
-		b = p2p.EncodeRows(b, docs, delta)
-	}
-	return b, nil
-}
-
-// Restore installs a snapshot taken over the same graph, placement and
-// damping by an engine whose threshold had not passed below this one's;
-// anything else, rows that are not their peer's documents and a
-// snapshot cut short included, is refused with the engine untouched.
-// Rankers are relaxed to the snapshot's threshold, and what that sweep
-// releases joins the restored inboxes. Between folds a row holds nothing
-// above the threshold but a push's float32 rounding (under 6e-8 of the
-// rank), so above that the sweep releases nothing and the run continues
-// bit for bit; below it the restored run pushes some rounding earlier
-// than the original would have.
-func (e *rankerEngine) Restore(snap []byte) error {
-	if len(snap) < 64 || binary.LittleEndian.Uint64(snap) != rankerSnapMagic {
-		return fmt.Errorf("engine: not a DPRK3 %s snapshot (it begins %q), or its header is cut short", e.name, snap[:min(len(snap), 5)])
-	}
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(snap[8*i:]) }
-	n, peers, damping, thr := word(1), word(2), math.Float64frombits(word(3)), math.Float64frombits(word(4))
-	switch {
-	case n != uint64(e.n) || peers != uint64(len(e.rankers)):
-		return fmt.Errorf("engine: snapshot has %d documents on %d peers, engine has %d on %d", n, peers, e.n, len(e.rankers))
-	case damping != e.damping:
-		return fmt.Errorf("engine: snapshot damping %v != engine damping %v", damping, e.damping)
-	case !(thr >= e.eps && thr <= e.thr):
-		return fmt.Errorf("engine: snapshot threshold %v outside [%v, %v]", thr, e.eps, e.thr)
-	}
-	rows := make([][][]float64, len(e.rankers))
-	inbox := make([][]p2p.Update, len(e.rankers))
-	pending, b := 0, snap[64:]
-	for p, rk := range e.rankers {
-		held, _, _ := rk.Rows()
-		docs, cols, rest, err := p2p.DecodeRows(b, 2)
-		if err != nil || !slices.Equal(docs, held) {
-			return fmt.Errorf("engine: snapshot peer %d rows are cut short, corrupt or not that peer's documents", p)
-		}
-		docs, delta, rest, err := p2p.DecodeRows(rest, 1)
-		if err != nil {
-			return fmt.Errorf("engine: snapshot peer %d inbox: %w", p, err)
-		}
-		for _, d := range docs {
-			if uint32(d) >= uint32(e.n) {
-				return fmt.Errorf("engine: snapshot peer %d inbox names document %d of %d", p, d, e.n)
-			}
-		}
-		rows[p], inbox[p], b = cols, p2p.JoinUpdates(docs, delta[0]), rest
-		pending += len(docs)
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("engine: %s snapshot is %d bytes too long", e.name, len(b))
-	}
-	e.inbox, e.pending, e.thr, e.step = inbox, pending, thr, int(word(5))
-	e.counters = p2p.Counters{InterPeerMsgs: int64(word(6)), IntraPeerMsgs: int64(word(7)), Passes: e.step}
-	for p, rk := range e.rankers {
-		rk.SetRows(rows[p][0], rows[p][1])
-		e.deliver(p, rk.Relax(thr))
-	}
-	return nil
-}
-
-var (
-	_ Checkpointer   = (*rankerEngine)(nil)
-	_ MassAccountant = (*rankerEngine)(nil)
-)
+var _ MassAccountant = (*rankerEngine)(nil)

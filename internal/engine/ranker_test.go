@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
 	"math"
-	"slices"
-	"strings"
 	"testing"
 
 	"dpr/internal/core"
@@ -79,6 +76,9 @@ func TestSmallGraphs(t *testing.T) {
 // every step — not only at the end — Residual() is at least the mean
 // absolute distance to the centralized solution.
 func TestResidualBoundsError(t *testing.T) {
+	if raceDetector {
+		t.Skip("one-goroutine sweep skipped under -race; make ci runs it without")
+	}
 	for _, name := range rankerEngines {
 		t.Run(name, func(t *testing.T) {
 			cfg, g := testCfg(t, 5_000, 16, 21, core.Options{Epsilon: 1e-7})
@@ -112,6 +112,9 @@ func TestResidualBoundsError(t *testing.T) {
 // ranks in at most 0.85 of the inter-peer messages ε-from-the-start
 // takes (229k against 316k when recorded).
 func TestThresholdScheduleSavesMessages(t *testing.T) {
+	if raceDetector {
+		t.Skip("one-goroutine sweep skipped under -race; make ci runs it without")
+	}
 	msgs := map[string]int64{}
 	for _, name := range rankerEngines {
 		cfg, g := testCfg(t, 10_000, 32, 42, core.Options{Epsilon: 2e-6})
@@ -130,117 +133,5 @@ func TestThresholdScheduleSavesMessages(t *testing.T) {
 	}
 	if float64(msgs["diffusion"]) > 0.85*float64(msgs["chaotic"]) {
 		t.Fatalf("diffusion sent %d messages, chaotic %d: want at most 0.85x", msgs["diffusion"], msgs["chaotic"])
-	}
-}
-
-// TestRankerSnapshotRefused: a snapshot that does not fit the engine, or
-// is damaged, is an error — never a panic, and never a half-installed
-// state: the same engine then takes the intact snapshot and finishes
-// where the uninterrupted run does (ε is above float32 rounding, so the
-// restore's sweep releases nothing; see Restore).
-func TestRankerSnapshotRefused(t *testing.T) {
-	const docs, peers, seed = 120, 3, 5
-	opt := core.Options{Epsilon: 1e-6}
-	for _, name := range rankerEngines {
-		t.Run(name, func(t *testing.T) {
-			build := func(docs int, opt core.Options) Engine {
-				cfg, _ := testCfg(t, docs, peers, seed, opt)
-				e, err := New(name, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
-			a := build(docs, opt)
-			a.Step()
-			a.Step()
-			snap, err := a.(Checkpointer).Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The first inbox entry follows the 8-word header, peer 0's rows
-			// and its inbox count: a varint, spliced out for one past the graph.
-			ra := a.(*rankerEngine)
-			if len(ra.inbox[0]) == 0 {
-				t.Fatal("peer 0 has nothing in flight after two steps")
-			}
-			held, acc, last := ra.rankers[0].Rows()
-			at := 8*8 + len(p2p.EncodeRows(nil, held, acc, last)) + len(binary.AppendUvarint(nil, uint64(len(ra.inbox[0]))))
-			_, k := binary.Varint(snap[at:])
-			stray := slices.Concat(snap[:at], binary.AppendVarint(nil, docs), snap[at+k:])
-
-			b := build(docs, opt)
-			refuse := func(what string, e Engine, snap []byte) {
-				t.Helper()
-				if e.(Checkpointer).Restore(snap) == nil {
-					t.Fatalf("%s: snapshot accepted", what)
-				}
-			}
-			refuse("another graph size", build(docs+1, opt), snap)
-			refuse("another damping", build(docs, core.Options{Epsilon: 1e-6, Damping: 0.5}), snap)
-			refuse("inbox document outside the graph", b, stray)
-			refuse("trailing bytes", b, append(append([]byte(nil), snap...), 0))
-			for cut := range snap {
-				refuse("cut short", b, snap[:cut])
-			}
-			// Retired layouts: the same header under the magics "DPRK1"
-			// (PR 20's) and "DPRK2" (rows that still carried a rank column).
-			for _, v := range []byte{'1', '2'} {
-				old := slices.Clone(snap)
-				old[4] = v
-				name := "DPRK" + string(v)
-				if err := b.(Checkpointer).Restore(old); err == nil || !strings.Contains(err.Error(), name) {
-					t.Fatalf("%s image: err %v, want one naming %s", name, err, name)
-				}
-			}
-
-			if err := b.(Checkpointer).Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			want, got := Drive(a, 0), Drive(b, 0)
-			if !got.Converged || got.Counters != want.Counters {
-				t.Fatalf("restored run: converged %v, counters %+v, want %+v", got.Converged, got.Counters, want.Counters)
-			}
-			for i := range want.Ranks {
-				if got.Ranks[i] != want.Ranks[i] {
-					t.Fatalf("rank[%d] = %v restored, %v uninterrupted", i, got.Ranks[i], want.Ranks[i])
-				}
-			}
-		})
-	}
-}
-
-// TestRankerRestoreDeliversRelaxedMass: at ε from the start a row's
-// float32 rounding can sit above the threshold until a fold next touches
-// it, so the sweep a restore runs releases updates. They must reach an
-// inbox — the mass ledger balances only if they do.
-func TestRankerRestoreDeliversRelaxedMass(t *testing.T) {
-	cfg, g := testCfg(t, 2_000, 8, 13, core.Options{Epsilon: 1e-9})
-	a, err := New("chaotic", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		a.Step()
-	}
-	snap, err := a.(Checkpointer).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New("chaotic", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.(Checkpointer).Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if was, now := a.(*rankerEngine).pending, b.(*rankerEngine).pending; now <= was {
-		t.Fatalf("restore's sweep released nothing (%d in flight before, %d after): the test no longer tests", was, now)
-	}
-	if got, want := b.(MassAccountant).MassBalance(); math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("after restore: folded + in flight %v, shipped %v", got, want)
-	}
-	if res := Drive(b, 0); !res.Converged || maxRelErr(res.Ranks, reference(t, g)) > 1e-6 {
-		t.Fatalf("restored run: converged %v, max rel err %v", res.Converged, maxRelErr(res.Ranks, reference(t, g)))
 	}
 }

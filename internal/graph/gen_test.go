@@ -124,20 +124,6 @@ func TestStatsEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := FromAdjacency([][]NodeID{{1, 2}, {2}, {}})
-	h := DegreeHistogram(g, true)
-	// out-degrees: 2, 1, 0
-	if h[0] != 1 || h[1] != 1 || h[2] != 1 {
-		t.Fatalf("out histogram: %v", h)
-	}
-	hin := DegreeHistogram(g, false)
-	// in-degrees: 0, 1, 2
-	if hin[0] != 1 || hin[1] != 1 || hin[2] != 1 {
-		t.Fatalf("in histogram: %v", hin)
-	}
-}
-
 func BenchmarkGeneratePowerLaw10k(b *testing.B) {
 	cfg := DefaultPowerLawConfig(10000, 1)
 	b.ReportAllocs()

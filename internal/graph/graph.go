@@ -167,10 +167,6 @@ func (b *Builder) AddEdge(from, to NodeID) {
 	b.edges = append(b.edges, edge{from, to})
 }
 
-// NumPendingEdges reports how many edges have been added so far
-// (before dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build finalizes the graph. The builder can be reused afterwards; its
 // edge list is reset. Each node's targets come out sorted ascending
 // (the package-wide adjacency invariant); duplicates are dropped by

@@ -180,31 +180,3 @@ func TestFixtureGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReachableFrom(t *testing.T) {
-	g := FromAdjacency([][]NodeID{{1}, {2}, {}, {4}, {}})
-	if got := ReachableFrom(g, 0); got != 3 {
-		t.Fatalf("ReachableFrom(0) = %d, want 3", got)
-	}
-	if got := ReachableFrom(g, 3); got != 2 {
-		t.Fatalf("ReachableFrom(3) = %d, want 2", got)
-	}
-	if got := ReachableFrom(Cycle(7), 0); got != 7 {
-		t.Fatalf("cycle reach = %d", got)
-	}
-}
-
-func TestTopKByInDegree(t *testing.T) {
-	g := Star(10)
-	top := TopKByInDegree(g, 3)
-	if top[0] != 0 {
-		t.Fatalf("hub not first: %v", top)
-	}
-	if len(top) != 3 {
-		t.Fatalf("TopK length %d", len(top))
-	}
-	all := TopKByInDegree(g, 100)
-	if len(all) != 10 {
-		t.Fatalf("TopK clamps to n: %d", len(all))
-	}
-}

@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
-	"strings"
 )
 
 // Binary format: magic "DPRG", version u32, nodes u64, edges u64,
@@ -109,54 +107,6 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the text format written by WriteEdgeList.
-// Lines starting with '#' other than the header are comments.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var b *Builder
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			if b == nil {
-				var n int
-				if _, err := fmt.Sscanf(text, "# nodes %d", &n); err == nil {
-					b = NewBuilder(n)
-				}
-			}
-			continue
-		}
-		if b == nil {
-			return nil, fmt.Errorf("graph: line %d: edge before '# nodes N' header", line)
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'src dst', got %q", line, text)
-		}
-		src, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source: %w", line, err)
-		}
-		dst, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad target: %w", line, err)
-		}
-		b.AddEdge(NodeID(src), NodeID(dst))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, fmt.Errorf("graph: missing '# nodes N' header")
-	}
-	return b.Build(), nil
 }
 
 // SaveBinary writes the graph to path.

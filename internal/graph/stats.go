@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Stats summarizes a graph's degree structure.
@@ -72,73 +71,6 @@ func fitExponent(degs []int) float64 {
 		return math.NaN()
 	}
 	return 1 + float64(n)/sum
-}
-
-// DegreeHistogram returns counts[k] = number of nodes with out-degree k
-// when out is true, or in-degree k otherwise.
-func DegreeHistogram(g *Graph, out bool) []int {
-	g.Transpose()
-	max := 0
-	degs := make([]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		var d int
-		if out {
-			d = g.OutDegree(NodeID(v))
-		} else {
-			d = g.InDegree(NodeID(v))
-		}
-		degs[v] = d
-		if d > max {
-			max = d
-		}
-	}
-	h := make([]int, max+1)
-	for _, d := range degs {
-		h[d]++
-	}
-	return h
-}
-
-// ReachableFrom returns the number of nodes reachable from start
-// (including start itself) following out-links.
-func ReachableFrom(g *Graph, start NodeID) int {
-	visited := make([]bool, g.NumNodes())
-	stack := []NodeID{start}
-	visited[start] = true
-	count := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, t := range g.OutLinks(v) {
-			if !visited[t] {
-				visited[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return count
-}
-
-// TopKByInDegree returns the k nodes with the highest in-degree,
-// descending; ties broken by node id ascending.
-func TopKByInDegree(g *Graph, k int) []NodeID {
-	g.Transpose()
-	ids := make([]NodeID, g.NumNodes())
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.InDegree(ids[a]), g.InDegree(ids[b])
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
 }
 
 // String renders a one-line summary.

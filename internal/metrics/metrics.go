@@ -86,43 +86,6 @@ func RelativeErrors(got, want []float64) []float64 {
 	return out
 }
 
-// CountAbove returns how many values exceed threshold.
-func CountAbove(values []float64, threshold float64) int {
-	n := 0
-	for _, v := range values {
-		if v > threshold {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxAbsDiff returns the largest |a[i]-b[i]|.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: MaxAbsDiff length mismatch")
-	}
-	max := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range values {
-		sum += v
-	}
-	return sum / float64(len(values))
-}
-
 // Rows converts the summary into (label, value) pairs in the paper's
 // Table 2 row order.
 func (s ErrorSummary) Rows() []struct {

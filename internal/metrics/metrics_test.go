@@ -133,28 +133,6 @@ func TestRelativeErrorsMismatchPanics(t *testing.T) {
 	RelativeErrors([]float64{1}, []float64{1, 2})
 }
 
-func TestCountAboveAndMean(t *testing.T) {
-	vals := []float64{0.1, 0.2, 0.3, 0.4}
-	if got := CountAbove(vals, 0.25); got != 2 {
-		t.Fatalf("CountAbove = %d", got)
-	}
-	if got := CountAbove(vals, 1); got != 0 {
-		t.Fatalf("CountAbove = %d", got)
-	}
-	if m := Mean(vals); math.Abs(m-0.25) > 1e-12 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	if d := MaxAbsDiff([]float64{1, 5, 2}, []float64{1, 2, 2}); d != 3 {
-		t.Fatalf("MaxAbsDiff = %v", d)
-	}
-}
-
 func TestRowsOrder(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	rows := s.Rows()

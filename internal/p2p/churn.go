@@ -40,13 +40,3 @@ func (c *Churn) Step() {
 		c.net.SetOnline(PeerID(i), true)
 	}
 }
-
-// RestoreAll brings every peer back online.
-func (c *Churn) RestoreAll() {
-	for i := 0; i < c.net.NumPeers(); i++ {
-		c.net.SetOnline(PeerID(i), true)
-	}
-}
-
-// Availability returns the configured online fraction.
-func (c *Churn) Availability() float64 { return c.availability }

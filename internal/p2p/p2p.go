@@ -117,21 +117,16 @@ func (n *Network) DocOnline(d graph.NodeID) bool {
 	return p != NoPeer && n.online[p]
 }
 
-// SamePeer reports whether two documents live on the same peer, in
-// which case a rank update between them costs no network message.
-func (n *Network) SamePeer(a, b graph.NodeID) bool {
-	pa, pb := n.PeerOf(a), n.PeerOf(b)
-	return pa != NoPeer && pa == pb
-}
-
 // CrossPeerLinks counts document links that cross peer boundaries,
-// the L_ij term of the execution-time model (Equation 4).
+// the L_ij term of the execution-time model (Equation 4). A link from
+// or to an unplaced document counts as crossing.
 func (n *Network) CrossPeerLinks(g graph.Linker) int64 {
 	var cross int64
 	cur := graph.CursorFor(g)
 	for d := 0; d < g.NumNodes(); d++ {
+		p := n.PeerOf(graph.NodeID(d))
 		for _, t := range cur.OutLinks(graph.NodeID(d)) {
-			if !n.SamePeer(graph.NodeID(d), t) {
+			if p == NoPeer || n.PeerOf(t) != p {
 				cross++
 			}
 		}

@@ -7,8 +7,6 @@
 // uint64 seed.
 package rng
 
-import "math"
-
 // splitMix64 advances the SplitMix64 state and returns the next value.
 // SplitMix64 (Steele, Lea, Flood 2014) passes BigCrush and is the
 // recommended seeder for xoshiro-family generators.
@@ -41,13 +39,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Split derives an independent generator from r's current state and a
-// stream identifier. Two Splits with different ids produce streams that
-// are statistically independent of each other and of r.
-func (r *Rand) Split(id uint64) *Rand {
-	return New(r.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -62,9 +53,6 @@ func (r *Rand) Uint64() uint64 {
 	r.s[3] = rotl(r.s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
@@ -114,28 +102,6 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

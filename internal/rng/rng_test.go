@@ -28,15 +28,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	s1 := r.Split(1)
-	s2 := r.Split(2)
-	if s1.Uint64() == s2.Uint64() {
-		t.Fatal("split streams started identically")
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
@@ -169,37 +160,6 @@ func TestSamplePanicsWhenKTooLarge(t *testing.T) {
 		}
 	}()
 	New(1).Sample(2, 3)
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(41)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(43)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v", mean)
-	}
 }
 
 // Property: Uint64n never exceeds its bound, for any bound.

@@ -1,8 +1,7 @@
 // Package search implements keyword search over the P2P system: a
 // distributed inverted index with pageranks stored alongside postings
 // (section 2.4.2), the baseline full-transfer boolean search, the
-// paper's incremental top-x% search (section 2.4.3), and the
-// Bloom-filter-assisted variant it can be combined with.
+// paper's incremental top-x% search (section 2.4.3).
 package search
 
 import (
@@ -10,8 +9,6 @@ import (
 	"sort"
 
 	"dpr/internal/corpus"
-	"dpr/internal/dht"
-	"dpr/internal/p2p"
 )
 
 // Posting is one entry of a term's index partition: a document and its
@@ -23,16 +20,17 @@ type Posting struct {
 }
 
 // Index is the distributed inverted index: each term's posting list
-// lives on the peer that owns the term's hash on the DHT ring.
+// lives on the peer that owns the term's hash on the DHT ring. A query
+// is costed at one transfer for each term after the first, so which
+// peer holds a term is not stored.
 type Index struct {
-	numPeers int
-	termPeer []p2p.PeerID
 	postings [][]Posting // term -> postings sorted by doc id
 }
 
 // Build constructs the index from a corpus and a pagerank vector
-// indexed by document ID. Terms are placed on peers by hashing, the
-// DHT placement rule.
+// indexed by document ID. numPeers, the number of peers the index is
+// spread over, must be positive; no query reads which peer holds a
+// term (see Index).
 func Build(c *corpus.Corpus, ranks []float64, numPeers int) (*Index, error) {
 	if numPeers < 1 {
 		return nil, fmt.Errorf("search: need at least one peer")
@@ -40,13 +38,8 @@ func Build(c *corpus.Corpus, ranks []float64, numPeers int) (*Index, error) {
 	if len(ranks) < len(c.Docs) {
 		return nil, fmt.Errorf("search: %d ranks for %d documents", len(ranks), len(c.Docs))
 	}
-	idx := &Index{
-		numPeers: numPeers,
-		termPeer: make([]p2p.PeerID, c.NumTerms),
-		postings: make([][]Posting, c.NumTerms),
-	}
+	idx := &Index{postings: make([][]Posting, c.NumTerms)}
 	for t := 0; t < c.NumTerms; t++ {
-		idx.termPeer[t] = p2p.PeerID(uint64(dht.GUIDFromUint64(uint64(t)).ID()) % uint64(numPeers))
 		docs := c.DocsWithTerm(corpus.TermID(t))
 		ps := make([]Posting, len(docs))
 		for i, d := range docs {
@@ -65,12 +58,6 @@ func (idx *Index) Postings(t corpus.TermID) []Posting {
 	}
 	return idx.postings[t]
 }
-
-// PeerOfTerm returns the peer owning term t's partition.
-func (idx *Index) PeerOfTerm(t corpus.TermID) p2p.PeerID { return idx.termPeer[t] }
-
-// NumPeers returns the number of peers the index is spread over.
-func (idx *Index) NumPeers() int { return idx.numPeers }
 
 // UpdateRank records a freshly computed pagerank for a document in
 // every partition that lists it — the paper's index-update message

@@ -3,13 +3,8 @@ package search
 import (
 	"fmt"
 
-	"dpr/internal/bloom"
 	"dpr/internal/corpus"
 )
-
-// DocIDBytes is the wire size of one document identifier, used when
-// comparing ID-shipping protocols with the Bloom variant.
-const DocIDBytes = 4
 
 // Result reports one executed query.
 type Result struct {
@@ -18,10 +13,6 @@ type Result struct {
 	// TrafficIDs counts document IDs shipped peer-to-peer plus the
 	// final transfer to the user — the unit of the paper's Table 6.
 	TrafficIDs int64
-
-	// TrafficBytes counts all bytes shipped (IDs plus any Bloom
-	// filters), for cross-protocol comparison.
-	TrafficBytes int64
 
 	PeerHops int // number of peer-to-peer transfers (query words - 1)
 }
@@ -50,7 +41,6 @@ func Baseline(idx *Index, query []corpus.TermID) (Result, error) {
 	}
 	// Final transfer to the querying user.
 	res.TrafficIDs += int64(len(current))
-	res.TrafficBytes = res.TrafficIDs * DocIDBytes
 	byRankDesc(current)
 	res.Hits = current
 	return res, nil
@@ -83,7 +73,6 @@ func Incremental(idx *Index, query []corpus.TermID, topFrac float64, floor int) 
 	byRankDesc(current)
 	current = trimTop(current, topFrac, floor)
 	res.TrafficIDs += int64(len(current))
-	res.TrafficBytes = res.TrafficIDs * DocIDBytes
 	res.Hits = current
 	return res, nil
 }
@@ -96,54 +85,6 @@ func trimTop(ps []Posting, topFrac float64, floor int) []Posting {
 		return ps
 	}
 	return ps[:keep]
-}
-
-// Bloom executes the Reynolds-Vahdat style protocol the paper cites as
-// composable with incremental search: the first peer ships a Bloom
-// filter of its posting list instead of the IDs; the next peer
-// intersects locally (accepting the filter's false positives) and
-// ships the candidate IDs back through the chain for verification.
-// Traffic in IDs counts only real ID transfers; TrafficBytes adds the
-// filter bytes.
-func Bloom(idx *Index, query []corpus.TermID, fpRate float64) (Result, error) {
-	if err := checkQuery(idx, query); err != nil {
-		return Result{}, err
-	}
-	current := clonePostings(idx.Postings(query[0]))
-	res := Result{}
-	for _, term := range query[1:] {
-		items := len(current)
-		if items == 0 {
-			items = 1
-		}
-		f, err := bloom.New(items, fpRate)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, p := range current {
-			f.AddUint32(p.Doc)
-		}
-		res.TrafficBytes += f.SizeBytes()
-		res.PeerHops++
-		// The receiving peer keeps its postings that pass the filter
-		// (superset of the true intersection, then verified against
-		// the sender's true set — the verification transfer ships the
-		// candidates back).
-		candidates := make([]Posting, 0)
-		for _, p := range idx.Postings(term) {
-			if f.ContainsUint32(p.Doc) {
-				candidates = append(candidates, p)
-			}
-		}
-		res.TrafficIDs += int64(len(candidates))
-		res.TrafficBytes += int64(len(candidates)) * DocIDBytes
-		current = intersectByDoc(candidates, current)
-	}
-	res.TrafficIDs += int64(len(current))
-	res.TrafficBytes += int64(len(current)) * DocIDBytes
-	byRankDesc(current)
-	res.Hits = current
-	return res, nil
 }
 
 func checkQuery(idx *Index, query []corpus.TermID) error {

@@ -62,9 +62,6 @@ func TestIndexPostingsMatchCorpus(t *testing.T) {
 	if idx.Postings(-1) != nil || idx.Postings(corpus.TermID(c.NumTerms)) != nil {
 		t.Fatal("out-of-range term returned postings")
 	}
-	if idx.NumPeers() != 50 {
-		t.Fatalf("NumPeers = %d", idx.NumPeers())
-	}
 }
 
 func TestUpdateRank(t *testing.T) {
@@ -251,63 +248,6 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 	if _, err := Baseline(idx, []corpus.TermID{9999}); err == nil {
 		t.Error("accepted out-of-vocabulary term")
-	}
-}
-
-func TestBloomFindsAllTrueHits(t *testing.T) {
-	c, idx := buildFixture(t, 12)
-	r := rng.New(13)
-	queries, err := c.MakeQueries(r, 10, 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		res, err := Bloom(idx, q, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := truthIntersection(c, q)
-		// Bloom filters have no false negatives: every true hit is
-		// present.
-		found := map[uint32]bool{}
-		for _, h := range res.Hits {
-			found[h.Doc] = true
-		}
-		for d := range truth {
-			if !found[d] {
-				t.Fatalf("query %d: bloom lost true hit %d", qi, d)
-			}
-		}
-		// And after verification no spurious hits survive.
-		for _, h := range res.Hits {
-			if !truth[h.Doc] {
-				t.Fatalf("query %d: bloom kept false positive %d", qi, h.Doc)
-			}
-		}
-	}
-}
-
-func TestBloomSavesBytesOnLargeLists(t *testing.T) {
-	// Bloom pays off when the first posting list is large and the
-	// intersection is small: the filter replaces shipping the big
-	// list. Pair the head term with a much rarer one.
-	c, idx := buildFixture(t, 14)
-	top := c.TopTerms(c.NumTerms)
-	q := []corpus.TermID{top[0], top[len(top)*3/4]}
-	if c.DocFreq(q[1]) == 0 {
-		t.Skip("rare term empty in fixture")
-	}
-	base, err := Baseline(idx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := Bloom(idx, q, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bl.TrafficBytes >= base.TrafficBytes {
-		t.Fatalf("bloom bytes %d >= baseline bytes %d on head terms",
-			bl.TrafficBytes, base.TrafficBytes)
 	}
 }
 

@@ -112,42 +112,3 @@ func aitken(xk, xk1, xk2 []float64) {
 		xk[i] = v
 	}
 }
-
-// IterationsToReach runs power iteration and returns how many passes
-// are needed before every component is within relTol of the reference
-// vector ref. Used by the quality-vs-pass experiment ("99% of the
-// nodes converged to within 1% of R_c in less than 10 passes").
-// fraction selects how much of the node population must be within
-// relTol (1.0 = all). Returns MaxIters+1 if never reached.
-func IterationsToReach(g *graph.Graph, cfg Config, ref []float64, relTol, fraction float64) int {
-	c := cfg.withDefaults()
-	n := g.NumNodes()
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = 1
-	}
-	base, err := c.baseVector(n)
-	if err != nil {
-		return c.MaxIters + 1
-	}
-	need := int(math.Ceil(fraction * float64(n)))
-	for iter := 1; iter <= c.MaxIters; iter++ {
-		pushPass(g, c.Damping, base, cur, next)
-		cur, next = next, cur
-		within := 0
-		for i := range cur {
-			denom := math.Abs(ref[i])
-			if denom == 0 {
-				denom = 1
-			}
-			if math.Abs(cur[i]-ref[i])/denom <= relTol {
-				within++
-			}
-		}
-		if within >= need {
-			return iter
-		}
-	}
-	return c.MaxIters + 1
-}

@@ -188,30 +188,6 @@ func TestPowerMaxItersRespected(t *testing.T) {
 	}
 }
 
-func TestIterationsToReach(t *testing.T) {
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(2000, 10))
-	ref, err := Power(g, Config{Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := IterationsToReach(g, Config{}, ref.Ranks, 0.01, 1.0)
-	most := IterationsToReach(g, Config{}, ref.Ranks, 0.01, 0.99)
-	if most > full {
-		t.Fatalf("99%% (%d passes) should not need more than 100%% (%d)", most, full)
-	}
-	// Synchronous Jacobi contracts at rate ~d=0.85 per pass, so 1%
-	// needs at most ~log(0.01)/log(0.85) ~= 28 passes; 99% of nodes
-	// get there sooner. (The paper's "<10 passes for 99%" claim is
-	// about the distributed delta-push scheme, tested in core.)
-	if most > 28 {
-		t.Fatalf("99%% of nodes took %d passes to reach 1%%", most)
-	}
-	// Unreachable tolerance returns MaxIters+1.
-	if got := IterationsToReach(g, Config{MaxIters: 2}, ref.Ranks, 1e-18, 1.0); got != 3 {
-		t.Fatalf("unreachable tolerance: got %d, want MaxIters+1=3", got)
-	}
-}
-
 // Property: pagerank of a uniform out-degree random graph sums to
 // approximately N (mass conservation up to the (1-d) source and d-fold
 // recirculation; with no dangling nodes the sum is exactly N at the
