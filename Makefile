@@ -79,12 +79,13 @@ race-engines-smoke:
 	$(GO) test -count=1 -run TestRaceEnginesSmoke ./internal/race
 
 # Short fuzz bursts over the checkpoint decoder (truncated/corrupt
-# input), the frame codecs and the row codec every snapshot format is
-# built on.
+# input), the frame codecs, the row codec every snapshot format is
+# built on, and the ranker's document → row directory.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzDocIndex$$' -fuzztime 30s ./internal/p2p
 
 # Fuzz the compressed-graph (DPRZ) decoder: arbitrary bytes must error
 # or decode to a self-consistent graph, never panic.
@@ -99,8 +100,9 @@ bench-pipeline:
 	$(GO) test -run XXX -bench BenchmarkRunPassParallel -benchmem .
 
 # The three per-update stages of the live cluster's rank-update path —
-# ranker fold (and the per-row cost of a threshold-stage sweep, and the
-# per-out-link cost of building a peer's shard, which set-up pays),
+# ranker fold (and the per-row cost of a threshold-stage sweep, the
+# per-out-link cost of building a peer's shard, which set-up pays, and
+# one document → row lookup on a uniform and on a skewed shard),
 # the retry queue from enqueue to merged and ordered frame, and its
 # radix sort alone (internal/p2p), and the batch codec, with its bytes
 # per update (internal/wire) — with allocation counts, plus the checkpoint codec's
@@ -109,7 +111,7 @@ bench-pipeline:
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkRetryQueueDeferMergeDrainN|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
+	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkDocIndexFind|BenchmarkRetryQueueDeferMergeDrainN|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
 	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkSnapshotCodec|BenchmarkNewCluster' -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks

@@ -5,17 +5,15 @@ import "fmt"
 // fingerBits is the ring width: fingers[i] targets id + 2^i.
 const fingerBits = 64
 
-// successorListLen is the number of successors each node tracks, which
-// bounds how many simultaneous adjacent failures the ring survives.
-const successorListLen = 4
-
 // Node is one peer's view of the Chord ring. All routing uses only
-// this node's successor list and finger table, never global state.
+// this node's successor and finger table, never global state. Every
+// leave is graceful and repairs the pointers of the nodes that stay, so
+// a live node's successor is always live: one pointer is enough.
 type Node struct {
 	id      ID
 	name    string
 	pred    *Node
-	succ    [successorListLen]*Node
+	succ    *Node
 	fingers [fingerBits]*Node
 	alive   bool
 
@@ -34,15 +32,8 @@ func (n *Node) Name() string { return n.name }
 // Alive reports whether the node is currently in the ring.
 func (n *Node) Alive() bool { return n.alive }
 
-// Successor returns the first live successor, skipping failed entries.
-func (n *Node) Successor() *Node {
-	for _, s := range n.succ {
-		if s != nil && s.alive {
-			return s
-		}
-	}
-	return nil
-}
+// Successor returns the next live node on the ring.
+func (n *Node) Successor() *Node { return n.succ }
 
 // Owns reports whether key k lies in the live node's range (pred, id]:
 // the keys it owns, and so the ones it took from its successor when it

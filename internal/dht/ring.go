@@ -191,8 +191,8 @@ func (r *Ring) predecessorOf(n *Node) *Node {
 	return r.sorted[i-1]
 }
 
-// repairPointers deterministically rebuilds predecessor, successor
-// lists and finger tables for every live node, equivalent to Chord's
+// repairPointers deterministically rebuilds predecessors, successors
+// and finger tables for every live node, equivalent to Chord's
 // stabilization protocol having fully converged.
 func (r *Ring) repairPointers() {
 	m := len(r.sorted)
@@ -201,19 +201,10 @@ func (r *Ring) repairPointers() {
 	}
 	for i, n := range r.sorted {
 		n.pred = r.sorted[(i-1+m)%m]
-		for j := 0; j < successorListLen; j++ {
-			n.succ[j] = r.sorted[(i+1+j)%m]
-		}
+		n.succ = r.sorted[(i+1)%m]
 		for b := 0; b < fingerBits; b++ {
 			target := n.id + (ID(1) << uint(b))
 			n.fingers[b] = r.Owner(target)
-		}
-	}
-	if m == 1 {
-		n := r.sorted[0]
-		n.pred = n
-		for j := range n.succ {
-			n.succ[j] = n
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a document in a Graph.
@@ -35,7 +34,6 @@ type Graph struct {
 	inAdj    []NodeID
 
 	transposeOnce sync.Once
-	transposed    atomic.Bool
 }
 
 // NumNodes returns the number of documents.
@@ -56,10 +54,6 @@ func (g *Graph) OutLinks(v NodeID) []NodeID {
 	return g.outAdj[g.outStart[v]:g.outStart[v+1]]
 }
 
-// HasTranspose reports whether the in-link adjacency has been built.
-// Safe to call concurrently with Transpose.
-func (g *Graph) HasTranspose() bool { return g.transposed.Load() }
-
 // InDegree returns the number of in-links of v. It builds the transpose
 // on first use.
 func (g *Graph) InDegree(v NodeID) int {
@@ -79,10 +73,7 @@ func (g *Graph) InLinks(v NodeID) []NodeID {
 // costs O(N+E) the first time, and is safe for concurrent first use:
 // racing callers all block until one of them has built the adjacency.
 func (g *Graph) Transpose() {
-	g.transposeOnce.Do(func() {
-		g.buildTranspose()
-		g.transposed.Store(true)
-	})
+	g.transposeOnce.Do(g.buildTranspose)
 }
 
 func (g *Graph) buildTranspose() {

@@ -68,13 +68,13 @@ func TestBuilderReuse(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	g := FromAdjacency([][]NodeID{{1, 2}, {2}, {0}})
-	if g.HasTranspose() {
+	if g.inStart != nil {
 		t.Fatal("transpose built eagerly")
 	}
 	if d := g.InDegree(2); d != 2 {
 		t.Fatalf("InDegree(2) = %d, want 2", d)
 	}
-	if !g.HasTranspose() {
+	if g.inStart == nil {
 		t.Fatal("transpose not cached")
 	}
 	in := g.InLinks(2)

@@ -1,7 +1,5 @@
 package p2p
 
-import "fmt"
-
 // Counters accumulates message-traffic statistics for one computation,
 // the raw material of the paper's Table 3.
 type Counters struct {
@@ -32,10 +30,4 @@ func (c *Counters) HopsPerMessage() float64 {
 		return 0
 	}
 	return float64(c.RoutedHops) / float64(c.InterPeerMsgs)
-}
-
-// String renders a compact summary.
-func (c *Counters) String() string {
-	return fmt.Sprintf("passes=%d inter=%d intra=%d deferred=%d redelivered=%d hops=%d",
-		c.Passes, c.InterPeerMsgs, c.IntraPeerMsgs, c.Deferred, c.Redelivered, c.RoutedHops)
 }

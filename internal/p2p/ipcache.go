@@ -62,12 +62,6 @@ func (c *IPCache) Hops(from PeerID, doc graph.NodeID, ring *dht.Ring, start *dht
 	return hops
 }
 
-// Invalidate drops every cached address for documents held by peer p;
-// called when p leaves so stale addresses are re-resolved on rejoin.
-func (c *IPCache) Invalidate(net *Network, p PeerID) {
-	c.InvalidateDocs(net.Docs(p))
-}
-
 // InvalidateDocs drops the cached addresses for the given documents
 // across all senders. Membership changes call this with the migrated
 // key range so the next send re-routes through the DHT and re-learns

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -28,8 +29,8 @@ import (
 // All methods are safe for concurrent use, except that Fold's results
 // alias scratch the next Fold overwrites.
 //
-// Under dynamic membership the document set is mutable: Adopt appends
-// a departed peer's rows, Shed extracts rows for a joining peer, and
+// Under dynamic membership the document set is mutable: Adopt merges
+// in a departed peer's rows, Shed extracts rows for a joining peer, and
 // SetOwner and RerouteOwner repoint documents at new owners. Routing
 // and adjacency live in the ranker's shard, sized by the rows it holds
 // and their out-links, never by the graph (shard.go).
@@ -53,7 +54,7 @@ type Ranker struct {
 	mu sync.Mutex
 	shard
 	// A row is (docs, acc, last); rankLocked recomputes its rank from acc.
-	docs []graph.NodeID // row → document
+	docs []graph.NodeID // row → document, ascending
 	acc  []float64
 	last []float64
 	thr  float64 // push threshold in force, never below epsilon
@@ -105,7 +106,8 @@ func reuse[T any](s []T) []T {
 // not told otherwise about (SetOwner, Shed, RerouteOwner). teleport is the
 // per-document constant term; nil means the uniform 1-damping.
 // threshold is the stage to begin at (at least epsilon); absolute
-// selects the absolute, not relative, residual test.
+// selects the absolute, not relative, residual test. The ranker starts
+// from docs' rows at zero, adopted in document order (Adopt).
 func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []PeerID,
 	teleport []float64, damping, epsilon, threshold float64, absolute bool, mass *telemetry.Gauge) *Ranker {
 	r := &Ranker{
@@ -118,24 +120,12 @@ func NewRanker(id PeerID, cur graph.LinkCursor, docs []graph.NodeID, docPeer []P
 		absolute:  absolute,
 		mass:      mass,
 		placement: docPeer,
-		docs:      append([]graph.NodeID(nil), docs...),
-		acc:       make([]float64, len(docs)),
-		last:      make([]float64, len(docs)),
-		stamp:     make([]uint32, len(docs)),
-		shard:     shard{off: make([]int32, 1, len(docs)+1)},
+		shard:     shard{off: []int32{0}},
 	}
-	r.compileLocked(0)
-	r.rebaseLocked()
+	zero := make([]float64, len(docs))
+	r.mass.Set(0)
+	r.Adopt(docs, zero, zero)
 	return r
-}
-
-// rebaseLocked sets the mass gauge to the rows' total rank.
-func (r *Ranker) rebaseLocked() {
-	total := 0.0
-	for i := range r.docs {
-		total += r.rankLocked(int32(i))
-	}
-	r.mass.Set(total)
 }
 
 // rankLocked is row i's rank: the paper's (1 − d) + acc, or its
@@ -196,7 +186,7 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 	}
 	dirty, fwd := reuse(r.dirty), reuse(r.fwd)
 	for _, u := range batch {
-		i := r.index.find(u.Doc)
+		i := r.index.find(r.docs, u.Doc)
 		if i < 0 {
 			fwd = append(fwd, u)
 			continue
@@ -319,7 +309,7 @@ func (r *Ranker) ForwardOut(fwd []Update) (out [][]Update, dropped int) {
 	out = make([][]Update, len(r.out))
 	for _, u := range fwd {
 		owner := r.ownerLocked(u.Doc)
-		if owner == NoPeer || owner == r.id && r.index.find(u.Doc) < 0 {
+		if owner == NoPeer || owner == r.id && r.index.find(r.docs, u.Doc) < 0 {
 			dropped++
 			continue
 		}
@@ -364,7 +354,7 @@ func (r *Ranker) RerouteOwner(from, to PeerID) {
 	}
 	r.cover(to)
 	for i, l := range r.links {
-		if l.owner() == from && (from != r.id || r.index.find(l.doc) < 0) {
+		if l.owner() == from && (from != r.id || r.index.find(r.docs, l.doc) < 0) {
 			r.links[i].box = int32(to) + 1
 		}
 	}
@@ -378,44 +368,54 @@ func (r *Ranker) SetOwner(docs []graph.NodeID, owner PeerID) {
 	defer r.mu.Unlock()
 	var named []graph.NodeID
 	for _, d := range docs {
-		if uint32(d) < uint32(len(r.placement)) && r.index.find(d) < 0 {
+		if uint32(d) < uint32(len(r.placement)) && r.index.find(r.docs, d) < 0 {
 			named = append(named, d)
 		}
 	}
-	r.moveLocked(named, owner)
+	named = r.moveLocked(named, owner)
 	r.cover(owner)
 	idx := newDocIndex(named)
 	for i, l := range r.links {
-		if idx.find(l.doc) >= 0 {
+		if idx.find(named, l.doc) >= 0 {
 			r.links[i].box = int32(owner) + 1
 		}
 	}
 }
 
-// Adopt appends a migrated document range: the rows arrive mid-flight
+// Adopt merges in a migrated document range: the rows arrive mid-flight
 // from a handoff snapshot and continue exactly where the previous
 // owner's last fold left them (acc committed, last marking what has
 // already been pushed downstream). Adopted docs are immediately routed
-// to this peer.
+// to this peer. A document already held (a replayed handoff) keeps its
+// row, and of a document listed twice the first row is taken.
 func (r *Ranker) Adopt(docs []graph.NodeID, acc, last []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	adopted, n := 0.0, len(r.docs)
-	added := make(map[graph.NodeID]bool)
+	in := make([]int, 0, len(docs)) // where in docs the rows to merge are, by document
 	for i, d := range docs {
-		if uint32(d) >= uint32(len(r.placement)) || r.index.find(d) >= 0 || added[d] {
-			continue // already ours (e.g. replayed handoff); keep our state
+		if uint32(d) < uint32(len(r.placement)) && r.index.find(r.docs, d) < 0 {
+			in = append(in, i)
 		}
-		added[d] = true
-		r.docs = append(r.docs, d)
-		r.acc = append(r.acc, acc[i])
-		r.last = append(r.last, last[i])
-		r.stamp = append(r.stamp, 0)
-		adopted += r.rankLocked(int32(len(r.docs) - 1))
 	}
-	if len(r.docs) > n {
-		r.compileLocked(n)
+	if !slices.IsSorted(docs) {
+		slices.SortStableFunc(in, func(i, j int) int { return cmp.Compare(docs[i], docs[j]) })
 	}
+	in = slices.CompactFunc(in, func(i, j int) bool { return docs[i] == docs[j] })
+	// Merge from the back, into the rows grown in place.
+	old, n, adopted := len(r.docs)-1, len(r.docs)+len(in), 0.0
+	r.docs, r.acc, r.last = slices.Grow(r.docs, len(in))[:n], slices.Grow(r.acc, len(in))[:n], slices.Grow(r.last, len(in))[:n]
+	r.stamp = append(r.stamp, make([]uint32, len(in))...)
+	for j := n - 1; len(in) > 0; j-- {
+		if i := in[len(in)-1]; old < 0 || r.docs[old] < docs[i] {
+			r.docs[j], r.acc[j], r.last[j] = docs[i], acc[i], last[i]
+			adopted += r.rankLocked(int32(j))
+			in = in[:len(in)-1]
+		} else {
+			r.docs[j], r.acc[j], r.last[j] = r.docs[old], r.acc[old], r.last[old]
+			old--
+		}
+	}
+	r.compileLocked(0)
 	r.mass.Add(adopted)
 }
 
@@ -431,7 +431,7 @@ func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (acc, last []float64
 	gone := make([]bool, len(r.docs))
 	extracted := 0.0
 	for i, d := range docs {
-		j := r.index.find(d)
+		j := r.index.find(r.docs, d)
 		if j < 0 {
 			return nil, nil, fmt.Errorf("p2p: peer %d cannot shed doc %d it does not own", r.id, d)
 		}
@@ -522,16 +522,6 @@ func (r *Ranker) Rows() (docs []graph.NodeID, acc, last []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]graph.NodeID(nil), r.docs...), append([]float64(nil), r.acc...), append([]float64(nil), r.last...)
-}
-
-// SetRows copies rows saved by Rows back in over the same document
-// set (a checkpoint restore) and re-bases the mass gauge on them.
-func (r *Ranker) SetRows(acc, last []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	copy(r.acc, acc)
-	copy(r.last, last)
-	r.rebaseLocked()
 }
 
 // EncodeRows appends a row list to dst: a uvarint count, then per row

@@ -184,11 +184,19 @@ func sameOut(t *testing.T, step int, got [][]Update, want map[PeerID][]Update) {
 // and forwards, and requires identical rows and identical
 // per-destination update multisets after every step — including for
 // owners past the end of the table the ranker was built with, and for
-// documents outside the graph. Even seeds run with a per-document constant term, every third
-// with the absolute threshold.
+// documents outside the graph. After every step the rows are strictly
+// ascending and the index finds exactly the model's held documents.
+// Even seeds run with a per-document constant term, every third with
+// the absolute threshold, every fourth from a shuffled document list;
+// adoptions come in any order and may repeat a document.
 func TestRankerMatchesMapModel(t *testing.T) {
 	const docs, self = 96, PeerID(1)
 	damping := 0.85 // a variable: 1-damping must round at run time, as the ranker's does
+	// Documents the index is asked for: every one near the graph, and far ones.
+	probes := []graph.NodeID{math.MinInt32, 1 << 20, math.MaxInt32}
+	for d := graph.NodeID(-2); d < docs+2; d++ {
+		probes = append(probes, d)
+	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
@@ -209,6 +217,9 @@ func TestRankerMatchesMapModel(t *testing.T) {
 				own = append(own, graph.NodeID(d))
 				m.row[graph.NodeID(d)] = &[2]float64{0, 0}
 			}
+		}
+		if seed%4 == 1 {
+			r.Shuffle(len(own), func(i, j int) { own[i], own[j] = own[j], own[i] })
 		}
 		rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.thr, m.absolute, telemetry.NewRegistry().Gauge("mass"))
 		sameOut(t, 0, rk.InitialOut(), func() map[PeerID][]Update {
@@ -270,14 +281,11 @@ func TestRankerMatchesMapModel(t *testing.T) {
 					sameOut(t, step, fout, wantF)
 					batch = slices.Clone(out[self+1])
 				}
-			case op < 7: // adopt rows, some of them already held
+			case op < 7: // adopt rows, some of them already held or listed twice: the first is taken
 				var ds []graph.NodeID
 				var acc, last []float64
 				for i := r.Intn(6); i >= 0; i-- {
 					d := graph.NodeID(r.Intn(docs))
-					if slices.Contains(ds, d) {
-						continue
-					}
 					ds = append(ds, d)
 					acc, last = append(acc, r.Float64()), append(last, r.Float64())
 					if m.row[d] == nil {
@@ -330,6 +338,16 @@ func TestRankerMatchesMapModel(t *testing.T) {
 			for d := graph.NodeID(0); d < docs; d++ {
 				if table[d] != m.dest(d) {
 					t.Fatalf("seed %d step %d: doc %d routed to %d, model %d", seed, step, d, table[d], m.dest(d))
+				}
+			}
+			for i := 1; i < len(rk.docs); i++ {
+				if rk.docs[i-1] >= rk.docs[i] {
+					t.Fatalf("seed %d step %d: rows %d and %d hold docs %d and %d, not ascending", seed, step, i-1, i, rk.docs[i-1], rk.docs[i])
+				}
+			}
+			for _, d := range probes {
+				if i := rk.index.find(rk.docs, d); (i >= 0) != (m.row[d] != nil) || i >= 0 && rk.docs[i] != d {
+					t.Fatalf("seed %d step %d: index finds doc %d at row %d, model holds it: %v", seed, step, d, i, m.row[d] != nil)
 				}
 			}
 			ds, acc, last := rk.Rows()
@@ -586,15 +604,10 @@ func TestRankerSizedByRowsNotDocs(t *testing.T) {
 func BenchmarkRankerBuild(b *testing.B) {
 	const docs, peers, self = 500000, 32, 3
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 42))
-	r := rng.New(42)
-	docPeer := make([]PeerID, docs)
-	var own []graph.NodeID
+	docPeer, own := randomShard(docs, peers, self)
 	edges := 0
-	for d := range docPeer {
-		if docPeer[d] = PeerID(r.Intn(peers)); docPeer[d] == self {
-			own = append(own, graph.NodeID(d))
-			edges += len(g.OutLinks(graph.NodeID(d)))
-		}
+	for _, d := range own {
+		edges += len(g.OutLinks(d))
 	}
 	mass := telemetry.NewRegistry().Gauge("mass")
 	b.ReportAllocs()

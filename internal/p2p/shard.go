@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"dpr/internal/graph"
@@ -12,9 +11,10 @@ import (
 // their out-links rather than by the graph (DESIGN.md §13): each row's
 // out-links, copied out of the graph once, each with the outbox its
 // updates go to; the documents routed away from the placement; and the
-// open-addressed document → row index that Fold probes. A document's
-// owner is decided in one place, ownerLocked, and the links carry its
-// answer, refreshed by every change of rows or routes.
+// directory Fold finds a document's row through, which relies on the
+// rows being kept ascending by document. A document's owner is decided
+// in one place, ownerLocked, and the links carry its answer, refreshed
+// by every change of rows or routes.
 type shard struct {
 	off   []int32 // row i's out-links are links[off[i]:off[i+1]]
 	links []route // in the graph's link order
@@ -38,48 +38,67 @@ type route struct {
 
 func (r route) owner() PeerID { return PeerID(r.box - 1) }
 
-// docIndex maps documents to their positions in the list it was built
-// from: open addressing, at most half full.
+// docIndex finds a document's row in an ascending document column
+// through a directory of buckets: dir[k] is the first row whose
+// document is at least k<<shift, so bucket k's rows are dir[k]:dir[k+1].
+// shift is the least that makes no more buckets than half the rows,
+// about 2–4 rows a bucket: ≤ 2 B a row, sized by the rows, never by the
+// graph.
 type docIndex struct {
-	keys  []docKey
-	shift uint8 // 32 − log2(len(keys))
+	dir   []int32
+	shift uint8
 }
 
-// docKey is one entry; at is the position plus one, 0 marking an empty
-// entry.
-type docKey struct {
-	doc graph.NodeID
-	at  int32
-}
-
-func newDocIndex(docs []graph.NodeID) docIndex {
-	lg := bits.Len(uint(2 * len(docs)))
-	x := docIndex{keys: make([]docKey, 1<<lg), shift: uint8(32 - lg)}
-	mask := uint32(len(x.keys) - 1)
-	for i, d := range docs {
-		h := (uint32(d) * 0x9e3779b9) >> x.shift
-		for x.keys[h].at != 0 {
-			h = (h + 1) & mask
-		}
-		x.keys[h] = docKey{doc: d, at: int32(i) + 1}
+func newDocIndex(docs []graph.NodeID) (x docIndex) {
+	top := uint32(0)
+	if len(docs) > 0 {
+		top = uint32(docs[len(docs)-1])
 	}
+	for top>>x.shift+2 > uint32(max(2, len(docs)/2)) {
+		x.shift++
+	}
+	x.dir = make([]int32, 0, top>>x.shift+2)
+	for i, d := range docs {
+		for len(x.dir) <= int(uint32(d)>>x.shift) {
+			x.dir = append(x.dir, int32(i))
+		}
+	}
+	x.dir = append(x.dir, int32(len(docs)))
 	return x
 }
 
-// find returns d's position, -1 when d is not in the index.
+// find returns d's row in docs, the column the index was built over,
+// -1 when d is not in it.
 //
 //dpr:hotpath
-func (x *docIndex) find(d graph.NodeID) int32 {
-	mask := uint32(len(x.keys) - 1)
-	for h := (uint32(d) * 0x9e3779b9) >> x.shift; ; h = (h + 1) & mask {
-		switch e := x.keys[h]; {
-		case e.at == 0:
-			return -1
-		case e.doc == d:
-			return e.at - 1
-		}
+func (x *docIndex) find(docs []graph.NodeID, d graph.NodeID) int32 {
+	k := uint(uint32(d) >> x.shift)
+	if k+1 >= uint(len(x.dir)) {
+		return -1
 	}
+	lo, hi := x.dir[k], x.dir[k+1]
+	if hi-lo > bucketRows || int(lo)+bucketRows > len(docs) {
+		// A crowded bucket (a skewed column's) or the column's end: a
+		// binary search, so a lookup is never worse than O(log rows).
+		if i, ok := slices.BinarySearch(docs[lo:hi], d); ok {
+			return lo + int32(i)
+		}
+		return -1
+	}
+	// d's row, if held, is lo plus the rows before d, counted without a
+	// branch: the rows past the bucket hold later documents.
+	w, n := (*[bucketRows]graph.NodeID)(docs[lo:]), int32(0)
+	for _, r := range w {
+		n += int32(uint32(r-d) >> 31) // r < d: neither is negative here
+	}
+	if n < hi-lo && w[n&(bucketRows-1)] == d {
+		return lo + n
+	}
+	return -1
 }
+
+// bucketRows is the most rows find counts in a bucket without a branch.
+const bucketRows = 8
 
 // compileLocked rebuilds the shard around the rows in r.docs: the
 // index, the out-links of rows from on, copied out of the graph (the
@@ -123,7 +142,7 @@ func (r *Ranker) relinkLocked() {
 // owner through every RerouteOwner since.
 func (r *Ranker) ownerLocked(d graph.NodeID) PeerID {
 	o := r.placed(d)
-	if (o == r.id || !r.placedHere) && r.index.find(d) >= 0 {
+	if (o == r.id || !r.placedHere) && r.index.find(r.docs, d) >= 0 {
 		return r.id
 	}
 	if i, ok := slices.BinarySearchFunc(r.moved, d, func(m route, d graph.NodeID) int { return cmp.Compare(m.doc, d) }); ok {
@@ -143,12 +162,13 @@ func (r *Ranker) placed(d graph.NodeID) PeerID {
 	return r.placement[d]
 }
 
-// moveLocked routes docs to owner in moved.
-func (r *Ranker) moveLocked(docs []graph.NodeID, owner PeerID) {
+// moveLocked routes docs to owner in moved and returns them ascending,
+// each once.
+func (r *Ranker) moveLocked(docs []graph.NodeID, owner PeerID) []graph.NodeID {
 	docs = slices.Clone(docs)
 	slices.Sort(docs)
 	docs = slices.Compact(docs)
-	old := r.moved
+	old, named := r.moved, docs
 	r.moved = make([]route, 0, len(old)+len(docs))
 	for len(old) > 0 || len(docs) > 0 {
 		if len(docs) == 0 || len(old) > 0 && old[0].doc < docs[0] {
@@ -160,4 +180,5 @@ func (r *Ranker) moveLocked(docs []graph.NodeID, owner PeerID) {
 		}
 		r.moved, docs = append(r.moved, route{doc: docs[0], box: int32(owner) + 1}), docs[1:]
 	}
+	return named
 }

@@ -13,8 +13,8 @@ import (
 // The sampler precomputes the CDF once and draws by binary search, so a
 // draw is O(log(max-min)).
 type PowerLaw struct {
-	min, max int
-	cdf      []float64
+	min int
+	cdf []float64
 }
 
 // NewPowerLaw builds a sampler over [min, max] with exponent alpha > 0.
@@ -38,7 +38,7 @@ func NewPowerLaw(min, max int, alpha float64) *PowerLaw {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &PowerLaw{min: min, max: max, cdf: cdf}
+	return &PowerLaw{min: min, cdf: cdf}
 }
 
 // Draw returns one sample.
@@ -62,10 +62,6 @@ func (p *PowerLaw) Mean() float64 {
 	return m
 }
 
-// Min and Max report the support bounds.
-func (p *PowerLaw) Min() int { return p.min }
-func (p *PowerLaw) Max() int { return p.max }
-
 // Zipf samples ranks r in [1, n] with P(r) proportional to r^(-s).
 // It is used by the corpus generator: term frequencies in natural text
 // follow Zipf's law, which is what makes "top 100 most frequent terms"
@@ -79,9 +75,6 @@ func NewZipf(n int, s float64) *Zipf {
 
 // Draw returns a rank in [1, n].
 func (z *Zipf) Draw(r *Rand) int { return z.pl.Draw(r) }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.pl.max }
 
 // Alias implements Walker/Vose alias sampling over arbitrary
 // non-negative weights: O(n) setup, O(1) per draw. The graph generator
@@ -151,6 +144,3 @@ func (a *Alias) Draw(r *Rand) int {
 	}
 	return int(a.alias[i])
 }
-
-// Len returns the number of weights in the table.
-func (a *Alias) Len() int { return len(a.prob) }

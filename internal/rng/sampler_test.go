@@ -81,9 +81,10 @@ func TestPowerLawPanics(t *testing.T) {
 }
 
 func TestZipfTopRankDominates(t *testing.T) {
-	z := NewZipf(1880, 1.0)
+	const ranks = 1880
+	z := NewZipf(ranks, 1.0)
 	r := New(5)
-	counts := make([]int, z.N()+1)
+	counts := make([]int, ranks+1)
 	for i := 0; i < 300000; i++ {
 		counts[z.Draw(r)]++
 	}

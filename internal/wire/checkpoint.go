@@ -189,11 +189,12 @@ func (p *Peer) snapshot() *PeerSnapshot {
 // RestorePeer rejoins a crashed peer: a fresh peer (new listener, new
 // address) that adopts its own snapshot. The recovery tables and the
 // senders go in through the same mergeTables and primeSender a
-// successor's Adopt uses; what differs is what is the peer's own — its
-// rows overwrite the fresh ranker's, its counters are restored, and its
-// pending updates go back into its retry queue instead of being handled
-// as a received batch. Call SetPeers (on every peer, since the address
-// changed) and then Start; the restored peer skips the initial push.
+// successor's Adopt uses; what differs is what is the peer's own — the
+// fresh ranker holds no rows but its snapshot's, its counters are
+// restored, and its pending updates go back into its retry queue
+// instead of being handled as a received batch. Call SetPeers (on every
+// peer, since the address changed) and then Start; the restored peer
+// skips the initial push.
 func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("wire: nil snapshot")
@@ -201,18 +202,24 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if cfg.ID != snap.ID {
 		return nil, fmt.Errorf("wire: snapshot is for peer %d, config says %d", snap.ID, cfg.ID)
 	}
-	if !slices.Equal(cfg.Docs, snap.Docs) {
+	// A merged hand-over appends its rows, which the ranker keeps in
+	// document order all the same: the sets must match, not the orders.
+	want, have := slices.Clone(cfg.Docs), slices.Clone(snap.Docs)
+	slices.Sort(want)
+	slices.Sort(have)
+	if !slices.Equal(want, have) {
 		return nil, fmt.Errorf("wire: snapshot document set does not match config")
 	}
 	if len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
 		return nil, fmt.Errorf("wire: snapshot ranker state does not match its document set")
 	}
+	cfg.Docs = nil
 	p, err := NewPeer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.restored = true
-	p.rk.SetRows(snap.Acc, snap.Last)
+	p.rk.Adopt(snap.Docs, snap.Acc, snap.Last)
 	// The config's epoch vector (the cluster's current view) and the
 	// snapshot's (what the peer saw before the crash) can each be ahead
 	// on different slots; mergeTables keeps the higher.
