@@ -80,12 +80,14 @@ race-engines-smoke:
 
 # Short fuzz bursts over the checkpoint decoder (truncated/corrupt
 # input), the frame codecs, the row codec every snapshot format is
-# built on, and the ranker's document → row directory.
+# built on, the ranker's document → row directory, and the retry
+# queue against its map model (the input is the script of operations).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzDocIndex$$' -fuzztime 30s ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzRetryQueueModel$$' -fuzztime 30s ./internal/p2p
 
 # Fuzz the compressed-graph (DPRZ) decoder: arbitrary bytes must error
 # or decode to a self-consistent graph, never panic.

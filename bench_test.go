@@ -210,8 +210,9 @@ func BenchmarkAblationRelVsAbs(b *testing.B) {
 
 // BenchmarkAblationSolvers compares the centralized solver family the
 // related-work section discusses: plain power iteration, Gauss-Seidel,
-// and power iteration accelerated by Aitken Δ² and by Kamvar's
-// quadratic extrapolation.
+// and power iteration accelerated by Kamvar's quadratic extrapolation,
+// at the paper's d = 0.85 and at d = 0.95, where extrapolation pays
+// (DESIGN.md §4, decision 5).
 func BenchmarkAblationSolvers(b *testing.B) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(10000, 6))
 	g.Transpose()
@@ -236,26 +237,20 @@ func BenchmarkAblationSolvers(b *testing.B) {
 			b.ReportMetric(float64(res.Iterations), "iters")
 		}
 	})
-	b.Run("aitken", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := solver.PowerAitken(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
-			if err != nil {
-				b.Fatal(err)
+	quadratic := func(cfg solver.Config) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := solver.PowerQuadratic(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Iterations), "iters")
 			}
-			b.ReportMetric(float64(res.Iterations), "iters")
 		}
-	})
-	b.Run("quadratic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := solver.PowerQuadratic(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Iterations), "iters")
-		}
-	})
+	}
+	b.Run("quadratic", quadratic(cfg))
+	b.Run("quadratic-d0.95", quadratic(solver.Config{Tol: cfg.Tol, Damping: 0.95}))
 }
 
 // BenchmarkAblationPushVsPull compares the engine's O(N)-state

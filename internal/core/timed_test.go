@@ -146,11 +146,12 @@ func TestResidualBoundAtQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := 0.0
+	rank := make([]float64, g.NumNodes())
 	for _, rk := range timed.rankers {
-		_, rank := rk.Ranks()
-		_, _, last := rk.Rows()
-		for i := range rank {
-			worst = max(worst, math.Abs(rank[i]-last[i])/math.Abs(rank[i]))
+		rk.RanksInto(rank)
+		docs, _, last := rk.Rows()
+		for i, d := range docs {
+			worst = max(worst, math.Abs(rank[d]-last[i])/math.Abs(rank[d]))
 		}
 	}
 	if worst > eps {

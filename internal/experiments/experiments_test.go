@@ -278,6 +278,9 @@ func TestSolverComparison(t *testing.T) {
 	if byName["gauss-seidel"].Iterations > byName["power"].Iterations {
 		t.Fatal("Gauss-Seidel slower than power iteration")
 	}
+	if _, ok := byName["power+quadratic"]; !ok {
+		t.Fatalf("no power+quadratic row: %v", rows)
+	}
 	if !strings.Contains(RenderSolverComparison(rows).String(), "gauss-seidel") {
 		t.Fatal("render wrong")
 	}

@@ -171,7 +171,7 @@ type SolverComparisonRow struct {
 	Converged  bool
 }
 
-// SolverComparison runs power iteration, Gauss-Seidel and Aitken
+// SolverComparison runs power iteration, Gauss-Seidel and quadratic
 // extrapolation on the largest configured graph at the same tolerance.
 func SolverComparison(sc Scale, tol float64) ([]SolverComparisonRow, error) {
 	if err := sc.validate(); err != nil {
@@ -193,11 +193,11 @@ func SolverComparison(sc Scale, tol float64) ([]SolverComparisonRow, error) {
 		return nil, err
 	}
 	out = append(out, SolverComparisonRow{"gauss-seidel", gs.Iterations, gs.Converged})
-	ai, err := solver.PowerAitken(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
+	qe, err := solver.PowerQuadratic(g, solver.ExtrapolationConfig{Config: cfg, Every: 10})
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, SolverComparisonRow{"power+aitken", ai.Iterations, ai.Converged})
+	out = append(out, SolverComparisonRow{"power+quadratic", qe.Iterations, qe.Converged})
 	return out, nil
 }
 

@@ -461,21 +461,9 @@ func (r *Ranker) Shed(docs []graph.NodeID, newOwner PeerID) (acc, last []float64
 	return acc, last, nil
 }
 
-// Ranks returns copies of the held documents and their ranks, row by
-// row, for collection.
-func (r *Ranker) Ranks() ([]graph.NodeID, []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ranks := make([]float64, len(r.docs))
-	for i := range ranks {
-		ranks[i] = r.rankLocked(int32(i))
-	}
-	return append([]graph.NodeID(nil), r.docs...), ranks
-}
-
 // RanksInto writes each held document's rank at its index in dst, which
-// spans the whole graph: the copy-free form of Ranks for an in-process
-// driver assembling one vector from every peer.
+// spans the whole graph: how an in-process driver assembles one vector
+// from every peer.
 func (r *Ranker) RanksInto(dst []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

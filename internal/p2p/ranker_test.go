@@ -354,12 +354,13 @@ func TestRankerMatchesMapModel(t *testing.T) {
 			if len(ds) != len(m.row) {
 				t.Fatalf("seed %d step %d: %d rows, model %d", seed, step, len(ds), len(m.row))
 			}
-			_, rank := rk.Ranks()
+			rank := make([]float64, docs)
+			rk.RanksInto(rank)
 			for i, d := range ds {
-				if row := m.row[d]; row == nil || rank[i] != m.rank(d) || acc[i] != row[0] || last[i] != row[1] {
-					t.Fatalf("seed %d step %d: row of doc %d = (%v %v %v), model %v", seed, step, d, rank[i], acc[i], last[i], row)
+				if row := m.row[d]; row == nil || rank[d] != m.rank(d) || acc[i] != row[0] || last[i] != row[1] {
+					t.Fatalf("seed %d step %d: row of doc %d = (%v %v %v), model %v", seed, step, d, rank[d], acc[i], last[i], row)
 				}
-				mass += rank[i]
+				mass += rank[d]
 			}
 			if got := rk.mass.Load(); math.Abs(got-mass) > 1e-9 {
 				t.Fatalf("seed %d step %d: mass gauge %v, rows sum to %v", seed, step, got, mass)
@@ -402,7 +403,8 @@ func TestRankerPushConservesMass(t *testing.T) {
 		}
 	}
 	check := func(step int) {
-		_, rank := rk.Ranks()
+		rank := make([]float64, rows) // rows hold documents 0..rows-1, in order
+		rk.RanksInto(rank)
 		_, _, last := rk.Rows()
 		for i := range rank {
 			if got := emitted[i]/damping + (rank[i] - last[i]); math.Abs(got-rank[i]) > 1e-15*math.Max(1, math.Abs(rank[i])) {
@@ -439,7 +441,8 @@ func TestInitialOutSkipsRowsAlreadyPushed(t *testing.T) {
 	if len(out[2]) != 3 {
 		t.Fatalf("the early fold pushed %v, want row 0's three links", out[2])
 	}
-	_, rank := rk.Ranks()
+	rank := make([]float64, 5)
+	rk.RanksInto(rank)
 	if _, _, last := rk.Rows(); rank[0] == last[0] {
 		t.Fatalf("no remainder after pushing rank %v in rounded thirds: the test needs one", rank[0])
 	}
@@ -507,7 +510,7 @@ func BenchmarkRankerFold(b *testing.B) {
 func BenchmarkRankerRelax(b *testing.B) {
 	rk, _ := foldFixture(b, 100000, 1)
 	rk.Relax(math.Inf(1)) // the rows' first push
-	rows, _ := rk.Ranks()
+	rows, _, _ := rk.Rows()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(rows) {
@@ -548,7 +551,7 @@ func TestRankerLinksFollowOwners(t *testing.T) {
 			ds := some()
 			rk.Adopt(ds, make([]float64, len(ds)), make([]float64, len(ds)))
 		default:
-			held, _ := rk.Ranks()
+			held, _, _ := rk.Rows()
 			if len(held) > 0 {
 				if _, _, err := rk.Shed(held[:1+r.Intn(min(len(held), 10))], PeerID(r.Intn(peers+2))); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -192,88 +193,133 @@ func (m *modelQueue) len() (n int) {
 	return n
 }
 
-// TestRetryQueueMatchesModel drives the queue and the model through
-// the same random Defer / DeferMerge / DrainN / Drain / reroute
-// sequences and requires the same updates out in the same order — a
-// merged delta equal bit for bit to the model's sum in arrival order —
-// and the same Len, Queued, Merges, Destinations, Dests and Mass after
-// every step. Few destinations and documents, and a compaction floor
-// lowered to a few entries, keep merges on enqueue and on drain,
-// partial drains that wrap round the documents, in-place reclaiming and
-// storage release all busy.
+// retryScript drives the queue and the model through one script of
+// Defer / DeferMerge / DrainN / Drain / reroute steps, each choice in
+// [0, n) drawn by intn, for as long as more reports, and requires the
+// same updates out in the same order — a merged delta equal bit for bit
+// to the model's sum in arrival order — and the same Len, Queued,
+// Merges, Destinations, Dests and Mass after every step. It returns ""
+// or the first step at which the two disagree. Few destinations and
+// documents, and a compaction floor lowered to a few entries, keep
+// merges on enqueue and on drain, partial drains that wrap round the
+// documents, in-place reclaiming and storage release all busy. The
+// caller restores compactFloor.
+func retryScript(intn func(n int) int, more func() bool) string {
+	compactFloor = 1 + intn(64)
+	q := NewRetryQueue()
+	m := &modelQueue{pending: make(map[PeerID][]Update), sorted: make(map[PeerID]int), left: make(map[PeerID]int), from: make(map[PeerID]uint32)}
+	docs := 1 + intn(200)
+	doc := func() graph.NodeID {
+		if intn(8) == 0 {
+			return graph.NodeID(-1 - intn(3)) // ids past MaxInt32 as the codec's u32
+		}
+		return graph.NodeID(intn(docs))
+	}
+	for step := 0; more(); step++ {
+		dest := PeerID(intn(5) - 1) // NoPeer included
+		switch op := intn(20); {
+		case op < 1:
+			u := Update{Doc: doc(), Delta: float64(1 + intn(8))}
+			q.Defer(dest, u)
+			m.deferMerge(dest, []Update{u}, false)
+		case op < 15:
+			us := make([]Update, 1+intn(4))
+			for j := range us {
+				// Deltas that round when summed, so the order of a sum shows.
+				us[j] = Update{Doc: doc(), Delta: 1 / float64(1+intn(9))}
+			}
+			q.DeferMerge(dest, us...)
+			m.deferMerge(dest, us, true)
+		case op < 17:
+			n := intn(40) - 1
+			if got, want := q.DrainN(dest, n), m.drainN(dest, n); !slices.Equal(got, want) {
+				return fmt.Sprintf("step %d: DrainN(%d, %d) = %v, model %v", step, dest, n, got, want)
+			}
+		case op < 18:
+			if got, want := q.Drain(dest), m.drain(dest); !slices.Equal(got, want) {
+				return fmt.Sprintf("step %d: Drain(%d) = %v, model %v", step, dest, got, want)
+			}
+		default: // reroute, as a peer does after an ownership change
+			to := PeerID(intn(4))
+			got, want := q.Drain(dest), m.drain(dest)
+			if !slices.Equal(got, want) {
+				return fmt.Sprintf("step %d: rerouting Drain(%d) = %v, model %v", step, dest, got, want)
+			}
+			q.DeferMerge(to, got...)
+			m.deferMerge(to, want, true)
+		}
+		mass := 0.0
+		var dests []PeerID
+		for d := PeerID(-1); d < 4; d++ {
+			if len(m.pending[d]) > 0 {
+				dests = append(dests, d)
+			}
+			if q.Queued(d) != len(m.pending[d]) {
+				return fmt.Sprintf("step %d: Queued(%d) = %d, model %d", step, d, q.Queued(d), len(m.pending[d]))
+			}
+			for _, e := range m.pending[d] {
+				mass += e.Delta
+			}
+		}
+		if q.Len() != m.len() || q.Merges() != m.merges || q.Destinations() != len(dests) ||
+			!slices.Equal(q.Dests(), dests) || q.Mass() != mass {
+			return fmt.Sprintf("step %d: Len %d, Merges %d, Dests %v, Mass %v; model %d, %d, %v, %v",
+				step, q.Len(), q.Merges(), q.Dests(), q.Mass(), m.len(), m.merges, dests, mass)
+		}
+	}
+	return ""
+}
+
+// TestRetryQueueMatchesModel runs retryScript on scripts drawn from
+// random seeds.
 func TestRetryQueueMatchesModel(t *testing.T) {
 	if raceDetector {
 		t.Skip("one-goroutine model test skipped under -race; make ci runs it without")
 	}
 	defer func(floor int) { compactFloor = floor }(compactFloor)
 	run := func(seed uint64, steps uint16) bool {
-		r := rng.New(seed)
-		compactFloor = 1 + r.Intn(64)
-		q := NewRetryQueue()
-		m := &modelQueue{pending: make(map[PeerID][]Update), sorted: make(map[PeerID]int), left: make(map[PeerID]int), from: make(map[PeerID]uint32)}
-		docs := 1 + r.Intn(200)
-		doc := func() graph.NodeID {
-			if r.Intn(8) == 0 {
-				return graph.NodeID(-1 - r.Intn(3)) // ids past MaxInt32 as the codec's u32
-			}
-			return graph.NodeID(r.Intn(docs))
-		}
-		for i := 0; i < int(steps)%4000; i++ {
-			dest := PeerID(r.Intn(5) - 1) // NoPeer included
-			switch op := r.Intn(20); {
-			case op < 1:
-				u := Update{Doc: doc(), Delta: float64(1 + r.Intn(8))}
-				q.Defer(dest, u)
-				m.deferMerge(dest, []Update{u}, false)
-			case op < 15:
-				us := make([]Update, 1+r.Intn(4))
-				for j := range us {
-					// Deltas that round when summed, so the order of a sum shows.
-					us[j] = Update{Doc: doc(), Delta: 1 / float64(1+r.Intn(9))}
-				}
-				q.DeferMerge(dest, us...)
-				m.deferMerge(dest, us, true)
-			case op < 17:
-				n := r.Intn(40) - 1
-				if !slices.Equal(q.DrainN(dest, n), m.drainN(dest, n)) {
-					return false
-				}
-			case op < 18:
-				if !slices.Equal(q.Drain(dest), m.drain(dest)) {
-					return false
-				}
-			default: // reroute, as a peer does after an ownership change
-				to := PeerID(r.Intn(4))
-				got, want := q.Drain(dest), m.drain(dest)
-				if !slices.Equal(got, want) {
-					return false
-				}
-				q.DeferMerge(to, got...)
-				m.deferMerge(to, want, true)
-			}
-			mass := 0.0
-			var dests []PeerID
-			for d := PeerID(-1); d < 4; d++ {
-				if len(m.pending[d]) > 0 {
-					dests = append(dests, d)
-				}
-				if q.Queued(d) != len(m.pending[d]) {
-					return false
-				}
-				for _, e := range m.pending[d] {
-					mass += e.Delta
-				}
-			}
-			if q.Len() != m.len() || q.Merges() != m.merges || q.Destinations() != len(dests) ||
-				!slices.Equal(q.Dests(), dests) || q.Mass() != mass {
-				return false
-			}
+		r, left := rng.New(seed), int(steps)%4000
+		if msg := retryScript(r.Intn, func() bool { left--; return left >= 0 }); msg != "" {
+			t.Log(msg)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRetryQueueModel searches for a script on which the queue and the
+// model disagree: retryScript with each choice read from the input, one
+// byte taken mod n, until the input is spent. Every n the script asks
+// for is at most 256, so the corpus can hold the scripts random seeds
+// draw, byte for byte.
+func FuzzRetryQueueModel(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		r, left := rng.New(seed), 500
+		var script []byte
+		retryScript(func(n int) int {
+			v := r.Intn(n)
+			script = append(script, byte(v))
+			return v
+		}, func() bool { left--; return left >= 0 })
+		f.Add(script)
+	}
+	defer func(floor int) { compactFloor = floor }(compactFloor)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		intn := func(n int) int {
+			if len(script) == 0 {
+				return 0
+			}
+			v := int(script[0]) % n
+			script = script[1:]
+			return v
+		}
+		if msg := retryScript(intn, func() bool { return len(script) > 0 }); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // TestRetryQueueWarmCycleAllocatesNothing gates the live path: once a

@@ -6,6 +6,12 @@ import (
 	"dpr/internal/graph"
 )
 
+// ExtrapolationConfig extends Config with the acceleration cadence.
+type ExtrapolationConfig struct {
+	Config
+	Every int // apply extrapolation every Every iterations; 0 means 10
+}
+
 // PowerQuadratic runs power iteration with periodic Quadratic
 // Extrapolation (Kamvar, Haveliwala, Manning & Golub, WWW 2003 — the
 // acceleration family the paper's related-work section contrasts the

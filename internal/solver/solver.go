@@ -1,8 +1,8 @@
 // Package solver implements centralized pagerank solvers: the
 // conventional synchronous power iteration the paper uses as its
 // quality baseline R_c (section 4.3), a Gauss-Seidel variant, and
-// Aitken/quadratic extrapolation acceleration (the Kamvar-style
-// methods the paper's related-work section compares against).
+// quadratic extrapolation acceleration (the Kamvar-style method the
+// paper's related-work section compares against).
 //
 // All solvers use the paper's formulation (Equation 1):
 //

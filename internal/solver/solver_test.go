@@ -139,26 +139,6 @@ func TestGaussSeidelMatchesPower(t *testing.T) {
 	}
 }
 
-func TestPowerAitkenMatchesPower(t *testing.T) {
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(1500, 8))
-	p, err := Power(g, Config{Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := PowerAitken(g, ExtrapolationConfig{Config: Config{Tol: 1e-13}, Every: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Converged {
-		t.Fatal("Aitken did not converge")
-	}
-	for i := range p.Ranks {
-		if math.Abs(p.Ranks[i]-a.Ranks[i]) > 1e-6 {
-			t.Fatalf("rank[%d]: power %v vs aitken %v", i, p.Ranks[i], a.Ranks[i])
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	g := graph.Cycle(3)
 	bad := []Config{

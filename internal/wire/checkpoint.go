@@ -63,7 +63,8 @@ type PeerSnapshot struct {
 	// Ranker state, indexed like Docs.
 	Acc, Last []float64
 	// Rank is unused. bench/layers.go, edited only as benchmark upkeep,
-	// still sets it; ROADMAP item 11(3) deletes it with that write.
+	// still sets it; the next benchmark change deletes it with that
+	// write (ROADMAP, "Finish the subtraction").
 	Rank []float64
 
 	// LastSeq is the highest folded sequence number per delivery

@@ -18,7 +18,8 @@ import (
 
 // Cluster runs a whole computation over real TCP sockets on localhost:
 // N peers, random document placement, termination detection and rank
-// collection. It is the in-process stand-in for the paper's vision of
+// collection; the last two read the peers in process and send nothing.
+// It is the in-process stand-in for the paper's vision of
 // web servers cooperating across the Internet, and it survives the
 // paper's dynamic-network conditions: connections may drop, peer pairs
 // may partition, and individual peers may crash (Kill) and rejoin
@@ -301,8 +302,9 @@ type ClusterResult struct {
 	EvictionsRefused uint64 // suspicions parked for lack of a quorum
 
 	// Always 0: the counters these named are gone. bench/workload.go,
-	// edited only as benchmark upkeep, is their only reader; ROADMAP
-	// item 11(6) deletes them together with that read.
+	// edited only as benchmark upkeep, is their only reader; the next
+	// benchmark change deletes them together with that read (ROADMAP,
+	// "Finish the subtraction").
 	CreditStalls, ShedCoalesced, SlowPeer uint64
 }
 
@@ -700,7 +702,7 @@ func (c *Cluster) Run(timeout time.Duration) (ClusterResult, error) {
 			prevSent, prevProcessed = sent, processed
 			continue
 		}
-		sent, processed := c.counters()
+		sent, processed := c.DebugCounters()
 		c.mProbes.Add(1)
 		res.Probes++
 		if sent == processed && sent == prevSent && processed == prevProcessed {
@@ -786,21 +788,8 @@ func (c *Cluster) sum(live func(slot) PeerStats) PeerStats {
 	return st
 }
 
-// counters sums every slot's (sent, processed), probing live peers over
-// TCP and falling back to a direct read when the probe connection
-// fails transiently.
-func (c *Cluster) counters() (sent, processed uint64) {
-	st := c.sum(func(s slot) PeerStats {
-		sent, processed, err := probePeer(c.cfg.Transport, s.addr)
-		if err != nil {
-			sent, processed = s.peer.Counters()
-		}
-		return PeerStats{Sent: sent, Processed: processed}
-	})
-	return st.Sent, st.Processed
-}
-
-// DebugCounters sums the live counters without probing over TCP.
+// DebugCounters sums every slot's (sent, processed), read in process:
+// the termination probe and the staging loop both read it.
 func (c *Cluster) DebugCounters() (sent, processed uint64) {
 	st := c.sum(func(s slot) PeerStats {
 		sent, processed := s.peer.Counters()
@@ -814,44 +803,15 @@ func (c *Cluster) stats() PeerStats {
 	return c.sum(func(s slot) PeerStats { return s.peer.Stats() })
 }
 
-// collectAll gathers every document's rank: live peers over TCP (read
-// directly when the connection fails), crashed peers from their
-// checkpoint.
+// collectAll gathers every document's rank: live peers' from their
+// rankers, crashed peers' from their checkpoint.
 func (c *Cluster) collectAll() []float64 {
 	ranks := make([]float64, c.g.NumNodes())
 	slots, _ := c.table()
 	visit(slots,
-		func(s slot) {
-			if err := collectRanks(c.cfg.Transport, s.addr, ranks); err != nil {
-				s.peer.rk.RanksInto(ranks)
-			}
-		},
+		func(s slot) { s.peer.rk.RanksInto(ranks) },
 		func(snap *PeerSnapshot) { p2p.UniformRanksInto(ranks, c.cfg.Damping, snap.Docs, snap.Acc) })
 	return ranks
-}
-
-// probeTimeout bounds every observer round-trip so a hung peer can
-// never stall the termination probe or rank collection.
-const probeTimeout = 5 * time.Second
-
-// probePeer and collectRanks dial as Observer — the cluster's
-// non-peer role — so their traffic goes through the cluster's
-// transport like everything else while fault injectors leave it clean.
-func probePeer(tr Transport, addr string) (sent, processed uint64, err error) {
-	payload, err := roundTrip(tr, Observer, Observer, addr, probeTimeout, frameSnapReq, nil, frameSnapResp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return decodeProbe(payload)
-}
-
-func collectRanks(tr Transport, addr string, out []float64) error {
-	payload, err := roundTrip(tr, Observer, Observer, addr, probeTimeout, frameRanksReq, nil, frameRanks)
-	if err != nil {
-		return err
-	}
-	_, err = decodeRanks(payload, out)
-	return err
 }
 
 // Close stops the failure detectors, the debug listener (if any) and

@@ -52,8 +52,7 @@ type FaultStats struct {
 // connections, duplicated frames, delays, dial failures, and scripted
 // partitions of peer pairs. The config can be swapped at runtime with
 // SetConfig and partitions toggled with Partition/Heal, so tests can
-// script failure schedules. Observer connections (termination probes,
-// rank collection) pass through untouched.
+// script failure schedules.
 type FaultTransport struct {
 	inner Transport
 
@@ -210,9 +209,6 @@ func (t *FaultTransport) Stats() FaultStats {
 
 // Dial implements Transport.
 func (t *FaultTransport) Dial(from, to p2p.PeerID, addr string) (net.Conn, error) {
-	if from == Observer || to == Observer {
-		return t.inner.Dial(from, to, addr)
-	}
 	key := dirKey{from, to}
 	t.mu.Lock()
 	if t.cut[key] {

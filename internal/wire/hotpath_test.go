@@ -365,7 +365,8 @@ func TestKillKeepsSelfDirectedInboxItems(t *testing.T) {
 	})
 	st := q.Stats()
 	assertNoMassLost(t, ClusterResult{PeerStats: st})
-	_, ranks := q.rk.Ranks()
+	ranks := make([]float64, cfg.Graph.NumNodes())
+	q.rk.RanksInto(ranks)
 	assertRanksMatch(t, cfg.Graph, ranks, 1e-3)
 }
 

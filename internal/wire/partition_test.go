@@ -33,7 +33,7 @@ func assertSingleOwnership(t *testing.T, c *Cluster) {
 	for _, s := range slots {
 		switch {
 		case s.peer != nil:
-			docs, _ := s.peer.rk.Ranks()
+			docs, _, _ := s.peer.rk.Rows()
 			for _, d := range docs {
 				owners[d]++
 			}
@@ -393,10 +393,7 @@ func TestEpochNackRequeuesUpdates(t *testing.T) {
 	assertNoMassLost(t, ClusterResult{PeerStats: st})
 	ranks := make([]float64, 4)
 	for _, p := range []*Peer{a, b} {
-		docs, rs := p.rk.Ranks()
-		for i, d := range docs {
-			ranks[d] = rs[i]
-		}
+		p.rk.RanksInto(ranks)
 	}
 	assertRanksMatch(t, g, ranks, 1e-3)
 }

@@ -418,7 +418,7 @@ func (p *Peer) ExchangeView(dest p2p.PeerID) error {
 	if addr == "" {
 		return fmt.Errorf("wire: no address for peer %d", dest)
 	}
-	payload, err := roundTrip(p.cfg.Transport, p.cfg.ID, dest, addr, probeTimeout,
+	payload, err := roundTrip(p.cfg.Transport, p.cfg.ID, dest, addr, viewTimeout,
 		frameViewReq, encodeView(p.view()), frameViewResp)
 	if err != nil {
 		return err
@@ -430,6 +430,10 @@ func (p *Peer) ExchangeView(dest p2p.PeerID) error {
 	p.mergeView(v)
 	return nil
 }
+
+// viewTimeout bounds an anti-entropy round trip, so a hung peer cannot
+// stall the heal that asked for it.
+const viewTimeout = 5 * time.Second
 
 // Start begins computing: it wakes the senders and performs the
 // initial push (skipped for peers restored from a snapshot or
@@ -609,16 +613,6 @@ func (p *Peer) serveConn(conn net.Conn) {
 			}
 			p.mergeView(v)
 			if err := cw.write(frameViewResp, encodeView(p.view())); err != nil {
-				return
-			}
-		case frameSnapReq:
-			sent, processed := p.Counters()
-			if err := cw.write(frameSnapResp, encodeProbe(sent, processed)); err != nil {
-				return
-			}
-		case frameRanksReq:
-			docs, ranks := p.rk.Ranks()
-			if err := cw.write(frameRanks, encodeRanks(docs, ranks)); err != nil {
 				return
 			}
 		default:

@@ -5,14 +5,14 @@
 // documents they host"), served here by one binary frame protocol
 // rather than by HTTP requests (DESIGN.md, "The frame protocol", says
 // why). Each peer is a TCP server owning a share of the documents;
-// pagerank update batches travel as length-prefixed binary frames;
-// global quiescence is detected with a two-probe counter protocol in
-// the style of Mattern's termination detection.
+// pagerank update batches travel as length-prefixed binary frames.
 //
 // The package is used by the Cluster helper (all peers in one process,
-// separate sockets on localhost) for tests and demos, but Peer speaks
-// plain TCP and carries no process-local assumptions beyond the shared
-// read-only graph.
+// separate sockets on localhost) for tests and demos. The cluster
+// detects global quiescence with a two-probe counter rule in the style
+// of Mattern's termination detection and collects the ranks, reading
+// both from its peers in process. Peer speaks plain TCP and carries no
+// process-local assumptions beyond the shared read-only graph.
 package wire
 
 import (
@@ -36,10 +36,6 @@ const (
 	frameBatchEpoch = 'E' // u32 sender, u32 origDest, u64 seq, u64 epoch, then a batch payload
 	frameCredit     = 'C' // u64 seq: cumulative ack, the stream's credit for its next frame
 	frameNackEpoch  = 'N' // u64 seq, u64 epoch: per-frame stale-epoch rejection
-	frameSnapReq    = 'Q' // termination probe request
-	frameSnapResp   = 'S' // u64 sent, u64 processed
-	frameRanksReq   = 'R' // rank collection request
-	frameRanks      = 'K' // a batch payload of (doc, rank) in place of (doc, delta)
 	framePing       = 'P' // failure-detector heartbeat: a suspicion-gossip payload
 	framePong       = 'O' // heartbeat response: a suspicion-gossip payload
 	frameViewReq    = 'W' // anti-entropy request: a view-digest payload
@@ -197,51 +193,6 @@ func decodeCredit(b []byte) (seq uint64, err error) {
 		return 0, fmt.Errorf("wire: credit payload %d bytes", len(b))
 	}
 	return binary.LittleEndian.Uint64(b), nil
-}
-
-// encodeProbe serializes a termination-probe response.
-func encodeProbe(sent, processed uint64) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf[:8], sent)
-	binary.LittleEndian.PutUint64(buf[8:], processed)
-	return buf
-}
-
-// decodeProbe parses a probe response.
-func decodeProbe(b []byte) (sent, processed uint64, err error) {
-	if len(b) != 16 {
-		return 0, 0, fmt.Errorf("wire: snapshot payload %d bytes", len(b))
-	}
-	return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), nil
-}
-
-// encodeRanks serializes (doc, rank) pairs as a batch payload, the rank
-// in the delta's place.
-func encodeRanks(docs []graph.NodeID, ranks []float64) []byte {
-	us := make([]p2p.Update, len(docs))
-	for i, d := range docs {
-		us[i] = p2p.Update{Doc: d, Delta: ranks[i]}
-	}
-	p2p.SortUpdates(us)
-	return appendUpdates(nil, us)
-}
-
-// decodeRanks parses a rank payload into the dense output slice.
-func decodeRanks(b []byte, out []float64) (int, error) {
-	if len(b) > 4+13*len(out) { // one entry a document at most: checked before anything is sized
-		return 0, fmt.Errorf("wire: rank payload of %d bytes for %d documents", len(b), len(out))
-	}
-	us, err := decodeBatch(b)
-	if err != nil {
-		return 0, err
-	}
-	for _, u := range us {
-		if uint32(u.Doc) >= uint32(len(out)) {
-			return 0, fmt.Errorf("wire: rank for unknown document %d", uint32(u.Doc))
-		}
-		out[u.Doc] = u.Delta
-	}
-	return len(us), nil
 }
 
 // batchEpochHeader is the length of the (sender, origDest, seq, epoch)

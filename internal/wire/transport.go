@@ -9,23 +9,17 @@ import (
 )
 
 // Transport sits between peers and the operating system's network
-// stack: every outbound connection a peer (or the cluster's
-// termination prober) opens goes through Dial. The indirection exists
+// stack: every outbound connection a peer opens goes through Dial. The indirection exists
 // so tests can substitute a FaultTransport that drops, delays,
 // duplicates and resets connections or partitions peer pairs — the
 // failure schedules of the paper's dynamic-network protocol — while
 // production code uses the real dialer.
 //
 // from and to identify the dialing and target peers so fault
-// injectors can scope failures to specific pairs; Observer marks
-// connections made by non-peer roles (termination probes, rank
-// collectors), which fault injectors leave untouched.
+// injectors can scope failures to specific pairs.
 type Transport interface {
 	Dial(from, to p2p.PeerID, addr string) (net.Conn, error)
 }
-
-// Observer is the PeerID used by non-peer dialers.
-const Observer p2p.PeerID = -1
 
 // dialTimeout bounds connection establishment for the real dialer.
 const dialTimeout = 5 * time.Second

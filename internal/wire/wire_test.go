@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,11 +30,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %c %q", typ, payload)
 	}
 	// Empty payload.
-	if err := writeFrame(&buf, frameSnapReq, nil); err != nil {
+	if err := writeFrame(&buf, framePing, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = readFrame(&buf)
-	if err != nil || typ != frameSnapReq || len(payload) != 0 {
+	if err != nil || typ != framePing || len(payload) != 0 {
 		t.Fatalf("empty frame: %c %v %v", typ, payload, err)
 	}
 }
@@ -61,43 +60,6 @@ func TestBatchCodec(t *testing.T) {
 	}
 	if _, err := decodeBatch(append(appendUpdates(nil, in), 0)); err == nil {
 		t.Fatal("accepted trailing bytes")
-	}
-}
-
-func TestSnapshotCodec(t *testing.T) {
-	s, p, err := decodeProbe(encodeProbe(42, 41))
-	if err != nil || s != 42 || p != 41 {
-		t.Fatalf("snapshot: %d %d %v", s, p, err)
-	}
-	if _, _, err := decodeProbe([]byte{1}); err == nil {
-		t.Fatal("accepted short snapshot")
-	}
-}
-
-func TestRanksCodec(t *testing.T) {
-	// Row order, as a ranker that has adopted rows hands them over.
-	docs := []graph.NodeID{3, 0, 2}
-	ranks := []float64{2.5, 1.0 / 3, 0.15000000000000002}
-	out := make([]float64, 4)
-	b := encodeRanks(docs, ranks)
-	n, err := decodeRanks(b, out)
-	if err != nil || n != 3 {
-		t.Fatal(n, err)
-	}
-	if !slices.Equal(out, []float64{1.0 / 3, 0, 0.15000000000000002, 2.5}) {
-		t.Fatalf("ranks: %v", out)
-	}
-	// It is the batch payload: one-byte gaps, and 2.5 is a bfloat16.
-	if want := 4 + (1 + 8) + (1 + 8) + (1 + 2); len(b) != want {
-		t.Fatalf("3 ranks in %d bytes, want %d", len(b), want)
-	}
-	// Out-of-range doc rejected.
-	if _, err := decodeRanks(encodeRanks([]graph.NodeID{99}, []float64{1}), make([]float64, 99)); err == nil {
-		t.Fatal("accepted unknown doc")
-	}
-	// So is more payload than one entry a document could fill, unparsed.
-	if _, err := decodeRanks(encodeRanks([]graph.NodeID{0, 0, 0, 1}, []float64{0.1, 0.1, 0.1, 0.1}), make([]float64, 2)); err == nil {
-		t.Fatal("accepted 4 entries for 2 documents")
 	}
 }
 
@@ -130,6 +92,57 @@ func TestClusterComputesPagerankOverTCP(t *testing.T) {
 		t.Fatalf("TCP cluster max relative error %v", worst)
 	}
 	assertResidualsPushed(t, c, 1e-6)
+}
+
+// peersOnly dials through its Transport, and fails the test on any
+// dial whose end is not a peer.
+type peersOnly struct {
+	Transport
+	t *testing.T
+}
+
+func (tr peersOnly) Dial(from, to p2p.PeerID, addr string) (net.Conn, error) {
+	if from < 0 || to < 0 {
+		tr.t.Errorf("dial %d -> %d (%s): only peers dial", from, to, addr)
+	}
+	return tr.Transport.Dial(from, to, addr)
+}
+
+// TestOnlyPeersDial: the cluster reads its peers' counters and ranks in
+// process, so every connection it opens is one peer's to another —
+// fault-free, and across a Kill/Restart and a Join.
+func TestOnlyPeersDial(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 37))
+	for _, churn := range []bool{false, true} {
+		c, err := NewCluster(g, ClusterConfig{Peers: 4, Epsilon: 1e-6, Seed: 17, Transport: peersOnly{TCPDialer(), t}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resCh := runAsync(c, 60*time.Second)
+		if churn {
+			time.Sleep(10 * time.Millisecond)
+			if err := c.Kill(1); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(10 * time.Millisecond)
+			if err := c.Restart(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Join(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := <-resCh
+		c.Close()
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		assertRanksMatch(t, g, out.res.Ranks, 1e-3)
+		if out.res.Probes < 2 {
+			t.Fatalf("churn %v: %d probes, want the two that stop the run", churn, out.res.Probes)
+		}
+	}
 }
 
 // TestClusterTightThresholdSmallGraph: ε = 1e-9 buys 1e-7 of the
@@ -261,13 +274,16 @@ func TestPeerRejectsGarbageConnection(t *testing.T) {
 	}
 	conn.Write([]byte{1, 0, 0, 0, 'Z', 0})
 	conn.Close()
-	// Peer still answers probes.
-	s, pr, err := probePeer(TCPDialer(), p.Addr())
-	if err != nil {
-		t.Fatal(err)
+	assertAnswersPing(t, p)
+}
+
+// assertAnswersPing checks that the peer still serves: a heartbeat ping
+// on a fresh connection comes back as a pong.
+func assertAnswersPing(t *testing.T, p *Peer) {
+	t.Helper()
+	if _, err := roundTrip(TCPDialer(), 0, 0, p.Addr(), 5*time.Second, framePing, nil, framePong); err != nil {
+		t.Fatalf("peer no longer answers a ping: %v", err)
 	}
-	_ = s
-	_ = pr
 }
 
 // cyclePeer starts a standalone peer 0 owning every document of a
@@ -326,6 +342,8 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 		{'V', append(le.AppendUint64(le.AppendUint32(le.AppendUint32(nil, 1), 0), 1), batch...)}, // sender, origDest, seq, batch
 		{'A', le.AppendUint64(nil, 1)}, // plain cumulative ack
 		{'X', nil},                     // remote shutdown
+		{'Q', nil},                     // termination probe request
+		{'R', nil},                     // rank collection request
 	}
 	for _, fr := range frames {
 		p, conn := rawPeer(t)
@@ -334,9 +352,7 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 		}
 		assertDropped(t, p, conn)
 		// In particular 'X' did not stop the peer.
-		if _, _, err := probePeer(TCPDialer(), p.Addr()); err != nil {
-			t.Fatalf("peer no longer answers probes after a %c frame: %v", fr.typ, err)
-		}
+		assertAnswersPing(t, p)
 		conn.Close()
 		p.Close()
 	}
