@@ -8,6 +8,8 @@ all: build
 build:
 	$(GO) build ./...
 
+# go vet's copylocks check is what keeps the typed atomics
+# (atomic.Uint64, Int64, Bool) from being copied; dprlint has no rule for it.
 vet:
 	$(GO) vet ./...
 
@@ -18,16 +20,15 @@ fmt-check:
 		if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # dprlint: the repo's own invariant checkers (determinism, wire
-# deadlines, lock hygiene, hot-path allocations, counter
-# conservation, goroutine lifecycle, lock ordering, atomic access
-# discipline, codec symmetry). Exits non-zero on any finding.
+# deadlines, lock hygiene, hot-path allocations, lock ordering, codec
+# symmetry). Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/dprlint
 
 # Same findings as `lint`, plus the call graph and mutex-acquisition
 # graph written to results/ as dot + JSON. These are the proof
-# artifacts for the goroutinelife and lockorder rules: the lock graph
-# in particular is what "the wire/p2p mutex graph is acyclic" means.
+# artifacts for the lockorder and hotpath-transitive rules: the lock
+# graph in particular is what "the wire/p2p mutex graph is acyclic" means.
 lint-graphs:
 	$(GO) run ./cmd/dprlint -graphs results
 
@@ -81,13 +82,17 @@ race-engines-smoke:
 # Short fuzz bursts over the checkpoint decoder (truncated/corrupt
 # input), the frame codecs, the row codec every snapshot format is
 # built on, the ranker's document → row directory, and the retry
-# queue against its map model (the input is the script of operations).
+# queue and the ranker against their map models (the input is the
+# script of operations). A model target's seeds are scripts of several
+# KB, which the default minimization (60 s an input) would spend the
+# whole burst shrinking: -fuzzminimizetime keeps the search running.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzDocIndex$$' -fuzztime 30s ./internal/p2p
-	$(GO) test -run '^$$' -fuzz '^FuzzRetryQueueModel$$' -fuzztime 30s ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzRetryQueueModel$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/p2p
+	$(GO) test -run '^$$' -fuzz '^FuzzRankerModel$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/p2p
 
 # Fuzz the compressed-graph (DPRZ) decoder: arbitrary bytes must error
 # or decode to a self-consistent graph, never panic.

@@ -8,12 +8,11 @@ import (
 	"strings"
 )
 
-// The call-graph engine. Interprocedural rules (goroutinelife,
-// lockorder, hotpath-transitive) need to reason about what happens
-// *behind* a call: does this callee acquire a lock, signal a
-// WaitGroup, allocate? The engine builds one static call graph over
-// every loaded package and computes transitive fact summaries over
-// it.
+// The call-graph engine. The interprocedural rules (lockorder,
+// hotpath-transitive) need to reason about what happens *behind* a
+// call: does this callee acquire a lock, or allocate? The engine
+// builds one static call graph over every loaded package and computes
+// transitive fact summaries over it.
 //
 // Resolution is intentionally conservative and purely static:
 //
@@ -21,20 +20,16 @@ import (
 //     their declarations (one node per FuncDecl with a body);
 //   - calls through interface values, function-typed variables and
 //     fields do not resolve — no edge, so facts behind them are
-//     invisible. The concurrency rules treat "cannot resolve" as
-//     "cannot prove" where that matters (goroutinelife) and as
-//     "assume silent" where flagging would drown the signal
-//     (lockorder, hotpath-transitive);
+//     invisible. Both rules treat "cannot resolve" as "assume
+//     silent", where flagging would drown the signal;
 //   - a call spawned with `go` is recorded but excluded from
 //     same-goroutine fact propagation (the spawner does not hold its
-//     locks, pay its allocations, or block on it), and excluded from
-//     shutdown-path reachability (Close spawning a goroutine is not
-//     Close waiting on one);
-//   - calls inside nested function literals are attributed to the
-//     enclosing declaration for reachability (the literal usually
-//     runs there — sync.Once.Do, defer) but excluded from lock and
-//     allocation summaries, where assuming it runs synchronously
-//     would manufacture false positives.
+//     locks, pay its allocations, or block on it);
+//   - calls inside nested function literals are recorded as edges of
+//     the enclosing declaration (the literal usually runs there —
+//     sync.Once.Do, defer) but excluded from lock and allocation
+//     summaries, where assuming it runs synchronously would
+//     manufacture false positives.
 type callGraph struct {
 	nodes []*funcNode
 	byObj map[*types.Func]*funcNode
@@ -165,29 +160,6 @@ func (p *pass) resolveCallee(g *callGraph, call *ast.CallExpr) *funcNode {
 	return g.byObj[obj]
 }
 
-// reachableFrom returns every node reachable from roots through
-// synchronous call edges (go-spawns excluded, literal-attributed
-// calls included).
-func (g *callGraph) reachableFrom(roots []*funcNode) map[*funcNode]bool {
-	seen := make(map[*funcNode]bool)
-	stack := append([]*funcNode(nil), roots...)
-	for _, r := range roots {
-		seen[r] = true
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.calls {
-			if c.viaGo || seen[c.callee] {
-				continue
-			}
-			seen[c.callee] = true
-			stack = append(stack, c.callee)
-		}
-	}
-	return seen
-}
-
 // fact is one propagated property of a function: either observed
 // directly in its body (via == nil; pos/desc locate it) or inherited
 // from a callee (via != nil; pos is the call site).
@@ -197,8 +169,8 @@ type fact struct {
 	via  *funcNode
 }
 
-// factSet maps fact keys (rule-chosen: a lock object, a WaitGroup
-// object, the allocation marker) to their witness.
+// factSet maps fact keys (rule-chosen: a lock object or the
+// allocation marker) to their witness.
 type factSet map[any]fact
 
 // propagate computes the transitive closure of per-function facts

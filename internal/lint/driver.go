@@ -72,30 +72,20 @@ func Analyze(loader *Loader, pkgs []*Package, cfg Config) Result {
 		if cfg.ruleEnabled(RuleHotPath) {
 			p.checkHotPath()
 		}
-		if cfg.ruleEnabled(RuleCounterFlow) {
-			p.checkCounterFlow()
-		}
 		if cfg.ruleEnabled(RuleCodecSym) && cfg.inScope(cfg.CodecPkgs, pkg.ImportPath) {
 			p.checkCodecSym()
 		}
 	}
 
 	// Interprocedural rules share one call graph over every package.
-	if cfg.ruleEnabled(RuleGoroutineLife) || cfg.ruleEnabled(RuleLockOrder) ||
-		cfg.ruleEnabled(RuleHotPathTrans) {
+	if cfg.ruleEnabled(RuleLockOrder) || cfg.ruleEnabled(RuleHotPathTrans) {
 		prog.buildCallGraph()
-		if cfg.ruleEnabled(RuleGoroutineLife) {
-			prog.checkGoroutineLife()
-		}
 		if cfg.ruleEnabled(RuleLockOrder) {
 			prog.checkLockOrder()
 		}
 		if cfg.ruleEnabled(RuleHotPathTrans) {
 			prog.checkHotPathTransitive()
 		}
-	}
-	if cfg.ruleEnabled(RuleAtomicMix) {
-		prog.checkAtomicMix()
 	}
 	prog.checkAnnotations()
 
@@ -129,16 +119,14 @@ type annotations struct {
 	ignores    []*ignoreEntry
 	byLine     map[lineKey][]*ignoreEntry
 	nodeadline map[lineKey]bool
-	detached   map[lineKey]string // reason
 }
 
 // collectAnnotations scans every comment in every package for
-// //dpr:ignore, //dpr:nodeadline and //dpr:detached markers.
+// //dpr:ignore and //dpr:nodeadline markers.
 func (prog *program) collectAnnotations() {
 	a := &annotations{
 		byLine:     make(map[lineKey][]*ignoreEntry),
 		nodeadline: make(map[lineKey]bool),
-		detached:   make(map[lineKey]string),
 	}
 	prog.anns = a
 	for _, pkg := range prog.pkgs {
@@ -155,9 +143,6 @@ func (prog *program) collectAnnotations() {
 					}
 					if _, ok := cutDirective(c.Text, "dpr:nodeadline"); ok {
 						a.nodeadline[at] = true
-					}
-					if rest, ok := cutDirective(c.Text, "dpr:detached"); ok {
-						a.detached[at] = rest
 					}
 				}
 			}
@@ -197,18 +182,6 @@ func (prog *program) suppressed(rule string, pos token.Position) bool {
 		}
 	}
 	return hit
-}
-
-// detachedAt returns the //dpr:detached annotation covering pos (same
-// line or the line above): found=false when absent, reason possibly
-// empty when malformed.
-func (prog *program) detachedAt(pos token.Position) (reason string, found bool) {
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if r, ok := prog.anns.detached[lineKey{pos.Filename, line}]; ok {
-			return r, true
-		}
-	}
-	return "", false
 }
 
 // checkAnnotations enforces suppression hygiene (rule "ignore"):

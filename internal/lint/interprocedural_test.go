@@ -7,16 +7,8 @@ import (
 	"testing"
 )
 
-func TestGoroutineLifeFixture(t *testing.T) {
-	checkWants(t, "goroutinelife", loadFixture(t, "goroutinelife", RuleGoroutineLife))
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	checkWants(t, "lockorder", loadFixture(t, "lockorder", RuleLockOrder))
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	checkWants(t, "atomicmix", loadFixture(t, "atomicmix", RuleAtomicMix))
 }
 
 func TestCodecSymFixture(t *testing.T) {
@@ -58,7 +50,7 @@ func TestAnalyzeGraphArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	cfg := Config{LockPkgs: []string{ip}, GoroutinePkgs: []string{ip}}
+	cfg := Config{LockPkgs: []string{ip}}
 	res := Analyze(loader, []*Package{pkg}, cfg)
 	if res.CallGraph == nil || res.LockGraph == nil {
 		t.Fatalf("expected both graph artifacts, got call=%v lock=%v", res.CallGraph, res.LockGraph)

@@ -17,30 +17,20 @@
 //     packages.
 //   - hotpath: functions annotated //dpr:hotpath (the sharded pass
 //     pipeline) may not contain allocating constructs.
-//   - counterflow: a package that mutates a DeltaShipped-family
-//     counter must also mutate a DeltaFolded-family counter, keeping
-//     the mass-conservation accounting two-sided.
-//
-// On top of those per-package checks sits an interprocedural engine
-// (callgraph.go): a static call graph over every loaded package, with
-// transitive summaries (which locks a call acquires, which WaitGroups
-// it signals, whether it allocates) and shutdown-path reachability.
-// Five rules use it:
-//
-//   - goroutinelife: every `go` statement in the wire/p2p packages
-//     must be provably joined — its body signals a WaitGroup (Done)
-//     or closes a done channel that some Close/Stop/Shutdown/Kill
-//     path waits on — or carry `//dpr:detached <reason>`.
-//   - lockorder: the module-wide mutex-acquisition graph (lock A held
-//     while lock B is taken, directly or through call edges) must be
-//     acyclic, ruling out lock-inversion deadlocks across the wire
-//     and p2p slot paths.
-//   - atomicmix: a field ever accessed through sync/atomic (or typed
-//     atomic.X) must never be read or written plainly.
 //   - codecsym: every encodeX has a bounds-checked decodeX, every
 //     wire codec is exercised by a fuzz target, and the checkpoint
 //     decoder keeps accepting every snapshot version back to the
 //     compatibility floor.
+//
+// On top of those per-package checks sits an interprocedural engine
+// (callgraph.go): a static call graph over every loaded package, with
+// transitive summaries (which locks a call acquires, whether it
+// allocates). Two rules use it:
+//
+//   - lockorder: the module-wide mutex-acquisition graph (lock A held
+//     while lock B is taken, directly or through call edges) must be
+//     acyclic, ruling out lock-inversion deadlocks across the wire
+//     and p2p slot paths.
 //   - hotpath-transitive: a //dpr:hotpath function may not call a
 //     callee (transitively) that allocates.
 //
@@ -51,9 +41,7 @@
 // (rule "ignore"), so stale ignores rot visibly. The wiredeadline
 // rule alternatively accepts `//dpr:nodeadline <reason>` (same
 // placement, or in the enclosing function's doc comment) for
-// connections whose lifetime is bounded some other way, and
-// goroutinelife accepts `//dpr:detached <reason>` on a go statement
-// whose goroutine intentionally outlives its spawner's shutdown path.
+// connections whose lifetime is bounded some other way.
 //
 // Everything here is built on go/parser, go/types, go/ast and go/build
 // alone — no analysis frameworks, matching the repository's
@@ -73,14 +61,11 @@ const (
 	RuleWireDeadline = "wiredeadline"
 	RuleLockHold     = "lockhold"
 	RuleHotPath      = "hotpath"
-	RuleCounterFlow  = "counterflow"
+	RuleCodecSym     = "codecsym"
 
 	// Interprocedural rules, built on the call-graph engine.
-	RuleGoroutineLife = "goroutinelife"
-	RuleLockOrder     = "lockorder"
-	RuleAtomicMix     = "atomicmix"
-	RuleCodecSym      = "codecsym"
-	RuleHotPathTrans  = "hotpath-transitive"
+	RuleLockOrder    = "lockorder"
+	RuleHotPathTrans = "hotpath-transitive"
 
 	// Meta rules: annotation hygiene and load-stage failures.
 	RuleIgnore = "ignore"
@@ -89,9 +74,8 @@ const (
 
 // AllRules lists every rule in reporting order.
 var AllRules = []string{
-	RuleDeterminism, RuleWireDeadline, RuleLockHold, RuleHotPath, RuleCounterFlow,
-	RuleGoroutineLife, RuleLockOrder, RuleAtomicMix, RuleCodecSym, RuleHotPathTrans,
-	RuleIgnore,
+	RuleDeterminism, RuleWireDeadline, RuleLockHold, RuleHotPath,
+	RuleLockOrder, RuleCodecSym, RuleHotPathTrans, RuleIgnore,
 }
 
 // Diagnostic is one finding.
@@ -124,10 +108,6 @@ type Config struct {
 	// call edges follow helpers into any loaded package).
 	LockPkgs []string
 
-	// GoroutinePkgs are the packages whose go statements must be
-	// provably joined on shutdown (rule: goroutinelife).
-	GoroutinePkgs []string
-
 	// CodecPkgs are the packages under encoder/decoder symmetry and
 	// fuzz-coverage discipline (rule: codecsym).
 	CodecPkgs []string
@@ -147,10 +127,9 @@ func DefaultConfig(module string) Config {
 			p("internal/solver"), p("internal/search"), p("internal/netmodel"),
 			p("internal/engine"), p("internal/race"),
 		},
-		DeadlinePkgs:  []string{p("internal/wire")},
-		LockPkgs:      []string{p("internal/wire"), p("internal/p2p")},
-		GoroutinePkgs: []string{p("internal/wire"), p("internal/p2p")},
-		CodecPkgs:     []string{p("internal/wire"), p("internal/p2p")},
+		DeadlinePkgs: []string{p("internal/wire")},
+		LockPkgs:     []string{p("internal/wire"), p("internal/p2p")},
+		CodecPkgs:    []string{p("internal/wire"), p("internal/p2p")},
 	}
 }
 

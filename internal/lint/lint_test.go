@@ -32,7 +32,6 @@ func loadFixture(t *testing.T, name, rule string) []Diagnostic {
 		DeterministicPkgs: []string{ip},
 		DeadlinePkgs:      []string{ip},
 		LockPkgs:          []string{ip},
-		GoroutinePkgs:     []string{ip},
 		CodecPkgs:         []string{ip},
 		Rules:             []string{rule},
 	}
@@ -133,16 +132,6 @@ func TestTelemetrySnapFixture(t *testing.T) {
 	checkWants(t, "telemetrysnap", loadFixture(t, "telemetrysnap", RuleDeterminism))
 }
 
-func TestCounterFlowFixture(t *testing.T) {
-	checkWants(t, "counterflow", loadFixture(t, "counterflow", RuleCounterFlow))
-}
-
-func TestCounterFlowBalancedFixture(t *testing.T) {
-	if diags := loadFixture(t, "counterflowbalanced", RuleCounterFlow); len(diags) != 0 {
-		t.Fatalf("balanced package should report nothing, got %v", diags)
-	}
-}
-
 // TestRepoLintsClean is the gate's own gate: the repository must
 // satisfy every invariant dprlint enforces (modulo the annotated,
 // justified exceptions).
@@ -192,34 +181,16 @@ func TestCutDirective(t *testing.T) {
 	}
 }
 
-func TestFamilyOf(t *testing.T) {
-	cases := []struct {
-		name string
-		fam  counterFamily
-	}{
-		{"DeltaShipped", familyShipped},
-		{"deltaOutBits", familyShipped},
-		{"DeltaFolded", familyFolded},
-		{"deltaInBits", familyFolded},
-		{"delta", familyNone},
-		{"shipped", familyNone},
-		{"totalRank", familyNone},
-	}
-	for _, c := range cases {
-		if got := familyOf(c.name); got != c.fam {
-			t.Errorf("familyOf(%q) = %v, want %v", c.name, got, c.fam)
-		}
-	}
-}
-
-// TestUnknownRuleRejected: a misspelt rule name is an error, not a
-// rule subset that turns every rule off.
+// TestUnknownRuleRejected: a misspelt or retired rule name is an
+// error, not a rule subset that turns every rule off.
 func TestUnknownRuleRejected(t *testing.T) {
 	cfg := DefaultConfig("dpr")
-	cfg.Rules = []string{RuleLockOrder, "lockordr"}
-	err := cfg.CheckRules()
-	if err == nil || !strings.Contains(err.Error(), `"lockordr"`) || !strings.Contains(err.Error(), RuleHotPathTrans) {
-		t.Fatalf("CheckRules() = %v, want an error naming \"lockordr\" and listing AllRules", err)
+	for _, name := range []string{"lockordr", "counterflow", "goroutinelife", "atomicmix"} {
+		cfg.Rules = []string{RuleLockOrder, name}
+		err := cfg.CheckRules()
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), RuleHotPathTrans) {
+			t.Fatalf("CheckRules() = %v, want an error naming %q and listing AllRules", err, name)
+		}
 	}
 	cfg.Rules = AllRules
 	if err := cfg.CheckRules(); err != nil {

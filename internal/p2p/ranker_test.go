@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -161,212 +162,254 @@ func sortedUpdates(us []Update) []Update {
 }
 
 // sameOut compares an outbox with the model's per-destination batches
-// as multisets.
-func sameOut(t *testing.T, step int, got [][]Update, want map[PeerID][]Update) {
-	t.Helper()
+// as multisets, and returns "" or how they differ.
+func sameOut(got [][]Update, want map[PeerID][]Update) string {
 	for slot, us := range got {
 		dest := PeerID(slot - 1)
 		if !slices.Equal(sortedUpdates(us), sortedUpdates(want[dest])) {
-			t.Fatalf("step %d: updates for peer %d = %v, model has %v", step, dest, sortedUpdates(us), sortedUpdates(want[dest]))
+			return fmt.Sprintf("updates for peer %d = %v, model has %v", dest, sortedUpdates(us), sortedUpdates(want[dest]))
 		}
 		delete(want, dest)
 	}
 	for dest, us := range want {
 		if len(us) > 0 {
-			t.Fatalf("step %d: no outbox slot for peer %d, model has %v", step, dest, us)
+			return fmt.Sprintf("no outbox slot for peer %d, model has %v", dest, us)
 		}
 	}
+	return ""
 }
 
-// TestRankerMatchesMapModel drives the ranker and the map model
-// through the same random folds (with their self-directed chains),
-// threshold relaxations, adoptions, sheds, ownership pushes, reroutes
-// and forwards, and requires identical rows and identical
-// per-destination update multisets after every step — including for
-// owners past the end of the table the ranker was built with, and for
-// documents outside the graph. After every step the rows are strictly
-// ascending and the index finds exactly the model's held documents.
-// Even seeds run with a per-document constant term, every third with
-// the absolute threshold, every fourth from a shuffled document list;
-// adoptions come in any order and may repeat a document.
-func TestRankerMatchesMapModel(t *testing.T) {
+// rankerScript drives the ranker and the map model through one script
+// of folds (with their self-directed chains), threshold relaxations,
+// adoptions, sheds, ownership pushes, reroutes and forwards, each
+// choice in [0, n) drawn by intn, for as long as more reports, and
+// requires identical rows and identical per-destination update
+// multisets after every step — including for owners past the end of
+// the table the ranker was built with, and for documents outside the
+// graph. After every step the rows are strictly ascending and the
+// index finds exactly the model's held documents. The script also
+// picks the graph, whether a per-document constant term replaces
+// 1-damping, whether the threshold is absolute and whether the ranker
+// is built from a shuffled document list; adoptions come in any order
+// and may repeat a document. Every n is at most 256. It returns "" or
+// the first step at which the two disagree.
+func rankerScript(intn func(n int) int, more func() bool) string {
 	const docs, self = 96, PeerID(1)
 	damping := 0.85 // a variable: 1-damping must round at run time, as the ranker's does
+	// A fraction in [0, 1) to 16 bits, from two choices.
+	unit := func() float64 { return float64(intn(256)<<8|intn(256)) / (1 << 16) }
+	shuffle := func(ds []graph.NodeID) {
+		for i := len(ds) - 1; i > 0; i-- {
+			j := intn(i + 1)
+			ds[i], ds[j] = ds[j], ds[i]
+		}
+	}
 	// Documents the index is asked for: every one near the graph, and far ones.
 	probes := []graph.NodeID{math.MinInt32, 1 << 20, math.MaxInt32}
 	for d := graph.NodeID(-2); d < docs+2; d++ {
 		probes = append(probes, d)
 	}
-	for seed := uint64(1); seed <= 20; seed++ {
-		r := rng.New(seed)
-		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, seed))
-		m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3, thr: StartThreshold(1e-3), absolute: seed%3 == 0,
-			owner: make(map[graph.NodeID]PeerID), row: make(map[graph.NodeID]*[2]float64)}
-		if seed%2 == 0 {
-			m.teleport = make([]float64, docs)
-			for d := range m.teleport {
-				m.teleport[d] = 0.3 * r.Float64()
-			}
-		}
-		docPeer := make([]PeerID, docs)
-		var own []graph.NodeID
-		for d := range docPeer {
-			docPeer[d] = PeerID(r.Intn(4))
-			m.owner[graph.NodeID(d)] = docPeer[d]
-			if docPeer[d] == self {
-				own = append(own, graph.NodeID(d))
-				m.row[graph.NodeID(d)] = &[2]float64{0, 0}
-			}
-		}
-		if seed%4 == 1 {
-			r.Shuffle(len(own), func(i, j int) { own[i], own[j] = own[j], own[i] })
-		}
-		rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.thr, m.absolute, telemetry.NewRegistry().Gauge("mass"))
-		sameOut(t, 0, rk.InitialOut(), func() map[PeerID][]Update {
-			// The initial push is a fold of nothing that collects every row.
-			out := make(map[PeerID][]Update)
-			for d := range m.row {
-				m.emit(d, out)
-			}
-			return out
-		}())
-		held := func() (ds []graph.NodeID) {
-			for d := range m.row {
-				ds = append(ds, d)
-			}
-			slices.Sort(ds)
-			return ds
-		}
-		for step := 1; step <= 300; step++ {
-			switch op := r.Intn(11); {
-			case op == 10: // next stage, a stage already passed (a plain sweep), or straight to the floor
-				was := m.thr
-				thr := []float64{NextThreshold(was, m.eps), 2 * was, math.Inf(1), 0}[r.Intn(4)]
-				sameOut(t, step, rk.Relax(thr), maps(m.relax(thr)))
-				if got := rk.thr; got != m.thr || got > was || got < m.eps {
-					t.Fatalf("seed %d step %d: threshold %v after Relax(%v) from %v, model %v", seed, step, got, thr, was, m.thr)
-				}
-			case op < 6: // fold a batch, then the chain of self-directed consequences
-				batch := make([]Update, 1+r.Intn(40))
-				for i := range batch {
-					batch[i] = Update{Doc: graph.NodeID(r.Intn(docs+4) - 2), Delta: r.Float64() - 0.3}
-				}
-				for len(batch) > 0 {
-					out, fwd, folded := rk.Fold(batch)
-					wantOut, wantFwd := m.fold(batch)
-					want := 0.0
-					for _, u := range batch {
-						want += u.Delta
-					}
-					for _, u := range wantFwd {
-						want -= u.Delta
-					}
-					if !slices.Equal(fwd, wantFwd) || math.Abs(folded-want) > 1e-9 {
-						t.Fatalf("seed %d step %d: fold refused %v and folded %v, model %v and %v", seed, step, fwd, folded, wantFwd, want)
-					}
-					sameOut(t, step, out, maps(wantOut))
-					// Forward what the fold refused, by the current table.
-					fout, dropped := rk.ForwardOut(fwd)
-					wantF, wantDropped := make(map[PeerID][]Update), 0
-					for _, u := range wantFwd {
-						if o := m.dest(u.Doc); o == NoPeer || (o == self && m.row[u.Doc] == nil) {
-							wantDropped++
-						} else {
-							wantF[o] = append(wantF[o], u)
-						}
-					}
-					if dropped != wantDropped {
-						t.Fatalf("seed %d step %d: forward dropped %d, model %d", seed, step, dropped, wantDropped)
-					}
-					sameOut(t, step, fout, wantF)
-					batch = slices.Clone(out[self+1])
-				}
-			case op < 7: // adopt rows, some of them already held or listed twice: the first is taken
-				var ds []graph.NodeID
-				var acc, last []float64
-				for i := r.Intn(6); i >= 0; i-- {
-					d := graph.NodeID(r.Intn(docs))
-					ds = append(ds, d)
-					acc, last = append(acc, r.Float64()), append(last, r.Float64())
-					if m.row[d] == nil {
-						m.row[d] = &[2]float64{acc[len(acc)-1], last[len(last)-1]}
-					}
-				}
-				rk.Adopt(ds, acc, last)
-			case op < 8: // shed held rows to a peer the table may never have seen
-				hs := held()
-				if len(hs) == 0 {
-					continue
-				}
-				r.Shuffle(len(hs), func(i, j int) { hs[i], hs[j] = hs[j], hs[i] })
-				hs = hs[:1+r.Intn(min(len(hs), 5))]
-				to := PeerID(r.Intn(7))
-				acc, last, err := rk.Shed(hs, to)
-				if err != nil {
-					t.Fatalf("seed %d step %d: shed: %v", seed, step, err)
-				}
-				for i, d := range hs {
-					if row := m.row[d]; acc[i] != row[0] || last[i] != row[1] {
-						t.Fatalf("seed %d step %d: shed doc %d as (%v %v), model row %v", seed, step, d, acc[i], last[i], *row)
-					}
-					delete(m.row, d)
-					m.owner[d] = to
-				}
-				if _, _, err := rk.Shed([]graph.NodeID{hs[0]}, to); err == nil {
-					t.Fatalf("seed %d step %d: shed a row twice", seed, step)
-				}
-			case op < 9: // ownership push: held rows keep their rows
-				ds := make([]graph.NodeID, 1+r.Intn(8))
-				to := PeerID(r.Intn(7))
-				for i := range ds {
-					ds[i] = graph.NodeID(r.Intn(docs))
-					if m.row[ds[i]] == nil {
-						m.owner[ds[i]] = to
-					}
-				}
-				rk.SetOwner(ds, to)
-			default: // a departed slot's range moves on
-				from, to := PeerID(r.Intn(7)), PeerID(r.Intn(7))
-				for d, o := range m.owner {
-					if o == from && m.row[d] == nil {
-						m.owner[d] = to
-					}
-				}
-				rk.RerouteOwner(from, to)
-			}
-			table, mass := rk.OwnerTable(), 0.0
-			for d := graph.NodeID(0); d < docs; d++ {
-				if table[d] != m.dest(d) {
-					t.Fatalf("seed %d step %d: doc %d routed to %d, model %d", seed, step, d, table[d], m.dest(d))
-				}
-			}
-			for i := 1; i < len(rk.docs); i++ {
-				if rk.docs[i-1] >= rk.docs[i] {
-					t.Fatalf("seed %d step %d: rows %d and %d hold docs %d and %d, not ascending", seed, step, i-1, i, rk.docs[i-1], rk.docs[i])
-				}
-			}
-			for _, d := range probes {
-				if i := rk.index.find(rk.docs, d); (i >= 0) != (m.row[d] != nil) || i >= 0 && rk.docs[i] != d {
-					t.Fatalf("seed %d step %d: index finds doc %d at row %d, model holds it: %v", seed, step, d, i, m.row[d] != nil)
-				}
-			}
-			ds, acc, last := rk.Rows()
-			if len(ds) != len(m.row) {
-				t.Fatalf("seed %d step %d: %d rows, model %d", seed, step, len(ds), len(m.row))
-			}
-			rank := make([]float64, docs)
-			rk.RanksInto(rank)
-			for i, d := range ds {
-				if row := m.row[d]; row == nil || rank[d] != m.rank(d) || acc[i] != row[0] || last[i] != row[1] {
-					t.Fatalf("seed %d step %d: row of doc %d = (%v %v %v), model %v", seed, step, d, rank[d], acc[i], last[i], row)
-				}
-				mass += rank[d]
-			}
-			if got := rk.mass.Load(); math.Abs(got-mass) > 1e-9 {
-				t.Fatalf("seed %d step %d: mass gauge %v, rows sum to %v", seed, step, got, mass)
-			}
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, uint64(1+intn(256))))
+	m := &modelRanker{id: self, g: g, damping: damping, eps: 1e-3, thr: StartThreshold(1e-3), absolute: intn(3) == 0,
+		owner: make(map[graph.NodeID]PeerID), row: make(map[graph.NodeID]*[2]float64)}
+	if intn(2) == 0 {
+		m.teleport = make([]float64, docs)
+		for d := range m.teleport {
+			m.teleport[d] = 0.3 * unit()
 		}
 	}
+	docPeer := make([]PeerID, docs)
+	var own []graph.NodeID
+	for d := range docPeer {
+		docPeer[d] = PeerID(intn(4))
+		m.owner[graph.NodeID(d)] = docPeer[d]
+		if docPeer[d] == self {
+			own = append(own, graph.NodeID(d))
+			m.row[graph.NodeID(d)] = &[2]float64{0, 0}
+		}
+	}
+	if intn(4) == 0 {
+		shuffle(own)
+	}
+	rk := NewRanker(self, g, own, docPeer, m.teleport, damping, m.eps, m.thr, m.absolute, telemetry.NewRegistry().Gauge("mass"))
+	if msg := sameOut(rk.InitialOut(), func() map[PeerID][]Update {
+		// The initial push is a fold of nothing that collects every row.
+		out := make(map[PeerID][]Update)
+		for d := range m.row {
+			m.emit(d, out)
+		}
+		return out
+	}()); msg != "" {
+		return "initial push: " + msg
+	}
+	held := func() (ds []graph.NodeID) {
+		for d := range m.row {
+			ds = append(ds, d)
+		}
+		slices.Sort(ds)
+		return ds
+	}
+	for step := 1; more(); step++ {
+		switch op := intn(11); {
+		case op == 10: // next stage, a stage already passed (a plain sweep), or straight to the floor
+			was := m.thr
+			thr := []float64{NextThreshold(was, m.eps), 2 * was, math.Inf(1), 0}[intn(4)]
+			if msg := sameOut(rk.Relax(thr), maps(m.relax(thr))); msg != "" {
+				return fmt.Sprintf("step %d: Relax(%v): %s", step, thr, msg)
+			}
+			if got := rk.thr; got != m.thr || got > was || got < m.eps {
+				return fmt.Sprintf("step %d: threshold %v after Relax(%v) from %v, model %v", step, got, thr, was, m.thr)
+			}
+		case op < 6: // fold a batch, then the chain of self-directed consequences
+			batch := make([]Update, 1+intn(40))
+			for i := range batch {
+				batch[i] = Update{Doc: graph.NodeID(intn(docs+4) - 2), Delta: unit() - 0.3}
+			}
+			for len(batch) > 0 {
+				out, fwd, folded := rk.Fold(batch)
+				wantOut, wantFwd := m.fold(batch)
+				want := 0.0
+				for _, u := range batch {
+					want += u.Delta
+				}
+				for _, u := range wantFwd {
+					want -= u.Delta
+				}
+				if !slices.Equal(fwd, wantFwd) || math.Abs(folded-want) > 1e-9 {
+					return fmt.Sprintf("step %d: fold refused %v and folded %v, model %v and %v", step, fwd, folded, wantFwd, want)
+				}
+				if msg := sameOut(out, maps(wantOut)); msg != "" {
+					return fmt.Sprintf("step %d: fold: %s", step, msg)
+				}
+				// Forward what the fold refused, by the current table.
+				fout, dropped := rk.ForwardOut(fwd)
+				wantF, wantDropped := make(map[PeerID][]Update), 0
+				for _, u := range wantFwd {
+					if o := m.dest(u.Doc); o == NoPeer || (o == self && m.row[u.Doc] == nil) {
+						wantDropped++
+					} else {
+						wantF[o] = append(wantF[o], u)
+					}
+				}
+				if dropped != wantDropped {
+					return fmt.Sprintf("step %d: forward dropped %d, model %d", step, dropped, wantDropped)
+				}
+				if msg := sameOut(fout, wantF); msg != "" {
+					return fmt.Sprintf("step %d: forward: %s", step, msg)
+				}
+				batch = slices.Clone(out[self+1])
+			}
+		case op < 7: // adopt rows, some of them already held or listed twice: the first is taken
+			var ds []graph.NodeID
+			var acc, last []float64
+			for i := intn(6); i >= 0; i-- {
+				d := graph.NodeID(intn(docs))
+				ds = append(ds, d)
+				acc, last = append(acc, unit()), append(last, unit())
+				if m.row[d] == nil {
+					m.row[d] = &[2]float64{acc[len(acc)-1], last[len(last)-1]}
+				}
+			}
+			rk.Adopt(ds, acc, last)
+		case op < 8: // shed held rows to a peer the table may never have seen
+			hs := held()
+			if len(hs) == 0 {
+				continue
+			}
+			shuffle(hs)
+			hs = hs[:1+intn(min(len(hs), 5))]
+			to := PeerID(intn(7))
+			acc, last, err := rk.Shed(hs, to)
+			if err != nil {
+				return fmt.Sprintf("step %d: shed: %v", step, err)
+			}
+			for i, d := range hs {
+				if row := m.row[d]; acc[i] != row[0] || last[i] != row[1] {
+					return fmt.Sprintf("step %d: shed doc %d as (%v %v), model row %v", step, d, acc[i], last[i], *row)
+				}
+				delete(m.row, d)
+				m.owner[d] = to
+			}
+			if _, _, err := rk.Shed([]graph.NodeID{hs[0]}, to); err == nil {
+				return fmt.Sprintf("step %d: shed a row twice", step)
+			}
+		case op < 9: // ownership push: held rows keep their rows
+			ds := make([]graph.NodeID, 1+intn(8))
+			to := PeerID(intn(7))
+			for i := range ds {
+				ds[i] = graph.NodeID(intn(docs))
+				if m.row[ds[i]] == nil {
+					m.owner[ds[i]] = to
+				}
+			}
+			rk.SetOwner(ds, to)
+		default: // a departed slot's range moves on
+			from, to := PeerID(intn(7)), PeerID(intn(7))
+			for d, o := range m.owner {
+				if o == from && m.row[d] == nil {
+					m.owner[d] = to
+				}
+			}
+			rk.RerouteOwner(from, to)
+		}
+		table, mass := rk.OwnerTable(), 0.0
+		for d := graph.NodeID(0); d < docs; d++ {
+			if table[d] != m.dest(d) {
+				return fmt.Sprintf("step %d: doc %d routed to %d, model %d", step, d, table[d], m.dest(d))
+			}
+		}
+		for i := 1; i < len(rk.docs); i++ {
+			if rk.docs[i-1] >= rk.docs[i] {
+				return fmt.Sprintf("step %d: rows %d and %d hold docs %d and %d, not ascending", step, i-1, i, rk.docs[i-1], rk.docs[i])
+			}
+		}
+		for _, d := range probes {
+			if i := rk.index.find(rk.docs, d); (i >= 0) != (m.row[d] != nil) || i >= 0 && rk.docs[i] != d {
+				return fmt.Sprintf("step %d: index finds doc %d at row %d, model holds it: %v", step, d, i, m.row[d] != nil)
+			}
+		}
+		ds, acc, last := rk.Rows()
+		if len(ds) != len(m.row) {
+			return fmt.Sprintf("step %d: %d rows, model %d", step, len(ds), len(m.row))
+		}
+		rank := make([]float64, docs)
+		rk.RanksInto(rank)
+		for i, d := range ds {
+			if row := m.row[d]; row == nil || rank[d] != m.rank(d) || acc[i] != row[0] || last[i] != row[1] {
+				return fmt.Sprintf("step %d: row of doc %d = (%v %v %v), model %v", step, d, rank[d], acc[i], last[i], row)
+			}
+			mass += rank[d]
+		}
+		if got := rk.mass.Load(); math.Abs(got-mass) > 1e-9 {
+			return fmt.Sprintf("step %d: mass gauge %v, rows sum to %v", step, got, mass)
+		}
+	}
+	return ""
+}
+
+// TestRankerMatchesMapModel runs rankerScript on the scripts that
+// seeds 1–20 draw, 300 steps each.
+func TestRankerMatchesMapModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		if msg := rankerScript(seededScript(seed, 300)); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// FuzzRankerModel searches for a script on which the ranker and the
+// model disagree: rankerScript with each choice read from the input.
+// The corpus is the scripts of TestRankerMatchesMapModel, byte for
+// byte.
+func FuzzRankerModel(f *testing.F) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		f.Add(recordScript(seed, 300, rankerScript))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if msg := rankerScript(byteScript(script)); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // TestRankerPushConservesMass: a push emits rounded shares, so it cannot

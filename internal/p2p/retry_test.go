@@ -278,8 +278,7 @@ func TestRetryQueueMatchesModel(t *testing.T) {
 	}
 	defer func(floor int) { compactFloor = floor }(compactFloor)
 	run := func(seed uint64, steps uint16) bool {
-		r, left := rng.New(seed), int(steps)%4000
-		if msg := retryScript(r.Intn, func() bool { left--; return left >= 0 }); msg != "" {
+		if msg := retryScript(seededScript(seed, int(steps)%4000)); msg != "" {
 			t.Log(msg)
 			return false
 		}
@@ -291,32 +290,16 @@ func TestRetryQueueMatchesModel(t *testing.T) {
 }
 
 // FuzzRetryQueueModel searches for a script on which the queue and the
-// model disagree: retryScript with each choice read from the input, one
-// byte taken mod n, until the input is spent. Every n the script asks
-// for is at most 256, so the corpus can hold the scripts random seeds
-// draw, byte for byte.
+// model disagree: retryScript with each choice read from the input.
+// The corpus is the scripts of seeds 1–8, 500 steps each, byte for
+// byte.
 func FuzzRetryQueueModel(f *testing.F) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		r, left := rng.New(seed), 500
-		var script []byte
-		retryScript(func(n int) int {
-			v := r.Intn(n)
-			script = append(script, byte(v))
-			return v
-		}, func() bool { left--; return left >= 0 })
-		f.Add(script)
-	}
 	defer func(floor int) { compactFloor = floor }(compactFloor)
+	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(recordScript(seed, 500, retryScript))
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		intn := func(n int) int {
-			if len(script) == 0 {
-				return 0
-			}
-			v := int(script[0]) % n
-			script = script[1:]
-			return v
-		}
-		if msg := retryScript(intn, func() bool { return len(script) > 0 }); msg != "" {
+		if msg := retryScript(byteScript(script)); msg != "" {
 			t.Fatal(msg)
 		}
 	})

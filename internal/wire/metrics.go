@@ -36,8 +36,8 @@ type peerMetrics struct {
 	sendLatency    *telemetry.Histogram
 
 	// The conservation pair: delta mass originated versus delta mass
-	// folded. At quiescence the two must be equal (dprlint's
-	// counterflow rule keeps every mutation two-sided).
+	// folded. At quiescence the two must be equal
+	// (TestTelemetryConservationUnderFaults asserts it under faults).
 	deltaShipped *telemetry.FloatCounter
 	deltaFolded  *telemetry.FloatCounter
 
