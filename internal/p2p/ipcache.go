@@ -78,9 +78,6 @@ func (c *IPCache) InvalidateDocs(docs []graph.NodeID) {
 	}
 }
 
-// Entries returns the number of cached addresses.
-func (c *IPCache) Entries() int { return len(c.cache) }
-
 // Stats returns (routed lookups, cached sends, total routed hops).
 func (c *IPCache) Stats() (routed, cached, hops int64) {
 	return c.routedLookups, c.cachedSends, c.routedHops

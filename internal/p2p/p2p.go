@@ -117,23 +117,6 @@ func (n *Network) DocOnline(d graph.NodeID) bool {
 	return p != NoPeer && n.online[p]
 }
 
-// CrossPeerLinks counts document links that cross peer boundaries,
-// the L_ij term of the execution-time model (Equation 4). A link from
-// or to an unplaced document counts as crossing.
-func (n *Network) CrossPeerLinks(g graph.Linker) int64 {
-	var cross int64
-	cur := graph.CursorFor(g)
-	for d := 0; d < g.NumNodes(); d++ {
-		p := n.PeerOf(graph.NodeID(d))
-		for _, t := range cur.OutLinks(graph.NodeID(d)) {
-			if p == NoPeer || n.PeerOf(t) != p {
-				cross++
-			}
-		}
-	}
-	return cross
-}
-
 // Validate checks placement invariants.
 func (n *Network) Validate() error {
 	counts := make([]int, n.numPeers)

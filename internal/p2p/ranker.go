@@ -26,8 +26,8 @@ import (
 // floor ε: the driver takes it one NextThreshold step down, through
 // Relax, each time its network runs quiet (DESIGN.md §4).
 //
-// All methods are safe for concurrent use, except that Fold's results
-// alias scratch the next Fold overwrites.
+// All methods are safe for concurrent use, except that Fold's and
+// Relax's results alias scratch the next Fold or Relax overwrites.
 //
 // Under dynamic membership the document set is mutable: Adopt merges
 // in a departed peer's rows, Shed extracts rows for a joining peer, and
@@ -171,7 +171,7 @@ func (r *Ranker) InitialOut() [][]Update {
 // forward them to the current owner so no rank mass is ever lost.
 //
 // out (indexed by PeerID+1) and fwd are the ranker's scratch, valid
-// until the next Fold. The batch may be the previous fold's
+// until the next Fold or Relax. The batch may be the previous fold's
 // self-directed slot of out: it is read to the end before out is
 // refilled.
 //
@@ -184,7 +184,8 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 		clear(r.stamp)
 		r.gen = 1
 	}
-	dirty, fwd := reuse(r.dirty), reuse(r.fwd)
+	// dirty grows once, to the most rows the batch can touch.
+	dirty, fwd := slices.Grow(reuse(r.dirty), min(len(batch), len(r.docs))), reuse(r.fwd)
 	for _, u := range batch {
 		i := r.index.find(r.docs, u.Doc)
 		if i < 0 {
@@ -228,20 +229,23 @@ func (r *Ranker) residualLocked(i int32, rank float64) float64 {
 }
 
 // Relax lowers the push threshold to thr — never below ε, never raising
-// it — and sweeps every row, returning in an outbox of its own (as
-// InitialOut does) the pushes of those whose residual is past it. At
-// +Inf it is a plain sweep, for rows from a laxer stage.
+// it — and sweeps every row, returning the pushes of those whose
+// residual is past it. At +Inf it is a plain sweep, for rows from a
+// laxer stage. The outbox is Fold's scratch, valid until the next Fold
+// or Relax.
 func (r *Ranker) Relax(thr float64) [][]Update {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.thr = max(r.epsilon, min(r.thr, thr))
-	out := make([][]Update, len(r.out))
+	for slot := range r.out {
+		r.out[slot] = reuse(r.out[slot])
+	}
 	for i := range r.docs {
 		if rank := r.rankLocked(int32(i)); r.residualLocked(int32(i), rank) > r.thr {
-			r.collectLocked(int32(i), rank, out)
+			r.collectLocked(int32(i), rank, r.out)
 		}
 	}
-	return out
+	return r.out
 }
 
 // collectLocked batches row i's pending delta, rank − last, per

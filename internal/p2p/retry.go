@@ -22,16 +22,15 @@ const UpdateWireBytes = 24
 // RetryQueue implements the paper's store-and-retry protocol: "when a
 // peer is detected as unavailable, update messages are stored at the
 // sender and periodically resent until delivered successfully". The
-// simulation keeps one logical queue per destination peer; state-size
-// accounting (the paper notes worst case scales with the sum of
-// out-links in a peer) is exposed via Len and MaxLen.
+// simulation keeps one logical queue per destination peer; its state
+// size (the paper notes worst case scales with the sum of out-links in
+// a peer) is Len.
 type RetryQueue struct {
-	dests   []destQueue // indexed by destination+1, so NoPeer parks in slot 0
-	active  int         // destinations with queued updates
-	size    int
-	maxSize int
-	merges  int
-	sorter  // compact's scratch, shared by every destination
+	dests  []destQueue // indexed by destination+1, so NoPeer parks in slot 0
+	active int         // destinations with queued updates
+	size   int
+	merges int
+	sorter // compact's scratch, shared by every destination
 }
 
 // destQueue is one destination's queue: us[head:head+sorted] is what
@@ -79,7 +78,6 @@ func (q *RetryQueue) push(dq *destQueue, us []Update) {
 		dq.us = append(dq.us, us...)
 	}
 	q.size += len(us)
-	q.maxSize = max(q.maxSize, q.size)
 }
 
 // Defer stores an update for an absent peer. It never merges: Drain
@@ -269,13 +267,6 @@ func (q *RetryQueue) Queued(dest PeerID) int {
 	}
 	return len(q.dests[dest+1].us) - q.dests[dest+1].head
 }
-
-// MaxLen returns the high-water mark of queued updates, the "amount of
-// state saved" the paper bounds by the sum of out-links per peer.
-func (q *RetryQueue) MaxLen() int { return q.maxSize }
-
-// Destinations returns the number of peers with queued updates.
-func (q *RetryQueue) Destinations() int { return q.active }
 
 // Merges returns how many queued updates were summed into another
 // entry for the same document.

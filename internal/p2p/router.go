@@ -56,12 +56,6 @@ func (r *CachedRouter) Hops(from PeerID, doc graph.NodeID) int {
 	return r.cache.Hops(from, doc, r.ring, start)
 }
 
-// Cache exposes the underlying IP cache for statistics.
-func (r *CachedRouter) Cache() *IPCache { return r.cache }
-
-// Ring exposes the underlying Chord ring.
-func (r *CachedRouter) Ring() *dht.Ring { return r.ring }
-
 // DirectRouter prices every message at one hop — the idealized model
 // the paper's Table 3 uses once IP caching is in effect.
 type DirectRouter struct{}

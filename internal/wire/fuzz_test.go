@@ -54,16 +54,19 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 // through its encoder.
 func FuzzDecodeFrames(f *testing.F) {
 	batch := encodeBatchEpoch(nil, 1, 2, 7, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}, {Doc: 9, Delta: 0.1}, {Doc: -1, Delta: math.NaN()}})
-	// The same stream header in front of the layout before this one, of a
-	// count no payload could hold, and of a document id run past a u32.
+	// The same stream header in front of the two layouts before the
+	// bit-packed one — fixed-width, then varint-keyed with 2-, 4- or
+	// 8-byte shares — which must not panic: of a count no payload could
+	// hold, of a document id run past a u32, and of the unused width code 3.
 	oldBatch := append(slices.Clone(batch[:batchEpochHeader]), oldLayoutBatch([]p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 9, Delta: -1}})...)
 	hugeCount := append(slices.Clone(batch[:batchEpochHeader]), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5)
 	pastU32 := append(binary.AppendUvarint(append(slices.Clone(batch[:batchEpochHeader]), 2, 0, 0, 0), math.MaxUint32<<2|1), 0, 0, 0, 0, 1<<2|1, 0, 0, 0, 0)
-	// Two-byte deltas: a frame of bfloat16 shares, then one whose second
-	// value is cut short and one with the unused width code 3.
+	width3 := append(slices.Clone(batch[:batchEpochHeader]), 1, 0, 0, 0, 4<<2|3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	// Bit-packed: a frame of bfloat16 shares, +Inf and 0 among them, the
+	// same frame cut short, and a frame whose exponent runs past 255.
 	shares := encodeBatchEpoch(nil, 1, 2, 8, 3, []p2p.Update{{Doc: 4, Delta: 0.5}, {Doc: 5, Delta: -0.0078125}, {Doc: 5, Delta: math.Inf(1)}, {Doc: 70000, Delta: 0}})
 	cutShare := shares[:len(shares)-1]
-	width3 := append(slices.Clone(batch[:batchEpochHeader]), 1, 0, 0, 0, 4<<2|3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	pastExp := append(slices.Clone(batch[:batchEpochHeader]), batchBits(1, 0, 250, 4, slices.Concat(gapZero, []uint64{0, 8, 15, 4, 0, 1})...)...)
 	// Well-formed but for a peer id past any view: the receiver sizes its
 	// membership view by origDest, so the decoder must refuse these.
 	hugeDest := encodeBatchEpoch(nil, 1, 1<<22, 7, 3, nil)
@@ -83,7 +86,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	lyingGossip := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 3), 3)
 	lyingGossip = append(lyingGossip, gossip[8:]...)
 	cutView := view[:len(view)-1]
-	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, shares, cutShare, width3, hugeDest, gossip, view, nack, credit, hugeSender, lyingGossip, cutView, nil, {0xff}, oldCredit} {
+	for _, seed := range [][]byte{batch, oldBatch, hugeCount, pastU32, shares, cutShare, width3, pastExp, hugeDest, gossip, view, nack, credit, hugeSender, lyingGossip, cutView, nil, {0xff}, oldCredit} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,10 +94,10 @@ func FuzzDecodeFrames(f *testing.F) {
 			if sender >= maxViewSlots || origDest >= maxViewSlots {
 				t.Fatalf("decoder accepted peer ids (%d, %d) past the view bound", sender, origDest)
 			}
-			// The batch inside need not re-encode to the same bytes (padded
-			// varints and deltas sent wider than they need are accepted,
-			// never written), but the header must and the updates must
-			// survive the trip.
+			// The batch inside need not re-encode to the same bytes (escapes
+			// the unary code could carry, shares sent wider than they need
+			// and loose exponent windows are accepted, never written), but
+			// the header must and the updates must survive the trip.
 			again := encodeBatchEpoch(nil, sender, origDest, seq, epoch, us)
 			_, _, _, _, back, err := decodeBatchEpoch(again)
 			if i := firstChanged(us, back); err != nil || i >= 0 || !bytes.Equal(data[:batchEpochHeader], again[:batchEpochHeader]) {

@@ -73,21 +73,53 @@ func TestFrameBuildAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchEpochCodec is the wire cost of one update: rendered
-// into the sender's frame buffer and parsed back out of the reader's.
-func BenchmarkBatchEpochCodec(b *testing.B) {
-	us := frameFixture()
-	p2p.SortUpdates(us)
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(us) {
-		buf = appendBatchEpochFrame(buf[:0], 1, 2, uint64(i), 4, us)
-		if _, _, _, _, _, err := decodeBatchEpoch(buf[frameHeader:]); err != nil {
-			b.Fatal(err)
+// wire8Frame is a frame shaped like those a seed-42 wire-8 solve
+// sends: about 1,000 documents, ordered, with geometric gaps of mean
+// 120, and shares that are bfloat16s over 16 exponents, 2 % of them
+// negative, but for 6 % of float32s.
+func wire8Frame() []p2p.Update {
+	r := rng.New(45)
+	us := make([]p2p.Update, 1000)
+	doc := 0
+	for i := range us {
+		doc += int(-120 * math.Log(1-r.Float64()))
+		bits := uint32(127-24+r.Intn(16))<<23 | uint32(r.Intn(1<<7))<<16
+		if r.Intn(50) == 0 {
+			bits |= 1 << 31
 		}
+		if r.Intn(100) < 6 {
+			bits |= uint32(1 + r.Intn(1<<16-1))
+		}
+		us[i] = p2p.Update{Doc: graph.NodeID(doc), Delta: float64(math.Float32frombits(bits))}
 	}
-	b.ReportMetric(float64(len(buf))/float64(len(us)), "B/update")
+	return us
+}
+
+// BenchmarkBatchEpochCodec is the wire cost of one update, in bytes and
+// in nanoseconds: rendered into the sender's frame buffer and parsed
+// back out of the reader's. fold is frameFixture ordered, a full frame
+// of 4,096 uniformly spread documents; wire-8 is wire8Frame.
+func BenchmarkBatchEpochCodec(b *testing.B) {
+	fold := frameFixture()
+	p2p.SortUpdates(fold)
+	for _, fx := range []struct {
+		name string
+		us   []p2p.Update
+	}{{"fold", fold}, {"wire-8", wire8Frame()}} {
+		b.Run(fx.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(fx.us) {
+				buf = appendBatchEpochFrame(buf[:0], 1, 2, uint64(i), 4, fx.us)
+				if _, _, _, _, _, err := decodeBatchEpoch(buf[frameHeader:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(buf))/float64(len(fx.us)), "B/update")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/update")
+		})
+	}
 }
 
 // BenchmarkSnapshotCodec is what a checkpoint costs per row at the size

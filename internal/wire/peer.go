@@ -665,6 +665,7 @@ func (p *Peer) processLoop() {
 func (p *Peer) consume(items []inItem) {
 	var batch []p2p.Update
 	var acks []*inItem
+	lone := true // batch is still one item's own slice, folded in place
 	for i := range items {
 		it := &items[i]
 		switch {
@@ -677,7 +678,14 @@ func (p *Peer) consume(items []inItem) {
 			}
 			acks = append(acks, it)
 		}
-		batch = append(batch, it.us...)
+		switch {
+		case len(batch) == 0:
+			batch = it.us
+		case lone:
+			batch, lone = append(slices.Clip(batch), it.us...), false
+		default:
+			batch = append(batch, it.us...)
+		}
 	}
 	for len(batch) > 0 {
 		batch = p.handle(batch)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dpr/internal/graph"
@@ -99,9 +100,8 @@ func reuse[T any](s []T) []T {
 }
 
 // deltaWidth is the width code a delta crosses in: 0 for a bfloat16
-// (p2p.IsBfloat16, 2 bytes), 1 for another float32 (4 bytes) and 2 for
-// the rest (a float64, 8 bytes) — a NaN, unequal to itself, always is.
-// Every width is exact.
+// (p2p.IsBfloat16), 1 for another float32 and 2 for the rest (a
+// float64) — a NaN, unequal to itself, always is. Every width is exact.
 //
 //dpr:hotpath
 func deltaWidth(d float64) uint64 {
@@ -115,67 +115,197 @@ func deltaWidth(d float64) uint64 {
 	return 0
 }
 
-// appendUpdates appends a batch payload: u32 n, then per update the
-// uvarint (doc - previous doc)<<2 | w and the delta in 2<<w bytes, w
-// its deltaWidth. us is ordered by document (p2p.SortUpdates).
+// The batch payload is bit-packed (DESIGN.md §13): u32 n, three bytes —
+// the Rice parameter k, the lowest bfloat16 exponent lo and the width eb
+// of an exponent's offset from it — then one little-endian bit stream,
+// zero-padded to a byte, of n updates. An update is its document's gap
+// from the previous one (from 0 for the first), Rice-coded — the
+// quotient gap>>k in unary as that many 0 bits and a 1, then the k low
+// bits — or, once the quotient reaches riceEscape, riceEscape 0 bits and
+// the gap in 32 raw bits; then its share. A bfloat16 share is a 0 bit
+// and the bfloat16 with its exponent less lo in eb bits: low to high,
+// the 7-bit mantissa, the offset and the sign. Any other is a 1 bit, a
+// width bit, and the float32 (0) or float64 (1) in raw bits.
+const (
+	batchHead     = 7  // u32 n, k, lo, eb
+	riceEscape    = 24 // a quotient this long is an escape
+	maxRiceK      = 31
+	maxExpBits    = 8
+	minUpdateBits = 10 // a gap of one bit and a bfloat16 share of nine
+)
+
+// riceParam is the Rice parameter of n gaps that sum to last:
+// ⌊log₂(mean · ln 2)⌋, the best for geometric gaps of that mean.
+//
+//dpr:hotpath
+func riceParam(last uint32, n int) uint {
+	m := float64(last) * math.Ln2 / float64(max(n, 1))
+	if m < 2 {
+		return 0
+	}
+	return min(uint(bits.Len64(uint64(m)))-1, maxRiceK)
+}
+
+// putBits appends the low width bits of v, whose other bits are zero, to
+// a bit stream stored up to b[at], with its last n < 8 bits, acc, not
+// yet past at; width is at most 56. It stores the whole of acc, so b
+// keeps 8 bytes of room past at.
+//
+//dpr:hotpath
+func putBits(b []byte, at int, acc uint64, n uint, v uint64, width uint) (int, uint64, uint) {
+	acc |= v << (n & 63) // every shift is masked, so none needs a check
+	n += width
+	binary.LittleEndian.PutUint64(b[at:], acc)
+	return at + int(n>>3), acc >> (n & 56), n & 7
+}
+
+// appendUpdates appends a batch payload. us is ordered by document
+// (p2p.SortUpdates).
 //
 //dpr:hotpath
 func appendUpdates(dst []byte, us []p2p.Update) []byte {
-	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 4+13*len(us)), uint32(len(us)))
-	prev := uint32(0)
+	// The last document gives k, and a first pass the range of the
+	// bfloat16 exponents. A share whose float32 is a bfloat16 counts,
+	// whether or not it is the float64: the window need only cover the
+	// bfloat16s.
+	last, lo, hi := uint32(0), uint32(0xff), uint32(0)
+	if len(us) > 0 {
+		last = uint32(us[len(us)-1].Doc)
+	}
 	for _, u := range us {
-		doc := uint32(u.Doc)
-		if doc < prev {
-			panic("wire: batch not ordered by document")
-		}
-		w := deltaWidth(u.Delta)
-		dst = binary.AppendUvarint(dst, uint64(doc-prev)<<2|w)
-		prev = doc
-		switch w {
-		case 0:
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(math.Float32bits(float32(u.Delta))>>16))
-		case 1:
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(u.Delta)))
-		default:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(u.Delta))
+		if f := float32(u.Delta); p2p.IsBfloat16(f) {
+			e := math.Float32bits(f) >> 23 & 0xff
+			lo, hi = min(lo, e), max(hi, e)
 		}
 	}
-	return dst
+	lo = min(lo, hi)
+	k, eb := riceParam(last, len(us)), uint(bits.Len32(hi-lo))
+	prev, low, lo7, sw := uint32(0), uint64(1)<<k-1, lo<<7, 9+eb // sw: a bfloat16 share's width
+	// A gap costs at most 1 + k bits and 7/3 of its quotient (an escape,
+	// 56 bits, has a quotient of 24 or more), the quotients sum to at
+	// most last>>k, and a share is at most 66 bits. The bound stays under
+	// 8 times the shortest stream (10 bits an update), the ratio past
+	// which reuse drops a buffer.
+	most := uint(len(us))*(1+k+66) + 7*uint(last>>k)/3
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, batchHead+int(most/8)+9), uint32(len(us)))
+	dst = append(dst, byte(k), byte(lo), byte(eb))
+	b, at, acc, n := dst[:cap(dst)], len(dst), uint64(0), uint(0)
+	for _, u := range us {
+		if uint32(u.Doc) < prev {
+			panic("wire: batch not ordered by document")
+		}
+		gap := uint64(uint32(u.Doc) - prev)
+		prev = uint32(u.Doc)
+		code, width := gap<<riceEscape, uint(riceEscape+32)
+		if q := uint(gap >> (k & 63)); q < riceEscape {
+			code, width = (1|gap&low<<1)<<(q&63), q+1+k
+		}
+		f, w := math.Float32bits(float32(u.Delta)), deltaWidth(u.Delta)
+		if w == 0 {
+			// Most gaps leave room in the same put for a bfloat16 share.
+			share := (uint64(f>>16&0x7fff-lo7) | uint64(f>>31)<<(sw-2&63)) << 1
+			if width+sw > 56 {
+				at, acc, n = putBits(b, at, acc, n, code, width)
+				code, width = 0, 0
+			}
+			at, acc, n = putBits(b, at, acc, n, code|share<<(width&63), width+sw)
+			continue
+		}
+		at, acc, n = putBits(b, at, acc, n, code, width)
+		if w == 1 {
+			at, acc, n = putBits(b, at, acc, n, 1|uint64(f)<<2, 34)
+			continue
+		}
+		d := math.Float64bits(u.Delta)
+		at, acc, n = putBits(b, at, acc, n, 3|d<<32>>30, 34)
+		at, acc, n = putBits(b, at, acc, n, d>>32, 32)
+	}
+	if n > 0 {
+		at++ // the last, partial byte, already stored
+	}
+	return b[:at]
+}
+
+// peekBits returns the bits of b from bit pos on, at least 57 of them,
+// as zeros past the end of b.
+//
+//dpr:hotpath
+func peekBits(b []byte, pos uint) uint64 {
+	if i := pos >> 3; i+8 <= uint(len(b)) {
+		return binary.LittleEndian.Uint64(b[i:]) >> (pos & 7)
+	}
+	var w uint64
+	for i := len(b) - 1; i >= 0 && uint(i) >= pos>>3; i-- {
+		w = w<<8 | uint64(b[i])
+	}
+	return w >> (pos & 7)
 }
 
 // decodeBatch parses a batch payload. The count sizes nothing before it
-// is held against the bytes that follow: an update is at least three.
+// is held against the bits that follow: an update is at least
+// minUpdateBits. Encodings the encoder does not write — an escaped gap
+// that fits the unary code, a bfloat16 sent as a float32, a float32 as a
+// float64, a header's lo and eb wider than its exponents need — are
+// accepted; nonzero padding and trailing bytes are not.
 func decodeBatch(b []byte) ([]p2p.Update, error) {
-	if len(b) < 4 {
+	if len(b) < batchHead {
 		return nil, fmt.Errorf("wire: batch too short")
 	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint64(n) > uint64(len(b))/3 {
+	n := binary.LittleEndian.Uint32(b)
+	k, lo, eb := uint(b[4]), uint64(b[5]), uint(b[6])
+	if k > maxRiceK || eb > maxExpBits {
+		return nil, fmt.Errorf("wire: batch Rice parameter %d or exponent width %d out of range", k, eb)
+	}
+	b = b[batchHead:]
+	end := 8 * uint(len(b))
+	if uint64(n)*minUpdateBits > uint64(end) {
 		return nil, fmt.Errorf("wire: batch length mismatch: %d entries, %d bytes", n, len(b))
 	}
 	us := make([]p2p.Update, n)
-	doc := uint64(0)
+	doc, pos := uint64(0), uint(0)
+	// A remainder's mask; a bfloat16's mantissa and exponent offset, and
+	// what turns the offset into the exponent.
+	low, mant, lo7 := uint64(1)<<k-1, uint64(1)<<(7+eb)-1, lo<<7
 	for i := range us {
-		key, k := binary.Uvarint(b)
-		w := key & 3
-		width := 2 << w
-		if doc += key >> 2; k <= 0 || w == 3 || doc > math.MaxUint32 || len(b)-k < width {
-			return nil, fmt.Errorf("wire: batch entry %d: bad varint, width code, document id or length", i)
+		// Past the end of b, w reads zeros: an update cut short decodes
+		// and is refused as the one that ends past the end.
+		w, g := peekBits(b, pos), uint(riceEscape+32)
+		if q := uint(bits.TrailingZeros64(w)); q < riceEscape {
+			doc += uint64(q)<<(k&63) | w>>(q+1&63)&low
+			g = q + 1 + k
+		} else {
+			doc += w >> riceEscape & math.MaxUint32
 		}
 		us[i].Doc = graph.NodeID(uint32(doc))
-		switch w {
-		case 0:
-			us[i].Delta = float64(math.Float32frombits(uint32(binary.LittleEndian.Uint16(b[k:])) << 16))
-		case 1:
-			us[i].Delta = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[k:])))
-		default:
-			us[i].Delta = math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+		// w holds at least 57 bits: a short gap leaves a bfloat16's 17.
+		if pos += g; g <= 40 {
+			w >>= g & 63
+		} else {
+			w = peekBits(b, pos)
 		}
-		b = b[k+width:]
+		if w&1 == 0 {
+			h := w>>1&mant + lo7 // exponent and mantissa
+			if h > 0x7fff {
+				return nil, fmt.Errorf("wire: batch entry %d: exponent past 255", i)
+			}
+			us[i].Delta = float64(math.Float32frombits(uint32(w>>(8+eb&63)&1<<15|h) << 16))
+			pos += 9 + eb
+		} else if w = peekBits(b, pos); w&2 == 0 {
+			us[i].Delta = float64(math.Float32frombits(uint32(w >> 2)))
+			pos += 34
+		} else {
+			us[i].Delta = math.Float64frombits(w>>2&math.MaxUint32 | peekBits(b, pos+34)<<32)
+			pos += 66
+		}
+		if pos > end || doc > math.MaxUint32 {
+			return nil, fmt.Errorf("wire: batch entry %d: cut short, or document id past 32 bits", i)
+		}
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b))
+	if end-pos >= 8 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after batch", (end-pos)/8)
+	}
+	if peekBits(b, pos) != 0 {
+		return nil, fmt.Errorf("wire: nonzero padding after batch")
 	}
 	return us, nil
 }

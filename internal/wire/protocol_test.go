@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -50,51 +51,88 @@ func firstChanged(a, b []p2p.Update) int {
 	return -1
 }
 
+// batchBits is a batch payload spelled out field by field: the count,
+// the header bytes k, lo and eb, then the bit stream as (value, width)
+// pairs, zero-padded to a byte.
+func batchBits(n uint32, k, lo, eb byte, fields ...uint64) []byte {
+	b := append(binary.LittleEndian.AppendUint32(nil, n), k, lo, eb)
+	at := 0
+	for i := 0; i < len(fields); i += 2 {
+		for j := uint64(0); j < fields[i+1]; j, at = j+1, at+1 {
+			if at%8 == 0 {
+				b = append(b, 0)
+			}
+			b[len(b)-1] |= byte(fields[i]>>j&1) << (at % 8)
+		}
+	}
+	return b
+}
+
+// Bit-stream fields for batchBits: a gap of zero with k = 0, an escape's
+// run of zeros, and the share 1.0 with eb = 0: a bfloat16's 0 bit, the
+// mantissa and the sign, its exponent the header's lo, 127.
+var (
+	gapZero   = []uint64{1, 1}
+	escapeRun = []uint64{0, riceEscape}
+	shareOne  = []uint64{0, 9}
+)
+
 func TestBatchEpochCodecRejectsMalformed(t *testing.T) {
 	good := encodeBatchEpoch(nil, 2, 3, 9, 1, []p2p.Update{{Doc: 1, Delta: 1}})
-	// payload is the stream header of good, then a batch of n entries
-	// spelled out byte by byte.
-	payload := func(n uint32, entries ...byte) []byte {
-		return append(binary.LittleEndian.AppendUint32(slices.Clone(good[:batchEpochHeader]), n), entries...)
-	}
-	wide := binary.LittleEndian.AppendUint64([]byte{2}, math.Float64bits(0.1)) // gap 0, 8 bytes, 0.1
+	// payload is the stream header of good in front of a batch payload.
+	payload := func(batch []byte) []byte { return append(slices.Clone(good[:batchEpochHeader]), batch...) }
+	one := slices.Concat(gapZero, shareOne)
 	cases := map[string][]byte{
 		"empty":             nil,
 		"short header":      good[:batchEpochHeader-1],
 		"missing count":     good[:batchEpochHeader],
-		"truncated entry":   good[:len(good)-5],
-		"trailing bytes":    append(append([]byte(nil), good...), 0xff),
+		"short batch head":  good[:batchEpochHeader+batchHead-1],
+		"truncated entry":   good[:len(good)-1],
+		"trailing bytes":    append(slices.Clone(good), 0),
 		"negative sender":   encodeBatchEpoch(nil, -1, 3, 9, 1, nil),
 		"sender past view":  encodeBatchEpoch(nil, maxViewSlots, 3, 9, 1, nil),
 		"negative origDest": encodeBatchEpoch(nil, 2, p2p.NoPeer, 9, 1, nil),
 		// The receiver sizes its view by origDest+1: 1<<22 was 120 MB.
 		"origDest past view": encodeBatchEpoch(nil, 2, 1<<22, 9, 1, nil),
-		// The count sizes the decoded slice: 1<<28 entries would be 4 GB,
-		// and the 9 bytes behind it cannot hold two.
-		"count past the bytes": payload(1<<28, wide...),
-		// Two wide entries, the second three bytes short: enough bytes for
-		// the count, not for the value.
-		"truncated value":      payload(2, append(slices.Clone(wide), wide[:6]...)...),
-		"float32 value cut":    payload(2, append(slices.Clone(wide), 1, 0, 0, 0x80)...),
-		"bfloat16 value cut":   payload(2, append(slices.Clone(wide), 0, 0x80)...),
-		"width code 3":         payload(1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-		"unterminated varint":  payload(1, 0x80, 0x80, 0x80, 0x80, 0x80),
-		"varint past 64 bits":  payload(1, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0),
-		"document id past u32": payload(2, append(binary.AppendUvarint(nil, math.MaxUint32<<2|1), 0, 0, 0, 0, 1<<2|1, 0, 0, 0, 0)...),
-		"gap past u32":         payload(1, append(binary.AppendUvarint(nil, 1<<34|1), 0, 0, 0, 0)...),
-		// A frame from before the layout changed dies on its length.
-		"old fixed layout": append(slices.Clone(good[:batchEpochHeader]), oldLayoutBatch([]p2p.Update{{Doc: 0, Delta: 0.5}})...),
+		// The count sizes the decoded slice: 1<<28 entries would be 4 GB.
+		// An update is at least 10 bits, so two do not fit in 16.
+		"count past the bytes": payload(batchBits(1<<28, 0, 127, 0, slices.Concat(one, one, one)...)),
+		"count past the bits":  payload(batchBits(2, 0, 127, 0, one...)),
+		"k out of range":       payload(batchBits(1, maxRiceK+1, 127, 0, one...)),
+		"eb out of range":      payload(batchBits(1, 0, 127, maxExpBits+1, slices.Concat(gapZero, []uint64{0, 18})...)),
+		// lo 250 plus an offset of 15 in eb = 4 bits.
+		"exponent past 255": payload(batchBits(1, 0, 250, 4, slices.Concat(gapZero, []uint64{0, 8, 15, 4, 0, 1})...)),
+		// With k = 31 a quotient of 2 is the gap 1<<32.
+		"unary gap past u32": payload(batchBits(1, 31, 127, 0, slices.Concat([]uint64{4, 3, 0, 31}, shareOne)...)),
+		// An escaped MaxUint32, then a gap of 1.
+		"document id past u32": payload(batchBits(2, 0, 127, 0,
+			slices.Concat(escapeRun, []uint64{math.MaxUint32, 32}, shareOne, []uint64{2, 2}, shareOne)...)),
+		"cut in the escape":       payload(batchBits(1, 0, 127, 0, slices.Concat(escapeRun, []uint64{5, 16})...)),
+		"cut in the remainder":    payload(batchBits(1, 20, 127, 0, []uint64{1, 1, 0, 15}...)),
+		"cut before the share":    payload(batchBits(1, 15, 127, 0, []uint64{1, 1, 0, 15}...)),
+		"cut in a bfloat16":       payload(batchBits(1, 7, 127, 0, []uint64{1, 1, 0, 7, 0, 8}...)),
+		"cut in a float32":        payload(batchBits(1, 0, 127, 0, slices.Concat(gapZero, []uint64{1, 2, 0, 13})...)),
+		"cut in a float64":        payload(batchBits(1, 0, 127, 0, slices.Concat(gapZero, []uint64{3, 2, 0, 13})...)),
+		"cut in a float64's top":  payload(batchBits(1, 0, 127, 0, slices.Concat(gapZero, []uint64{3, 2, 0, 32, 0, 5})...)),
+		"nonzero padding":         payload(batchBits(1, 0, 127, 0, slices.Concat(one, []uint64{1, 6})...)),
+		"trailing zero byte":      payload(batchBits(1, 0, 127, 0, slices.Concat(one, []uint64{0, 14})...)),
+		"old fixed layout":        payload(oldLayoutBatch([]p2p.Update{{Doc: 0, Delta: 0.5}})),
+		"old gap-coded bfloat16s": payload([]byte{1, 0, 0, 0, 0, 0, 0x3f}),
 	}
 	for name, b := range cases {
 		if _, _, _, _, _, err := decodeBatchEpoch(b); err == nil {
 			t.Errorf("%s: accepted %d bytes", name, len(b))
 		}
 	}
-	// The neighbours of the last two are fine: the largest id, reached in
-	// one gap or by a gap of zero from itself.
-	top := payload(2, append(binary.AppendUvarint(nil, math.MaxUint32<<2|1), 0, 0, 0, 0, 1, 0, 0, 0, 0)...)
-	if _, _, _, _, us, err := decodeBatchEpoch(top); err != nil || len(us) != 2 || us[0].Doc != -1 || us[1].Doc != -1 {
+	// The neighbours are fine: the largest id, reached by an escape and
+	// then by a gap of zero from itself, and the largest exponent.
+	top := payload(batchBits(2, 0, 127, 0, slices.Concat(escapeRun, []uint64{math.MaxUint32, 32}, shareOne, gapZero, shareOne)...))
+	if _, _, _, _, us, err := decodeBatchEpoch(top); err != nil || len(us) != 2 || us[0].Doc != -1 || us[1].Doc != -1 || us[1].Delta != 1 {
 		t.Errorf("two updates for document MaxUint32: %v, %v", us, err)
+	}
+	inf := payload(batchBits(1, 0, 250, 3, slices.Concat(gapZero, []uint64{0, 8, 5, 3, 1, 1})...))
+	if _, _, _, _, us, err := decodeBatchEpoch(inf); err != nil || len(us) != 1 || !math.IsInf(us[0].Delta, -1) {
+		t.Errorf("exponent 255 with a zero mantissa: %v, %v", us, err)
 	}
 }
 
@@ -129,29 +167,41 @@ func bfloat16Deltas() []float32 {
 	return fs
 }
 
-// deltaBytes is what a delta costs on the wire by the codec's rule: two
-// bytes for a bfloat16, four for another float32, eight for the rest.
-func deltaBytes(d float64) int {
+// gapBits is what a document gap costs on the wire, Rice-coded with
+// parameter k: riceEscape+32 bits once the quotient reaches riceEscape.
+func gapBits(gap uint64, k int) int {
+	if q := int(gap >> k); q < riceEscape {
+		return q + 1 + k
+	}
+	return riceEscape + 32
+}
+
+// shareBits is what a share costs on the wire: 9+eb bits for a
+// bfloat16, 34 for another float32, 66 for the rest.
+func shareBits(d float64, eb int) int {
 	switch f := float32(d); {
 	case float64(f) != d || math.IsNaN(d):
-		return 8
+		return 66
 	case math.Float32bits(f)<<16 != 0:
-		return 4
+		return 34
 	}
-	return 2
+	return 9 + eb
 }
 
 // TestBatchCodecIsLossless: whatever the 64 bits of a delta, they come
-// back; a delta crosses in 2 bytes exactly when it is a bfloat16, in 4
-// when it is another float32, and deltaWidth says which are not in 2. Documents repeat (gap 0), jump, and reach MaxUint32.
+// back; an update costs gapBits plus shareBits, with k ⌊log₂(mean gap · ln 2)⌋ and
+// eb the width of the frame's range of bfloat16 exponents, and
+// deltaWidth says which shares are no bfloat16. Documents repeat (gap
+// 0), jump, and reach MaxUint32.
 func TestBatchCodecIsLossless(t *testing.T) {
 	for _, f := range bfloat16Deltas() {
-		if n := len(appendUpdates(nil, []p2p.Update{{Delta: float64(f)}})); n != 4+1+2 {
-			t.Errorf("bfloat16 %v in %d bytes, want 7", f, n)
+		// One update, for document 0: k = 0, eb = 0, a gap of one bit.
+		if n := len(appendUpdates(nil, []p2p.Update{{Delta: float64(f)}})); n != batchHead+2 {
+			t.Errorf("bfloat16 %v in %d bytes, want %d", f, n, batchHead+2)
 		}
 		// One ulp toward zero is a float32 and no bfloat16.
-		if off := math.Nextafter32(f, 0); f != 0 && len(appendUpdates(nil, []p2p.Update{{Delta: float64(off)}})) != 4+1+4 {
-			t.Errorf("float32 %#08x, one ulp off a bfloat16, not in 9 bytes", math.Float32bits(off))
+		if off := math.Nextafter32(f, 0); f != 0 && len(appendUpdates(nil, []p2p.Update{{Delta: float64(off)}})) != batchHead+5 {
+			t.Errorf("float32 %#08x, one ulp off a bfloat16, not in %d bytes", math.Float32bits(off), batchHead+5)
 		}
 	}
 	r := rng.New(23)
@@ -170,8 +220,16 @@ func TestBatchCodecIsLossless(t *testing.T) {
 	}
 	us = append(us, p2p.Update{Doc: -1, Delta: 0.5}, p2p.Update{Doc: -1, Delta: 0.1}, p2p.Update{Doc: 0, Delta: 0.25})
 	p2p.SortUpdates(us)
-	size, wide, wantWide := 4, 0, 0
-	widthCode := map[int]uint64{2: 0, 4: 1, 8: 2}
+	k := min(int(math.Floor(math.Log2(math.Ln2*math.MaxUint32/float64(len(us))))), maxRiceK)
+	lo, hi := 255, 0
+	for _, u := range us {
+		if deltaWidth(u.Delta) == 0 {
+			e := int(math.Float32bits(float32(u.Delta)) >> 23 & 0xff)
+			lo, hi = min(lo, e), max(hi, e)
+		}
+	}
+	eb := bits.Len(uint(hi - lo))
+	size, wide, wantWide := 0, 0, 0
 	for i, u := range us {
 		gap := uint64(uint32(u.Doc))
 		if i > 0 {
@@ -180,15 +238,15 @@ func TestBatchCodecIsLossless(t *testing.T) {
 		if deltaWidth(u.Delta) != 0 {
 			wide++
 		}
-		n := deltaBytes(u.Delta)
-		size += len(binary.AppendUvarint(nil, gap<<2|widthCode[n])) + n
-		if n != 2 {
+		n := shareBits(u.Delta, eb)
+		if size += gapBits(gap, k) + n; n != 9+eb {
 			wantWide++
 		}
 	}
 	b := appendUpdates(nil, us)
-	if len(b) != size || wide != wantWide {
-		t.Fatalf("%d updates, %d of them wide, in %d bytes; want %d wide in %d bytes", len(us), wide, len(b), wantWide, size)
+	if want := batchHead + (size+7)/8; len(b) != want || int(b[4]) != k || int(b[6]) != eb || wide != wantWide {
+		t.Fatalf("%d updates, %d of them wide, in %d bytes with k %d, eb %d; want %d wide in %d bytes with k %d, eb %d",
+			len(us), wide, len(b), b[4], b[6], wantWide, want, k, eb)
 	}
 	got, err := decodeBatch(b)
 	if i := firstChanged(us, got); err != nil || i >= 0 {
@@ -213,27 +271,74 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(appendUpdates(nil, nil))
 	f.Add(appendUpdates(nil, []p2p.Update{{Doc: 7, Delta: 0.5}}))
 	f.Add(appendUpdates(nil, []p2p.Update{{Doc: 7, Delta: 0.1}, {Doc: 7, Delta: math.NaN()}, {Doc: -1, Delta: 1e-300}}))
+	f.Add(appendUpdates(nil, []p2p.Update{{Doc: 3, Delta: 0.5}, {Doc: 90, Delta: -0.0078125}, {Doc: 1 << 30, Delta: math.Inf(1)}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(oldLayoutBatch([]p2p.Update{{Doc: 7, Delta: 0.5}, {Doc: 1 << 20, Delta: -3.5}}))
-	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // varint past 64 bits
-	f.Add([]byte{2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x1f, 0, 0, 0, 0, 2, 0, 0, 0, 0})                // running id past u32
-	f.Add([]byte{1, 0, 0, 0, 0x81, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})                                  // padded varint, and 1.0 sent wide
-	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 0xa0, 0x7f})                                                    // a signalling float32 NaN, which goes back out wide
+	f.Add(batchBits(2, 0, 127, 0, slices.Concat(escapeRun, []uint64{math.MaxUint32, 32}, shareOne, gapZero, shareOne)...)) // document MaxUint32 twice
+	f.Add(batchBits(1, 0, 250, 4, slices.Concat(gapZero, []uint64{0, 8, 15, 4, 0, 1})...))                                 // exponent past 255
+	f.Add(batchBits(1, 0, 127, 0, slices.Concat(escapeRun, []uint64{7, 32}, []uint64{1, 2, 0x3f800000, 32})...))           // an escape that fits the unary code, and 1.0 as a float32
 	f.Fuzz(func(t *testing.T, b []byte) {
 		us, err := decodeBatch(b)
 		if err != nil {
 			return
 		}
-		if 5*len(us) > len(b) {
+		if minUpdateBits*len(us) > 8*(len(b)-batchHead) {
 			t.Fatalf("decoded %d updates out of %d bytes", len(us), len(b))
 		}
 		// What was accepted re-encodes to the same updates, if not to the
-		// same bytes: padded varints, float32s sent wide and float32 NaNs
-		// are legal input that the encoder does not write.
+		// same bytes: escapes the unary code could carry, bfloat16s sent
+		// as float32s, float32s as float64s and any lo and eb that cover
+		// the exponents are legal input that the encoder does not write.
 		again := appendUpdates(nil, us)
 		back, err := decodeBatch(again)
 		if i := firstChanged(us, back); err != nil || i >= 0 {
 			t.Fatalf("%x decoded, re-encoded as %x, decoded again: %v, update %d changed (%v then %v)", b, again, err, i, us, back)
+		}
+	})
+}
+
+// FuzzBatchRoundTrip encodes a frame the fuzzer describes, 13 bytes an
+// update — a shape byte, a u32 gap and the u64 delta bits — and decodes
+// it again: every update must come back bit for bit. The shape's low
+// five bits shift the gap right, to reach small gaps and gaps of 0, and
+// its next two pick the delta: the 64 bits as they are, the low 32 as a
+// float32, the low 16 as a bfloat16, or that bfloat16 one ulp off.
+func FuzzBatchRoundTrip(f *testing.F) {
+	record := func(shape byte, gap uint32, raw uint64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32([]byte{shape}, gap), raw)
+	}
+	f.Add([]byte{})
+	f.Add(slices.Concat(record(0, 7, math.Float64bits(0.5)), record(31, 1, 0), record(1<<6, 9, 0x80000000)))
+	f.Add(slices.Concat(record(2<<5, 1<<20, 0x3f80), record(2<<5, 0, 0x8000), record(2<<5, 0, 0x7f80), record(3<<5|4, 3, 0x3e00)))
+	f.Add(slices.Concat(record(0, math.MaxUint32, 0x7ff8000000000001), record(0, 0, 0xfff0000000000000), record(0, 0, 1), record(1<<5, 0, 0x00000001)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var us []p2p.Update
+		doc := uint64(0)
+		for ; len(data) >= 13; data = data[13:] {
+			shape, raw := data[0], binary.LittleEndian.Uint64(data[5:])
+			if doc += uint64(binary.LittleEndian.Uint32(data[1:]) >> (shape & 31)); doc > math.MaxUint32 {
+				break
+			}
+			d := math.Float64frombits(raw)
+			switch shape >> 5 & 3 {
+			case 1:
+				d = float64(math.Float32frombits(uint32(raw)))
+			case 2:
+				d = float64(math.Float32frombits(uint32(raw) << 16))
+			case 3:
+				d = float64(math.Float32frombits(uint32(raw)<<16 ^ 1))
+			}
+			us = append(us, p2p.Update{Doc: graph.NodeID(uint32(doc)), Delta: d})
+		}
+		// An update is at most a gap of riceEscape+32 bits and a float64
+		// share of 66.
+		b := appendUpdates(nil, us)
+		if len(b) > batchHead+(riceEscape+32+66+7)/8*len(us) {
+			t.Fatalf("%d updates in %d bytes", len(us), len(b))
+		}
+		got, err := decodeBatch(b)
+		if i := firstChanged(us, got); err != nil || i >= 0 {
+			t.Fatalf("%d updates as %x came back as %d (%v), the first to differ is %d", len(us), b, len(got), err, i)
 		}
 	})
 }
