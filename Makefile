@@ -83,8 +83,9 @@ race-engines-smoke:
 # input), the frame codecs, the batch payload's decoder and its round
 # trip over any ordered documents and float64 bit patterns, the row
 # codec every snapshot format is built on, the ranker's document → row
-# directory, and the retry queue and the ranker against their map
-# models (the input is the script of operations). A model target's
+# directory, and the retry queue, the ranker and a stream's frames
+# through the sender's and the reader's per-connection heads against
+# their models (the input is the script of operations). A script target's
 # seeds are scripts of several KB, which the default minimization (60 s
 # an input) would spend the whole burst shrinking: -fuzzminimizetime
 # keeps the search running.
@@ -93,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 30s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzDocIndex$$' -fuzztime 30s ./internal/p2p
 	$(GO) test -run '^$$' -fuzz '^FuzzRetryQueueModel$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/p2p

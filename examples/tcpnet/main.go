@@ -1,9 +1,10 @@
 // Tcpnet: the distributed pagerank computation over real TCP sockets —
 // the paper's closing vision of web servers cooperating to rank the
 // documents they host, with no central server. Each peer is a TCP
-// listener exchanging binary update batches; global quiescence is
-// detected by a Mattern-style two-probe counter protocol; ranks are
-// then collected peer by peer.
+// listener exchanging binary update batches. The cluster runs in this
+// process: it detects global quiescence from its peers' update counters,
+// read in process, when two successive reads show every shipped update
+// folded, and reads each peer's ranks the same way.
 package main
 
 import (

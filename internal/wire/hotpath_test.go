@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,9 +22,12 @@ import (
 func TestBatchEpochCodecAllocations(t *testing.T) {
 	us := make([]p2p.Update, 4096)
 	var buf []byte
+	var enc, dec streamHead
+	seq := uint64(3)
 	allocs := testing.AllocsPerRun(20, func() {
-		buf = appendBatchEpochFrame(buf[:0], 1, 2, 3, 4, us)
-		if _, _, _, _, got, err := decodeBatchEpoch(buf[frameHeader:]); err != nil || len(got) != len(us) {
+		buf = appendBatchFrame(buf[:0], &enc, 1, 2, seq, 4, us)
+		seq++
+		if _, _, _, _, got, err := decodeStreamBatch(framePayload(buf), &dec); err != nil || len(got) != len(us) {
 			t.Fatalf("round trip: %d updates, %v", len(got), err)
 		}
 	})
@@ -97,8 +102,9 @@ func wire8Frame() []p2p.Update {
 
 // BenchmarkBatchEpochCodec is the wire cost of one update, in bytes and
 // in nanoseconds: rendered into the sender's frame buffer and parsed
-// back out of the reader's. fold is frameFixture ordered, a full frame
-// of 4,096 uniformly spread documents; wire-8 is wire8Frame.
+// back out of the reader's, as the frames after a connection's first.
+// fold is frameFixture ordered, a full frame of 4,096 uniformly spread
+// documents; wire-8 is wire8Frame.
 func BenchmarkBatchEpochCodec(b *testing.B) {
 	fold := frameFixture()
 	p2p.SortUpdates(fold)
@@ -108,11 +114,12 @@ func BenchmarkBatchEpochCodec(b *testing.B) {
 	}{{"fold", fold}, {"wire-8", wire8Frame()}} {
 		b.Run(fx.name, func(b *testing.B) {
 			var buf []byte
+			var enc, dec streamHead
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i += len(fx.us) {
-				buf = appendBatchEpochFrame(buf[:0], 1, 2, uint64(i), 4, fx.us)
-				if _, _, _, _, _, err := decodeBatchEpoch(buf[frameHeader:]); err != nil {
+			for i, seq := 0, uint64(0); i < b.N; i, seq = i+len(fx.us), seq+1 {
+				buf = appendBatchFrame(buf[:0], &enc, 1, 2, seq, 4, fx.us)
+				if _, _, _, _, _, err := decodeStreamBatch(framePayload(buf), &dec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,6 +283,73 @@ func TestDuplicatedControlFramesStillParse(t *testing.T) {
 	if ft.Stats().Dups < 2 {
 		t.Fatalf("transport duplicated %d writes, want both", ft.Stats().Dups)
 	}
+}
+
+// cutThird is a Transport whose first connection to write a third time
+// is reset instead: the write is lost, and the sender takes it again as
+// the first frame of its next connection.
+type cutThird struct {
+	Transport
+	fired atomic.Bool
+}
+
+func (tr *cutThird) Dial(from, to p2p.PeerID, addr string) (net.Conn, error) {
+	conn, err := tr.Transport.Dial(from, to, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &cutThirdConn{Conn: conn, tr: tr}, nil
+}
+
+type cutThirdConn struct {
+	net.Conn
+	tr     *cutThird
+	writes int // a stream's connection is written by its sender alone
+}
+
+func (c *cutThirdConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes == 3 && c.tr.fired.CompareAndSwap(false, true) {
+		c.Conn.Close()
+		return 0, errors.New("connection reset before the third write")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestDuplicatedBatchFramesFoldOnce runs a cluster whose every batch
+// frame is written twice, and one of whose connections is reset mid-
+// stream, so the frame it cut goes out again as the first of a new
+// connection, stating the whole stream, and the frames after it
+// continue that. A frame's copy carries the seq's low byte alone: each
+// must be rebuilt as a duplicate of the frame before it and dropped, so
+// every duplicate shows in DupDropped, nothing folds twice, and the
+// ranks are the centralized solver's.
+func TestDuplicatedBatchFramesFoldOnce(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 46))
+	ft := NewFaultTransport(nil, FaultConfig{Seed: 46, DupProb: 1})
+	c, err := NewCluster(g, ClusterConfig{Peers: 4, Epsilon: 1e-6, Seed: 3, Transport: &cutThird{Transport: ft}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Run(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries != 1 || res.Reconnects != 1 {
+		t.Fatalf("retries %d, reconnects %d; want the one cut frame sent again on a new connection", res.Retries, res.Reconnects)
+	}
+	dups := ft.Stats().Dups
+	if dups < 10 {
+		t.Fatalf("%d duplicated writes, want every batch frame's", dups)
+	}
+	// A copy reaches its receiver right behind its frame, and Run ends a
+	// probe period or more after the last fold.
+	if res.DupDropped != dups {
+		t.Fatalf("%d duplicates dropped of %d written", res.DupDropped, dups)
+	}
+	assertNoMassLost(t, res)
+	assertRanksMatch(t, g, res.Ranks, 1e-3)
 }
 
 // TestReconnectSendsOldestUnackedFirst is the regression test for a
@@ -483,10 +557,11 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 	}
 }
 
-// TestWindowedCreditIsRefused: a credit payload of the layout before
-// this one, the ack followed by a u32 window, is a protocol violation on
-// the ack path. The sender must drop the connection and open the next
-// one with the same frame, not take the frame as acknowledged.
+// TestWindowedCreditIsRefused: a credit payload of a layout before this
+// one — the u64 ack followed by a u32 window, or the u64 ack alone — is
+// a protocol violation on the ack path. The sender must drop the
+// connection and open the next one with the same frame, not take the
+// frame as acknowledged.
 func TestWindowedCreditIsRefused(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	p, err := NewPeer(PeerConfig{ID: 0, Graph: graph.Cycle(4), DocPeer: []p2p.PeerID{0, 1, 1, 1}, Docs: []graph.NodeID{0}})
@@ -501,9 +576,9 @@ func TestWindowedCreditIsRefused(t *testing.T) {
 	defer ln.Close()
 	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
 
-	seqs := make(chan uint64, 2)
+	seqs := make(chan uint64, 3)
 	go func() {
-		for n := 0; n < 2; n++ {
+		for n := 0; n < 3; n++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
@@ -519,25 +594,28 @@ func TestWindowedCreditIsRefused(t *testing.T) {
 				return
 			}
 			seqs <- seq
-			ack := binary.LittleEndian.AppendUint64(nil, seq)
-			if n == 0 {
-				ack = binary.LittleEndian.AppendUint32(ack, 1) // the window the old layout carried
+			ack := encodeCredit(nil, seq)
+			switch n {
+			case 0:
+				ack = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, seq), 1) // with the window
+			case 1:
+				ack = binary.LittleEndian.AppendUint64(nil, seq)
 			}
 			writeFrame(conn, frameCredit, ack)
 		}
 	}()
 	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
-	for n := 1; n <= 2; n++ {
+	for n := 1; n <= 3; n++ {
 		select {
 		case seq := <-seqs:
 			if seq != 1 {
 				t.Fatalf("connection %d opened with frame %d, want frame 1", n, seq)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("frame 1 never came on connection %d: the windowed credit was taken as its ack", n)
+			t.Fatalf("frame 1 never came on connection %d: an old credit was taken as its ack", n)
 		}
 	}
-	waitCounter(t, 10*time.Second, "frame 1 to be acknowledged on its second attempt", func() bool {
+	waitCounter(t, 10*time.Second, "frame 1 to be acknowledged on its third attempt", func() bool {
 		return p.Stats().Redeliveries == 1
 	})
 }
@@ -621,7 +699,7 @@ func TestEachAdmittedFrameIsAcked(t *testing.T) {
 		if err != nil || typ != frameCredit {
 			t.Fatalf("answer %d is frame %q, err %v; want a credit frame", want, typ, err)
 		}
-		if seq, err := decodeCredit(payload); err != nil || seq != want {
+		if seq, err := decodeCredit(payload); err != nil || seq != byte(want) {
 			t.Fatalf("credit frame %d acks seq %d, err %v; want %d", want, seq, err, want)
 		}
 		// The fold of all three, and of the chain they set off, came first.

@@ -553,13 +553,13 @@ func (cw *connWriter) write(typ byte, payload []byte) error {
 	defer cw.mu.Unlock()
 	cw.buf = appendFrame(reuse(cw.buf), typ, payload)
 	cw.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	defer cw.conn.SetWriteDeadline(time.Time{})
 	//dpr:ignore lockhold: intentional — the write deadline above bounds the hold to writeTimeout
 	_, err := cw.conn.Write(cw.buf)
 	return err
 }
 
-// serveConn handles one inbound connection's frames.
+// serveConn handles one inbound connection's frames. Each 'E' frame's
+// stream, seq and epoch are rebuilt from the connection's head first.
 func (p *Peer) serveConn(conn net.Conn) {
 	defer p.wg.Done()
 	p.inMu.Lock()
@@ -572,6 +572,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 		p.inMu.Unlock()
 	}()
 	cw := &connWriter{conn: conn}
+	var head streamHead
 	for {
 		//dpr:nodeadline inbound conns idle between sender batches by design; teardown is via Close from the failure detector or peer shutdown
 		typ, payload, err := readFrame(conn)
@@ -580,7 +581,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 		}
 		switch typ {
 		case frameBatchEpoch:
-			from, origDest, seq, epoch, us, err := decodeBatchEpoch(payload)
+			from, origDest, seq, epoch, us, err := decodeStreamBatch(payload, &head)
 			if err != nil {
 				return
 			}
@@ -622,10 +623,10 @@ func (p *Peer) serveConn(conn net.Conn) {
 }
 
 // ack acknowledges a remote frame as folded (or as a duplicate of a
-// folded one) with a credit frame, the cumulative ack that lets its
-// stream send its next frame.
+// folded one) with a credit frame, which lets its stream send its next
+// frame.
 func (p *Peer) ack(it *inItem) {
-	var b [8]byte
+	var b [1]byte
 	it.cw.write(frameCredit, encodeCredit(b[:0], it.seq))
 }
 
@@ -1120,6 +1121,9 @@ type sender struct {
 	// buf holds the frame being transmitted, rendered afresh for every
 	// (re)transmission and written with one Write.
 	buf []byte
+	// head is what conn has stated of the stream; zero on a new one, so
+	// its first frame states the whole stream.
+	head streamHead
 }
 
 // frameRec is one framed batch awaiting acknowledgement. It keeps the
@@ -1231,11 +1235,9 @@ func (s *sender) send(conn net.Conn, fr *frameRec) bool {
 	// connection (slow writes) shows just like a slow folder on the far
 	// side.
 	sentAt := time.Now()
-	s.buf = appendBatchEpochFrame(reuse(s.buf), s.strm.src, s.strm.dest, fr.seq, fr.epoch, fr.us)
+	s.buf = appendBatchFrame(reuse(s.buf), &s.head, s.strm.src, s.strm.dest, fr.seq, fr.epoch, fr.us)
 	conn.SetWriteDeadline(sentAt.Add(writeTimeout))
-	_, err := conn.Write(s.buf)
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
+	if _, err := conn.Write(s.buf); err != nil {
 		return false
 	}
 	for s.inflight == fr {
@@ -1246,11 +1248,11 @@ func (s *sender) send(conn net.Conn, fr *frameRec) bool {
 		}
 		switch typ {
 		case frameCredit:
-			seq, err := decodeCredit(payload)
+			low, err := decodeCredit(payload)
 			if err != nil {
 				return false
 			}
-			if s.ack(seq) {
+			if s.ack(low) {
 				p.m.sendLatency.Observe(time.Since(sentAt).Seconds())
 			}
 		case frameNackEpoch:
@@ -1301,6 +1303,7 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 			s.p.event(telemetry.EvReconnect, 0, int64(s.strm.dest))
 		}
 		s.everConn = true
+		s.head = streamHead{}
 		s.mu.Lock()
 		s.conn = c
 		s.mu.Unlock()
@@ -1350,12 +1353,12 @@ func (s *sender) interrupt() {
 	}
 }
 
-// ack discards the frame in flight when the cumulative acknowledgement
-// covers it, and reports whether it did. Loop only: the loop frames
-// what queued up meanwhile as soon as this returns.
-func (s *sender) ack(seq uint64) bool {
+// ack discards the frame in flight when the credit names its seq's low
+// byte, and reports whether it did. Loop only: the loop frames what
+// queued up meanwhile as soon as this returns.
+func (s *sender) ack(low byte) bool {
 	fr := s.inflight
-	if fr == nil || fr.seq > seq {
+	if fr == nil || byte(fr.seq) != low {
 		return false
 	}
 	s.release()

@@ -64,9 +64,10 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 }
 
 // ComputePageRankOverTCP runs the distributed computation over real
-// TCP connections on localhost: one listener per peer, binary update
-// batches on the wire, and Mattern-style probing for global
-// quiescence. This is the paper's closing proposal — web servers
+// TCP connections on localhost: one listener per peer and binary update
+// batches on the wire. The cluster runs in this process and reads its
+// peers' update counters and ranks there: it stops once two successive
+// reads show every shipped update folded. This is the paper's closing proposal — web servers
 // collectively ranking the documents they host — executed for real
 // rather than simulated. timeout bounds the wait for quiescence.
 //
