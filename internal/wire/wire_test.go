@@ -39,10 +39,17 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsHugeLength: a well-formed length past maxFrameBytes is
+// refused before its payload is allocated or read, and so is a length
+// whose fourth byte does not end it.
 func TestFrameRejectsHugeLength(t *testing.T) {
-	raw := []byte{0xff, 0xff, 0xff, 0xff, frameBatchEpoch}
-	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("accepted 4GB frame header")
+	raw := []byte{0xff, 0xff, 0xff, 0x7f, frameBatchEpoch} // 2^28-1 bytes
+	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("256MB frame header: %v, want the limit refused", err)
+	}
+	raw = []byte{0xff, 0xff, 0xff, 0xff, frameBatchEpoch}
+	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unterminated") {
+		t.Fatalf("unterminated frame length: %v, want it refused", err)
 	}
 }
 
