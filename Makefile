@@ -58,7 +58,8 @@ chaos-membership:
 
 # Partition-tolerance gate: the 4/2 split-brain scenario (quorum
 # eviction on the majority side, refused eviction on the minority,
-# anti-entropy heal), the one-way-cut refusal, and the epoch-fencing
+# the heal's hand-over, also after a Leave and a Join during the cut),
+# the one-way-cut refusal, and the epoch-fencing
 # reject/requeue paths, under -race.
 chaos-partition:
 	$(GO) test -race -count=1 -run 'Partition|Epoch' ./internal/wire

@@ -31,9 +31,10 @@ import (
 //
 // Under dynamic membership the document set is mutable: Adopt merges
 // in a departed peer's rows, Shed extracts rows for a joining peer, and
-// SetOwner and RerouteOwner repoint documents at new owners. Routing
-// and adjacency live in the ranker's shard, sized by the rows it holds
-// and their out-links, never by the graph (shard.go).
+// SetOwner repoints documents at the owners pushed to it: routing
+// changes through these three and nothing else. Routing and adjacency
+// live in the ranker's shard, sized by the rows it holds and their
+// out-links, never by the graph (shard.go).
 type Ranker struct {
 	id       PeerID
 	cur      graph.LinkCursor
@@ -103,7 +104,7 @@ func reuse[T any](s []T) []T {
 // safe for concurrent use) and routing by docPeer, the owner of every
 // document. docPeer is kept, not copied, and must not be written while
 // the ranker lives: it stays the owner of every document the ranker is
-// not told otherwise about (SetOwner, Shed, RerouteOwner). teleport is the
+// not told otherwise about (SetOwner, Shed). teleport is the
 // per-document constant term; nil means the uniform 1-damping.
 // threshold is the stage to begin at (at least epsilon); absolute
 // selects the absolute, not relative, residual test. The ranker starts
@@ -334,34 +335,6 @@ func (r *Ranker) Owners(us []Update, dst []PeerID) []PeerID {
 		dst = append(dst, r.ownerLocked(u.Doc))
 	}
 	return dst
-}
-
-// RerouteOwner repoints every document routed to from at to, except
-// documents this ranker itself holds. Used when a merged view reveals
-// that a slot's range moved (departed peer with a forwarding
-// successor, or a fenced slot reconciled to a higher-epoch owner).
-func (r *Ranker) RerouteOwner(from, to PeerID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.moved {
-		if r.moved[i].owner() == from {
-			r.moved[i].box = int32(to) + 1
-		}
-	}
-	for len(r.curOf) <= int(from)+1 {
-		r.curOf = append(r.curOf, PeerID(len(r.curOf)-1))
-	}
-	for o, now := range r.curOf {
-		if now == from {
-			r.curOf[o] = to
-		}
-	}
-	r.cover(to)
-	for i, l := range r.links {
-		if l.owner() == from && (from != r.id || r.index.find(r.docs, l.doc) < 0) {
-			r.links[i].box = int32(to) + 1
-		}
-	}
 }
 
 // SetOwner points docs at owner. New outbound updates for those

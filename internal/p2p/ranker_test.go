@@ -181,8 +181,8 @@ func sameOut(got [][]Update, want map[PeerID][]Update) string {
 
 // rankerScript drives the ranker and the map model through one script
 // of folds (with their self-directed chains), threshold relaxations,
-// adoptions, sheds, ownership pushes, reroutes and forwards, each
-// choice in [0, n) drawn by intn, for as long as more reports, and
+// adoptions, sheds, ownership pushes and forwards, each choice in
+// [0, n) drawn by intn, for as long as more reports, and
 // requires identical rows and identical per-destination update
 // multisets after every step — including for owners past the end of
 // the table the ranker was built with, and for documents outside the
@@ -250,8 +250,8 @@ func rankerScript(intn func(n int) int, more func() bool) string {
 		return ds
 	}
 	for step := 1; more(); step++ {
-		switch op := intn(11); {
-		case op == 10: // next stage, a stage already passed (a plain sweep), or straight to the floor
+		switch op := intn(10); {
+		case op == 9: // next stage, a stage already passed (a plain sweep), or straight to the floor
 			was := m.thr
 			thr := []float64{NextThreshold(was, m.eps), 2 * was, math.Inf(1), 0}[intn(4)]
 			if msg := sameOut(rk.Relax(thr), maps(m.relax(thr))); msg != "" {
@@ -333,7 +333,7 @@ func rankerScript(intn func(n int) int, more func() bool) string {
 			if _, _, err := rk.Shed([]graph.NodeID{hs[0]}, to); err == nil {
 				return fmt.Sprintf("step %d: shed a row twice", step)
 			}
-		case op < 9: // ownership push: held rows keep their rows
+		default: // ownership push: held rows keep their rows
 			ds := make([]graph.NodeID, 1+intn(8))
 			to := PeerID(intn(7))
 			for i := range ds {
@@ -343,14 +343,6 @@ func rankerScript(intn func(n int) int, more func() bool) string {
 				}
 			}
 			rk.SetOwner(ds, to)
-		default: // a departed slot's range moves on
-			from, to := PeerID(intn(7)), PeerID(intn(7))
-			for d, o := range m.owner {
-				if o == from && m.row[d] == nil {
-					m.owner[d] = to
-				}
-			}
-			rk.RerouteOwner(from, to)
 		}
 		table, mass := rk.OwnerTable(), 0.0
 		for d := graph.NodeID(0); d < docs; d++ {
@@ -585,12 +577,10 @@ func TestRankerLinksFollowOwners(t *testing.T) {
 		return ds
 	}
 	for step := 0; step < 500; step++ {
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0:
 			rk.SetOwner(some(), PeerID(r.Intn(peers+2)))
 		case 1:
-			rk.RerouteOwner(PeerID(r.Intn(peers+2)), PeerID(r.Intn(peers+2)))
-		case 2:
 			ds := some()
 			rk.Adopt(ds, make([]float64, len(ds)), make([]float64, len(ds)))
 		default:

@@ -21,10 +21,6 @@ type shard struct {
 	moved []route // by document: every document shed or named by SetOwner
 	index docIndex
 
-	// curOf[o+1] is where RerouteOwner has moved placement owner o's
-	// documents; owners past its end have not moved.
-	curOf []PeerID
-
 	// placedHere: every held row's document is placed at this peer, so a
 	// document placed elsewhere is not held and needs no probe.
 	placedHere bool
@@ -138,8 +134,8 @@ func (r *Ranker) relinkLocked() {
 }
 
 // ownerLocked is where an update for d goes: this peer when it holds
-// d's row, else where SetOwner or Shed last sent d, else the placement's
-// owner through every RerouteOwner since.
+// d's row, else where SetOwner or Shed last sent d, else its owner in
+// the placement.
 func (r *Ranker) ownerLocked(d graph.NodeID) PeerID {
 	o := r.placed(d)
 	if (o == r.id || !r.placedHere) && r.index.find(r.docs, d) >= 0 {
@@ -147,9 +143,6 @@ func (r *Ranker) ownerLocked(d graph.NodeID) PeerID {
 	}
 	if i, ok := slices.BinarySearchFunc(r.moved, d, func(m route, d graph.NodeID) int { return cmp.Compare(m.doc, d) }); ok {
 		return r.moved[i].owner()
-	}
-	if int(o)+1 < len(r.curOf) {
-		return r.curOf[o+1]
 	}
 	return o
 }

@@ -29,7 +29,7 @@ const (
 	EvShed
 	EvSuspect      // a detector vantage crossed the local suspicion threshold
 	EvEvictRefused // a suspicion reached no eviction quorum this round
-	EvHeal         // a fenced slot was reached again and reconciled
+	EvHeal         // a fenced slot was reached again and departed
 	EvEpochReject  // a receiver nacked a frame carrying a stale ownership epoch
 	EvRelax        // the cluster moved to the next push-threshold stage (value: threshold, aux: updates released)
 )

@@ -429,7 +429,7 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 			version, peerSnapMinVersion, peerSnapVersion)
 	}
 	s := &PeerSnapshot{ID: sr.peer()}
-	ndocs, nseq, nout, nepochs, nrej := sr.word(), sr.word(), sr.word(), sr.bounded(maxViewSlots), sr.word()
+	ndocs, nseq, nout, nepochs, nrej := sr.word(), sr.word(), sr.word(), sr.bounded(maxPeers), sr.word()
 	for _, sf := range statFields {
 		sf.setWord(&s.PeerStats, sr.word())
 	}

@@ -39,8 +39,9 @@ import (
 // (ClusterConfig.Heartbeat), suspicions gossip on the ping/pong
 // exchange, and an unresponsive peer is only removed once a majority of
 // live peers concurs — a minority side of a network split refuses to
-// evict the majority, parks its updates, and reconciles through an
-// anti-entropy view exchange when the partition heals. Every ownership
+// evict the majority and parks its updates; a fenced minority peer
+// departs to its successor, like a Leave, once a quorum-connected
+// vantage reaches it after the partition heals. Every ownership
 // transfer bumps a per-range epoch so frames stamped under a stale view
 // are rejected instead of folded twice.
 type Cluster struct {
@@ -106,8 +107,8 @@ type slot struct {
 // active reports a running peer on the cluster's side of every
 // partition: the ones a membership change is pushed to. A fenced slot
 // is on the wrong side, and withholding the view is exactly what models
-// that — it catches up through the anti-entropy exchange when the
-// partition heals.
+// that — it never catches up: when the partition heals it departs, and
+// its successor adopts its state.
 func (s *slot) active() bool { return s.peer != nil && !s.fenced }
 
 // ClusterConfig parameterizes NewCluster.
@@ -552,19 +553,19 @@ func (c *Cluster) slotOf(n *dht.Node) int {
 }
 
 // viewLocked assembles the membership view pushed to live peers. A
-// departed slot is listed at the address of whoever holds its state now
-// (View.resolve follows the redirects across multiple departures):
-// senders keep dialing the slot their frames were framed for, and the
-// redirect delivers them.
+// departed slot is listed at the address of whoever holds its state now,
+// following the forwards across multiple departures: senders keep
+// dialing the slot their frames were framed for, and the redirect
+// delivers them. The walk ends: a slot forwards to a successor that
+// was live when it left, and a departed slot is never a successor.
 func (c *Cluster) viewLocked() View {
 	v := make(View, len(c.slots))
 	for i, s := range c.slots {
-		v[i] = ViewSlot{Addr: s.addr, Epoch: s.epoch, Gone: s.left, Fwd: s.forward}
-	}
-	// In place is safe: a chain's last slot resolves to itself, so the
-	// address read here is never one written here.
-	for i := range v {
-		v[i].Addr = v[v.resolve(p2p.PeerID(i))].Addr
+		j := i
+		for c.slots[j].left {
+			j = int(c.slots[j].forward)
+		}
+		v[i] = ViewSlot{Addr: c.slots[j].addr, Epoch: s.epoch}
 	}
 	return v
 }
@@ -627,34 +628,25 @@ func (c *Cluster) evictByQuorum(s, from, votes, quorum int) bool {
 }
 
 // reconcileFenced completes a fenced slot's departure once a
-// quorum-connected vantage reaches it again: an anti-entropy view
-// exchange hands the healed peer the current membership view (ring
-// state plus epoch vector) so it reroutes its parked updates, then the
-// slot leaves normally — its rows, dedup tables and queues migrate to
-// its ring successor, which restores the single-owner invariant for
-// every document it held.
+// quorum-connected vantage reaches it again, the way a fenced slot that
+// crashes departs: the slot leaves normally — its rows, dedup tables
+// and parked queues migrate to its ring successor, whose Adopt reroutes
+// them by its own current table, which restores the single-owner
+// invariant for every document it held. Nothing is exchanged with the
+// healed peer first: the cluster mints every epoch, so its view is
+// never ahead of the vantage's. Only a leave that succeeds clears
+// fenced; after a failed one the slot stays fenced and the next
+// detector round retries.
 func (c *Cluster) reconcileFenced(s, from int) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if s < 0 || s >= len(c.slots) || !c.slots[s].fenced || c.slots[s].peer == nil ||
 		!c.votingLocked(from) || c.slots[from].peer == nil {
-		c.mu.Unlock()
 		return
 	}
-	q := c.slots[from].peer
-	c.mu.Unlock()
-	// The exchange dials outside the cluster lock; a failure means the
-	// heal was premature and the next detector round retries.
-	if err := q.ExchangeView(p2p.PeerID(s)); err != nil {
-		return
+	if c.leaveLocked(s) == nil {
+		c.trace.Record(telemetry.EvHeal, int32(s), -1, 0, int64(from))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.slots[s].fenced {
-		return // another vantage reconciled first
-	}
-	c.trace.Record(telemetry.EvHeal, int32(s), -1, 0, int64(from))
-	c.slots[s].fenced = false
-	c.leaveLocked(s) // best effort; a failed leave re-fences nothing — the detector retries
 }
 
 // stageInflight: Run moves to the next push-threshold stage once

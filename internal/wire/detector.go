@@ -57,9 +57,8 @@ func (d *detector) loop() {
 // round pings every other live slot, exchanges suspicion gossip,
 // tallies votes for this vantage's suspects, and either executes a
 // quorum-confirmed eviction or records a refusal. A vantage that
-// reaches a fenced slot while itself talking to a quorum triggers the
-// anti-entropy reconciliation that completes the fenced slot's
-// departure.
+// reaches a fenced slot while itself talking to a quorum completes the
+// fenced slot's departure (reconcileFenced).
 func (d *detector) round() {
 	c := d.c
 	slots, _ := c.table()

@@ -50,9 +50,9 @@ type FaultStats struct {
 // FaultTransport wraps another Transport with deterministic
 // (seeded) fault injection: probabilistic drops, delivered-then-reset
 // connections, duplicated frames, delays, dial failures, and scripted
-// partitions of peer pairs. The config can be swapped at runtime with
-// SetConfig and partitions toggled with Partition/Heal, so tests can
-// script failure schedules.
+// partitions of peer pairs. Partitions (Partition/Heal, Split/HealAll)
+// and slow links (SetLinkDelay, SetLinkTrickle) change at runtime, so
+// tests can script failure schedules.
 type FaultTransport struct {
 	inner Transport
 
@@ -127,13 +127,6 @@ func (t *FaultTransport) SetLinkTrickle(from, to p2p.PeerID, chunkBytes int, eve
 	} else {
 		t.trickle[dirKey{from, to}] = trickleSpec{ChunkBytes: chunkBytes, Every: every}
 	}
-	t.mu.Unlock()
-}
-
-// SetConfig replaces the fault schedule at runtime.
-func (t *FaultTransport) SetConfig(cfg FaultConfig) {
-	t.mu.Lock()
-	t.cfg = cfg
 	t.mu.Unlock()
 }
 

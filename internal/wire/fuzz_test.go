@@ -48,8 +48,8 @@ func fuzzSeedSnapshot() *PeerSnapshot {
 }
 
 // FuzzDecodeFrames hammers every byte-slice frame codec — stream
-// batches, suspicion gossip, membership views, stale-epoch nacks and
-// credit acknowledgements — with corrupted and adversarial payloads.
+// batches, suspicion gossip, stale-epoch nacks and credit
+// acknowledgements — with corrupted and adversarial payloads.
 // None may panic or over-allocate, and accepted input must round-trip
 // through its encoder. A stream batch is read both as a new
 // connection's first frame and as the next frame of an open one.
@@ -80,13 +80,8 @@ func FuzzDecodeFrames(f *testing.F) {
 	// Well-formed but for a peer id past any view: the receiver sizes its
 	// membership view by origDest, so the decoder must refuse these.
 	hugeDest := encodeBatchEpoch(nil, 1, 1<<22, 7, 3, nil)
-	hugeSender := encodeBatchEpoch(nil, maxViewSlots, 2, 7, 3, nil)
+	hugeSender := encodeBatchEpoch(nil, maxPeers, 2, 7, 3, nil)
 	gossip := encodeGossip(3, []p2p.PeerID{0, 5})
-	view := encodeView(View{
-		{Addr: "a:1", Epoch: 2, Fwd: p2p.NoPeer},
-		{Epoch: 0, Gone: true, Fwd: 2},
-		{Addr: "c:3", Epoch: 9, Fwd: p2p.NoPeer},
-	})
 	nack := encodeNackEpoch(nil, 12, 5)
 	credit := encodeCredit(nil, 1<<33|7)
 	// The credit payloads before this one: the u64 ack, then with a u32
@@ -96,12 +91,10 @@ func FuzzDecodeFrames(f *testing.F) {
 	windowed := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 1<<33), 32)
 	le := binary.LittleEndian
 	oldHeader := append(le.AppendUint64(le.AppendUint64(le.AppendUint32(le.AppendUint32(nil, 1), 2), 7), 3), batch[head:]...)
-	// Gossip that claims one suspect more than it carries, and a view cut
-	// short inside its last address.
+	// Gossip that claims one suspect more than it carries.
 	lyingGossip := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 3), 3)
 	lyingGossip = append(lyingGossip, gossip[8:]...)
-	cutView := view[:len(view)-1]
-	for _, seed := range [][]byte{batch, cont, oldBatch, width3, hugeCount, pastU32, shares, cutShare, bigK, pastExp, hugeDest, gossip, view, nack, credit, hugeSender, lyingGossip, cutView, nil, {0xff}, windowed, newEpoch, oldCredit, oldHeader} {
+	for _, seed := range [][]byte{batch, cont, oldBatch, width3, hugeCount, pastU32, shares, cutShare, bigK, pastExp, hugeDest, gossip, nack, credit, hugeSender, lyingGossip, nil, {0xff}, windowed, newEpoch, oldCredit, oldHeader} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -114,7 +107,7 @@ func FuzzDecodeFrames(f *testing.F) {
 				}
 				continue
 			}
-			if sender >= maxViewSlots || origDest >= maxViewSlots {
+			if sender >= maxPeers || origDest >= maxPeers {
 				t.Fatalf("decoder accepted peer ids (%d, %d) past the view bound", sender, origDest)
 			}
 			// Re-encoded on the same head, the frame need not be the same
@@ -134,12 +127,6 @@ func FuzzDecodeFrames(f *testing.F) {
 			again := encodeGossip(from, sus)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("gossip round trip mismatch: %x != %x", data, again)
-			}
-		}
-		if v, err := decodeView(data); err == nil {
-			again := encodeView(v)
-			if !bytes.Equal(data, again) {
-				t.Fatalf("view round trip mismatch: %x != %x", data, again)
 			}
 		}
 		if seq, epoch, err := decodeNackEpoch(data); err == nil {

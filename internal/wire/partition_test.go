@@ -57,8 +57,8 @@ func assertSingleOwnership(t *testing.T, c *Cluster) {
 // fence the two unreachable peers only after a quorum concurs; the
 // minority side suspects everyone across the cut, never reaches
 // quorum, and must refuse to evict anybody. After the partition heals
-// the fenced slots reconcile through the anti-entropy view exchange
-// and depart cleanly, and the computation converges.
+// a majority vantage reaches each fenced slot, which then departs to
+// its ring successor like a Leave, and the computation converges.
 //
 // Rank comparison is against the centralized power-iteration solver
 // AND against an actual fault-free cluster run on the same graph, both
@@ -149,6 +149,59 @@ func TestChaosPartitionSplitHeal(t *testing.T) {
 	}
 	t.Logf("partition chaos: %d msgs, quorum evictions %d, refused %d, epoch rejects %d, leaves %d, faults %+v",
 		res.Messages, res.EvictionsQuorum, res.EvictionsRefused, res.EpochRejected, res.Leaves, ft.Stats())
+}
+
+// TestHealAfterMembershipChangedDuringCut: while the majority holds
+// the two minority slots fenced, one of its own peers leaves and a new
+// one joins, so the fenced peers' views and owner tables go stale — they
+// are never pushed a view. The heal hands each fenced slot's state to
+// its successor, whose Adopt reroutes the parked updates by its own
+// current table: nothing is misrouted or lost, every document ends with
+// one owner and the ranks reach the fixed point.
+func TestHealAfterMembershipChangedDuringCut(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(800, 47))
+	ft := NewFaultTransport(nil, FaultConfig{Seed: 103})
+	c, err := NewCluster(g, ClusterConfig{
+		Peers: 6, Epsilon: 1e-6, Seed: 9, Transport: ft,
+		Heartbeat: 25 * time.Millisecond, SuspectAfter: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resCh := runAsync(c, 120*time.Second)
+
+	time.Sleep(15 * time.Millisecond)
+	// Slot 6 is the one Join adds below: it joins the majority's side.
+	ft.Split([]p2p.PeerID{0, 1, 2, 3, 6}, []p2p.PeerID{4, 5})
+	waitCounter(t, 30*time.Second, "majority to fence the minority", func() bool {
+		return c.mEvictQuorum.Load() >= 2
+	})
+	if err := c.Leave(1); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := c.Join(); err != nil || j != 6 {
+		t.Fatalf("join during the cut: slot %d, %v; want slot 6", j, err)
+	}
+	ft.HealAll()
+
+	out := <-resCh
+	if out.err != nil {
+		s, pr := c.DebugCounters()
+		t.Fatalf("%v (sent %d processed %d)", out.err, s, pr)
+	}
+	res := out.res
+	if res.Leaves < 3 {
+		t.Fatalf("leaves = %d, want >= 3 (slot 1, then both fenced slots after the heal)", res.Leaves)
+	}
+	if res.Misdropped != 0 {
+		t.Fatalf("%d updates lost to unresolved ownership", res.Misdropped)
+	}
+	assertSingleOwnership(t, c)
+	assertNoMassLost(t, res)
+	assertRegistryConservation(t, c.TelemetrySnapshot(), res.Ranks)
+	assertRanksMatch(t, g, res.Ranks, 1e-3)
 }
 
 // TestOneWayPartitionRefusesEviction cuts a single direction: slot 0

@@ -136,8 +136,8 @@ type Peer struct {
 
 	// Membership view, one record per slot. Mutated when a crashed peer
 	// rejoins at a new address, a departed peer's slot is redirected to
-	// its successor, or an anti-entropy digest merges a higher-epoch
-	// view; reads always go through peerAddr/epochOf/view.
+	// its successor, or a frame or nack proves a higher epoch; reads
+	// always go through peerAddr/epochOf/view.
 	peersMu sync.Mutex
 	slots   View
 
@@ -276,7 +276,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		trace:    cfg.Trace,
 	}
 	for _, e := range cfg.Epochs {
-		p.slots = append(p.slots, ViewSlot{Epoch: e, Fwd: p2p.NoPeer})
+		p.slots = append(p.slots, ViewSlot{Epoch: e})
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -317,6 +317,17 @@ func (p *Peer) peerAddr(dest p2p.PeerID) string {
 	return p.slots[dest].Addr
 }
 
+// View is one peer's picture of cluster membership, one record per
+// slot, as the cluster pushes it on every membership change (SetView,
+// UpdateOwnership).
+type View []ViewSlot
+
+// ViewSlot is one slot of a View.
+type ViewSlot struct {
+	Addr  string // where the slot answers now: a departed slot's successor's address
+	Epoch uint64 // ownership epoch of the slot's key range
+}
+
 // SetView installs the full membership view. Pushed by the cluster on
 // every membership change; SetPeers is the address-only entry point a
 // cluster uses before the first one.
@@ -337,7 +348,7 @@ func (p *Peer) view() View {
 // peersMu.
 func (p *Peer) growViewLocked(n int) {
 	for len(p.slots) < n {
-		p.slots = append(p.slots, ViewSlot{Fwd: p2p.NoPeer})
+		p.slots = append(p.slots, ViewSlot{})
 	}
 }
 
@@ -367,73 +378,6 @@ func (p *Peer) adoptEpoch(slot p2p.PeerID, epoch uint64) {
 	}
 	p.peersMu.Unlock()
 }
-
-// mergeView folds an anti-entropy digest into this peer's view: per
-// slot the higher epoch wins, bringing its address, departed flag and
-// forwarding slot along. For slots the merge newly marks departed, the
-// routing table is rewritten to the forwarding chain's end and queued
-// updates are rerouted — this is how a healed minority peer's parked
-// updates chase documents that migrated while it was cut off.
-func (p *Peer) mergeView(v View) {
-	p.peersMu.Lock()
-	p.growViewLocked(len(v))
-	var newlyGone []p2p.PeerID
-	for i, theirs := range v {
-		ours := &p.slots[i]
-		if theirs.Epoch <= ours.Epoch {
-			continue
-		}
-		if theirs.Addr == "" {
-			theirs.Addr = ours.Addr
-		}
-		if theirs.Gone && !ours.Gone {
-			newlyGone = append(newlyGone, p2p.PeerID(i))
-		}
-		*ours = theirs
-	}
-	// Resolve inside the merged view: the adopting successor may itself
-	// have departed since.
-	merged := slices.Clone(p.slots)
-	p.peersMu.Unlock()
-	rerouted := false
-	for _, slot := range newlyGone {
-		if to := merged.resolve(slot); to != slot {
-			p.rk.RerouteOwner(slot, to)
-			rerouted = true
-		}
-	}
-	if rerouted {
-		p.reroute(nil, true)
-	}
-	p.wakeSenders()
-}
-
-// ExchangeView performs one anti-entropy round trip with dest: both
-// sides merge the other's (membership, epoch vector) digest, so after
-// a partition heals the two views reconcile to the highest-epoch owner
-// of every key range. Called by the cluster when a fenced slot becomes
-// reachable again.
-func (p *Peer) ExchangeView(dest p2p.PeerID) error {
-	addr := p.peerAddr(dest)
-	if addr == "" {
-		return fmt.Errorf("wire: no address for peer %d", dest)
-	}
-	payload, err := roundTrip(p.cfg.Transport, p.cfg.ID, dest, addr, viewTimeout,
-		frameViewReq, encodeView(p.view()), frameViewResp)
-	if err != nil {
-		return err
-	}
-	v, err := decodeView(payload)
-	if err != nil {
-		return err
-	}
-	p.mergeView(v)
-	return nil
-}
-
-// viewTimeout bounds an anti-entropy round trip, so a hung peer cannot
-// stall the heal that asked for it.
-const viewTimeout = 5 * time.Second
 
 // Start begins computing: it wakes the senders and performs the
 // initial push (skipped for peers restored from a snapshot or
@@ -605,15 +549,6 @@ func (p *Peer) serveConn(conn net.Conn) {
 				}
 			}
 			if err := cw.write(framePong, reply); err != nil {
-				return
-			}
-		case frameViewReq:
-			v, err := decodeView(payload)
-			if err != nil {
-				return
-			}
-			p.mergeView(v)
-			if err := cw.write(frameViewResp, encodeView(p.view())); err != nil {
 				return
 			}
 		default:

@@ -39,8 +39,6 @@ const (
 	frameNackEpoch  = 'N' // u64 seq, u64 epoch: per-frame stale-epoch rejection
 	framePing       = 'P' // failure-detector heartbeat: a suspicion-gossip payload
 	framePong       = 'O' // heartbeat response: a suspicion-gossip payload
-	frameViewReq    = 'W' // anti-entropy request: a view-digest payload
-	frameViewResp   = 'D' // anti-entropy response: a view-digest payload
 )
 
 // maxFrameBytes bounds a frame to keep a corrupted length prefix from
@@ -394,9 +392,8 @@ func appendBatchFrame(dst []byte, h *streamHead, sender, origDest p2p.PeerID, se
 // decodeStreamBatch parses an 'E' payload read from the connection whose
 // head is h, and advances h. It refuses unknown flags and a continuation
 // of a stream never stated or by a seq neither h's nor the next. Peer
-// ids are bounded like a view digest's slots: the receiver sizes its
-// view by origDest, so an unbounded id is an allocation the sender
-// chooses.
+// ids are bounded by maxPeers: the receiver sizes its view by origDest,
+// so an unbounded id is an allocation the sender chooses.
 func decodeStreamBatch(b []byte, h *streamHead) (sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update, err error) {
 	if len(b) < 2 {
 		return 0, 0, 0, 0, nil, fmt.Errorf("wire: stream batch too short")
@@ -407,7 +404,7 @@ func decodeStreamBatch(b []byte, h *streamHead) (sender, origDest p2p.PeerID, se
 		var v [4]uint64 // sender, origDest, seq, epoch
 		b = b[1:]
 		for i := range v {
-			if v[i], n = uvarint(b); n <= 0 || i < 2 && v[i] >= maxViewSlots {
+			if v[i], n = uvarint(b); n <= 0 || i < 2 && v[i] >= maxPeers {
 				return 0, 0, 0, 0, nil, fmt.Errorf("wire: stream batch header cut short, or peer id %d out of range", v[i])
 			}
 			b = b[n:]
@@ -441,9 +438,11 @@ func decodeNackEpoch(b []byte) (seq, epoch uint64, err error) {
 	return binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]), nil
 }
 
-// maxGossipPeers bounds the suspicion set carried on a ping/pong so a
-// corrupted count cannot force a large allocation.
-const maxGossipPeers = 1 << 16
+// maxPeers bounds every peer id and slot count a decoder accepts —
+// a stream's sender and origDest, a gossiped suspicion set, a
+// checkpoint's epoch vector — so a corrupted number cannot force a
+// large allocation.
+const maxPeers = 1 << 16
 
 // encodeGossip serializes a suspicion-gossip payload for a ping or
 // pong frame: the reporting slot plus the slots it currently suspects.
@@ -471,7 +470,7 @@ func decodeGossip(b []byte) (from p2p.PeerID, suspects []p2p.PeerID, err error) 
 		return 0, nil, fmt.Errorf("wire: gossip from negative peer %d", from)
 	}
 	n := binary.LittleEndian.Uint32(b[4:8])
-	if n > maxGossipPeers {
+	if n > maxPeers {
 		return 0, nil, fmt.Errorf("wire: gossip suspicion set of %d exceeds limit", n)
 	}
 	if uint64(len(b)-8) != 4*uint64(n) {
@@ -488,115 +487,4 @@ func decodeGossip(b []byte) (from p2p.PeerID, suspects []p2p.PeerID, err error) 
 		off += 4
 	}
 	return from, suspects, nil
-}
-
-// View is one peer's picture of cluster membership, one record per slot.
-// It is what the cluster pushes on every membership change and what
-// peers exchange as an anti-entropy digest after a partition heals: the
-// higher epoch wins per slot, so both sides reconcile to the owner that
-// the eviction quorum installed.
-type View []ViewSlot
-
-// ViewSlot is one slot of a View.
-type ViewSlot struct {
-	Addr  string     // where the slot answers now
-	Epoch uint64     // ownership epoch of the slot's key range
-	Gone  bool       // departed permanently
-	Fwd   p2p.PeerID // adopting successor of a gone slot; NoPeer otherwise
-}
-
-// resolve follows the forwarding chain from slot to the slot that holds
-// its state now: a departed slot forwards to the successor that adopted
-// it, which may itself have departed since. The cluster's address table
-// and a peer's rerouting after a merge both resolve through here, so a
-// frame is dialed where its updates are routed.
-func (v View) resolve(slot p2p.PeerID) p2p.PeerID {
-	for hops := 0; int(slot) < len(v) && v[slot].Gone && v[slot].Fwd != p2p.NoPeer && hops <= len(v); hops++ {
-		slot = v[slot].Fwd
-	}
-	return slot
-}
-
-// maxViewSlots and maxViewAddr bound a decoded view digest.
-const (
-	maxViewSlots = 1 << 16
-	maxViewAddr  = 256
-)
-
-// noFwdWire marks "no forwarding slot" in the view digest encoding.
-const noFwdWire = ^uint32(0)
-
-// encodeView serializes a membership view digest: u32 slot count, then
-// per slot u8 gone flag, u32 forward slot (noFwdWire when none), u64
-// epoch, u16 address length, address bytes.
-func encodeView(v View) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(v)))
-	for _, s := range v {
-		var gone byte
-		if s.Gone {
-			gone = 1
-		}
-		fwd := noFwdWire
-		if s.Fwd != p2p.NoPeer {
-			fwd = uint32(s.Fwd)
-		}
-		addr := s.Addr
-		if len(addr) > maxViewAddr {
-			addr = addr[:maxViewAddr]
-		}
-		buf = append(buf, gone)
-		buf = binary.LittleEndian.AppendUint32(buf, fwd)
-		buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(addr)))
-		buf = append(buf, addr...)
-	}
-	return buf
-}
-
-// decodeView parses a view digest. Every count is bounded and every
-// structural inconsistency is an error, never a misparse.
-func decodeView(b []byte) (View, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("wire: view digest too short")
-	}
-	// A slot is at least 15 bytes: the count sizes nothing the payload
-	// could not hold.
-	n := binary.LittleEndian.Uint32(b[:4])
-	if n > maxViewSlots || int(n) > (len(b)-4)/15 {
-		return nil, fmt.Errorf("wire: view digest of %d slots exceeds limit or its %d bytes", n, len(b))
-	}
-	v := make(View, 0, n)
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		if len(b)-off < 15 {
-			return nil, fmt.Errorf("wire: truncated view digest slot %d", i)
-		}
-		gone := b[off]
-		if gone > 1 {
-			return nil, fmt.Errorf("wire: view digest slot %d has bad gone flag %d", i, gone)
-		}
-		fwdWire := binary.LittleEndian.Uint32(b[off+1:])
-		epoch := binary.LittleEndian.Uint64(b[off+5:])
-		alen := int(binary.LittleEndian.Uint16(b[off+13:]))
-		off += 15
-		if alen > maxViewAddr {
-			return nil, fmt.Errorf("wire: view digest address of %d bytes exceeds limit", alen)
-		}
-		if len(b)-off < alen {
-			return nil, fmt.Errorf("wire: truncated view digest address in slot %d", i)
-		}
-		fwd := p2p.NoPeer
-		if fwdWire != noFwdWire {
-			if fwdWire >= maxViewSlots {
-				return nil, fmt.Errorf("wire: view digest forward slot %d out of range", fwdWire)
-			}
-			fwd = p2p.PeerID(fwdWire)
-		}
-		v = append(v, ViewSlot{Addr: string(b[off : off+alen]), Epoch: epoch, Gone: gone == 1, Fwd: fwd})
-		off += alen
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("wire: trailing bytes after view digest")
-	}
-	return v, nil
 }

@@ -63,7 +63,7 @@ func TestBatchEpochCodec(t *testing.T) {
 		{5, 6, 258, 7, 1 + 1 + 1 + 2 + 1}, // the epoch need not grow
 		{5, 9, 259, 7, 1 + 1 + 1 + 2 + 1}, // another stream: restated
 		{5, 9, 261, 7, 1 + 1 + 1 + 2 + 1}, // a seq that skips: restated
-		{0, maxViewSlots - 1, 0, 0, 1 + 1 + 3 + 1 + 1},
+		{0, maxPeers - 1, 0, 0, 1 + 1 + 3 + 1 + 1},
 	} {
 		b := encodeStreamBatch(nil, &enc, fr.sender, fr.origDest, fr.seq, fr.epoch, us)
 		if head := len(b) - len(appendUpdates(nil, us)); head != fr.head {
@@ -181,7 +181,7 @@ func TestBatchEpochCodecRejectsMalformed(t *testing.T) {
 		"truncated entry":   good[:len(good)-1],
 		"trailing bytes":    append(slices.Clone(good), 0),
 		"negative sender":   encodeBatchEpoch(nil, -1, 3, 9, 1, nil),
-		"sender past view":  encodeBatchEpoch(nil, maxViewSlots, 3, 9, 1, nil),
+		"sender past view":  encodeBatchEpoch(nil, maxPeers, 3, 9, 1, nil),
 		"negative origDest": encodeBatchEpoch(nil, 2, p2p.NoPeer, 9, 1, nil),
 		// The receiver sizes its view by origDest+1: 1<<22 was 120 MB.
 		"origDest past view": encodeBatchEpoch(nil, 2, 1<<22, 9, 1, nil),

@@ -360,15 +360,10 @@ func TestRestoredPendingWithRepeatedDocumentsBalances(t *testing.T) {
 	}
 }
 
-// TestFormatsPinned holds the view digest, and the checkpoint at version
-// 10, to the bytes they were recorded with for the same state. A layout
-// change re-records the hash it moves, in a commit of its own.
+// TestFormatsPinned holds the checkpoint at version 10 to the bytes it
+// was recorded with for the same state. A layout change re-records the
+// hash, in a commit of its own.
 func TestFormatsPinned(t *testing.T) {
-	c := &Cluster{slots: chainSlots()}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(encodeView(c.viewLocked()))),
-		"53245f7b22db9bc3917153ee15f779d1e86026979ce4b73cf1df63bb64f0961e"; got != want {
-		t.Errorf("view digest sha256 %s, want %s", got, want)
-	}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(fuzzSeedSnapshot(), &buf); err != nil {
 		t.Fatal(err)
@@ -379,23 +374,27 @@ func TestFormatsPinned(t *testing.T) {
 	}
 }
 
-// TestForwardChainResolvesOnce: the cluster's address table and a
-// peer's rerouting both follow a departed→departed→live chain to the
-// same slot, so a frame is dialed where its updates are routed.
+// TestForwardChainResolvesOnce: the cluster's address table follows a
+// departed→departed→live chain to its live end, and the ownership push
+// that moves the chain's documents routes them to that same slot, so a
+// frame is dialed where its updates are routed.
 func TestForwardChainResolvesOnce(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	c := &Cluster{slots: chainSlots()}
 	v := c.viewLocked()
 	for _, slot := range []p2p.PeerID{0, 1, 2} {
-		if to := v.resolve(slot); to != 2 {
-			t.Errorf("slot %d resolves to %d, want 2", slot, to)
-		}
 		if v[slot].Addr != "127.0.0.1:7002" {
 			t.Errorf("cluster lists slot %d at %s, want slot 2's address", slot, v[slot].Addr)
 		}
 	}
-	// Peer 3 of a cluster where slot s owns documents 2s and 2s+1 learns
-	// of both departures at once, from a digest.
+	for slot, want := range []uint64{3, 2, 5, 0} {
+		if v[slot].Epoch != want {
+			t.Errorf("cluster lists slot %d at epoch %d, want its own %d", slot, v[slot].Epoch, want)
+		}
+	}
+	// Peer 3 of a cluster where slot s owns documents 2s and 2s+1 is
+	// pushed the two departures' migrations: slot 0's documents went to
+	// slot 1, then slot 1's, those included, to slot 2.
 	docPeer := make([]p2p.PeerID, 8)
 	for d := range docPeer {
 		docPeer[d] = p2p.PeerID(d / 2)
@@ -405,13 +404,14 @@ func TestForwardChainResolvesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.mergeView(v)
+	p.UpdateOwnership([]graph.NodeID{0, 1}, 1, v)
+	p.UpdateOwnership([]graph.NodeID{2, 3, 0, 1}, 2, v)
 	all := make([]p2p.Update, 8)
 	for d := range all {
 		all[d].Doc = graph.NodeID(d)
 	}
 	if got, want := p.rk.Owners(all, nil), []p2p.PeerID{2, 2, 2, 2, 2, 2, 3, 3}; !slices.Equal(got, want) {
-		t.Errorf("owner table after the merge %v, want %v", got, want)
+		t.Errorf("owner table after the pushes %v, want %v", got, want)
 	}
 	for _, slot := range []p2p.PeerID{0, 1} {
 		if p.peerAddr(slot) != p.peerAddr(2) {

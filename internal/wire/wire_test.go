@@ -340,6 +340,9 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	le := binary.LittleEndian
 	batch := appendUpdates(nil, []p2p.Update{{Doc: 0, Delta: 0.5}})
+	// A one-slot view digest: count, then gone flag, no forward, epoch 2
+	// and an empty address.
+	view := le.AppendUint16(le.AppendUint64(le.AppendUint32(append(le.AppendUint32(nil, 1), 0), ^uint32(0)), 2), 0)
 	frames := []struct {
 		typ     byte
 		payload []byte
@@ -351,6 +354,8 @@ func TestRetiredFramesAreRefused(t *testing.T) {
 		{'X', nil},                     // remote shutdown
 		{'Q', nil},                     // termination probe request
 		{'R', nil},                     // rank collection request
+		{'W', view},                    // anti-entropy view request
+		{'D', view},                    // anti-entropy view response
 	}
 	for _, fr := range frames {
 		p, conn := rawPeer(t)
