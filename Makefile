@@ -121,12 +121,14 @@ bench-pipeline:
 # radix sort alone (internal/p2p), and the batch codec, with its bytes
 # per update (internal/wire) — with allocation counts, plus the checkpoint codec's
 # bytes and encode/decode ns per row, and NewCluster's set-up ns per
-# document and allocations (100k documents, 8 peers). BENCHTIME=1x is
+# document and allocations (100k documents, 8 peers) at -cpu 1 and 2:
+# the peers built one after another, and two at a time. BENCHTIME=1x is
 # what CI runs, so they cannot rot.
 BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run XXX -bench 'BenchmarkRankerFold|BenchmarkRankerRelax|BenchmarkRankerBuild|BenchmarkDocIndexFind|BenchmarkRetryQueueDeferMergeDrainN|BenchmarkFrameSort' -benchmem -benchtime $(BENCHTIME) ./internal/p2p
-	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkSnapshotCodec|BenchmarkNewCluster' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench 'BenchmarkBatchEpochCodec|BenchmarkSnapshotCodec' -benchmem -benchtime $(BENCHTIME) ./internal/wire
+	$(GO) test -run XXX -bench 'BenchmarkNewCluster' -cpu 1,2 -benchmem -benchtime $(BENCHTIME) ./internal/wire
 
 # The compressed substrate's read path, nanoseconds per Cursor.OutLinks
 # call over the three access shapes the engines produce: every node

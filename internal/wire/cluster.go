@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -150,7 +151,10 @@ type ClusterConfig struct {
 
 // NewCluster starts cfg.Peers TCP peers and distributes g's documents
 // among them uniformly at random. The placement lives in docPeer and
-// the slots' document lists only; the ring decides where it moves.
+// the slots' document lists only; the ring decides where it moves. It
+// is drawn serially from cfg.Seed, so a seed always gives the same
+// owners; the peers are then built on every core at once (buildPeers),
+// as the paper's peers each build their own state on their own machine.
 func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Peers < 1 {
 		return nil, fmt.Errorf("wire: need at least one peer")
@@ -189,12 +193,15 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		c.docPeer[d] = p2p.PeerID(pid)
 		c.slots[pid].docs = append(c.slots[pid].docs, graph.NodeID(d))
 	}
-	for i := range c.slots {
-		peer, err := NewPeer(c.peerConfig(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
+	cfgs := make([]PeerConfig, len(c.slots))
+	for i := range cfgs {
+		cfgs[i] = c.peerConfig(i)
+	}
+	peers, err := buildPeers(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, peer := range peers {
 		c.slots[i].peer, c.slots[i].addr = peer, peer.Addr()
 	}
 	c.pushAddrsLocked()
@@ -207,6 +214,41 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		c.dbg = dbg
 	}
 	return c, nil
+}
+
+// buildPeers builds one peer per config, on at most GOMAXPROCS
+// goroutines at once: a build compiles its ranker's shard from the
+// shared, read-only graph and placement and opens its own listener, so
+// no build reads what another writes. It returns the peers by index
+// once every build has returned. If any build failed, it closes every
+// peer that was built and returns the failure of the lowest index.
+func buildPeers(cfgs []PeerConfig) ([]*Peer, error) {
+	peers := make([]*Peer, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cfgs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cfgs); i = int(next.Add(1) - 1) {
+				peers[i], errs[i] = NewPeer(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		for _, p := range peers {
+			if p != nil {
+				p.Close()
+			}
+		}
+		return nil, fmt.Errorf("wire: building peer %d: %w", i, err)
+	}
+	return peers, nil
 }
 
 // addSlotLocked allocates the next slot — a ring node and a registry,

@@ -506,7 +506,19 @@ func (cw *connWriter) write(typ byte, payload []byte) error {
 // stream, seq and epoch are rebuilt from the connection's head first.
 func (p *Peer) serveConn(conn net.Conn) {
 	defer p.wg.Done()
+	// stop closes quit, then every conn in ins under inMu. Checking quit
+	// under the same lock, a conn is either registered before that close
+	// loop and closed by it, or refused here: one registered after it
+	// would stay open, and its reader would hold up stop's wait until the
+	// remote side gave up.
 	p.inMu.Lock()
+	select {
+	case <-p.quit:
+		p.inMu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	p.ins[conn] = struct{}{}
 	p.inMu.Unlock()
 	defer func() {

@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
+	"dpr/internal/rng"
 	"dpr/internal/solver"
 )
 
@@ -263,6 +266,82 @@ func BenchmarkNewCluster(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/docs, "ns/doc")
 }
 
+// TestNewClusterBuildsEachPeerFromThePlacement: NewCluster builds its
+// peers concurrently, here more of them than there are cores. The
+// placement is the serial seeded draw, and every slot's ranker holds
+// exactly the documents it gives that slot, ascending, with every
+// out-link's outbox naming the linked document's owner in it.
+func TestNewClusterBuildsEachPeerFromThePlacement(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	const docs, seed = 3000, 9
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 47))
+	peers := 2*runtime.GOMAXPROCS(0) + 3
+	c, err := NewCluster(g, ClusterConfig{Peers: peers, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	r := rng.New(seed)
+	owner := make([]p2p.PeerID, docs)
+	held := make([][]graph.NodeID, peers)
+	for d := range owner {
+		o := r.Intn(peers)
+		owner[d] = p2p.PeerID(o)
+		held[o] = append(held[o], graph.NodeID(d))
+	}
+	if !slices.Equal(c.docPeer, owner) {
+		t.Fatal("the placement is not the serial draw from the seed")
+	}
+	for i, s := range c.slots {
+		if rows, _, _ := s.peer.rk.Rows(); !slices.Equal(rows, held[i]) {
+			t.Fatalf("peer %d holds %d rows, want its %d placed documents in order", i, len(rows), len(held[i]))
+		}
+		// A fresh row pushes a share down every out-link, in row then link
+		// order, into the outbox of the link's owner (indexed by PeerID+1).
+		want := make([][]graph.NodeID, peers+1)
+		for _, d := range held[i] {
+			for _, to := range g.OutLinks(d) {
+				want[owner[to]+1] = append(want[owner[to]+1], to)
+			}
+		}
+		out := s.peer.rk.InitialOut()
+		for box := range max(len(out), len(want)) {
+			var got, exp []graph.NodeID
+			if box < len(out) {
+				for _, u := range out[box] {
+					got = append(got, u.Doc)
+				}
+			}
+			if box < len(want) {
+				exp = want[box]
+			}
+			if !slices.Equal(got, exp) {
+				t.Fatalf("peer %d: outbox %d holds %d links, want %d", i, box, len(got), len(exp))
+			}
+		}
+	}
+}
+
+// TestBuildPeersClosesWhatItBuiltOnFailure: one build among more than
+// there are cores fails. The failure is returned with its index, and
+// every peer the other builds made is closed: none of their goroutines
+// is left.
+func TestBuildPeersClosesWhatItBuiltOnFailure(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.Cycle(4)
+	cfgs := make([]PeerConfig, 2*runtime.GOMAXPROCS(0)+3)
+	for i := range cfgs {
+		cfgs[i] = PeerConfig{ID: p2p.PeerID(i), Graph: g, DocPeer: make([]p2p.PeerID, 4)}
+	}
+	bad := len(cfgs) / 2
+	cfgs[bad].Graph = nil
+	peers, err := buildPeers(cfgs)
+	if peers != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("building peer %d:", bad)) {
+		t.Fatalf("buildPeers = %v, %v; want no peers and peer %d's failure", peers, err, bad)
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	g := graph.Cycle(4)
 	if _, err := NewCluster(g, ClusterConfig{Peers: 0}); err == nil {
@@ -282,6 +361,36 @@ func TestPeerRejectsGarbageConnection(t *testing.T) {
 	conn.Write([]byte{1, 0, 0, 0, 'Z', 0})
 	conn.Close()
 	assertAnswersPing(t, p)
+}
+
+// TestServeConnAfterStopReturns: a connection acceptLoop accepted just
+// before stop closed the listener can reach serveConn after stop has
+// closed every inbound connection it knew of. serveConn must close it
+// and return at once; reading it would hold up stop (and a Kill, with
+// the cluster's lock held) until the remote sender gave up.
+func TestServeConnAfterStopReturns(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	p := cyclePeer(t)
+	p.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	done := make(chan struct{})
+	p.wg.Add(1)
+	go func() {
+		p.serveConn(local)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		local.Close()
+		<-done
+		t.Fatal("serveConn read a connection that arrived after stop")
+	}
+	remote.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the remote end reads %v, want io.EOF: the connection was left open", err)
+	}
 }
 
 // assertAnswersPing checks that the peer still serves: a heartbeat ping
