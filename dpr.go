@@ -27,6 +27,7 @@ package dpr
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,6 +79,8 @@ type Options struct {
 
 	// Availability keeps this fraction of peers online each pass
 	// (peers churn randomly between passes). Default 1.0.
+	// ComputePageRank only: NewSession and the TCP entry points refuse
+	// any other value.
 	Availability float64
 
 	// MaxPasses caps each pass-engine Run. Default 100000.
@@ -120,7 +123,8 @@ type Options struct {
 	// Teleport personalizes the pagerank (topic-sensitive pagerank):
 	// document i's share of the teleport mass is Teleport[i] /
 	// sum(Teleport). Nil means the classic uniform teleport. One
-	// non-negative weight per document.
+	// non-negative weight per document. ComputePageRank only:
+	// NewSession and the TCP entry points refuse it.
 	Teleport []float64
 }
 
@@ -158,8 +162,8 @@ type Result struct {
 
 // place spreads g's documents over a fresh network of opt.Peers peers
 // and returns it with the engine options opt describes: the one
-// Options conversion behind ComputePageRank, NewSession and
-// NewDynamicSession. opt has its defaults applied.
+// Options conversion behind ComputePageRank and NewSession. opt has
+// its defaults applied.
 func (o Options) place(g *Graph) (*p2p.Network, core.Options, error) {
 	if o.Peers < 1 {
 		return nil, core.Options{}, fmt.Errorf("dpr: Peers %d < 1", o.Peers)
@@ -226,7 +230,8 @@ type DocRank struct {
 	Rank float64
 }
 
-// TopDocuments returns the k highest-ranked documents, descending.
+// TopDocuments returns the k highest-ranked documents, descending;
+// none for k <= 0.
 func TopDocuments(ranks []float64, k int) []DocRank {
 	out := make([]DocRank, len(ranks))
 	for i, r := range ranks {
@@ -238,58 +243,109 @@ func TopDocuments(ranks []float64, k int) []DocRank {
 		}
 		return out[a].Doc < out[b].Doc
 	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
+	return out[:min(max(k, 0), len(out))]
 }
 
-// Session is a long-lived distributed computation that documents can
-// be inserted into and removed from, the paper's section 3 dynamic
-// behaviour: ranks re-converge incrementally after each change with no
-// global recompute.
+// Session is a long-lived distributed computation whose document
+// topology evolves, the paper's section 3 dynamic behaviour: documents
+// are inserted (and can later receive links), links are added and
+// removed as documents are edited, and documents are deleted. After
+// every change the ranks re-converge incrementally with no global
+// recompute.
 type Session struct {
+	m      *graph.Mutable
 	engine *core.PassEngine
 	net    *p2p.Network
-	g      *Graph
+	r      *rng.Rand // draws each inserted document's peer
 }
 
 // NewSession places g's documents on peers and converges the initial
-// ranks.
+// ranks; g may have no documents. The network stays fully available,
+// and the teleport stays uniform: a personalization is defined over a
+// fixed document set.
 func NewSession(g *Graph, opt Options) (*Session, error) {
 	opt = opt.withDefaults()
+	if opt.Teleport != nil {
+		return nil, fmt.Errorf("dpr: a Session cannot use Teleport (its document set grows)")
+	}
+	if opt.Availability != 1 {
+		return nil, fmt.Errorf("dpr: a Session has no churn: Availability %v must be 1", opt.Availability)
+	}
 	net, coreOpt, err := opt.place(g)
 	if err != nil {
 		return nil, err
 	}
-	e, err := core.NewPassEngine(g, net, nil, coreOpt)
+	m := graph.NewMutable(g)
+	e, err := core.NewPassEngine(m, net, nil, coreOpt)
 	if err != nil {
 		return nil, err
 	}
-	res := e.Run()
-	if !res.Converged {
-		return nil, fmt.Errorf("dpr: initial computation did not converge in %d passes", res.Passes)
+	s := &Session{m: m, engine: e, net: net, r: rng.New(opt.Seed + 7)}
+	if err := s.reconverge(); err != nil {
+		return nil, err
 	}
-	return &Session{engine: e, net: net, g: g}, nil
+	return s, nil
 }
 
 // Ranks returns the current pageranks (live view; copy to keep a
 // snapshot across further changes).
 func (s *Session) Ranks() []float64 { return s.engine.Ranks() }
 
-// InsertDocument integrates a new document with the given out-links,
-// hosted on peer onPeer (modulo the peer count), and re-converges.
-func (s *Session) InsertDocument(onPeer int, outlinks []NodeID) error {
-	peer := p2p.PeerID(onPeer % s.net.NumPeers())
-	if err := s.engine.InsertDoc(peer, outlinks); err != nil {
+// NumDocuments returns the current topology size (including removed
+// documents, whose ranks are zero).
+func (s *Session) NumDocuments() int { return s.m.NumNodes() }
+
+// Snapshot freezes the current topology as an immutable Graph, e.g.
+// to compare against the centralized solver.
+func (s *Session) Snapshot() *Graph { return s.m.Snapshot() }
+
+// InsertDocument adds a new document with the given out-links on a
+// peer drawn from the session's seed, and re-converges (section 3.1).
+// The returned id can be linked to by later AddLink calls.
+func (s *Session) InsertDocument(outlinks []NodeID) (NodeID, error) {
+	id, err := s.m.AddNode(outlinks)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.engine.AttachDocument(id, p2p.PeerID(s.r.Intn(s.net.NumPeers()))); err != nil {
+		return 0, err
+	}
+	return id, s.reconverge()
+}
+
+// AddLink records that document from was edited to link to document
+// to, and re-converges. Adding an existing link is a no-op.
+func (s *Session) AddLink(from, to NodeID) error { return s.relink(from, to, s.m.AddLink) }
+
+// RemoveLink deletes the link from -> to and re-converges. Removing a
+// non-existent link is a no-op.
+func (s *Session) RemoveLink(from, to NodeID) error { return s.relink(from, to, s.m.RemoveLink) }
+
+// relink applies one edit to from's out-links and, when it changed
+// them, corrects the mass from sent along the old ones.
+func (s *Session) relink(from, to NodeID, edit func(from, to NodeID) (bool, error)) error {
+	if from < 0 || int(from) >= s.m.NumNodes() || s.engine.Removed(from) {
+		return fmt.Errorf("dpr: document %d is not in the session", from)
+	}
+	old := slices.Clone(s.m.OutLinks(from))
+	if changed, err := edit(from, to); err != nil || !changed {
+		return err
+	}
+	if err := s.engine.UpdateOutlinks(from, old); err != nil {
 		return err
 	}
 	return s.reconverge()
 }
 
-// RemoveDocument deletes a document and re-converges.
+// RemoveDocument deletes a document: its contributions are retracted,
+// its rank drops to zero, its out-links leave the topology, and the
+// ranks re-converge. Links to it stay, and the mass they carry is
+// dropped on arrival.
 func (s *Session) RemoveDocument(d NodeID) error {
 	if err := s.engine.RemoveDoc(d); err != nil {
+		return err
+	}
+	if err := s.m.ClearOutLinks(d); err != nil {
 		return err
 	}
 	return s.reconverge()
@@ -298,7 +354,7 @@ func (s *Session) RemoveDocument(d NodeID) error {
 func (s *Session) reconverge() error {
 	res := s.engine.Run()
 	if !res.Converged {
-		return fmt.Errorf("dpr: re-convergence incomplete after %d passes", res.Passes)
+		return fmt.Errorf("dpr: computation did not converge in %d passes", res.Passes)
 	}
 	return nil
 }
@@ -314,8 +370,9 @@ func (s *Session) Passes() int { return s.engine.Pass() }
 func (s *Session) Checkpoint(w io.Writer) error { return s.engine.WriteCheckpoint(w) }
 
 // Restore loads a checkpoint written by Checkpoint into this session
-// (same graph, same damping) and re-converges: restoring under a
-// tighter Epsilon resumes refinement from the stored state.
+// (same topology, e.g. NewSession over the writer's Snapshot, same
+// damping) and re-converges: restoring under a tighter Epsilon resumes
+// refinement from the stored state.
 func (s *Session) Restore(r io.Reader) error {
 	if err := s.engine.RestoreCheckpoint(r); err != nil {
 		return err

@@ -3,7 +3,6 @@ package dpr
 import (
 	"math"
 	"path/filepath"
-	"slices"
 	"testing"
 	"time"
 )
@@ -56,9 +55,6 @@ func TestComputePageRankValidation(t *testing.T) {
 	if _, err := NewSession(g, Options{Peers: -1}); err == nil {
 		t.Fatal("session accepted negative peers")
 	}
-	if _, err := NewDynamicSession(g, Options{Peers: -1}); err == nil {
-		t.Fatal("dynamic session accepted negative peers")
-	}
 	if _, err := ComputePageRank(g, Options{Availability: 2}); err == nil {
 		t.Fatal("accepted availability > 1")
 	}
@@ -77,6 +73,11 @@ func TestTopDocuments(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("clamp: %d", len(all))
 	}
+	for _, k := range []int{0, -1} {
+		if none := TopDocuments(ranks, k); len(none) != 0 {
+			t.Fatalf("k=%d: %+v", k, none)
+		}
+	}
 }
 
 func TestGraphRoundTripThroughFacade(t *testing.T) {
@@ -94,65 +95,6 @@ func TestGraphRoundTripThroughFacade(t *testing.T) {
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestSessionInsertRemove(t *testing.T) {
-	g, err := GenerateWebGraph(800, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(g, Options{Peers: 10, Epsilon: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]float64(nil), s.Ranks()...)
-	passes0 := s.Passes()
-
-	if err := s.InsertDocument(3, []NodeID{5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Ranks()[5] <= before[5] {
-		t.Fatal("insert did not raise target rank")
-	}
-	// Incremental: re-convergence takes far fewer passes than the
-	// initial computation.
-	if insertPasses := s.Passes() - passes0; insertPasses > passes0 {
-		t.Fatalf("insert took %d passes vs %d initial", insertPasses, passes0)
-	}
-
-	if err := s.RemoveDocument(7); err != nil {
-		t.Fatal(err)
-	}
-	if s.Ranks()[7] != 0 {
-		t.Fatal("removed document still ranked")
-	}
-	if err := s.RemoveDocument(7); err == nil {
-		t.Fatal("double removal accepted")
-	}
-	if s.NetworkMessages() == 0 {
-		t.Fatal("no messages recorded")
-	}
-}
-
-func TestSessionWorkersBitIdentical(t *testing.T) {
-	var ranks [2][]float64
-	for i, workers := range []int{1, 4} {
-		g, err := GenerateWebGraph(800, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSession(g, Options{Peers: 10, Epsilon: 1e-8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.InsertDocument(3, []NodeID{5, 6}); err != nil {
-			t.Fatal(err)
-		}
-		ranks[i] = s.Ranks()
-	}
-	if !slices.Equal(ranks[0], ranks[1]) {
-		t.Fatal("ranks differ between 1 worker and 4")
 	}
 }
 
@@ -240,6 +182,31 @@ func TestComputePageRankOverTCP(t *testing.T) {
 		if math.Abs(res.Ranks[i]-ref[i])/ref[i] > 1e-3 {
 			t.Fatalf("rank[%d]: tcp %v vs centralized %v", i, res.Ranks[i], ref[i])
 		}
+	}
+}
+
+// The TCP cluster's peers rank with the uniform teleport: a personalized
+// run is refused rather than returned as uniform pagerank.
+func TestTCPRejectsTeleport(t *testing.T) {
+	g := GraphFromLinks([][]NodeID{{1}, {0}})
+	opt := Options{Peers: 2, Teleport: []float64{1, 0}}
+	if _, err := ComputePageRankOverTCP(g, opt, time.Second); err == nil {
+		t.Fatal("ComputePageRankOverTCP accepted teleport")
+	}
+	if _, err := NewTCPCluster(g, opt); err == nil {
+		t.Fatal("NewTCPCluster accepted teleport")
+	}
+}
+
+// The TCP cluster churns only by Kill, Restart, Leave and Join.
+func TestTCPRejectsAvailability(t *testing.T) {
+	g := GraphFromLinks([][]NodeID{{1}, {0}})
+	opt := Options{Peers: 2, Availability: 0.5}
+	if _, err := ComputePageRankOverTCP(g, opt, time.Second); err == nil {
+		t.Fatal("ComputePageRankOverTCP accepted availability 0.5")
+	}
+	if _, err := NewTCPCluster(g, opt); err == nil {
+		t.Fatal("NewTCPCluster accepted availability 0.5")
 	}
 }
 

@@ -32,8 +32,8 @@ func ExampleComputePageRank() {
 	// all ranks within 0.1% of centralized: true
 }
 
-// Documents enter and leave a live network; ranks re-converge
-// incrementally without a global recompute.
+// Documents enter a live network, gain links and leave it; ranks
+// re-converge incrementally without a global recompute.
 func ExampleSession() {
 	g := dpr.GraphFromLinks([][]dpr.NodeID{
 		{1, 2}, // doc 0 links to 1 and 2
@@ -46,18 +46,33 @@ func ExampleSession() {
 	}
 	before := s.Ranks()[2]
 	// A new document linking to doc 2 raises doc 2's rank.
-	if err := s.InsertDocument(0, []dpr.NodeID{2}); err != nil {
+	id, err := s.InsertDocument([]dpr.NodeID{2})
+	if err != nil {
 		panic(err)
 	}
-	fmt.Println("rank rose:", s.Ranks()[2] > before)
-	// Deleting doc 1 removes its contribution.
-	if err := s.RemoveDocument(1); err != nil {
+	fmt.Println("new document:", id)
+	fmt.Println("doc 2's rank rose:", s.Ranks()[2] > before)
+	// Doc 1 is edited to link to the new document as well.
+	if err := s.AddLink(1, id); err != nil {
 		panic(err)
 	}
-	fmt.Println("deleted doc rank:", s.Ranks()[1])
+	fmt.Printf("new document's rank: %.4f\n", s.Ranks()[id])
+	// Deleting the new document retracts everything it sent.
+	if err := s.RemoveDocument(id); err != nil {
+		panic(err)
+	}
+	fmt.Println("deleted document's rank:", s.Ranks()[id])
+	ref, err := dpr.CentralizedPageRank(s.Snapshot(), 0.85)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("doc 2's rank: %.4f (centralized: %.4f)\n", s.Ranks()[2], ref[2])
 	// Output:
-	// rank rose: true
-	// deleted doc rank: 0
+	// new document: 3
+	// doc 2's rank rose: true
+	// new document's rank: 0.2408
+	// deleted document's rank: 0
+	// doc 2's rank: 0.3046 (centralized: 0.3046)
 }
 
 // Incremental keyword search forwards only the top pagerank-sorted

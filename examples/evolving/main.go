@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := dpr.NewDynamicSession(g, dpr.Options{Peers: 50, Epsilon: 1e-6, Seed: 55})
+	s, err := dpr.NewSession(g, dpr.Options{Peers: 50, Epsilon: 1e-6, Seed: 55})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	// existing ones, some getting linked back.
 	var added []dpr.NodeID
 	for i := 0; i < 20; i++ {
-		id, err := s.AddDocument([]dpr.NodeID{
+		id, err := s.InsertDocument([]dpr.NodeID{
 			dpr.NodeID(i * 7 % 2000), dpr.NodeID(i * 13 % 2000),
 		})
 		if err != nil {

@@ -46,11 +46,12 @@ func main() {
 
 	targets := []dpr.NodeID{10, 20, 30}
 	before := append([]float64(nil), sess.Ranks()...)
-	if err := sess.InsertDocument(0, targets); err != nil {
+	id, err := sess.InsertDocument(targets)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("inserted a document linking to %v: re-converged in %d passes (vs %d initially)\n",
-		targets, sess.Passes()-initialPasses, initialPasses)
+	fmt.Printf("inserted document %d linking to %v: re-converged in %d passes (vs %d initially)\n",
+		id, targets, sess.Passes()-initialPasses, initialPasses)
 	for _, d := range targets {
 		fmt.Printf("  doc %d rank: %.4f -> %.4f\n", d, before[d], sess.Ranks()[d])
 	}

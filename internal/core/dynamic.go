@@ -7,12 +7,11 @@ import (
 	"dpr/internal/p2p"
 )
 
-// Dynamic-topology support (section 3.1 in full). The ghost-insert
-// model of InsertDoc covers a document that only *sends* mass; a real
-// new document also appears in the topology so that later edits can
-// link *to* it. Build the engine over a graph.Mutable, mutate the
-// topology between passes, and call these methods to patch the
-// in-flight rank mass; the computation then re-converges incrementally.
+// Dynamic-topology support (section 3.1). A new document appears in
+// the topology, so later edits can link to it. Build the engine over a
+// graph.Mutable, mutate the topology between passes, and call these
+// methods (and RemoveDoc) to patch the in-flight rank mass; the
+// computation then re-converges incrementally.
 
 // AttachDocument registers a document that was just appended to the
 // engine's mutable topology (its id must be the next unused id, i.e.

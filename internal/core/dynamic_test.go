@@ -58,8 +58,7 @@ func TestAttachDocumentReceivesLinksLater(t *testing.T) {
 		t.Fatalf("new doc rank %v, want 1-d", e.Ranks()[id])
 	}
 
-	// Now an existing document is edited to link TO the new one — the
-	// case the ghost-insert model cannot express.
+	// Now an existing document is edited to link to the new one.
 	old := append([]graph.NodeID(nil), m.OutLinks(0)...)
 	if _, err := m.AddLink(0, id); err != nil {
 		t.Fatal(err)

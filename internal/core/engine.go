@@ -45,8 +45,10 @@ type PassEngine struct {
 	retry *p2p.RetryQueue
 
 	// cur is the serial paths' adjacency read cursor (push, maybeInit,
-	// FlushPending). Chunk workers carry their own in chunkScratch; this
-	// one is only touched from the engine's calling goroutine.
+	// FlushPending). Over a graph.Mutable it reads the live topology,
+	// attached documents and edited links included. Chunk workers carry
+	// their own in chunkScratch; this one is only touched from the
+	// engine's calling goroutine.
 	cur graph.LinkCursor
 
 	incoming    []float64 // deltas awaiting the next pass

@@ -50,13 +50,14 @@ func TestPeerThatNeverReturnsBlocksConvergence(t *testing.T) {
 
 func TestInterleavedChangesUnderChurn(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(1000, 92))
+	m := graph.NewMutable(g)
 	net := p2p.NewNetwork(20)
 	net.AssignRandom(g, rng.New(2))
 	churn, err := p2p.NewChurn(net, 0.7, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPassEngine(g, net, churn, Options{})
+	e, err := NewPassEngine(m, net, churn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +65,13 @@ func TestInterleavedChangesUnderChurn(t *testing.T) {
 		t.Fatal("initial convergence failed")
 	}
 	// Interleave inserts, deletes and passes.
-	if err := e.InsertDoc(3, []graph.NodeID{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, e, m, 3, 1, 2, 3)
 	e.RunPass()
 	if err := e.RemoveDoc(50); err != nil {
 		t.Fatal(err)
 	}
 	e.RunPass()
-	if err := e.InsertDoc(7, []graph.NodeID{100}); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, e, m, 7, 100)
 	res := e.Run()
 	if !res.Converged {
 		t.Fatal("did not reconverge after interleaved changes")

@@ -8,33 +8,6 @@ import (
 	"dpr/internal/p2p"
 )
 
-// InsertDoc integrates a freshly inserted document into a running
-// computation (section 3.1): the new document immediately sends
-// update messages to its out-links. A new document cannot yet have
-// in-links (its row in the A matrix is all zeros), so its rank is
-// exactly 1-d and that is the value whose contributions enter the
-// system; the increments then propagate on subsequent passes. The new
-// document itself lives outside the engine's graph.
-func (e *PassEngine) InsertDoc(onPeer p2p.PeerID, outlinks []graph.NodeID) error {
-	if len(outlinks) == 0 {
-		return nil
-	}
-	for _, t := range outlinks {
-		if t < 0 || int(t) >= e.st.g.NumNodes() {
-			return fmt.Errorf("core: InsertDoc out-link %d outside graph", t)
-		}
-	}
-	newDocRank := 1 - e.st.opt.Damping
-	share := e.st.opt.Damping * newDocRank / float64(len(outlinks))
-	for _, t := range outlinks {
-		e.deliver(onPeer, p2p.Update{Doc: t, Delta: share})
-	}
-	e.counters.InterPeerMsgs += e.passInter
-	e.counters.IntraPeerMsgs += e.passIntra
-	e.passInter, e.passIntra = 0, 0
-	return nil
-}
-
 // RemoveDoc deletes document d (section 3.1): an update with the
 // negated pagerank contribution goes to every out-link, the document
 // stops receiving messages, and the system re-converges on later

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dpr/internal/graph"
@@ -126,18 +127,15 @@ func TestPropagationValidation(t *testing.T) {
 
 func TestInsertDocRaisesTargetRanks(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(1000, 32))
-	e, _ := setup(t, g, 20, Options{Epsilon: 1e-8}, 13)
+	e, m, _ := dynSetup(t, g, 20, Options{Epsilon: 1e-8}, 13)
 	res := e.Run()
 	if !res.Converged {
 		t.Fatal("initial run did not converge")
 	}
-	before := make([]float64, len(res.Ranks))
-	copy(before, res.Ranks)
+	before := slices.Clone(res.Ranks)
 
 	targets := []graph.NodeID{10, 20, 30}
-	if err := e.InsertDoc(0, targets); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, e, m, 0, targets...)
 	res2 := e.Run()
 	if !res2.Converged {
 		t.Fatal("did not reconverge after insert")
@@ -153,7 +151,8 @@ func TestInsertDocRaisesTargetRanks(t *testing.T) {
 			t.Fatalf("target %d gained %v, want >= %v", d, res2.Ranks[d]-before[d], minGain)
 		}
 	}
-	// Untouched far-away docs move little but never drop below 1-d.
+	// Untouched far-away docs move little but never drop below 1-d,
+	// and the new document, with no in-links, sits at it.
 	for i, r := range res2.Ranks {
 		if r < (1-DefaultDamping)-1e-9 {
 			t.Fatalf("rank[%d] = %v fell below floor after insert", i, r)
@@ -161,14 +160,39 @@ func TestInsertDocRaisesTargetRanks(t *testing.T) {
 	}
 }
 
+// attach appends a document linking to targets to m and attaches it to
+// e on peer.
+func attach(t testing.TB, e *PassEngine, m *graph.Mutable, peer p2p.PeerID, targets ...graph.NodeID) graph.NodeID {
+	t.Helper()
+	id, err := m.AddNode(targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AttachDocument(id, peer); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func TestInsertDocErrors(t *testing.T) {
 	g := graph.Cycle(5)
-	e, _ := setup(t, g, 2, Options{}, 14)
-	if err := e.InsertDoc(0, []graph.NodeID{99}); err == nil {
+	e, m, _ := dynSetup(t, g, 2, Options{}, 14)
+	before := slices.Clone(e.Run().Ranks)
+	// An out-link outside the topology is refused before the engine
+	// sees the document.
+	if _, err := m.AddNode([]graph.NodeID{99}); err == nil {
 		t.Fatal("accepted out-of-range out-link")
 	}
-	if err := e.InsertDoc(0, nil); err != nil {
-		t.Fatalf("no-outlink insert should be a no-op, got %v", err)
+	if err := e.AttachDocument(5, 0); err == nil {
+		t.Fatal("attached a document the topology refused")
+	}
+	// A document with no out-links sends nothing: the others keep
+	// their ranks bit for bit.
+	id := attach(t, e, m, 0)
+	res := e.Run()
+	d := DefaultDamping // a variable: 1 - d in float64, as the engine computes it
+	if !res.Converged || !slices.Equal(res.Ranks[:id], before) || res.Ranks[id] != 1-d {
+		t.Fatalf("no-outlink insert moved ranks: %v -> %v", before, res.Ranks)
 	}
 }
 
@@ -233,21 +257,15 @@ func TestRemoveDocStopsReceiving(t *testing.T) {
 
 func TestInsertThenRemoveRestoresRanks(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 33))
-	e, _ := setup(t, g, 10, Options{Epsilon: 1e-10}, 17)
-	base := e.Run()
-	before := make([]float64, len(base.Ranks))
-	copy(before, base.Ranks)
+	e, m, _ := dynSetup(t, g, 10, Options{Epsilon: 1e-10}, 17)
+	before := slices.Clone(e.Run().Ranks)
 
-	// Insert a doc, converge, then logically retract it by sending the
-	// negated contributions (what RemoveDoc would do for a real doc).
-	targets := []graph.NodeID{1, 2}
-	if err := e.InsertDoc(0, targets); err != nil {
-		t.Fatal(err)
-	}
+	// Insert a doc, converge, then remove it: RemoveDoc retracts
+	// everything it sent.
+	id := attach(t, e, m, 0, 1, 2)
 	e.Run()
-	share := DefaultDamping * (1 - DefaultDamping) / float64(len(targets))
-	for _, tgt := range targets {
-		e.deliver(0, p2p.Update{Doc: tgt, Delta: -share})
+	if err := e.RemoveDoc(id); err != nil {
+		t.Fatal(err)
 	}
 	res := e.Run()
 	if !res.Converged {

@@ -28,7 +28,10 @@ func NewRankers(g graph.Linker, net *p2p.Network, opt Options, start float64) ([
 			return nil, fmt.Errorf("core: document %d is not placed on any peer", d)
 		}
 	}
-	base := opt.baseTerms(g.NumNodes())
+	var base []float64 // nil: every row's constant term is the uniform 1-d
+	if opt.Teleport != nil {
+		base = opt.baseTerms(g.NumNodes())
+	}
 	rankers := make([]*p2p.Ranker, net.NumPeers())
 	for p := range rankers {
 		rankers[p] = p2p.NewRanker(p2p.PeerID(p), graph.CursorFor(g), net.Docs(p2p.PeerID(p)), docPeer,

@@ -15,9 +15,9 @@ var _ Linker = (*Graph)(nil)
 var _ Linker = (*Mutable)(nil)
 
 // Mutable is a document graph whose topology can change while a
-// computation runs: documents appear (section 3.1 inserts — and unlike
-// the ghost-insert model, they can later *receive* links), links are
-// added when documents are edited, and links disappear. Reads are the
+// computation runs: documents appear (section 3.1 inserts, which can
+// later receive links), links are added when documents are edited, and
+// links disappear. Reads are the
 // Linker interface; mutations return enough information for the engine
 // to patch the in-flight rank mass.
 //

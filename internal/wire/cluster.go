@@ -144,9 +144,6 @@ type ClusterConfig struct {
 	// /metrics, /trace and /debug/pprof. Cluster.DebugAddr reports the
 	// bound address.
 	DebugAddr string
-
-	// TraceCap bounds the convergence-event ring; 0 means 4096.
-	TraceCap int
 }
 
 // NewCluster starts cfg.Peers TCP peers and distributes g's documents
@@ -170,7 +167,7 @@ func NewCluster(g *graph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		g: g, cfg: cfg, docPeer: make([]p2p.PeerID, g.NumNodes()),
 		ring:   dht.NewRing(),
 		reg:    telemetry.NewRegistry(),
-		trace:  telemetry.NewTrace(cfg.TraceCap),
+		trace:  telemetry.NewTrace(0),
 		fdQuit: make(chan struct{}),
 		thr:    p2p.StartThreshold(cfg.Epsilon),
 	}

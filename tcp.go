@@ -1,6 +1,7 @@
 package dpr
 
 import (
+	"fmt"
 	"time"
 
 	"dpr/internal/wire"
@@ -51,7 +52,16 @@ func fromClusterResult(res wire.ClusterResult) TCPResult {
 	}
 }
 
-func (o Options) clusterConfig() wire.ClusterConfig {
+// clusterConfig converts o (defaults applied) for the TCP cluster,
+// whose peers rank with the uniform teleport and churn only by Kill,
+// Restart, Leave and Join.
+func (o Options) clusterConfig() (wire.ClusterConfig, error) {
+	if o.Teleport != nil {
+		return wire.ClusterConfig{}, fmt.Errorf("dpr: the TCP cluster cannot use Teleport")
+	}
+	if o.Availability != 1 {
+		return wire.ClusterConfig{}, fmt.Errorf("dpr: the TCP cluster has no churn model: Availability %v must be 1", o.Availability)
+	}
 	return wire.ClusterConfig{
 		Peers:        o.Peers,
 		Damping:      o.Damping,
@@ -60,7 +70,7 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 		Heartbeat:    o.Heartbeat,
 		SuspectAfter: o.SuspectAfter,
 		DebugAddr:    o.DebugAddr,
-	}
+	}, nil
 }
 
 // ComputePageRankOverTCP runs the distributed computation over real
@@ -78,8 +88,11 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 // corrupts the final ranks. The backoff is fixed: 5ms after a failure,
 // doubling per consecutive failure up to 250ms, with jitter.
 func ComputePageRankOverTCP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
-	opt = opt.withDefaults()
-	cluster, err := wire.NewCluster(g, opt.clusterConfig())
+	cfg, err := opt.withDefaults().clusterConfig()
+	if err != nil {
+		return TCPResult{}, err
+	}
+	cluster, err := wire.NewCluster(g, cfg)
 	if err != nil {
 		return TCPResult{}, err
 	}
@@ -104,8 +117,11 @@ type TCPCluster struct {
 // NewTCPCluster starts opt.Peers TCP peers over g without beginning
 // the computation; call Run to execute it.
 func NewTCPCluster(g *Graph, opt Options) (*TCPCluster, error) {
-	opt = opt.withDefaults()
-	c, err := wire.NewCluster(g, opt.clusterConfig())
+	cfg, err := opt.withDefaults().clusterConfig()
+	if err != nil {
+		return nil, err
+	}
+	c, err := wire.NewCluster(g, cfg)
 	if err != nil {
 		return nil, err
 	}
