@@ -1,7 +1,7 @@
 # Distributed Pagerank for P2P Systems — build/test/bench driver.
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-csr bench-e2e bench-check loc ci
+.PHONY: all build vet fmt-check lint lint-graphs test race race-engines-smoke chaos chaos-membership chaos-partition chaos-overload fuzz fuzz-csr bench bench-pipeline bench-wire bench-csr bench-e2e bench-check loc examples ci
 
 all: build
 
@@ -164,6 +164,13 @@ loc:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
+# Run every example program to completion; a non-zero exit (a
+# log.Fatal, a panic) fails the target. examples/incremental and
+# examples/evolving drive every dpr.Session edit. A few seconds with the builds; stdout
+# is dropped, errors still print.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # Full gate: what a CI job should run. internal/lint is static
 # analysis and starts no goroutines: its tests skip themselves under
 # -race and run once here without the detector. So do the one-goroutine
@@ -173,6 +180,7 @@ loc:
 # execution-time seed sweep.
 ci:
 	$(MAKE) fmt-check && $(GO) vet ./... && $(GO) build ./... && $(GO) run ./cmd/dprlint -graphs results \
+		&& $(MAKE) examples \
 		&& $(GO) test -race -shuffle=on ./... \
 		&& $(GO) test -count=1 ./internal/lint \
 		&& $(GO) test -count=1 -run 'Equivalence10k|Equivalence100k|ResidualBoundsError|ThresholdScheduleSavesMessages|RefusedCheckpointLeavesEngineUntouched|RetryQueueMatchesModel|ExecTimeValidation' ./internal/engine ./internal/core ./internal/p2p ./internal/experiments \

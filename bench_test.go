@@ -211,8 +211,7 @@ func BenchmarkAblationRelVsAbs(b *testing.B) {
 // BenchmarkAblationSolvers compares the centralized solver family the
 // related-work section discusses: plain power iteration, Gauss-Seidel,
 // and power iteration accelerated by Kamvar's quadratic extrapolation,
-// at the paper's d = 0.85 and at d = 0.95, where extrapolation pays
-// (DESIGN.md §4, decision 5).
+// at the paper's d = 0.85 and at d = 0.95 (DESIGN.md §4, decision 5).
 func BenchmarkAblationSolvers(b *testing.B) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(10000, 6))
 	g.Transpose()

@@ -303,11 +303,8 @@ func (s *Session) Snapshot() *Graph { return s.m.Snapshot() }
 // peer drawn from the session's seed, and re-converges (section 3.1).
 // The returned id can be linked to by later AddLink calls.
 func (s *Session) InsertDocument(outlinks []NodeID) (NodeID, error) {
-	id, err := s.m.AddNode(outlinks)
+	id, err := s.engine.InsertDocument(outlinks, p2p.PeerID(s.r.Intn(s.net.NumPeers())))
 	if err != nil {
-		return 0, err
-	}
-	if err := s.engine.AttachDocument(id, p2p.PeerID(s.r.Intn(s.net.NumPeers()))); err != nil {
 		return 0, err
 	}
 	return id, s.reconverge()
@@ -315,43 +312,45 @@ func (s *Session) InsertDocument(outlinks []NodeID) (NodeID, error) {
 
 // AddLink records that document from was edited to link to document
 // to, and re-converges. Adding an existing link is a no-op.
-func (s *Session) AddLink(from, to NodeID) error { return s.relink(from, to, s.m.AddLink) }
+func (s *Session) AddLink(from, to NodeID) error {
+	return s.relink(from, func(links []NodeID) []NodeID { return append(links, to) })
+}
 
 // RemoveLink deletes the link from -> to and re-converges. Removing a
 // non-existent link is a no-op.
-func (s *Session) RemoveLink(from, to NodeID) error { return s.relink(from, to, s.m.RemoveLink) }
+func (s *Session) RemoveLink(from, to NodeID) error {
+	return s.relink(from, func(links []NodeID) []NodeID {
+		return slices.DeleteFunc(links, func(t NodeID) bool { return t == to })
+	})
+}
 
-// relink applies one edit to from's out-links and, when it changed
-// them, corrects the mass from sent along the old ones.
-func (s *Session) relink(from, to NodeID, edit func(from, to NodeID) (bool, error)) error {
-	if from < 0 || int(from) >= s.m.NumNodes() || s.engine.Removed(from) {
+// relink sets from's out-links to an edited copy of them.
+func (s *Session) relink(from NodeID, edit func([]NodeID) []NodeID) error {
+	if from < 0 || int(from) >= s.m.NumNodes() {
 		return fmt.Errorf("dpr: document %d is not in the session", from)
 	}
-	old := slices.Clone(s.m.OutLinks(from))
-	if changed, err := edit(from, to); err != nil || !changed {
-		return err
-	}
-	if err := s.engine.UpdateOutlinks(from, old); err != nil {
+	if err := s.engine.SetOutLinks(from, edit(slices.Clone(s.m.OutLinks(from)))); err != nil {
 		return err
 	}
 	return s.reconverge()
 }
 
-// RemoveDocument deletes a document: its contributions are retracted,
-// its rank drops to zero, its out-links leave the topology, and the
-// ranks re-converge. Links to it stay, and the mass they carry is
-// dropped on arrival.
+// RemoveDocument deletes a document, its row and its column (section
+// 3.1): its contributions are retracted, the documents linking to it
+// drop the link, its rank drops to zero, and the ranks re-converge.
 func (s *Session) RemoveDocument(d NodeID) error {
-	if err := s.engine.RemoveDoc(d); err != nil {
-		return err
-	}
-	if err := s.m.ClearOutLinks(d); err != nil {
+	if err := s.engine.RemoveDocument(d); err != nil {
 		return err
 	}
 	return s.reconverge()
 }
 
+// reconverge runs passes until the engine quiesces; an edit that
+// changed nothing leaves it quiescent and costs no pass.
 func (s *Session) reconverge() error {
+	if s.engine.Converged() {
+		return nil
+	}
 	res := s.engine.Run()
 	if !res.Converged {
 		return fmt.Errorf("dpr: computation did not converge in %d passes", res.Passes)

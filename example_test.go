@@ -57,7 +57,8 @@ func ExampleSession() {
 		panic(err)
 	}
 	fmt.Printf("new document's rank: %.4f\n", s.Ranks()[id])
-	// Deleting the new document retracts everything it sent.
+	// Deleting the new document retracts everything it sent and drops
+	// doc 1's link to it: doc 2 is back at its starting rank.
 	if err := s.RemoveDocument(id); err != nil {
 		panic(err)
 	}
@@ -72,7 +73,7 @@ func ExampleSession() {
 	// doc 2's rank rose: true
 	// new document's rank: 0.2408
 	// deleted document's rank: 0
-	// doc 2's rank: 0.3046 (centralized: 0.3046)
+	// doc 2's rank: 0.3954 (centralized: 0.3954)
 }
 
 // Incremental keyword search forwards only the top pagerank-sorted

@@ -12,10 +12,13 @@ package core
 // analogue of the wire layer's DeltaShipped == DeltaFolded audit.
 
 // MassBalance returns the folded-side and shipped-side rank-mass
-// accounts at a pass boundary. Exact bookkeeping keeps them equal up
-// to float rounding (the property suite allows a relative 1e-9).
-// Document removal intentionally drops in-flight mass, so the
-// identity only holds for runs without deletes.
+// accounts at a pass boundary or right after a graph edit. Exact
+// bookkeeping keeps them equal up to float rounding (the tests allow a
+// relative 1e-9), through inserts, relinks and deletes alike: a
+// deletion relinks its in-linkers before it retracts its own mass, so
+// what it then zeroes is what was sent to it and taken back. The one
+// exception is mass parked in the retry queue for a deleted document,
+// which counts here until its peer returns and the drain drops it.
 func (e *PassEngine) MassBalance() (folded, shipped float64) {
 	for d := range e.incoming {
 		folded += e.st.acc[d] + e.incoming[d]

@@ -147,24 +147,25 @@ func TestQuickCheckpointRestartEquivalence(t *testing.T) {
 
 func TestCheckpointPreservesRemovalsAndPending(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 63))
-	e, net := setup(t, g, 10, Options{Epsilon: 1e-6}, 3)
+	e, m, net := dynSetup(t, g, 10, Options{Epsilon: 1e-6}, 3)
 	e.Run()
-	if err := e.RemoveDoc(7); err != nil {
+	if err := e.RemoveDocument(7); err != nil {
 		t.Fatal(err)
 	}
-	// Leave the retraction un-propagated: checkpoint mid-change.
+	// Leave the retraction un-propagated: checkpoint mid-change, and
+	// restore over the edited topology.
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewPassEngine(g, net, nil, Options{Epsilon: 1e-6})
+	restored, err := NewPassEngine(graph.NewMutable(m.Snapshot()), net, nil, Options{Epsilon: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.RestoreCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Removed(7) {
+	if !restored.removed[7] {
 		t.Fatal("removal flag lost")
 	}
 	res := restored.Run()
@@ -241,9 +242,9 @@ func TestRefusedCheckpointLeavesEngineUntouched(t *testing.T) {
 	}
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(80, 65))
 	opt := Options{Epsilon: 1e-6}
-	src, _ := setup(t, g, 4, opt, 6)
+	src, _, _ := dynSetup(t, g, 4, opt, 6)
 	src.Run()
-	if err := src.RemoveDoc(3); err != nil { // removed and dirty sets, not empty
+	if err := src.RemoveDocument(3); err != nil { // removed and dirty sets, not empty
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

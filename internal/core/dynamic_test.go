@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,7 +36,12 @@ func solveSnapshot(t testing.TB, m *graph.Mutable) []float64 {
 	return res.Ranks
 }
 
-func TestAttachDocumentReceivesLinksLater(t *testing.T) {
+// withLink returns a copy of d's out-links with t added.
+func withLink(m *graph.Mutable, d, t graph.NodeID) []graph.NodeID {
+	return append(slices.Clone(m.OutLinks(d)), t)
+}
+
+func TestInsertDocumentReceivesLinksLater(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 151))
 	e, m, _ := dynSetup(t, g, 10, Options{Epsilon: 1e-9}, 1)
 	if res := e.Run(); !res.Converged {
@@ -43,15 +49,12 @@ func TestAttachDocumentReceivesLinksLater(t *testing.T) {
 	}
 
 	// A new document appears, linking to docs 1 and 2.
-	id, err := m.AddNode([]graph.NodeID{1, 2})
+	id, err := e.InsertDocument([]graph.NodeID{1, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AttachDocument(id, 3); err != nil {
-		t.Fatal(err)
-	}
 	if res := e.Run(); !res.Converged {
-		t.Fatal("post-attach convergence failed")
+		t.Fatal("post-insert convergence failed")
 	}
 	// The new doc has no in-links yet: rank = 1-d.
 	if math.Abs(e.Ranks()[id]-(1-DefaultDamping)) > 1e-9 {
@@ -59,11 +62,7 @@ func TestAttachDocumentReceivesLinksLater(t *testing.T) {
 	}
 
 	// Now an existing document is edited to link to the new one.
-	old := append([]graph.NodeID(nil), m.OutLinks(0)...)
-	if _, err := m.AddLink(0, id); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UpdateOutlinks(0, old); err != nil {
+	if err := e.SetOutLinks(0, withLink(m, 0, id)); err != nil {
 		t.Fatal(err)
 	}
 	if res := e.Run(); !res.Converged {
@@ -80,64 +79,62 @@ func TestAttachDocumentReceivesLinksLater(t *testing.T) {
 	}
 }
 
-func TestAttachDocumentValidation(t *testing.T) {
+// A refused insert changes nothing; the ids of accepted ones follow
+// the topology.
+func TestInsertDocumentValidation(t *testing.T) {
 	g := graph.Cycle(4)
 	e, m, _ := dynSetup(t, g, 2, Options{}, 2)
 	e.Run()
-	// Attach without topology mutation: rejected.
-	if err := e.AttachDocument(4, 0); err == nil {
-		t.Fatal("attached a document missing from the topology")
+	for _, bad := range []struct {
+		links []graph.NodeID
+		peer  p2p.PeerID
+	}{
+		{[]graph.NodeID{4}, 0},  // its own id: a self-link
+		{[]graph.NodeID{99}, 0}, // outside the topology
+		{[]graph.NodeID{-1}, 0},
+		{nil, -1}, // outside the network
+		{nil, 2},
+	} {
+		if _, err := e.InsertDocument(bad.links, bad.peer); err == nil {
+			t.Fatalf("inserted a document linking to %v on peer %d", bad.links, bad.peer)
+		}
+		if m.NumNodes() != 4 || len(e.Ranks()) != 4 {
+			t.Fatalf("a refused insert left %d documents and %d ranks", m.NumNodes(), len(e.Ranks()))
+		}
 	}
-	// Out-of-order attach rejected.
-	if _, err := m.AddNode(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddNode(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AttachDocument(5, 0); err == nil {
-		t.Fatal("attached out of order")
-	}
-	if err := e.AttachDocument(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AttachDocument(5, 0); err != nil {
-		t.Fatal(err)
+	for want := graph.NodeID(4); want < 6; want++ {
+		if id, err := e.InsertDocument(nil, 0); err != nil || id != want {
+			t.Fatalf("insert: id %d, %v; want %d", id, err, want)
+		}
 	}
 	// Teleport engines cannot grow.
 	tp := make([]float64, 4)
 	tp[0] = 1
-	g2 := graph.Cycle(4)
-	m2 := graph.NewMutable(g2)
-	net2 := p2p.NewNetwork(2)
-	net2.AssignRandom(g2, rng.New(3))
-	e2, err := NewPassEngine(m2, net2, nil, Options{Teleport: tp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e2, m2, _ := dynSetup(t, g, 2, Options{Teleport: tp}, 3)
 	e2.Run()
-	if _, err := m2.AddNode(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.AttachDocument(4, 0); err == nil {
+	if _, err := e2.InsertDocument(nil, 0); err == nil || m2.NumNodes() != 4 {
 		t.Fatal("teleport engine grew")
+	}
+	// Nor can an engine over a static graph be edited.
+	e3, _ := setup(t, g, 2, Options{}, 3)
+	if _, err := e3.InsertDocument(nil, 0); err == nil {
+		t.Fatal("inserted into a static graph")
+	}
+	if err := e3.SetOutLinks(0, nil); err == nil {
+		t.Fatal("relinked a static graph")
+	}
+	if err := e3.RemoveDocument(0); err == nil {
+		t.Fatal("removed from a static graph")
 	}
 }
 
-func TestUpdateOutlinksAddAndRemove(t *testing.T) {
+func TestSetOutLinksAddAndRemove(t *testing.T) {
 	// Chain 0 -> 1 -> 2, then rewire 0 to point at 2 instead of 1.
 	g := graph.FromAdjacency([][]graph.NodeID{{1}, {2}, {}})
 	e, m, _ := dynSetup(t, g, 2, Options{Epsilon: 1e-10}, 4)
 	e.Run()
 
-	old := append([]graph.NodeID(nil), m.OutLinks(0)...)
-	if _, err := m.AddLink(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RemoveLink(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UpdateOutlinks(0, old); err != nil {
+	if err := e.SetOutLinks(0, []graph.NodeID{2}); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()
@@ -157,18 +154,133 @@ func TestUpdateOutlinksAddAndRemove(t *testing.T) {
 	}
 }
 
-func TestUpdateOutlinksValidation(t *testing.T) {
+func TestSetOutLinksValidation(t *testing.T) {
 	g := graph.Cycle(3)
-	e, _, _ := dynSetup(t, g, 2, Options{}, 5)
+	e, m, _ := dynSetup(t, g, 2, Options{}, 5)
 	e.Run()
-	if err := e.UpdateOutlinks(99, nil); err == nil {
+	if err := e.SetOutLinks(99, nil); err == nil {
 		t.Fatal("accepted out-of-range doc")
 	}
-	if err := e.RemoveDoc(1); err != nil {
+	if err := e.SetOutLinks(0, []graph.NodeID{0}); err == nil {
+		t.Fatal("accepted a self-link")
+	}
+	if err := e.RemoveDocument(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpdateOutlinks(1, nil); err == nil {
+	if err := e.SetOutLinks(1, nil); err == nil {
 		t.Fatal("accepted removed doc")
+	}
+	if err := e.SetOutLinks(2, []graph.NodeID{0, 1}); err == nil {
+		t.Fatal("linked to a removed doc")
+	}
+	if _, err := e.InsertDocument([]graph.NodeID{1}, 0); err == nil {
+		t.Fatal("inserted a doc linking to a removed doc")
+	}
+	if !slices.Equal(m.OutLinks(2), []graph.NodeID{0}) || m.NumNodes() != 3 {
+		t.Fatalf("refused edits changed the topology: 2 -> %v, %d docs", m.OutLinks(2), m.NumNodes())
+	}
+	if err := e.RemoveDocument(1); err == nil {
+		t.Fatal("double removal accepted")
+	}
+}
+
+// §3.1 deletes a document's row and its column: the documents linking
+// to it stop counting it in their out-degree.
+func TestRemoveDocumentTakesItsColumn(t *testing.T) {
+	g := graph.FromAdjacency([][]graph.NodeID{{1, 2}, {0}, {0}})
+	e, m, _ := dynSetup(t, g, 2, Options{Epsilon: 1e-12}, 6)
+	e.Run()
+	if err := e.RemoveDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Run()
+	if !res.Converged {
+		t.Fatal("did not reconverge after the removal")
+	}
+	// 0 <-> 1 is all that is left: both sit at 1.
+	for d := range 2 {
+		if math.Abs(res.Ranks[d]-1) > 1e-9 {
+			t.Fatalf("rank[%d] = %v, want 1", d, res.Ranks[d])
+		}
+	}
+	if res.Ranks[2] != 0 || !slices.Equal(m.OutLinks(0), []graph.NodeID{1}) || m.OutDegree(2) != 0 {
+		t.Fatalf("rank[2] = %v, 0 -> %v, 2 -> %v", res.Ranks[2], m.OutLinks(0), m.OutLinks(2))
+	}
+}
+
+// A seeded script of inserts, relinks and removals without churn: the
+// mass ledger balances after every edit and every pass run after it,
+// no link touches a removed document, and the live ranks match the
+// centralized solver on the edited topology.
+func TestEditScriptKeepsMassAndMatchesSolver(t *testing.T) {
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(300, 152))
+	e, m, _ := dynSetup(t, g, 6, Options{Epsilon: 1e-10}, 7)
+	r := rng.New(8)
+	balanced := func(step string) {
+		t.Helper()
+		folded, shipped := e.MassBalance()
+		if math.Abs(folded-shipped) > 1e-9*shipped {
+			t.Fatalf("%s: folded %v, shipped %v", step, folded, shipped)
+		}
+	}
+	e.Run()
+	removals := 0
+	for op := range 60 {
+		n := m.NumNodes()
+		pick := func() graph.NodeID { // a live document
+			for {
+				if d := graph.NodeID(r.Intn(n)); !e.removed[d] {
+					return d
+				}
+			}
+		}
+		var err error
+		switch r.Intn(4) {
+		case 0:
+			_, err = e.InsertDocument([]graph.NodeID{pick(), pick()}, p2p.PeerID(r.Intn(6)))
+		case 1:
+			from, to := pick(), pick()
+			if from == to {
+				continue
+			}
+			err = e.SetOutLinks(from, withLink(m, from, to))
+		case 2:
+			from := pick()
+			links := slices.Clone(m.OutLinks(from))
+			if len(links) > 0 {
+				i := r.Intn(len(links))
+				links = slices.Delete(links, i, i+1)
+			}
+			err = e.SetOutLinks(from, links)
+		case 3:
+			removals++
+			err = e.RemoveDocument(pick())
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		balanced("after the edit")
+		for !e.Converged() {
+			e.RunPass()
+			balanced("after a pass")
+		}
+	}
+	if removals == 0 {
+		t.Fatal("the script removed nothing: the test no longer tests")
+	}
+	snap := m.Snapshot()
+	for d := range graph.NodeID(snap.NumNodes()) {
+		for _, t2 := range snap.OutLinks(d) {
+			if e.removed[d] || e.removed[t2] {
+				t.Fatalf("link %d -> %d touches a removed document", d, t2)
+			}
+		}
+	}
+	want := solveSnapshot(t, m)
+	for d, got := range e.Ranks() {
+		if !e.removed[d] && math.Abs(got-want[d]) > 1e-6 {
+			t.Fatalf("rank[%d] = %v, solver %v", d, got, want[d])
+		}
 	}
 }
 
@@ -192,39 +304,25 @@ func TestDynamicEquivalenceProperty(t *testing.T) {
 			n := m.NumNodes()
 			switch r.Intn(3) {
 			case 0:
-				id, err := m.AddNode([]graph.NodeID{graph.NodeID(r.Intn(n))})
-				if err != nil {
-					return false
-				}
-				if err := e.AttachDocument(id, p2p.PeerID(r.Intn(4))); err != nil {
+				if _, err := e.InsertDocument([]graph.NodeID{graph.NodeID(r.Intn(n))}, p2p.PeerID(r.Intn(4))); err != nil {
 					return false
 				}
 			case 1:
 				from, to := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
-				if from == to || e.Removed(from) {
+				if from == to {
 					continue
 				}
-				old := append([]graph.NodeID(nil), m.OutLinks(from)...)
-				changed, err := m.AddLink(from, to)
-				if err != nil {
+				if err := e.SetOutLinks(from, withLink(m, from, to)); err != nil {
 					return false
-				}
-				if changed {
-					if err := e.UpdateOutlinks(from, old); err != nil {
-						return false
-					}
 				}
 			case 2:
 				from := graph.NodeID(r.Intn(n))
-				if e.Removed(from) || m.OutDegree(from) == 0 {
+				if m.OutDegree(from) == 0 {
 					continue
 				}
-				old := append([]graph.NodeID(nil), m.OutLinks(from)...)
-				to := old[r.Intn(len(old))]
-				if _, err := m.RemoveLink(from, to); err != nil {
-					return false
-				}
-				if err := e.UpdateOutlinks(from, old); err != nil {
+				links := slices.Clone(m.OutLinks(from))
+				i := r.Intn(len(links))
+				if err := e.SetOutLinks(from, slices.Delete(links, i, i+1)); err != nil {
 					return false
 				}
 			}
@@ -232,16 +330,11 @@ func TestDynamicEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Compare against the solver, skipping removed docs (none are
-		// removed in this property, but keep it robust).
 		ref, err := solver.Power(m.Snapshot(), solver.Config{Tol: 1e-13})
 		if err != nil || !ref.Converged {
 			return false
 		}
 		for i := range ref.Ranks {
-			if e.Removed(graph.NodeID(i)) {
-				continue
-			}
 			denom := math.Abs(ref.Ranks[i])
 			if denom == 0 {
 				denom = 1

@@ -46,7 +46,7 @@ type PassEngine struct {
 
 	// cur is the serial paths' adjacency read cursor (push, maybeInit,
 	// FlushPending). Over a graph.Mutable it reads the live topology,
-	// attached documents and edited links included. Chunk workers carry
+	// inserted documents and edited links included. Chunk workers carry
 	// their own in chunkScratch; this one is only touched from the
 	// engine's calling goroutine.
 	cur graph.LinkCursor
@@ -54,7 +54,7 @@ type PassEngine struct {
 	incoming    []float64 // deltas awaiting the next pass
 	dirty       []bool
 	initialized []bool
-	removed     []bool // deleted documents drop incoming messages
+	removed     []bool // deleted documents; mass still in flight to one is dropped
 
 	// dirtyShard[s] lists the dirty documents owned by merge shard s
 	// (doc >> shardShift), in first-touch order. Sharding lets the merge
@@ -175,9 +175,6 @@ func (e *PassEngine) RetryQueueLen() int { return e.retry.Len() }
 // counted network message across peers, deferred when the destination
 // peer is absent.
 func (e *PassEngine) deliver(fromPeer p2p.PeerID, u p2p.Update) {
-	if e.removed[u.Doc] {
-		return
-	}
 	destPeer := e.net.PeerOf(u.Doc)
 	switch {
 	case destPeer == fromPeer:
@@ -291,9 +288,6 @@ func (e *PassEngine) RunPass() PassStats {
 	// Documents appearing for the first time push their starting
 	// rank; docs whose peer was offline initialize when they first
 	// show up online.
-	// (Bounded by the engine's attached documents, not the topology:
-	// a dynamic topology may briefly hold nodes awaiting
-	// AttachDocument.)
 	if e.uninitialized > 0 {
 		for d := 0; d < len(e.initialized); d++ {
 			if !e.initialized[d] {

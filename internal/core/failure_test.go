@@ -65,13 +65,13 @@ func TestInterleavedChangesUnderChurn(t *testing.T) {
 		t.Fatal("initial convergence failed")
 	}
 	// Interleave inserts, deletes and passes.
-	attach(t, e, m, 3, 1, 2, 3)
+	attach(t, e, 3, 1, 2, 3)
 	e.RunPass()
-	if err := e.RemoveDoc(50); err != nil {
+	if err := e.RemoveDocument(50); err != nil {
 		t.Fatal(err)
 	}
 	e.RunPass()
-	attach(t, e, m, 7, 100)
+	attach(t, e, 7, 100)
 	res := e.Run()
 	if !res.Converged {
 		t.Fatal("did not reconverge after interleaved changes")

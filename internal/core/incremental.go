@@ -5,46 +5,7 @@ import (
 	"math"
 
 	"dpr/internal/graph"
-	"dpr/internal/p2p"
 )
-
-// RemoveDoc deletes document d (section 3.1): an update with the
-// negated pagerank contribution goes to every out-link, the document
-// stops receiving messages, and the system re-converges on later
-// passes.
-func (e *PassEngine) RemoveDoc(d graph.NodeID) error {
-	if d < 0 || int(d) >= e.st.g.NumNodes() {
-		return fmt.Errorf("core: RemoveDoc %d outside graph", d)
-	}
-	if e.removed[d] {
-		return fmt.Errorf("core: document %d already removed", d)
-	}
-	// Retract everything this document has contributed so far.
-	retract := -e.st.last[d]
-	if retract != 0 {
-		share := e.st.share(d, retract)
-		fromPeer := e.net.PeerOf(d)
-		for _, t := range e.st.g.OutLinks(d) {
-			e.deliver(fromPeer, p2p.Update{Doc: t, Delta: share})
-		}
-	}
-	e.removed[d] = true
-	if !e.initialized[d] {
-		e.initialized[d] = true
-		e.uninitialized--
-	}
-	e.st.rank[d] = 0
-	e.st.last[d] = 0
-	e.st.acc[d] = 0
-	e.incoming[d] = 0
-	e.counters.InterPeerMsgs += e.passInter
-	e.counters.IntraPeerMsgs += e.passIntra
-	e.passInter, e.passIntra = 0, 0
-	return nil
-}
-
-// Removed reports whether document d has been deleted.
-func (e *PassEngine) Removed(d graph.NodeID) bool { return e.removed[d] }
 
 // PropagationResult measures how far a single document insert's rank
 // increments travel, the metrics of the paper's Table 4.

@@ -127,7 +127,7 @@ func TestPropagationValidation(t *testing.T) {
 
 func TestInsertDocRaisesTargetRanks(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(1000, 32))
-	e, m, _ := dynSetup(t, g, 20, Options{Epsilon: 1e-8}, 13)
+	e, _, _ := dynSetup(t, g, 20, Options{Epsilon: 1e-8}, 13)
 	res := e.Run()
 	if !res.Converged {
 		t.Fatal("initial run did not converge")
@@ -135,7 +135,7 @@ func TestInsertDocRaisesTargetRanks(t *testing.T) {
 	before := slices.Clone(res.Ranks)
 
 	targets := []graph.NodeID{10, 20, 30}
-	attach(t, e, m, 0, targets...)
+	attach(t, e, 0, targets...)
 	res2 := e.Run()
 	if !res2.Converged {
 		t.Fatal("did not reconverge after insert")
@@ -160,15 +160,11 @@ func TestInsertDocRaisesTargetRanks(t *testing.T) {
 	}
 }
 
-// attach appends a document linking to targets to m and attaches it to
-// e on peer.
-func attach(t testing.TB, e *PassEngine, m *graph.Mutable, peer p2p.PeerID, targets ...graph.NodeID) graph.NodeID {
+// attach inserts a document linking to targets into e on peer.
+func attach(t testing.TB, e *PassEngine, peer p2p.PeerID, targets ...graph.NodeID) graph.NodeID {
 	t.Helper()
-	id, err := m.AddNode(targets)
+	id, err := e.InsertDocument(targets, peer)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AttachDocument(id, peer); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -178,17 +174,17 @@ func TestInsertDocErrors(t *testing.T) {
 	g := graph.Cycle(5)
 	e, m, _ := dynSetup(t, g, 2, Options{}, 14)
 	before := slices.Clone(e.Run().Ranks)
-	// An out-link outside the topology is refused before the engine
-	// sees the document.
-	if _, err := m.AddNode([]graph.NodeID{99}); err == nil {
+	// An out-link outside the topology is refused, and neither the
+	// topology nor the engine gains the document.
+	if _, err := e.InsertDocument([]graph.NodeID{99}, 0); err == nil {
 		t.Fatal("accepted out-of-range out-link")
 	}
-	if err := e.AttachDocument(5, 0); err == nil {
-		t.Fatal("attached a document the topology refused")
+	if m.NumNodes() != 5 || len(e.Ranks()) != 5 {
+		t.Fatalf("a refused insert left %d documents and %d ranks", m.NumNodes(), len(e.Ranks()))
 	}
 	// A document with no out-links sends nothing: the others keep
 	// their ranks bit for bit.
-	id := attach(t, e, m, 0)
+	id := attach(t, e, 0)
 	res := e.Run()
 	d := DefaultDamping // a variable: 1 - d in float64, as the engine computes it
 	if !res.Converged || !slices.Equal(res.Ranks[:id], before) || res.Ranks[id] != 1-d {
@@ -200,7 +196,7 @@ func TestRemoveDocChain(t *testing.T) {
 	// Chain 0 -> 1 -> 2. After removing 0:
 	// r1 = 1-d, r2 = (1-d) + d(1-d).
 	g := graph.FromAdjacency([][]graph.NodeID{{1}, {2}, {}})
-	e, _ := setup(t, g, 2, Options{Epsilon: 1e-10}, 15)
+	e, _, _ := dynSetup(t, g, 2, Options{Epsilon: 1e-10}, 15)
 	res := e.Run()
 	if !res.Converged {
 		t.Fatal("initial run did not converge")
@@ -209,7 +205,7 @@ func TestRemoveDocChain(t *testing.T) {
 	if math.Abs(res.Ranks[2]-((1-d)+d*((1-d)+d*(1-d)))) > 1e-6 {
 		t.Fatalf("pre-delete rank[2] = %v", res.Ranks[2])
 	}
-	if err := e.RemoveDoc(0); err != nil {
+	if err := e.RemoveDocument(0); err != nil {
 		t.Fatal(err)
 	}
 	res2 := e.Run()
@@ -230,19 +226,25 @@ func TestRemoveDocChain(t *testing.T) {
 
 func TestRemoveDocStopsReceiving(t *testing.T) {
 	g := graph.Cycle(6)
-	e, _ := setup(t, g, 3, Options{Epsilon: 1e-10}, 16)
+	e, m, _ := dynSetup(t, g, 3, Options{Epsilon: 1e-10}, 16)
 	e.Run()
-	if err := e.RemoveDoc(3); err != nil {
+	if err := e.RemoveDocument(3); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Removed(3) {
-		t.Fatal("Removed() false after removal")
+	if !e.removed[3] {
+		t.Fatal("not flagged removed after removal")
 	}
-	if err := e.RemoveDoc(3); err == nil {
+	if m.OutDegree(2) != 0 || m.OutDegree(3) != 0 {
+		t.Fatalf("links left: 2 -> %v, 3 -> %v", m.OutLinks(2), m.OutLinks(3))
+	}
+	if err := e.RemoveDocument(3); err == nil {
 		t.Fatal("double removal accepted")
 	}
-	if err := e.RemoveDoc(99); err == nil {
+	if err := e.RemoveDocument(99); err == nil {
 		t.Fatal("out-of-range removal accepted")
+	}
+	if err := e.RemoveDocument(-1); err == nil {
+		t.Fatal("negative removal accepted")
 	}
 	res := e.Run()
 	if res.Ranks[3] != 0 {
@@ -257,14 +259,14 @@ func TestRemoveDocStopsReceiving(t *testing.T) {
 
 func TestInsertThenRemoveRestoresRanks(t *testing.T) {
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, 33))
-	e, m, _ := dynSetup(t, g, 10, Options{Epsilon: 1e-10}, 17)
+	e, _, _ := dynSetup(t, g, 10, Options{Epsilon: 1e-10}, 17)
 	before := slices.Clone(e.Run().Ranks)
 
-	// Insert a doc, converge, then remove it: RemoveDoc retracts
+	// Insert a doc, converge, then remove it: RemoveDocument retracts
 	// everything it sent.
-	id := attach(t, e, m, 0, 1, 2)
+	id := attach(t, e, 0, 1, 2)
 	e.Run()
-	if err := e.RemoveDoc(id); err != nil {
+	if err := e.RemoveDocument(id); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()

@@ -286,9 +286,6 @@ func (e *PassEngine) coalescePush(d graph.NodeID, out *chunkOutbox, sc *chunkScr
 	}
 	fromPeer := e.net.PeerOf(d)
 	for _, t := range links {
-		if e.removed[t] {
-			continue
-		}
 		destPeer := e.net.PeerOf(t)
 		switch {
 		case destPeer == fromPeer:

@@ -115,21 +115,16 @@ func (o Options) checkTeleport(n int) error {
 	return nil
 }
 
-// baseTerms returns each document's constant term: the uniform 1-d, or
-// (1-d) * N * Teleport[i] / sum(Teleport) when personalized.
+// baseTerms returns each document's personalized constant term,
+// (1-d) * N * Teleport[i] / sum(Teleport). Under a nil Teleport every
+// term is the uniform 1-d and no vector is built.
 func (o Options) baseTerms(n int) []float64 {
-	base := make([]float64, n)
-	if o.Teleport == nil {
-		for i := range base {
-			base[i] = 1 - o.Damping
-		}
-		return base
-	}
 	sum := 0.0
 	for _, w := range o.Teleport {
 		sum += w
 	}
 	scale := (1 - o.Damping) * float64(n) / sum
+	base := make([]float64, n)
 	for i, w := range o.Teleport {
 		base[i] = scale * w
 	}
@@ -140,7 +135,7 @@ func (o Options) baseTerms(n int) []float64 {
 type state struct {
 	g    graph.Linker
 	opt  Options
-	base []float64 // per-document constant term ((1-d), personalized)
+	base []float64 // personalized constant terms; nil means the uniform 1-d
 	rank []float64 // current pagerank estimate
 	acc  []float64 // received in-link mass; rank = base + acc once computing
 	last []float64 // rank value as of the last push (0 before first push)
@@ -151,12 +146,18 @@ func newState(g graph.Linker, opt Options) *state {
 	s := &state{
 		g:    g,
 		opt:  opt,
-		base: opt.baseTerms(n),
 		rank: make([]float64, n),
 		acc:  make([]float64, n),
 		last: make([]float64, n),
 	}
-	copy(s.rank, s.base)
+	if opt.Teleport != nil {
+		s.base = opt.baseTerms(n)
+		copy(s.rank, s.base)
+	} else {
+		for d := range s.rank {
+			s.rank[d] = 1 - opt.Damping
+		}
+	}
 	return s
 }
 
@@ -179,7 +180,11 @@ func (s *state) exceeds(old, new float64) bool {
 // the previous and new values.
 func (s *state) recompute(d graph.NodeID) (old, new float64) {
 	old = s.rank[d]
-	new = s.base[d] + s.acc[d]
+	if s.base == nil {
+		new = (1 - s.opt.Damping) + s.acc[d]
+	} else {
+		new = s.base[d] + s.acc[d]
+	}
 	s.rank[d] = new
 	return old, new
 }
@@ -198,11 +203,11 @@ func (s *state) share(d graph.NodeID, delta float64) float64 {
 	return s.opt.Damping * delta / float64(s.g.OutDegree(d))
 }
 
-// grow appends one document slot (for dynamic topologies), seeded at
-// the no-in-links fixed point.
+// grow appends one inserted document's slot (dynamic topologies are
+// uniform), seeded at the no-in-links fixed point 1-d with that rank
+// already pushed: the insert sends it as it appends the slot.
 func (s *state) grow() {
-	s.base = append(s.base, 1-s.opt.Damping)
 	s.rank = append(s.rank, 1-s.opt.Damping)
 	s.acc = append(s.acc, 0)
-	s.last = append(s.last, 0)
+	s.last = append(s.last, 1-s.opt.Damping)
 }

@@ -59,11 +59,7 @@ func InsertCost(sc Scale) ([]InsertCostRow, error) {
 			target := graph.NodeID(r.Intn(n))
 			row.AnalyticCoverage += float64(
 				core.MeasureInsertPropagation(m, target, core.InitialRank, core.DefaultDamping, eps).Coverage)
-			id, err := m.AddNode([]graph.NodeID{target})
-			if err != nil {
-				return nil, err
-			}
-			if err := e.AttachDocument(id, p2p.PeerID(r.Intn(sc.Peers))); err != nil {
+			if _, err := e.InsertDocument([]graph.NodeID{target}, p2p.PeerID(r.Intn(sc.Peers))); err != nil {
 				return nil, err
 			}
 			if res := e.Run(); !res.Converged {

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Linker is the read interface engines need from a document graph:
 // out-link structure only (the distributed algorithm never needs
@@ -15,14 +18,13 @@ var _ Linker = (*Graph)(nil)
 var _ Linker = (*Mutable)(nil)
 
 // Mutable is a document graph whose topology can change while a
-// computation runs: documents appear (section 3.1 inserts, which can
-// later receive links), links are added when documents are edited, and
-// links disappear. Reads are the
-// Linker interface; mutations return enough information for the engine
-// to patch the in-flight rank mass.
+// computation runs (section 3.1): a document appears, its out-links are
+// replaced when it is edited, and a deleted one keeps its id with no
+// links in or out. Reads are the Linker interface; SetOutLinks is the
+// one mutation. A PassEngine built over a Mutable makes every change
+// itself, between passes, and sends the rank-mass correction with it.
 //
-// Not safe for concurrent mutation; the PassEngine mutates only
-// between passes.
+// Not safe for concurrent mutation.
 type Mutable struct {
 	adj [][]NodeID
 }
@@ -51,81 +53,31 @@ func (m *Mutable) OutDegree(v NodeID) int { return len(m.adj[v]) }
 // OutLinks returns v's out-links. Shared slice; do not modify.
 func (m *Mutable) OutLinks(v NodeID) []NodeID { return m.adj[v] }
 
-// AddNode appends a new document with the given out-links and returns
-// its id. Out-links must reference existing documents; self-links are
-// rejected.
-func (m *Mutable) AddNode(outlinks []NodeID) (NodeID, error) {
-	id := NodeID(len(m.adj))
-	seen := make(map[NodeID]struct{}, len(outlinks))
-	links := make([]NodeID, 0, len(outlinks))
-	for _, t := range outlinks {
-		if t < 0 || int(t) >= len(m.adj) {
-			return 0, fmt.Errorf("graph: AddNode out-link %d outside graph", t)
-		}
-		if t == id {
-			return 0, fmt.Errorf("graph: AddNode self-link")
-		}
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		links = append(links, t)
-	}
-	m.adj = append(m.adj, links)
-	return id, nil
-}
-
-// AddLink inserts the link from -> to. It reports whether the link was
-// new (false if it already existed).
-func (m *Mutable) AddLink(from, to NodeID) (bool, error) {
-	if err := m.check(from); err != nil {
-		return false, err
-	}
-	if err := m.check(to); err != nil {
-		return false, err
-	}
-	if from == to {
-		return false, fmt.Errorf("graph: self-link %d", from)
-	}
-	for _, t := range m.adj[from] {
-		if t == to {
-			return false, nil
-		}
-	}
-	m.adj[from] = append(m.adj[from], to)
-	return true, nil
-}
-
-// RemoveLink deletes the link from -> to. It reports whether the link
-// existed.
-func (m *Mutable) RemoveLink(from, to NodeID) (bool, error) {
-	if err := m.check(from); err != nil {
-		return false, err
-	}
-	links := m.adj[from]
-	for i, t := range links {
-		if t == to {
-			m.adj[from] = append(links[:i], links[i+1:]...)
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func (m *Mutable) check(v NodeID) error {
-	if v < 0 || int(v) >= len(m.adj) {
+// SetOutLinks replaces v's out-links with links, or appends document v
+// when v is NumNodes(). Every link must name an existing document other
+// than v. The links are stored deduplicated in ascending order, the
+// adjacency invariant of every Graph constructor, in a slice of their
+// own: a list OutLinks returned before the call keeps its contents.
+func (m *Mutable) SetOutLinks(v NodeID, links []NodeID) error {
+	if v < 0 || int(v) > len(m.adj) {
 		return fmt.Errorf("graph: node %d outside graph", v)
 	}
-	return nil
-}
-
-// ClearOutLinks removes every out-link of v (used when a document is
-// deleted: its row and column leave the matrix).
-func (m *Mutable) ClearOutLinks(v NodeID) error {
-	if err := m.check(v); err != nil {
-		return err
+	links = slices.Clone(links)
+	slices.Sort(links)
+	links = slices.Compact(links)
+	for _, t := range links {
+		if t < 0 || int(t) >= len(m.adj) {
+			return fmt.Errorf("graph: node %d links to %d, outside graph", v, t)
+		}
+		if t == v {
+			return fmt.Errorf("graph: self-link %d", v)
+		}
 	}
-	m.adj[v] = nil
+	if int(v) == len(m.adj) {
+		m.adj = append(m.adj, links)
+	} else {
+		m.adj[v] = links
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,8 +26,13 @@ func TestNewMutableCopies(t *testing.T) {
 		}
 	}
 	// Mutating the copy leaves the original untouched.
-	if _, err := m.AddLink(0, NodeID(g.NumNodes()-1)); err != nil {
+	last := NodeID(g.NumNodes() - 1)
+	before := slices.Clone(g.OutLinks(0))
+	if err := m.SetOutLinks(0, append(slices.Clone(m.OutLinks(0)), last)); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(g.OutLinks(0), before) || !slices.Contains(m.OutLinks(0), last) {
+		t.Fatalf("copy %v, original %v (was %v)", m.OutLinks(0), g.OutLinks(0), before)
 	}
 	if NewMutable(nil).NumNodes() != 0 {
 		t.Fatal("nil graph should yield empty mutable")
@@ -35,60 +41,70 @@ func TestNewMutableCopies(t *testing.T) {
 
 func TestMutableAddNode(t *testing.T) {
 	m := NewMutable(Cycle(3))
-	id, err := m.AddNode([]NodeID{0, 2, 0}) // duplicate deduped
-	if err != nil {
+	if err := m.SetOutLinks(3, []NodeID{2, 0, 2}); err != nil { // duplicate deduped
 		t.Fatal(err)
 	}
-	if id != 3 || m.NumNodes() != 4 {
-		t.Fatalf("id=%d nodes=%d", id, m.NumNodes())
+	if m.NumNodes() != 4 {
+		t.Fatalf("nodes=%d", m.NumNodes())
 	}
-	if m.OutDegree(3) != 2 {
-		t.Fatalf("degree = %d", m.OutDegree(3))
+	if got := m.OutLinks(3); !slices.Equal(got, []NodeID{0, 2}) {
+		t.Fatalf("links = %v, want [0 2] (deduplicated, ascending)", got)
 	}
-	if _, err := m.AddNode([]NodeID{99}); err == nil {
+	if err := m.SetOutLinks(4, []NodeID{99}); err == nil {
 		t.Fatal("accepted out-of-range link")
 	}
-	if _, err := m.AddNode([]NodeID{4}); err == nil {
+	if err := m.SetOutLinks(4, []NodeID{4}); err == nil {
 		t.Fatal("accepted self-link (new node's own id)")
+	}
+	if err := m.SetOutLinks(5, nil); err == nil {
+		t.Fatal("appended past the next id")
+	}
+	if m.NumNodes() != 4 {
+		t.Fatalf("refused appends left %d nodes, want 4", m.NumNodes())
 	}
 }
 
 func TestMutableAddRemoveLink(t *testing.T) {
 	m := NewMutable(Cycle(4))
-	added, err := m.AddLink(0, 2)
-	if err != nil || !added {
-		t.Fatalf("AddLink: %v %v", added, err)
+	kept := m.OutLinks(0)
+	if err := m.SetOutLinks(0, []NodeID{2, 1}); err != nil {
+		t.Fatal(err)
 	}
-	if again, _ := m.AddLink(0, 2); again {
-		t.Fatal("duplicate link reported as new")
+	if got := m.OutLinks(0); !slices.Equal(got, []NodeID{1, 2}) {
+		t.Fatalf("links = %v, want [1 2]", got)
 	}
-	if m.OutDegree(0) != 2 {
+	if !slices.Equal(kept, []NodeID{1}) {
+		t.Fatalf("a list read before the edit changed to %v", kept)
+	}
+	if err := m.SetOutLinks(0, []NodeID{1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.OutDegree(0) != 1 {
 		t.Fatalf("degree = %d", m.OutDegree(0))
 	}
-	removed, err := m.RemoveLink(0, 2)
-	if err != nil || !removed {
-		t.Fatalf("RemoveLink: %v %v", removed, err)
-	}
-	if again, _ := m.RemoveLink(0, 2); again {
-		t.Fatal("double remove reported as existing")
-	}
-	if _, err := m.AddLink(0, 0); err == nil {
+	if err := m.SetOutLinks(0, []NodeID{0, 1}); err == nil {
 		t.Fatal("accepted self-link")
 	}
-	if _, err := m.AddLink(99, 0); err == nil {
+	if err := m.SetOutLinks(0, []NodeID{-1}); err == nil {
+		t.Fatal("accepted negative target")
+	}
+	if err := m.SetOutLinks(99, nil); err == nil {
 		t.Fatal("accepted bad source")
 	}
-	if _, err := m.RemoveLink(99, 0); err == nil {
-		t.Fatal("accepted bad source on remove")
+	if err := m.SetOutLinks(-1, nil); err == nil {
+		t.Fatal("accepted negative source")
+	}
+	if got := m.OutLinks(0); !slices.Equal(got, []NodeID{1}) {
+		t.Fatalf("refused edits changed the links to %v", got)
 	}
 }
 
 func TestMutableSnapshot(t *testing.T) {
 	m := NewMutable(Cycle(3))
-	if _, err := m.AddNode([]NodeID{0}); err != nil {
+	if err := m.SetOutLinks(3, []NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddLink(1, 0); err != nil {
+	if err := m.SetOutLinks(1, []NodeID{2, 0}); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
@@ -103,35 +119,36 @@ func TestMutableSnapshot(t *testing.T) {
 	}
 }
 
-// Property: a Mutable built by replaying random operations always
-// matches its own Snapshot structurally.
+// Property: a Mutable built by replaying random appends, link
+// additions and link removals always matches its own Snapshot list for
+// list, and every list stays ascending without duplicates.
 func TestMutableSnapshotProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m := NewMutable(Cycle(3))
 		for op := 0; op < 40; op++ {
 			n := m.NumNodes()
+			var v NodeID
+			var links []NodeID
 			switch r.Intn(3) {
 			case 0:
-				links := []NodeID{NodeID(r.Intn(n))}
-				if _, err := m.AddNode(links); err != nil {
-					return false
-				}
+				v, links = NodeID(n), []NodeID{NodeID(r.Intn(n))}
 			case 1:
 				from, to := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-				if from != to {
-					if _, err := m.AddLink(from, to); err != nil {
-						return false
-					}
+				if from == to {
+					continue
 				}
+				v, links = from, append(slices.Clone(m.OutLinks(from)), to)
 			case 2:
-				from := NodeID(r.Intn(n))
-				if m.OutDegree(from) > 0 {
-					to := m.OutLinks(from)[r.Intn(m.OutDegree(from))]
-					if _, err := m.RemoveLink(from, to); err != nil {
-						return false
-					}
+				v = NodeID(r.Intn(n))
+				if m.OutDegree(v) == 0 {
+					continue
 				}
+				i := r.Intn(m.OutDegree(v))
+				links = slices.Delete(slices.Clone(m.OutLinks(v)), i, i+1)
+			}
+			if err := m.SetOutLinks(v, links); err != nil {
+				return false
 			}
 		}
 		snap := m.Snapshot()
@@ -139,7 +156,8 @@ func TestMutableSnapshotProperty(t *testing.T) {
 			return false
 		}
 		for v := 0; v < m.NumNodes(); v++ {
-			if snap.OutDegree(NodeID(v)) != m.OutDegree(NodeID(v)) {
+			links := m.OutLinks(NodeID(v))
+			if !slices.Equal(snap.OutLinks(NodeID(v)), links) || !slices.IsSorted(links) || len(slices.Compact(slices.Clone(links))) != len(links) {
 				return false
 			}
 		}

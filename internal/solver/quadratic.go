@@ -68,9 +68,10 @@ func PowerQuadratic(g *graph.Graph, cfg ExtrapolationConfig) (Result, error) {
 			break
 		}
 		if iter >= 4 && iter%every == 0 {
-			x0 := hist[(iter-4)%4] // x_{k-3}
-			x1 := hist[(iter-3)%4]
-			x2 := hist[(iter-2)%4]
+			// hist[(j-1)%4] holds x_{j-1}, stored at iteration j.
+			x0 := hist[(iter-3)%4] // x_{k-3}
+			x1 := hist[(iter-2)%4]
+			x2 := hist[(iter-1)%4]
 			quadraticExtrapolate(cur, x0, x1, x2)
 		}
 	}

@@ -27,6 +27,28 @@ func TestPowerQuadraticMatchesPower(t *testing.T) {
 	}
 }
 
+// Extrapolating from x_{k-3..k} never costs iterations against plain
+// power iteration, at the paper's damping or near 1 (DESIGN.md §4,
+// decision 5).
+func TestPowerQuadraticNoSlowerThanPower(t *testing.T) {
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(10000, 6))
+	for _, d := range []float64{0.85, 0.95} {
+		cfg := Config{Damping: d, Tol: 1e-10}
+		p, err := Power(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qe, err := PowerQuadratic(g, ExtrapolationConfig{Config: cfg, Every: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Converged || !qe.Converged || qe.Iterations > p.Iterations {
+			t.Fatalf("d = %v: quadratic %d iterations (converged %v), power %d (%v)", d, qe.Iterations, qe.Converged, p.Iterations, p.Converged)
+		}
+		t.Logf("d = %v: power %d, quadratic %d", d, p.Iterations, qe.Iterations)
+	}
+}
+
 func TestPowerQuadraticOnCycle(t *testing.T) {
 	res, err := PowerQuadratic(graph.Cycle(12), ExtrapolationConfig{Config: Config{Tol: 1e-12}})
 	if err != nil {

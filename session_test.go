@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"dpr/internal/rng"
 )
 
 func TestSessionInsertRemove(t *testing.T) {
@@ -123,8 +125,8 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Final ranks agree with the solver on the final topology. The
-	// removed document left with its out-links; it keeps rank 0 where
-	// the solver still ranks it for the in-link from 1.
+	// removed document keeps its id with no links in or out: it holds
+	// rank 0 where the solver gives it 1-d.
 	ref, err := CentralizedPageRank(s.Snapshot(), 0.85)
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +251,113 @@ func TestSessionCheckpointAfterInsert(t *testing.T) {
 	for i, want := range s.Ranks() {
 		if got := r.Ranks()[i]; math.Abs(got-want) > 1e-9 {
 			t.Fatalf("rank[%d]: restored %v vs uninterrupted %v", i, got, want)
+		}
+	}
+}
+
+// §3.1 deletes a document's row and its column: documents linking to
+// it stop dividing their rank by a degree that counts it.
+func TestSessionRemoveTakesItsColumn(t *testing.T) {
+	g := GraphFromLinks([][]NodeID{{1, 2}, {0}, {0}})
+	s, err := NewSession(g, Options{Peers: 2, Epsilon: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range []float64{1, 1, 0} {
+		if got := s.Ranks()[d]; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("rank[%d] = %v, want %v", d, got, want)
+		}
+	}
+	if links := s.Snapshot().OutLinks(0); !slices.Equal(links, []NodeID{1}) {
+		t.Fatalf("0 still links to %v", links)
+	}
+}
+
+func TestSessionRefusesLinkToRemoved(t *testing.T) {
+	g := GraphFromLinks([][]NodeID{{1}, {2}, {0}})
+	s, err := NewSession(g, Options{Peers: 2, Epsilon: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddLink(0, 2); err == nil {
+		t.Fatal("linked to a removed document")
+	}
+	if _, err := s.InsertDocument([]NodeID{0, 2}); err == nil {
+		t.Fatal("inserted a document linking to a removed one")
+	}
+	if s.NumDocuments() != 3 || s.Snapshot().NumEdges() != 1 {
+		t.Fatalf("refused edits left %d documents and %d links", s.NumDocuments(), s.Snapshot().NumEdges())
+	}
+}
+
+// A seeded script of inserts, link edits and removals: no link of the
+// final topology touches a removed document, and every live rank
+// matches the centralized solver on it.
+func TestSessionEditScript(t *testing.T) {
+	g, err := GenerateWebGraph(300, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(g, Options{Peers: 6, Epsilon: 1e-10, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(21)
+	removed := map[NodeID]bool{}
+	pick := func() NodeID { // a live document
+		for {
+			if d := NodeID(r.Intn(s.NumDocuments())); !removed[d] {
+				return d
+			}
+		}
+	}
+	for op := range 60 {
+		var err error
+		switch r.Intn(4) {
+		case 0:
+			_, err = s.InsertDocument([]NodeID{pick(), pick()})
+		case 1:
+			if from, to := pick(), pick(); from != to {
+				err = s.AddLink(from, to)
+			}
+		case 2:
+			from := pick()
+			if links := s.Snapshot().OutLinks(from); len(links) > 0 {
+				err = s.RemoveLink(from, links[r.Intn(len(links))])
+			}
+		case 3:
+			d := pick()
+			removed[d] = true
+			err = s.RemoveDocument(d)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if len(removed) == 0 {
+		t.Fatal("the script removed nothing: the test no longer tests")
+	}
+	snap := s.Snapshot()
+	for d := range NodeID(snap.NumNodes()) {
+		for _, to := range snap.OutLinks(d) {
+			if removed[d] || removed[to] {
+				t.Fatalf("link %d -> %d touches a removed document", d, to)
+			}
+		}
+	}
+	ref, err := CentralizedPageRank(snap, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range ref {
+		if got := s.Ranks()[d]; !removed[NodeID(d)] && math.Abs(got-want) > 1e-6 {
+			t.Fatalf("rank[%d]: session %v vs centralized %v", d, got, want)
 		}
 	}
 }
