@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -347,5 +348,57 @@ func TestDynamicEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertsGrowPassScratchAmortized: each insert grows the engine by
+// one document, and each worker's coalescing index must follow it
+// amortized. N inserts, each re-converged as a Session does, may
+// reallocate a worker's index O(log N) times, not once per insert; and
+// the slots they add must read as unmarked, which the final agreement
+// with the centralized solver checks.
+func TestInsertsGrowPassScratchAmortized(t *testing.T) {
+	const inserts = 400
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(1000, 8))
+	e, m, _ := dynSetup(t, g, 8, Options{Epsilon: 1e-9, Workers: 2}, 3)
+	if res := e.Run(); !res.Converged {
+		t.Fatal("initial convergence failed")
+	}
+	r := rng.New(4)
+	base := map[int]*uint64{} // worker -> its index's backing array
+	reallocs := map[int]int{}
+	for i := 0; i < inserts; i++ {
+		links := []graph.NodeID{graph.NodeID(r.Intn(m.NumNodes())), graph.NodeID(r.Intn(m.NumNodes()))}
+		if links[0] == links[1] {
+			links = links[:1]
+		}
+		if _, err := e.InsertDocument(links, p2p.PeerID(r.Intn(8))); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Converged() {
+			if res := e.Run(); !res.Converged {
+				t.Fatalf("insert %d: no convergence", i)
+			}
+		}
+		if n := len(e.pipe.scratch[0].mark); n < m.NumNodes() {
+			t.Fatalf("insert %d: worker 0's index covers %d of %d documents", i, n, m.NumNodes())
+		}
+		for w, sc := range e.pipe.scratch {
+			if p := &sc.mark[0]; base[w] != p {
+				base[w] = p
+				reallocs[w]++
+			}
+		}
+	}
+	if len(reallocs) == 0 {
+		t.Fatal("no pass ran after an insert")
+	}
+	for w, n := range reallocs {
+		if n > 2*bits.Len(inserts) {
+			t.Fatalf("worker %d's index was reallocated %d times over %d inserts, want O(log N)", w, n, inserts)
+		}
+	}
+	if err := maxRelErr(e.Ranks(), solveSnapshot(t, m)); err > 1e-5 {
+		t.Fatalf("ranks after %d inserts off by %v", inserts, err)
 	}
 }

@@ -388,7 +388,7 @@ func (e *PassEngine) outboxes(n, perBucket int) []chunkOutbox {
 }
 
 // scratchFor returns worker w's coalescing scratch, sized to the
-// engine's destination range (which can grow under dynamic topologies).
+// engine's destination range (which grows with every InsertDocument).
 func (e *PassEngine) scratchFor(w int) *chunkScratch {
 	for len(e.pipe.scratch) <= w {
 		e.pipe.scratch = append(e.pipe.scratch, &chunkScratch{})
@@ -397,9 +397,11 @@ func (e *PassEngine) scratchFor(w int) *chunkScratch {
 	if sc.cur == nil {
 		sc.cur = graph.CursorFor(e.st.g)
 	}
+	// The index grows amortized, as the engine does one insert at a
+	// time. A fresh slot is zero, stamped with epoch 0, which no chunk
+	// reads as marked: nextEpoch runs before a chunk's first mark.
 	if n := len(e.incoming); len(sc.mark) < n {
-		sc.mark = make([]uint64, n)
-		sc.epoch = 0
+		sc.mark = append(sc.mark, make([]uint64, n-len(sc.mark))...)
 	}
 	return sc
 }

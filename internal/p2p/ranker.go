@@ -165,19 +165,22 @@ func (r *Ranker) InitialOut() [][]Update {
 	return out
 }
 
-// Fold applies a batch of updates and returns the consequent batches,
+// Fold applies batches of updates as one — each row they touch is
+// recomputed, and pushed, once — and returns the consequent batches,
 // the updates for documents this peer does not hold, and the delta
 // mass it did fold. Misrouted updates are NOT dropped — under dynamic
 // membership they raced an ownership migration, and the caller must
 // forward them to the current owner so no rank mass is ever lost.
+// Folding several batches gives bit for bit what folding their
+// concatenation does, without the copy.
 //
 // out (indexed by PeerID+1) and fwd are the ranker's scratch, valid
-// until the next Fold or Relax. The batch may be the previous fold's
-// self-directed slot of out: it is read to the end before out is
-// refilled.
+// until the next Fold or Relax. A batch may be the previous fold's
+// self-directed slot of out: every batch is read to the end before out
+// is refilled.
 //
 //dpr:hotpath
-func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded float64) {
+func (r *Ranker) Fold(batches ...[]Update) (out [][]Update, fwd []Update, folded float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
@@ -185,19 +188,25 @@ func (r *Ranker) Fold(batch []Update) (out [][]Update, fwd []Update, folded floa
 		clear(r.stamp)
 		r.gen = 1
 	}
-	// dirty grows once, to the most rows the batch can touch.
-	dirty, fwd := slices.Grow(reuse(r.dirty), min(len(batch), len(r.docs))), reuse(r.fwd)
-	for _, u := range batch {
-		i := r.index.find(r.docs, u.Doc)
-		if i < 0 {
-			fwd = append(fwd, u)
-			continue
-		}
-		r.acc[i] += u.Delta
-		folded += u.Delta
-		if r.stamp[i] != r.gen {
-			r.stamp[i] = r.gen
-			dirty = append(dirty, i)
+	n := 0
+	for _, batch := range batches {
+		n += len(batch)
+	}
+	// dirty grows once, to the most rows the batches can touch.
+	dirty, fwd := slices.Grow(reuse(r.dirty), min(n, len(r.docs))), reuse(r.fwd)
+	for _, batch := range batches {
+		for _, u := range batch {
+			i := r.index.find(r.docs, u.Doc)
+			if i < 0 {
+				fwd = append(fwd, u)
+				continue
+			}
+			r.acc[i] += u.Delta
+			folded += u.Delta
+			if r.stamp[i] != r.gen {
+				r.stamp[i] = r.gen
+				dirty = append(dirty, i)
+			}
 		}
 	}
 	for slot := range r.out {

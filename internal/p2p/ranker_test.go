@@ -184,7 +184,8 @@ func sameOut(got [][]Update, want map[PeerID][]Update) string {
 // adoptions, sheds, ownership pushes and forwards, each choice in
 // [0, n) drawn by intn, for as long as more reports, and
 // requires identical rows and identical per-destination update
-// multisets after every step — including for owners past the end of
+// multisets after every step — a fold's first batch may be handed over
+// cut into several, some empty, which the model folds as one — — including for owners past the end of
 // the table the ranker was built with, and for documents outside the
 // graph. After every step the rows are strictly ascending and the
 // index finds exactly the model's held documents. The script also
@@ -265,8 +266,16 @@ func rankerScript(intn func(n int) int, more func() bool) string {
 			for i := range batch {
 				batch[i] = Update{Doc: graph.NodeID(intn(docs+4) - 2), Delta: unit() - 0.3}
 			}
+			// The ranker is handed the first batch cut into up to four
+			// pieces, empty ones among them, as a burst of frames.
+			pieces := [][]Update{batch}
+			for cuts := intn(4); cuts > 0; cuts-- {
+				last := pieces[len(pieces)-1]
+				at := intn(len(last) + 1)
+				pieces = append(pieces[:len(pieces)-1], last[:at], last[at:])
+			}
 			for len(batch) > 0 {
-				out, fwd, folded := rk.Fold(batch)
+				out, fwd, folded := rk.Fold(pieces...)
 				wantOut, wantFwd := m.fold(batch)
 				want := 0.0
 				for _, u := range batch {
@@ -298,6 +307,7 @@ func rankerScript(intn func(n int) int, more func() bool) string {
 					return fmt.Sprintf("step %d: forward: %s", step, msg)
 				}
 				batch = slices.Clone(out[self+1])
+				pieces = [][]Update{batch}
 			}
 		case op < 7: // adopt rows, some of them already held or listed twice: the first is taken
 			var ds []graph.NodeID
@@ -526,18 +536,123 @@ func TestRankerWarmFoldAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { rk.Fold(us) }); allocs != 0 {
 		t.Fatalf("warm fold allocates %v times, want 0", allocs)
 	}
+	burst := frames(us, 8)
+	rk.Fold(burst...)
+	if allocs := testing.AllocsPerRun(20, func() { rk.Fold(burst...) }); allocs != 0 {
+		t.Fatalf("warm fold of %d batches allocates %v times, want 0", len(burst), allocs)
+	}
+}
+
+// frames cuts us into n batches of equal length, each ordered by
+// document as a decoded frame is.
+func frames(us []Update, n int) [][]Update {
+	bs := make([][]Update, n)
+	for i := range bs {
+		bs[i] = slices.Clone(us[i*len(us)/n : (i+1)*len(us)/n])
+		slices.SortFunc(bs[i], func(a, b Update) int { return cmp.Compare(a.Doc, b.Doc) })
+	}
+	return bs
+}
+
+// TestFoldOfBatchesMatchesConcatenation: folding several batches in one
+// call gives, bit for bit, what folding their concatenation does — the
+// outbox in order, the refused updates, the folded mass, every row, the
+// mass gauge and the recompute count, so a row two batches touch is
+// recomputed once — over batches that repeat documents across batches,
+// name documents the ranker does not hold, or are empty.
+func TestFoldOfBatchesMatchesConcatenation(t *testing.T) {
+	const docs = 400
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(docs, 3))
+	docPeer := make([]PeerID, docs)
+	var own []graph.NodeID
+	for d := range docPeer {
+		if docPeer[d] = PeerID(d % 4); docPeer[d] == 1 {
+			own = append(own, graph.NodeID(d))
+		}
+	}
+	build := func() (*Ranker, *telemetry.Gauge) {
+		mass := telemetry.NewRegistry().Gauge("mass")
+		return NewRanker(1, g, own, docPeer, nil, 0.85, 1e-4, 1e-3, false, mass), mass
+	}
+	split, splitMass := build()
+	whole, wholeMass := build()
+	r := rng.New(9)
+	for step := 0; step < 200; step++ {
+		if step%50 == 49 {
+			split.Relax(NextThreshold(split.thr, 1e-4))
+			whole.Relax(NextThreshold(whole.thr, 1e-4))
+		}
+		batches := make([][]Update, 1+r.Intn(6))
+		var concat []Update
+		for i := range batches {
+			if r.Intn(5) == 0 {
+				continue // an empty batch
+			}
+			for j := r.Intn(40); j >= 0; j-- {
+				d := own[r.Intn(len(own))]
+				if r.Intn(8) == 0 {
+					d = graph.NodeID(r.Intn(docs + 10)) // often not held, sometimes past the graph
+				}
+				batches[i] = append(batches[i], Update{Doc: d, Delta: (r.Float64() - 0.3) * 0.05})
+			}
+			concat = append(concat, batches[i]...)
+		}
+		out, fwd, folded := split.Fold(batches...)
+		wantOut, wantFwd, wantFolded := whole.Fold(concat)
+		if math.Float64bits(folded) != math.Float64bits(wantFolded) || !slices.Equal(fwd, wantFwd) {
+			t.Fatalf("step %d: folded %v and refused %v, the concatenation %v and %v", step, folded, fwd, wantFolded, wantFwd)
+		}
+		if len(out) != len(wantOut) {
+			t.Fatalf("step %d: %d outbox slots, the concatenation %d", step, len(out), len(wantOut))
+		}
+		for slot := range out {
+			if !slices.Equal(out[slot], wantOut[slot]) {
+				t.Fatalf("step %d: slot %d = %v, the concatenation %v", step, slot, out[slot], wantOut[slot])
+			}
+		}
+		d1, acc1, last1 := split.Rows()
+		d2, acc2, last2 := whole.Rows()
+		if !slices.Equal(d1, d2) || !slices.Equal(acc1, acc2) || !slices.Equal(last1, last2) {
+			t.Fatalf("step %d: rows differ from the concatenation's", step)
+		}
+		if a, b := splitMass.Load(), wholeMass.Load(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("step %d: mass gauge %v, the concatenation's %v", step, a, b)
+		}
+		if a, b := split.Recomputed(), whole.Recomputed(); a != b {
+			t.Fatalf("step %d: %d rows recomputed, the concatenation %d: a row hit by two batches is recomputed once", step, a, b)
+		}
+	}
 }
 
 // BenchmarkRankerFold is the receiver-side cost of one update: routed
 // to its row, accumulated, and its document's consequences collected
-// per destination.
+// per destination. batch=4096 folds one large batch; burst=8 folds
+// eight ordered 108-update frames, a wire-32 peer's burst, in one call,
+// and burst=8/per-frame the same frames one call each.
 func BenchmarkRankerFold(b *testing.B) {
 	rk, us := foldFixture(b, 100000, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(us) {
-		rk.Fold(us)
+	run := func(name string, batches [][]Update, perFrame bool) {
+		n := 0
+		for _, us := range batches {
+			n += len(us)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += n {
+				if !perFrame {
+					rk.Fold(batches...)
+					continue
+				}
+				for _, us := range batches {
+					rk.Fold(us)
+				}
+			}
+		})
 	}
+	run("batch=4096", [][]Update{us}, false)
+	burst := frames(us[:8*108], 8)
+	run("burst=8", burst, false)
+	run("burst=8/per-frame", burst, true)
 }
 
 // BenchmarkRankerRelax is what a stage costs a peer per held document

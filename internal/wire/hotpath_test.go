@@ -17,6 +17,7 @@ import (
 	"dpr/internal/graph"
 	"dpr/internal/p2p"
 	"dpr/internal/rng"
+	"dpr/internal/telemetry"
 )
 
 func TestBatchEpochCodecAllocations(t *testing.T) {
@@ -401,7 +402,7 @@ func TestReconnectSendsOldestUnackedFirst(t *testing.T) {
 			t.Fatalf("frame %d never arrived", want)
 		}
 	}
-	p.queueRemote(1, []p2p.Update{{Doc: 3, Delta: 0.5}})
+	p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 3, Delta: 0.5}}))
 	p.wakeSenders() // the view change that sends the sender to redial
 	next(1)
 	select {
@@ -531,7 +532,7 @@ func TestFrameWrittenAsConnectionDiesIsRetransmitted(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
+	p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 1, Delta: 0.5}}))
 	select {
 	case seq := <-again:
 		if seq != 1 {
@@ -589,7 +590,7 @@ func TestWindowedCreditIsRefused(t *testing.T) {
 			writeFrame(conn, frameCredit, ack)
 		}
 	}()
-	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
+	p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 1, Delta: 0.5}}))
 	for n := 1; n <= 3; n++ {
 		select {
 		case seq := <-seqs:
@@ -724,7 +725,7 @@ func TestStaleAckIsNotTakenForTheNextFrame(t *testing.T) {
 	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
 	unacked := func() float64 { return p.Registry().Snapshot().GaugeValue("wire_unacked_frames") }
 
-	p.queueRemote(1, []p2p.Update{{Doc: 1, Delta: 0.5}})
+	p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 1, Delta: 0.5}}))
 	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -742,7 +743,7 @@ func TestStaleAckIsNotTakenForTheNextFrame(t *testing.T) {
 		}
 	}
 	frame(1)
-	p.queueRemote(1, []p2p.Update{{Doc: 2, Delta: 0.5}}) // frame 2's update, queued behind frame 1
+	p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 2, Delta: 0.5}})) // frame 2's update, queued behind frame 1
 	for range 2 {
 		if err := writeFrame(conn, frameCredit, encodeCredit(nil, 1)); err != nil {
 			t.Fatal(err)
@@ -761,4 +762,137 @@ func TestStaleAckIsNotTakenForTheNextFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCounter(t, 5*time.Second, "the ack for 2 to finish frame 2", func() bool { return unacked() == 0 })
+}
+
+// outboxTo is an outbox, indexed by PeerID+1, holding us for dest only.
+func outboxTo(dest p2p.PeerID, us []p2p.Update) [][]p2p.Update {
+	out := make([][]p2p.Update, dest+2)
+	out[dest+1] = us
+	return out
+}
+
+// TestConsumeFoldsABurstOnce hands consume one burst, as the processing
+// loop drains it: admitted frames from two streams that touch one
+// document twice, a duplicate of a folded frame, a control operation
+// and a frame stamped behind the receiver's epoch. The control op runs
+// before the fold; the admitted frames fold in one fold that recomputes
+// each row once; each admitted frame gets one credit, written after
+// that fold; the duplicate is re-acked, and the stale frame is nacked
+// and never folded.
+func TestConsumeFoldsABurstOnce(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	// Peer 1 holds 1, 2 and 3, whose out-links all lead to peer 0's
+	// documents: no fold sets off a self-directed one.
+	g := graph.FromAdjacency([][]graph.NodeID{{1}, {0}, {0}, {4}, {1}})
+	trace := telemetry.NewTrace(64)
+	recv, err := NewPeer(PeerConfig{ID: 1, Graph: g, DocPeer: []p2p.PeerID{0, 1, 1, 1, 0}, Docs: []graph.NodeID{1, 2, 3},
+		Epochs: []uint64{0, 2}, Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	folds := func() (ev []telemetry.Event) {
+		for _, e := range trace.Recent(0) {
+			if e.Type == telemetry.EvFold {
+				ev = append(ev, e)
+			}
+		}
+		return ev
+	}
+
+	// One pipe per inbound stream; its reader notes each answer with the
+	// folds recorded by the time it was read.
+	type answer struct {
+		typ   byte
+		seq   uint64
+		folds int
+	}
+	answers := make([][]answer, 3)
+	cws := make([]*connWriter, 3)
+	var readers sync.WaitGroup
+	for s := range cws {
+		local, remote := net.Pipe()
+		defer remote.Close()
+		cws[s] = &connWriter{conn: local}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				typ, payload, err := readFrame(remote)
+				if err != nil {
+					return
+				}
+				a := answer{typ: typ, folds: len(folds())}
+				switch typ {
+				case frameCredit:
+					low, err := decodeCredit(payload)
+					if err != nil {
+						t.Error(err)
+					}
+					a.seq = uint64(low)
+				case frameNackEpoch:
+					if a.seq, _, err = decodeNackEpoch(payload); err != nil {
+						t.Error(err)
+					}
+				}
+				answers[s] = append(answers[s], a)
+			}
+		}()
+	}
+	frame := func(s int, seq, epoch uint64, us ...p2p.Update) inItem {
+		return inItem{from: p2p.PeerID(s * 2), origDest: 1, seq: seq, epoch: epoch, us: us, cw: cws[s]}
+	}
+
+	// Stream 0's frame 1 folds first, on its own.
+	if err := recv.control(func() { recv.consume([]inItem{frame(0, 1, 2, p2p.Update{Doc: 1, Delta: 0.5})}) }); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := recv.rk.Recomputed()
+	opFolds := -1
+	burst := []inItem{
+		frame(0, 2, 2, p2p.Update{Doc: 1, Delta: 0.25}, p2p.Update{Doc: 2, Delta: 0.25}),
+		frame(0, 1, 2, p2p.Update{Doc: 1, Delta: 0.5}), // a duplicate of the folded frame
+		{op: func() { opFolds = len(folds()) }},
+		frame(1, 1, 2, p2p.Update{Doc: 1, Delta: 0.125}, p2p.Update{Doc: 3, Delta: 0.5}),
+		frame(2, 1, 1, p2p.Update{Doc: 3, Delta: 4}), // stamped behind epoch 2
+	}
+	if err := recv.control(func() { recv.consume(burst) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, cw := range cws {
+		cw.conn.Close()
+	}
+	readers.Wait()
+
+	if opFolds != 1 {
+		t.Fatalf("the control op ran with %d folds recorded, want 1: before the burst's fold", opFolds)
+	}
+	ev := folds()
+	if len(ev) != 2 || ev[1].Aux != 4 || ev[1].Value != 1.125 {
+		t.Fatalf("fold events %+v, want the first frame's and one fold of the burst's 4 admitted updates, mass 1.125", ev)
+	}
+	if got := recv.rk.Recomputed() - recomputed; got != 3 {
+		t.Fatalf("the burst recomputed %d rows, want 3: document 1, hit by two frames, once", got)
+	}
+	if docs, acc, _ := recv.rk.Rows(); !slices.Equal(docs, []graph.NodeID{1, 2, 3}) || !slices.Equal(acc, []float64{0.875, 0.25, 0.5}) {
+		t.Fatalf("rows %v hold %v, want 0.875, 0.25 and 0.5: the duplicate and the stale frame unfolded", docs, acc)
+	}
+	// Answers written before the fold (the re-ack, the nack) may be read
+	// after it, so only the burst's credits are held to a fold count.
+	want := [][]answer{
+		{{frameCredit, 1, 0}, {frameCredit, 1, 0}, {frameCredit, 2, 2}}, // the first fold's credit, the re-ack, the burst's credit
+		{{frameCredit, 1, 2}},
+		{{frameNackEpoch, 1, 0}},
+	}
+	for s := range want {
+		got := slices.Clone(answers[s])
+		for i := range got {
+			if i < len(want[s]) && want[s][i].folds == 0 {
+				got[i].folds = 0
+			}
+		}
+		if !slices.Equal(got, want[s]) {
+			t.Fatalf("stream %d answered %+v, want %+v (type, seq, folds recorded when read)", s, answers[s], want[s])
+		}
+	}
 }

@@ -312,7 +312,7 @@ func TestDefaultWindowHoldsOneFreshFrame(t *testing.T) {
 	// Six updates for six documents, spaced so each would be framed on
 	// its own if credit allowed: only the first may leave.
 	for i := 1; i <= 6; i++ {
-		p.queueRemote(1, []p2p.Update{{Doc: graph.NodeID(i), Delta: 0.1}})
+		p.queueRemote(outboxTo(1, []p2p.Update{{Doc: graph.NodeID(i), Delta: 0.1}}))
 		time.Sleep(20 * time.Millisecond)
 	}
 	waitFrames(1)
@@ -370,7 +370,7 @@ func TestOverloadBlockedStreamIsNotWoken(t *testing.T) {
 		p.senders[st] = s
 		p.sendMu.Unlock()
 
-		p.queueRemote(1, []p2p.Update{{Doc: 2, Delta: 0.25}, {Doc: 3, Delta: 0.25}})
+		p.queueRemote(outboxTo(1, []p2p.Update{{Doc: 2, Delta: 0.25}, {Doc: 3, Delta: 0.25}}))
 		p.rqMu.Lock()
 		queued := p.rq.Queued(1)
 		p.rqMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -581,6 +582,13 @@ func (p *Peer) ack(it *inItem) {
 // queued along before recomputing. Self-directed consequences are
 // folded in the same loop rather than re-queued through the inbox,
 // which would self-deadlock when the channel is full.
+//
+// Woken by a batch, the loop first lets the rest of its burst land:
+// it yields until the inbox stops growing, so frames that arrive in
+// the same scheduling round fold in one consume and ship once
+// (DESIGN.md §11). That is bounded: a stream has one frame in flight,
+// so the inbox grows by about an item per inbound stream at most. With
+// an idle core the first yield returns at once.
 func (p *Peer) processLoop() {
 	defer p.wg.Done()
 	for {
@@ -589,6 +597,12 @@ func (p *Peer) processLoop() {
 		case <-p.quit:
 			return
 		case it = <-p.inbox:
+		}
+		if it.op == nil {
+			for n := -1; n < len(p.inbox); {
+				n = len(p.inbox)
+				runtime.Gosched()
+			}
 		}
 		items := []inItem{it}
 		for drained := false; !drained; {
@@ -605,15 +619,15 @@ func (p *Peer) processLoop() {
 }
 
 // consume runs control operations, admits remote frames through
-// dedup and the epoch fence, folds the surviving updates (and the whole
-// chain of self-directed consequences), then acknowledges. The dedup
-// table is advanced in the same loop iteration as the fold, so a crash
-// can never separate them — anything a sender sees acknowledged is part
-// of every later snapshot.
+// dedup and the epoch fence, folds the surviving updates as one (and
+// the whole chain of self-directed consequences), then acknowledges.
+// Each item's updates are folded from its own slice, never copied. The
+// dedup table is advanced in the same loop iteration as the fold, so a
+// crash can never separate them — anything a sender sees acknowledged
+// is part of every later snapshot.
 func (p *Peer) consume(items []inItem) {
-	var batch []p2p.Update
+	var batches [][]p2p.Update
 	var acks []*inItem
-	lone := true // batch is still one item's own slice, folded in place
 	for i := range items {
 		it := &items[i]
 		switch {
@@ -626,17 +640,14 @@ func (p *Peer) consume(items []inItem) {
 			}
 			acks = append(acks, it)
 		}
-		switch {
-		case len(batch) == 0:
-			batch = it.us
-		case lone:
-			batch, lone = append(slices.Clip(batch), it.us...), false
-		default:
-			batch = append(batch, it.us...)
+		if len(it.us) > 0 {
+			batches = append(batches, it.us)
 		}
 	}
-	for len(batch) > 0 {
-		batch = p.handle(batch)
+	if len(batches) > 0 {
+		for next := p.handle(batches...); len(next) > 0; {
+			next = p.handle(next)
+		}
 	}
 	for _, it := range acks {
 		p.ack(it)
@@ -699,13 +710,17 @@ func (p *Peer) admit(it *inItem) bool {
 	return true
 }
 
-// handle folds a batch, ships remote consequences, forwards updates
-// for documents that migrated away, and returns the self-directed
-// ones for the caller to fold next: the ranker's own outbox slot,
-// which only the next handle may be given (see p2p.Ranker.Fold).
-func (p *Peer) handle(batch []p2p.Update) []p2p.Update {
-	n := len(batch) // batch may alias the outbox the fold is about to refill
-	out, fwd, folded := p.rk.Fold(batch)
+// handle folds batches as one, ships remote consequences, forwards
+// updates for documents that migrated away, and returns the
+// self-directed ones for the caller to fold next: the ranker's own
+// outbox slot, which only the next handle may be given (see
+// p2p.Ranker.Fold).
+func (p *Peer) handle(batches ...[]p2p.Update) []p2p.Update {
+	n := 0 // a batch may alias the outbox the fold is about to refill
+	for _, batch := range batches {
+		n += len(batch)
+	}
+	out, fwd, folded := p.rk.Fold(batches...)
 	self := p.ship(out, true)
 	if len(fwd) > 0 {
 		self = append(self, p.forward(fwd)...)
@@ -756,7 +771,6 @@ func (p *Peer) ship(out [][]p2p.Update, originated bool) []p2p.Update {
 		if len(us) == 0 {
 			continue
 		}
-		dest := p2p.PeerID(slot - 1)
 		p.m.sent.Add(uint64(len(us)))
 		if originated {
 			for _, u := range us {
@@ -764,12 +778,11 @@ func (p *Peer) ship(out [][]p2p.Update, originated bool) []p2p.Update {
 			}
 			n += len(us)
 		}
-		if dest == p.cfg.ID {
+		if p2p.PeerID(slot-1) == p.cfg.ID {
 			self = us
-			continue
 		}
-		p.queueRemote(dest, us)
 	}
+	p.queueRemote(out)
 	if originated && n > 0 {
 		p.m.deltaShipped.Add(shipped)
 		p.event(telemetry.EvShip, shipped, int64(n))
@@ -789,16 +802,27 @@ func (p *Peer) forward(fwd []p2p.Update) []p2p.Update {
 	return p.ship(out, false)
 }
 
-// queueRemote queues updates in the destination's retry queue and
-// wakes its sender if the stream has no frame in flight; a blocked one
-// frames them once the reply it awaits is in (DESIGN.md §11).
-func (p *Peer) queueRemote(dest p2p.PeerID, us []p2p.Update) {
+// queueRemote queues an outbox's updates (indexed by PeerID+1) in
+// their destinations' retry queues, every one under a single hold of
+// rqMu, skipping this peer's own slot. Then it wakes each destination's
+// sender if the stream has no frame in flight; a blocked one frames them
+// once the reply it awaits is in (DESIGN.md §11). Every enqueue happened
+// before blocked is read, which is what the wake rule needs.
+func (p *Peer) queueRemote(out [][]p2p.Update) {
 	p.rqMu.Lock()
-	p.rq.DeferMerge(dest, us...)
+	for slot, us := range out {
+		if dest := p2p.PeerID(slot - 1); len(us) > 0 && dest != p.cfg.ID {
+			p.rq.DeferMerge(dest, us...)
+		}
+	}
 	p.countMerges()
 	p.rqMu.Unlock()
-	if s := p.sender(stream{src: p.cfg.ID, dest: dest}); !s.blocked() {
-		s.wakeUp()
+	for slot, us := range out {
+		if dest := p2p.PeerID(slot - 1); len(us) > 0 && dest != p.cfg.ID {
+			if s := p.sender(stream{src: p.cfg.ID, dest: dest}); !s.blocked() {
+				s.wakeUp()
+			}
+		}
 	}
 }
 
